@@ -19,7 +19,9 @@
 //!   home location.
 //!
 //! Eviction is LRU via the classic lazy-queue technique (re-stamped
-//! entries are skipped when popped).
+//! entries are skipped when popped, and a queue that has outgrown its
+//! resident pages is compacted, so hits that never evict cannot grow
+//! it without bound).
 //!
 //! # Sharding
 //!
@@ -91,6 +93,16 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// Caches smaller than this stay single-sharded so global LRU order is
 /// exact (capacity-sensitive unit tests, tiny tools).
 const SINGLE_SHARD_THRESHOLD: usize = 64;
+
+/// A shard's LRU queue is compacted when it is longer than this many
+/// times its resident pages (plus a floor, so tiny shards do not
+/// compact on every other push): 256 bytes of queue per 4 KiB page at
+/// most. Not smaller, because the operation that compacts holds the
+/// shard lock for a few microseconds: at a multiple of 4 one cache hit
+/// in ~450 did, enough to move the p99 of a 1 µs read by half; at 16
+/// it is one in ~2000 and the tail is where it was.
+const LRU_SLACK: usize = 16;
+const LRU_SLACK_FLOOR: usize = 64;
 
 /// The write-back page cache (see module docs).
 pub struct PageCache {
@@ -187,10 +199,33 @@ impl PageCache {
         self.next_stamp.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Queue `(bno, stamp)` as the page's current LRU position. Every
+    /// touch re-stamps the page and leaves its previous entry behind as
+    /// a stale one, which only an eviction would pop — so a workload
+    /// that fits in the cache never drains them. Once the queue has
+    /// outgrown the resident set by [`LRU_SLACK`], compact it down to
+    /// the live entries. Every re-stamp is pushed here, so the live
+    /// entries are exactly the resident pages with their current
+    /// stamps, in stamp order: rebuilding that from the map costs
+    /// O(resident) however long the queue got, where filtering the
+    /// queue would cost O(queue). The next compaction is at least
+    /// `(LRU_SLACK - 1) * resident` pushes away, so the cost per push
+    /// is constant, and small.
+    fn lru_push(shard: &mut Shard, bno: u64, stamp: u64) {
+        shard.lru.push_back((bno, stamp));
+        if shard.lru.len() > LRU_SLACK * shard.map.len() + LRU_SLACK_FLOOR {
+            let Shard { map, lru, .. } = shard;
+            lru.clear();
+            lru.extend(map.iter().map(|(&b, p)| (b, p.stamp)));
+            lru.make_contiguous()
+                .sort_unstable_by_key(|&(_, stamp)| stamp);
+        }
+    }
+
     fn touch(shard: &mut Shard, bno: u64, stamp: u64) {
         if let Some(p) = shard.map.get_mut(&bno) {
             p.stamp = stamp;
-            shard.lru.push_back((bno, stamp));
+            Self::lru_push(shard, bno, stamp);
         }
     }
 
@@ -294,7 +329,7 @@ impl PageCache {
                 stamp,
             },
         );
-        shard.lru.push_back((bno, stamp));
+        Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)?;
         Ok(buf)
     }
@@ -333,7 +368,7 @@ impl PageCache {
         } else if !is_dirty_meta && was_dirty_meta {
             self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
         }
-        shard.lru.push_back((bno, stamp));
+        Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)
     }
 
@@ -361,7 +396,7 @@ impl PageCache {
             } else if !is_dirty_meta && was_dirty_meta {
                 self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
             }
-            shard.lru.push_back((bno, stamp));
+            Self::lru_push(shard, bno, stamp);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.evict_if_needed(shard));
         }
@@ -383,7 +418,7 @@ impl PageCache {
             if class == PageClass::Meta {
                 self.dirty_meta.fetch_add(1, Ordering::Relaxed);
             }
-            shard.lru.push_back((bno, stamp));
+            Self::lru_push(shard, bno, stamp);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.evict_if_needed(shard));
         }
@@ -440,7 +475,7 @@ impl PageCache {
         if class == PageClass::Meta {
             self.dirty_meta.fetch_add(1, Ordering::Relaxed);
         }
-        shard.lru.push_back((bno, stamp));
+        Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)
     }
 
@@ -614,6 +649,12 @@ impl PageCache {
     #[cfg(test)]
     fn resident_contains(&self, bno: u64) -> bool {
         self.shard_for(bno).lock().map.contains_key(&bno)
+    }
+
+    /// Total LRU queue entries, stale ones included (test observability).
+    #[cfg(test)]
+    fn lru_len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().lru.len()).sum()
     }
 
     /// Total in-flight (evicted-but-unbarriered) pages (test observability).
@@ -847,6 +888,51 @@ mod tests {
         pc.write(3, block(3), PageClass::Data).unwrap();
         assert!(pc.resident_contains(0), "recently touched page survived");
         assert!(!pc.resident_contains(1), "cold page evicted");
+    }
+
+    /// Regression test: a cache-resident read workload evicts nothing,
+    /// so nothing popped the stale entry each hit leaves in the lazy
+    /// LRU queue and the queue grew by 16 bytes per hit, forever.
+    #[test]
+    fn lru_queue_stays_bounded_without_evictions() {
+        let dev = Arc::new(MemDisk::new(256));
+        let pc = PageCache::with_shards(dev, 512, QueueConfig::default(), 4);
+        let resident = 128u64;
+        for bno in 0..resident {
+            pc.write(bno, block(bno as u8), PageClass::Data).unwrap();
+        }
+        for i in 0..1_000_000u64 {
+            // a skewed mix, so some pages are re-stamped far more often
+            let bno = if i % 4 == 0 { i % resident } else { i % 8 };
+            assert_eq!(pc.read(bno, PageClass::Data).unwrap()[0], bno as u8);
+        }
+        assert_eq!(pc.stats().evictions, 0);
+        let bound = LRU_SLACK * resident as usize + pc.shard_count() * (LRU_SLACK_FLOOR + 1);
+        assert!(pc.lru_len() <= bound, "{} entries queued", pc.lru_len());
+    }
+
+    #[test]
+    fn lru_order_survives_compaction() {
+        let (_dev, pc) = cache(32, 8);
+        for bno in 0..8u64 {
+            pc.write(bno, block(bno as u8), PageClass::Data).unwrap();
+        }
+        // enough hits on pages 0..4 to compact the queue several times
+        for i in 0..1000u64 {
+            let _ = pc.read(i % 4, PageClass::Data).unwrap();
+        }
+        assert!(pc.lru_len() <= LRU_SLACK * 8 + LRU_SLACK_FLOOR + 1);
+        for bno in 8..12u64 {
+            pc.write(bno, block(bno as u8), PageClass::Data).unwrap();
+        }
+        for bno in 0..4u64 {
+            assert!(pc.resident_contains(bno), "hot page {bno} survived");
+            assert!(
+                !pc.resident_contains(bno + 4),
+                "cold page {} evicted",
+                bno + 4
+            );
+        }
     }
 
     /// Regression test: `update` must be an atomic read-modify-write.

@@ -1,11 +1,15 @@
 //! Criterion bench behind experiments E3/E3b: full recovery latency as
 //! a function of the retained operation-log length, cold replay vs
-//! warm standby handover.
+//! warm standby handover. The `cold`/`warm` rows isolate replay vs
+//! handover (no image validation, zero-latency device); the
+//! `cold_recovery` row is the whole cold rung as deployed — contained
+//! reboot, validated shadow load (`fsck`) and replay — on the
+//! NVMe-latency device, where its device reads are what it costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rae::{RaeConfig, StandbyOpts};
 use rae_basefs::BaseFsConfig;
-use rae_bench::harness::{fresh_device, mount_rae};
+use rae_bench::harness::{fresh_device, fresh_latency_device, mount_rae};
 use rae_blockdev::BlockDevice;
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_shadowfs::ShadowOpts;
@@ -15,8 +19,10 @@ use std::sync::Arc;
 /// Build a RAE filesystem with `len` unsynced operations and a bug
 /// armed to fire on the next allocation. With `warm` the standby is
 /// enabled and caught up before the bug is armed, so the measured
-/// recovery drains only the in-flight tail.
-fn primed_fs(len: usize, warm: bool) -> rae::RaeFs {
+/// recovery drains only the in-flight tail. With `deployed` the shadow
+/// validates the image before trusting it and the device has NVMe
+/// latency.
+fn primed_fs(len: usize, warm: bool, deployed: bool) -> rae::RaeFs {
     let faults = FaultRegistry::new();
     let config = RaeConfig {
         base: BaseFsConfig {
@@ -24,7 +30,7 @@ fn primed_fs(len: usize, warm: bool) -> rae::RaeFs {
             ..BaseFsConfig::default()
         },
         shadow: ShadowOpts {
-            validate_image: false,
+            validate_image: deployed,
             ..ShadowOpts::default()
         },
         max_log_records: usize::MAX,
@@ -34,7 +40,12 @@ fn primed_fs(len: usize, warm: bool) -> rae::RaeFs {
         },
         ..RaeConfig::default()
     };
-    let fs = mount_rae(fresh_device() as Arc<dyn BlockDevice>, config);
+    let dev = if deployed {
+        fresh_latency_device() as Arc<dyn BlockDevice>
+    } else {
+        fresh_device() as Arc<dyn BlockDevice>
+    };
+    let fs = mount_rae(dev, config);
     // Cycle over 512 distinct files so the longest sweeps fit the
     // 4096-inode bench geometry; the log still retains `len` records.
     for k in 0..len {
@@ -62,24 +73,30 @@ fn primed_fs(len: usize, warm: bool) -> rae::RaeFs {
     fs
 }
 
+fn bench_one(b: &mut criterion::Bencher, len: usize, warm: bool, deployed: bool) {
+    b.iter_batched(
+        || primed_fs(len, warm, deployed),
+        |fs| {
+            fs.mkdir("/trigger").unwrap(); // bug fires, recovery runs
+            assert_eq!(fs.stats().recoveries, 1);
+            fs
+        },
+        criterion::BatchSize::LargeInput,
+    );
+}
+
 fn bench_recovery_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery_latency");
     group.sample_size(10);
     for len in [10usize, 100, 500, 1000, 5000] {
         for warm in [false, true] {
             let id = BenchmarkId::new(if warm { "warm" } else { "cold" }, len);
-            group.bench_with_input(id, &len, |b, &len| {
-                b.iter_batched(
-                    || primed_fs(len, warm),
-                    |fs| {
-                        fs.mkdir("/trigger").unwrap(); // bug fires, recovery runs
-                        assert_eq!(fs.stats().recoveries, 1);
-                        fs
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            });
+            group.bench_with_input(id, &len, |b, &len| bench_one(b, len, warm, false));
         }
+    }
+    for len in [256usize, 1000, 4000] {
+        let id = BenchmarkId::new("cold_recovery", len);
+        group.bench_with_input(id, &len, |b, &len| bench_one(b, len, false, true));
     }
     group.finish();
 }

@@ -15,6 +15,9 @@
 //! * [`RetryDisk`] — a wrapper absorbing transient-class errors with a
 //!   deterministic, seeded exponential backoff and a bounded attempt
 //!   budget (the recovery ladder's retry rung);
+//! * [`MemoDisk`] — a read-only, fill-once snapshot view: each block
+//!   crosses the device at most once (a cold recovery rung's whole
+//!   pass over the image shares one);
 //! * [`StatsDisk`] — a transparent I/O accounting wrapper;
 //! * [`TrackedDisk`] — a wrapper recording the written-block set, so
 //!   the warm standby's recovery resync visits only touched blocks;
@@ -46,6 +49,7 @@ mod device;
 mod faulty;
 mod file;
 mod mem;
+mod memo;
 mod queue;
 mod retry;
 mod stats;
@@ -58,6 +62,7 @@ pub use faulty::{
 };
 pub use file::FileDisk;
 pub use mem::MemDisk;
+pub use memo::MemoDisk;
 pub use queue::{QueueConfig, WritebackQueue};
 pub use retry::{classify_error, ErrorClass, RetryDisk, RetryPolicy, RetryStats};
 pub use stats::{DiskCounters, StatsDisk};

@@ -244,7 +244,7 @@ impl Session {
                     s.device_faults_absorbed,
                     s.device_retries_exhausted
                 );
-                match self.fs.recovery_reports().last() {
+                match self.fs.last_recovery_report() {
                     Some(r) => {
                         let failed: Vec<String> = r
                             .failed_rungs
@@ -252,11 +252,14 @@ impl Session {
                             .map(|f| f.rung.as_str().to_string())
                             .collect();
                         out.push_str(&format!(
-                            "last recovery: rung={} failed_rungs=[{}] rung_time={:.2}ms total={:.2}ms",
+                            "last recovery: rung={} failed_rungs=[{}] rung_time={:.2}ms total={:.2}ms \
+                             shadow_device_reads={} shadow_memo_hits={}",
                             r.rung.as_str(),
                             failed.join(">"),
                             r.rung_time.as_secs_f64() * 1e3,
-                            r.duration.as_secs_f64() * 1e3
+                            r.duration.as_secs_f64() * 1e3,
+                            r.shadow_device_reads,
+                            r.shadow_memo_hits
                         ));
                         for f in &r.failed_rungs {
                             out.push_str(&format!(
@@ -684,6 +687,15 @@ mod tests {
         let ladder = s.run("ladder").unwrap();
         assert!(ladder.contains("cold=1"), "{ladder}");
         assert!(ladder.contains("rung=cold failed_rungs=[]"), "{ladder}");
+        // the cold rung's read-once view: distinct blocks and hits
+        assert!(ladder.contains("shadow_device_reads="), "{ladder}");
+        assert!(!ladder.contains("shadow_memo_hits=0"), "{ladder}");
+        let json = s.run("stats --json").unwrap();
+        assert!(
+            json.contains("\"last_recovery\": {\"rung\": \"cold\""),
+            "{json}"
+        );
+        assert!(json.contains("\"shadow_memo_hits\""), "{json}");
     }
 
     #[test]
@@ -810,6 +822,7 @@ mod tests {
             "\"recoveries\"",
             "\"rung_cold_time_ns\"",
             "\"standby\"",
+            "\"last_recovery\": null",
             "\"degraded\"",
         ] {
             assert!(out.contains(key), "missing {key} in {out}");

@@ -8,7 +8,7 @@ use crate::report::{
 use parking_lot::{Mutex, RwLock};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
 use rae_blockdev::{
-    classify_error, BlockDevice, ErrorClass, IoPhase, RetryDisk, RetryPolicy, TrackedDisk,
+    classify_error, BlockDevice, ErrorClass, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk,
 };
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ShadowFs, ShadowOpts};
@@ -456,6 +456,12 @@ impl RaeFs {
     #[must_use]
     pub fn recovery_reports(&self) -> Vec<RecoveryReport> {
         self.reports.lock().clone()
+    }
+
+    /// The most recent recovery report, if any recovery has run.
+    #[must_use]
+    pub fn last_recovery_report(&self) -> Option<RecoveryReport> {
+        self.reports.lock().last().cloned()
     }
 
     /// Online audit (§4.3's testing phase as a runtime API): quiesce,
@@ -1342,6 +1348,7 @@ impl RaeFs {
         // whole retained log (O(retained log)).
         self.replay_fault_hook()?;
         let mut t_replay = Instant::now();
+        let mut memo: Option<Arc<MemoDisk>> = None;
         let (path, shadow_load_time, mut shadow, replay, records_replayed) = match warm {
             Some((handed, drained)) => {
                 let mut shadow = *handed.shadow;
@@ -1361,7 +1368,17 @@ impl RaeFs {
                 )
             }
             None => {
-                let dev = shadow_dev.unwrap_or_else(|| self.base.device());
+                // the shadow phase reads through a per-attempt snapshot
+                // view, so image validation, load and replay share one
+                // pass over the metadata. Coherent by construction: the
+                // gate is held, the journal was just replayed, and the
+                // shadow never writes — nothing can change the device
+                // until `absorb_recovery`, by which point the shadow
+                // (and the view with it) has been consumed.
+                let dev = Arc::new(MemoDisk::new(
+                    shadow_dev.unwrap_or_else(|| self.base.device()),
+                ));
+                memo = Some(Arc::clone(&dev));
                 let t_load = Instant::now();
                 let mut shadow = ShadowFs::load(dev, self.config.shadow)?;
                 let load_time = t_load.elapsed();
@@ -1408,6 +1425,10 @@ impl RaeFs {
         let t_handoff = Instant::now();
         let shadow_checks = shadow.checks_performed();
         let delta = shadow.into_delta();
+        // the shadow was the view's only reader: take its counters and
+        // let it go before the hand-off writes anything
+        let (shadow_device_reads, shadow_memo_hits) =
+            memo.map_or((0, 0), |m| (m.device_reads(), m.memo_hits()));
         let mut report = RecoveryReport {
             trigger: trigger.clone(),
             path,
@@ -1427,6 +1448,8 @@ impl RaeFs {
             delta_data_blocks: delta.data_blocks.len(),
             fds_restored: delta.fd_entries.len(),
             shadow_checks,
+            shadow_device_reads,
+            shadow_memo_hits,
             had_in_flight: in_flight.is_some(),
         };
         self.base.absorb_recovery(&delta)?;

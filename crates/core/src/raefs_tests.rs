@@ -177,6 +177,97 @@ fn recovery_preserves_unsynced_writes() {
     assert_eq!(fs.stats().recoveries, 1);
 }
 
+/// A durable tree with multi-block and indirect-block files, an
+/// unsynced tail, then the operation that trips the armed bug
+/// (`before_boom` runs right before it).
+fn cold_recovery_program(fs: &dyn FileSystem, before_boom: &dyn Fn()) {
+    fs.mkdir("/docs").unwrap();
+    for i in 0..24u64 {
+        let fd = fs.open(&format!("/docs/f{i:02}"), rw_create()).unwrap();
+        // every fourth file reaches into its indirect block
+        let blocks = if i % 4 == 0 { 14 } else { 2 };
+        fs.write(fd, 0, &vec![i as u8; blocks * BLOCK_SIZE])
+            .unwrap();
+        fs.close(fd).unwrap();
+    }
+    fs.sync().unwrap();
+    for i in 0..16u64 {
+        let fd = fs.open(&format!("/docs/t{i:02}"), rw_create()).unwrap();
+        fs.write(fd, 0, &vec![0xA0 + i as u8; 700]).unwrap();
+        fs.close(fd).unwrap();
+        if i % 2 == 0 {
+            fs.rename(&format!("/docs/t{i:02}"), &format!("/docs/r{i:02}"))
+                .unwrap();
+        }
+    }
+    before_boom();
+    fs.mkdir("/boom").unwrap();
+}
+
+#[test]
+fn cold_recovery_reads_each_block_at_most_once() {
+    let faults = FaultRegistry::new();
+    faults.arm(BugSpec::new(
+        150,
+        "boom",
+        Site::DirModify,
+        Trigger::PathContains("boom".into()),
+        Effect::DetectedError,
+    ));
+    let disk = Arc::new(rae_blockdev::StatsDisk::new(MemDisk::new(4096)));
+    let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults,
+            ..BaseFsConfig::default()
+        },
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(Arc::clone(&disk) as Arc<dyn BlockDevice>, config).unwrap();
+
+    // whatever the program reads before /boom is not the recovery's
+    let before = std::cell::Cell::new(0);
+    cold_recovery_program(&fs, &|| before.set(disk.counters().reads));
+    let recovery_reads = disk.counters().reads - before.get();
+
+    let reports = fs.recovery_reports();
+    assert_eq!(reports.len(), 1);
+    let r = &reports[0];
+    assert_eq!(r.rung, LadderRung::Cold);
+    assert!(r.discrepancies.is_empty(), "{:?}", r.discrepancies);
+    // every device read of the recovery is either the contained
+    // reboot's (journal scan + allocator bitmaps) or the first read of
+    // a distinct block by the shadow phase
+    let reboot_bound = geo.journal_blocks + geo.inode_bitmap_blocks + geo.data_bitmap_blocks;
+    assert!(
+        recovery_reads <= r.shadow_device_reads + reboot_bound,
+        "{recovery_reads} device reads for {} distinct blocks (+{reboot_bound} reboot)",
+        r.shadow_device_reads
+    );
+    // one pass over the inode table, not one read per inode
+    assert!(
+        r.shadow_device_reads < u64::from(geo.inode_count) / 2,
+        "{} blocks read through the view",
+        r.shadow_device_reads
+    );
+    assert!(r.shadow_memo_hits > r.shadow_device_reads, "{r:?}");
+
+    // and the recovered tree is the model's
+    let model = rae_fsmodel::ModelFs::new();
+    cold_recovery_program(&model, &|| ());
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    tree_of(&model, "/", &mut want);
+    tree_of(&fs, "/", &mut got);
+    assert_eq!(got, want);
+    fs.unmount().unwrap();
+
+    // the checker on its own is read-once too, on this real image: a
+    // hit in a snapshot view over it would be a block read twice
+    let view = rae_blockdev::MemoDisk::new(disk as Arc<dyn BlockDevice>);
+    assert!(fsck(&view).unwrap().is_clean());
+    assert_eq!(view.memo_hits(), 0);
+}
+
 #[test]
 fn specified_errors_do_not_trigger_recovery() {
     let (_dev, fs) = setup(RecoveryMode::Rae, FaultRegistry::new());
@@ -1380,6 +1471,18 @@ fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
                 r.discrepancies
             );
         }
+    }
+
+    // the cold shadow read through the rung's snapshot view and its
+    // replay started hot; the warm handover never built one
+    for r in cold.recovery_reports() {
+        assert_eq!(r.rung, LadderRung::Cold);
+        assert!(r.shadow_device_reads > 0, "{r:?}");
+        assert!(r.shadow_memo_hits > r.shadow_device_reads, "{r:?}");
+    }
+    for r in warm.recovery_reports() {
+        assert_eq!(r.rung, LadderRung::Warm);
+        assert_eq!((r.shadow_device_reads, r.shadow_memo_hits), (0, 0));
     }
 
     // oracle: identical programs applied sequentially to the model

@@ -132,6 +132,14 @@ pub struct RecoveryReport {
     pub fds_restored: usize,
     /// Runtime checks the shadow performed during this recovery.
     pub shadow_checks: u64,
+    /// Cold rungs: block reads the shadow phase (image validation,
+    /// load, replay, in-flight completion) sent to the device — one per
+    /// distinct block it touched, through the rung's
+    /// [`rae_blockdev::MemoDisk`]. Zero on the warm path.
+    pub shadow_device_reads: u64,
+    /// Cold rungs: shadow-phase block reads answered from the rung's
+    /// memo instead of the device.
+    pub shadow_memo_hits: u64,
     /// Whether an in-flight operation was completed autonomously.
     pub had_in_flight: bool,
 }
@@ -166,6 +174,8 @@ impl RecoveryReport {
             delta_data_blocks: 0,
             fds_restored: 0,
             shadow_checks: 0,
+            shadow_device_reads: 0,
+            shadow_memo_hits: 0,
             had_in_flight: false,
         }
     }

@@ -372,6 +372,84 @@ mod tests {
         }
     }
 
+    /// Per case: `(inodes, entries, blocks)` counters and the `Debug`
+    /// rendering of `errors`, recorded from the serial, inode-at-a-time
+    /// checker before the block-wise parallel one replaced it.
+    const CORPUS_GOLDEN: [(&str, (u64, u64, u64), &str); 10] = [
+        (
+            "sb-magic",
+            (0, 0, 0),
+            r#"[Superblock("corrupted structure: superblock: bad superblock magic")]"#,
+        ),
+        (
+            "sb-geometry-lie",
+            (0, 0, 0),
+            r#"[Superblock("corrupted structure: superblock: superblock region layout is inconsistent")]"#,
+        ),
+        (
+            "sb-freecount-lie",
+            (0, 0, 0),
+            r#"[Superblock("corrupted structure: superblock: free block count exceeds data block count")]"#,
+        ),
+        (
+            "inode-bitrot",
+            (1, 1, 1),
+            r#"[BadInode { ino: InodeNo(2), detail: "corrupted structure: inode: inode checksum mismatch (ino2)" }, InodeBitmapMismatch { ino: InodeNo(2), marked: true, used: false }, DanglingEntry { dir: InodeNo(1), name: "f", target: InodeNo(2) }]"#,
+        ),
+        (
+            "inode-ptr-metadata",
+            (1, 1, 1),
+            r#"[BadInode { ino: InodeNo(2), detail: "corrupted structure: inode: block pointer outside data region" }, InodeBitmapMismatch { ino: InodeNo(2), marked: true, used: false }, DanglingEntry { dir: InodeNo(1), name: "f", target: InodeNo(2) }]"#,
+        ),
+        (
+            "inode-size-lie",
+            (1, 1, 1),
+            r#"[BadInode { ino: InodeNo(2), detail: "corrupted structure: inode: size exceeds format maximum" }, InodeBitmapMismatch { ino: InodeNo(2), marked: true, used: false }, DanglingEntry { dir: InodeNo(1), name: "f", target: InodeNo(2) }]"#,
+        ),
+        (
+            "inode-zero-links",
+            (1, 1, 1),
+            r#"[BadInode { ino: InodeNo(2), detail: "corrupted structure: inode: allocated inode has zero link count" }, InodeBitmapMismatch { ino: InodeNo(2), marked: true, used: false }, DanglingEntry { dir: InodeNo(1), name: "f", target: InodeNo(2) }]"#,
+        ),
+        (
+            "dirent-reclen-overflow",
+            (2, 0, 1),
+            r#"[BadDirent { dir: InodeNo(1), detail: "corrupted structure: dirent: bad record length" }, Unreachable { ino: InodeNo(2) }]"#,
+        ),
+        (
+            "dirent-dangling",
+            (2, 1, 1),
+            r#"[DanglingEntry { dir: InodeNo(1), name: "f", target: InodeNo(65535) }, Unreachable { ino: InodeNo(2) }]"#,
+        ),
+        (
+            "bitmap-clear-inuse",
+            (2, 1, 1),
+            r#"[DataBitmapMismatch { bno: 323, marked: false, used: true }, FreeCount { kind: "blocks", superblock: 3772, actual: 3773 }]"#,
+        ),
+    ];
+
+    #[test]
+    fn corpus_reports_match_the_recorded_golden() {
+        let baseline = populated();
+        let corpus = CraftedImage::standard_corpus(&baseline).unwrap();
+        for (case, (name, counters, errors)) in corpus.iter().zip(CORPUS_GOLDEN) {
+            assert_eq!(case.name, name);
+            let dev = MemDisk::from_image(&baseline.snapshot());
+            apply_corruption(&dev, &case.corruption).unwrap();
+            let report = fsck(&dev).unwrap();
+            assert_eq!(format!("{:?}", report.errors), errors, "{name}");
+            assert_eq!(
+                (
+                    report.inodes_checked,
+                    report.entries_checked,
+                    report.blocks_accounted
+                ),
+                counters,
+                "{name}"
+            );
+        }
+    }
+
     #[test]
     fn geometry_lie_keeps_valid_checksum() {
         let dev = populated();

@@ -10,7 +10,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::dirent::DirBlock;
-use crate::inode::{read_inode, DiskInode, PTRS_PER_BLOCK};
+use crate::inode::{inodes_in_table_block, DiskInode, PTRS_PER_BLOCK};
 use crate::layout::Geometry;
 use crate::superblock::{MountState, Superblock};
 use crate::wire::get_u64;
@@ -18,6 +18,7 @@ use rae_blockdev::{BlockDevice, BLOCK_SIZE};
 use rae_vfs::{FileType, FsResult, InodeNo, ROOT_INO};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 /// One inconsistency found by [`fsck`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,124 +227,243 @@ impl fmt::Display for FsckReport {
     }
 }
 
-/// All blocks owned by an inode: data blocks plus the indirect blocks
-/// themselves. Returns `(blocks, file_data_blocks)` where `blocks` is
-/// everything charged to the inode's block count.
-fn collect_blocks<D: BlockDevice + ?Sized>(
+/// What [`fsck_keeping_meta`] loaded and validated on its way: the
+/// superblock and both bitmaps. A caller that goes on to use the image
+/// (the shadow's load) takes these instead of reading them again.
+#[derive(Debug, Clone)]
+pub struct LoadedMeta {
+    /// The validated superblock.
+    pub superblock: Superblock,
+    /// The inode bitmap.
+    pub inode_bitmap: Bitmap,
+    /// The data bitmap.
+    pub data_bitmap: Bitmap,
+}
+
+/// Most workers a scan pass fans out to, whatever the core count.
+const MAX_SCAN_WORKERS: usize = 8;
+/// Below this many inode-table blocks (pass 2) or inodes (the block-map
+/// pass) per worker, starting a thread costs more than the device
+/// reads it would overlap.
+const MIN_BLOCKS_PER_WORKER: usize = 16;
+const MIN_INODES_PER_WORKER: usize = 64;
+
+/// Worker budget of one check: the core count, clamped.
+fn scan_workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(MAX_SCAN_WORKERS)
+}
+
+/// Run `scan` over `0..items` split into contiguous ranges — at most
+/// `budget` of them, each at least `min_per_worker` long — on scoped
+/// threads (the last range on the calling thread), and return the
+/// results in range order, so concatenating them reproduces what one
+/// serial scan of `0..items` would have produced.
+fn fan_out<T: Send>(
+    items: usize,
+    min_per_worker: usize,
+    budget: usize,
+    scan: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let workers = budget.min(items.div_ceil(min_per_worker)).max(1);
+    let per = items.div_ceil(workers);
+    let range = |w: usize| (w * per).min(items)..((w + 1) * per).min(items);
+    std::thread::scope(|s| {
+        let scan = &scan;
+        let spawned: Vec<_> = (0..workers - 1)
+            .map(|w| {
+                std::thread::Builder::new()
+                    .spawn_scoped(s, move || scan(range(w)))
+                    .map_err(|_| w)
+            })
+            .collect();
+        let last = scan(range(workers - 1));
+        spawned
+            .into_iter()
+            .map(|worker| match worker {
+                Ok(h) => h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                // the thread could not be started (this runs inside a
+                // recovery, possibly on a struggling machine): scan its
+                // range here instead
+                Err(w) => scan(range(w)),
+            })
+            .chain(std::iter::once(last))
+            .collect()
+    })
+}
+
+/// Pass 2 over inode-table blocks `blocks`: one device read per block,
+/// all of its inodes decoded from it. Returns the valid inodes and the
+/// errors, both in inode order.
+fn scan_inode_table<D: BlockDevice + ?Sized>(
+    dev: &D,
+    geo: &Geometry,
+    blocks: Range<usize>,
+) -> (Vec<(InodeNo, DiskInode)>, Vec<FsckError>) {
+    let mut inodes = Vec::new();
+    let mut errors = Vec::new();
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    for index in blocks {
+        let index = index as u64;
+        let read = dev.read_block(geo.inode_table_start + index, &mut buf);
+        if read.is_err() {
+            // reported against every inode of the block; the zeroed
+            // image only supplies their numbers
+            buf.fill(0);
+        }
+        for (ino, decoded) in inodes_in_table_block(geo, index, &buf) {
+            let checked = read.clone().and(decoded).and_then(|slot| {
+                slot.map(|inode| inode.validate(geo).map(|()| inode))
+                    .transpose()
+            });
+            match checked {
+                Ok(Some(inode)) => inodes.push((ino, inode)),
+                Ok(None) => {}
+                Err(e) => errors.push(FsckError::BadInode {
+                    ino,
+                    detail: e.to_string(),
+                }),
+            }
+        }
+    }
+    (inodes, errors)
+}
+
+/// What one inode's pointer tree says, from a single read of each of
+/// its indirect blocks.
+struct BlockMap {
+    /// Every block charged to the inode's block count: data blocks
+    /// plus the indirect blocks themselves, in pointer order.
+    owned: Vec<u64>,
+    /// Pointers that leave the data region, in pointer order.
+    errors: Vec<FsckError>,
+    /// Directories only: the data block of each file block within
+    /// `0..size`, in file order (holes as 0).
+    dir_blocks: Vec<u64>,
+}
+
+fn read_ptrs<D: BlockDevice + ?Sized>(dev: &D, bno: u64) -> FsResult<Vec<u64>> {
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    dev.read_block(bno, &mut buf)?;
+    Ok((0..PTRS_PER_BLOCK).map(|s| get_u64(&buf, s * 8)).collect())
+}
+
+/// Walk `inode`'s pointer tree once.
+fn map_blocks<D: BlockDevice + ?Sized>(
     dev: &D,
     geo: &Geometry,
     ino: InodeNo,
     inode: &DiskInode,
-    errors: &mut Vec<FsckError>,
-) -> FsResult<Vec<u64>> {
+) -> FsResult<BlockMap> {
     let mut owned = Vec::new();
-    let mut push = |bno: u64, errors: &mut Vec<FsckError>| {
+    let mut errors = Vec::new();
+    // charge `bno` to the inode; true when it is a data block (so, if
+    // it is an indirect block, one that may be read)
+    let mut claim = |bno: u64| {
         if bno == 0 {
-            return;
+            return false;
         }
         if geo.is_data_block(bno) {
             owned.push(bno);
+            true
         } else {
             errors.push(FsckError::BadInode {
                 ino,
                 detail: format!("pointer to non-data block {bno}"),
             });
+            false
+        }
+    };
+    // directories also need their blocks in file order for the tree
+    // walk: `logical` grows one pointer table at a time (an absent
+    // table reads as holes) until it covers the directory's size
+    let wanted = if inode.ftype == FileType::Directory {
+        usize::try_from(inode.size.div_ceil(BLOCK_SIZE as u64)).unwrap_or(usize::MAX)
+    } else {
+        0
+    };
+    let mut logical: Vec<u64> = Vec::new();
+    let cover = |logical: &mut Vec<u64>, table: Option<&[u64]>| {
+        if logical.len() < wanted {
+            match table {
+                Some(t) => logical.extend_from_slice(t),
+                None => logical.resize(logical.len() + PTRS_PER_BLOCK, 0),
+            }
         }
     };
 
     for &p in &inode.direct {
-        push(p, errors);
+        claim(p);
     }
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    if inode.indirect != 0 {
-        push(inode.indirect, errors);
-        if geo.is_data_block(inode.indirect) {
-            dev.read_block(inode.indirect, &mut buf)?;
-            for s in 0..PTRS_PER_BLOCK {
-                push(get_u64(&buf, s * 8), errors);
-            }
+    cover(&mut logical, Some(&inode.direct));
+    let single = if claim(inode.indirect) {
+        let table = read_ptrs(dev, inode.indirect)?;
+        for &p in &table {
+            claim(p);
+        }
+        Some(table)
+    } else {
+        None
+    };
+    cover(&mut logical, single.as_deref());
+    if claim(inode.dindirect) {
+        for l1p in read_ptrs(dev, inode.dindirect)? {
+            let leaf = if claim(l1p) {
+                let table = read_ptrs(dev, l1p)?;
+                for &p in &table {
+                    claim(p);
+                }
+                Some(table)
+            } else {
+                None
+            };
+            cover(&mut logical, leaf.as_deref());
         }
     }
-    if inode.dindirect != 0 {
-        push(inode.dindirect, errors);
-        if geo.is_data_block(inode.dindirect) {
-            dev.read_block(inode.dindirect, &mut buf)?;
-            let l1: Vec<u64> = (0..PTRS_PER_BLOCK).map(|s| get_u64(&buf, s * 8)).collect();
-            for l1p in l1 {
-                push(l1p, errors);
-                if l1p != 0 && geo.is_data_block(l1p) {
-                    dev.read_block(l1p, &mut buf)?;
-                    for s in 0..PTRS_PER_BLOCK {
-                        push(get_u64(&buf, s * 8), errors);
-                    }
-                }
-            }
-        }
-    }
-    Ok(owned)
-}
-
-/// The ordered data blocks of a file within `0..size` (holes as 0).
-fn file_blocks_in_order<D: BlockDevice + ?Sized>(
-    dev: &D,
-    geo: &Geometry,
-    inode: &DiskInode,
-) -> FsResult<Vec<u64>> {
-    let nblocks = inode.size.div_ceil(BLOCK_SIZE as u64);
-    let mut out = Vec::with_capacity(nblocks as usize);
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    let mut ind: Option<(u64, Vec<u64>)> = None;
-    let mut dind: Option<Vec<u64>> = None;
-
-    for i in 0..nblocks {
-        let loc = crate::inode::locate_block(i)?;
-        let bno = match loc {
-            crate::inode::BlockPtrLoc::Direct(s) => inode.direct[s],
-            crate::inode::BlockPtrLoc::Indirect { slot } => {
-                if inode.indirect == 0 || !geo.is_data_block(inode.indirect) {
-                    0
-                } else {
-                    if ind.as_ref().map(|(b, _)| *b) != Some(inode.indirect) {
-                        dev.read_block(inode.indirect, &mut buf)?;
-                        let ptrs = (0..PTRS_PER_BLOCK).map(|s| get_u64(&buf, s * 8)).collect();
-                        ind = Some((inode.indirect, ptrs));
-                    }
-                    ind.as_ref().expect("just populated").1[slot]
-                }
-            }
-            crate::inode::BlockPtrLoc::DoubleIndirect { l1, l2 } => {
-                if inode.dindirect == 0 || !geo.is_data_block(inode.dindirect) {
-                    0
-                } else {
-                    if dind.is_none() {
-                        dev.read_block(inode.dindirect, &mut buf)?;
-                        dind = Some((0..PTRS_PER_BLOCK).map(|s| get_u64(&buf, s * 8)).collect());
-                    }
-                    let l1p = dind.as_ref().expect("just populated")[l1];
-                    if l1p == 0 || !geo.is_data_block(l1p) {
-                        0
-                    } else {
-                        dev.read_block(l1p, &mut buf)?;
-                        get_u64(&buf, l2 * 8)
-                    }
-                }
-            }
-        };
-        out.push(bno);
-    }
-    Ok(out)
+    logical.resize(wanted, 0);
+    Ok(BlockMap {
+        owned,
+        errors,
+        dir_blocks: logical,
+    })
 }
 
 /// Run the full structural check over `dev`.
 ///
 /// Never panics on arbitrary images; every defect is reported as an
-/// [`FsckError`]. Read-only.
+/// [`FsckError`]. Read-only, and read-once: each inode-table block,
+/// indirect block and directory block is fetched a single time (only a
+/// block that two owners both claim — itself a reported defect — can be
+/// fetched once per claim). The two passes that do the bulk of the
+/// reading, the inode-table scan and the block-map pass, fan out over
+/// scoped worker threads by block / inode range and are merged in
+/// inode order, so the report does not depend on the worker count.
 ///
 /// # Errors
 ///
 /// Only device I/O failures; *format* problems are reported in the
 /// [`FsckReport`], not as `Err`.
 pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
+    Ok(fsck_keeping_meta(dev)?.0)
+}
+
+/// [`fsck`], also handing back the superblock and bitmaps it loaded
+/// (`None` when the check stopped before they were all valid).
+///
+/// # Errors
+///
+/// As [`fsck`].
+pub fn fsck_keeping_meta<D: BlockDevice + ?Sized>(
+    dev: &D,
+) -> FsResult<(FsckReport, Option<LoadedMeta>)> {
+    check(dev, scan_workers())
+}
+
+fn check<D: BlockDevice + ?Sized>(
+    dev: &D,
+    workers: usize,
+) -> FsResult<(FsckReport, Option<LoadedMeta>)> {
     let mut report = FsckReport::default();
 
     // Phase 0: superblock.
@@ -351,7 +471,7 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
         Ok(sb) => sb,
         Err(e) => {
             report.errors.push(FsckError::Superblock(e.to_string()));
-            return Ok(report);
+            return Ok((report, None));
         }
     };
     let geo = sb.geometry;
@@ -361,7 +481,7 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
             geo.total_blocks,
             dev.block_count()
         )));
-        return Ok(report);
+        return Ok((report, None));
     }
 
     // Phase 1: bitmaps.
@@ -376,7 +496,7 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
             report
                 .errors
                 .push(FsckError::Superblock(format!("inode bitmap: {e}")));
-            return Ok(report);
+            return Ok((report, None));
         }
     };
     let dbm = match Bitmap::load(
@@ -390,31 +510,38 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
             report
                 .errors
                 .push(FsckError::Superblock(format!("data bitmap: {e}")));
-            return Ok(report);
+            return Ok((report, None));
         }
     };
 
-    // Phase 2: inode table scan.
+    let meta = LoadedMeta {
+        superblock: sb,
+        inode_bitmap: ibm,
+        data_bitmap: dbm,
+    };
+    let report = check_structure(dev, &meta, workers, report)?;
+    Ok((report, Some(meta)))
+}
+
+/// Phases 2–9: everything checked against a valid superblock and
+/// loaded bitmaps.
+fn check_structure<D: BlockDevice + ?Sized>(
+    dev: &D,
+    meta: &LoadedMeta,
+    workers: usize,
+    mut report: FsckReport,
+) -> FsResult<FsckReport> {
+    let (sb, ibm, dbm) = (&meta.superblock, &meta.inode_bitmap, &meta.data_bitmap);
+    let geo = sb.geometry;
+
+    // Phase 2: inode table scan, block-wise and in parallel.
     let mut inodes: BTreeMap<InodeNo, DiskInode> = BTreeMap::new();
-    for raw in 1..geo.inode_count {
-        let ino = InodeNo(raw);
-        match read_inode(dev, &geo, ino) {
-            Ok(Some(inode)) => {
-                if let Err(e) = inode.validate(&geo) {
-                    report.errors.push(FsckError::BadInode {
-                        ino,
-                        detail: e.to_string(),
-                    });
-                } else {
-                    inodes.insert(ino, inode);
-                }
-            }
-            Ok(None) => {}
-            Err(e) => report.errors.push(FsckError::BadInode {
-                ino,
-                detail: e.to_string(),
-            }),
-        }
+    let table_blocks = usize::try_from(geo.inode_table_blocks).unwrap_or(usize::MAX);
+    for (valid, errors) in fan_out(table_blocks, MIN_BLOCKS_PER_WORKER, workers, |blocks| {
+        scan_inode_table(dev, &geo, blocks)
+    }) {
+        inodes.extend(valid);
+        report.errors.extend(errors);
     }
     report.inodes_checked = inodes.len() as u64;
 
@@ -442,6 +569,21 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
         }
     }
 
+    // Block-map pass: every indirect block is read here, once, in
+    // parallel over inode ranges. The directory walk (phase 5) takes
+    // its block lists from the maps and the ownership checks (phase 7)
+    // their owned sets, so neither reads a pointer block again.
+    let listed: Vec<(InodeNo, &DiskInode)> = inodes.iter().map(|(&ino, i)| (ino, i)).collect();
+    let mut maps: BTreeMap<InodeNo, BlockMap> = BTreeMap::new();
+    for part in fan_out(listed.len(), MIN_INODES_PER_WORKER, workers, |range| {
+        listed[range]
+            .iter()
+            .map(|&(ino, inode)| Ok((ino, map_blocks(dev, &geo, ino, inode)?)))
+            .collect::<FsResult<Vec<_>>>()
+    }) {
+        maps.extend(part?);
+    }
+
     // Phase 5: directory tree walk from the root.
     let mut name_refs: BTreeMap<InodeNo, u32> = BTreeMap::new(); // dirent references
     let mut subdirs: BTreeMap<InodeNo, u32> = BTreeMap::new(); // child dirs per dir
@@ -457,17 +599,7 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
                 size: inode.size,
             });
         }
-        let blocks = match file_blocks_in_order(dev, &geo, &inode) {
-            Ok(b) => b,
-            Err(_) => {
-                report.errors.push(FsckError::BadDirent {
-                    dir,
-                    detail: "unreadable directory blocks".into(),
-                });
-                continue;
-            }
-        };
-        for bno in blocks {
+        for &bno in &maps[&dir].dir_blocks {
             if bno == 0 {
                 report.errors.push(FsckError::DirSize {
                     ino: dir,
@@ -554,18 +686,20 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
         }
     }
 
-    // Phase 7: block ownership, double allocation, block counts.
+    // Phase 7: block ownership, double allocation, block counts — the
+    // block maps merged in inode order.
     let mut owner: BTreeMap<u64, InodeNo> = BTreeMap::new();
-    for (&ino, inode) in &inodes {
-        let owned = collect_blocks(dev, &geo, ino, inode, &mut report.errors)?;
-        if owned.len() as u32 != inode.blocks {
+    for (ino, map) in maps {
+        report.errors.extend(map.errors);
+        let recorded = inodes[&ino].blocks;
+        if map.owned.len() as u32 != recorded {
             report.errors.push(FsckError::BlockCount {
                 ino,
-                recorded: inode.blocks,
-                actual: owned.len() as u32,
+                recorded,
+                actual: map.owned.len() as u32,
             });
         }
-        for bno in owned {
+        for bno in map.owned {
             report.blocks_accounted += 1;
             if let Some(&prev) = owner.get(&bno) {
                 report.errors.push(FsckError::DoubleAlloc {
@@ -617,9 +751,10 @@ pub fn fsck<D: BlockDevice + ?Sized>(dev: &D) -> FsResult<FsckReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inode::write_inode;
+    use crate::inode::{read_inode, write_inode, NDIRECT};
     use crate::mkfs::{mkfs, MkfsParams};
-    use rae_blockdev::MemDisk;
+    use rae_blockdev::{MemDisk, MemoDisk};
+    use std::sync::Arc;
 
     fn fresh() -> (MemDisk, Geometry) {
         let dev = MemDisk::new(4096);
@@ -890,5 +1025,337 @@ mod tests {
                 .any(|e| matches!(e, FsckError::BadInode { ino, .. } if *ino == InodeNo(3))),
             "{report}"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Wide image: inodes across seven inode-table blocks, single- and
+    // double-indirect files, a directory with an indirect block — the
+    // shapes the block-wise scan and the block-map pass partition.
+    // ------------------------------------------------------------------
+
+    const WIDE_LAST_FILE: u32 = 100;
+    const WIDE_SPARSE: u32 = 40;
+    const WIDE_BIGDIR: InodeNo = InodeNo(101);
+
+    fn write_ptrs(dev: &MemDisk, bno: u64, ptrs: &[(usize, u64)]) {
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        for &(slot, p) in ptrs {
+            crate::wire::put_u64(&mut buf, slot * 8, p);
+        }
+        dev.write_block(bno, &buf).unwrap();
+    }
+
+    /// `/dir/f003`..`/dir/f100` (every third with an indirect block,
+    /// one sparse through its double-indirect block) and `/big`, a
+    /// 13-block directory. Returns the data blocks in use.
+    fn build_wide(dev: &MemDisk, geo: &Geometry) -> Vec<u64> {
+        let mut next = geo.data_start;
+        let mut take = || {
+            next += 1;
+            next - 1
+        };
+        let dir_ino = InodeNo(2);
+
+        let root_blk = take();
+        let mut root = DiskInode::new(FileType::Directory, 0);
+        root.links = 4; // 2 + dir + big
+        root.size = BLOCK_SIZE as u64;
+        root.direct[0] = root_blk;
+        root.blocks = 1;
+        write_inode(dev, geo, ROOT_INO, Some(&root)).unwrap();
+        let mut db = DirBlock::empty();
+        db.try_insert("dir", dir_ino, FileType::Directory).unwrap();
+        db.try_insert("big", WIDE_BIGDIR, FileType::Directory)
+            .unwrap();
+        dev.write_block(root_blk, db.as_bytes()).unwrap();
+
+        let mut dir_blocks = vec![DirBlock::empty()];
+        for raw in 3..=WIDE_LAST_FILE {
+            let name = format!("f{raw:03}");
+            if !dir_blocks
+                .last_mut()
+                .unwrap()
+                .try_insert(&name, InodeNo(raw), FileType::Regular)
+                .unwrap()
+            {
+                let mut fresh = DirBlock::empty();
+                assert!(fresh
+                    .try_insert(&name, InodeNo(raw), FileType::Regular)
+                    .unwrap());
+                dir_blocks.push(fresh);
+            }
+            let mut file = DiskInode::new(FileType::Regular, 0);
+            if raw == WIDE_SPARSE {
+                // direct[0], then a hole up to one block behind the
+                // double-indirect tree
+                file.direct[0] = take();
+                file.dindirect = take();
+                let (l1, data) = (take(), take());
+                write_ptrs(dev, file.dindirect, &[(0, l1)]);
+                write_ptrs(dev, l1, &[(5, data)]);
+                file.size = ((NDIRECT + PTRS_PER_BLOCK + 6) * BLOCK_SIZE) as u64;
+                file.blocks = 4;
+            } else if raw % 3 == 0 {
+                for d in file.direct.iter_mut() {
+                    *d = take();
+                }
+                file.indirect = take();
+                let (a, b) = (take(), take());
+                write_ptrs(dev, file.indirect, &[(0, a), (1, b)]);
+                file.size = ((NDIRECT + 2) * BLOCK_SIZE) as u64;
+                file.blocks = NDIRECT as u32 + 3;
+            } else {
+                file.direct[0] = take();
+                file.size = 100;
+                file.blocks = 1;
+            }
+            write_inode(dev, geo, InodeNo(raw), Some(&file)).unwrap();
+        }
+        let mut dir = DiskInode::new(FileType::Directory, 0);
+        dir.size = (dir_blocks.len() * BLOCK_SIZE) as u64;
+        dir.blocks = dir_blocks.len() as u32;
+        for (i, db) in dir_blocks.iter().enumerate() {
+            dir.direct[i] = take();
+            dev.write_block(dir.direct[i], db.as_bytes()).unwrap();
+        }
+        write_inode(dev, geo, dir_ino, Some(&dir)).unwrap();
+
+        // /big: 12 direct directory blocks plus one behind an indirect
+        let mut big = DiskInode::new(FileType::Directory, 0);
+        for d in big.direct.iter_mut() {
+            *d = take();
+            dev.write_block(*d, DirBlock::empty().as_bytes()).unwrap();
+        }
+        big.indirect = take();
+        let last = take();
+        dev.write_block(last, DirBlock::empty().as_bytes()).unwrap();
+        write_ptrs(dev, big.indirect, &[(0, last)]);
+        big.size = ((NDIRECT + 1) * BLOCK_SIZE) as u64;
+        big.blocks = NDIRECT as u32 + 2;
+        write_inode(dev, geo, WIDE_BIGDIR, Some(&big)).unwrap();
+
+        let used: Vec<u64> = (geo.data_start..next).collect();
+        let mut ibm = Bitmap::new(u64::from(geo.inode_count));
+        ibm.set(0).unwrap(); // the reserved null inode
+        for raw in 1..=WIDE_BIGDIR.0 {
+            ibm.set(u64::from(raw)).unwrap();
+        }
+        ibm.store(dev, geo.inode_bitmap_start).unwrap();
+        let mut dbm = Bitmap::new(geo.data_blocks);
+        for &b in &used {
+            dbm.set(geo.data_index(b).unwrap()).unwrap();
+        }
+        dbm.store(dev, geo.data_bitmap_start).unwrap();
+        let mut sb = Superblock::read_from(dev).unwrap();
+        sb.free_inodes = geo.inode_count - ibm.count_set() as u32;
+        sb.free_blocks = dbm.count_clear();
+        sb.write_to(dev).unwrap();
+        used
+    }
+
+    #[test]
+    fn wide_image_is_clean() {
+        let (dev, geo) = fresh();
+        let used = build_wide(&dev, &geo);
+        let report = fsck(&dev).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.inodes_checked, 101);
+        assert_eq!(report.entries_checked, 100);
+        assert_eq!(report.blocks_accounted, used.len() as u64);
+    }
+
+    /// Defects spread over every pass and several inode-table blocks.
+    fn damage_wide(dev: &MemDisk, geo: &Geometry) {
+        let edit = |raw: u32, f: &dyn Fn(&mut DiskInode)| {
+            let mut inode = read_inode(dev, geo, InodeNo(raw)).unwrap().unwrap();
+            f(&mut inode);
+            write_inode(dev, geo, InodeNo(raw), Some(&inode)).unwrap();
+        };
+        // pass 2: a rotten record in table block 0, a zero link count in block 4
+        let (bno, off) = geo.inode_location(InodeNo(5)).unwrap();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        dev.read_block(bno, &mut buf).unwrap();
+        buf[off + 9] ^= 0xFF;
+        dev.write_block(bno, &buf).unwrap();
+        edit(70, &|i| i.links = 0);
+        // pass 3: populated in the table, free in the bitmap
+        let mut ibm = Bitmap::load(
+            dev,
+            geo.inode_bitmap_start,
+            geo.inode_bitmap_blocks,
+            u64::from(geo.inode_count),
+        )
+        .unwrap();
+        ibm.clear(88).unwrap();
+        ibm.store(dev, geo.inode_bitmap_start).unwrap();
+        // pass 6: a wrong link count
+        edit(20, &|i| i.links = 3);
+        // pass 7: an indirect slot aimed at metadata, a wrong block
+        // count, and two files sharing a block
+        let ind = read_inode(dev, geo, InodeNo(33)).unwrap().unwrap().indirect;
+        dev.read_block(ind, &mut buf).unwrap();
+        crate::wire::put_u64(&mut buf, 8, geo.inode_bitmap_start);
+        dev.write_block(ind, &buf).unwrap();
+        edit(34, &|i| i.blocks = 7);
+        let shared = read_inode(dev, geo, InodeNo(10)).unwrap().unwrap().direct[0];
+        edit(50, &|i| i.direct[0] = shared);
+        let shared = read_inode(dev, geo, InodeNo(66)).unwrap().unwrap().indirect;
+        edit(97, &|i| i.direct[0] = shared);
+    }
+
+    /// `(inodes_checked, entries_checked, blocks_accounted, errors)`
+    /// of the damaged wide image, recorded from the serial checker
+    /// this one replaced: same variants, same order, same counters.
+    fn wide_golden() -> (u64, u64, u64, Vec<FsckError>) {
+        use FsckError as E;
+        let bad = |raw: u32, detail: &str| E::BadInode {
+            ino: InodeNo(raw),
+            detail: detail.into(),
+        };
+        let ibm = |raw: u32, marked: bool| E::InodeBitmapMismatch {
+            ino: InodeNo(raw),
+            marked,
+            used: !marked,
+        };
+        let dangling = |raw: u32| E::DanglingEntry {
+            dir: InodeNo(2),
+            name: format!("f{raw:03}"),
+            target: InodeNo(raw),
+        };
+        let leaked = |bno: u64| E::DataBitmapMismatch {
+            bno,
+            marked: true,
+            used: false,
+        };
+        let errors = vec![
+            bad(
+                5,
+                "corrupted structure: inode: inode checksum mismatch (ino5)",
+            ),
+            bad(
+                70,
+                "corrupted structure: inode: allocated inode has zero link count",
+            ),
+            ibm(5, true),
+            ibm(70, true),
+            ibm(88, false),
+            dangling(5),
+            dangling(70),
+            E::LinkCount {
+                ino: InodeNo(20),
+                recorded: 3,
+                actual: 1,
+            },
+            bad(33, "pointer to non-data block 257"),
+            E::BlockCount {
+                ino: InodeNo(33),
+                recorded: 15,
+                actual: 14,
+            },
+            E::BlockCount {
+                ino: InodeNo(34),
+                recorded: 7,
+                actual: 1,
+            },
+            E::DoubleAlloc {
+                bno: 373,
+                owners: (InodeNo(10), InodeNo(50)),
+            },
+            E::DoubleAlloc {
+                bno: 696,
+                owners: (InodeNo(66), InodeNo(97)),
+            },
+            leaked(340),
+            leaked(508),
+            leaked(598),
+            leaked(716),
+            leaked(869),
+            E::FreeCount {
+                kind: "inodes",
+                superblock: 922,
+                actual: 923,
+            },
+        ];
+        (99, 100, 576, errors)
+    }
+
+    #[test]
+    fn report_is_the_serial_checkers_whatever_the_worker_count() {
+        let (dev, geo) = fresh();
+        build_wide(&dev, &geo);
+        damage_wide(&dev, &geo);
+        let (inodes, entries, blocks, errors) = wide_golden();
+        // 64 table blocks and 99 inodes: budgets 2, 3 and 8 really do
+        // split both passes (4 table-scan workers at most, 2 block-map)
+        for workers in [1, 2, 3, 8] {
+            let (report, meta) = check(&dev, workers).unwrap();
+            assert_eq!(report.errors, errors, "{workers} worker(s)");
+            assert_eq!(
+                (
+                    report.inodes_checked,
+                    report.entries_checked,
+                    report.blocks_accounted
+                ),
+                (inodes, entries, blocks),
+                "{workers} worker(s)"
+            );
+            assert!(meta.is_some());
+        }
+    }
+
+    #[test]
+    fn fan_out_covers_every_item_once_in_order() {
+        for (items, min, budget) in [(0, 4, 8), (1, 4, 8), (17, 4, 3), (64, 16, 8), (5, 1, 8)] {
+            let parts = fan_out(items, min, budget, |r| r.collect::<Vec<usize>>());
+            assert!(parts.len() <= budget);
+            assert_eq!(parts.concat(), (0..items).collect::<Vec<_>>());
+        }
+    }
+
+    /// Reads through a [`MemoDisk`] reach the device once per distinct
+    /// block, so a memo hit *is* a block read twice.
+    fn repeated_reads(dev: MemDisk) -> u64 {
+        let memo = MemoDisk::new(Arc::new(dev) as Arc<dyn BlockDevice>);
+        let _ = fsck(&memo).unwrap();
+        memo.memo_hits()
+    }
+
+    #[test]
+    fn no_block_is_read_twice() {
+        let (dev, geo) = fresh();
+        build_wide(&dev, &geo);
+        assert_eq!(repeated_reads(dev), 0, "clean wide image");
+
+        let (dev, geo) = fresh();
+        build_tree(&dev, &geo);
+        let corpus = crate::CraftedImage::standard_corpus(&dev).unwrap();
+        for case in corpus {
+            let crafted = MemDisk::from_image(&dev.snapshot());
+            crate::apply_corruption(&crafted, &case.corruption).unwrap();
+            assert_eq!(repeated_reads(crafted), 0, "{}", case.name);
+        }
+    }
+
+    #[test]
+    fn unreadable_table_block_is_reported_per_inode() {
+        use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+        let (dev, geo) = fresh();
+        build_tree(&dev, &geo);
+        // the second table block: inodes 16..32, none of them allocated
+        let plan = DiskFaultPlan::new().fail_reads(
+            FaultTarget::Block(geo.inode_table_start + 1),
+            TriggerMode::Always,
+        );
+        let report = fsck(&FaultyDisk::with_plan(dev, plan)).unwrap();
+        let bad: Vec<u32> = report
+            .errors
+            .iter()
+            .filter_map(|e| match e {
+                FsckError::BadInode { ino, .. } => Some(ino.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bad, (16..32).collect::<Vec<_>>(), "{report}");
+        assert_eq!(report.inodes_checked, 3);
     }
 }

@@ -25,6 +25,7 @@ use crate::layout::Geometry;
 use crate::wire::{get_u32, get_u64, put_u32, put_u64};
 use rae_blockdev::{BlockDevice, BLOCK_SIZE};
 use rae_vfs::{FsError, FsResult};
+use std::collections::BTreeMap;
 
 /// Magic of the journal header block ("RAEH").
 pub const JOURNAL_HEADER_MAGIC: u32 = 0x5241_4548;
@@ -184,7 +185,9 @@ pub fn reset<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry, base_seq: u64) ->
 pub struct ReplayReport {
     /// Committed transactions applied.
     pub transactions: u64,
-    /// Total block images written home.
+    /// Block images the applied transactions carried. Images of one
+    /// target are coalesced (the last wins), so the device sees at most
+    /// this many home writes, usually far fewer.
     pub blocks: u64,
     /// Sequence number the journal was reset to.
     pub next_seq: u64,
@@ -193,6 +196,15 @@ pub struct ReplayReport {
 /// Scan the journal and apply every fully-committed transaction, then
 /// reset the journal. Idempotent: replaying twice applies the same
 /// images, and the final reset empties the log.
+///
+/// The scan only *collects* images; each target block is then written
+/// home once, with the image of the last committed transaction that
+/// journaled it (a run of small transactions rewrites the same bitmap
+/// and inode-table blocks over and over, and only the last image of
+/// each survives anyway). Nothing is written before the scan is over,
+/// and the journal is reset only after the home writes are flushed, so
+/// a crash anywhere in between leaves the log intact and a second
+/// replay produces the same image.
 ///
 /// Uncommitted or torn tails (bad descriptor, bad data CRC, missing
 /// commit, sequence gap) terminate the scan silently — that is the
@@ -215,6 +227,8 @@ pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<Repl
     let mut expected_seq = base_seq;
     let mut report = ReplayReport::default();
     let mut buf = vec![0u8; BLOCK_SIZE];
+    // target -> image of the latest committed transaction naming it
+    let mut home: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
 
     'scan: loop {
         if cursor >= end {
@@ -254,15 +268,16 @@ pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<Repl
                 return Err(corrupt("committed transaction targets an illegal block"));
             }
         }
-        for (target, image) in images {
-            dev.write_block(target, &image)?;
-            report.blocks += 1;
-        }
+        report.blocks += images.len() as u64;
+        home.extend(images); // a later image of a target replaces the earlier
         report.transactions += 1;
         expected_seq += 1;
         cursor = commit_at + 1;
     }
 
+    for (target, image) in &home {
+        dev.write_block(*target, image)?;
+    }
     dev.flush()?;
     reset(dev, geo, expected_seq)?;
     report.next_seq = expected_seq;
@@ -435,6 +450,66 @@ mod tests {
         let mut r = vec![0u8; BLOCK_SIZE];
         dev.read_block(g.data_start + 9, &mut r).unwrap();
         assert!(r.iter().all(|&b| b == 0x5A));
+    }
+
+    #[test]
+    fn replay_writes_each_target_home_once_with_its_last_image() {
+        use rae_blockdev::StatsDisk;
+        let g = geo();
+        let dev = StatsDisk::new(MemDisk::new(g.total_blocks));
+        reset(&dev, &g, 0).unwrap();
+        let (a, b) = (g.data_start + 3, g.data_start + 4);
+        let mut slot = 1;
+        for (seq, fill) in [0x11u8, 0x22, 0x33].into_iter().enumerate() {
+            slot = write_txn(
+                dev.inner(),
+                &g,
+                slot,
+                seq as u64,
+                &[(a, fill), (b, fill + 1)],
+            );
+        }
+        dev.reset();
+
+        let report = replay(&dev, &g).unwrap();
+        assert_eq!(report.transactions, 3);
+        assert_eq!(report.blocks, 6, "images applied, not device writes");
+        // two home writes plus the journal reset's header and first slot
+        assert_eq!(dev.counters().writes, 2 + 2);
+        let mut r = vec![0u8; BLOCK_SIZE];
+        dev.read_block(a, &mut r).unwrap();
+        assert!(r.iter().all(|&x| x == 0x33), "last image wins");
+        dev.read_block(b, &mut r).unwrap();
+        assert!(r.iter().all(|&x| x == 0x34));
+    }
+
+    #[test]
+    fn crash_between_home_writes_and_reset_replays_to_the_same_image() {
+        use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+        let g = geo();
+        let (a, b) = (g.data_start + 3, g.data_start + 4);
+        let journaled = |dev: &MemDisk| {
+            reset(dev, &g, 0).unwrap();
+            let next = write_txn(dev, &g, 1, 0, &[(a, 0x11), (b, 0x12)]);
+            write_txn(dev, &g, next, 1, &[(a, 0x21)]);
+        };
+        let uninterrupted = MemDisk::new(g.total_blocks);
+        journaled(&uninterrupted);
+        replay(&uninterrupted, &g).unwrap();
+
+        // the reset's header write fails: every home write has landed,
+        // the journal has not been touched
+        let crashed = MemDisk::new(g.total_blocks);
+        journaled(&crashed);
+        let plan = DiskFaultPlan::new()
+            .fail_writes(FaultTarget::Block(g.journal_start), TriggerMode::Always);
+        let dying = FaultyDisk::with_plan(crashed, plan);
+        assert!(replay(&dying, &g).is_err());
+        let crashed = MemDisk::from_image(&dying.inner().snapshot());
+
+        let again = replay(&crashed, &g).unwrap();
+        assert_eq!(again.transactions, 2, "the journal survived the crash");
+        assert_eq!(crashed.snapshot(), uninterrupted.snapshot());
     }
 
     #[test]

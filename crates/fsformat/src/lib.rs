@@ -53,7 +53,7 @@ pub mod superblock;
 mod wire;
 
 pub use crafted::{apply_corruption, Corruption, CraftedCase, CraftedImage};
-pub use fsck::{fsck, FsckError, FsckReport};
+pub use fsck::{fsck, fsck_keeping_meta, FsckError, FsckReport, LoadedMeta};
 pub use inode::{
     locate_block, max_file_size, read_inode, write_inode, BlockPtrLoc, DiskInode, INODES_PER_BLOCK,
     INODE_SIZE, NDIRECT, PTRS_PER_BLOCK,

@@ -792,6 +792,18 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
         s.standby_audits_run,
         s.standby_divergences
     ));
+    // the last recovery's shadow-phase I/O: distinct blocks fetched vs
+    // reads the cold rung's snapshot view answered from memory
+    match fs.last_recovery_report() {
+        Some(r) => out.push_str(&format!(
+            "{indent}\"last_recovery\": {{\"rung\": \"{}\", \"shadow_device_reads\": {}, \
+             \"shadow_memo_hits\": {}}},\n",
+            r.rung.as_str(),
+            r.shadow_device_reads,
+            r.shadow_memo_hits
+        )),
+        None => out.push_str(&format!("{indent}\"last_recovery\": null,\n")),
+    }
     out.push_str(&format!("{indent}\"degraded\": {}\n", s.degraded));
     out
 }

@@ -3,11 +3,38 @@
 use rae_blockdev::{BlockDevice, BLOCK_SIZE};
 use rae_fsformat::bitmap::Bitmap;
 use rae_fsformat::inode::{DiskInode, INODE_SIZE};
-use rae_fsformat::{fsck, Geometry, Superblock};
+use rae_fsformat::{fsck_keeping_meta, Geometry, LoadedMeta, Superblock};
 use rae_fsmodel::ModelFs;
 use rae_vfs::{Fd, FileType, FsError, FsResult, InodeNo, OpenFlags, ROOT_INO};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// Read and validate the superblock and both bitmaps of `dev`.
+fn read_meta(dev: &dyn BlockDevice) -> FsResult<LoadedMeta> {
+    let superblock = Superblock::read_from(dev)?;
+    let geo = superblock.geometry;
+    Ok(LoadedMeta {
+        superblock,
+        inode_bitmap: Bitmap::load(
+            dev,
+            geo.inode_bitmap_start,
+            geo.inode_bitmap_blocks,
+            u64::from(geo.inode_count),
+        )?,
+        data_bitmap: Bitmap::load(
+            dev,
+            geo.data_bitmap_start,
+            geo.data_bitmap_blocks,
+            geo.data_blocks,
+        )?,
+    })
+}
+
+fn free_inode_count(geo: &Geometry, ibm: &Bitmap) -> FsResult<u32> {
+    u32::try_from(u64::from(geo.inode_count) - ibm.count_set()).map_err(|_| FsError::Corrupted {
+        detail: "inode bitmap overflow".to_string(),
+    })
+}
 
 /// Options controlling the shadow's check battery.
 #[derive(Debug, Clone, Copy)]
@@ -88,10 +115,8 @@ impl ShadowFs {
     /// [`FsError::Corrupted`] / [`FsError::CheckFailed`] when
     /// validation fails; device errors.
     pub fn load(dev: Arc<dyn BlockDevice>, opts: ShadowOpts) -> FsResult<ShadowFs> {
-        let sb = Superblock::read_from(dev.as_ref())?;
-        let geo = sb.geometry;
-        if opts.validate_image {
-            let report = fsck(dev.as_ref())?;
+        let meta = if opts.validate_image {
+            let (report, meta) = fsck_keeping_meta(dev.as_ref())?;
             if !report.is_clean() {
                 return Err(FsError::CheckFailed {
                     check: "image-validation".to_string(),
@@ -102,25 +127,15 @@ impl ShadowFs {
                     ),
                 });
             }
-        }
-        let ibm = Bitmap::load(
-            dev.as_ref(),
-            geo.inode_bitmap_start,
-            geo.inode_bitmap_blocks,
-            u64::from(geo.inode_count),
-        )?;
-        let dbm = Bitmap::load(
-            dev.as_ref(),
-            geo.data_bitmap_start,
-            geo.data_bitmap_blocks,
-            geo.data_blocks,
-        )?;
-        let free_inodes =
-            u32::try_from(u64::from(geo.inode_count) - ibm.count_set()).map_err(|_| {
-                FsError::Corrupted {
-                    detail: "inode bitmap overflow".to_string(),
-                }
-            })?;
+            // the checker just read and validated the superblock and
+            // both bitmaps: take them rather than read them again
+            meta.expect("a clean report is past the superblock and bitmap phases")
+        } else {
+            read_meta(dev.as_ref())?
+        };
+        let geo = meta.superblock.geometry;
+        let (ibm, dbm) = (meta.inode_bitmap, meta.data_bitmap);
+        let free_inodes = free_inode_count(&geo, &ibm)?;
         let free_blocks = dbm.count_clear();
 
         let mut shadow = ShadowFs {
@@ -184,26 +199,10 @@ impl ShadowFs {
     ///
     /// Superblock/bitmap read errors on the new device.
     pub fn rebase(&mut self, fresh: Arc<dyn BlockDevice>) -> FsResult<usize> {
-        let sb = Superblock::read_from(fresh.as_ref())?;
-        let geo = sb.geometry;
-        let ibm = Bitmap::load(
-            fresh.as_ref(),
-            geo.inode_bitmap_start,
-            geo.inode_bitmap_blocks,
-            u64::from(geo.inode_count),
-        )?;
-        let dbm = Bitmap::load(
-            fresh.as_ref(),
-            geo.data_bitmap_start,
-            geo.data_bitmap_blocks,
-            geo.data_blocks,
-        )?;
-        let free_inodes =
-            u32::try_from(u64::from(geo.inode_count) - ibm.count_set()).map_err(|_| {
-                FsError::Corrupted {
-                    detail: "inode bitmap overflow".to_string(),
-                }
-            })?;
+        let meta = read_meta(fresh.as_ref())?;
+        let geo = meta.superblock.geometry;
+        let (ibm, dbm) = (meta.inode_bitmap, meta.data_bitmap);
+        let free_inodes = free_inode_count(&geo, &ibm)?;
         let dropped = self.overlay.len();
         self.dev = fresh;
         self.geo = geo;

@@ -2,7 +2,7 @@
 //! delta extraction, model conformance.
 
 use crate::{ShadowAsPrimary, ShadowFs, ShadowOpts};
-use rae_blockdev::{BlockDevice, MemDisk, BLOCK_SIZE};
+use rae_blockdev::{BlockDevice, MemDisk, MemoDisk, BLOCK_SIZE};
 use rae_fsformat::{apply_corruption, mkfs, Corruption, MkfsParams};
 use rae_fsmodel::ModelFs;
 use rae_vfs::{
@@ -35,6 +35,22 @@ fn never_writes_to_the_device() {
     sh.op_rename("/f", "/d/g").unwrap();
     assert_eq!(dev.snapshot(), before, "device image untouched");
     assert!(sh.overlay_len() > 0);
+}
+
+#[test]
+fn validated_load_reads_nothing_twice() {
+    let dev = fresh_dev();
+    let view = Arc::new(MemoDisk::new(dev as Arc<dyn BlockDevice>));
+    let sh = ShadowFs::load(
+        Arc::clone(&view) as Arc<dyn BlockDevice>,
+        ShadowOpts::default(),
+    )
+    .unwrap();
+    // the superblock and bitmaps come from the checker that validated
+    // them, not from a second read
+    assert_eq!(view.memo_hits(), 0);
+    assert!(view.device_reads() > 0);
+    assert_eq!(sh.checks_performed(), 1);
 }
 
 #[test]
