@@ -12,21 +12,99 @@
 //! level up: `BaseFs` only mutates directories under its exclusive
 //! `inner` write lock, so an invalidate can never race a stale insert.
 
+use crate::pagecache::{LRU_SLACK, LRU_SLACK_FLOOR};
 use parking_lot::Mutex;
 use rae_vfs::InodeNo;
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Stripe count for production-sized caches; small caches collapse to
 /// one shard so LRU eviction order stays exact for tests.
 const DCACHE_SHARDS: usize = 8;
 const SINGLE_SHARD_THRESHOLD: usize = 64;
 
+/// A cache key as a lookup sees it: `(parent, name)` with the name
+/// borrowed. Stored keys own theirs as `Arc<str>`, and both sides hash
+/// and compare through this view, so a lookup builds no key.
+trait DentryKey {
+    fn parts(&self) -> (InodeNo, &str);
+}
+
+impl DentryKey for (InodeNo, Arc<str>) {
+    fn parts(&self) -> (InodeNo, &str) {
+        (self.0, &self.1)
+    }
+}
+
+impl DentryKey for (InodeNo, &str) {
+    fn parts(&self) -> (InodeNo, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn DentryKey + 'a> for (InodeNo, Arc<str>) {
+    fn borrow(&self) -> &(dyn DentryKey + 'a) {
+        self
+    }
+}
+
+// must agree with the derived `Hash`/`Eq` of the stored tuple: the
+// inode number, then the name as a `str`
+impl Hash for dyn DentryKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn DentryKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn DentryKey + '_ {}
+
+#[derive(Debug)]
+struct Dentry {
+    child: InodeNo,
+    stamp: u64,
+    /// The key's name again (same allocation), so a hit can re-queue
+    /// it with a reference-count bump and a single map probe.
+    name: Arc<str>,
+}
+
 #[derive(Debug, Default)]
 struct DcShard {
-    map: HashMap<(InodeNo, String), (InodeNo, u64)>,
-    lru: VecDeque<(InodeNo, String, u64)>,
+    map: HashMap<(InodeNo, Arc<str>), Dentry>,
+    lru: VecDeque<(InodeNo, Arc<str>, u64)>, // stale entries skipped
+}
+
+impl DcShard {
+    /// Queue `(parent, name, stamp)` as the entry's current LRU
+    /// position. Every hit re-stamps its entry and leaves the previous
+    /// queue entry behind as a stale one that only an eviction would
+    /// pop, so a workload that fits the cache never drains them: once
+    /// the queue has outgrown the resident set by the page cache's
+    /// bound ([`LRU_SLACK`], same reasons), rebuild it from the map (the live entries are exactly the
+    /// resident ones with their current stamps, in stamp order).
+    /// O(resident) every `(LRU_SLACK - 1) * resident` pushes.
+    fn lru_push(&mut self, parent: InodeNo, name: Arc<str>, stamp: u64) {
+        self.lru.push_back((parent, name, stamp));
+        if self.lru.len() > LRU_SLACK * self.map.len() + LRU_SLACK_FLOOR {
+            self.lru.clear();
+            self.lru.extend(
+                self.map
+                    .iter()
+                    .map(|((p, n), d)| (*p, Arc::clone(n), d.stamp)),
+            );
+            self.lru
+                .make_contiguous()
+                .sort_unstable_by_key(|&(_, _, s)| s);
+        }
+    }
 }
 
 /// A capacity-bounded dentry cache with LRU eviction (lazy-queue),
@@ -69,13 +147,13 @@ impl DentryCache {
     pub(crate) fn lookup(&self, parent: InodeNo, name: &str) -> Option<InodeNo> {
         let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shard_for(parent, name).lock();
-        match shard.map.get_mut(&(parent, name.to_string())) {
-            Some((ino, s)) => {
-                *s = stamp;
-                let ino = *ino;
-                shard.lru.push_back((parent, name.to_string(), stamp));
+        match shard.map.get_mut(&(parent, name) as &dyn DentryKey) {
+            Some(d) => {
+                d.stamp = stamp;
+                let (child, stored) = (d.child, Arc::clone(&d.name));
+                shard.lru_push(parent, stored, stamp);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ino)
+                Some(child)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -87,16 +165,21 @@ impl DentryCache {
     pub(crate) fn insert(&self, parent: InodeNo, name: &str, child: InodeNo) {
         let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shard_for(parent, name).lock();
-        shard.map.insert((parent, name.to_string()), (child, stamp));
-        shard.lru.push_back((parent, name.to_string(), stamp));
+        let name: Arc<str> = name.into();
+        let dentry = Dentry {
+            child,
+            stamp,
+            name: Arc::clone(&name),
+        };
+        shard.map.insert((parent, Arc::clone(&name)), dentry);
+        shard.lru_push(parent, name, stamp);
         while shard.map.len() > self.shard_capacity {
             let Some((p, n, s)) = shard.lru.pop_front() else {
                 break;
             };
-            if let Some(&(_, cur)) = shard.map.get(&(p, n.clone())) {
-                if cur == s {
-                    shard.map.remove(&(p, n));
-                }
+            let key = (p, n);
+            if shard.map.get(&key).is_some_and(|d| d.stamp == s) {
+                shard.map.remove(&key);
             }
         }
     }
@@ -106,7 +189,7 @@ impl DentryCache {
         self.shard_for(parent, name)
             .lock()
             .map
-            .remove(&(parent, name.to_string()));
+            .remove(&(parent, name) as &dyn DentryKey);
     }
 
     /// Drop everything (contained reboot).
@@ -129,6 +212,12 @@ impl DentryCache {
     #[cfg(test)]
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
+    /// Total LRU queue entries, stale ones included.
+    #[cfg(test)]
+    fn lru_len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().lru.len()).sum()
     }
 }
 
@@ -160,6 +249,44 @@ mod tests {
         assert_eq!(dc.lookup(InodeNo(1), "a"), Some(InodeNo(2)));
         assert_eq!(dc.lookup(InodeNo(1), "b"), None);
         assert_eq!(dc.lookup(InodeNo(1), "c"), Some(InodeNo(4)));
+    }
+
+    #[test]
+    fn a_million_hits_on_a_resident_set_keep_the_queue_bounded() {
+        for capacity in [32, 1024] {
+            let dc = DentryCache::new(capacity);
+            let names: Vec<String> = (0..24).map(|i| format!("f{i}")).collect();
+            for (i, n) in names.iter().enumerate() {
+                dc.insert(InodeNo(1), n, InodeNo(10 + i as u32));
+            }
+            for i in 0..1_000_000usize {
+                let k = i % names.len();
+                assert_eq!(
+                    dc.lookup(InodeNo(1), &names[k]),
+                    Some(InodeNo(10 + k as u32))
+                );
+            }
+            let slack = LRU_SLACK * names.len() + LRU_SLACK_FLOOR * dc.shards.len();
+            assert!(dc.lru_len() <= slack + dc.shards.len(), "{}", dc.lru_len());
+            assert_eq!(dc.len(), names.len());
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_lru_order() {
+        let dc = DentryCache::new(2);
+        dc.insert(InodeNo(1), "cold", InodeNo(2));
+        dc.insert(InodeNo(1), "hot", InodeNo(3));
+        // enough hits to compact the queue several times over, the
+        // last of them on "hot"
+        for _ in 0..10 * (LRU_SLACK * 2 + LRU_SLACK_FLOOR) {
+            let _ = dc.lookup(InodeNo(1), "cold");
+            let _ = dc.lookup(InodeNo(1), "hot");
+        }
+        dc.insert(InodeNo(1), "new", InodeNo(4)); // evicts "cold"
+        assert_eq!(dc.lookup(InodeNo(1), "cold"), None);
+        assert_eq!(dc.lookup(InodeNo(1), "hot"), Some(InodeNo(3)));
+        assert_eq!(dc.lookup(InodeNo(1), "new"), Some(InodeNo(4)));
     }
 
     #[test]

@@ -437,24 +437,26 @@ impl BaseFs {
     /// Metadata downloading (§3.2): absorb the shadow's reconstructed
     /// state. Block images land in the page cache marked dirty (the
     /// existing journal machinery persists them at the next commit);
-    /// the descriptor table is rebuilt with identical numbering.
+    /// the descriptor table is rebuilt with identical numbering. The
+    /// delta is consumed: each image is released as soon as the cache
+    /// has its page.
     ///
     /// # Errors
     ///
     /// [`FsError::Internal`] on duplicate descriptors; cache errors.
-    pub fn absorb_recovery(&self, delta: &RecoveryDelta) -> FsResult<()> {
+    pub fn absorb_recovery(&self, delta: RecoveryDelta) -> FsResult<()> {
         let ctx = OpContext::new(OpKind::Sync, Site::RecoveryAbsorb);
         let _ = self.hook(&ctx)?;
         let _fence = self.fence.write();
         let _txn = self.txn.write();
-        for (bno, img) in &delta.meta_blocks {
-            if *bno == 0 {
+        for (bno, img) in delta.meta_blocks {
+            if bno == 0 {
                 continue; // superblock is rebuilt from the bitmaps below
             }
-            self.pages.write(*bno, img.clone(), PageClass::Meta)?;
+            self.pages.write(bno, img.to_vec(), PageClass::Meta)?;
         }
-        for (bno, img) in &delta.data_blocks {
-            self.pages.write(*bno, img.clone(), PageClass::Data)?;
+        for (bno, img) in delta.data_blocks {
+            self.pages.write(bno, img.to_vec(), PageClass::Data)?;
         }
         self.icache.clear();
         self.dcache.clear();

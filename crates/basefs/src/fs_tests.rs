@@ -583,7 +583,7 @@ fn absorb_recovery_installs_descriptors() {
             path: "/f".into(),
         }],
     };
-    fs.absorb_recovery(&delta).unwrap();
+    fs.absorb_recovery(delta).unwrap();
     assert_eq!(fs.fstat(fd).unwrap().ino, ino, "descriptor lives again");
     fs.write(fd, 0, b"post-recovery").unwrap();
     assert_eq!(fs.read(fd, 0, 13).unwrap(), b"post-recovery");

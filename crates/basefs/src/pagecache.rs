@@ -101,8 +101,8 @@ const SINGLE_SHARD_THRESHOLD: usize = 64;
 /// shard lock for a few microseconds: at a multiple of 4 one cache hit
 /// in ~450 did, enough to move the p99 of a 1 µs read by half; at 16
 /// it is one in ~2000 and the tail is where it was.
-const LRU_SLACK: usize = 16;
-const LRU_SLACK_FLOOR: usize = 64;
+pub(crate) const LRU_SLACK: usize = 16;
+pub(crate) const LRU_SLACK_FLOOR: usize = 64;
 
 /// The write-back page cache (see module docs).
 pub struct PageCache {

@@ -4,7 +4,11 @@
 //! handover (no image validation, zero-latency device); the
 //! `cold_recovery` row is the whole cold rung as deployed — contained
 //! reboot, validated shadow load (`fsck`) and replay — on the
-//! NVMe-latency device, where its device reads are what it costs.
+//! NVMe-latency device, where its device reads are what it costs. The
+//! `warm_recovery` row is the warm rung as deployed: the same device, a
+//! caught-up standby, and a base that has written (and half unlinked)
+//! 1280 blocks since the standby's snapshot, so the handover resync
+//! has a four-digit write set to reconcile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rae::{RaeConfig, StandbyOpts};
@@ -21,7 +25,7 @@ use std::sync::Arc;
 /// enabled and caught up before the bug is armed, so the measured
 /// recovery drains only the in-flight tail. With `deployed` the shadow
 /// validates the image before trusting it and the device has NVMe
-/// latency.
+/// latency; a deployed warm mount also churns the base first.
 fn primed_fs(len: usize, warm: bool, deployed: bool) -> rae::RaeFs {
     let faults = FaultRegistry::new();
     let config = RaeConfig {
@@ -46,6 +50,25 @@ fn primed_fs(len: usize, warm: bool, deployed: bool) -> rae::RaeFs {
         fresh_device() as Arc<dyn BlockDevice>
     };
     let fs = mount_rae(dev, config);
+    if warm && deployed {
+        // 80 files x 16 blocks through a sync, half of them unlinked:
+        // the write tracker holds >= 1280 blocks at the fault, 640 of
+        // them free in the standby's bitmap
+        for k in 0..80 {
+            let fd = fs
+                .open(
+                    &format!("/churn{k:02}"),
+                    OpenFlags::RDWR | OpenFlags::CREATE,
+                )
+                .unwrap();
+            fs.write(fd, 0, &vec![k as u8; 16 * 4096]).unwrap();
+            fs.close(fd).unwrap();
+        }
+        fs.sync().unwrap();
+        for k in (0..80).step_by(2) {
+            fs.unlink(&format!("/churn{k:02}")).unwrap();
+        }
+    }
     // Cycle over 512 distinct files so the longest sweeps fit the
     // 4096-inode bench geometry; the log still retains `len` records.
     for k in 0..len {
@@ -79,6 +102,10 @@ fn bench_one(b: &mut criterion::Bencher, len: usize, warm: bool, deployed: bool)
         |fs| {
             fs.mkdir("/trigger").unwrap(); // bug fires, recovery runs
             assert_eq!(fs.stats().recoveries, 1);
+            if warm && deployed {
+                let r = fs.last_recovery_report().unwrap();
+                assert!(r.resync_candidates >= 1000, "{r:?}");
+            }
             fs
         },
         criterion::BatchSize::LargeInput,
@@ -95,8 +122,15 @@ fn bench_recovery_latency(c: &mut Criterion) {
         }
     }
     for len in [256usize, 1000, 4000] {
-        let id = BenchmarkId::new("cold_recovery", len);
-        group.bench_with_input(id, &len, |b, &len| bench_one(b, len, false, true));
+        for warm in [false, true] {
+            let name = if warm {
+                "warm_recovery"
+            } else {
+                "cold_recovery"
+            };
+            let id = BenchmarkId::new(name, len);
+            group.bench_with_input(id, &len, |b, &len| bench_one(b, len, warm, true));
+        }
     }
     group.finish();
 }

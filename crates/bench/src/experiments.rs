@@ -315,7 +315,8 @@ pub fn e3_recovery_latency(scale: Scale) -> String {
 /// O(in-flight) separation the standby subsystem exists for. Then as
 /// deployed (validated shadow load, NVMe-latency device), where device
 /// reads are what recovery costs: the cold rung reads each block once,
-/// the warm rung's resync re-reads the touched set, and the two cross.
+/// the warm rung reads none after the reboot, and warm stays under
+/// cold at every log length.
 #[must_use]
 pub fn e3b_warm_recovery(scale: Scale) -> String {
     let mut out = String::from("E3b: cold replay vs warm standby handover\n");

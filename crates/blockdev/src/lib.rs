@@ -19,8 +19,9 @@
 //!   crosses the device at most once (a cold recovery rung's whole
 //!   pass over the image shares one);
 //! * [`StatsDisk`] — a transparent I/O accounting wrapper;
-//! * [`TrackedDisk`] — a wrapper recording the written-block set, so
-//!   the warm standby's recovery resync visits only touched blocks;
+//! * [`TrackedDisk`] — a wrapper recording the written-block set (one
+//!   atomic bit per block), which is all the warm standby's recovery
+//!   resync needs to know about the live device;
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
 //!   write-back engine used by the base filesystem's page cache.
 //!

@@ -1,11 +1,9 @@
 //! Write-set tracking for warm-standby resynchronization.
 
 use crate::device::{BlockDevice, IoPhase};
-use parking_lot::Mutex;
 use rae_telemetry::{DevOp, Telemetry};
 use rae_vfs::FsResult;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A wrapper recording which blocks have been written since the last
@@ -14,15 +12,26 @@ use std::sync::{Arc, OnceLock};
 /// The warm standby executes against a frozen snapshot of the device,
 /// so at recovery time the runtime must reconcile the standby's merged
 /// view with the live image. Blocks neither side touched since the
-/// snapshot are untouched on both and need no comparison — this wrapper
-/// supplies the "blocks the base touched" half of that union, turning
-/// the reconciliation from a full-device scan into a visit of only the
-/// recently-written set. The set is drained at every snapshot point
-/// (standby spawn, re-spawn, and coordinated audit re-base), so its
-/// size is bounded by the write traffic between snapshots.
+/// snapshot are the same on both and need no attention — this wrapper
+/// supplies the "blocks the base touched" half of that union, which is
+/// all the reconciliation needs to know about the live device: it
+/// never reads it. The set is drained at every snapshot point
+/// (standby spawn, re-spawn, and coordinated audit re-base) and at
+/// every warm hand-over, so its size is bounded by the write traffic
+/// between those.
+///
+/// The set is one bit per device block (the block count is fixed), so
+/// the base's write-back workers record a write with one `fetch_or`
+/// and never meet on a lock.
 pub struct TrackedDisk {
     inner: Arc<dyn BlockDevice>,
-    written: Mutex<HashSet<u64>>,
+    /// Bit `bno % 64` of word `bno / 64`. Set with `Release` after the
+    /// device write returned and drained with `Acquire`, so a drain
+    /// that sees the bit is ordered after the write it stands for.
+    written: Box<[AtomicU64]>,
+    /// Reads forwarded to the device (a statistic: a recovery samples
+    /// it around its shadow phase).
+    reads: AtomicU64,
     telemetry: OnceLock<Arc<Telemetry>>,
     recovery_phase: AtomicBool,
 }
@@ -39,9 +48,11 @@ impl TrackedDisk {
     /// Wrap `inner` with an empty write set.
     #[must_use]
     pub fn new(inner: Arc<dyn BlockDevice>) -> TrackedDisk {
+        let words = inner.block_count().div_ceil(64);
         TrackedDisk {
             inner,
-            written: Mutex::new(HashSet::new()),
+            written: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            reads: AtomicU64::new(0),
             telemetry: OnceLock::new(),
             recovery_phase: AtomicBool::new(false),
         }
@@ -65,17 +76,38 @@ impl TrackedDisk {
         result
     }
 
-    /// Drain and return the set of blocks written since the previous
-    /// call (or since construction).
+    /// Drain and return the blocks written since the previous call (or
+    /// since construction), in ascending order. A write racing the
+    /// drain lands in this result or stays for the next one.
     #[must_use]
-    pub fn take_written(&self) -> HashSet<u64> {
-        std::mem::take(&mut self.written.lock())
+    pub fn take_written(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        for (w, word) in self.written.iter().enumerate() {
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::Acquire);
+            while bits != 0 {
+                out.push(w as u64 * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 
     /// How many distinct blocks are currently in the write set.
     #[must_use]
     pub fn written_len(&self) -> usize {
-        self.written.lock().len()
+        self.written
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
+    }
+
+    /// Reads forwarded to the device since construction.
+    #[must_use]
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
     }
 }
 
@@ -85,13 +117,16 @@ impl BlockDevice for TrackedDisk {
     }
 
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
         self.timed(DevOp::Read, || self.inner.read_block(bno, buf))
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
         self.timed(DevOp::Write, || {
             self.inner.write_block(bno, buf)?;
-            self.written.lock().insert(bno);
+            // the write succeeded, so `bno` is below the block count
+            // the bitmap was sized from
+            self.written[(bno / 64) as usize].fetch_or(1 << (bno % 64), Ordering::Release);
             Ok(())
         })
     }
@@ -122,8 +157,7 @@ mod tests {
         disk.write_block(2, &blk).unwrap();
         assert_eq!(disk.written_len(), 2);
 
-        let set = disk.take_written();
-        assert!(set.contains(&2) && set.contains(&5));
+        assert_eq!(disk.take_written(), [2, 5], "each block once, ascending");
         assert_eq!(disk.written_len(), 0, "drained");
 
         // reads are not tracked; the content still round-trips
@@ -131,6 +165,19 @@ mod tests {
         disk.read_block(5, &mut back).unwrap();
         assert_eq!(back[0], 3);
         assert_eq!(disk.written_len(), 0);
+        assert_eq!(disk.reads(), 1);
+    }
+
+    #[test]
+    fn drains_in_order_across_word_boundaries() {
+        let disk = TrackedDisk::new(Arc::new(MemDisk::new(200)));
+        let blk = vec![1u8; BLOCK_SIZE];
+        for bno in [199, 64, 0, 63, 128, 65] {
+            disk.write_block(bno, &blk).unwrap();
+        }
+        assert_eq!(disk.written_len(), 6);
+        assert_eq!(disk.take_written(), [0, 63, 64, 65, 128, 199]);
+        assert!(disk.take_written().is_empty());
     }
 
     #[test]

@@ -253,13 +253,17 @@ impl Session {
                             .collect();
                         out.push_str(&format!(
                             "last recovery: rung={} failed_rungs=[{}] rung_time={:.2}ms total={:.2}ms \
-                             shadow_device_reads={} shadow_memo_hits={}",
+                             shadow_device_reads={} shadow_memo_hits={} \
+                             resync_candidates={} resync_pinned={} resync_pruned={}",
                             r.rung.as_str(),
                             failed.join(">"),
                             r.rung_time.as_secs_f64() * 1e3,
                             r.duration.as_secs_f64() * 1e3,
                             r.shadow_device_reads,
-                            r.shadow_memo_hits
+                            r.shadow_memo_hits,
+                            r.resync_candidates,
+                            r.resync_pinned,
+                            r.resync_pruned
                         ));
                         for f in &r.failed_rungs {
                             out.push_str(&format!(
@@ -799,6 +803,15 @@ mod tests {
         let out = s.run("standby").unwrap();
         assert!(out.contains("active=true"), "{out}");
         assert!(out.contains("degraded=false"), "{out}");
+        // the warm rung's resync: it had candidates, and decided them
+        // without reading the live device
+        let ladder = s.run("ladder").unwrap();
+        assert!(ladder.contains("rung=warm"), "{ladder}");
+        assert!(ladder.contains("shadow_device_reads=0 "), "{ladder}");
+        assert!(ladder.contains("resync_candidates="), "{ladder}");
+        assert!(!ladder.contains("resync_candidates=0"), "{ladder}");
+        let json = s.run("stats --json").unwrap();
+        assert!(json.contains("\"resync_pruned\""), "{json}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rae_blockdev::{
     classify_error, BlockDevice, ErrorClass, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk,
 };
 use rae_faults::{FaultAction, OpContext, Site};
-use rae_shadowfs::{ReadReply, ReadRequest, ShadowFs, ShadowOpts};
+use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{HandoverState, Publish, StandbyOpts, StandbyStatus, WarmStandby};
 use rae_telemetry::{EventKind, OpClass, Telemetry};
 use rae_vfs::{
@@ -213,8 +213,9 @@ pub struct RaeFs {
     gate: RwLock<()>,
     reports: Mutex<Vec<RecoveryReport>>,
     /// Records which device blocks the base writes, drained at every
-    /// standby snapshot point so warm recovery's resync visits only
-    /// the touched set. `Some` exactly when the standby is configured.
+    /// standby snapshot point and every warm hand-over: the write set
+    /// warm recovery's resync reconciles the standby against. `Some`
+    /// exactly when the standby is configured.
     tracker: Option<Arc<TrackedDisk>>,
     /// Completed operations since the last coordinated standby audit.
     ops_since_audit: AtomicU64,
@@ -1349,24 +1350,16 @@ impl RaeFs {
         self.replay_fault_hook()?;
         let mut t_replay = Instant::now();
         let mut memo: Option<Arc<MemoDisk>> = None;
+        let live_reads = || self.tracker.as_ref().map_or(0, |t| t.reads());
+        let live_reads_before = live_reads();
         let (path, shadow_load_time, mut shadow, replay, records_replayed) = match warm {
-            Some((handed, drained)) => {
-                let mut shadow = *handed.shadow;
-                // quiesced, caught up, and the device just rebooted to
-                // the durable state: rewrite the overlay into the full
-                // merged-view-vs-live diff, so the delta replaces the
-                // live image with the shadow's self-consistent one
-                // instead of splicing two block lineages together
-                let written = self.tracker.as_ref().map(|t| t.take_written());
-                shadow.resync_against(self.base.device().as_ref(), written.as_ref())?;
-                (
-                    RecoveryPath::Warm,
-                    Duration::ZERO,
-                    shadow,
-                    handed.report,
-                    drained,
-                )
-            }
+            Some((handed, drained)) => (
+                RecoveryPath::Warm,
+                Duration::ZERO,
+                *handed.shadow,
+                handed.report,
+                drained,
+            ),
             None => {
                 // the shadow phase reads through a per-attempt snapshot
                 // view, so image validation, load and replay share one
@@ -1415,20 +1408,37 @@ impl RaeFs {
             None => None,
         };
 
-        // fork the warm shadow before the metadata download consumes
-        // it: the copy resumes as the next standby without an
-        // O(device) snapshot or a backlog replay
-        let standby_fork = (path == RecoveryPath::Warm).then(|| shadow.fork());
+        // Warm path: the shadow ran on its own frozen snapshot, so its
+        // overlay is not yet the whole difference to the live image the
+        // base kept writing. Quiesced, caught up, and the device just
+        // rebooted to the durable state: reconcile against the base's
+        // write set — from what the shadow already holds, without a
+        // read of the live device — then fork before the metadata
+        // download consumes the shadow: the copy resumes as the next
+        // standby without an O(device) snapshot or a backlog replay.
+        let (resync, standby_fork) = if path == RecoveryPath::Warm {
+            let written = self
+                .tracker
+                .as_ref()
+                .expect("a standby only exists above a write tracker")
+                .take_written();
+            (shadow.resync_against(&written)?, Some(shadow.fork()))
+        } else {
+            (ResyncReport::default(), None)
+        };
 
         // 5. metadata download into the rebooted base
         let replay_time = t_replay.elapsed();
         let t_handoff = Instant::now();
         let shadow_checks = shadow.checks_performed();
         let delta = shadow.into_delta();
-        // the shadow was the view's only reader: take its counters and
-        // let it go before the hand-off writes anything
-        let (shadow_device_reads, shadow_memo_hits) =
-            memo.map_or((0, 0), |m| (m.device_reads(), m.memo_hits()));
+        // cold: the shadow was the view's only reader — take its
+        // counters and let it go before the hand-off writes anything.
+        // Warm: whatever crossed the write tracker since the reboot.
+        let (shadow_device_reads, shadow_memo_hits) = match &memo {
+            Some(m) => (m.device_reads(), m.memo_hits()),
+            None => (live_reads() - live_reads_before, 0),
+        };
         let mut report = RecoveryReport {
             trigger: trigger.clone(),
             path,
@@ -1450,9 +1460,12 @@ impl RaeFs {
             shadow_checks,
             shadow_device_reads,
             shadow_memo_hits,
+            resync_candidates: resync.candidates,
+            resync_pinned: resync.pinned,
+            resync_pruned: resync.pruned,
             had_in_flight: in_flight.is_some(),
         };
-        self.base.absorb_recovery(&delta)?;
+        self.base.absorb_recovery(delta)?;
         report.handoff_time = t_handoff.elapsed();
         Ok(RungSuccess {
             outcome,

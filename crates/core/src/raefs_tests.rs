@@ -1506,3 +1506,282 @@ fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
     assert!(fsck(cold_dev.as_ref()).unwrap().is_clean());
     assert!(fsck(warm_dev.as_ref()).unwrap().is_clean());
 }
+
+// ----------------------------------------------------------------------
+// Zero-read warm handover
+// ----------------------------------------------------------------------
+
+/// A device that remembers every block it was asked to read or write,
+/// in order.
+struct TapeDisk {
+    inner: MemDisk,
+    tape: std::sync::Mutex<Vec<(TapeOp, u64)>>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TapeOp {
+    Read,
+    Write,
+}
+
+impl TapeDisk {
+    fn new(blocks: u64) -> TapeDisk {
+        TapeDisk {
+            inner: MemDisk::new(blocks),
+            tape: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+
+    fn mark(&self) -> usize {
+        self.tape.lock().unwrap().len()
+    }
+
+    fn since(&self, mark: usize, op: TapeOp) -> Vec<u64> {
+        self.tape.lock().unwrap()[mark..]
+            .iter()
+            .filter(|(o, _)| *o == op)
+            .map(|(_, b)| *b)
+            .collect()
+    }
+}
+
+impl BlockDevice for TapeDisk {
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+    fn read_block(&self, bno: u64, buf: &mut [u8]) -> rae_vfs::FsResult<()> {
+        self.tape.lock().unwrap().push((TapeOp::Read, bno));
+        self.inner.read_block(bno, buf)
+    }
+    fn write_block(&self, bno: u64, buf: &[u8]) -> rae_vfs::FsResult<()> {
+        self.tape.lock().unwrap().push((TapeOp::Write, bno));
+        self.inner.write_block(bno, buf)
+    }
+    fn flush(&self) -> rae_vfs::FsResult<()> {
+        self.inner.flush()
+    }
+}
+
+/// A warm-standby mount over a [`TapeDisk`] with a bug armed on every
+/// directory insertion (not removal) of a name containing "boom".
+fn warm_mount_on_tape() -> (Arc<TapeDisk>, rae_fsformat::Geometry, RaeFs) {
+    let faults = FaultRegistry::new();
+    faults.arm(BugSpec::new(
+        160,
+        "boom",
+        Site::DirModify,
+        Trigger::All(vec![
+            Trigger::OpIs(rae_vfs::OpKind::Create),
+            Trigger::PathContains("boom".into()),
+        ]),
+        Effect::DetectedError,
+    ));
+    let disk = Arc::new(TapeDisk::new(4096));
+    let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults,
+            ..BaseFsConfig::default()
+        },
+        standby: crate::StandbyOpts {
+            enabled: true,
+            ..crate::StandbyOpts::default()
+        },
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(Arc::clone(&disk) as Arc<dyn BlockDevice>, config).unwrap();
+    (disk, geo, fs)
+}
+
+/// Durable files, half of them then unlinked (blocks the base wrote
+/// and the standby has free), and an unsynced tail.
+fn warm_handover_program(fs: &dyn FileSystem) {
+    fs.mkdir("/docs").unwrap();
+    for i in 0..24u64 {
+        let fd = fs.open(&format!("/docs/f{i:02}"), rw_create()).unwrap();
+        fs.write(fd, 0, &vec![i as u8 + 1; 3 * BLOCK_SIZE]).unwrap();
+        fs.close(fd).unwrap();
+    }
+    fs.sync().unwrap();
+    for i in (0..24u64).step_by(2) {
+        fs.unlink(&format!("/docs/f{i:02}")).unwrap();
+    }
+    for i in 0..8u64 {
+        let fd = fs.open(&format!("/docs/t{i:02}"), rw_create()).unwrap();
+        fs.write(fd, 0, &vec![0xA0 + i as u8; 700]).unwrap();
+        fs.close(fd).unwrap();
+    }
+}
+
+#[test]
+fn warm_recovery_reads_nothing_from_the_live_device() {
+    let (disk, geo, fs) = warm_mount_on_tape();
+    warm_handover_program(&fs);
+    wait_caught_up(&fs);
+
+    let mark = disk.mark();
+    fs.mkdir("/boom").unwrap(); // bug fires; masked by a warm recovery
+    let reads = disk.since(mark, TapeOp::Read);
+
+    let reports = fs.recovery_reports();
+    assert_eq!(reports.len(), 1);
+    let r = &reports[0];
+    assert_eq!(r.rung, LadderRung::Warm);
+    assert!(r.discrepancies.is_empty(), "{:?}", r.discrepancies);
+    // the resync had real work — the standby's overlay and everything
+    // the base wrote at the sync, 36 blocks of it for files since
+    // unlinked (the standby gave 8 of those to the unsynced tail) —
+    // and decided all of it without the live device:
+    // nothing crossed the write tracker between the contained reboot
+    // and the hand-off
+    assert!(r.resync_candidates > 36, "{r:?}");
+    assert!(r.resync_pruned >= 36 - 8, "{r:?}");
+    assert_eq!(r.shadow_device_reads, 0, "{r:?}");
+    // seen from under the stack: every read of the whole recovery is
+    // the contained reboot's (superblock, journal scan, allocator
+    // bitmaps) — none from the inode table or the data region, where
+    // the resync's candidates live
+    let reboot_reads = |b: u64| b < geo.inode_table_start;
+    assert!(!reads.is_empty());
+    assert!(
+        reads.iter().all(|&b| reboot_reads(b)),
+        "live-device reads outside the reboot: {:?}",
+        reads
+            .iter()
+            .filter(|&&b| !reboot_reads(b))
+            .collect::<Vec<_>>()
+    );
+
+    let model = rae_fsmodel::ModelFs::new();
+    warm_handover_program(&model);
+    model.mkdir("/boom").unwrap();
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    tree_of(&model, "/", &mut want);
+    tree_of(&fs, "/", &mut got);
+    assert_eq!(got, want);
+    fs.unmount().unwrap();
+    assert!(fsck(disk.as_ref()).unwrap().is_clean());
+}
+
+/// One round of steady-state churn: six new three-block files (one
+/// renamed), with a scratch file that comes and goes and the files of
+/// two rounds ago unlinked part-way through, then a sync and an
+/// unsynced overwrite. The base allocates next-fit, so what it creates
+/// after the unlinks lands past its hint — further out every round,
+/// the scratch file grows — while the standby, lowest-free, reuses the
+/// blocks just freed: the sync writes the base's placement to blocks
+/// the standby has free, and that garbage is what a resync must not
+/// carry from one recovery to the next.
+fn churn_round(fs: &dyn FileSystem, k: u64) {
+    let name = |round: u64, i: u64| format!("/c/r{round:02}_{i}");
+    let create = |i: u64| {
+        let fd = fs.open(&name(k, i), rw_create()).unwrap();
+        fs.write(fd, 0, &vec![(k * 6 + i) as u8; 3 * BLOCK_SIZE])
+            .unwrap();
+        fs.close(fd).unwrap();
+    };
+    let before_unlinks = 1 + k % 5;
+    (0..before_unlinks).for_each(create);
+    let fd = fs.open("/c/scratch", rw_create()).unwrap();
+    fs.write(fd, 0, &vec![0x5C; (k as usize + 1) * BLOCK_SIZE])
+        .unwrap();
+    fs.close(fd).unwrap();
+    fs.unlink("/c/scratch").unwrap();
+    if k >= 2 {
+        for i in 0..5u64 {
+            fs.unlink(&name(k - 2, i)).unwrap();
+        }
+        fs.unlink(&format!("/c/moved{:02}", k - 2)).unwrap();
+    }
+    (before_unlinks..6).for_each(create);
+    fs.rename(&name(k, 5), &format!("/c/moved{k:02}")).unwrap();
+    fs.sync().unwrap();
+    let fd = fs.open(&name(k, 0), OpenFlags::RDWR).unwrap();
+    fs.write(fd, 100, &vec![0xEE; 900]).unwrap();
+    fs.close(fd).unwrap();
+}
+
+#[test]
+fn warm_recoveries_under_churn_do_not_ratchet() {
+    const ROUNDS: u64 = 50;
+    let (disk, geo, fs) = warm_mount_on_tape();
+    let model = rae_fsmodel::ModelFs::new();
+    fs.mkdir("/c").unwrap();
+    model.mkdir("/c").unwrap();
+
+    let mut handed_over = Vec::new();
+    let mut written_at_fault = Vec::new();
+    let mut last_fault = disk.mark();
+    for k in 0..ROUNDS {
+        churn_round(&fs, k);
+        churn_round(&model, k);
+        wait_caught_up(&fs);
+
+        // what the write tracker holds now: the blocks written since
+        // the last recovery drained it (give or take that recovery's
+        // own reboot) — less the scratch file's, which grows by design
+        // (the base flushes an unlinked file's dirty pages all the same)
+        let mut written = disk.since(last_fault, TapeOp::Write);
+        written.sort_unstable();
+        written.dedup();
+        written_at_fault.push(written.len() - (k as usize + 1));
+        let mark = disk.mark();
+        last_fault = mark;
+        fs.mkdir("/boom").unwrap(); // masked by a warm recovery
+        model.mkdir("/boom").unwrap();
+
+        let reports = fs.recovery_reports();
+        assert_eq!(reports.len() as u64, k + 1);
+        let r = &reports[k as usize];
+        assert_eq!(r.rung, LadderRung::Warm, "round {k}: {r:?}");
+        assert!(
+            r.discrepancies.is_empty(),
+            "round {k}: {:?}",
+            r.discrepancies
+        );
+        assert_eq!(r.shadow_device_reads, 0, "round {k}");
+        handed_over.push(r.delta_meta_blocks + r.delta_data_blocks);
+
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        tree_of(&model, "/", &mut want);
+        tree_of(&fs, "/", &mut got);
+        assert_eq!(got, want, "round {k}");
+
+        // make the absorbed delta durable at its home blocks: the image
+        // must check clean, and every data-region block written since
+        // the fault — the delta, nothing else is dirty — must be in use
+        fs.base().checkpoint().unwrap();
+        let report = fsck(disk.as_ref()).unwrap();
+        assert!(report.is_clean(), "round {k}: {:?}", report.errors);
+        let dbm = rae_fsformat::bitmap::Bitmap::load(
+            disk.as_ref(),
+            geo.data_bitmap_start,
+            geo.data_bitmap_blocks,
+            geo.data_blocks,
+        )
+        .unwrap();
+        for b in disk.since(mark, TapeOp::Write) {
+            if geo.is_data_block(b) {
+                assert!(
+                    dbm.test(b - geo.data_start).unwrap(),
+                    "round {k}: free data block {b} came through the delta"
+                );
+            }
+        }
+
+        fs.rmdir("/boom").unwrap();
+        model.rmdir("/boom").unwrap();
+    }
+
+    // the live set is steady from round 2 on, so the overlay the
+    // standby hands over and the write set the base accumulates between
+    // faults must be too: the late rounds may not exceed the early ones
+    let half = (ROUNDS / 2) as usize;
+    for series in [&handed_over, &written_at_fault] {
+        let early = *series[3..half].iter().max().unwrap();
+        let late = *series[half..].iter().max().unwrap();
+        assert!(late <= early, "ratchet: {series:?}");
+    }
+    fs.unmount().unwrap();
+    assert!(fsck(disk.as_ref()).unwrap().is_clean());
+}

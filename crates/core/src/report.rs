@@ -132,14 +132,27 @@ pub struct RecoveryReport {
     pub fds_restored: usize,
     /// Runtime checks the shadow performed during this recovery.
     pub shadow_checks: u64,
-    /// Cold rungs: block reads the shadow phase (image validation,
-    /// load, replay, in-flight completion) sent to the device — one per
-    /// distinct block it touched, through the rung's
-    /// [`rae_blockdev::MemoDisk`]. Zero on the warm path.
+    /// Block reads the shadow phase (everything between the contained
+    /// reboot and the hand-off) sent to the live device. Cold rungs:
+    /// one per distinct block touched by image validation, load, replay
+    /// and in-flight completion, through the rung's
+    /// [`rae_blockdev::MemoDisk`]. Warm rung: counted by the write
+    /// tracker under the base, and zero — the standby decides its
+    /// resync from its own snapshot and overlay.
     pub shadow_device_reads: u64,
     /// Cold rungs: shadow-phase block reads answered from the rung's
     /// memo instead of the device.
     pub shadow_memo_hits: u64,
+    /// Warm rung: distinct blocks the handover resync considered — the
+    /// standby's overlay plus the base's tracked write set (see
+    /// [`rae_shadowfs::ResyncReport`]). Zero on cold rungs.
+    pub resync_candidates: usize,
+    /// Warm rung: written blocks the standby never touched, reverted to
+    /// its snapshot's content by the delta.
+    pub resync_pinned: usize,
+    /// Warm rung: free data blocks left out of the delta (and dropped
+    /// from the standby's overlay).
+    pub resync_pruned: usize,
     /// Whether an in-flight operation was completed autonomously.
     pub had_in_flight: bool,
 }
@@ -176,6 +189,9 @@ impl RecoveryReport {
             shadow_checks: 0,
             shadow_device_reads: 0,
             shadow_memo_hits: 0,
+            resync_candidates: 0,
+            resync_pinned: 0,
+            resync_pruned: 0,
             had_in_flight: false,
         }
     }

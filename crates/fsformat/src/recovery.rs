@@ -7,6 +7,7 @@
 //! error-triggering sequence itself.
 
 use rae_vfs::{Fd, InodeNo, OpenFlags};
+use std::sync::Arc;
 
 /// One reconstructed open descriptor.
 ///
@@ -25,17 +26,19 @@ pub struct RecoveredFd {
     pub path: String,
 }
 
-/// The full output of a shadow recovery, absorbed by the base.
+/// The full output of a shadow recovery, absorbed by the base. Block
+/// images are shared with the shadow that produced them (a warm
+/// standby keeps its overlay), so building a delta copies no block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryDelta {
     /// Reconstructed metadata block images (inode table, bitmaps,
     /// directory blocks, indirect blocks, superblock). Absorbed as
     /// dirty *metadata* pages: they reach the disk only via the
     /// journal.
-    pub meta_blocks: Vec<(u64, Vec<u8>)>,
+    pub meta_blocks: Vec<(u64, Arc<[u8]>)>,
     /// Reconstructed file-content blocks. Absorbed as dirty *data*
     /// pages (write-back path).
-    pub data_blocks: Vec<(u64, Vec<u8>)>,
+    pub data_blocks: Vec<(u64, Arc<[u8]>)>,
     /// The rebuilt descriptor table.
     pub fd_entries: Vec<RecoveredFd>,
 }
@@ -55,8 +58,8 @@ mod tests {
     #[test]
     fn block_count_sums_classes() {
         let delta = RecoveryDelta {
-            meta_blocks: vec![(1, vec![0u8; 4096]), (2, vec![0u8; 4096])],
-            data_blocks: vec![(9, vec![1u8; 4096])],
+            meta_blocks: vec![(1, vec![0u8; 4096].into()), (2, vec![0u8; 4096].into())],
+            data_blocks: vec![(9, vec![1u8; 4096].into())],
             fd_entries: vec![RecoveredFd {
                 fd: Fd(3),
                 ino: InodeNo(5),

@@ -53,5 +53,5 @@ mod shadow;
 mod tests;
 
 pub use adapter::ShadowAsPrimary;
-pub use replay::{Discrepancy, ReadReply, ReadRequest, ReplayReport};
+pub use replay::{Discrepancy, ReadReply, ReadRequest, ReplayReport, ResyncReport};
 pub use shadow::{ShadowFs, ShadowOpts};

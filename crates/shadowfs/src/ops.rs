@@ -530,7 +530,7 @@ impl ShadowFs {
             let take = ((BLOCK_SIZE - in_blk) as u64).min(end - pos) as usize;
             let bno = self.ensure_file_block(&mut inode, idx)?;
             if take == BLOCK_SIZE {
-                self.write_block(bno, data[src..src + take].to_vec(), BlockKind::Data)?;
+                self.write_block(bno, &data[src..src + take], BlockKind::Data)?;
             } else {
                 self.update_block(bno, in_blk, &data[src..src + take], BlockKind::Data)?;
             }

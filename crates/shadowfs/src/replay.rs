@@ -2,11 +2,10 @@
 //! sequences, cross-checking, and the recovery delta.
 
 use crate::shadow::{BlockKind, ShadowFs};
-use rae_blockdev::{BlockDevice, BLOCK_SIZE};
+use rae_blockdev::BLOCK_SIZE;
 use rae_fsformat::{fsck, RecoveredFd, RecoveryDelta};
 use rae_vfs::{FileSystem, FsError, FsOp, FsResult, OpOutcome, OpRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A read-only operation the shadow can serve on behalf of an
 /// application whose read was in flight when the base failed.
@@ -95,6 +94,21 @@ impl ReplayReport {
     pub fn is_clean(&self) -> bool {
         self.discrepancies.is_empty()
     }
+}
+
+/// What one [`ShadowFs::resync_against`] decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResyncReport {
+    /// Distinct blocks considered: the overlay plus the written blocks
+    /// outside it (block 0, the journal and out-of-range numbers
+    /// excluded).
+    pub candidates: usize,
+    /// Written blocks the shadow never touched, pinned into the overlay
+    /// with the snapshot's content.
+    pub pinned: usize,
+    /// Free data-region blocks dropped from the overlay or passed over
+    /// in the written set.
+    pub pruned: usize,
 }
 
 /// Read-only view of device + overlay, for running the structural
@@ -424,96 +438,92 @@ impl ShadowFs {
         })
     }
 
-    /// Rewrite the overlay so it is exactly the set of blocks where
-    /// this shadow's merged view differs from `live`, without changing
-    /// the merged view itself. Returns how many overlay blocks were
-    /// dropped as already-persisted.
+    /// Make the overlay the whole difference between this shadow's
+    /// merged view and the live image the base wrote since the
+    /// snapshot, so that the eventual delta ([`ShadowFs::into_delta`])
+    /// replaces the live image with the shadow's self-consistent one.
+    /// `written_since_base` must hold **every** block the base wrote to
+    /// the live device since this shadow's snapshot was taken or last
+    /// resynced (see `TrackedDisk` in `rae-blockdev`).
     ///
-    /// A warm-standby shadow executes against a private frozen snapshot
-    /// of the device, so by recovery time its *base* and the live
-    /// device belong to different block lineages: the live image may
-    /// hold the base's own placement of operations the shadow placed
-    /// elsewhere. Absorbing only the shadow's written blocks would then
-    /// splice two layouts into one image — the same directory entry can
-    /// end up in two dirent blocks. This resync makes the eventual
-    /// delta ([`ShadowFs::into_delta`]) reproduce the shadow's merged
-    /// image wholesale:
+    /// A warm-standby shadow executes against a private frozen
+    /// snapshot, so by recovery time its image and the live device
+    /// belong to different block lineages: the live image may hold the
+    /// base's own placement of operations the shadow placed elsewhere,
+    /// and absorbing only the shadow's written blocks would splice two
+    /// layouts into one image. The merged view (snapshot + overlay)
+    /// *is* the image the base must adopt, so nothing has to be read
+    /// from the live device to decide. For every block in overlay ∪
+    /// `written_since_base`:
     ///
-    /// * an overlay block equal to `live` is dropped only when the
-    ///   snapshot base also agrees — otherwise dropping it would expose
-    ///   stale snapshot content to later merged reads;
-    /// * a block the shadow never wrote but where snapshot and `live`
-    ///   disagree is pinned into the overlay with the snapshot content,
-    ///   reverting the base's divergent placement on absorb.
+    /// * a data-region block that is free in the shadow's bitmap is
+    ///   dropped from the overlay and left out of the delta — both
+    ///   filesystems zero-fill a block when they allocate it and
+    ///   neither reads a free one, so whatever the live device holds
+    ///   there is dead;
+    /// * any other overlay block stays as it is;
+    /// * any other written block the shadow never touched is pinned
+    ///   into the overlay with the snapshot's content, reverting the
+    ///   base's divergent write on absorb.
+    ///
+    /// A block in neither set is byte-identical in the snapshot and on
+    /// the live device, or free in the shadow's bitmap: the snapshot
+    /// was a copy of the device, every later device write is in the
+    /// tracked set, and a block dropped here re-enters the overlay
+    /// (zero-filled) before the shadow can use it again.
     ///
     /// Block 0 (the base rebuilds its superblock from the bitmaps) and
     /// the journal region (the rebooted base's journal is already
     /// consistent with its manager state) are left untouched. Only
-    /// sound when `live` is quiesced and this shadow has applied every
-    /// completed operation — i.e. at recovery handover, after the
-    /// contained reboot.
-    ///
-    /// When `written_since_base` is `Some`, it must contain **every**
-    /// block the base wrote to the live device since this shadow's
-    /// base snapshot was taken (see `TrackedDisk` in `rae-blockdev`).
-    /// Blocks outside that set and outside the overlay were touched by
-    /// neither lineage, so they are byte-identical by construction and
-    /// the scan visits only the union — O(touched) instead of
-    /// O(device).
+    /// sound when the live device is quiesced and this shadow has
+    /// applied every completed operation — i.e. at recovery handover,
+    /// after the contained reboot.
     ///
     /// # Errors
     ///
-    /// Device read errors (either side).
-    pub fn resync_against(
-        &mut self,
-        live: &dyn BlockDevice,
-        written_since_base: Option<&HashSet<u64>>,
-    ) -> FsResult<usize> {
-        let candidates: Vec<u64> = match written_since_base {
-            Some(written) => {
-                let mut c: Vec<u64> = self
-                    .overlay
-                    .keys()
-                    .copied()
-                    .chain(written.iter().copied())
-                    .collect();
-                c.sort_unstable();
-                c.dedup();
-                c
-            }
-            None => (0..self.geo.total_blocks).collect(),
+    /// Snapshot read errors.
+    pub fn resync_against(&mut self, written_since_base: &[u64]) -> FsResult<ResyncReport> {
+        let geo = self.geo;
+        let dbm = &self.dbm;
+        let dead = |bno: u64| geo.is_data_block(bno) && dbm.test(bno - geo.data_start) == Ok(false);
+        let journal = geo.journal_start..geo.journal_start + geo.journal_blocks;
+        let mut report = ResyncReport {
+            candidates: self.overlay.len(),
+            ..ResyncReport::default()
         };
-        let journal = self.geo.journal_start..self.geo.journal_start + self.geo.journal_blocks;
-        let mut theirs = vec![0u8; BLOCK_SIZE];
-        let mut mine = vec![0u8; BLOCK_SIZE];
-        let mut dropped = 0usize;
-        for bno in candidates {
-            if bno == 0 || journal.contains(&bno) || bno >= self.geo.total_blocks {
+        let mut pins = Vec::new();
+        for &bno in written_since_base {
+            if bno == 0
+                || journal.contains(&bno)
+                || bno >= geo.total_blocks
+                || self.overlay.contains_key(&bno)
+            {
                 continue;
             }
-            live.read_block(bno, &mut theirs)?;
-            self.dev.read_block(bno, &mut mine)?;
-            match self.overlay.get(&bno) {
-                Some((img, _)) if img[..] == theirs[..] && mine[..] == theirs[..] => {
-                    self.overlay.remove(&bno);
-                    dropped += 1;
-                }
-                Some(_) => {}
-                None if mine[..] != theirs[..] => {
-                    // region-based classification: the shadow never
-                    // touched this block, so only its address says how
-                    // the base should cache the revert
-                    let kind = if bno >= self.geo.data_start {
-                        BlockKind::Data
-                    } else {
-                        BlockKind::Meta
-                    };
-                    self.overlay.insert(bno, (mine.clone(), kind));
-                }
-                None => {}
+            report.candidates += 1;
+            if dead(bno) {
+                report.pruned += 1;
+            } else {
+                pins.push(bno);
             }
         }
-        Ok(dropped)
+        let before = self.overlay.len();
+        self.overlay.retain(|&bno, _| !dead(bno));
+        report.pruned += before - self.overlay.len();
+        report.pinned = pins.len();
+        for bno in pins {
+            let mut img = vec![0u8; BLOCK_SIZE];
+            self.dev.read_block(bno, &mut img)?;
+            // the shadow never touched this block, so only its address
+            // says how the base should cache the revert
+            let kind = if bno >= geo.data_start {
+                BlockKind::Data
+            } else {
+                BlockKind::Meta
+            };
+            self.overlay.insert(bno, (img.into(), kind));
+        }
+        Ok(report)
     }
 
     /// Autonomous mode (§3.2): execute an in-flight operation, making
@@ -559,7 +569,8 @@ impl ShadowFs {
         let mut sb = rae_fsformat::Superblock::decode(&raw)?;
         sb.free_inodes = self.free_inodes;
         sb.free_blocks = self.free_blocks;
-        self.overlay.insert(0, (sb.encode(), BlockKind::Meta));
+        self.overlay
+            .insert(0, (sb.encode().into(), BlockKind::Meta));
         Ok(())
     }
 

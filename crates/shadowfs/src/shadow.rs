@@ -81,8 +81,11 @@ pub(crate) struct ShadowFd {
 pub struct ShadowFs {
     pub(crate) dev: Arc<dyn BlockDevice>,
     pub(crate) geo: Geometry,
-    /// The never-write rule: all mutations live here.
-    pub(crate) overlay: HashMap<u64, (Vec<u8>, BlockKind)>,
+    /// The never-write rule: all mutations live here. Images are
+    /// shared, so forking the shadow and handing its overlay to the
+    /// base move references, not blocks; a block is copied only when
+    /// one holder patches it while another still has it.
+    pub(crate) overlay: HashMap<u64, (Arc<[u8]>, BlockKind)>,
     pub(crate) ibm: Bitmap,
     pub(crate) dbm: Bitmap,
     pub(crate) free_inodes: u32,
@@ -214,8 +217,9 @@ impl ShadowFs {
         Ok(dropped)
     }
 
-    /// An independent deep copy sharing only the (immutable) backing
-    /// device handle. The RAE runtime forks the handed-over warm
+    /// An independent copy sharing the (immutable) backing device
+    /// handle and, until either side patches one, the overlay's block
+    /// images. The RAE runtime forks the handed-over warm
     /// shadow at the end of a warm recovery: one copy is consumed for
     /// the metadata download, the other resumes as the next standby —
     /// re-arming without an O(device) snapshot or a backlog replay.
@@ -304,21 +308,33 @@ impl ShadowFs {
             format!("read of block {bno} beyond {total}")
         })?;
         if let Some((img, _)) = self.overlay.get(&bno) {
-            return Ok(img.clone());
+            return Ok(img.to_vec());
         }
         let mut buf = vec![0u8; BLOCK_SIZE];
         self.dev.read_block(bno, &mut buf)?;
         Ok(buf)
     }
 
-    pub(crate) fn write_block(&mut self, bno: u64, img: Vec<u8>, kind: BlockKind) -> FsResult<()> {
+    /// The checks every write passes, whichever way the image gets
+    /// into the overlay.
+    fn check_write_target(&mut self, bno: u64) -> FsResult<()> {
         self.check(bno != 0, "block.not_superblock", || {
             "write aimed at the superblock".to_string()
         })?;
         let total = self.geo.total_blocks;
         self.check(bno < total, "block.in_range", move || {
             format!("write of block {bno} beyond {total}")
-        })?;
+        })
+    }
+
+    pub(crate) fn write_block(
+        &mut self,
+        bno: u64,
+        img: impl Into<Arc<[u8]>>,
+        kind: BlockKind,
+    ) -> FsResult<()> {
+        let img: Arc<[u8]> = img.into();
+        self.check_write_target(bno)?;
         self.check(img.len() == BLOCK_SIZE, "block.image_size", || {
             format!("block image of {} bytes", img.len())
         })?;
@@ -343,6 +359,15 @@ impl ShadowFs {
                 )
             },
         )?;
+        if self.overlay.contains_key(&bno) {
+            self.check_write_target(bno)?;
+            // already ours: patch in place (`make_mut` copies first
+            // only while a fork or a delta still shares the image)
+            let (img, k) = self.overlay.get_mut(&bno).expect("checked above");
+            Arc::make_mut(img)[offset..offset + bytes.len()].copy_from_slice(bytes);
+            *k = kind;
+            return Ok(());
+        }
         let mut img = self.read_block(bno)?;
         img[offset..offset + bytes.len()].copy_from_slice(bytes);
         self.write_block(bno, img, kind)
@@ -396,13 +421,13 @@ impl ShadowFs {
 
     fn flush_ibm_block(&mut self, bit: u64) -> FsResult<()> {
         let blk = Bitmap::block_containing(bit);
-        let img = self.ibm.block_image(blk).to_vec();
+        let img: Arc<[u8]> = self.ibm.block_image(blk).into();
         self.write_block(self.geo.inode_bitmap_start + blk, img, BlockKind::Meta)
     }
 
     fn flush_dbm_block(&mut self, bit: u64) -> FsResult<()> {
         let blk = Bitmap::block_containing(bit);
-        let img = self.dbm.block_image(blk).to_vec();
+        let img: Arc<[u8]> = self.dbm.block_image(blk).into();
         self.write_block(self.geo.data_bitmap_start + blk, img, BlockKind::Meta)
     }
 

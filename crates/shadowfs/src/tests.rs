@@ -403,7 +403,7 @@ fn post_recovery_fsck_catches_inconsistent_reconstruction() {
     let img = sh.ibm.block_image(blk).to_vec();
     let bno = sh.geo.inode_bitmap_start + blk;
     sh.overlay
-        .insert(bno, (img, crate::shadow::BlockKind::Meta));
+        .insert(bno, (img.into(), crate::shadow::BlockKind::Meta));
 
     let err = sh.verify_consistency().unwrap_err();
     assert!(matches!(err, FsError::CheckFailed { ref check, .. } if check == "post-recovery-fsck"));
@@ -596,4 +596,154 @@ fn shadow_dir_growth_and_shrink() {
     );
     sh.op_rmdir("/big").unwrap();
     sh.verify_consistency().unwrap();
+}
+
+// ----------------------------------------------------------------------
+// Warm-handover resync: one rule per test. The shadow's device here is
+// the snapshot; nothing stands in for the live device, because the
+// resync takes none.
+// ----------------------------------------------------------------------
+
+/// A snapshot holding `/kept` (two data blocks of 0x11), persisted by
+/// hand, and a shadow loaded over it. Returns `/kept`'s first data
+/// block too.
+fn shadow_over_populated_snapshot() -> (Arc<MemDisk>, ShadowFs, u64) {
+    let dev = fresh_dev();
+    let kept = {
+        let mut sh = load(&dev);
+        let (fd, _, _) = sh.op_open("/kept", rw_create(), None).unwrap();
+        sh.op_write(fd, 0, &vec![0x11u8; 2 * BLOCK_SIZE]).unwrap();
+        sh.op_close(fd).unwrap();
+        // lowest-free placement: the file's first block is the lower one
+        let kept = sh
+            .overlay
+            .iter()
+            .filter(|(_, (img, _))| img[..] == [0x11u8; BLOCK_SIZE][..])
+            .map(|(bno, _)| *bno)
+            .min()
+            .unwrap();
+        // the delta carries the counter-consistent superblock too
+        let delta = sh.into_delta();
+        for (bno, img) in delta.meta_blocks.iter().chain(&delta.data_blocks) {
+            dev.write_block(*bno, img).unwrap();
+        }
+        kept
+    };
+    let sh = load(&dev);
+    (dev, sh, kept)
+}
+
+fn delta_blocks(delta: &rae_fsformat::RecoveryDelta) -> Vec<u64> {
+    delta
+        .meta_blocks
+        .iter()
+        .chain(&delta.data_blocks)
+        .map(|(b, _)| *b)
+        .collect()
+}
+
+#[test]
+fn resync_prunes_free_data_blocks() {
+    let (_dev, mut sh, _) = shadow_over_populated_snapshot();
+    let geo = sh.geometry();
+    // three data blocks the shadow wrote for a file it then unlinked
+    let (fd, _, _) = sh.op_open("/gone", rw_create(), None).unwrap();
+    sh.op_write(fd, 0, &vec![0x22u8; 3 * BLOCK_SIZE]).unwrap();
+    sh.op_close(fd).unwrap();
+    let mine: Vec<u64> = sh
+        .overlay
+        .iter()
+        .filter(|(_, (img, _))| img[..] == [0x22u8; BLOCK_SIZE][..])
+        .map(|(b, _)| *b)
+        .collect();
+    assert_eq!(mine.len(), 3);
+    sh.op_unlink("/gone").unwrap();
+    // and one the base wrote for its own placement of the same file
+    let theirs = geo.total_blocks - 5;
+    assert!(!sh.overlay.contains_key(&theirs));
+
+    let overlay_before = sh.overlay_len();
+    let report = sh.resync_against(&[theirs]).unwrap();
+    assert_eq!(report.pruned, 4, "{report:?}");
+    assert_eq!(report.pinned, 0, "{report:?}");
+    assert_eq!(report.candidates, overlay_before + 1);
+    assert_eq!(sh.overlay_len(), overlay_before - 3);
+
+    sh.verify_consistency().unwrap();
+    let shipped = delta_blocks(&sh.into_delta());
+    for b in mine.iter().chain([&theirs]) {
+        assert!(!shipped.contains(b), "free data block {b} in the delta");
+    }
+}
+
+#[test]
+fn resync_keeps_overlay_blocks_as_they_are() {
+    let (_dev, mut sh, kept) = shadow_over_populated_snapshot();
+    // overwrite one durable block, add a file: data and metadata both
+    let fd = sh.op_open("/kept", OpenFlags::RDWR, None).unwrap().0;
+    sh.op_write(fd, 0, &vec![0x33u8; BLOCK_SIZE]).unwrap();
+    let (fd2, _, _) = sh.op_open("/new", rw_create(), None).unwrap();
+    sh.op_write(fd2, 0, b"fresh").unwrap();
+    let before = sh.overlay.clone();
+    assert!(before.contains_key(&kept));
+
+    // the base wrote every one of them too (its own versions)
+    let mut written: Vec<u64> = before.keys().copied().collect();
+    written.sort_unstable();
+    let report = sh.resync_against(&written).unwrap();
+    assert_eq!(
+        (report.candidates, report.pinned, report.pruned),
+        (before.len(), 0, 0)
+    );
+    assert_eq!(sh.overlay.len(), before.len());
+    for (bno, (img, kind)) in &before {
+        let (now, now_kind) = &sh.overlay[bno];
+        assert!(Arc::ptr_eq(img, now), "block {bno} was copied or replaced");
+        assert_eq!(kind, now_kind);
+    }
+}
+
+#[test]
+fn resync_pins_untouched_written_blocks_with_snapshot_bytes() {
+    let (dev, mut sh, kept) = shadow_over_populated_snapshot();
+    let geo = sh.geometry();
+    // an allocated data block and an inode-table block, both written
+    // by the base and never touched by the shadow
+    let table = geo.inode_table_start + geo.inode_table_blocks - 1;
+    assert!(!sh.overlay.contains_key(&kept) && !sh.overlay.contains_key(&table));
+    let report = sh.resync_against(&[table, kept]).unwrap();
+    assert_eq!(
+        (report.candidates, report.pinned, report.pruned),
+        (sh.overlay_len(), 2, 0)
+    );
+
+    let delta = sh.into_delta();
+    let mut want = vec![0u8; BLOCK_SIZE];
+    dev.read_block(kept, &mut want).unwrap();
+    let data = delta.data_blocks.iter().find(|(b, _)| *b == kept).unwrap();
+    assert_eq!(
+        data.1[..],
+        want[..],
+        "pinned as data, with the snapshot's bytes"
+    );
+    assert_eq!(want, vec![0x11u8; BLOCK_SIZE]);
+    dev.read_block(table, &mut want).unwrap();
+    let meta = delta.meta_blocks.iter().find(|(b, _)| *b == table).unwrap();
+    assert_eq!(meta.1[..], want[..], "pinned as metadata");
+}
+
+#[test]
+fn resync_ignores_superblock_journal_and_out_of_range() {
+    let (_dev, mut sh, _) = shadow_over_populated_snapshot();
+    let geo = sh.geometry();
+    let written = [
+        0,
+        geo.journal_start,
+        geo.journal_start + geo.journal_blocks - 1,
+        geo.total_blocks,
+        u64::MAX,
+    ];
+    let report = sh.resync_against(&written).unwrap();
+    assert_eq!(report, crate::ResyncReport::default());
+    assert_eq!(sh.overlay_len(), 0);
 }
