@@ -1464,6 +1464,7 @@ impl BaseFs {
         if images.is_empty() {
             return Ok(());
         }
+        let handed: Vec<u64> = images.iter().map(|&(bno, _)| bno).collect();
         let (free_inodes, free_blocks) = {
             let alloc = self.alloc.lock();
             (alloc.free_inodes, alloc.free_blocks)
@@ -1476,10 +1477,19 @@ impl BaseFs {
             mount_count: self.mount_count,
         };
         images.push((0, sb.encode()));
-        if self.validate_on_commit {
-            self.validate_commit_images(&images)?;
+        let committed = if self.validate_on_commit {
+            self.validate_commit_images(&images)
+        } else {
+            Ok(())
         }
-        self.jmgr.lock().commit(self.dev.as_ref(), images)?;
+        .and_then(|()| self.jmgr.lock().commit(self.dev.as_ref(), images));
+        // the handed-over pages stay pinned until here: only a durable
+        // commit may let one be written home
+        match &committed {
+            Ok(()) => self.pages.commit_done(&handed),
+            Err(_) => self.pages.commit_failed(&handed),
+        }
+        committed?;
         self.persisted_seq
             .fetch_max(self.cur_seq.load(Ordering::Relaxed), Ordering::Relaxed);
         Ok(())

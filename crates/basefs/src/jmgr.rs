@@ -8,6 +8,15 @@
 //!
 //! The journal is append-only and resets at each checkpoint (see
 //! `rae_fsformat::journal` for the format rationale).
+//!
+//! A transaction's record costs two write requests and two barriers:
+//! descriptor + images go to the device as **one** extent request at the
+//! record base, then a flush, then the commit block, then a flush. The
+//! blocks inside one request are not ordered against each other, and
+//! they need not be: until the first flush returns, nothing of the
+//! record is promised, and replay discards a record whose commit block
+//! or any image CRC is missing. Checkpoint writes its sorted home images
+//! as one request per run of consecutive blocks.
 
 use rae_blockdev::BlockDevice;
 use rae_fsformat::journal::{self, TxnTag, MAX_TXN_BLOCKS};
@@ -97,9 +106,12 @@ impl JournalMgr {
         images: Vec<(u64, Vec<u8>)>,
     ) -> FsResult<()> {
         let chunk_size = self.max_chunk();
-        let mut idx = 0;
-        while idx < images.len() {
-            let chunk = &images[idx..(idx + chunk_size).min(images.len())];
+        let mut images = images.into_iter();
+        loop {
+            let chunk: Vec<(u64, Vec<u8>)> = images.by_ref().take(chunk_size).collect();
+            if chunk.is_empty() {
+                return Ok(());
+            }
             let needed = chunk.len() as u64 + 2;
             if self.write_ptr + needed > self.geo.journal_blocks {
                 self.checkpoint(dev)?;
@@ -122,10 +134,11 @@ impl JournalMgr {
                 })
                 .collect();
             let base = self.geo.journal_start + self.write_ptr;
-            dev.write_block(base, &journal::encode_descriptor(seq, &tags))?;
-            for (i, (_, img)) in chunk.iter().enumerate() {
-                dev.write_block(base + 1 + i as u64, img)?;
-            }
+            let descriptor = journal::encode_descriptor(seq, &tags);
+            let record: Vec<&[u8]> = std::iter::once(descriptor.as_slice())
+                .chain(chunk.iter().map(|(_, img)| img.as_slice()))
+                .collect();
+            dev.write_blocks(base, &record)?;
             // all record content durable before the commit block
             dev.flush()?;
             dev.write_block(base + 1 + chunk.len() as u64, &journal::encode_commit(seq))?;
@@ -134,12 +147,9 @@ impl JournalMgr {
             self.write_ptr += needed;
             self.next_seq += 1;
             self.commits += 1;
-            for (bno, img) in chunk {
-                self.pending.insert(*bno, img.clone());
-            }
-            idx += chunk.len();
+            // durable: the images themselves become the pending homes
+            self.pending.extend(chunk);
         }
-        Ok(())
     }
 
     /// Write all committed images home, then reset the journal.
@@ -147,11 +157,13 @@ impl JournalMgr {
         if self.pending.is_empty() && self.write_ptr == 1 {
             return Ok(());
         }
-        let mut homes: Vec<(&u64, &Vec<u8>)> = self.pending.iter().collect();
-        homes.sort_by_key(|(b, _)| **b);
-        for (bno, img) in homes {
-            dev.write_block(*bno, img)?;
-        }
+        let mut homes: Vec<(u64, &[u8])> = self
+            .pending
+            .iter()
+            .map(|(&bno, img)| (bno, img.as_slice()))
+            .collect();
+        homes.sort_unstable_by_key(|&(bno, _)| bno);
+        journal::write_homes(dev, homes)?;
         dev.flush()?;
         journal::reset(dev, &self.geo, self.next_seq)?;
         self.pending.clear();
@@ -274,6 +286,26 @@ mod tests {
         let mut raw = img(0);
         dev.read_block(geo.data_start + 10 + 299, &mut raw).unwrap();
         assert_eq!(raw[0], (299 % 251) as u8);
+    }
+
+    #[test]
+    fn extent_commit_is_two_write_requests_and_two_flushes() {
+        use rae_blockdev::StatsDisk;
+        let dev = StatsDisk::new(MemDisk::new(4096));
+        let geo = mkfs(&dev, MkfsParams::default()).unwrap();
+        let mut mgr = JournalMgr::new(geo, 0);
+        dev.reset();
+        let images: Vec<(u64, Vec<u8>)> = (0..7).map(|i| (geo.data_start + i, img(1))).collect();
+        mgr.commit(&dev, images).unwrap();
+        let c = dev.counters();
+        assert_eq!((c.write_requests, c.writes, c.flushes), (2, 9, 2));
+
+        // the checkpoint writes the seven consecutive homes as one run,
+        // then resets the journal with one more request
+        dev.reset();
+        mgr.checkpoint(&dev).unwrap();
+        let c = dev.counters();
+        assert_eq!((c.write_requests, c.writes), (2, 7 + 2));
     }
 
     #[test]

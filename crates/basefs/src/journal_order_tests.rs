@@ -1,0 +1,319 @@
+//! Journal write-order tests: every crash cut inside a commit's and a
+//! replay's extent requests, and the write-ahead rule under a commit
+//! that stalls while readers evict.
+
+use crate::fs::{BaseFs, BaseFsConfig};
+use rae_blockdev::{
+    BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, StatsDisk, WriteCutMode, BLOCK_SIZE,
+};
+use rae_fsformat::journal::{self, decode_descriptor, is_commit};
+use rae_fsformat::{fsck, mkfs, MkfsParams, Superblock};
+use rae_vfs::{FileSystem, FileType, FsResult, OpenFlags};
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc, Mutex};
+
+/// Path → `None` for a directory, the contents for anything else.
+type Tree = BTreeMap<String, Option<Vec<u8>>>;
+
+fn tree(fs: &dyn FileSystem) -> Tree {
+    let mut out = Tree::new();
+    let mut stack = vec![String::from("/")];
+    while let Some(dir) = stack.pop() {
+        for e in fs.readdir(&dir).unwrap() {
+            let path = format!("{}/{}", dir.trim_end_matches('/'), e.name);
+            if e.ftype == FileType::Directory {
+                stack.push(path.clone());
+                out.insert(path, None);
+            } else {
+                let size = fs.stat(&path).unwrap().size as usize;
+                let fd = fs.open(&path, OpenFlags::RDONLY).unwrap();
+                out.insert(path, Some(fs.read(fd, 0, size).unwrap()));
+                fs.close(fd).unwrap();
+            }
+        }
+    }
+    out
+}
+
+fn mount(dev: Arc<dyn BlockDevice>) -> BaseFs {
+    BaseFs::mount(dev, BaseFsConfig::default()).unwrap()
+}
+
+/// Mount `image` (replaying its journal), return its tree, and check
+/// that the unmounted result is `fsck`-clean.
+fn recovered_tree(image: &[u8], what: &str) -> Tree {
+    let dev = Arc::new(MemDisk::from_image(image));
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    let t = tree(&fs);
+    fs.unmount().unwrap();
+    let report = fsck(dev.as_ref()).unwrap();
+    assert!(report.is_clean(), "{what}: {report}");
+    t
+}
+
+/// One transaction's worth of new metadata in several blocks (inode
+/// table, both bitmaps, two directories, the superblock) plus data.
+/// Everything it writes lands in blocks that were free, so a crash that
+/// cuts its data flush leaves the old tree intact.
+fn transaction(fs: &dyn FileSystem, round: u8) -> FsResult<()> {
+    let dir = format!("/t{round}");
+    fs.mkdir(&dir)?;
+    for i in 0..3u8 {
+        let fd = fs.open(&format!("{dir}/f{i}"), OpenFlags::RDWR | OpenFlags::CREATE)?;
+        fs.write(fd, 0, &vec![round * 16 + i; 2 * BLOCK_SIZE])?;
+        fs.close(fd)?;
+    }
+    fs.sync()
+}
+
+/// A formatted image holding `/base` with one file, unmounted clean.
+fn base_image() -> Vec<u8> {
+    let dev = Arc::new(MemDisk::new(4096));
+    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    fs.mkdir("/base").unwrap();
+    let fd = fs
+        .open("/base/keep", OpenFlags::RDWR | OpenFlags::CREATE)
+        .unwrap();
+    fs.write(fd, 0, b"kept across every cut").unwrap();
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+    dev.snapshot()
+}
+
+/// Mount `image` behind a device that silently drops every write after
+/// the first `cut` blocks, run one transaction, crash, and return what
+/// reached the device.
+fn crash_after(image: &[u8], cut: u64) -> Vec<u8> {
+    let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
+    let dev = Arc::new(FaultyDisk::with_plan(MemDisk::from_image(image), plan));
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    transaction(&fs, 1).unwrap();
+    fs.crash();
+    dev.inner().snapshot()
+}
+
+#[test]
+fn extent_commit_survives_every_cut() {
+    let pre_image = base_image();
+    let pre = recovered_tree(&pre_image, "pre");
+
+    // the uncut run: how many blocks mount + transaction write, and the
+    // tree they leave
+    let counted = Arc::new(StatsDisk::new(MemDisk::from_image(&pre_image)));
+    let fs = mount(Arc::clone(&counted) as Arc<dyn BlockDevice>);
+    let before = counted.counters();
+    transaction(&fs, 1).unwrap();
+    let after = counted.counters();
+    fs.crash();
+    let total = after.writes;
+    assert!(
+        after.write_requests - before.write_requests < after.writes - before.writes,
+        "the commit moved some blocks as an extent: {before:?} -> {after:?}"
+    );
+    let post = recovered_tree(&counted.inner().snapshot(), "post");
+    assert_ne!(pre, post);
+
+    // every cut from before the mount's first write to past the commit
+    // block: the old tree until the commit block lands, the new one after
+    let mut flipped_at = None;
+    for cut in 0..=total + 1 {
+        let got = recovered_tree(&crash_after(&pre_image, cut), &format!("cut {cut}"));
+        if got == post {
+            flipped_at.get_or_insert(cut);
+        } else {
+            assert_eq!(
+                got, pre,
+                "cut {cut}: neither the pre- nor the post-transaction tree"
+            );
+            assert!(flipped_at.is_none(), "cut {cut}: the old tree came back");
+        }
+    }
+    assert_eq!(
+        flipped_at,
+        Some(total),
+        "the transaction is durable exactly when its commit block, the last write, lands"
+    );
+}
+
+#[test]
+fn extent_replay_survives_every_cut() {
+    // three committed, never-checkpointed transactions in the journal
+    let base = base_image();
+    let dev = Arc::new(MemDisk::from_image(&base));
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    for round in 1..=3 {
+        transaction(&fs, round).unwrap();
+    }
+    fs.crash();
+    let journaled = dev.snapshot();
+    let geo = Superblock::read_from(dev.as_ref()).unwrap().geometry;
+    let post = recovered_tree(&journaled, "uncut replay");
+
+    let counted = StatsDisk::new(MemDisk::from_image(&journaled));
+    let report = journal::replay(&counted, &geo).unwrap();
+    assert_eq!(report.transactions, 3);
+    let c = counted.counters();
+    assert!(
+        c.write_requests < c.writes && c.read_requests < c.reads,
+        "replay moves runs, not blocks: {c:?}"
+    );
+
+    // a replay cut anywhere — inside the home runs, between them and the
+    // reset, inside the reset — leaves a journal that replays to the
+    // same tree
+    for cut in 0..=c.writes + 1 {
+        let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
+        let dying = FaultyDisk::with_plan(MemDisk::from_image(&journaled), plan);
+        journal::replay(&dying, &geo).unwrap();
+        let got = recovered_tree(&dying.inner().snapshot(), &format!("replay cut {cut}"));
+        assert_eq!(got, post, "replay cut {cut}");
+    }
+}
+
+/// What a [`StallDisk`] saw, in order.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    /// A journal descriptor: its sequence number and home blocks.
+    Descriptor(u64, Vec<u64>),
+    /// A journal commit block.
+    Commit,
+    /// A write outside the journal.
+    Home(u64),
+}
+
+/// Records the write order and, once armed, parks the first journal
+/// descriptor write until released.
+struct StallDisk {
+    inner: MemDisk,
+    journal: std::ops::Range<u64>,
+    seen: Mutex<Vec<Seen>>,
+    armed: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl BlockDevice for StallDisk {
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+    fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+        self.inner.read_block(bno, buf)
+    }
+    fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+        let seen = if !self.journal.contains(&bno) {
+            Some(Seen::Home(bno))
+        } else if let Ok(Some((seq, tags))) = decode_descriptor(buf) {
+            if let Some((stalled, release)) = self.armed.lock().unwrap().take() {
+                stalled.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            Some(Seen::Descriptor(
+                seq,
+                tags.iter().map(|t| t.target).collect(),
+            ))
+        } else {
+            let last_seq = self
+                .seen
+                .lock()
+                .unwrap()
+                .iter()
+                .rev()
+                .find_map(|s| match s {
+                    Seen::Descriptor(seq, _) => Some(*seq),
+                    _ => None,
+                });
+            last_seq
+                .filter(|&seq| is_commit(buf, seq))
+                .map(|_| Seen::Commit)
+        };
+        self.inner.write_block(bno, buf)?;
+        self.seen.lock().unwrap().extend(seen);
+        Ok(())
+    }
+    fn flush(&self) -> FsResult<()> {
+        self.inner.flush()
+    }
+}
+
+/// Regression test for the write-ahead race at commit: readers take no
+/// transaction lock, so a reader's eviction can run while a commit is
+/// in flight. No home write of a block the transaction journals may
+/// reach the device before that transaction's commit block.
+#[test]
+fn commit_pins_journaled_pages_until_the_commit_block() {
+    let inner = MemDisk::new(4096);
+    let geo = mkfs(&inner, MkfsParams::default()).unwrap();
+    let dev = Arc::new(StallDisk {
+        inner,
+        journal: geo.journal_start..geo.journal_start + geo.journal_blocks,
+        seen: Mutex::new(Vec::new()),
+        armed: Mutex::new(None),
+    });
+    let fs = BaseFs::mount(
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        BaseFsConfig {
+            page_cache_blocks: 16,
+            ..BaseFsConfig::default()
+        },
+    )
+    .unwrap();
+    // files for the reader, on disk and open before the commit starts
+    let mut fds = Vec::new();
+    for i in 0..48u8 {
+        let fd = fs
+            .open(&format!("/r{i}"), OpenFlags::RDWR | OpenFlags::CREATE)
+            .unwrap();
+        fs.write(fd, 0, &[i; BLOCK_SIZE]).unwrap();
+        fds.push(fd);
+    }
+    fs.checkpoint().unwrap();
+    // the transaction under test: fresh metadata in the cache
+    fs.mkdir("/m").unwrap();
+    fs.mkdir("/m/n").unwrap();
+
+    let (stalled_tx, stalled_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    *dev.armed.lock().unwrap() = Some((stalled_tx, release_rx));
+    dev.seen.lock().unwrap().clear();
+    std::thread::scope(|s| {
+        let committer = s.spawn(|| fs.sync());
+        stalled_rx.recv().unwrap();
+        // the commit is parked inside its record write: read enough
+        // to evict every unpinned page. An eviction's home write is
+        // queued, not awaited, so give the write-back workers time to
+        // write any before the commit resumes — the pause only decides
+        // how surely a regression shows, never whether a correct run
+        // passes.
+        for (i, &fd) in fds.iter().enumerate() {
+            assert_eq!(fs.read(fd, 0, 1).unwrap(), [i as u8]);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        committer.join().unwrap().unwrap();
+    });
+
+    let seen = dev.seen.lock().unwrap().clone();
+    let d = seen
+        .iter()
+        .position(|s| matches!(s, Seen::Descriptor(..)))
+        .expect("the commit wrote a descriptor");
+    let Seen::Descriptor(_, targets) = &seen[d] else {
+        unreachable!()
+    };
+    let c = d + seen[d..]
+        .iter()
+        .position(|s| *s == Seen::Commit)
+        .expect("the commit wrote its commit block");
+    let early: Vec<&Seen> = seen[..c]
+        .iter()
+        .filter(|s| matches!(s, Seen::Home(b) if targets.contains(b)))
+        .collect();
+    assert!(
+        early.is_empty(),
+        "journaled blocks written home before the commit block: {early:?} (targets {targets:?})"
+    );
+    assert!(fs.stats().cache.evictions > 0, "the reader evicted");
+    for fd in fds {
+        fs.close(fd).unwrap();
+    }
+    fs.unmount().unwrap();
+}

@@ -48,6 +48,8 @@ mod fs;
 mod fs_tests;
 mod icache;
 mod jmgr;
+#[cfg(test)]
+mod journal_order_tests;
 mod pagecache;
 #[cfg(test)]
 mod stress_tests;

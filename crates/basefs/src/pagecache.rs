@@ -9,14 +9,18 @@
 //! * **Meta** pages — dirty metadata is *pinned*: it may only reach the
 //!   disk through the journal (write-ahead rule), so eviction skips it
 //!   and [`PageCache::take_dirty_meta`] hands the images to the journal
-//!   manager at commit time. A committed-but-not-checkpointed meta page
-//!   is clean in the cache while its *home block on the device is still
-//!   stale*; evicting one therefore writes it home through the
-//!   write-back queue first (legal — the image is already durable in
-//!   the journal, so write-ahead is preserved, and replay after a crash
-//!   rewrites the same bytes). [`PageCache::checkpoint_done`] clears
-//!   the stale-home marks once the journal manager has rewritten every
-//!   home location.
+//!   manager at commit time. A handed-over page stays pinned while its
+//!   commit is in flight — readers take no transaction lock, so their
+//!   evictions run *during* a commit — and only
+//!   [`PageCache::commit_done`] releases it; a failed commit re-dirties
+//!   it instead ([`PageCache::commit_failed`]). A committed-but-not-
+//!   checkpointed meta page is clean in the cache while its *home block
+//!   on the device is still stale*; evicting one therefore writes it
+//!   home through the write-back queue first (legal — the image is
+//!   already durable in the journal, so write-ahead is preserved, and
+//!   replay after a crash rewrites the same bytes).
+//!   [`PageCache::checkpoint_done`] clears the stale-home marks once the
+//!   journal manager has rewritten every home location.
 //!
 //! Eviction is LRU via the classic lazy-queue technique (re-stamped
 //! entries are skipped when popped, and a queue that has outgrown its
@@ -59,9 +63,12 @@ struct Page {
     data: Vec<u8>,
     class: PageClass,
     dirty: bool,
-    /// Meta only: the image was handed to the journal (clean here) but
-    /// the home block on the device has not been checkpointed yet, so a
-    /// device re-read would return stale bytes.
+    /// Meta only: the image was handed to the journal and its commit is
+    /// not known durable yet, so the page stays pinned as if dirty.
+    committing: bool,
+    /// Meta only: the image was committed to the journal (clean here)
+    /// but the home block on the device has not been checkpointed yet,
+    /// so a device re-read would return stale bytes.
     home_stale: bool,
     stamp: u64,
 }
@@ -231,7 +238,7 @@ impl PageCache {
 
     /// Evict pages until at most `shard_capacity` resident in this
     /// shard. Dirty data pages are submitted to the write-back queue;
-    /// dirty meta pages are skipped (pinned).
+    /// dirty and committing meta pages are skipped (pinned).
     fn evict_if_needed(&self, shard: &mut Shard) -> FsResult<()> {
         let mut skipped: Vec<(u64, u64)> = Vec::new();
         while shard.map.len() > self.shard_capacity {
@@ -239,7 +246,9 @@ impl PageCache {
                 break; // everything left is pinned dirty metadata
             };
             let evictable = match shard.map.get(&bno) {
-                Some(p) if p.stamp == stamp => !(p.class == PageClass::Meta && p.dirty),
+                Some(p) if p.stamp == stamp => {
+                    !(p.class == PageClass::Meta && (p.dirty || p.committing))
+                }
                 _ => continue, // stale queue entry
             };
             if !evictable {
@@ -325,6 +334,7 @@ impl PageCache {
                 data: buf.clone(),
                 class,
                 dirty: false,
+                committing: false,
                 home_stale: false,
                 stamp,
             },
@@ -349,14 +359,19 @@ impl PageCache {
         let stamp = self.stamp();
         let mut shard = self.shard_for(bno).lock();
         // carried across rewrites: the home block stays stale until a
-        // checkpoint actually rewrites it
-        let home_stale = shard.map.get(&bno).is_some_and(|p| p.home_stale);
+        // checkpoint actually rewrites it, and a commit in flight still
+        // has to report back
+        let (committing, home_stale) = shard
+            .map
+            .get(&bno)
+            .map_or((false, false), |p| (p.committing, p.home_stale));
         let old = shard.map.insert(
             bno,
             Page {
                 data,
                 class,
                 dirty: true,
+                committing,
                 home_stale,
                 stamp,
             },
@@ -411,6 +426,7 @@ impl PageCache {
                     data,
                     class,
                     dirty: true,
+                    committing: false,
                     home_stale: false,
                     stamp,
                 },
@@ -468,6 +484,7 @@ impl PageCache {
                 data: buf,
                 class,
                 dirty: true,
+                committing: false,
                 home_stale: false,
                 stamp,
             },
@@ -499,9 +516,10 @@ impl PageCache {
         }
     }
 
-    /// Snapshot all dirty metadata pages and mark them clean (the
-    /// journal manager owns them from here — journal commit must follow
-    /// or the images are lost).
+    /// Snapshot all dirty metadata pages and hand them to a journal
+    /// commit: they stop being dirty but stay pinned until the commit
+    /// reports back through [`PageCache::commit_done`] or
+    /// [`PageCache::commit_failed`] with the same block numbers.
     #[must_use]
     pub fn take_dirty_meta(&self) -> Vec<(u64, Vec<u8>)> {
         let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
@@ -511,13 +529,40 @@ impl PageCache {
                 if p.class == PageClass::Meta && p.dirty {
                     out.push((bno, p.data.clone()));
                     p.dirty = false;
-                    p.home_stale = true; // fresh only after checkpoint
+                    p.committing = true;
                     self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
                 }
             }
         }
         out.sort_by_key(|(b, _)| *b);
         out
+    }
+
+    /// The commit of the handed-over `blocks` is durable: their pages
+    /// are unpinned, ahead of their home blocks until the next
+    /// checkpoint (so evicting one now writes it home first).
+    pub fn commit_done(&self, blocks: &[u64]) {
+        for &bno in blocks {
+            if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+                p.committing = false;
+                p.home_stale = true;
+            }
+        }
+    }
+
+    /// The commit of the handed-over `blocks` failed, so nothing says
+    /// their images are durable: the pages become dirty again, pinned
+    /// for the next commit and never written home directly.
+    pub fn commit_failed(&self, blocks: &[u64]) {
+        for &bno in blocks {
+            if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+                if p.committing && !p.dirty {
+                    p.dirty = true;
+                    self.dirty_meta.fetch_add(1, Ordering::Relaxed);
+                }
+                p.committing = false;
+            }
+        }
     }
 
     /// The journal manager rewrote every committed image at its home
@@ -831,7 +876,8 @@ mod tests {
     fn clean_meta_is_evictable() {
         let (_dev, pc) = cache(16, 2);
         pc.write(0, block(1), PageClass::Meta).unwrap();
-        let _ = pc.take_dirty_meta(); // now clean
+        let _ = pc.take_dirty_meta();
+        pc.commit_done(&[0]); // now clean
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap();
         pc.write(3, block(4), PageClass::Data).unwrap();
@@ -847,6 +893,7 @@ mod tests {
         pc.write(0, block(7), PageClass::Meta).unwrap();
         let taken = pc.take_dirty_meta(); // journal owns the image now
         assert_eq!(taken.len(), 1);
+        pc.commit_done(&[0]);
         // evict block 0 with data traffic
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap();
@@ -867,6 +914,7 @@ mod tests {
         let (dev, pc) = cache(16, 2);
         pc.write(0, block(7), PageClass::Meta).unwrap();
         let _ = pc.take_dirty_meta();
+        pc.commit_done(&[0]);
         pc.checkpoint_done(); // home is (notionally) rewritten
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap();
@@ -875,6 +923,53 @@ mod tests {
         let mut raw = block(9);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 0, "no write-back for checkpointed meta");
+    }
+
+    /// Regression test: readers take no transaction lock, so their
+    /// evictions run while a commit is in flight. A handed-over meta
+    /// page must not be written home before its commit is durable, and
+    /// never if the commit fails.
+    #[test]
+    fn handed_over_meta_stays_pinned_until_its_commit_is_durable() {
+        let (dev, pc) = cache(16, 2);
+        pc.write(0, block(7), PageClass::Meta).unwrap();
+        let taken = pc.take_dirty_meta();
+        assert_eq!(taken.len(), 1);
+        assert_eq!(pc.dirty_meta_count(), 0);
+        let evict = |round: u64| {
+            for bno in 1..6 {
+                let _ = pc.read(bno + round * 5, PageClass::Data).unwrap();
+            }
+            pc.flush_data().unwrap(); // every queued write has landed
+        };
+        let home = || {
+            let mut raw = block(9);
+            dev.read_block(0, &mut raw).unwrap();
+            raw[0]
+        };
+
+        evict(0);
+        assert!(pc.resident_contains(0), "pinned while committing");
+        assert_eq!(home(), 0, "no home write before the commit is durable");
+
+        // the commit failed: the page is dirty again, still pinned, and
+        // the next commit picks it up
+        pc.commit_failed(&[0]);
+        assert_eq!(pc.dirty_meta_count(), 1);
+        evict(1);
+        assert_eq!(
+            home(),
+            0,
+            "a failed commit never makes a page home-writable"
+        );
+        let retaken = pc.take_dirty_meta();
+        assert_eq!(retaken, taken);
+
+        // durable: now eviction may write the committed image home
+        pc.commit_done(&[0]);
+        evict(2);
+        assert!(!pc.resident_contains(0));
+        assert_eq!(home(), 7, "evicted after its commit, written home");
     }
 
     #[test]

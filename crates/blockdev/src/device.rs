@@ -39,6 +39,14 @@ pub enum IoPhase {
 /// passing any other length is an [`FsError::Internal`] programming
 /// error, reported rather than panicking so that fault-injection paths
 /// cannot be crashed by corrupt length fields.
+///
+/// A request may cover one block ([`BlockDevice::read_block`],
+/// [`BlockDevice::write_block`]) or an *extent* of consecutive blocks
+/// ([`BlockDevice::read_blocks`], [`BlockDevice::write_blocks`]): one
+/// command to the device, the way a vectored NVMe command moves a run
+/// of blocks for one per-command cost. The extent calls default to a
+/// loop over the one-block calls, so a wrapper that does not override
+/// them still behaves correctly, one block at a time.
 pub trait BlockDevice: Send + Sync {
     /// Number of blocks on the device.
     fn block_count(&self) -> u64;
@@ -60,6 +68,38 @@ pub trait BlockDevice: Send + Sync {
     ///
     /// As [`BlockDevice::read_block`].
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()>;
+
+    /// Read the extent of `bufs.len()` consecutive blocks starting at
+    /// `start` as one request, block `start + i` into `bufs[i]`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockDevice::read_block`], for any block of the extent. On
+    /// error the contents of every buffer are unspecified.
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        for (bno, buf) in (start..).zip(bufs.iter_mut()) {
+            self.read_block(bno, buf)?;
+        }
+        Ok(())
+    }
+
+    /// Write the extent of `bufs.len()` consecutive blocks starting at
+    /// `start` as one request, `bufs[i]` to block `start + i`.
+    ///
+    /// Like [`BlockDevice::write_block`], completion does not imply
+    /// durability, and the blocks of one request are not ordered
+    /// against each other: only a flush orders writes.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockDevice::write_block`], for any block of the extent. On
+    /// error any subset of the extent may have been written.
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        for (bno, buf) in (start..).zip(bufs) {
+            self.write_block(bno, buf)?;
+        }
+        Ok(())
+    }
 
     /// Persistence barrier: all previously completed writes are durable
     /// when this returns.
@@ -112,12 +152,33 @@ impl<D: BlockDevice + ?Sized> BlockDevice for std::sync::Arc<D> {
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
         (**self).write_block(bno, buf)
     }
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        (**self).read_blocks(start, bufs)
+    }
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        (**self).write_blocks(start, bufs)
+    }
     fn flush(&self) -> FsResult<()> {
         (**self).flush()
     }
     fn set_phase(&self, phase: IoPhase) {
         (**self).set_phase(phase);
     }
+}
+
+/// Validate a non-empty extent's buffer lengths and block range up
+/// front, shared by implementations that move the whole extent at once.
+pub(crate) fn check_extent(
+    start: u64,
+    lens: impl ExactSizeIterator<Item = usize>,
+    count: u64,
+) -> FsResult<()> {
+    let last = start.saturating_add(lens.len().saturating_sub(1) as u64);
+    for len in lens {
+        check_buf(len)?;
+    }
+    check_range(start, count)?;
+    check_range(last, count)
 }
 
 #[cfg(test)]

@@ -11,6 +11,27 @@
 //! [`FaultyDisk::stage_recovery_plan`] arms each time the mount
 //! announces [`IoPhase::Recovery`] and disarms when normal operation
 //! resumes, so faults can be aimed at the recovery path itself.
+//!
+//! # The latency model
+//!
+//! The plan's read/write latency is the cost of one *command*, and a
+//! one-block request costs exactly that. An extent request
+//! ([`BlockDevice::read_blocks`] / [`BlockDevice::write_blocks`]) is
+//! still one command: it costs the per-command latency plus
+//! [`BLOCK_TRANSFER_NS`] for every block after the first, the way an
+//! NVMe command pays its setup once and then streams. Whether the wait
+//! sleeps or spins is decided by the per-command latency, never by the
+//! request total, so a busy-waited model stays busy-waited however long
+//! its extents grow. A plan with no latency models no media time at all.
+//!
+//! Fault decisions stay per block, in block order: an extent consumes
+//! rule counters, records events and reaches the write cut-off exactly
+//! as the loop of one-block requests it replaces would, so an N-th
+//! access fault inside an extent fires on its block, and a failed or
+//! cut-off extent leaves the same written prefix. A one-block request
+//! is simply an extent of one. The blocks a write will land count
+//! toward the cut-off before the plan lock is released, so concurrent
+//! writers cannot overshoot it.
 
 use crate::device::{BlockDevice, IoPhase, BLOCK_SIZE};
 use parking_lot::Mutex;
@@ -21,6 +42,25 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// Modelled transfer time of each block after the first in an extent
+/// request: 4 KiB at ~2 GB/s. A fixed property of the model, not a plan
+/// knob (see the module docs).
+pub const BLOCK_TRANSFER_NS: u64 = 2_000;
+
+/// Latencies the OS timer can resolve are slept (so concurrent requests
+/// overlap their device time, as against real hardware); shorter ones
+/// are spun for precision.
+const SLEEP_THRESHOLD_NS: u64 = 20_000;
+
+/// Modelled device time of one request of `blocks` blocks whose plan
+/// latency per command is `per_command_ns`.
+fn request_ns(per_command_ns: u64, blocks: usize) -> u64 {
+    if per_command_ns == 0 {
+        return 0;
+    }
+    per_command_ns + (blocks.max(1) as u64 - 1) * BLOCK_TRANSFER_NS
+}
 
 /// Telemetry wire codes for the injected fault classes
 /// (`rae_telemetry::fault_class_name` renders them).
@@ -486,7 +526,9 @@ impl<D: BlockDevice> FaultyDisk<D> {
         &self.inner
     }
 
-    fn busy_wait(ns: u64) {
+    /// Wait out the modelled time of a request of `blocks` blocks.
+    fn busy_wait(per_command_ns: u64, blocks: usize) {
+        let ns = request_ns(per_command_ns, blocks);
         if ns == 0 {
             return;
         }
@@ -495,9 +537,9 @@ impl<D: BlockDevice> FaultyDisk<D> {
         // latency exactly as they would against real hardware (the
         // property the multi-queue write-back path and the concurrent
         // read path exist to exploit). Sub-timer latencies keep the
-        // precise spin.
-        const SLEEP_THRESHOLD_NS: u64 = 20_000;
-        if ns >= SLEEP_THRESHOLD_NS {
+        // precise spin, judged per command so that a long extent on a
+        // spinning model still spins.
+        if per_command_ns >= SLEEP_THRESHOLD_NS {
             std::thread::sleep(std::time::Duration::from_nanos(ns));
             return;
         }
@@ -513,85 +555,147 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
         self.inner.block_count()
     }
 
+    // A one-block request is an extent of one: the same decision, the
+    // same events and counters, one inner call, one command's latency.
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
-        let t0 = self.tele().and_then(|t| t.clock());
-        let (decision, recovery) = {
-            let mut sh = self.state.lock();
-            let d = sh.active().read_decision(bno);
-            if d.error {
-                sh.events.push(FaultEvent::ReadError(bno));
-            } else if d.corrupt.is_some() {
-                sh.events.push(FaultEvent::CorruptedRead(bno));
-            }
-            (d, sh.phase == IoPhase::Recovery)
-        };
+        self.read_blocks(bno, &mut [buf])
+    }
 
-        Self::busy_wait(decision.latency_ns);
-        let result = if decision.error {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            self.fault_event(fault_class::READ_FAIL, bno, recovery);
-            Err(FsError::IoFailed {
-                detail: format!("injected read error at block {bno}"),
-            })
-        } else {
-            let r = self.inner.read_block(bno, buf);
-            if r.is_ok() {
-                if let Some((byte, bit)) = decision.corrupt {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    self.fault_event(fault_class::CORRUPT_READ, bno, recovery);
-                    buf[byte] ^= 1 << bit;
+    fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+        self.write_blocks(bno, &[buf])
+    }
+
+    // Range and buffer checks are the inner device's, made after the
+    // decisions: an out-of-range request still consumes its rule hits.
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        if bufs.is_empty() {
+            return Ok(());
+        }
+        let t0 = self.tele().and_then(|t| t.clock());
+        // Decide block by block, as the loop of one-block reads would:
+        // the first failing block ends the request, the ones before it
+        // are read (and maybe corrupted).
+        let mut latency_ns = 0;
+        let mut failed = None;
+        let mut corrupt = Vec::new();
+        let recovery = {
+            let mut sh = self.state.lock();
+            for i in 0..bufs.len() {
+                let bno = start.saturating_add(i as u64);
+                let d = sh.active().read_decision(bno);
+                latency_ns = d.latency_ns;
+                if d.error {
+                    sh.events.push(FaultEvent::ReadError(bno));
+                    failed = Some(i);
+                    break;
+                }
+                if let Some(flip) = d.corrupt {
+                    sh.events.push(FaultEvent::CorruptedRead(bno));
+                    corrupt.push((i, flip));
                 }
             }
-            r
+            sh.phase == IoPhase::Recovery
         };
+        let read = failed.unwrap_or(bufs.len());
+        Self::busy_wait(latency_ns, read + usize::from(failed.is_some()));
+
+        let mut result = if read > 0 {
+            self.inner.read_blocks(start, &mut bufs[..read])
+        } else {
+            Ok(())
+        };
+        if result.is_ok() {
+            for (i, (byte, bit)) in corrupt {
+                self.injected.fetch_add(1, Ordering::Relaxed);
+                self.fault_event(fault_class::CORRUPT_READ, start + i as u64, recovery);
+                bufs[i][byte] ^= 1 << bit;
+            }
+            if let Some(i) = failed {
+                let bno = start.saturating_add(i as u64);
+                self.injected.fetch_add(1, Ordering::Relaxed);
+                self.fault_event(fault_class::READ_FAIL, bno, recovery);
+                result = Err(FsError::IoFailed {
+                    detail: format!("injected read error at block {bno}"),
+                });
+            }
+        }
         if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Read, recovery, t0);
+            t.dev_observed(DevOp::Read, recovery, bufs.len() as u64, t0);
         }
         result
     }
 
-    fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        if bufs.is_empty() {
+            return Ok(());
+        }
         let t0 = self.tele().and_then(|t| t.clock());
-        let (decision, recovery) = {
+        // Decide block by block, as the loop of one-block writes would:
+        // blocks land until the cut-off, are dropped after it, and the
+        // first failing block ends the request. The blocks that will
+        // land are counted toward the cut-off before the lock drops, so
+        // a concurrent request is decided against them.
+        let mut latency_ns = 0;
+        let mut landed = 0;
+        let mut dropped = 0;
+        let mut stop = None;
+        let recovery = {
             let mut sh = self.state.lock();
             let writes_done = self.writes_done.load(Ordering::Relaxed);
-            let d = sh.active().write_decision(bno, writes_done);
-            if d.error {
-                sh.events.push(FaultEvent::WriteError(bno));
-            } else if d.cut == Some(WriteCutMode::SilentDrop) {
-                sh.events.push(FaultEvent::DroppedWrite(bno));
+            for i in 0..bufs.len() {
+                let bno = start.saturating_add(i as u64);
+                let d = sh.active().write_decision(bno, writes_done + landed as u64);
+                latency_ns = d.latency_ns;
+                if d.error {
+                    sh.events.push(FaultEvent::WriteError(bno));
+                    stop = Some((bno, fault_class::WRITE_FAIL));
+                    break;
+                }
+                match d.cut {
+                    None => landed += 1,
+                    Some(WriteCutMode::SilentDrop) => {
+                        sh.events.push(FaultEvent::DroppedWrite(bno));
+                        dropped += 1;
+                    }
+                    Some(WriteCutMode::Error) => {
+                        stop = Some((bno, fault_class::WRITE_CUT));
+                        break;
+                    }
+                }
             }
-            (d, sh.phase == IoPhase::Recovery)
+            self.writes_done.fetch_add(landed as u64, Ordering::Relaxed);
+            sh.phase == IoPhase::Recovery
         };
+        Self::busy_wait(latency_ns, landed + dropped + usize::from(stop.is_some()));
 
-        Self::busy_wait(decision.latency_ns);
-        let result = if decision.error {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            self.fault_event(fault_class::WRITE_FAIL, bno, recovery);
-            Err(FsError::IoFailed {
-                detail: format!("injected write error at block {bno}"),
-            })
+        let mut result = if landed > 0 {
+            self.inner
+                .write_blocks(start, &bufs[..landed])
+                .inspect_err(|_| {
+                    self.writes_done.fetch_sub(landed as u64, Ordering::Relaxed);
+                })
         } else {
-            match decision.cut {
-                Some(WriteCutMode::Error) => {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    self.fault_event(fault_class::WRITE_CUT, bno, recovery);
-                    Err(FsError::IoFailed {
-                        detail: format!("write cut-off reached at block {bno}"),
-                    })
-                }
-                Some(WriteCutMode::SilentDrop) => {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    self.fault_event(fault_class::WRITE_CUT, bno, recovery);
-                    Ok(()) // swallowed
-                }
-                None => self.inner.write_block(bno, buf).map(|()| {
-                    self.writes_done.fetch_add(1, Ordering::Relaxed);
-                }),
-            }
+            Ok(())
         };
+        if result.is_ok() {
+            for i in landed..landed + dropped {
+                self.injected.fetch_add(1, Ordering::Relaxed);
+                let bno = start.saturating_add(i as u64);
+                self.fault_event(fault_class::WRITE_CUT, bno, recovery);
+            }
+            if let Some((bno, class)) = stop {
+                self.injected.fetch_add(1, Ordering::Relaxed);
+                self.fault_event(class, bno, recovery);
+                let detail = if class == fault_class::WRITE_FAIL {
+                    format!("injected write error at block {bno}")
+                } else {
+                    format!("write cut-off reached at block {bno}")
+                };
+                result = Err(FsError::IoFailed { detail });
+            }
+        }
         if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Write, recovery, t0);
+            t.dev_observed(DevOp::Write, recovery, bufs.len() as u64, t0);
         }
         result
     }
@@ -616,7 +720,7 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             self.inner.flush()
         };
         if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Flush, recovery, t0);
+            t.dev_observed(DevOp::Flush, recovery, 0, t0);
         }
         result
     }
@@ -791,6 +895,168 @@ mod tests {
         );
         d.set_phase(IoPhase::Normal);
         assert!(d.write_block(0, &block(1)).is_err());
+    }
+
+    #[test]
+    fn a_request_costs_one_command_plus_its_transfer() {
+        // a one-block request costs exactly the plan's latency
+        assert_eq!(request_ns(5_000, 1), 5_000);
+        assert_eq!(request_ns(50_000, 1), 50_000);
+        // an extent pays the command once, then the transfer per block
+        assert_eq!(request_ns(5_000, 4), 5_000 + 3 * BLOCK_TRANSFER_NS);
+        assert_eq!(request_ns(0, 64), 0, "no latency model, no media time");
+    }
+
+    #[test]
+    fn concurrent_extents_stop_exactly_at_the_cut() {
+        let plan = DiskFaultPlan::new().cut_writes_after(10, WriteCutMode::SilentDrop);
+        let d = FaultyDisk::with_plan(MemDisk::new(128), plan);
+        let blk = block(1);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (d, blk) = (&d, &blk);
+                s.spawn(move || {
+                    for r in 0..8 {
+                        d.write_blocks(t * 32 + r * 4, &[&blk[..]; 4]).unwrap();
+                    }
+                });
+            }
+        });
+        let image = d.inner().snapshot();
+        let landed = image.chunks_exact(BLOCK_SIZE).filter(|b| b[0] != 0).count();
+        assert_eq!(landed, 10);
+        assert_eq!(d.injected_faults(), 128 - 10);
+    }
+
+    /// A plan's outcome under one request shape: what the request
+    /// returned per attempt, the image left behind, the events, and the
+    /// injected-fault count.
+    type Outcome = (Vec<bool>, Vec<u8>, Vec<FaultEvent>, u64);
+
+    /// Write blocks 1..=8 with distinct contents, either as one extent
+    /// or as the loop of one-block writes the extent replaces (which,
+    /// like the trait's default, stops at the first error).
+    fn write_eight(plan: &DiskFaultPlan, extent: bool) -> Outcome {
+        let d = FaultyDisk::with_plan(MemDisk::new(10), plan.clone());
+        let images: Vec<Vec<u8>> = (1..=8).map(block).collect();
+        let bufs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
+        let failed = if extent {
+            d.write_blocks(1, &bufs).is_err()
+        } else {
+            (1..)
+                .zip(&bufs)
+                .any(|(bno, b)| d.write_block(bno, b).is_err())
+        };
+        (
+            vec![failed],
+            d.inner().snapshot(),
+            d.take_events(),
+            d.injected_faults(),
+        )
+    }
+
+    #[test]
+    fn extent_write_faults_fire_on_their_block() {
+        let plans = [
+            DiskFaultPlan::new().fail_writes(FaultTarget::Any, TriggerMode::Nth(4)),
+            DiskFaultPlan::new()
+                .fail_writes(FaultTarget::Range { start: 6, end: 8 }, TriggerMode::Always),
+            DiskFaultPlan::new().cut_writes_after(3, WriteCutMode::SilentDrop),
+            DiskFaultPlan::new().cut_writes_after(3, WriteCutMode::Error),
+            DiskFaultPlan::new()
+                .cut_writes_after(2, WriteCutMode::SilentDrop)
+                .fail_writes(FaultTarget::Block(6), TriggerMode::Always),
+            DiskFaultPlan::new().cut_writes_after(0, WriteCutMode::SilentDrop),
+        ];
+        for plan in &plans {
+            assert_eq!(
+                write_eight(plan, true),
+                write_eight(plan, false),
+                "{plan:?}"
+            );
+        }
+
+        // and concretely: an N-th fault inside the extent fails its own
+        // block, after the prefix landed and before the suffix
+        let (failed, image, events, injected) = write_eight(&plans[0], true);
+        assert_eq!(
+            (failed, events, injected),
+            (vec![true], vec![FaultEvent::WriteError(4)], 1)
+        );
+        let landed = |bno: usize| image[bno * BLOCK_SIZE] != 0;
+        assert!((1..4).all(landed) && !(4..=8).any(landed));
+
+        // a silent cut-off inside the extent drops exactly its suffix
+        let (failed, image, events, _) = write_eight(&plans[2], true);
+        assert_eq!(failed, vec![false]);
+        let landed = |bno: usize| image[bno * BLOCK_SIZE] != 0;
+        assert!((1..=3).all(landed) && !(4..=8).any(landed));
+        assert_eq!(
+            events,
+            (4..=8).map(FaultEvent::DroppedWrite).collect::<Vec<_>>()
+        );
+    }
+
+    /// Read blocks 0..8 of a disk whose block `b` holds `b + 1`, as one
+    /// extent or as a loop of one-block reads.
+    fn read_eight(plan: &DiskFaultPlan, extent: bool) -> Outcome {
+        let disk = MemDisk::new(8);
+        for b in 0..8u8 {
+            disk.write_block(u64::from(b), &block(b + 1)).unwrap();
+        }
+        let d = FaultyDisk::with_plan(disk, plan.clone());
+        let mut images: Vec<Vec<u8>> = (0..8).map(|_| block(0)).collect();
+        let failed = if extent {
+            let mut bufs: Vec<&mut [u8]> = images.iter_mut().map(Vec::as_mut_slice).collect();
+            d.read_blocks(0, &mut bufs).is_err()
+        } else {
+            (0..)
+                .zip(images.iter_mut())
+                .any(|(bno, b)| d.read_block(bno, b).is_err())
+        };
+        (
+            vec![failed],
+            images.concat(),
+            d.take_events(),
+            d.injected_faults(),
+        )
+    }
+
+    #[test]
+    fn extent_read_faults_fire_on_their_block() {
+        let plans = [
+            DiskFaultPlan::new().fail_reads(FaultTarget::Any, TriggerMode::Nth(5)),
+            DiskFaultPlan::new()
+                .corrupt_reads(
+                    FaultTarget::Range { start: 1, end: 3 },
+                    9,
+                    2,
+                    TriggerMode::Always,
+                )
+                .fail_reads(FaultTarget::Block(6), TriggerMode::Always),
+            DiskFaultPlan::new().corrupt_reads(FaultTarget::Any, 0, 7, TriggerMode::Nth(8)),
+        ];
+        for plan in &plans {
+            assert_eq!(read_eight(plan, true), read_eight(plan, false), "{plan:?}");
+        }
+        let (failed, image, events, injected) = read_eight(&plans[1], true);
+        assert_eq!(failed, vec![true]);
+        assert_eq!(injected, 3);
+        assert_eq!(
+            events,
+            [
+                FaultEvent::CorruptedRead(1),
+                FaultEvent::CorruptedRead(2),
+                FaultEvent::ReadError(6)
+            ]
+        );
+        assert_eq!(
+            image[BLOCK_SIZE + 9],
+            2 ^ 0b100,
+            "block 1 read, then corrupted"
+        );
+        assert_eq!(image[5 * BLOCK_SIZE], 6, "block 5 read before the failure");
+        assert_eq!(image[6 * BLOCK_SIZE], 0, "the failed block was not read");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! In-memory block device.
 
-use crate::device::{check_buf, check_range, BlockDevice, BLOCK_SIZE};
+use crate::device::{check_buf, check_extent, check_range, BlockDevice, BLOCK_SIZE};
 use parking_lot::RwLock;
 use rae_vfs::FsResult;
 
@@ -131,6 +131,22 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        check_extent(start, bufs.iter().map(|b| b.len()), self.block_count())?;
+        for (block, buf) in self.blocks[start as usize..].iter().zip(bufs.iter_mut()) {
+            buf.copy_from_slice(&block.read()[..]);
+        }
+        Ok(())
+    }
+
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        check_extent(start, bufs.iter().map(|b| b.len()), self.block_count())?;
+        for (block, buf) in self.blocks[start as usize..].iter().zip(bufs) {
+            block.write().copy_from_slice(buf);
+        }
+        Ok(())
+    }
+
     fn flush(&self) -> FsResult<()> {
         Ok(()) // memory is always "durable" for our purposes
     }
@@ -150,6 +166,29 @@ mod tests {
         let mut r = vec![0u8; BLOCK_SIZE];
         d.read_block(2, &mut r).unwrap();
         assert_eq!(r, b);
+    }
+
+    #[test]
+    fn extent_roundtrip_and_range_checks() {
+        let d = MemDisk::new(4);
+        let (a, b) = (vec![1u8; BLOCK_SIZE], vec![2u8; BLOCK_SIZE]);
+        d.write_blocks(2, &[&a[..], &b[..]]).unwrap();
+        let (mut x, mut y) = (vec![0u8; BLOCK_SIZE], vec![0u8; BLOCK_SIZE]);
+        d.read_blocks(2, &mut [&mut x[..], &mut y[..]]).unwrap();
+        assert_eq!((x, y), (a.clone(), b.clone()));
+        // an extent that runs off the device, or holds a misshapen
+        // buffer, is refused whole
+        assert!(matches!(
+            d.write_blocks(3, &[&b[..], &b[..]]),
+            Err(FsError::IoFailed { .. })
+        ));
+        assert!(matches!(
+            d.write_blocks(0, &[&b[..], &b[..7]]),
+            Err(FsError::Internal { .. })
+        ));
+        let mut r = vec![0u8; BLOCK_SIZE];
+        d.read_block(0, &mut r).unwrap();
+        assert_eq!(r[0], 0);
     }
 
     #[test]

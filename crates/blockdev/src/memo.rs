@@ -173,6 +173,25 @@ mod tests {
     }
 
     #[test]
+    fn refuses_extent_writes_and_serves_extent_reads() {
+        let raw = Arc::new(filled(4));
+        let memo = MemoDisk::new(Arc::clone(&raw) as Arc<dyn BlockDevice>);
+        let blk = vec![0xEEu8; BLOCK_SIZE];
+        assert!(matches!(
+            memo.write_blocks(1, &[&blk[..]; 2]),
+            Err(FsError::Internal { .. })
+        ));
+        let (mut a, mut b) = (vec![0u8; BLOCK_SIZE], vec![0u8; BLOCK_SIZE]);
+        memo.read_blocks(1, &mut [&mut a[..], &mut b[..]]).unwrap();
+        assert_eq!(
+            (a[0], b[0]),
+            (2, 3),
+            "the refused extent never reached the device"
+        );
+        assert_eq!(memo.device_reads(), 2);
+    }
+
+    #[test]
     fn failed_reads_are_not_memoised() {
         let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Block(2), TriggerMode::Nth(1));
         let faulty = Arc::new(FaultyDisk::with_plan(filled(4), plan));

@@ -75,7 +75,8 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Snapshot of a [`RetryDisk`]'s counters.
+/// Snapshot of a [`RetryDisk`]'s counters. An operation is one request,
+/// however many blocks it moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryStats {
     /// Individual re-issued attempts (excludes every first attempt).
@@ -257,6 +258,16 @@ impl<D: BlockDevice> BlockDevice for RetryDisk<D> {
         self.with_retries(DevOp::Write, || self.inner.write_block(bno, buf))
     }
 
+    // An extent is retried whole: re-reading refills every buffer, and
+    // re-writing blocks that already landed is idempotent.
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        self.with_retries(DevOp::Read, || self.inner.read_blocks(start, bufs))
+    }
+
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        self.with_retries(DevOp::Write, || self.inner.write_blocks(start, bufs))
+    }
+
     fn flush(&self) -> FsResult<()> {
         self.with_retries(DevOp::Flush, || self.inner.flush())
     }
@@ -308,6 +319,23 @@ mod tests {
         d.write_block(0, &vec![1u8; BLOCK_SIZE]).unwrap();
         d.flush().unwrap();
         assert_eq!(d.stats().absorbed, 2);
+    }
+
+    #[test]
+    fn retries_a_transient_mid_extent_failure() {
+        let plan = DiskFaultPlan::new()
+            .fail_writes(FaultTarget::Any, TriggerMode::Nth(3))
+            .fail_reads(FaultTarget::Any, TriggerMode::Nth(2));
+        let d = RetryDisk::with_policy(FaultyDisk::with_plan(MemDisk::new(8), plan), fast_policy());
+        let images: Vec<Vec<u8>> = (1..=5).map(|b| vec![b; BLOCK_SIZE]).collect();
+        let bufs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
+        d.write_blocks(2, &bufs).unwrap();
+        let mut back: Vec<Vec<u8>> = (0..5).map(|_| vec![0u8; BLOCK_SIZE]).collect();
+        let mut refs: Vec<&mut [u8]> = back.iter_mut().map(Vec::as_mut_slice).collect();
+        d.read_blocks(2, &mut refs).unwrap();
+        assert_eq!(back, images, "every block landed and read back");
+        let s = d.stats();
+        assert_eq!((s.retries, s.absorbed, s.exhausted), (2, 2, 0));
     }
 
     #[test]

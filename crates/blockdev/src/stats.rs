@@ -7,18 +7,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Snapshot of device I/O counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiskCounters {
-    /// Completed block reads.
+    /// Blocks read by completed requests.
     pub reads: u64,
-    /// Completed block writes.
+    /// Blocks written by completed requests.
     pub writes: u64,
     /// Completed flush barriers.
     pub flushes: u64,
-    /// Failed operations (reads + writes + flushes).
+    /// Failed requests (reads + writes + flushes).
     pub errors: u64,
+    /// Completed read requests (one-block or extent).
+    pub read_requests: u64,
+    /// Completed write requests (one-block or extent).
+    pub write_requests: u64,
 }
 
 impl DiskCounters {
-    /// Total completed data operations (reads + writes).
+    /// Total blocks moved by completed requests (reads + writes).
     #[must_use]
     pub fn io_ops(&self) -> u64 {
         self.reads + self.writes
@@ -36,6 +40,8 @@ pub struct StatsDisk<D> {
     writes: AtomicU64,
     flushes: AtomicU64,
     errors: AtomicU64,
+    read_requests: AtomicU64,
+    write_requests: AtomicU64,
 }
 
 impl<D: BlockDevice> StatsDisk<D> {
@@ -48,6 +54,8 @@ impl<D: BlockDevice> StatsDisk<D> {
             writes: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            read_requests: AtomicU64::new(0),
+            write_requests: AtomicU64::new(0),
         }
     }
 
@@ -59,15 +67,44 @@ impl<D: BlockDevice> StatsDisk<D> {
             writes: self.writes.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
+            read_requests: self.read_requests.load(Ordering::Relaxed),
+            write_requests: self.write_requests.load(Ordering::Relaxed),
         }
     }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.flushes.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
+        for c in [
+            &self.reads,
+            &self.writes,
+            &self.flushes,
+            &self.errors,
+            &self.read_requests,
+            &self.write_requests,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Count one request of `blocks` blocks into `blocks_ctr` and
+    /// `requests_ctr`, or one error.
+    fn count(
+        &self,
+        result: FsResult<()>,
+        blocks: usize,
+        blocks_ctr: &AtomicU64,
+        requests_ctr: &AtomicU64,
+    ) -> FsResult<()> {
+        match result {
+            Ok(()) => {
+                blocks_ctr.fetch_add(blocks as u64, Ordering::Relaxed);
+                requests_ctr.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        result
     }
 
     /// Access the wrapped device.
@@ -83,29 +120,23 @@ impl<D: BlockDevice> BlockDevice for StatsDisk<D> {
     }
 
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
-        match self.inner.read_block(bno, buf) {
-            Ok(()) => {
-                self.reads.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        let r = self.inner.read_block(bno, buf);
+        self.count(r, 1, &self.reads, &self.read_requests)
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-        match self.inner.write_block(bno, buf) {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        let r = self.inner.write_block(bno, buf);
+        self.count(r, 1, &self.writes, &self.write_requests)
+    }
+
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        let r = self.inner.read_blocks(start, bufs);
+        self.count(r, bufs.len(), &self.reads, &self.read_requests)
+    }
+
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        let r = self.inner.write_blocks(start, bufs);
+        self.count(r, bufs.len(), &self.writes, &self.write_requests)
     }
 
     fn flush(&self) -> FsResult<()> {
@@ -148,6 +179,25 @@ mod tests {
         assert_eq!(c.flushes, 1);
         assert_eq!(c.errors, 0);
         assert_eq!(c.io_ops(), 3);
+    }
+
+    #[test]
+    fn extent_requests_count_once_and_blocks_each() {
+        let d = StatsDisk::new(MemDisk::new(8));
+        let b = vec![0u8; BLOCK_SIZE];
+        d.write_blocks(0, &[&b[..]; 3]).unwrap();
+        d.write_block(5, &b).unwrap();
+        let (mut x, mut y) = (b.clone(), b.clone());
+        d.read_blocks(1, &mut [&mut x[..], &mut y[..]]).unwrap();
+        assert!(
+            d.write_blocks(7, &[&b[..]; 2]).is_err(),
+            "runs off the device"
+        );
+
+        let c = d.counters();
+        assert_eq!((c.writes, c.write_requests), (4, 2));
+        assert_eq!((c.reads, c.read_requests), (2, 1));
+        assert_eq!(c.errors, 1);
     }
 
     #[test]

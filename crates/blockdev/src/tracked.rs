@@ -67,13 +67,26 @@ impl TrackedDisk {
         let _ = self.telemetry.set(telemetry);
     }
 
-    fn timed<T>(&self, op: DevOp, f: impl FnOnce() -> FsResult<T>) -> FsResult<T> {
+    fn timed<T>(&self, op: DevOp, blocks: usize, f: impl FnOnce() -> FsResult<T>) -> FsResult<T> {
         let t0 = self.telemetry.get().and_then(|t| t.clock());
         let result = f();
         if let Some(t) = self.telemetry.get() {
-            t.dev_observed(op, self.recovery_phase.load(Ordering::Relaxed), t0);
+            t.dev_observed(
+                op,
+                self.recovery_phase.load(Ordering::Relaxed),
+                blocks as u64,
+                t0,
+            );
         }
         result
+    }
+
+    /// Add blocks `[start, end)` to the write set (clipped to the
+    /// device, which the bitmap was sized from).
+    fn mark_written(&self, start: u64, end: u64) {
+        for bno in start..end.min(self.inner.block_count()) {
+            self.written[(bno / 64) as usize].fetch_or(1 << (bno % 64), Ordering::Release);
+        }
     }
 
     /// Drain and return the blocks written since the previous call (or
@@ -104,7 +117,7 @@ impl TrackedDisk {
             .sum()
     }
 
-    /// Reads forwarded to the device since construction.
+    /// Blocks read from the device since construction.
     #[must_use]
     pub fn reads(&self) -> u64 {
         self.reads.load(Ordering::Relaxed)
@@ -118,21 +131,37 @@ impl BlockDevice for TrackedDisk {
 
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        self.timed(DevOp::Read, || self.inner.read_block(bno, buf))
+        self.timed(DevOp::Read, 1, || self.inner.read_block(bno, buf))
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-        self.timed(DevOp::Write, || {
+        self.timed(DevOp::Write, 1, || {
             self.inner.write_block(bno, buf)?;
-            // the write succeeded, so `bno` is below the block count
-            // the bitmap was sized from
-            self.written[(bno / 64) as usize].fetch_or(1 << (bno % 64), Ordering::Release);
+            self.mark_written(bno, bno + 1);
             Ok(())
         })
     }
 
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        self.reads.fetch_add(bufs.len() as u64, Ordering::Relaxed);
+        self.timed(DevOp::Read, bufs.len(), || {
+            self.inner.read_blocks(start, bufs)
+        })
+    }
+
+    /// A failed extent may still have landed a prefix, so the whole
+    /// extent joins the write set either way: a superset only costs the
+    /// resync a look at a block, a missed block would be a stale one.
+    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
+        self.timed(DevOp::Write, bufs.len(), || {
+            let result = self.inner.write_blocks(start, bufs);
+            self.mark_written(start, start + bufs.len() as u64);
+            result
+        })
+    }
+
     fn flush(&self) -> FsResult<()> {
-        self.timed(DevOp::Flush, || self.inner.flush())
+        self.timed(DevOp::Flush, 0, || self.inner.flush())
     }
 
     fn set_phase(&self, phase: IoPhase) {
@@ -178,6 +207,29 @@ mod tests {
         assert_eq!(disk.written_len(), 6);
         assert_eq!(disk.take_written(), [0, 63, 64, 65, 128, 199]);
         assert!(disk.take_written().is_empty());
+    }
+
+    #[test]
+    fn extent_writes_track_every_block() {
+        let disk = TrackedDisk::new(Arc::new(MemDisk::new(200)));
+        let blk = vec![1u8; BLOCK_SIZE];
+        disk.write_blocks(62, &[&blk[..]; 4]).unwrap();
+        assert_eq!(disk.take_written(), [62, 63, 64, 65]);
+        let mut back = vec![0u8; BLOCK_SIZE];
+        disk.read_blocks(62, &mut [&mut back[..]]).unwrap();
+        assert_eq!(disk.reads(), 1);
+    }
+
+    #[test]
+    fn a_failed_extent_tracks_the_whole_extent() {
+        use crate::faulty::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+        let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Block(5), TriggerMode::Always);
+        let disk = TrackedDisk::new(Arc::new(FaultyDisk::with_plan(MemDisk::new(8), plan)));
+        let blk = vec![1u8; BLOCK_SIZE];
+        assert!(disk.write_blocks(3, &[&blk[..]; 4]).is_err());
+        // blocks 3 and 4 landed, 5 failed, 6 was never attempted: a
+        // superset is what the resync needs, a missed block is not
+        assert_eq!(disk.take_written(), [3, 4, 5, 6]);
     }
 
     #[test]

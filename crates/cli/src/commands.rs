@@ -814,6 +814,42 @@ mod tests {
         assert!(json.contains("\"resync_pruned\""), "{json}");
     }
 
+    /// With the standby on, the write tracker times every device request
+    /// into telemetry: journal commits move their records as extents, so
+    /// the write requests come out fewer than the blocks written.
+    #[test]
+    fn stats_json_reports_device_extents() {
+        let dev = Arc::new(MemDisk::new(4096));
+        mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+        let mut s = Session::mount_with(
+            dev as Arc<dyn BlockDevice>,
+            StandbyOpts {
+                enabled: true,
+                ..StandbyOpts::default()
+            },
+        )
+        .unwrap();
+        for i in 0..4 {
+            s.run(&format!("write /f{i} payload")).unwrap();
+            s.run("sync").unwrap();
+        }
+        let json = s.run("stats --json").unwrap();
+        let field = |after: &str, key: &str| -> u64 {
+            let at = json
+                .find(after)
+                .unwrap_or_else(|| panic!("{after} in {json}"));
+            let rest = &json[at..];
+            let v = &rest[rest.find(key).unwrap() + key.len()..];
+            v[..v.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                .parse()
+                .unwrap()
+        };
+        let requests = field("\"write\": {", "\"requests\": ");
+        let blocks = field("\"write\": {", "\"blocks\": ");
+        assert!(0 < requests && requests < blocks, "{json}");
+        assert!(field("\"journal_commit\"", "\"count\": ") >= 4, "{json}");
+    }
+
     #[test]
     fn cold_session_reports_inactive_standby() {
         let mut s = session();
@@ -836,6 +872,8 @@ mod tests {
             "\"rung_cold_time_ns\"",
             "\"standby\"",
             "\"last_recovery\": null",
+            "\"journal_commit\"",
+            "\"device_io\"",
             "\"degraded\"",
         ] {
             assert!(out.contains(key), "missing {key} in {out}");

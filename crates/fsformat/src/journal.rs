@@ -171,13 +171,43 @@ pub fn is_commit(buf: &[u8], seq: u64) -> bool {
 ///
 /// Device errors.
 pub fn reset<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry, base_seq: u64) -> FsResult<()> {
-    dev.write_block(geo.journal_start, &encode_header(base_seq))?;
+    let header = encode_header(base_seq);
     // Invalidate the first record slot so stale descriptors from a
-    // previous epoch cannot be replayed.
-    if geo.journal_blocks > 1 {
-        dev.write_block(geo.journal_start + 1, &vec![0u8; BLOCK_SIZE])?;
-    }
+    // previous epoch cannot be replayed; it travels with the header.
+    let blank = [0u8; BLOCK_SIZE];
+    let slots = if geo.journal_blocks > 1 { 2 } else { 1 };
+    dev.write_blocks(geo.journal_start, &[&header[..], &blank][..slots])?;
     dev.flush()
+}
+
+/// Write `homes` — images in ascending, distinct block order — to their
+/// home locations, one request per maximal run of consecutive blocks.
+/// No flush: the caller places the barrier.
+///
+/// # Errors
+///
+/// Device errors.
+pub fn write_homes<'a, D: BlockDevice + ?Sized>(
+    dev: &D,
+    homes: impl IntoIterator<Item = (u64, &'a [u8])>,
+) -> FsResult<()> {
+    let mut run: Vec<&[u8]> = Vec::new();
+    let mut start = 0;
+    for (bno, image) in homes {
+        if !run.is_empty() && bno != start + run.len() as u64 {
+            dev.write_blocks(start, &run)?;
+            run.clear();
+        }
+        if run.is_empty() {
+            start = bno;
+        }
+        run.push(image);
+    }
+    if run.is_empty() {
+        Ok(())
+    } else {
+        dev.write_blocks(start, &run)
+    }
 }
 
 /// Outcome of a journal replay.
@@ -197,14 +227,16 @@ pub struct ReplayReport {
 /// reset the journal. Idempotent: replaying twice applies the same
 /// images, and the final reset empties the log.
 ///
-/// The scan only *collects* images; each target block is then written
-/// home once, with the image of the last committed transaction that
-/// journaled it (a run of small transactions rewrites the same bitmap
-/// and inode-table blocks over and over, and only the last image of
-/// each survives anyway). Nothing is written before the scan is over,
-/// and the journal is reset only after the home writes are flushed, so
-/// a crash anywhere in between leaves the log intact and a second
-/// replay produces the same image.
+/// The scan reads each transaction in two requests — its descriptor,
+/// then the images and commit block the descriptor announces — and only
+/// *collects* images; each target block is then written home once, with
+/// the image of the last committed transaction that journaled it (a run
+/// of small transactions rewrites the same bitmap and inode-table blocks
+/// over and over, and only the last image of each survives anyway), in
+/// one request per run of consecutive targets. Nothing is written before
+/// the scan is over, and the journal is reset only after the home
+/// writes are flushed, so a crash anywhere in between leaves the log
+/// intact and a second replay produces the same image.
 ///
 /// Uncommitted or torn tails (bad descriptor, bad data CRC, missing
 /// commit, sequence gap) terminate the scan silently — that is the
@@ -226,16 +258,13 @@ pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<Repl
     let mut cursor = first;
     let mut expected_seq = base_seq;
     let mut report = ReplayReport::default();
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut desc = vec![0u8; BLOCK_SIZE];
     // target -> image of the latest committed transaction naming it
     let mut home: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
 
-    'scan: loop {
-        if cursor >= end {
-            break;
-        }
-        dev.read_block(cursor, &mut buf)?;
-        let (seq, tags) = match decode_descriptor(&buf) {
+    while cursor < end {
+        dev.read_block(cursor, &mut desc)?;
+        let (seq, tags) = match decode_descriptor(&desc) {
             Ok(Some(d)) => d,
             Ok(None) | Err(_) => break, // end of log or torn descriptor
         };
@@ -248,36 +277,37 @@ pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<Repl
         if commit_at >= end {
             break;
         }
-        // validate every data block against its tag CRC
-        let mut images: Vec<(u64, Vec<u8>)> = Vec::with_capacity(tags.len());
-        for (i, tag) in tags.iter().enumerate() {
-            dev.read_block(data_start + i as u64, &mut buf)?;
-            if crc32c(&buf) != tag.crc {
-                break 'scan; // torn data block: uncommitted tail
-            }
-            images.push((tag.target, buf.clone()));
-        }
-        dev.read_block(commit_at, &mut buf)?;
-        if !is_commit(&buf, seq) {
-            break; // commit never made it: discard
+        // the descriptor names the rest of the record: images and
+        // commit block arrive in one request
+        let mut record = vec![vec![0u8; BLOCK_SIZE]; tags.len() + 1];
+        let mut bufs: Vec<&mut [u8]> = record.iter_mut().map(Vec::as_mut_slice).collect();
+        dev.read_blocks(data_start, &mut bufs)?;
+        let commit = record.pop().expect("the record ends with its commit block");
+        // every data block must match its tag CRC (a mismatch is a torn
+        // tail), and the commit must have made it
+        let intact = tags
+            .iter()
+            .zip(&record)
+            .all(|(tag, img)| crc32c(img) == tag.crc);
+        if !intact || !is_commit(&commit, seq) {
+            break; // uncommitted tail: discard
         }
         // The transaction is committed: targets must be legal.
-        for (target, _) in &images {
-            let in_journal = *target >= geo.journal_start && *target < end;
-            if *target >= geo.total_blocks || in_journal {
+        for tag in &tags {
+            let in_journal = tag.target >= geo.journal_start && tag.target < end;
+            if tag.target >= geo.total_blocks || in_journal {
                 return Err(corrupt("committed transaction targets an illegal block"));
             }
         }
-        report.blocks += images.len() as u64;
-        home.extend(images); // a later image of a target replaces the earlier
+        report.blocks += tags.len() as u64;
+        // a later image of a target replaces the earlier
+        home.extend(tags.iter().map(|t| t.target).zip(record));
         report.transactions += 1;
         expected_seq += 1;
         cursor = commit_at + 1;
     }
 
-    for (target, image) in &home {
-        dev.write_block(*target, image)?;
-    }
+    write_homes(dev, home.iter().map(|(&bno, img)| (bno, img.as_slice())))?;
     dev.flush()?;
     reset(dev, geo, expected_seq)?;
     report.next_seq = expected_seq;
@@ -309,15 +339,18 @@ mod tests {
                 crc: crc32c(&vec![fill; BLOCK_SIZE]),
             })
             .collect();
-        let mut at = g.journal_start + slot;
-        dev.write_block(at, &encode_descriptor(seq, &tags)).unwrap();
-        at += 1;
-        for &(_, fill) in writes {
-            dev.write_block(at, &vec![fill; BLOCK_SIZE]).unwrap();
-            at += 1;
-        }
-        dev.write_block(at, &encode_commit(seq)).unwrap();
-        at + 1 - g.journal_start
+        let images: Vec<Vec<u8>> = writes
+            .iter()
+            .map(|&(_, fill)| vec![fill; BLOCK_SIZE])
+            .collect();
+        let (descriptor, commit) = (encode_descriptor(seq, &tags), encode_commit(seq));
+        let record: Vec<&[u8]> = std::iter::once(&descriptor)
+            .chain(&images)
+            .chain(std::iter::once(&commit))
+            .map(Vec::as_slice)
+            .collect();
+        dev.write_blocks(g.journal_start + slot, &record).unwrap();
+        slot + record.len() as u64
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rae_basefs::BaseFsConfig;
 use rae_blockdev::MemDisk;
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{mkfs, MkfsParams};
-use rae_telemetry::{EventKind, HistogramSummary, LatencyHistogram, OpClass, Telemetry};
+use rae_telemetry::{DevOp, EventKind, HistogramSummary, LatencyHistogram, OpClass, Telemetry};
 use rae_vfs::{FileSystem, FsError, FsResult, FsStatus, OpenFlags};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -809,6 +809,22 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
         )),
         None => out.push_str(&format!("{indent}\"last_recovery\": null,\n")),
     }
+    // the journal's commit latency, and what the device was asked for:
+    // requests against the blocks they moved (timed where a wrapper
+    // reports to telemetry — the standby's write tracker, for one)
+    let t = fs.telemetry();
+    let commit = t.journal_commit_histogram().summary();
+    out.push_str(&format!(
+        "{indent}\"journal_commit\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}}},\n",
+        commit.count, commit.p50, commit.p99
+    ));
+    let io = |op| (t.dev_requests(op), t.dev_blocks(op));
+    let ((rq, rb), (wq, wb)) = (io(DevOp::Read), io(DevOp::Write));
+    out.push_str(&format!(
+        "{indent}\"device_io\": {{\"read\": {{\"requests\": {rq}, \"blocks\": {rb}}}, \
+         \"write\": {{\"requests\": {wq}, \"blocks\": {wb}}}, \"flush\": {{\"requests\": {}}}}},\n",
+        t.dev_requests(DevOp::Flush)
+    ));
     out.push_str(&format!("{indent}\"degraded\": {}\n", s.degraded));
     out
 }

@@ -174,8 +174,11 @@ pub struct Telemetry {
     anchor: Instant,
     op_hist: [LatencyHistogram; 8],
     /// Device I/O histograms: `[dev_op][phase]` with phase 0 = normal,
-    /// 1 = recovery.
+    /// 1 = recovery. One sample per request.
     dev_hist: [[LatencyHistogram; 2]; 3],
+    /// Blocks moved by the timed device requests, per dev op (an extent
+    /// request is one histogram sample and many blocks).
+    dev_blocks: [AtomicU64; 3],
     journal_commit: LatencyHistogram,
     cache_fill: LatencyHistogram,
     commit_stall: LatencyHistogram,
@@ -221,6 +224,7 @@ impl Telemetry {
             anchor: Instant::now(),
             op_hist: std::array::from_fn(|_| LatencyHistogram::new()),
             dev_hist: std::array::from_fn(|_| std::array::from_fn(|_| LatencyHistogram::new())),
+            dev_blocks: std::array::from_fn(|_| AtomicU64::new(0)),
             journal_commit: LatencyHistogram::new(),
             cache_fill: LatencyHistogram::new(),
             commit_stall: LatencyHistogram::new(),
@@ -430,10 +434,18 @@ impl Telemetry {
         }
     }
 
-    /// Finish a device-I/O measurement started with [`Telemetry::clock`].
-    pub fn dev_observed(&self, op: DevOp, recovery_phase: bool, started: Option<Instant>) {
+    /// Finish a device-I/O measurement started with [`Telemetry::clock`]:
+    /// one request that moved `blocks` blocks.
+    pub fn dev_observed(
+        &self,
+        op: DevOp,
+        recovery_phase: bool,
+        blocks: u64,
+        started: Option<Instant>,
+    ) {
         if let Some(t0) = started {
             self.record_dev_ns(op, recovery_phase, t0.elapsed().as_nanos() as u64);
+            self.dev_blocks[op.code() as usize].fetch_add(blocks, Relaxed);
         }
     }
 
@@ -495,6 +507,24 @@ impl Telemetry {
     #[must_use]
     pub fn dev_histogram(&self, op: DevOp, recovery_phase: bool) -> &LatencyHistogram {
         &self.dev_hist[op.code() as usize][usize::from(recovery_phase)]
+    }
+
+    /// Timed device requests of one op, both phases.
+    #[must_use]
+    pub fn dev_requests(&self, op: DevOp) -> u64 {
+        self.dev_histogram(op, false).count() + self.dev_histogram(op, true).count()
+    }
+
+    /// Blocks moved by the timed device requests of one op.
+    #[must_use]
+    pub fn dev_blocks(&self, op: DevOp) -> u64 {
+        self.dev_blocks[op.code() as usize].load(Relaxed)
+    }
+
+    /// Histogram of journal commit durations.
+    #[must_use]
+    pub fn journal_commit_histogram(&self) -> &LatencyHistogram {
+        &self.journal_commit
     }
 
     /// Histogram of stripe-lock wait times.
@@ -606,6 +636,17 @@ mod tests {
         );
         assert_eq!(snap.journal_commit.count, 1);
         assert_eq!(snap.cache_fill.count, 1);
+    }
+
+    #[test]
+    fn extent_requests_count_once_and_their_blocks_each() {
+        let t = Telemetry::new();
+        t.dev_observed(DevOp::Write, false, 8, t.clock());
+        t.dev_observed(DevOp::Write, true, 1, t.clock());
+        t.dev_observed(DevOp::Flush, false, 0, t.clock());
+        assert_eq!(t.dev_requests(DevOp::Write), 2);
+        assert_eq!(t.dev_blocks(DevOp::Write), 9);
+        assert_eq!(t.dev_requests(DevOp::Flush), 1);
     }
 
     #[test]

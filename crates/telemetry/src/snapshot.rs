@@ -11,7 +11,8 @@ pub struct TelemetrySnapshot {
     pub enabled: bool,
     /// Per-op-class API-boundary latency summaries, in class order.
     pub ops: Vec<(&'static str, HistogramSummary)>,
-    /// Per device-op/phase latency summaries (`"read/normal"`, …).
+    /// Per device-op/phase latency summaries (`"read/normal"`, …), one
+    /// sample per request.
     pub device: Vec<(String, HistogramSummary)>,
     /// Journal commit durations.
     pub journal_commit: HistogramSummary,
