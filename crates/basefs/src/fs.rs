@@ -1484,9 +1484,16 @@ impl BaseFs {
         }
         .and_then(|()| self.jmgr.lock().commit(self.dev.as_ref(), images));
         // the handed-over pages stay pinned until here: only a durable
-        // commit may let one be written home
+        // commit may let one be written home. A journal that filled up
+        // was checkpointed on the way, so every earlier image is home:
+        // clear the stale-home marks before this commit sets its own.
         match &committed {
-            Ok(()) => self.pages.commit_done(&handed),
+            Ok(checkpointed) => {
+                if *checkpointed {
+                    self.pages.checkpoint_done();
+                }
+                self.pages.commit_done(&handed);
+            }
             Err(_) => self.pages.commit_failed(&handed),
         }
         committed?;

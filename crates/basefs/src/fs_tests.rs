@@ -623,6 +623,77 @@ fn journal_full_triggers_checkpoint_not_failure() {
     assert!(fsck(dev.as_ref()).unwrap().is_clean());
 }
 
+/// Regression test: a checkpoint the journal runs on its own when it
+/// fills rewrites every committed home, so the cache must stop treating
+/// those pages as ahead of the device — evicting them afterwards costs
+/// no write.
+#[test]
+fn auto_checkpoint_clears_the_stale_home_marks() {
+    use rae_blockdev::StatsDisk;
+    let dev = Arc::new(StatsDisk::new(MemDisk::new(4096)));
+    mkfs(
+        dev.as_ref(),
+        MkfsParams {
+            total_blocks: 4096,
+            inode_count: 1024,
+            journal_blocks: 16,
+        },
+    )
+    .unwrap();
+    let fs = BaseFs::mount(
+        dev.clone() as Arc<dyn BlockDevice>,
+        BaseFsConfig {
+            page_cache_blocks: 32,
+            ..BaseFsConfig::default()
+        },
+    )
+    .unwrap();
+    // data to evict with later, then metadata committed across several
+    // inode-table blocks, directories and both bitmaps
+    let fd = fs.open("/data", rw_create()).unwrap();
+    fs.write(fd, 0, &vec![7u8; 64 * BLOCK_SIZE]).unwrap();
+    fs.sync().unwrap();
+    fs.mkdir("/a").unwrap();
+    for i in 0..20 {
+        fs.close(fs.open(&format!("/a/f{i}"), rw_create()).unwrap())
+            .unwrap();
+    }
+    fs.sync().unwrap();
+    // small commits of one inode until one of them fills the journal
+    let x = fs.open("/x", rw_create()).unwrap();
+    fs.sync().unwrap();
+    let checkpoints = fs.stats().journal_checkpoints;
+    for t in 1.. {
+        let attr = SetAttr {
+            mtime: Some(t),
+            ..SetAttr::default()
+        };
+        fs.setattr("/x", attr).unwrap();
+        fs.sync().unwrap();
+        if fs.stats().journal_checkpoints > checkpoints {
+            break;
+        }
+    }
+
+    // evict the whole cache with data reads
+    let writes = dev.counters().writes;
+    for b in 0..64 {
+        assert_eq!(fs.read(fd, b * BLOCK_SIZE as u64, 1).unwrap(), [7]);
+    }
+    fs.sync().unwrap(); // nothing dirty: waits for queued evictions only
+    assert!(fs.stats().cache.evictions >= 32);
+    // the one write is the page of /x's inode, which the last commit
+    // left in the journal and not yet at home; every checkpointed page
+    // went without one
+    assert_eq!(
+        dev.counters().writes - writes,
+        1,
+        "evicting checkpointed metadata wrote it home again"
+    );
+    fs.close(fd).unwrap();
+    fs.close(x).unwrap();
+}
+
 #[test]
 fn concurrent_readers_and_writers() {
     let (_dev, fs) = fresh();

@@ -16,9 +16,9 @@
 //! they need not be: until the first flush returns, nothing of the
 //! record is promised, and replay discards a record whose commit block
 //! or any image CRC is missing. Checkpoint writes its sorted home images
-//! as one request per run of consecutive blocks.
+//! as one batch, one extent per run of consecutive blocks.
 
-use rae_blockdev::BlockDevice;
+use rae_blockdev::{BlockDevice, Extent};
 use rae_fsformat::journal::{self, TxnTag, MAX_TXN_BLOCKS};
 use rae_fsformat::{crc::crc32c, Geometry};
 use rae_telemetry::{SpanLayer, Telemetry};
@@ -83,14 +83,16 @@ impl JournalMgr {
 
     /// Commit a set of metadata images. Ordered-mode contract: the
     /// caller has already flushed file data. On return the images are
-    /// durable (recoverable by replay).
+    /// durable (recoverable by replay), and the value says whether the
+    /// journal filled up and was checkpointed on the way — every image
+    /// committed before this call is then at its home location.
     pub(crate) fn commit<D: BlockDevice + ?Sized>(
         &mut self,
         dev: &D,
         images: Vec<(u64, Vec<u8>)>,
-    ) -> FsResult<()> {
+    ) -> FsResult<bool> {
         if images.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         let t0 = self.telemetry.as_ref().and_then(|t| t.layer_clock());
         let result = self.commit_inner(dev, images);
@@ -104,17 +106,19 @@ impl JournalMgr {
         &mut self,
         dev: &D,
         images: Vec<(u64, Vec<u8>)>,
-    ) -> FsResult<()> {
+    ) -> FsResult<bool> {
         let chunk_size = self.max_chunk();
         let mut images = images.into_iter();
+        let mut checkpointed = false;
         loop {
             let chunk: Vec<(u64, Vec<u8>)> = images.by_ref().take(chunk_size).collect();
             if chunk.is_empty() {
-                return Ok(());
+                return Ok(checkpointed);
             }
             let needed = chunk.len() as u64 + 2;
             if self.write_ptr + needed > self.geo.journal_blocks {
                 self.checkpoint(dev)?;
+                checkpointed = true;
             }
             if self.write_ptr + needed > self.geo.journal_blocks {
                 return Err(FsError::Internal {
@@ -138,7 +142,10 @@ impl JournalMgr {
             let record: Vec<&[u8]> = std::iter::once(descriptor.as_slice())
                 .chain(chunk.iter().map(|(_, img)| img.as_slice()))
                 .collect();
-            dev.write_blocks(base, &record)?;
+            dev.write_blocks(&[Extent {
+                start: base,
+                bufs: &record,
+            }])?;
             // all record content durable before the commit block
             dev.flush()?;
             dev.write_block(base + 1 + chunk.len() as u64, &journal::encode_commit(seq))?;
@@ -306,6 +313,48 @@ mod tests {
         mgr.checkpoint(&dev).unwrap();
         let c = dev.counters();
         assert_eq!((c.write_requests, c.writes), (2, 7 + 2));
+    }
+
+    #[test]
+    fn extent_checkpoint_writes_scattered_homes_as_one_batch() {
+        /// Counts write batches (not requests) on the way to a MemDisk.
+        struct Batches(MemDisk, std::sync::Mutex<Vec<usize>>);
+        impl BlockDevice for Batches {
+            fn block_count(&self) -> u64 {
+                self.0.block_count()
+            }
+            fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+                self.0.read_block(bno, buf)
+            }
+            fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+                self.write_blocks(&[Extent {
+                    start: bno,
+                    bufs: &[buf],
+                }])
+            }
+            fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+                self.1.lock().unwrap().push(extents.len());
+                self.0.write_blocks(extents)
+            }
+            fn flush(&self) -> FsResult<()> {
+                self.0.flush()
+            }
+        }
+        let dev = Batches(MemDisk::new(4096), std::sync::Mutex::default());
+        let geo = mkfs(&dev, MkfsParams::default()).unwrap();
+        let mut mgr = JournalMgr::new(geo, 0);
+        let homes = [3, 4, 9, 20, 21, 22, 40].map(|i| geo.data_start + i);
+        mgr.commit(&dev, homes.iter().map(|&b| (b, img(b as u8))).collect())
+            .unwrap();
+        dev.1.lock().unwrap().clear();
+        mgr.checkpoint(&dev).unwrap();
+        // four runs in one batch, then the journal reset
+        assert_eq!(*dev.1.lock().unwrap(), [4, 1]);
+        for b in homes {
+            let mut raw = img(0);
+            dev.read_block(b, &mut raw).unwrap();
+            assert_eq!(raw[0], b as u8);
+        }
     }
 
     #[test]

@@ -82,43 +82,41 @@ fn base_image() -> Vec<u8> {
 }
 
 /// Mount `image` behind a device that silently drops every write after
-/// the first `cut` blocks, run one transaction, crash, and return what
-/// reached the device.
-fn crash_after(image: &[u8], cut: u64) -> Vec<u8> {
+/// the first `cut` blocks, run `txn`, crash, and return what reached
+/// the device.
+fn crash_after(image: &[u8], cut: u64, txn: fn(&dyn FileSystem) -> FsResult<()>) -> Vec<u8> {
     let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
     let dev = Arc::new(FaultyDisk::with_plan(MemDisk::from_image(image), plan));
     let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
-    transaction(&fs, 1).unwrap();
+    txn(&fs).unwrap();
     fs.crash();
     dev.inner().snapshot()
 }
 
-#[test]
-fn extent_commit_survives_every_cut() {
-    let pre_image = base_image();
-    let pre = recovered_tree(&pre_image, "pre");
-
-    // the uncut run: how many blocks mount + transaction write, and the
-    // tree they leave
-    let counted = Arc::new(StatsDisk::new(MemDisk::from_image(&pre_image)));
+/// Run `txn` once uncut over `pre_image`, then crash it at every write
+/// cut from before the mount's first write to past the commit block:
+/// each crashed image must mount, replay and check clean, with the old
+/// tree until the commit block — the last write — lands and the new
+/// one, data and all, from then on. Returns the uncut run's write
+/// requests and blocks for `txn` alone.
+fn every_cut_is_pre_or_post(
+    pre_image: &[u8],
+    txn: fn(&dyn FileSystem) -> FsResult<()>,
+) -> (u64, u64) {
+    let pre = recovered_tree(pre_image, "pre");
+    let counted = Arc::new(StatsDisk::new(MemDisk::from_image(pre_image)));
     let fs = mount(Arc::clone(&counted) as Arc<dyn BlockDevice>);
     let before = counted.counters();
-    transaction(&fs, 1).unwrap();
+    txn(&fs).unwrap();
     let after = counted.counters();
     fs.crash();
     let total = after.writes;
-    assert!(
-        after.write_requests - before.write_requests < after.writes - before.writes,
-        "the commit moved some blocks as an extent: {before:?} -> {after:?}"
-    );
     let post = recovered_tree(&counted.inner().snapshot(), "post");
     assert_ne!(pre, post);
 
-    // every cut from before the mount's first write to past the commit
-    // block: the old tree until the commit block lands, the new one after
     let mut flipped_at = None;
     for cut in 0..=total + 1 {
-        let got = recovered_tree(&crash_after(&pre_image, cut), &format!("cut {cut}"));
+        let got = recovered_tree(&crash_after(pre_image, cut, txn), &format!("cut {cut}"));
         if got == post {
             flipped_at.get_or_insert(cut);
         } else {
@@ -133,6 +131,65 @@ fn extent_commit_survives_every_cut() {
         flipped_at,
         Some(total),
         "the transaction is durable exactly when its commit block, the last write, lands"
+    );
+    (
+        after.write_requests - before.write_requests,
+        after.writes - before.writes,
+    )
+}
+
+#[test]
+fn extent_commit_survives_every_cut() {
+    let (requests, blocks) = every_cut_is_pre_or_post(&base_image(), |fs| transaction(fs, 1));
+    assert!(
+        requests < blocks,
+        "the commit moved some blocks as an extent: {requests} requests, {blocks} blocks"
+    );
+}
+
+/// Holes to scatter new data into.
+const HOLES: u8 = 8;
+
+/// A clean image whose free data blocks are fragmented: `2 * HOLES`
+/// one-block files were written, and every other one removed.
+fn fragmented_image() -> Vec<u8> {
+    let dev = Arc::new(MemDisk::new(4096));
+    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    fs.mkdir("/frag").unwrap();
+    for i in 0..2 * HOLES {
+        let path = format!("/frag/f{i:02}");
+        let fd = fs.open(&path, OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+        fs.write(fd, 0, &[i; BLOCK_SIZE]).unwrap();
+        fs.close(fd).unwrap();
+    }
+    fs.sync().unwrap();
+    for i in (0..2 * HOLES).step_by(2) {
+        fs.unlink(&format!("/frag/f{i:02}")).unwrap();
+    }
+    fs.unmount().unwrap();
+    dev.snapshot()
+}
+
+/// One fsync of a new block in each hole: its data goes out as one
+/// batch of one-block extents.
+fn scattered_fsync(fs: &dyn FileSystem) -> FsResult<()> {
+    let mut last = None;
+    for i in 0..HOLES {
+        let fd = fs.open(&format!("/frag/n{i}"), OpenFlags::RDWR | OpenFlags::CREATE)?;
+        fs.write(fd, 0, &[0xA0 + i; BLOCK_SIZE])?;
+        last = Some(fd);
+    }
+    fs.fsync(last.expect("at least one file"))
+}
+
+#[test]
+fn extent_fsync_of_scattered_data_survives_every_cut() {
+    let (requests, _) = every_cut_is_pre_or_post(&fragmented_image(), scattered_fsync);
+    // one request per hole, then the record and the commit block
+    assert!(
+        requests >= u64::from(HOLES) + 2,
+        "the data went out scattered: {requests} requests"
     );
 }
 

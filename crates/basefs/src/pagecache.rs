@@ -2,10 +2,15 @@
 //!
 //! Caches whole blocks. Two classes of pages exist:
 //!
-//! * **Data** pages — evictable at any time; dirty data pages drain
-//!   through the asynchronous write-back queue (and are force-drained by
-//!   [`PageCache::flush_data`], the ordered-mode barrier before a
-//!   journal commit);
+//! * **Data** pages — evictable unless their write is in flight; an
+//!   evicted dirty data page drains through the asynchronous write-back
+//!   queue, and [`PageCache::flush_data`], the ordered-mode barrier
+//!   before a journal commit, writes every dirty data page as one sorted
+//!   batch of extents on the calling thread. Each batched page stays
+//!   resident under a `writeback` mark (the `PG_writeback` analogue)
+//!   until its write has landed, so no copy of it can be queued behind
+//!   the batch and no reader can miss to the device before the batch
+//!   reaches it;
 //! * **Meta** pages — dirty metadata is *pinned*: it may only reach the
 //!   disk through the journal (write-ahead rule), so eviction skips it
 //!   and [`PageCache::take_dirty_meta`] hands the images to the journal
@@ -42,7 +47,7 @@
 //! every mutation) is O(1) instead of a scan of every shard.
 
 use parking_lot::Mutex;
-use rae_blockdev::{BlockDevice, QueueConfig, WritebackQueue, BLOCK_SIZE};
+use rae_blockdev::{BlockDevice, Extent, QueueConfig, WritebackQueue, BLOCK_SIZE};
 use rae_telemetry::{EventKind, SpanLayer, Telemetry};
 use rae_vfs::{FsError, FsResult};
 use std::collections::{HashMap, VecDeque};
@@ -70,7 +75,24 @@ struct Page {
     /// but the home block on the device has not been checkpointed yet,
     /// so a device re-read would return stale bytes.
     home_stale: bool,
+    /// A copy of the page is in a [`PageCache::flush_data`] batch that
+    /// has not landed: pinned, as the device may still hold older bytes.
+    writeback: bool,
     stamp: u64,
+}
+
+impl Page {
+    fn new(data: Vec<u8>, class: PageClass, dirty: bool, stamp: u64) -> Page {
+        Page {
+            data,
+            class,
+            dirty,
+            committing: false,
+            home_stale: false,
+            writeback: false,
+            stamp,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -78,8 +100,8 @@ struct Shard {
     map: HashMap<u64, Page>,
     lru: VecDeque<(u64, u64)>, // (bno, stamp) — stale entries skipped
     /// Evicted dirty pages whose queued write has not passed a barrier
-    /// yet (the PG_writeback analog): reads must be served from here,
-    /// not from the device, or they would observe pre-write content.
+    /// yet: reads must be served from here, not from the device, or
+    /// they would observe pre-write content.
     inflight: HashMap<u64, Vec<u8>>,
 }
 
@@ -238,16 +260,17 @@ impl PageCache {
 
     /// Evict pages until at most `shard_capacity` resident in this
     /// shard. Dirty data pages are submitted to the write-back queue;
-    /// dirty and committing meta pages are skipped (pinned).
+    /// dirty and committing meta pages, and pages in a flush batch, are
+    /// skipped (pinned).
     fn evict_if_needed(&self, shard: &mut Shard) -> FsResult<()> {
         let mut skipped: Vec<(u64, u64)> = Vec::new();
         while shard.map.len() > self.shard_capacity {
             let Some((bno, stamp)) = shard.lru.pop_front() else {
-                break; // everything left is pinned dirty metadata
+                break; // everything left is pinned
             };
             let evictable = match shard.map.get(&bno) {
                 Some(p) if p.stamp == stamp => {
-                    !(p.class == PageClass::Meta && (p.dirty || p.committing))
+                    !(p.writeback || p.class == PageClass::Meta && (p.dirty || p.committing))
                 }
                 _ => continue, // stale queue entry
             };
@@ -328,17 +351,9 @@ impl PageCache {
             // what we just read from the device
             return Ok(data.clone());
         }
-        shard.map.insert(
-            bno,
-            Page {
-                data: buf.clone(),
-                class,
-                dirty: false,
-                committing: false,
-                home_stale: false,
-                stamp,
-            },
-        );
+        shard
+            .map
+            .insert(bno, Page::new(buf.clone(), class, false, stamp));
         Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)?;
         Ok(buf)
@@ -359,23 +374,14 @@ impl PageCache {
         let stamp = self.stamp();
         let mut shard = self.shard_for(bno).lock();
         // carried across rewrites: the home block stays stale until a
-        // checkpoint actually rewrites it, and a commit in flight still
-        // has to report back
-        let (committing, home_stale) = shard
-            .map
-            .get(&bno)
-            .map_or((false, false), |p| (p.committing, p.home_stale));
-        let old = shard.map.insert(
-            bno,
-            Page {
-                data,
-                class,
-                dirty: true,
-                committing,
-                home_stale,
-                stamp,
-            },
-        );
+        // checkpoint actually rewrites it, and a commit or flush batch in
+        // flight still has to report back
+        let mut page = Page::new(data, class, true, stamp);
+        if let Some(p) = shard.map.get(&bno) {
+            (page.committing, page.home_stale, page.writeback) =
+                (p.committing, p.home_stale, p.writeback);
+        }
+        let old = shard.map.insert(bno, page);
         let was_dirty_meta = matches!(old, Some(ref p) if p.class == PageClass::Meta && p.dirty);
         let is_dirty_meta = class == PageClass::Meta;
         if is_dirty_meta && !was_dirty_meta {
@@ -420,17 +426,7 @@ impl PageCache {
             // copy is the truth — patch it and reinstall as dirty
             let mut data = data.clone();
             data[offset..offset + bytes.len()].copy_from_slice(bytes);
-            shard.map.insert(
-                bno,
-                Page {
-                    data,
-                    class,
-                    dirty: true,
-                    committing: false,
-                    home_stale: false,
-                    stamp,
-                },
-            );
+            shard.map.insert(bno, Page::new(data, class, true, stamp));
             if class == PageClass::Meta {
                 self.dirty_meta.fetch_add(1, Ordering::Relaxed);
             }
@@ -478,17 +474,7 @@ impl PageCache {
             return res;
         }
         buf[offset..offset + bytes.len()].copy_from_slice(bytes);
-        shard.map.insert(
-            bno,
-            Page {
-                data: buf,
-                class,
-                dirty: true,
-                committing: false,
-                home_stale: false,
-                stamp,
-            },
-        );
+        shard.map.insert(bno, Page::new(buf, class, true, stamp));
         if class == PageClass::Meta {
             self.dirty_meta.fetch_add(1, Ordering::Relaxed);
         }
@@ -615,27 +601,48 @@ impl PageCache {
         self.dirty_meta.load(Ordering::Relaxed)
     }
 
-    /// Submit every dirty data page to the write-back queue and wait
-    /// for the barrier (ordered-mode data flush).
+    /// Write every dirty data page to the device as one batch, sorted
+    /// into extents, then wait for the write-back queue and flush the
+    /// device (ordered-mode data flush). The batch is issued on the
+    /// calling thread, which waits for it once; until it lands, its
+    /// pages are pinned under the `writeback` mark.
     ///
     /// # Errors
     ///
-    /// Asynchronous write errors surfacing at the barrier.
+    /// The batch's write error (its pages are dirty again), or
+    /// asynchronous write errors surfacing at the barrier.
     pub fn flush_data(&self) -> FsResult<()> {
+        let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut queued_before = false;
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            let dirty: Vec<u64> = shard
-                .map
-                .iter()
-                .filter(|(_, p)| p.class == PageClass::Data && p.dirty)
-                .map(|(&b, _)| b)
-                .collect();
-            for bno in dirty {
-                let p = shard.map.get_mut(&bno).expect("listed above");
-                p.dirty = false;
-                let data = p.data.clone();
-                self.queue.submit(bno, data)?;
+            let Shard { map, inflight, .. } = &mut *shard;
+            for (&bno, p) in map.iter_mut() {
+                if p.class == PageClass::Data && p.dirty {
+                    p.dirty = false;
+                    p.writeback = true;
+                    batch.push((bno, p.data.clone()));
+                    queued_before |= inflight.contains_key(&bno);
+                }
             }
+        }
+        if !batch.is_empty() {
+            // an evicted copy of a batched block may still be queued:
+            // it is older, so it must land first
+            if queued_before {
+                self.queue.drain();
+            }
+            batch.sort_unstable_by_key(|&(bno, _)| bno);
+            let (bnos, images): (Vec<u64>, Vec<&[u8]>) =
+                batch.iter().map(|(bno, d)| (*bno, d.as_slice())).unzip();
+            let written = self.dev.write_blocks(&Extent::runs(&bnos, &images));
+            for &bno in &bnos {
+                if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+                    p.writeback = false;
+                    p.dirty |= written.is_err();
+                }
+            }
+            written?;
         }
         self.queue.barrier()?;
         // every queued write has landed: in-flight copies are now
@@ -1103,6 +1110,7 @@ mod tests {
 mod writeback_race_tests {
     use super::*;
     use rae_blockdev::MemDisk;
+    use std::sync::mpsc;
 
     /// Regression test for the eviction/read race: an evicted dirty
     /// page must stay readable with its *new* content even before the
@@ -1145,6 +1153,132 @@ mod writeback_race_tests {
         let mut raw = vec![0u8; BLOCK_SIZE];
         dev.read_block(0, &mut raw).unwrap();
         assert!(raw.iter().all(|&b| b == 49));
+    }
+
+    /// Parks the first write batch of more than one extent until
+    /// released; one-block writes (the write-back queue's) pass.
+    struct ParkBatch {
+        inner: MemDisk,
+        parked: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl BlockDevice for ParkBatch {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+            self.inner.read_block(bno, buf)
+        }
+        fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+            self.inner.write_block(bno, buf)
+        }
+        fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+            if extents.len() > 1 {
+                if let Some((stalled, release)) = self.parked.lock().take() {
+                    stalled.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            }
+            self.inner.write_blocks(extents)
+        }
+        fn flush(&self) -> FsResult<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// Regression test for the flush batch's pin: while the batch is
+    /// parked, a writer re-dirties one of its pages and a reader forces
+    /// evictions. Were the page evictable, its newer image would be
+    /// queued, land first, and be overwritten by the batch's older one.
+    #[test]
+    fn extent_flush_pins_batched_pages_until_the_batch_lands() {
+        let dev = Arc::new(ParkBatch {
+            inner: MemDisk::new(64),
+            parked: Mutex::new(None),
+        });
+        let pc = PageCache::new(dev.clone(), 4, QueueConfig::default());
+        pc.write(10, vec![1; BLOCK_SIZE], PageClass::Data).unwrap();
+        pc.write(20, vec![1; BLOCK_SIZE], PageClass::Data).unwrap();
+        let (stalled_tx, stalled_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        *dev.parked.lock() = Some((stalled_tx, release_rx));
+        std::thread::scope(|s| {
+            let flusher = s.spawn(|| pc.flush_data());
+            stalled_rx.recv().unwrap();
+            pc.write(10, vec![2; BLOCK_SIZE], PageClass::Data).unwrap();
+            for bno in 30..40 {
+                let _ = pc.read(bno, PageClass::Data).unwrap();
+            }
+            pc.queue.drain(); // every eviction's write has landed
+            release_tx.send(()).unwrap();
+            flusher.join().unwrap().unwrap();
+        });
+        assert_eq!(pc.read(10, PageClass::Data).unwrap()[0], 2);
+        pc.flush_data().unwrap();
+        let mut raw = vec![0u8; BLOCK_SIZE];
+        dev.inner.read_block(10, &mut raw).unwrap();
+        assert_eq!(raw[0], 2, "the latest write is the block's final content");
+    }
+
+    /// Holds each one-block write (the write-back queue's) until a batch
+    /// has landed, or for a while if none comes.
+    struct SinglesAfterBatch {
+        inner: MemDisk,
+        batch_landed: std::sync::Mutex<bool>,
+        landed: std::sync::Condvar,
+    }
+
+    impl BlockDevice for SinglesAfterBatch {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+            self.inner.read_block(bno, buf)
+        }
+        fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+            let landed = self.batch_landed.lock().unwrap();
+            let wait = std::time::Duration::from_millis(200);
+            drop(
+                self.landed
+                    .wait_timeout_while(landed, wait, |l| !*l)
+                    .unwrap(),
+            );
+            self.inner.write_block(bno, buf)
+        }
+        fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+            self.inner.write_blocks(extents)?;
+            *self.batch_landed.lock().unwrap() = true;
+            self.landed.notify_all();
+            Ok(())
+        }
+        fn flush(&self) -> FsResult<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// An evicted image of a block is still queued when the block, back
+    /// in the cache and dirty again, is flushed: the flush waits for the
+    /// older copy, so the newer one is what the device keeps. (Were the
+    /// batch not to wait, the device would let the queued copy land
+    /// right after it.)
+    #[test]
+    fn extent_flush_waits_for_an_older_queued_copy() {
+        let dev = Arc::new(SinglesAfterBatch {
+            inner: MemDisk::new(64),
+            batch_landed: std::sync::Mutex::new(false),
+            landed: std::sync::Condvar::new(),
+        });
+        let pc = PageCache::new(dev.clone(), 2, QueueConfig::default());
+        pc.write(0, vec![1; BLOCK_SIZE], PageClass::Data).unwrap();
+        pc.write(1, vec![0xEE; BLOCK_SIZE], PageClass::Data)
+            .unwrap();
+        pc.write(2, vec![0xEE; BLOCK_SIZE], PageClass::Data)
+            .unwrap(); // evicts 0
+        pc.update(0, 0, &[2], PageClass::Data).unwrap(); // back, and dirty
+        pc.flush_data().unwrap();
+        let mut raw = vec![0u8; BLOCK_SIZE];
+        dev.inner.read_block(0, &mut raw).unwrap();
+        assert_eq!(raw[0], 2, "the queued older image landed last");
     }
 
     #[test]

@@ -31,6 +31,53 @@ pub enum IoPhase {
     Recovery,
 }
 
+/// One extent of a batched write: `bufs[i]` goes to block `start + i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent<'a> {
+    /// First block of the extent.
+    pub start: u64,
+    /// One [`BLOCK_SIZE`] buffer per block.
+    pub bufs: &'a [&'a [u8]],
+}
+
+impl<'a> Extent<'a> {
+    /// Split `bufs`, the images of the ascending, distinct blocks
+    /// `bnos`, into maximal runs of consecutive blocks: the batch that
+    /// writes them with one command per run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    #[must_use]
+    pub fn runs(bnos: &[u64], bufs: &'a [&'a [u8]]) -> Vec<Extent<'a>> {
+        assert_eq!(bnos.len(), bufs.len(), "one image per block");
+        let mut out = Vec::new();
+        let mut first = 0;
+        for i in 1..=bnos.len() {
+            if i == bnos.len() || bnos[i] != bnos[i - 1] + 1 {
+                out.push(Extent {
+                    start: bnos[first],
+                    bufs: &bufs[first..i],
+                });
+                first = i;
+            }
+        }
+        out
+    }
+
+    /// Blocks in the extent.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bufs.len()
+    }
+
+    /// Whether the extent holds no block.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bufs.is_empty()
+    }
+}
+
 /// A synchronous block device with internal synchronization.
 ///
 /// All methods take `&self`; implementations are safe for concurrent use
@@ -40,13 +87,16 @@ pub enum IoPhase {
 /// error, reported rather than panicking so that fault-injection paths
 /// cannot be crashed by corrupt length fields.
 ///
-/// A request may cover one block ([`BlockDevice::read_block`],
-/// [`BlockDevice::write_block`]) or an *extent* of consecutive blocks
-/// ([`BlockDevice::read_blocks`], [`BlockDevice::write_blocks`]): one
-/// command to the device, the way a vectored NVMe command moves a run
-/// of blocks for one per-command cost. The extent calls default to a
-/// loop over the one-block calls, so a wrapper that does not override
-/// them still behaves correctly, one block at a time.
+/// A read covers one block ([`BlockDevice::read_block`]) or an *extent*
+/// of consecutive blocks ([`BlockDevice::read_blocks`]): one command to
+/// the device, the way a vectored NVMe command moves a run of blocks for
+/// one per-command cost. A write is a *batch* of extents
+/// ([`BlockDevice::write_blocks`]) submitted together, one command per
+/// extent, the way a queue of independent commands is submitted before
+/// any is awaited; [`BlockDevice::write_block`] is a batch of one
+/// one-block extent. The multi-block calls default to a loop over the
+/// one-block calls, so a wrapper that does not override them still
+/// behaves correctly, one block at a time.
 pub trait BlockDevice: Send + Sync {
     /// Number of blocks on the device.
     fn block_count(&self) -> u64;
@@ -83,20 +133,22 @@ pub trait BlockDevice: Send + Sync {
         Ok(())
     }
 
-    /// Write the extent of `bufs.len()` consecutive blocks starting at
-    /// `start` as one request, `bufs[i]` to block `start + i`.
+    /// Write a batch of extents, submitted together: each extent's
+    /// `bufs[i]` goes to block `start + i`.
     ///
     /// Like [`BlockDevice::write_block`], completion does not imply
-    /// durability, and the blocks of one request are not ordered
-    /// against each other: only a flush orders writes.
+    /// durability, and the blocks of one batch are not ordered against
+    /// each other: only a flush orders writes.
     ///
     /// # Errors
     ///
-    /// As [`BlockDevice::write_block`], for any block of the extent. On
-    /// error any subset of the extent may have been written.
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        for (bno, buf) in (start..).zip(bufs) {
-            self.write_block(bno, buf)?;
+    /// As [`BlockDevice::write_block`], for any block of the batch. On
+    /// error any subset of the batch may have been written.
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        for e in extents {
+            for (bno, buf) in (e.start..).zip(e.bufs) {
+                self.write_block(bno, buf)?;
+            }
         }
         Ok(())
     }
@@ -155,8 +207,8 @@ impl<D: BlockDevice + ?Sized> BlockDevice for std::sync::Arc<D> {
     fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
         (**self).read_blocks(start, bufs)
     }
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        (**self).write_blocks(start, bufs)
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        (**self).write_blocks(extents)
     }
     fn flush(&self) -> FsResult<()> {
         (**self).flush()
@@ -181,6 +233,15 @@ pub(crate) fn check_extent(
     check_range(last, count)
 }
 
+/// Validate every non-empty extent of a batch up front, so a bad one
+/// refuses the whole batch before any block moves.
+pub(crate) fn check_batch(extents: &[Extent<'_>], count: u64) -> FsResult<()> {
+    extents
+        .iter()
+        .filter(|e| !e.is_empty())
+        .try_for_each(|e| check_extent(e.start, e.bufs.iter().map(|b| b.len()), count))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +261,17 @@ mod tests {
         assert!(check_range(0, 10).is_ok());
         assert!(check_range(9, 10).is_ok());
         assert!(matches!(check_range(10, 10), Err(FsError::IoFailed { .. })));
+    }
+
+    #[test]
+    fn extent_runs_split_at_gaps() {
+        let (a, b) = (vec![1u8; BLOCK_SIZE], vec![2u8; BLOCK_SIZE]);
+        let bufs: Vec<&[u8]> = vec![&a, &b, &a, &b, &a];
+        let runs = Extent::runs(&[3, 4, 9, 11, 12], &bufs);
+        let shape: Vec<(u64, usize)> = runs.iter().map(|e| (e.start, e.len())).collect();
+        assert_eq!(shape, [(3, 2), (9, 1), (11, 2)]);
+        assert_eq!(runs[2].bufs, &bufs[3..]);
+        assert!(Extent::runs(&[], &[]).is_empty());
     }
 
     #[test]

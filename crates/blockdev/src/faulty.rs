@@ -15,25 +15,32 @@
 //! # The latency model
 //!
 //! The plan's read/write latency is the cost of one *command*, and a
-//! one-block request costs exactly that. An extent request
-//! ([`BlockDevice::read_blocks`] / [`BlockDevice::write_blocks`]) is
-//! still one command: it costs the per-command latency plus
-//! [`BLOCK_TRANSFER_NS`] for every block after the first, the way an
-//! NVMe command pays its setup once and then streams. Whether the wait
-//! sleeps or spins is decided by the per-command latency, never by the
-//! request total, so a busy-waited model stays busy-waited however long
-//! its extents grow. A plan with no latency models no media time at all.
+//! one-block request costs exactly that. An extent
+//! ([`BlockDevice::read_blocks`], or one extent of a
+//! [`BlockDevice::write_blocks`] batch) is still one command: it costs
+//! the per-command latency plus [`BLOCK_TRANSFER_NS`] for every block
+//! after the first, the way an NVMe command pays its setup once and then
+//! streams. A write batch is that many independent commands submitted
+//! together, and the device works on [`DEVICE_QUEUE_DEPTH`] of them at
+//! once: the batch costs `ceil(extents / DEVICE_QUEUE_DEPTH)` per-command
+//! latencies plus the transfer of every block after each extent's
+//! first, so a one-extent batch costs exactly what one command does.
+//! Whether the wait sleeps or spins is decided by the per-command
+//! latency, never by the request total, so a busy-waited model stays
+//! busy-waited however large its batches grow. A plan with no latency
+//! models no media time at all.
 //!
-//! Fault decisions stay per block, in block order: an extent consumes
-//! rule counters, records events and reaches the write cut-off exactly
-//! as the loop of one-block requests it replaces would, so an N-th
-//! access fault inside an extent fires on its block, and a failed or
-//! cut-off extent leaves the same written prefix. A one-block request
-//! is simply an extent of one. The blocks a write will land count
-//! toward the cut-off before the plan lock is released, so concurrent
-//! writers cannot overshoot it.
+//! Fault decisions stay per block, in order across the whole batch: a
+//! batch consumes rule counters, records events and reaches the write
+//! cut-off exactly as the loop of one-block requests it replaces would,
+//! so an N-th access fault inside an extent fires on its block, the
+//! first failing block ends the batch, and a failed or cut-off batch
+//! leaves the same written prefix. A one-block request is simply a batch
+//! of one one-block extent. The blocks a write will land count toward
+//! the cut-off before the plan lock is released, so concurrent writers
+//! cannot overshoot it.
 
-use crate::device::{BlockDevice, IoPhase, BLOCK_SIZE};
+use crate::device::{BlockDevice, Extent, IoPhase, BLOCK_SIZE};
 use parking_lot::Mutex;
 use rae_telemetry::{DevOp, EventKind, Telemetry};
 use rae_vfs::{FsError, FsResult};
@@ -48,18 +55,47 @@ use std::time::Instant;
 /// knob (see the module docs).
 pub const BLOCK_TRANSFER_NS: u64 = 2_000;
 
+/// Commands the modelled device works on at once: a write batch pays
+/// one per-command latency per this many extents. A fixed property of
+/// the model, not a plan knob (see the module docs).
+pub const DEVICE_QUEUE_DEPTH: usize = 32;
+
 /// Latencies the OS timer can resolve are slept (so concurrent requests
 /// overlap their device time, as against real hardware); shorter ones
 /// are spun for precision.
 const SLEEP_THRESHOLD_NS: u64 = 20_000;
 
-/// Modelled device time of one request of `blocks` blocks whose plan
-/// latency per command is `per_command_ns`.
+/// Modelled device time of one command moving `blocks` blocks whose
+/// plan latency per command is `per_command_ns`.
 fn request_ns(per_command_ns: u64, blocks: usize) -> u64 {
+    batch_ns(per_command_ns, 1, blocks)
+}
+
+/// Modelled device time of a batch of `extents` independent commands
+/// moving `blocks` blocks in all.
+fn batch_ns(per_command_ns: u64, extents: usize, blocks: usize) -> u64 {
     if per_command_ns == 0 {
         return 0;
     }
-    per_command_ns + (blocks.max(1) as u64 - 1) * BLOCK_TRANSFER_NS
+    let waves = extents.div_ceil(DEVICE_QUEUE_DEPTH) as u64;
+    waves * per_command_ns + blocks.saturating_sub(extents) as u64 * BLOCK_TRANSFER_NS
+}
+
+/// The first `n` blocks of a batch, as a batch.
+fn batch_prefix<'a>(extents: &[Extent<'a>], mut n: usize) -> Vec<Extent<'a>> {
+    let mut out = Vec::new();
+    for e in extents {
+        if n == 0 {
+            break;
+        }
+        let k = e.len().min(n);
+        out.push(Extent {
+            start: e.start,
+            bufs: &e.bufs[..k],
+        });
+        n -= k;
+    }
+    out
 }
 
 /// Telemetry wire codes for the injected fault classes
@@ -526,9 +562,9 @@ impl<D: BlockDevice> FaultyDisk<D> {
         &self.inner
     }
 
-    /// Wait out the modelled time of a request of `blocks` blocks.
-    fn busy_wait(per_command_ns: u64, blocks: usize) {
-        let ns = request_ns(per_command_ns, blocks);
+    /// Wait out `ns` of modelled device time, charged at a per-command
+    /// latency of `per_command_ns`.
+    fn busy_wait(per_command_ns: u64, ns: u64) {
         if ns == 0 {
             return;
         }
@@ -537,7 +573,7 @@ impl<D: BlockDevice> FaultyDisk<D> {
         // latency exactly as they would against real hardware (the
         // property the multi-queue write-back path and the concurrent
         // read path exist to exploit). Sub-timer latencies keep the
-        // precise spin, judged per command so that a long extent on a
+        // precise spin, judged per command so that a large batch on a
         // spinning model still spins.
         if per_command_ns >= SLEEP_THRESHOLD_NS {
             std::thread::sleep(std::time::Duration::from_nanos(ns));
@@ -562,7 +598,10 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-        self.write_blocks(bno, &[buf])
+        self.write_blocks(&[Extent {
+            start: bno,
+            bufs: &[buf],
+        }])
     }
 
     // Range and buffer checks are the inner device's, made after the
@@ -597,7 +636,8 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             sh.phase == IoPhase::Recovery
         };
         let read = failed.unwrap_or(bufs.len());
-        Self::busy_wait(latency_ns, read + usize::from(failed.is_some()));
+        let attempted = read + usize::from(failed.is_some());
+        Self::busy_wait(latency_ns, request_ns(latency_ns, attempted));
 
         let mut result = if read > 0 {
             self.inner.read_blocks(start, &mut bufs[..read])
@@ -620,67 +660,71 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             }
         }
         if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Read, recovery, bufs.len() as u64, t0);
+            t.dev_observed(DevOp::Read, recovery, 1, bufs.len() as u64, t0);
         }
         result
     }
 
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        if bufs.is_empty() {
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        let blocks: usize = extents.iter().map(Extent::len).sum();
+        if blocks == 0 {
             return Ok(());
         }
         let t0 = self.tele().and_then(|t| t.clock());
-        // Decide block by block, as the loop of one-block writes would:
-        // blocks land until the cut-off, are dropped after it, and the
-        // first failing block ends the request. The blocks that will
-        // land are counted toward the cut-off before the lock drops, so
-        // a concurrent request is decided against them.
+        // Decide block by block across the batch, as the loop of
+        // one-block writes would: blocks land until the cut-off, are
+        // dropped after it, and the first failing block ends the batch.
+        // What lands is therefore a prefix of the batch. Those blocks
+        // are counted toward the cut-off before the lock drops, so a
+        // concurrent request is decided against them.
         let mut latency_ns = 0;
         let mut landed = 0;
-        let mut dropped = 0;
+        let mut dropped = Vec::new();
         let mut stop = None;
+        let mut reached = 0;
         let recovery = {
             let mut sh = self.state.lock();
             let writes_done = self.writes_done.load(Ordering::Relaxed);
-            for i in 0..bufs.len() {
-                let bno = start.saturating_add(i as u64);
-                let d = sh.active().write_decision(bno, writes_done + landed as u64);
-                latency_ns = d.latency_ns;
-                if d.error {
-                    sh.events.push(FaultEvent::WriteError(bno));
-                    stop = Some((bno, fault_class::WRITE_FAIL));
-                    break;
-                }
-                match d.cut {
-                    None => landed += 1,
-                    Some(WriteCutMode::SilentDrop) => {
-                        sh.events.push(FaultEvent::DroppedWrite(bno));
-                        dropped += 1;
+            'batch: for e in extents.iter().filter(|e| !e.is_empty()) {
+                reached += 1;
+                for bno in (e.start..).take(e.len()) {
+                    let d = sh.active().write_decision(bno, writes_done + landed as u64);
+                    latency_ns = d.latency_ns;
+                    if d.error {
+                        sh.events.push(FaultEvent::WriteError(bno));
+                        stop = Some((bno, fault_class::WRITE_FAIL));
+                        break 'batch;
                     }
-                    Some(WriteCutMode::Error) => {
-                        stop = Some((bno, fault_class::WRITE_CUT));
-                        break;
+                    match d.cut {
+                        None => landed += 1,
+                        Some(WriteCutMode::SilentDrop) => {
+                            sh.events.push(FaultEvent::DroppedWrite(bno));
+                            dropped.push(bno);
+                        }
+                        Some(WriteCutMode::Error) => {
+                            stop = Some((bno, fault_class::WRITE_CUT));
+                            break 'batch;
+                        }
                     }
                 }
             }
             self.writes_done.fetch_add(landed as u64, Ordering::Relaxed);
             sh.phase == IoPhase::Recovery
         };
-        Self::busy_wait(latency_ns, landed + dropped + usize::from(stop.is_some()));
+        let attempted = landed + dropped.len() + usize::from(stop.is_some());
+        Self::busy_wait(latency_ns, batch_ns(latency_ns, reached, attempted));
 
-        let mut result = if landed > 0 {
-            self.inner
-                .write_blocks(start, &bufs[..landed])
-                .inspect_err(|_| {
-                    self.writes_done.fetch_sub(landed as u64, Ordering::Relaxed);
-                })
-        } else {
-            Ok(())
-        };
+        let mut result = match landed {
+            0 => Ok(()),
+            n if n == blocks => self.inner.write_blocks(extents),
+            n => self.inner.write_blocks(&batch_prefix(extents, n)),
+        }
+        .inspect_err(|_| {
+            self.writes_done.fetch_sub(landed as u64, Ordering::Relaxed);
+        });
         if result.is_ok() {
-            for i in landed..landed + dropped {
+            for bno in dropped {
                 self.injected.fetch_add(1, Ordering::Relaxed);
-                let bno = start.saturating_add(i as u64);
                 self.fault_event(fault_class::WRITE_CUT, bno, recovery);
             }
             if let Some((bno, class)) = stop {
@@ -695,7 +739,7 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             }
         }
         if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Write, recovery, bufs.len() as u64, t0);
+            t.dev_observed(DevOp::Write, recovery, reached as u64, blocks as u64, t0);
         }
         result
     }
@@ -720,7 +764,7 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             self.inner.flush()
         };
         if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Flush, recovery, 0, t0);
+            t.dev_observed(DevOp::Flush, recovery, 1, 0, t0);
         }
         result
     }
@@ -908,6 +952,23 @@ mod tests {
     }
 
     #[test]
+    fn extent_batches_pay_one_command_per_queue_depth_of_extents() {
+        let (l, qd) = (50_000, DEVICE_QUEUE_DEPTH);
+        // a one-extent batch is one command
+        for n in [1, 2, 9] {
+            assert_eq!(batch_ns(l, 1, n), request_ns(l, n));
+        }
+        // independent extents overlap, a queue depth at a time
+        assert_eq!(batch_ns(l, 9, 9), l);
+        assert_eq!(batch_ns(l, qd, qd), l);
+        assert_eq!(batch_ns(l, qd + 1, qd + 1), 2 * l);
+        assert_eq!(batch_ns(l, 3 * qd, 3 * qd), 3 * l);
+        // and every block after an extent's first still streams
+        assert_eq!(batch_ns(l, 3, 10), l + 7 * BLOCK_TRANSFER_NS);
+        assert_eq!(batch_ns(0, 100, 400), 0, "no latency model, no media time");
+    }
+
+    #[test]
     fn concurrent_extents_stop_exactly_at_the_cut() {
         let plan = DiskFaultPlan::new().cut_writes_after(10, WriteCutMode::SilentDrop);
         let d = FaultyDisk::with_plan(MemDisk::new(128), plan);
@@ -916,8 +977,14 @@ mod tests {
             for t in 0..4u64 {
                 let (d, blk) = (&d, &blk);
                 s.spawn(move || {
-                    for r in 0..8 {
-                        d.write_blocks(t * 32 + r * 4, &[&blk[..]; 4]).unwrap();
+                    let bufs = [&blk[..]; 4];
+                    for r in 0..4 {
+                        let start = t * 32 + r * 8;
+                        let batch = [0, 4].map(|off| Extent {
+                            start: start + off,
+                            bufs: &bufs,
+                        });
+                        d.write_blocks(&batch).unwrap();
                     }
                 });
             }
@@ -933,19 +1000,21 @@ mod tests {
     /// injected-fault count.
     type Outcome = (Vec<bool>, Vec<u8>, Vec<FaultEvent>, u64);
 
-    /// Write blocks 1..=8 with distinct contents, either as one extent
-    /// or as the loop of one-block writes the extent replaces (which,
-    /// like the trait's default, stops at the first error).
-    fn write_eight(plan: &DiskFaultPlan, extent: bool) -> Outcome {
-        let d = FaultyDisk::with_plan(MemDisk::new(10), plan.clone());
-        let images: Vec<Vec<u8>> = (1..=8).map(block).collect();
+    /// Write the extents `shape` (start, length) of a 32-block disk,
+    /// block `b` with content `b`, either as one batch or as the loop of
+    /// one-block writes the batch replaces (which, like the trait's
+    /// default, stops at the first error).
+    fn write_batch(plan: &DiskFaultPlan, shape: &[(u64, u64)], batched: bool) -> Outcome {
+        let d = FaultyDisk::with_plan(MemDisk::new(32), plan.clone());
+        let bnos: Vec<u64> = shape.iter().flat_map(|&(s, n)| s..s + n).collect();
+        let images: Vec<Vec<u8>> = bnos.iter().map(|&b| block(b as u8)).collect();
         let bufs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
-        let failed = if extent {
-            d.write_blocks(1, &bufs).is_err()
+        let failed = if batched {
+            d.write_blocks(&Extent::runs(&bnos, &bufs)).is_err()
         } else {
-            (1..)
+            bnos.iter()
                 .zip(&bufs)
-                .any(|(bno, b)| d.write_block(bno, b).is_err())
+                .any(|(&bno, b)| d.write_block(bno, b).is_err())
         };
         (
             vec![failed],
@@ -953,6 +1022,50 @@ mod tests {
             d.take_events(),
             d.injected_faults(),
         )
+    }
+
+    /// Blocks 1..=8 as one extent.
+    fn write_eight(plan: &DiskFaultPlan, extent: bool) -> Outcome {
+        write_batch(plan, &[(1, 8)], extent)
+    }
+
+    /// Four extents; the third is blocks 10..13.
+    const SCATTERED: [(u64, u64); 4] = [(1, 2), (5, 3), (10, 3), (20, 2)];
+
+    #[test]
+    fn extent_batch_fault_fires_on_its_block_in_the_third_extent() {
+        // the 7th block of the batch is block 11, inside the third extent
+        let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Any, TriggerMode::Nth(7));
+        let got = write_batch(&plan, &SCATTERED, true);
+        assert_eq!(got, write_batch(&plan, &SCATTERED, false), "as the loop");
+        let (failed, image, events, injected) = got;
+        assert_eq!(
+            (failed, events, injected),
+            (vec![true], vec![FaultEvent::WriteError(11)], 1)
+        );
+        let landed = |bno: u64| image[bno as usize * BLOCK_SIZE] != 0;
+        // the earlier extents and the third's first block landed, the
+        // failed block and everything after it did not
+        assert!([1, 2, 5, 6, 7, 10].into_iter().all(landed));
+        assert!(![11, 12, 20, 21].into_iter().any(landed));
+    }
+
+    #[test]
+    fn extent_batch_silent_cut_drops_the_loops_suffix() {
+        for cut in 0..=10 {
+            let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
+            let got = write_batch(&plan, &SCATTERED, true);
+            assert_eq!(got, write_batch(&plan, &SCATTERED, false), "cut {cut}");
+            let (failed, image, events, injected) = got;
+            let bnos: Vec<u64> = SCATTERED.iter().flat_map(|&(s, n)| s..s + n).collect();
+            let (kept, lost) = bnos.split_at((cut as usize).min(bnos.len()));
+            assert_eq!(failed, vec![false], "a silent cut reports success");
+            assert!(kept.iter().all(|&b| image[b as usize * BLOCK_SIZE] != 0));
+            assert!(lost.iter().all(|&b| image[b as usize * BLOCK_SIZE] == 0));
+            let dropped: Vec<FaultEvent> =
+                lost.iter().map(|&b| FaultEvent::DroppedWrite(b)).collect();
+            assert_eq!((events, injected), (dropped, lost.len() as u64));
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! File-backed block device.
 
-use crate::device::{check_buf, check_extent, check_range, BlockDevice, BLOCK_SIZE};
+use crate::device::{
+    check_batch, check_buf, check_extent, check_range, BlockDevice, Extent, BLOCK_SIZE,
+};
 use rae_vfs::{FsError, FsResult};
 use std::fs::{File, OpenOptions};
 use std::path::Path;
@@ -105,11 +107,14 @@ impl BlockDevice for FileDisk {
         Ok(())
     }
 
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        check_extent(start, bufs.iter().map(|b| b.len()), self.block_count)?;
-        self.file
-            .write_all_at(&bufs.concat(), start * BLOCK_SIZE as u64)
-            .map_err(host_err)
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        check_batch(extents, self.block_count)?;
+        for e in extents.iter().filter(|e| !e.is_empty()) {
+            self.file
+                .write_all_at(&e.bufs.concat(), e.start * BLOCK_SIZE as u64)
+                .map_err(host_err)?;
+        }
+        Ok(())
     }
 
     fn flush(&self) -> FsResult<()> {
@@ -153,11 +158,28 @@ mod tests {
         let path = tmp_path("extent");
         let d = FileDisk::create(&path, 8).unwrap();
         let (a, b) = (vec![3u8; BLOCK_SIZE], vec![4u8; BLOCK_SIZE]);
-        d.write_blocks(6, &[&a[..], &b[..]]).unwrap();
+        let batch = [
+            Extent {
+                start: 1,
+                bufs: &[&b[..]],
+            },
+            Extent {
+                start: 6,
+                bufs: &[&a[..], &b[..]],
+            },
+        ];
+        d.write_blocks(&batch).unwrap();
         let (mut x, mut y) = (vec![0u8; BLOCK_SIZE], vec![0u8; BLOCK_SIZE]);
         d.read_blocks(6, &mut [&mut x[..], &mut y[..]]).unwrap();
-        assert_eq!((x, y), (a.clone(), b));
-        assert!(d.write_blocks(7, &[&a[..], &a[..]]).is_err());
+        assert_eq!((&x, &y), (&a, &b));
+        d.read_block(1, &mut x).unwrap();
+        assert_eq!(x, b);
+        assert!(d
+            .write_blocks(&[Extent {
+                start: 7,
+                bufs: &[&a[..], &a[..]]
+            }])
+            .is_err());
         drop(d);
         std::fs::remove_file(&path).unwrap();
     }

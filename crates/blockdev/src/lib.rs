@@ -23,7 +23,7 @@
 //!   atomic bit per block), which is all the warm standby's recovery
 //!   resync needs to know about the live device;
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
-//!   write-back engine used by the base filesystem's page cache.
+//!   write-back engine the base filesystem's page cache evicts through.
 //!
 //! # Example
 //!
@@ -56,7 +56,7 @@ mod retry;
 mod stats;
 mod tracked;
 
-pub use device::{zeroed_block, BlockDevice, IoPhase, BLOCK_SIZE};
+pub use device::{zeroed_block, BlockDevice, Extent, IoPhase, BLOCK_SIZE};
 pub use faulty::{
     AccessRule, CorruptRule, DiskFaultPlan, FaultEvent, FaultTarget, FaultyDisk, TriggerMode,
     WriteCutMode,

@@ -1,6 +1,8 @@
 //! In-memory block device.
 
-use crate::device::{check_buf, check_extent, check_range, BlockDevice, BLOCK_SIZE};
+use crate::device::{
+    check_batch, check_buf, check_extent, check_range, BlockDevice, Extent, BLOCK_SIZE,
+};
 use parking_lot::RwLock;
 use rae_vfs::FsResult;
 
@@ -139,10 +141,12 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        check_extent(start, bufs.iter().map(|b| b.len()), self.block_count())?;
-        for (block, buf) in self.blocks[start as usize..].iter().zip(bufs) {
-            block.write().copy_from_slice(buf);
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        check_batch(extents, self.block_count())?;
+        for e in extents.iter().filter(|e| !e.is_empty()) {
+            for (block, buf) in self.blocks[e.start as usize..].iter().zip(e.bufs) {
+                block.write().copy_from_slice(buf);
+            }
         }
         Ok(())
     }
@@ -172,18 +176,34 @@ mod tests {
     fn extent_roundtrip_and_range_checks() {
         let d = MemDisk::new(4);
         let (a, b) = (vec![1u8; BLOCK_SIZE], vec![2u8; BLOCK_SIZE]);
-        d.write_blocks(2, &[&a[..], &b[..]]).unwrap();
+        d.write_blocks(&[Extent {
+            start: 2,
+            bufs: &[&a[..], &b[..]],
+        }])
+        .unwrap();
         let (mut x, mut y) = (vec![0u8; BLOCK_SIZE], vec![0u8; BLOCK_SIZE]);
         d.read_blocks(2, &mut [&mut x[..], &mut y[..]]).unwrap();
         assert_eq!((x, y), (a.clone(), b.clone()));
-        // an extent that runs off the device, or holds a misshapen
-        // buffer, is refused whole
+        // a batch with an extent that runs off the device, or holds a
+        // misshapen buffer, is refused whole
+        let good = Extent {
+            start: 0,
+            bufs: &[&a[..]],
+        };
+        let off = Extent {
+            start: 3,
+            bufs: &[&b[..], &b[..]],
+        };
+        let short = Extent {
+            start: 1,
+            bufs: &[&b[..7]],
+        };
         assert!(matches!(
-            d.write_blocks(3, &[&b[..], &b[..]]),
+            d.write_blocks(&[good, off]),
             Err(FsError::IoFailed { .. })
         ));
         assert!(matches!(
-            d.write_blocks(0, &[&b[..], &b[..7]]),
+            d.write_blocks(&[good, short]),
             Err(FsError::Internal { .. })
         ));
         let mut r = vec![0u8; BLOCK_SIZE];

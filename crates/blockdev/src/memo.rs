@@ -178,7 +178,10 @@ mod tests {
         let memo = MemoDisk::new(Arc::clone(&raw) as Arc<dyn BlockDevice>);
         let blk = vec![0xEEu8; BLOCK_SIZE];
         assert!(matches!(
-            memo.write_blocks(1, &[&blk[..]; 2]),
+            memo.write_blocks(&[crate::Extent {
+                start: 1,
+                bufs: &[&blk[..]; 2]
+            }]),
             Err(FsError::Internal { .. })
         ));
         let (mut a, mut b) = (vec![0u8; BLOCK_SIZE], vec![0u8; BLOCK_SIZE]);

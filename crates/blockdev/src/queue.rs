@@ -1,7 +1,7 @@
 //! A blk-mq-flavoured asynchronous write-back engine.
 //!
-//! The base filesystem's page cache hands dirty blocks to a
-//! [`WritebackQueue`], which distributes them over several hardware-queue
+//! The base filesystem's page cache hands the dirty blocks it evicts to
+//! a [`WritebackQueue`], which distributes them over several hardware-queue
 //! worker threads (requests for the same block always land on the same
 //! queue, preserving per-block ordering — as blk-mq does per hctx).
 //! Write errors are reported *asynchronously*: they surface at the next
@@ -140,16 +140,10 @@ impl WritebackQueue {
             })
     }
 
-    /// Completion + durability barrier.
-    ///
-    /// Waits for every previously submitted write to complete on every
-    /// queue, flushes the device, and reports any asynchronous write
-    /// error that occurred since the last barrier.
-    ///
-    /// # Errors
-    ///
-    /// The first queued asynchronous write error, or the flush error.
-    pub fn barrier(&self) -> FsResult<()> {
+    /// Completion wait: returns once every previously submitted write
+    /// has completed on every queue. No flush, and any asynchronous
+    /// write error stays for the next [`WritebackQueue::barrier`].
+    pub fn drain(&self) {
         let (ack_tx, ack_rx) = bounded(self.senders.len());
         let mut expected = 0;
         for s in &self.senders {
@@ -161,6 +155,19 @@ impl WritebackQueue {
         for _ in 0..expected {
             let _ = ack_rx.recv();
         }
+    }
+
+    /// Completion + durability barrier.
+    ///
+    /// Waits for every previously submitted write to complete on every
+    /// queue, flushes the device, and reports any asynchronous write
+    /// error that occurred since the last barrier.
+    ///
+    /// # Errors
+    ///
+    /// The first queued asynchronous write error, or the flush error.
+    pub fn barrier(&self) -> FsResult<()> {
+        self.drain();
         for slot in &self.errors {
             if let Some(e) = slot.lock().take() {
                 return Err(e);

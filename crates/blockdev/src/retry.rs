@@ -14,7 +14,7 @@
 //! same error sequence, the backoff schedule is identical run to run,
 //! which keeps the fault campaigns reproducible.
 
-use crate::device::{BlockDevice, IoPhase};
+use crate::device::{BlockDevice, Extent, IoPhase};
 use rae_telemetry::{DevOp, EventKind, Telemetry};
 use rae_vfs::{FsError, FsResult};
 use rand::rngs::SmallRng;
@@ -258,14 +258,14 @@ impl<D: BlockDevice> BlockDevice for RetryDisk<D> {
         self.with_retries(DevOp::Write, || self.inner.write_block(bno, buf))
     }
 
-    // An extent is retried whole: re-reading refills every buffer, and
-    // re-writing blocks that already landed is idempotent.
+    // An extent or a batch is retried whole: re-reading refills every
+    // buffer, and re-writing blocks that already landed is idempotent.
     fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
         self.with_retries(DevOp::Read, || self.inner.read_blocks(start, bufs))
     }
 
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        self.with_retries(DevOp::Write, || self.inner.write_blocks(start, bufs))
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        self.with_retries(DevOp::Write, || self.inner.write_blocks(extents))
     }
 
     fn flush(&self) -> FsResult<()> {
@@ -281,7 +281,7 @@ impl<D: BlockDevice> BlockDevice for RetryDisk<D> {
 mod tests {
     use super::*;
     use crate::device::BLOCK_SIZE;
-    use crate::faulty::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+    use crate::faulty::{DiskFaultPlan, FaultEvent, FaultTarget, FaultyDisk, TriggerMode};
     use crate::mem::MemDisk;
 
     fn fast_policy() -> RetryPolicy {
@@ -329,13 +329,38 @@ mod tests {
         let d = RetryDisk::with_policy(FaultyDisk::with_plan(MemDisk::new(8), plan), fast_policy());
         let images: Vec<Vec<u8>> = (1..=5).map(|b| vec![b; BLOCK_SIZE]).collect();
         let bufs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
-        d.write_blocks(2, &bufs).unwrap();
+        d.write_blocks(&[Extent {
+            start: 2,
+            bufs: &bufs,
+        }])
+        .unwrap();
         let mut back: Vec<Vec<u8>> = (0..5).map(|_| vec![0u8; BLOCK_SIZE]).collect();
         let mut refs: Vec<&mut [u8]> = back.iter_mut().map(Vec::as_mut_slice).collect();
         d.read_blocks(2, &mut refs).unwrap();
         assert_eq!(back, images, "every block landed and read back");
         let s = d.stats();
         assert_eq!((s.retries, s.absorbed, s.exhausted), (2, 2, 0));
+    }
+
+    #[test]
+    fn retries_an_extent_batch_whole_across_a_mid_batch_failure() {
+        // the 6th block of the batch (block 9, in its second extent)
+        // fails once; the retry rewrites the batch and every block lands
+        let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Any, TriggerMode::Nth(6));
+        let faulty = FaultyDisk::with_plan(MemDisk::new(16), plan);
+        let d = RetryDisk::with_policy(faulty, fast_policy());
+        let images: Vec<Vec<u8>> = (1..=8).map(|b| vec![b; BLOCK_SIZE]).collect();
+        let bufs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
+        let bnos = [1, 2, 3, 4, 8, 9, 12, 13];
+        d.write_blocks(&Extent::runs(&bnos, &bufs)).unwrap();
+        let s = d.stats();
+        assert_eq!((s.retries, s.absorbed, s.exhausted), (1, 1, 0));
+        assert_eq!(d.inner().take_events(), [FaultEvent::WriteError(9)]);
+        let image = d.inner().inner().snapshot();
+        for (bno, want) in bnos.iter().zip(&images) {
+            let at = *bno as usize * BLOCK_SIZE;
+            assert_eq!(&image[at..at + BLOCK_SIZE], &want[..], "block {bno}");
+        }
     }
 
     #[test]

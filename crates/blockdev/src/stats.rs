@@ -1,6 +1,6 @@
 //! Transparent I/O accounting.
 
-use crate::device::{BlockDevice, IoPhase};
+use crate::device::{BlockDevice, Extent, IoPhase};
 use rae_vfs::FsResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -17,7 +17,7 @@ pub struct DiskCounters {
     pub errors: u64,
     /// Completed read requests (one-block or extent).
     pub read_requests: u64,
-    /// Completed write requests (one-block or extent).
+    /// Completed write requests: one per extent of a completed batch.
     pub write_requests: u64,
 }
 
@@ -86,11 +86,12 @@ impl<D: BlockDevice> StatsDisk<D> {
         }
     }
 
-    /// Count one request of `blocks` blocks into `blocks_ctr` and
-    /// `requests_ctr`, or one error.
+    /// Count `requests` requests moving `blocks` blocks into
+    /// `requests_ctr` and `blocks_ctr`, or one error.
     fn count(
         &self,
         result: FsResult<()>,
+        requests: usize,
         blocks: usize,
         blocks_ctr: &AtomicU64,
         requests_ctr: &AtomicU64,
@@ -98,7 +99,7 @@ impl<D: BlockDevice> StatsDisk<D> {
         match result {
             Ok(()) => {
                 blocks_ctr.fetch_add(blocks as u64, Ordering::Relaxed);
-                requests_ctr.fetch_add(1, Ordering::Relaxed);
+                requests_ctr.fetch_add(requests as u64, Ordering::Relaxed);
             }
             Err(_) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -121,22 +122,23 @@ impl<D: BlockDevice> BlockDevice for StatsDisk<D> {
 
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
         let r = self.inner.read_block(bno, buf);
-        self.count(r, 1, &self.reads, &self.read_requests)
+        self.count(r, 1, 1, &self.reads, &self.read_requests)
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
         let r = self.inner.write_block(bno, buf);
-        self.count(r, 1, &self.writes, &self.write_requests)
+        self.count(r, 1, 1, &self.writes, &self.write_requests)
     }
 
     fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
         let r = self.inner.read_blocks(start, bufs);
-        self.count(r, bufs.len(), &self.reads, &self.read_requests)
+        self.count(r, 1, bufs.len(), &self.reads, &self.read_requests)
     }
 
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        let r = self.inner.write_blocks(start, bufs);
-        self.count(r, bufs.len(), &self.writes, &self.write_requests)
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        let r = self.inner.write_blocks(extents);
+        let blocks = extents.iter().map(Extent::len).sum();
+        self.count(r, extents.len(), blocks, &self.writes, &self.write_requests)
     }
 
     fn flush(&self) -> FsResult<()> {
@@ -183,19 +185,34 @@ mod tests {
 
     #[test]
     fn extent_requests_count_once_and_blocks_each() {
-        let d = StatsDisk::new(MemDisk::new(8));
+        let d = StatsDisk::new(MemDisk::new(16));
         let b = vec![0u8; BLOCK_SIZE];
-        d.write_blocks(0, &[&b[..]; 3]).unwrap();
+        let three = [&b[..]; 3];
+        d.write_blocks(&[Extent {
+            start: 0,
+            bufs: &three,
+        }])
+        .unwrap();
         d.write_block(5, &b).unwrap();
+        // a batch is one request per extent
+        let batch = [8, 12].map(|start| Extent {
+            start,
+            bufs: &three[..2],
+        });
+        d.write_blocks(&batch).unwrap();
         let (mut x, mut y) = (b.clone(), b.clone());
         d.read_blocks(1, &mut [&mut x[..], &mut y[..]]).unwrap();
         assert!(
-            d.write_blocks(7, &[&b[..]; 2]).is_err(),
+            d.write_blocks(&[Extent {
+                start: 15,
+                bufs: &three[..2]
+            }])
+            .is_err(),
             "runs off the device"
         );
 
         let c = d.counters();
-        assert_eq!((c.writes, c.write_requests), (4, 2));
+        assert_eq!((c.writes, c.write_requests), (3 + 1 + 4, 1 + 1 + 2));
         assert_eq!((c.reads, c.read_requests), (2, 1));
         assert_eq!(c.errors, 1);
     }

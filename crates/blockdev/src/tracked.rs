@@ -1,6 +1,6 @@
 //! Write-set tracking for warm-standby resynchronization.
 
-use crate::device::{BlockDevice, IoPhase};
+use crate::device::{BlockDevice, Extent, IoPhase};
 use rae_telemetry::{DevOp, Telemetry};
 use rae_vfs::FsResult;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,13 +67,22 @@ impl TrackedDisk {
         let _ = self.telemetry.set(telemetry);
     }
 
-    fn timed<T>(&self, op: DevOp, blocks: usize, f: impl FnOnce() -> FsResult<T>) -> FsResult<T> {
+    /// Run one submission of `requests` commands moving `blocks` blocks
+    /// and report it to telemetry.
+    fn timed<T>(
+        &self,
+        op: DevOp,
+        requests: usize,
+        blocks: usize,
+        f: impl FnOnce() -> FsResult<T>,
+    ) -> FsResult<T> {
         let t0 = self.telemetry.get().and_then(|t| t.clock());
         let result = f();
         if let Some(t) = self.telemetry.get() {
             t.dev_observed(
                 op,
                 self.recovery_phase.load(Ordering::Relaxed),
+                requests as u64,
                 blocks as u64,
                 t0,
             );
@@ -131,11 +140,11 @@ impl BlockDevice for TrackedDisk {
 
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        self.timed(DevOp::Read, 1, || self.inner.read_block(bno, buf))
+        self.timed(DevOp::Read, 1, 1, || self.inner.read_block(bno, buf))
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-        self.timed(DevOp::Write, 1, || {
+        self.timed(DevOp::Write, 1, 1, || {
             self.inner.write_block(bno, buf)?;
             self.mark_written(bno, bno + 1);
             Ok(())
@@ -144,24 +153,27 @@ impl BlockDevice for TrackedDisk {
 
     fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
         self.reads.fetch_add(bufs.len() as u64, Ordering::Relaxed);
-        self.timed(DevOp::Read, bufs.len(), || {
+        self.timed(DevOp::Read, 1, bufs.len(), || {
             self.inner.read_blocks(start, bufs)
         })
     }
 
-    /// A failed extent may still have landed a prefix, so the whole
-    /// extent joins the write set either way: a superset only costs the
-    /// resync a look at a block, a missed block would be a stale one.
-    fn write_blocks(&self, start: u64, bufs: &[&[u8]]) -> FsResult<()> {
-        self.timed(DevOp::Write, bufs.len(), || {
-            let result = self.inner.write_blocks(start, bufs);
-            self.mark_written(start, start + bufs.len() as u64);
+    /// A failed batch may still have landed a prefix, so every extent
+    /// joins the write set either way: a superset only costs the resync
+    /// a look at a block, a missed block would be a stale one.
+    fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        let blocks = extents.iter().map(Extent::len).sum();
+        self.timed(DevOp::Write, extents.len(), blocks, || {
+            let result = self.inner.write_blocks(extents);
+            for e in extents {
+                self.mark_written(e.start, e.start + e.len() as u64);
+            }
             result
         })
     }
 
     fn flush(&self) -> FsResult<()> {
-        self.timed(DevOp::Flush, 0, || self.inner.flush())
+        self.timed(DevOp::Flush, 1, 0, || self.inner.flush())
     }
 
     fn set_phase(&self, phase: IoPhase) {
@@ -213,8 +225,10 @@ mod tests {
     fn extent_writes_track_every_block() {
         let disk = TrackedDisk::new(Arc::new(MemDisk::new(200)));
         let blk = vec![1u8; BLOCK_SIZE];
-        disk.write_blocks(62, &[&blk[..]; 4]).unwrap();
-        assert_eq!(disk.take_written(), [62, 63, 64, 65]);
+        let bufs = [&blk[..]; 4];
+        let batch = [62, 130].map(|start| Extent { start, bufs: &bufs });
+        disk.write_blocks(&batch).unwrap();
+        assert_eq!(disk.take_written(), [62, 63, 64, 65, 130, 131, 132, 133]);
         let mut back = vec![0u8; BLOCK_SIZE];
         disk.read_blocks(62, &mut [&mut back[..]]).unwrap();
         assert_eq!(disk.reads(), 1);
@@ -224,12 +238,15 @@ mod tests {
     fn a_failed_extent_tracks_the_whole_extent() {
         use crate::faulty::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
         let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Block(5), TriggerMode::Always);
-        let disk = TrackedDisk::new(Arc::new(FaultyDisk::with_plan(MemDisk::new(8), plan)));
+        let disk = TrackedDisk::new(Arc::new(FaultyDisk::with_plan(MemDisk::new(16), plan)));
         let blk = vec![1u8; BLOCK_SIZE];
-        assert!(disk.write_blocks(3, &[&blk[..]; 4]).is_err());
-        // blocks 3 and 4 landed, 5 failed, 6 was never attempted: a
-        // superset is what the resync needs, a missed block is not
-        assert_eq!(disk.take_written(), [3, 4, 5, 6]);
+        let bufs = [&blk[..]; 4];
+        let batch = [3, 10].map(|start| Extent { start, bufs: &bufs });
+        assert!(disk.write_blocks(&batch).is_err());
+        // blocks 3 and 4 landed, 5 failed, 6 and the second extent were
+        // never attempted: a superset is what the resync needs, a missed
+        // block is not
+        assert_eq!(disk.take_written(), [3, 4, 5, 6, 10, 11, 12, 13]);
     }
 
     #[test]

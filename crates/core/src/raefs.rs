@@ -12,7 +12,7 @@ use rae_blockdev::{
 };
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
-use rae_standby::{HandoverState, Publish, StandbyOpts, StandbyStatus, WarmStandby};
+use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
 use rae_telemetry::{EventKind, OpClass, Telemetry};
 use rae_vfs::{
     DirEntry, Fd, FileStat, FileSystem, FsError, FsGeometryInfo, FsOp, FsResult, FsStatus, InodeNo,
@@ -399,6 +399,13 @@ impl RaeFs {
     #[must_use]
     pub fn base(&self) -> &BaseFs {
         &self.base
+    }
+
+    /// Run `f` on the installed warm standby, if there is one (tests
+    /// reach the standby's hooks through this).
+    #[cfg(test)]
+    pub(crate) fn with_standby<R>(&self, f: impl FnOnce(&WarmStandby) -> R) -> Option<R> {
+        self.shared.standby.lock().as_ref().map(f)
     }
 
     /// Runtime statistics snapshot.
@@ -1030,7 +1037,9 @@ impl RaeFs {
         // handover consumes the standby either way; a failed warm
         // attempt falls through to cold with the standby gone. (Take
         // the handle out first: the `if let` must not hold the lock,
-        // finish_recovery re-arms the standby under it.)
+        // finish_recovery re-arms the standby under it.) The standby
+        // drains its tail into its own snapshot while the rung reboots
+        // the base, and the rung waits for it after the reboot.
         let taken = self.shared.standby.lock().take();
         if let Some(sb) = taken {
             // the handover consumes the handle: bank its counters now
@@ -1038,11 +1047,11 @@ impl RaeFs {
             let lag = sb.lag();
             let rung_t0 = Instant::now();
             self.rung_event(EventKind::RungEntered, LadderRung::Warm, 0);
-            match sb.handover() {
-                Some(handed) => {
+            match sb.start_handover() {
+                Some(draining) => {
                     match self.attempt(
                         LadderRung::Warm,
-                        Some((handed, lag)),
+                        Some((draining, lag)),
                         None,
                         &completed,
                         in_flight,
@@ -1236,7 +1245,7 @@ impl RaeFs {
     fn attempt(
         &self,
         rung: LadderRung,
-        warm: Option<(HandoverState, u64)>,
+        warm: Option<(PendingHandover, u64)>,
         shadow_dev: Option<Arc<dyn BlockDevice>>,
         completed: &[OpRecord],
         in_flight: Option<(u64, &FsOp)>,
@@ -1283,15 +1292,15 @@ impl RaeFs {
     }
 
     /// One full rung: contained reboot, caught-up shadow (via the warm
-    /// handover state or a cold load + constrained replay over
-    /// `shadow_dev`), autonomous in-flight completion, and metadata
+    /// handover draining meanwhile or a cold load + constrained replay
+    /// over `shadow_dev`), autonomous in-flight completion, and metadata
     /// download into the base. Any error aborts the rung; the caller
     /// decides what rung comes next.
     #[allow(clippy::too_many_arguments)]
     fn run_rung(
         &self,
         rung: LadderRung,
-        warm: Option<(HandoverState, u64)>,
+        warm: Option<(PendingHandover, u64)>,
         shadow_dev: Option<Arc<dyn BlockDevice>>,
         completed: &[OpRecord],
         in_flight: Option<(u64, &FsOp)>,
@@ -1343,8 +1352,9 @@ impl RaeFs {
         let reboot_time = t0.elapsed();
 
         // 2.+3. obtain a caught-up shadow. Warm path: the standby has
-        // already applied every completed record — the handover only
-        // drained the published-but-unapplied tail (O(in-flight)).
+        // already applied every completed record — the handover drained
+        // the published-but-unapplied tail (O(in-flight)) during the
+        // reboot, and what is left of that drain is waited for here.
         // Cold path: fresh shadow load + constrained replay of the
         // whole retained log (O(retained log)).
         self.replay_fault_hook()?;
@@ -1353,13 +1363,18 @@ impl RaeFs {
         let live_reads = || self.tracker.as_ref().map_or(0, |t| t.reads());
         let live_reads_before = live_reads();
         let (path, shadow_load_time, mut shadow, replay, records_replayed) = match warm {
-            Some((handed, drained)) => (
-                RecoveryPath::Warm,
-                Duration::ZERO,
-                *handed.shadow,
-                handed.report,
-                drained,
-            ),
+            Some((draining, drained)) => {
+                let handed = draining.wait().ok_or_else(|| FsError::Internal {
+                    detail: "warm standby failed while draining for the handover".to_string(),
+                })?;
+                (
+                    RecoveryPath::Warm,
+                    Duration::ZERO,
+                    *handed.shadow,
+                    handed.report,
+                    drained,
+                )
+            }
             None => {
                 // the shadow phase reads through a per-attempt snapshot
                 // view, so image validation, load and replay share one

@@ -1562,9 +1562,9 @@ impl BlockDevice for TapeDisk {
     }
 }
 
-/// A warm-standby mount over a [`TapeDisk`] with a bug armed on every
-/// directory insertion (not removal) of a name containing "boom".
-fn warm_mount_on_tape() -> (Arc<TapeDisk>, rae_fsformat::Geometry, RaeFs) {
+/// A warm-standby mount over the formatted `dev` with a bug armed on
+/// every directory insertion (not removal) of a name containing "boom".
+fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
         160,
@@ -1576,8 +1576,6 @@ fn warm_mount_on_tape() -> (Arc<TapeDisk>, rae_fsformat::Geometry, RaeFs) {
         ]),
         Effect::DetectedError,
     ));
-    let disk = Arc::new(TapeDisk::new(4096));
-    let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
     let config = RaeConfig {
         base: BaseFsConfig {
             faults,
@@ -1589,7 +1587,14 @@ fn warm_mount_on_tape() -> (Arc<TapeDisk>, rae_fsformat::Geometry, RaeFs) {
         },
         ..RaeConfig::default()
     };
-    let fs = RaeFs::mount(Arc::clone(&disk) as Arc<dyn BlockDevice>, config).unwrap();
+    RaeFs::mount(dev, config).unwrap()
+}
+
+/// [`warm_boom_mount`] over a [`TapeDisk`].
+fn warm_mount_on_tape() -> (Arc<TapeDisk>, rae_fsformat::Geometry, RaeFs) {
+    let disk = Arc::new(TapeDisk::new(4096));
+    let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let fs = warm_boom_mount(Arc::clone(&disk) as Arc<dyn BlockDevice>);
     (disk, geo, fs)
 }
 
@@ -1784,4 +1789,128 @@ fn warm_recoveries_under_churn_do_not_ratchet() {
     }
     fs.unmount().unwrap();
     assert!(fsck(disk.as_ref()).unwrap().is_clean());
+}
+
+// ----------------------------------------------------------------------
+// Handover drain overlapping the reboot
+// ----------------------------------------------------------------------
+
+/// Runs a one-shot action at the first read it serves once a recovery
+/// has started. The warm rung asks for the handover before the
+/// contained reboot reads anything, so the action runs inside the
+/// reboot, after the drain was requested.
+struct ActOnRebootRead {
+    inner: MemDisk,
+    recovering: std::sync::atomic::AtomicBool,
+    action: std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl BlockDevice for ActOnRebootRead {
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+    fn read_block(&self, bno: u64, buf: &mut [u8]) -> rae_vfs::FsResult<()> {
+        if self.recovering.load(std::sync::atomic::Ordering::SeqCst) {
+            if let Some(act) = self.action.lock().unwrap().take() {
+                act();
+            }
+        }
+        self.inner.read_block(bno, buf)
+    }
+    fn write_block(&self, bno: u64, buf: &[u8]) -> rae_vfs::FsResult<()> {
+        self.inner.write_block(bno, buf)
+    }
+    fn flush(&self) -> rae_vfs::FsResult<()> {
+        self.inner.flush()
+    }
+    fn set_phase(&self, phase: rae_blockdev::IoPhase) {
+        self.recovering.store(
+            phase == rae_blockdev::IoPhase::Recovery,
+            std::sync::atomic::Ordering::SeqCst,
+        );
+    }
+}
+
+/// How a held standby backlog meets the warm rung.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Backlog {
+    /// Released inside the reboot: drained while the reboot runs.
+    ReleasedInReboot,
+    /// Its apply thread dies inside the reboot: the wait fails.
+    KilledInReboot,
+    /// Its apply thread died before the fault: the handover is refused.
+    KilledBeforeFault,
+}
+
+/// Hold the standby still, complete `HELD` mutations behind it, then
+/// fault; return the recovery's report after checking the recovered
+/// tree against the model and the unmounted image with `fsck`.
+fn warm_rung_with_held_backlog(backlog: Backlog) -> crate::RecoveryReport {
+    const HELD: u64 = 40;
+    let dev = Arc::new(ActOnRebootRead {
+        inner: MemDisk::new(4096),
+        recovering: std::sync::atomic::AtomicBool::new(false),
+        action: std::sync::Mutex::new(None),
+    });
+    mkfs(&dev.inner, MkfsParams::default()).unwrap();
+    let fs = warm_boom_mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    let model = rae_fsmodel::ModelFs::new();
+    for f in [&fs as &dyn FileSystem, &model] {
+        f.mkdir("/h").unwrap();
+    }
+    wait_caught_up(&fs);
+
+    let release = fs.with_standby(rae_standby::WarmStandby::pause).unwrap();
+    for i in 0..HELD {
+        for f in [&fs as &dyn FileSystem, &model] {
+            f.mkdir(&format!("/h/d{i:02}")).unwrap();
+        }
+    }
+    assert_eq!(fs.stats().standby_lag, HELD, "the backlog is held");
+    let act: Box<dyn FnOnce() + Send> = match backlog {
+        Backlog::ReleasedInReboot => Box::new(move || release.send(()).unwrap()),
+        Backlog::KilledInReboot => Box::new(move || drop(release)),
+        Backlog::KilledBeforeFault => {
+            // nothing is published after this, so the standby is still
+            // installed, and unhealthy, when the fault arrives
+            drop(release);
+            while fs.stats().standby_active {
+                std::thread::yield_now();
+            }
+            Box::new(|| {})
+        }
+    };
+    *dev.action.lock().unwrap() = Some(act);
+
+    fs.mkdir("/boom").unwrap(); // masked by the recovery
+    model.mkdir("/boom").unwrap();
+    let reports = fs.recovery_reports();
+    assert_eq!(reports.len(), 1);
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    tree_of(&model, "/", &mut want);
+    tree_of(&fs, "/", &mut got);
+    assert_eq!(got, want, "{backlog:?}");
+    fs.unmount().unwrap();
+    assert!(fsck(&dev.inner).unwrap().is_clean(), "{backlog:?}");
+    reports.into_iter().next().unwrap()
+}
+
+#[test]
+fn warm_handover_drains_a_held_backlog_under_the_reboot() {
+    let r = warm_rung_with_held_backlog(Backlog::ReleasedInReboot);
+    assert_eq!(r.rung, LadderRung::Warm, "{r:?}");
+    assert!(r.failed_rungs.is_empty(), "{r:?}");
+    assert!(r.discrepancies.is_empty(), "{:?}", r.discrepancies);
+    assert!(r.records_replayed >= 40, "the whole backlog drained: {r:?}");
+}
+
+#[test]
+fn warm_handover_refused_or_failed_lands_on_cold() {
+    let failed = warm_rung_with_held_backlog(Backlog::KilledInReboot);
+    assert_eq!(failed.rung, LadderRung::Cold, "{failed:?}");
+    let tried: Vec<LadderRung> = failed.failed_rungs.iter().map(|f| f.rung).collect();
+    assert_eq!(tried, [LadderRung::Warm], "a failed wait is a failed rung");
+
+    let refused = warm_rung_with_held_backlog(Backlog::KilledBeforeFault);
+    assert_eq!(refused.rung, LadderRung::Cold, "{refused:?}");
 }

@@ -23,7 +23,7 @@
 use crate::crc::{crc32c, crc32c_excluding};
 use crate::layout::Geometry;
 use crate::wire::{get_u32, get_u64, put_u32, put_u64};
-use rae_blockdev::{BlockDevice, BLOCK_SIZE};
+use rae_blockdev::{BlockDevice, Extent, BLOCK_SIZE};
 use rae_vfs::{FsError, FsResult};
 use std::collections::BTreeMap;
 
@@ -176,13 +176,16 @@ pub fn reset<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry, base_seq: u64) ->
     // previous epoch cannot be replayed; it travels with the header.
     let blank = [0u8; BLOCK_SIZE];
     let slots = if geo.journal_blocks > 1 { 2 } else { 1 };
-    dev.write_blocks(geo.journal_start, &[&header[..], &blank][..slots])?;
+    dev.write_blocks(&[Extent {
+        start: geo.journal_start,
+        bufs: &[&header[..], &blank][..slots],
+    }])?;
     dev.flush()
 }
 
 /// Write `homes` — images in ascending, distinct block order — to their
-/// home locations, one request per maximal run of consecutive blocks.
-/// No flush: the caller places the barrier.
+/// home locations as one batch, one extent per maximal run of
+/// consecutive blocks. No flush: the caller places the barrier.
 ///
 /// # Errors
 ///
@@ -191,23 +194,8 @@ pub fn write_homes<'a, D: BlockDevice + ?Sized>(
     dev: &D,
     homes: impl IntoIterator<Item = (u64, &'a [u8])>,
 ) -> FsResult<()> {
-    let mut run: Vec<&[u8]> = Vec::new();
-    let mut start = 0;
-    for (bno, image) in homes {
-        if !run.is_empty() && bno != start + run.len() as u64 {
-            dev.write_blocks(start, &run)?;
-            run.clear();
-        }
-        if run.is_empty() {
-            start = bno;
-        }
-        run.push(image);
-    }
-    if run.is_empty() {
-        Ok(())
-    } else {
-        dev.write_blocks(start, &run)
-    }
+    let (bnos, images): (Vec<u64>, Vec<&[u8]>) = homes.into_iter().unzip();
+    dev.write_blocks(&Extent::runs(&bnos, &images))
 }
 
 /// Outcome of a journal replay.
@@ -233,7 +221,8 @@ pub struct ReplayReport {
 /// the image of the last committed transaction that journaled it (a run
 /// of small transactions rewrites the same bitmap and inode-table blocks
 /// over and over, and only the last image of each survives anyway), in
-/// one request per run of consecutive targets. Nothing is written before
+/// one batch of one extent per run of consecutive targets
+/// ([`write_homes`]). Nothing is written before
 /// the scan is over, and the journal is reset only after the home
 /// writes are flushed, so a crash anywhere in between leaves the log
 /// intact and a second replay produces the same image.
@@ -349,7 +338,11 @@ mod tests {
             .chain(std::iter::once(&commit))
             .map(Vec::as_slice)
             .collect();
-        dev.write_blocks(g.journal_start + slot, &record).unwrap();
+        dev.write_blocks(&[Extent {
+            start: g.journal_start + slot,
+            bufs: &record,
+        }])
+        .unwrap();
         slot + record.len() as u64
     }
 

@@ -809,15 +809,22 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
         )),
         None => out.push_str(&format!("{indent}\"last_recovery\": null,\n")),
     }
-    // the journal's commit latency, and what the device was asked for:
-    // requests against the blocks they moved (timed where a wrapper
-    // reports to telemetry — the standby's write tracker, for one)
+    // the journal's commit latency beside what a committer waits (the
+    // gap between the two is mostly the ordered data flush), and what
+    // the device was asked for: requests against the blocks they moved
+    // (timed where a wrapper reports to telemetry — the standby's write
+    // tracker, for one)
     let t = fs.telemetry();
-    let commit = t.journal_commit_histogram().summary();
-    out.push_str(&format!(
-        "{indent}\"journal_commit\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}}},\n",
-        commit.count, commit.p50, commit.p99
-    ));
+    for (name, hist) in [
+        ("commit_stall", t.commit_stall_histogram()),
+        ("journal_commit", t.journal_commit_histogram()),
+    ] {
+        let h = hist.summary();
+        out.push_str(&format!(
+            "{indent}\"{name}\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}}},\n",
+            h.count, h.p50, h.p99
+        ));
+    }
     let io = |op| (t.dev_requests(op), t.dev_blocks(op));
     let ((rq, rb), (wq, wb)) = (io(DevOp::Read), io(DevOp::Write));
     out.push_str(&format!(

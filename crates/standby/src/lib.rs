@@ -14,5 +14,6 @@
 pub mod standby;
 
 pub use standby::{
-    AuditOutcome, HandoverState, LagPolicy, Publish, StandbyOpts, StandbyStatus, WarmStandby,
+    AuditOutcome, HandoverState, LagPolicy, PendingHandover, Publish, StandbyOpts, StandbyStatus,
+    WarmStandby,
 };

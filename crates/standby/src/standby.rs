@@ -18,7 +18,11 @@
 //! publisher holds the op-log lock while publishing and recovery runs
 //! with that lock held, nothing is published concurrently, so the FIFO
 //! channel drains the queued tail exactly once and the reply carries
-//! the caught-up shadow plus its accumulated report.
+//! the caught-up shadow plus its accumulated report. The handover is
+//! split in two — [`WarmStandby::start_handover`] queues the request,
+//! [`PendingHandover::wait`] collects the shadow — so the drain, which
+//! touches only the standby's own snapshot, runs while the runtime
+//! reboots the base.
 //!
 //! # Lag policy
 //!
@@ -83,7 +87,7 @@ pub struct StandbyOpts {
     /// Spawn the standby at mount (and respawn it after recovery).
     pub enabled: bool,
     /// Bound of the publish channel (records in flight to the apply
-    /// thread).
+    /// thread), and so of what a handover can have left to drain.
     pub channel_capacity: usize,
     /// Run a coordinated audit every this many completed operations;
     /// `0` disables audits.
@@ -96,7 +100,9 @@ impl Default for StandbyOpts {
     fn default() -> StandbyOpts {
         StandbyOpts {
             enabled: false,
-            channel_capacity: 1024,
+            // a full channel drains (at several µs a record) within the
+            // contained reboot the drain overlaps
+            channel_capacity: 256,
             audit_interval_ops: 0,
             lag_policy: LagPolicy::Block,
         }
@@ -190,8 +196,9 @@ enum Msg {
     Handover(Sender<HandoverState>),
     Shutdown,
     /// Test-only: hold the apply thread until the receiver yields,
-    /// making channel-full conditions deterministic.
-    #[cfg(test)]
+    /// making channel-full conditions deterministic; a release dropped
+    /// unsent kills the thread, as a failed apply would.
+    #[cfg(any(test, feature = "test-hooks"))]
     Pause(Receiver<()>),
 }
 
@@ -381,28 +388,29 @@ impl WarmStandby {
         }
     }
 
-    /// Request the recovery handover: drain everything published so
-    /// far (the caller holds the op-log lock, so nothing new can be
-    /// published) and take ownership of the caught-up shadow.
+    /// Start the recovery handover: the apply thread drains everything
+    /// published so far (the caller holds the op-log lock, so nothing
+    /// new can be published) into its own snapshot, concurrently with
+    /// whatever the caller does next, and [`PendingHandover::wait`]
+    /// takes ownership of the caught-up shadow.
     ///
     /// Returns `None` if the standby degraded — the caller falls back
     /// to cold replay.
-    pub fn handover(mut self) -> Option<HandoverState> {
+    pub fn start_handover(self) -> Option<PendingHandover> {
         // A degraded standby (dropped records, failed apply, failed
         // audit) may still have a live apply thread — its state is
         // untrusted regardless, so refuse up front.
         if !self.shared.healthy() {
             return None;
         }
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply) = channel::bounded(1);
         if self.tx.send(Msg::Handover(reply_tx)).is_err() {
             return None;
         }
-        let state = reply_rx.recv().ok();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        state
+        Some(PendingHandover {
+            standby: self,
+            reply,
+        })
     }
 
     /// Records published but not yet applied — what a handover right
@@ -412,8 +420,15 @@ impl WarmStandby {
         self.status().lag
     }
 
-    #[cfg(test)]
-    fn pause(&self) -> Sender<()> {
+    /// Test hook: hold the apply thread once it reaches this point of
+    /// the channel, until the returned sender sends. Dropping the sender
+    /// unsent kills the thread and degrades the standby.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the apply thread is gone.
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn pause(&self) -> Sender<()> {
         let (release_tx, release_rx) = channel::bounded(1);
         assert!(
             self.tx.send(Msg::Pause(release_rx)).is_ok(),
@@ -433,6 +448,28 @@ impl WarmStandby {
 impl Drop for WarmStandby {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// A handover whose drain is running on the standby's apply thread.
+/// Dropping it instead of waiting stops the thread.
+pub struct PendingHandover {
+    standby: WarmStandby,
+    reply: Receiver<HandoverState>,
+}
+
+impl PendingHandover {
+    /// Wait for the drain to finish and take the caught-up shadow.
+    ///
+    /// Returns `None` if the apply thread failed during the drain — the
+    /// caller falls back to cold replay.
+    #[must_use]
+    pub fn wait(mut self) -> Option<HandoverState> {
+        let state = self.reply.recv().ok();
+        if let Some(handle) = self.standby.handle.take() {
+            let _ = handle.join();
+        }
+        state
     }
 }
 
@@ -477,9 +514,12 @@ fn apply_loop(
                 shared.health.store(STOPPED, Ordering::Release);
                 return;
             }
-            #[cfg(test)]
+            #[cfg(any(test, feature = "test-hooks"))]
             Ok(Msg::Pause(release)) => {
-                let _ = release.recv();
+                if release.recv().is_err() {
+                    shared.degrade();
+                    return;
+                }
             }
             Ok(Msg::Shutdown) | Err(_) => {
                 shared.health.store(STOPPED, Ordering::Release);
@@ -723,6 +763,11 @@ mod tests {
         }
     }
 
+    /// Start the handover and wait for it straight away.
+    fn handover(standby: WarmStandby) -> Option<HandoverState> {
+        standby.start_handover().and_then(PendingHandover::wait)
+    }
+
     fn spawn_default(dev: &Arc<MemDisk>, opts: StandbyOpts) -> WarmStandby {
         WarmStandby::spawn(
             dev.clone() as Arc<dyn BlockDevice>,
@@ -748,7 +793,7 @@ mod tests {
         assert_eq!(status.applied_records, n);
         assert_eq!(status.applied_seq, status.completed_seq);
 
-        let mut handed = standby.handover().expect("healthy standby hands over");
+        let mut handed = handover(standby).expect("healthy standby hands over");
         assert!(
             handed.report.is_clean(),
             "{:?}",
@@ -784,7 +829,7 @@ mod tests {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
         wait_until(|| standby.status().lag == 0);
-        let handed = standby.handover().expect("handover");
+        let handed = handover(standby).expect("handover");
         assert!(
             handed.report.is_clean(),
             "{:?}",
@@ -845,7 +890,7 @@ mod tests {
         assert!(!standby.status().active);
         release.send(()).unwrap();
         // A degraded standby refuses the handover: cold-replay fallback.
-        assert!(standby.handover().is_none());
+        assert!(handover(standby).is_none());
     }
 
     #[test]
@@ -873,7 +918,7 @@ mod tests {
         wait_until(|| !standby.status().active);
         assert!(standby.status().divergences > 0);
         assert!(
-            standby.handover().is_none(),
+            handover(standby).is_none(),
             "degraded standby must not hand over"
         );
     }
@@ -893,7 +938,7 @@ mod tests {
         // FIFO: the handover request queues behind every record, so the
         // reply carries a fully caught-up shadow — each record applied
         // exactly once.
-        let handed = standby.handover().expect("handover");
+        let handed = handover(standby).expect("handover");
         assert_eq!(handed.applied_records, n);
         assert_eq!(handed.report.executed, n);
         assert!(
@@ -901,6 +946,41 @@ mod tests {
             "{:?}",
             handed.report.discrepancies
         );
+    }
+
+    #[test]
+    fn started_handover_drains_while_the_caller_works() {
+        let dev = fresh_dev();
+        let records = record_ops(&dev, sample_ops());
+        let n = records.len() as u64;
+        let standby = spawn_default(&dev, StandbyOpts::default());
+        let release = standby.pause();
+        for rec in records {
+            assert_eq!(standby.publish(rec), Publish::Accepted);
+        }
+        // starting does not wait: the whole backlog is still queued
+        let pending = standby.start_handover().expect("healthy standby");
+        release.send(()).unwrap();
+        let handed = pending.wait().expect("the drain completes");
+        assert_eq!((handed.applied_records, handed.report.executed), (n, n));
+        assert!(
+            handed.report.is_clean(),
+            "{:?}",
+            handed.report.discrepancies
+        );
+    }
+
+    #[test]
+    fn a_handover_whose_drain_fails_waits_to_none() {
+        let dev = fresh_dev();
+        let standby = spawn_default(&dev, StandbyOpts::default());
+        let release = standby.pause();
+        for rec in record_ops(&dev, sample_ops()) {
+            assert_eq!(standby.publish(rec), Publish::Accepted);
+        }
+        let pending = standby.start_handover().expect("healthy when started");
+        drop(release); // the apply thread dies mid-drain
+        assert!(pending.wait().is_none());
     }
 
     #[test]
@@ -952,7 +1032,7 @@ mod tests {
         assert!(!status.active);
         assert!(status.divergences > 0);
         assert!(
-            standby.handover().is_none(),
+            handover(standby).is_none(),
             "a diverged standby must not hand over"
         );
     }

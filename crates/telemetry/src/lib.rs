@@ -174,10 +174,12 @@ pub struct Telemetry {
     anchor: Instant,
     op_hist: [LatencyHistogram; 8],
     /// Device I/O histograms: `[dev_op][phase]` with phase 0 = normal,
-    /// 1 = recovery. One sample per request.
+    /// 1 = recovery. One sample per submission (a batch of extents is
+    /// one submission, waited for once).
     dev_hist: [[LatencyHistogram; 2]; 3],
-    /// Blocks moved by the timed device requests, per dev op (an extent
-    /// request is one histogram sample and many blocks).
+    /// Device requests per dev op: one per extent of a submission.
+    dev_requests: [AtomicU64; 3],
+    /// Blocks moved by the timed device requests, per dev op.
     dev_blocks: [AtomicU64; 3],
     journal_commit: LatencyHistogram,
     cache_fill: LatencyHistogram,
@@ -224,6 +226,7 @@ impl Telemetry {
             anchor: Instant::now(),
             op_hist: std::array::from_fn(|_| LatencyHistogram::new()),
             dev_hist: std::array::from_fn(|_| std::array::from_fn(|_| LatencyHistogram::new())),
+            dev_requests: std::array::from_fn(|_| AtomicU64::new(0)),
             dev_blocks: std::array::from_fn(|_| AtomicU64::new(0)),
             journal_commit: LatencyHistogram::new(),
             cache_fill: LatencyHistogram::new(),
@@ -435,16 +438,18 @@ impl Telemetry {
     }
 
     /// Finish a device-I/O measurement started with [`Telemetry::clock`]:
-    /// one request that moved `blocks` blocks.
+    /// one submission of `requests` requests that moved `blocks` blocks.
     pub fn dev_observed(
         &self,
         op: DevOp,
         recovery_phase: bool,
+        requests: u64,
         blocks: u64,
         started: Option<Instant>,
     ) {
         if let Some(t0) = started {
             self.record_dev_ns(op, recovery_phase, t0.elapsed().as_nanos() as u64);
+            self.dev_requests[op.code() as usize].fetch_add(requests, Relaxed);
             self.dev_blocks[op.code() as usize].fetch_add(blocks, Relaxed);
         }
     }
@@ -512,7 +517,7 @@ impl Telemetry {
     /// Timed device requests of one op, both phases.
     #[must_use]
     pub fn dev_requests(&self, op: DevOp) -> u64 {
-        self.dev_histogram(op, false).count() + self.dev_histogram(op, true).count()
+        self.dev_requests[op.code() as usize].load(Relaxed)
     }
 
     /// Blocks moved by the timed device requests of one op.
@@ -525,6 +530,12 @@ impl Telemetry {
     #[must_use]
     pub fn journal_commit_histogram(&self) -> &LatencyHistogram {
         &self.journal_commit
+    }
+
+    /// Histogram of the time mutations spent waiting for their commit.
+    #[must_use]
+    pub fn commit_stall_histogram(&self) -> &LatencyHistogram {
+        &self.commit_stall
     }
 
     /// Histogram of stripe-lock wait times.
@@ -641,11 +652,14 @@ mod tests {
     #[test]
     fn extent_requests_count_once_and_their_blocks_each() {
         let t = Telemetry::new();
-        t.dev_observed(DevOp::Write, false, 8, t.clock());
-        t.dev_observed(DevOp::Write, true, 1, t.clock());
-        t.dev_observed(DevOp::Flush, false, 0, t.clock());
-        assert_eq!(t.dev_requests(DevOp::Write), 2);
-        assert_eq!(t.dev_blocks(DevOp::Write), 9);
+        t.dev_observed(DevOp::Write, false, 1, 8, t.clock());
+        t.dev_observed(DevOp::Write, true, 1, 1, t.clock());
+        // a batch of three extents: one latency sample, three requests
+        t.dev_observed(DevOp::Write, false, 3, 5, t.clock());
+        t.dev_observed(DevOp::Flush, false, 1, 0, t.clock());
+        assert_eq!(t.dev_requests(DevOp::Write), 5);
+        assert_eq!(t.dev_histogram(DevOp::Write, false).count(), 2);
+        assert_eq!(t.dev_blocks(DevOp::Write), 14);
         assert_eq!(t.dev_requests(DevOp::Flush), 1);
     }
 
