@@ -42,7 +42,7 @@ use crate::icache::InodeCache;
 use crate::jmgr::JournalMgr;
 use crate::pagecache::{CacheStats, PageCache, PageClass};
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use rae_blockdev::{BlockDevice, QueueConfig, BLOCK_SIZE};
+use rae_blockdev::{BlockDevice, Extent, QueueConfig, BLOCK_SIZE};
 use rae_faults::{FaultAction, FaultRegistry, OpContext, Site};
 use rae_fsformat::dirent::DirBlock;
 use rae_fsformat::inode::{
@@ -420,7 +420,7 @@ impl BaseFs {
         let _txn = self.txn.write();
         // Quiesce in-flight write-back, then drop every cached page —
         // nothing in memory is trusted after an error.
-        self.pages.quiesce()?;
+        self.pages.settle()?;
         self.pages.discard_all();
         self.icache.clear();
         self.dcache.clear();
@@ -551,6 +551,12 @@ impl BaseFs {
     #[must_use]
     pub fn cache_shard_count(&self) -> usize {
         self.pages.shard_count()
+    }
+
+    /// The page cache (test observability).
+    #[cfg(test)]
+    pub(crate) fn page_cache(&self) -> &PageCache {
+        &self.pages
     }
 
     /// Snapshot of the open-descriptor table (for the RAE recorder).
@@ -1457,36 +1463,50 @@ impl BaseFs {
         let ctx = OpContext::new(OpKind::Sync, Site::JournalCommit);
         let _ = self.hook(&ctx)?;
 
-        // ordered mode: file data reaches the disk before the metadata
-        // that references it
-        self.pages.flush_data()?;
+        // Metadata first: the images outlive the commit (they become the
+        // journal's pending homes) and the data batch does not, so
+        // nothing the commit frees sits below them in the heap.
         let mut images = self.pages.take_dirty_meta();
-        if images.is_empty() {
-            return Ok(());
-        }
         let handed: Vec<u64> = images.iter().map(|&(bno, _)| bno).collect();
-        let (free_inodes, free_blocks) = {
-            let alloc = self.alloc.lock();
-            (alloc.free_inodes, alloc.free_blocks)
-        };
-        let sb = Superblock {
-            geometry: self.geo,
-            free_inodes,
-            free_blocks,
-            mount_state: MountState::Dirty,
-            mount_count: self.mount_count,
-        };
-        images.push((0, sb.encode()));
-        let committed = if self.validate_on_commit {
-            self.validate_commit_images(&images)
-        } else {
-            Ok(())
+        let journaled = !images.is_empty();
+        if journaled {
+            let (free_inodes, free_blocks) = {
+                let alloc = self.alloc.lock();
+                (alloc.free_inodes, alloc.free_blocks)
+            };
+            let sb = Superblock {
+                geometry: self.geo,
+                free_inodes,
+                free_blocks,
+                mount_state: MountState::Dirty,
+                mount_count: self.mount_count,
+            };
+            images.push((0, sb.encode()));
+            if self.validate_on_commit {
+                if let Err(e) = self.validate_commit_images(&images) {
+                    self.pages.commit_failed(&handed);
+                    return Err(e);
+                }
+            }
         }
-        .and_then(|()| self.jmgr.lock().commit(self.dev.as_ref(), images));
-        // the handed-over pages stay pinned until here: only a durable
-        // commit may let one be written home. A journal that filled up
-        // was checkpointed on the way, so every earlier image is home:
-        // clear the stale-home marks before this commit sets its own.
+        // ordered mode: the file data goes in the record's batch and is
+        // on disk, with every evicted copy the write-back queue holds,
+        // before the commit block that makes the metadata durable
+        let data = self.pages.take_dirty_data();
+        let (bnos, bufs): (Vec<u64>, Vec<&[u8]>) =
+            data.iter().map(|(bno, d)| (*bno, d.as_slice())).unzip();
+        let committed = self.jmgr.lock().commit(
+            self.dev.as_ref(),
+            &Extent::runs(&bnos, &bufs),
+            images,
+            || self.pages.settle(),
+        );
+        // the taken pages stay pinned until here: only a durable commit
+        // may let one be written home, and a failed one re-dirties them.
+        // A journal that filled up was checkpointed on the way, so every
+        // earlier image is home: clear the stale-home marks before this
+        // commit sets its own.
+        self.pages.data_landed(&bnos, committed.is_ok());
         match &committed {
             Ok(checkpointed) => {
                 if *checkpointed {
@@ -1497,8 +1517,10 @@ impl BaseFs {
             Err(_) => self.pages.commit_failed(&handed),
         }
         committed?;
-        self.persisted_seq
-            .fetch_max(self.cur_seq.load(Ordering::Relaxed), Ordering::Relaxed);
+        if journaled {
+            self.persisted_seq
+                .fetch_max(self.cur_seq.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
         Ok(())
     }
 

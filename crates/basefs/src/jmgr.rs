@@ -2,21 +2,27 @@
 //!
 //! Write-ahead rule: dirty metadata reaches the disk *only* as journal
 //! records; the home locations are rewritten at checkpoint time.
-//! Ordered mode: the caller flushes file data before calling
-//! [`JournalMgr::commit`], so committed metadata never references
+//! Ordered mode: the caller hands [`JournalMgr::commit`] the file data
+//! with the metadata, and the data is on stable storage before the
+//! commit block is written, so committed metadata never references
 //! unwritten data.
 //!
 //! The journal is append-only and resets at each checkpoint (see
 //! `rae_fsformat::journal` for the format rationale).
 //!
-//! A transaction's record costs two write requests and two barriers:
-//! descriptor + images go to the device as **one** extent request at the
-//! record base, then a flush, then the commit block, then a flush. The
-//! blocks inside one request are not ordered against each other, and
-//! they need not be: until the first flush returns, nothing of the
-//! record is promised, and replay discards a record whose commit block
-//! or any image CRC is missing. Checkpoint writes its sorted home images
-//! as one batch, one extent per run of consecutive blocks.
+//! A commit is two write batches and two barriers: the data extents and
+//! the record (descriptor + images, **one** extent at the record base)
+//! go to the device as one batch, then the caller's barrier (the
+//! write-back queue's drain and a device flush), then the commit block,
+//! then a flush. The blocks inside one batch are not ordered against
+//! each other, and they need not be: until the barrier returns, nothing
+//! of the record is promised, and replay discards a record whose commit
+//! block or any image CRC is missing — only the barrier in front of the
+//! commit block has to order anything (jbd2 submits ordered data and
+//! journal blocks the same way). A transaction too large for one record
+//! splits; later chunks carry no data and pay record → flush → commit →
+//! flush. Checkpoint writes its sorted home images as one batch, one
+//! extent per run of consecutive blocks.
 
 use rae_blockdev::{BlockDevice, Extent};
 use rae_fsformat::journal::{self, TxnTag, MAX_TXN_BLOCKS};
@@ -55,8 +61,9 @@ impl JournalMgr {
         }
     }
 
-    /// Attach a telemetry handle: commits record their wall-clock
-    /// duration (descriptor + data + both flush barriers).
+    /// Attach a telemetry handle: commits that journal something record
+    /// their wall-clock duration (the data + record batch, both
+    /// barriers, the commit block).
     pub(crate) fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
         self.telemetry = telemetry;
     }
@@ -81,21 +88,33 @@ impl JournalMgr {
         self.checkpoints
     }
 
-    /// Commit a set of metadata images. Ordered-mode contract: the
-    /// caller has already flushed file data. On return the images are
-    /// durable (recoverable by replay), and the value says whether the
-    /// journal filled up and was checkpointed on the way — every image
-    /// committed before this call is then at its home location.
+    /// Commit a set of metadata images with the file `data` they may
+    /// reference (ordered mode). The data extents travel in the batch of
+    /// the first record, and `barrier` runs in place of the flush in
+    /// front of that record's commit block: it must put every write
+    /// issued so far on stable storage, the data the caller wrote before
+    /// this call included. With no images there is nothing to journal,
+    /// and the data batch and the barrier are the whole commit. On
+    /// return the images are durable (recoverable by replay), and the
+    /// value says whether the journal filled up and was checkpointed on
+    /// the way — every image committed before this call is then at its
+    /// home location. On error nothing of this call is promised.
     pub(crate) fn commit<D: BlockDevice + ?Sized>(
         &mut self,
         dev: &D,
+        data: &[Extent<'_>],
         images: Vec<(u64, Vec<u8>)>,
+        barrier: impl FnOnce() -> FsResult<()>,
     ) -> FsResult<bool> {
         if images.is_empty() {
+            if !data.is_empty() {
+                dev.write_blocks(data)?;
+            }
+            barrier()?;
             return Ok(false);
         }
         let t0 = self.telemetry.as_ref().and_then(|t| t.layer_clock());
-        let result = self.commit_inner(dev, images);
+        let result = self.commit_inner(dev, data, images, barrier);
         if let Some(t) = self.telemetry.as_ref() {
             t.layer_observed(SpanLayer::JournalIo, t0);
         }
@@ -105,11 +124,14 @@ impl JournalMgr {
     fn commit_inner<D: BlockDevice + ?Sized>(
         &mut self,
         dev: &D,
+        data: &[Extent<'_>],
         images: Vec<(u64, Vec<u8>)>,
+        barrier: impl FnOnce() -> FsResult<()>,
     ) -> FsResult<bool> {
         let chunk_size = self.max_chunk();
         let mut images = images.into_iter();
         let mut checkpointed = false;
+        let mut first = Some((data, barrier));
         loop {
             let chunk: Vec<(u64, Vec<u8>)> = images.by_ref().take(chunk_size).collect();
             if chunk.is_empty() {
@@ -142,12 +164,20 @@ impl JournalMgr {
             let record: Vec<&[u8]> = std::iter::once(descriptor.as_slice())
                 .chain(chunk.iter().map(|(_, img)| img.as_slice()))
                 .collect();
-            dev.write_blocks(&[Extent {
+            let record = Extent {
                 start: base,
                 bufs: &record,
-            }])?;
-            // all record content durable before the commit block
-            dev.flush()?;
+            };
+            // the data and all record content durable before the commit
+            // block
+            if let Some((data, barrier)) = first.take() {
+                let batch: Vec<Extent<'_>> = data.iter().copied().chain([record]).collect();
+                dev.write_blocks(&batch)?;
+                barrier()?;
+            } else {
+                dev.write_blocks(&[record])?;
+                dev.flush()?;
+            }
             dev.write_block(base + 1 + chunk.len() as u64, &journal::encode_commit(seq))?;
             dev.flush()?;
 
@@ -219,7 +249,8 @@ mod tests {
     fn committed_images_replay_after_crash() {
         let (dev, geo, mut mgr) = setup();
         let target = geo.data_start + 5;
-        mgr.commit(&dev, vec![(target, img(0xAB))]).unwrap();
+        mgr.commit(&dev, &[], vec![(target, img(0xAB))], || dev.flush())
+            .unwrap();
 
         // crash before checkpoint: home location still stale
         let mut raw = img(0);
@@ -237,7 +268,8 @@ mod tests {
     fn checkpoint_writes_home_and_empties_journal() {
         let (dev, geo, mut mgr) = setup();
         let target = geo.data_start + 9;
-        mgr.commit(&dev, vec![(target, img(0x77))]).unwrap();
+        mgr.commit(&dev, &[], vec![(target, img(0x77))], || dev.flush())
+            .unwrap();
         mgr.checkpoint(&dev).unwrap();
         assert_eq!(mgr.pending_blocks(), 0);
 
@@ -253,9 +285,12 @@ mod tests {
     fn multiple_commits_replay_in_order() {
         let (dev, geo, mut mgr) = setup();
         let target = geo.data_start;
-        mgr.commit(&dev, vec![(target, img(1))]).unwrap();
-        mgr.commit(&dev, vec![(target, img(2))]).unwrap();
-        mgr.commit(&dev, vec![(target, img(3))]).unwrap();
+        mgr.commit(&dev, &[], vec![(target, img(1))], || dev.flush())
+            .unwrap();
+        mgr.commit(&dev, &[], vec![(target, img(2))], || dev.flush())
+            .unwrap();
+        mgr.commit(&dev, &[], vec![(target, img(3))], || dev.flush())
+            .unwrap();
         let report = journal::replay(&dev, &geo).unwrap();
         assert_eq!(report.transactions, 3);
         let mut raw = img(0);
@@ -270,8 +305,13 @@ mod tests {
         let mut expected_fill = 0u8;
         for i in 0..200u64 {
             expected_fill = (i % 250) as u8 + 1;
-            mgr.commit(&dev, vec![(geo.data_start + 1, img(expected_fill))])
-                .unwrap();
+            mgr.commit(
+                &dev,
+                &[],
+                vec![(geo.data_start + 1, img(expected_fill))],
+                || dev.flush(),
+            )
+            .unwrap();
         }
         assert!(mgr.checkpoints() > 0, "journal wrapped via checkpoint");
         // final state must still be recoverable
@@ -288,7 +328,7 @@ mod tests {
         let images: Vec<(u64, Vec<u8>)> = (0..300)
             .map(|i| (geo.data_start + 10 + i, img((i % 251) as u8)))
             .collect();
-        mgr.commit(&dev, images).unwrap();
+        mgr.commit(&dev, &[], images, || dev.flush()).unwrap();
         journal::replay(&dev, &geo).unwrap();
         let mut raw = img(0);
         dev.read_block(geo.data_start + 10 + 299, &mut raw).unwrap();
@@ -303,7 +343,7 @@ mod tests {
         let mut mgr = JournalMgr::new(geo, 0);
         dev.reset();
         let images: Vec<(u64, Vec<u8>)> = (0..7).map(|i| (geo.data_start + i, img(1))).collect();
-        mgr.commit(&dev, images).unwrap();
+        mgr.commit(&dev, &[], images, || dev.flush()).unwrap();
         let c = dev.counters();
         assert_eq!((c.write_requests, c.writes, c.flushes), (2, 9, 2));
 
@@ -315,41 +355,68 @@ mod tests {
         assert_eq!((c.write_requests, c.writes), (2, 7 + 2));
     }
 
+    /// A request batch (by extent count) or a flush, as the device saw it.
+    #[derive(Debug, PartialEq)]
+    enum Io {
+        Batch(usize),
+        Flush,
+    }
+
+    /// Logs write batches and flushes on the way to a MemDisk.
+    struct Batches(MemDisk, std::sync::Mutex<Vec<Io>>);
+
+    impl Batches {
+        fn new() -> Batches {
+            Batches(MemDisk::new(4096), std::sync::Mutex::default())
+        }
+        fn take(&self) -> Vec<Io> {
+            std::mem::take(&mut *self.1.lock().unwrap())
+        }
+    }
+
+    impl BlockDevice for Batches {
+        fn block_count(&self) -> u64 {
+            self.0.block_count()
+        }
+        fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+            self.0.read_block(bno, buf)
+        }
+        fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+            self.write_blocks(&[Extent {
+                start: bno,
+                bufs: &[buf],
+            }])
+        }
+        fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+            self.1.lock().unwrap().push(Io::Batch(extents.len()));
+            self.0.write_blocks(extents)
+        }
+        fn flush(&self) -> FsResult<()> {
+            self.1.lock().unwrap().push(Io::Flush);
+            self.0.flush()
+        }
+    }
+
     #[test]
     fn extent_checkpoint_writes_scattered_homes_as_one_batch() {
-        /// Counts write batches (not requests) on the way to a MemDisk.
-        struct Batches(MemDisk, std::sync::Mutex<Vec<usize>>);
-        impl BlockDevice for Batches {
-            fn block_count(&self) -> u64 {
-                self.0.block_count()
-            }
-            fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
-                self.0.read_block(bno, buf)
-            }
-            fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-                self.write_blocks(&[Extent {
-                    start: bno,
-                    bufs: &[buf],
-                }])
-            }
-            fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
-                self.1.lock().unwrap().push(extents.len());
-                self.0.write_blocks(extents)
-            }
-            fn flush(&self) -> FsResult<()> {
-                self.0.flush()
-            }
-        }
-        let dev = Batches(MemDisk::new(4096), std::sync::Mutex::default());
+        let dev = Batches::new();
         let geo = mkfs(&dev, MkfsParams::default()).unwrap();
         let mut mgr = JournalMgr::new(geo, 0);
         let homes = [3, 4, 9, 20, 21, 22, 40].map(|i| geo.data_start + i);
-        mgr.commit(&dev, homes.iter().map(|&b| (b, img(b as u8))).collect())
-            .unwrap();
-        dev.1.lock().unwrap().clear();
+        mgr.commit(
+            &dev,
+            &[],
+            homes.iter().map(|&b| (b, img(b as u8))).collect(),
+            || dev.flush(),
+        )
+        .unwrap();
+        dev.take();
         mgr.checkpoint(&dev).unwrap();
         // four runs in one batch, then the journal reset
-        assert_eq!(*dev.1.lock().unwrap(), [4, 1]);
+        assert_eq!(
+            dev.take(),
+            [Io::Batch(4), Io::Flush, Io::Batch(1), Io::Flush]
+        );
         for b in homes {
             let mut raw = img(0);
             dev.read_block(b, &mut raw).unwrap();
@@ -358,9 +425,70 @@ mod tests {
     }
 
     #[test]
+    fn extent_commit_with_data_is_two_batches_and_two_flushes() {
+        let dev = Batches::new();
+        // room for two full-size records, so a split needs no checkpoint
+        let params = MkfsParams {
+            journal_blocks: 1024,
+            ..MkfsParams::default()
+        };
+        let geo = mkfs(&dev, params).unwrap();
+        let mut mgr = JournalMgr::new(geo, 0);
+        let data = [img(0xD1), img(0xD2), img(0xD3)];
+        let bufs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let bnos = [100, 101, 200].map(|i| geo.data_start + i);
+        let extents = Extent::runs(&bnos, &bufs);
+        let images = |n: u64, fill: u8| -> Vec<(u64, Vec<u8>)> {
+            (0..n)
+                .map(|i| (geo.data_start + 500 + i, img(fill)))
+                .collect()
+        };
+        dev.take();
+
+        // the two data extents and the record in one batch, the barrier,
+        // the commit block, a flush
+        mgr.commit(&dev, &extents, images(3, 7), || dev.flush())
+            .unwrap();
+        assert_eq!(
+            dev.take(),
+            [Io::Batch(3), Io::Flush, Io::Batch(1), Io::Flush]
+        );
+        for (&b, d) in bnos.iter().zip(&data) {
+            let mut raw = img(0);
+            dev.read_block(b, &mut raw).unwrap();
+            assert_eq!(raw, *d);
+        }
+        assert_eq!(journal::replay(&dev, &geo).unwrap().transactions, 1);
+        dev.take();
+
+        // too large for one record: only the first chunk carries the data
+        let mut mgr = JournalMgr::new(geo, 1);
+        mgr.commit(&dev, &extents, images(300, 8), || dev.flush())
+            .unwrap();
+        assert_eq!(
+            dev.take(),
+            [
+                Io::Batch(3),
+                Io::Flush,
+                Io::Batch(1),
+                Io::Flush,
+                Io::Batch(1),
+                Io::Flush,
+                Io::Batch(1),
+                Io::Flush
+            ]
+        );
+
+        // nothing to journal: the data batch and the barrier are the commit
+        mgr.commit(&dev, &extents, vec![], || dev.flush()).unwrap();
+        assert_eq!(dev.take(), [Io::Batch(2), Io::Flush]);
+        assert_eq!(mgr.commits(), 2);
+    }
+
+    #[test]
     fn empty_commit_is_free() {
         let (dev, _geo, mut mgr) = setup();
-        mgr.commit(&dev, vec![]).unwrap();
+        mgr.commit(&dev, &[], vec![], || dev.flush()).unwrap();
         assert_eq!(mgr.commits(), 0);
     }
 
@@ -368,7 +496,8 @@ mod tests {
     fn drop_pending_prevents_stale_checkpoint_overwrite() {
         let (dev, geo, mut mgr) = setup();
         let target = geo.data_start + 3;
-        mgr.commit(&dev, vec![(target, img(0xEE))]).unwrap();
+        mgr.commit(&dev, &[], vec![(target, img(0xEE))], || dev.flush())
+            .unwrap();
         assert_eq!(mgr.pending_blocks(), 1);
 
         // the block is freed and reused as file data, which reaches its
@@ -387,7 +516,8 @@ mod tests {
     fn torn_commit_is_discarded_by_replay() {
         let (dev, geo, mut mgr) = setup();
         let t1 = geo.data_start + 1;
-        mgr.commit(&dev, vec![(t1, img(0x11))]).unwrap();
+        mgr.commit(&dev, &[], vec![(t1, img(0x11))], || dev.flush())
+            .unwrap();
 
         // hand-write a descriptor for the *next* seq without a commit
         // block (simulating a crash mid-commit)

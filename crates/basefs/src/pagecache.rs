@@ -4,13 +4,14 @@
 //!
 //! * **Data** pages — evictable unless their write is in flight; an
 //!   evicted dirty data page drains through the asynchronous write-back
-//!   queue, and [`PageCache::flush_data`], the ordered-mode barrier
-//!   before a journal commit, writes every dirty data page as one sorted
-//!   batch of extents on the calling thread. Each batched page stays
+//!   queue, and a journal commit takes every resident dirty data page
+//!   ([`PageCache::take_dirty_data`]) into the batch that carries its
+//!   record, then runs [`PageCache::settle`] (queue drain + device flush)
+//!   as the barrier in front of its commit block. Each taken page stays
 //!   resident under a `writeback` mark (the `PG_writeback` analogue)
-//!   until its write has landed, so no copy of it can be queued behind
-//!   the batch and no reader can miss to the device before the batch
-//!   reaches it;
+//!   until [`PageCache::data_landed`], so no copy of it can be queued
+//!   behind the batch and no reader can miss to the device before the
+//!   batch reaches it;
 //! * **Meta** pages — dirty metadata is *pinned*: it may only reach the
 //!   disk through the journal (write-ahead rule), so eviction skips it
 //!   and [`PageCache::take_dirty_meta`] hands the images to the journal
@@ -47,7 +48,7 @@
 //! every mutation) is O(1) instead of a scan of every shard.
 
 use parking_lot::Mutex;
-use rae_blockdev::{BlockDevice, Extent, QueueConfig, WritebackQueue, BLOCK_SIZE};
+use rae_blockdev::{BlockDevice, QueueConfig, WritebackQueue, BLOCK_SIZE};
 use rae_telemetry::{EventKind, SpanLayer, Telemetry};
 use rae_vfs::{FsError, FsResult};
 use std::collections::{HashMap, VecDeque};
@@ -75,8 +76,9 @@ struct Page {
     /// but the home block on the device has not been checkpointed yet,
     /// so a device re-read would return stale bytes.
     home_stale: bool,
-    /// A copy of the page is in a [`PageCache::flush_data`] batch that
-    /// has not landed: pinned, as the device may still hold older bytes.
+    /// A copy of the page was taken by [`PageCache::take_dirty_data`]
+    /// and has not landed: pinned, as the device may still hold older
+    /// bytes.
     writeback: bool,
     stamp: u64,
 }
@@ -601,17 +603,15 @@ impl PageCache {
         self.dirty_meta.load(Ordering::Relaxed)
     }
 
-    /// Write every dirty data page to the device as one batch, sorted
-    /// into extents, then wait for the write-back queue and flush the
-    /// device (ordered-mode data flush). The batch is issued on the
-    /// calling thread, which waits for it once; until it lands, its
-    /// pages are pinned under the `writeback` mark.
-    ///
-    /// # Errors
-    ///
-    /// The batch's write error (its pages are dirty again), or
-    /// asynchronous write errors surfacing at the barrier.
-    pub fn flush_data(&self) -> FsResult<()> {
+    /// Snapshot every dirty data page, in block order, for the caller
+    /// to write as one batch (ordered mode: a commit sends them with its
+    /// journal record). They stop being dirty but stay resident under
+    /// the `writeback` mark until the caller reports back through
+    /// [`PageCache::data_landed`] with the same block numbers. An
+    /// evicted copy of a taken block that is still queued is older, so
+    /// this waits for it to land first.
+    #[must_use]
+    pub fn take_dirty_data(&self) -> Vec<(u64, Vec<u8>)> {
         let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut queued_before = false;
         for stripe in &self.shards {
@@ -626,42 +626,37 @@ impl PageCache {
                 }
             }
         }
-        if !batch.is_empty() {
-            // an evicted copy of a batched block may still be queued:
-            // it is older, so it must land first
-            if queued_before {
-                self.queue.drain();
-            }
-            batch.sort_unstable_by_key(|&(bno, _)| bno);
-            let (bnos, images): (Vec<u64>, Vec<&[u8]>) =
-                batch.iter().map(|(bno, d)| (*bno, d.as_slice())).unzip();
-            let written = self.dev.write_blocks(&Extent::runs(&bnos, &images));
-            for &bno in &bnos {
-                if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
-                    p.writeback = false;
-                    p.dirty |= written.is_err();
-                }
-            }
-            written?;
+        if queued_before {
+            self.queue.drain();
         }
-        self.queue.barrier()?;
-        // every queued write has landed: in-flight copies are now
-        // redundant with the device
-        for stripe in &self.shards {
-            stripe.lock().inflight.clear();
-        }
-        Ok(())
+        batch.sort_unstable_by_key(|&(bno, _)| bno);
+        batch
     }
 
-    /// Wait for already-submitted write-back I/O to settle *without*
-    /// submitting any dirty pages (contained-reboot quiescing: dirty
-    /// pages are untrusted and must not reach the disk).
+    /// The batch of taken data `blocks` is over: their pages are
+    /// unpinned, and dirty again unless it reached stable storage (`ok`).
+    pub fn data_landed(&self, blocks: &[u64], ok: bool) {
+        for &bno in blocks {
+            if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+                p.writeback = false;
+                p.dirty |= !ok;
+            }
+        }
+    }
+
+    /// Barrier: wait for every write the write-back queue holds, surface
+    /// its errors, and flush the device. Submits no dirty page, so it is
+    /// both the barrier in front of a commit block and the contained
+    /// reboot's quiescing (dirty pages are untrusted there and must not
+    /// reach the disk).
     ///
     /// # Errors
     ///
-    /// Stale asynchronous write errors surfacing at the barrier.
-    pub fn quiesce(&self) -> FsResult<()> {
+    /// Asynchronous write errors surfacing at the barrier; flush errors.
+    pub fn settle(&self) -> FsResult<()> {
         self.queue.barrier()?;
+        // every queued write has landed: in-flight copies are now
+        // redundant with the device
         for stripe in &self.shards {
             stripe.lock().inflight.clear();
         }
@@ -703,6 +698,26 @@ impl PageCache {
         self.shard_for(bno).lock().map.contains_key(&bno)
     }
 
+    /// Dirty resident pages of `class`, ascending (test observability).
+    #[cfg(test)]
+    pub(crate) fn dirty_blocks(&self, class: PageClass) -> Vec<u64> {
+        let mut out: Vec<u64> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let shard = s.lock();
+                shard
+                    .map
+                    .iter()
+                    .filter(|(_, p)| p.class == class && p.dirty)
+                    .map(|(&bno, _)| bno)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     /// Total LRU queue entries, stale ones included (test observability).
     #[cfg(test)]
     fn lru_len(&self) -> usize {
@@ -719,7 +734,7 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rae_blockdev::MemDisk;
+    use rae_blockdev::{Extent, MemDisk};
 
     fn cache(blocks: u64, cap: usize) -> (Arc<MemDisk>, PageCache) {
         let dev = Arc::new(MemDisk::new(blocks));
@@ -729,6 +744,20 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; BLOCK_SIZE]
+    }
+
+    /// A commit's data path with nothing to journal: take the dirty
+    /// data, write it as one batch, run the barrier, report back.
+    pub(super) fn write_back(pc: &PageCache) -> FsResult<()> {
+        let batch = pc.take_dirty_data();
+        let (bnos, bufs): (Vec<u64>, Vec<&[u8]>) =
+            batch.iter().map(|(bno, d)| (*bno, d.as_slice())).unzip();
+        let written = pc
+            .dev
+            .write_blocks(&Extent::runs(&bnos, &bufs))
+            .and_then(|()| pc.settle());
+        pc.data_landed(&bnos, written.is_ok());
+        written
     }
 
     #[test]
@@ -782,7 +811,7 @@ mod tests {
         dev.read_block(2, &mut raw).unwrap();
         assert_eq!(raw[0], 0);
         // flush pushes it out
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         dev.read_block(2, &mut raw).unwrap();
         assert_eq!(raw[0], 9);
     }
@@ -794,7 +823,7 @@ mod tests {
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap(); // evicts block 0
         assert!(pc.resident() <= 2);
-        pc.flush_data().unwrap(); // barrier also waits for eviction writes
+        write_back(&pc).unwrap(); // barrier also waits for eviction writes
         let mut raw = block(0);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 1, "evicted dirty page reached the disk");
@@ -810,7 +839,7 @@ mod tests {
         for i in 2..6 {
             pc.write(i, block(i as u8), PageClass::Data).unwrap();
         }
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         let mut raw = block(0);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 0, "dirty metadata never reaches disk directly");
@@ -908,7 +937,7 @@ mod tests {
         assert!(pc.resident() <= 2);
         // re-read must see the committed image, not the stale device
         assert_eq!(pc.read(0, PageClass::Meta).unwrap()[0], 7);
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         let mut raw = block(0);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 7, "eviction wrote the committed image home");
@@ -926,7 +955,7 @@ mod tests {
         pc.write(1, block(2), PageClass::Data).unwrap();
         pc.write(2, block(3), PageClass::Data).unwrap();
         pc.write(3, block(4), PageClass::Data).unwrap();
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         let mut raw = block(9);
         dev.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 0, "no write-back for checkpointed meta");
@@ -947,7 +976,7 @@ mod tests {
             for bno in 1..6 {
                 let _ = pc.read(bno + round * 5, PageClass::Data).unwrap();
             }
-            pc.flush_data().unwrap(); // every queued write has landed
+            write_back(&pc).unwrap(); // every queued write has landed
         };
         let home = || {
             let mut raw = block(9);
@@ -1108,8 +1137,9 @@ mod tests {
 
 #[cfg(test)]
 mod writeback_race_tests {
+    use super::tests::write_back;
     use super::*;
-    use rae_blockdev::MemDisk;
+    use rae_blockdev::{Extent, MemDisk};
     use std::sync::mpsc;
 
     /// Regression test for the eviction/read race: an evicted dirty
@@ -1149,7 +1179,7 @@ mod writeback_race_tests {
                 "round {round}: stale read after eviction"
             );
         }
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         let mut raw = vec![0u8; BLOCK_SIZE];
         dev.read_block(0, &mut raw).unwrap();
         assert!(raw.iter().all(|&b| b == 49));
@@ -1203,7 +1233,7 @@ mod writeback_race_tests {
         let (release_tx, release_rx) = mpsc::channel();
         *dev.parked.lock() = Some((stalled_tx, release_rx));
         std::thread::scope(|s| {
-            let flusher = s.spawn(|| pc.flush_data());
+            let flusher = s.spawn(|| write_back(&pc));
             stalled_rx.recv().unwrap();
             pc.write(10, vec![2; BLOCK_SIZE], PageClass::Data).unwrap();
             for bno in 30..40 {
@@ -1214,7 +1244,7 @@ mod writeback_race_tests {
             flusher.join().unwrap().unwrap();
         });
         assert_eq!(pc.read(10, PageClass::Data).unwrap()[0], 2);
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         let mut raw = vec![0u8; BLOCK_SIZE];
         dev.inner.read_block(10, &mut raw).unwrap();
         assert_eq!(raw[0], 2, "the latest write is the block's final content");
@@ -1275,7 +1305,7 @@ mod writeback_race_tests {
         pc.write(2, vec![0xEE; BLOCK_SIZE], PageClass::Data)
             .unwrap(); // evicts 0
         pc.update(0, 0, &[2], PageClass::Data).unwrap(); // back, and dirty
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         let mut raw = vec![0u8; BLOCK_SIZE];
         dev.inner.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 2, "the queued older image landed last");
@@ -1288,7 +1318,7 @@ mod writeback_race_tests {
         pc.write(0, vec![1; BLOCK_SIZE], PageClass::Data).unwrap();
         pc.write(1, vec![2; BLOCK_SIZE], PageClass::Data).unwrap();
         pc.write(2, vec![3; BLOCK_SIZE], PageClass::Data).unwrap();
-        pc.flush_data().unwrap();
+        write_back(&pc).unwrap();
         assert_eq!(pc.inflight_len(), 0);
     }
 }

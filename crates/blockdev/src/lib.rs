@@ -23,7 +23,11 @@
 //!   atomic bit per block), which is all the warm standby's recovery
 //!   resync needs to know about the live device;
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
-//!   write-back engine the base filesystem's page cache evicts through.
+//!   write-back engine the base filesystem's page cache evicts through;
+//! * [`TapeDisk`] — an in-memory disk recording every read, write (with
+//!   its image) and flush in order, and [`crash`] — the crash-state
+//!   explorer over its tape: every image a crash between two flushes can
+//!   leave, as a copy-on-write [`crash::CrashImage`] to mount and check.
 //!
 //! # Example
 //!
@@ -46,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crash;
 mod device;
 mod faulty;
 mod file;
@@ -54,6 +59,7 @@ mod memo;
 mod queue;
 mod retry;
 mod stats;
+mod tape;
 mod tracked;
 
 pub use device::{zeroed_block, BlockDevice, Extent, IoPhase, BLOCK_SIZE};
@@ -67,4 +73,5 @@ pub use memo::MemoDisk;
 pub use queue::{QueueConfig, WritebackQueue};
 pub use retry::{classify_error, ErrorClass, RetryDisk, RetryPolicy, RetryStats};
 pub use stats::{DiskCounters, StatsDisk};
+pub use tape::{TapeDisk, TapeEntry};
 pub use tracked::TrackedDisk;

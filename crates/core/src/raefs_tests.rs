@@ -6,7 +6,7 @@ use crate::{
 };
 use rae_basefs::BaseFsConfig;
 use rae_blockdev::{
-    BlockDevice, DiskFaultPlan, FaultTarget, FaultyDisk, MemDisk, TriggerMode, BLOCK_SIZE,
+    BlockDevice, DiskFaultPlan, FaultTarget, FaultyDisk, MemDisk, TapeDisk, TriggerMode, BLOCK_SIZE,
 };
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{fsck, mkfs, MkfsParams};
@@ -1511,57 +1511,6 @@ fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
 // Zero-read warm handover
 // ----------------------------------------------------------------------
 
-/// A device that remembers every block it was asked to read or write,
-/// in order.
-struct TapeDisk {
-    inner: MemDisk,
-    tape: std::sync::Mutex<Vec<(TapeOp, u64)>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TapeOp {
-    Read,
-    Write,
-}
-
-impl TapeDisk {
-    fn new(blocks: u64) -> TapeDisk {
-        TapeDisk {
-            inner: MemDisk::new(blocks),
-            tape: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    fn mark(&self) -> usize {
-        self.tape.lock().unwrap().len()
-    }
-
-    fn since(&self, mark: usize, op: TapeOp) -> Vec<u64> {
-        self.tape.lock().unwrap()[mark..]
-            .iter()
-            .filter(|(o, _)| *o == op)
-            .map(|(_, b)| *b)
-            .collect()
-    }
-}
-
-impl BlockDevice for TapeDisk {
-    fn block_count(&self) -> u64 {
-        self.inner.block_count()
-    }
-    fn read_block(&self, bno: u64, buf: &mut [u8]) -> rae_vfs::FsResult<()> {
-        self.tape.lock().unwrap().push((TapeOp::Read, bno));
-        self.inner.read_block(bno, buf)
-    }
-    fn write_block(&self, bno: u64, buf: &[u8]) -> rae_vfs::FsResult<()> {
-        self.tape.lock().unwrap().push((TapeOp::Write, bno));
-        self.inner.write_block(bno, buf)
-    }
-    fn flush(&self) -> rae_vfs::FsResult<()> {
-        self.inner.flush()
-    }
-}
-
 /// A warm-standby mount over the formatted `dev` with a bug armed on
 /// every directory insertion (not removal) of a name containing "boom".
 fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
@@ -1626,7 +1575,7 @@ fn warm_recovery_reads_nothing_from_the_live_device() {
 
     let mark = disk.mark();
     fs.mkdir("/boom").unwrap(); // bug fires; masked by a warm recovery
-    let reads = disk.since(mark, TapeOp::Read);
+    let reads = disk.reads_since(mark);
 
     let reports = fs.recovery_reports();
     assert_eq!(reports.len(), 1);
@@ -1726,7 +1675,7 @@ fn warm_recoveries_under_churn_do_not_ratchet() {
         // the last recovery drained it (give or take that recovery's
         // own reboot) — less the scratch file's, which grows by design
         // (the base flushes an unlinked file's dirty pages all the same)
-        let mut written = disk.since(last_fault, TapeOp::Write);
+        let mut written = disk.writes_since(last_fault);
         written.sort_unstable();
         written.dedup();
         written_at_fault.push(written.len() - (k as usize + 1));
@@ -1765,7 +1714,7 @@ fn warm_recoveries_under_churn_do_not_ratchet() {
             geo.data_blocks,
         )
         .unwrap();
-        for b in disk.since(mark, TapeOp::Write) {
+        for b in disk.writes_since(mark) {
             if geo.is_data_block(b) {
                 assert!(
                     dbm.test(b - geo.data_start).unwrap(),
