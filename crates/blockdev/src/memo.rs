@@ -7,6 +7,11 @@
 //! removes the repetition *below* the shadow: the first successful read
 //! of a block is kept, every later read of it is a copy out of memory.
 //!
+//! An extent read ([`BlockDevice::read_blocks`]) copies out the blocks
+//! already kept and fetches each maximal run of missing ones with one
+//! inner extent read, so a cold scan of a table is a handful of device
+//! requests, not one per block.
+//!
 //! It is a snapshot view, not a cache: nothing is ever evicted or
 //! invalidated, and it refuses writes. That is sound only while the
 //! wrapped device cannot change underneath it, which the recovery rung
@@ -25,7 +30,10 @@ use std::sync::Arc;
 /// One block's fill-once slot. The slot lock is held across the device
 /// read that fills it, so concurrent first readers of the *same* block
 /// wait for one fetch instead of issuing two, while readers of
-/// different blocks proceed in parallel.
+/// different blocks proceed in parallel. An extent read holds all of
+/// its slots, taken in ascending block order — the only order in which
+/// anyone holds more than one — so two overlapping extents, or an
+/// extent and a one-block read, cannot wait on each other in a cycle.
 type Slot = Arc<Mutex<Option<Box<[u8]>>>>;
 
 /// A read-only, fill-once, never-evicting view over a device whose
@@ -39,6 +47,7 @@ pub struct MemoDisk {
     inner: Arc<dyn BlockDevice>,
     slots: Mutex<HashMap<u64, Slot>>,
     device_reads: AtomicU64,
+    device_requests: AtomicU64,
     memo_hits: AtomicU64,
 }
 
@@ -46,6 +55,7 @@ impl std::fmt::Debug for MemoDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoDisk")
             .field("device_reads", &self.device_reads())
+            .field("device_requests", &self.device_requests())
             .field("memo_hits", &self.memo_hits())
             .finish()
     }
@@ -59,21 +69,36 @@ impl MemoDisk {
             inner,
             slots: Mutex::new(HashMap::new()),
             device_reads: AtomicU64::new(0),
+            device_requests: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
         }
     }
 
-    /// Reads forwarded to the wrapped device that succeeded — one per
-    /// distinct block read through this view.
+    /// Blocks fetched from the wrapped device by successful reads — one
+    /// per distinct block read through this view.
     #[must_use]
     pub fn device_reads(&self) -> u64 {
         self.device_reads.load(Ordering::Relaxed)
+    }
+
+    /// Successful requests that fetched those blocks: one per run of
+    /// missing blocks in a read (a one-block read is a run of one).
+    #[must_use]
+    pub fn device_requests(&self) -> u64 {
+        self.device_requests.load(Ordering::Relaxed)
     }
 
     /// Reads answered from the memo without touching the device.
     #[must_use]
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.load(Ordering::Relaxed)
+    }
+
+    /// Count one successful request that fetched `blocks` blocks.
+    fn fetched(&self, blocks: usize) {
+        self.device_reads
+            .fetch_add(blocks as u64, Ordering::Relaxed);
+        self.device_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     fn refuse(what: &str) -> FsError {
@@ -88,21 +113,41 @@ impl BlockDevice for MemoDisk {
         self.inner.block_count()
     }
 
+    // A one-block read is an extent of one: one slot, one fill path.
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
-        check_buf(buf.len())?;
-        let slot = Arc::clone(self.slots.lock().entry(bno).or_default());
-        let mut image = slot.lock();
-        match image.as_deref() {
-            Some(kept) => {
-                buf.copy_from_slice(kept);
+        self.read_blocks(bno, &mut [buf])
+    }
+
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        for buf in bufs.iter() {
+            check_buf(buf.len())?;
+        }
+        let slots: Vec<Slot> = {
+            let mut map = self.slots.lock();
+            (start..)
+                .take(bufs.len())
+                .map(|bno| Arc::clone(map.entry(bno).or_default()))
+                .collect()
+        };
+        // ascending block order (see `Slot`)
+        let mut images: Vec<_> = slots.iter().map(|s| s.lock()).collect();
+        let mut i = 0;
+        while i < bufs.len() {
+            if let Some(kept) = images[i].as_deref() {
+                bufs[i].copy_from_slice(kept);
                 self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                i += 1;
+                continue;
             }
-            None => {
-                // an error leaves the slot empty: failures are not memoised
-                self.inner.read_block(bno, buf)?;
-                self.device_reads.fetch_add(1, Ordering::Relaxed);
-                *image = Some(Box::from(&*buf));
+            let run = i + images[i..].iter().take_while(|img| img.is_none()).count();
+            // an error keeps nothing of the run: failures are not memoised
+            self.inner
+                .read_blocks(start + i as u64, &mut bufs[i..run])?;
+            self.fetched(run - i);
+            for (image, buf) in images[i..run].iter_mut().zip(&bufs[i..run]) {
+                **image = Some(Box::from(&**buf));
             }
+            i = run;
         }
         Ok(())
     }
@@ -130,7 +175,7 @@ mod tests {
     use crate::faulty::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
     use crate::mem::MemDisk;
     use crate::retry::{RetryDisk, RetryPolicy};
-    use crate::stats::StatsDisk;
+    use crate::stats::{DiskCounters, StatsDisk};
 
     fn filled(blocks: u64) -> MemDisk {
         let disk = MemDisk::new(blocks);
@@ -191,7 +236,7 @@ mod tests {
             (2, 3),
             "the refused extent never reached the device"
         );
-        assert_eq!(memo.device_reads(), 2);
+        assert_eq!((memo.device_reads(), memo.device_requests()), (2, 1));
     }
 
     #[test]
@@ -231,6 +276,117 @@ mod tests {
         assert_eq!(buf[0], 1);
         assert_eq!(retry.stats().absorbed, 1);
         assert_eq!(memo.device_reads(), 1);
+    }
+
+    /// Read blocks `start..start + n` through `memo` as one extent and
+    /// check each block's content.
+    fn read_extent(memo: &MemoDisk, start: u64, n: usize) -> FsResult<()> {
+        let mut blocks = vec![vec![0u8; BLOCK_SIZE]; n];
+        let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(Vec::as_mut_slice).collect();
+        memo.read_blocks(start, &mut bufs)?;
+        for (bno, b) in (start..).zip(&blocks) {
+            assert!(b.iter().all(|&x| x == bno as u8 + 1), "block {bno}");
+        }
+        Ok(())
+    }
+
+    /// `(requests, blocks)` read from `counted` since `before`.
+    fn read_since<D: BlockDevice>(counted: &StatsDisk<D>, before: DiskCounters) -> (u64, u64) {
+        let c = counted.counters();
+        (
+            c.read_requests - before.read_requests,
+            c.reads - before.reads,
+        )
+    }
+
+    #[test]
+    fn extent_read_cold_extent_is_one_inner_request() {
+        let counted = Arc::new(StatsDisk::new(filled(32)));
+        let before = counted.counters();
+        let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
+        read_extent(&memo, 4, 20).unwrap();
+        assert_eq!(read_since(&counted, before), (1, 20));
+        assert_eq!((memo.device_requests(), memo.device_reads()), (1, 20));
+        // the same extent again is all hits
+        read_extent(&memo, 4, 20).unwrap();
+        assert_eq!(read_since(&counted, before), (1, 20));
+        assert_eq!(memo.memo_hits(), 20);
+    }
+
+    #[test]
+    fn extent_read_fills_one_request_per_missing_run() {
+        let counted = Arc::new(StatsDisk::new(filled(32)));
+        let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        for b in [5u64, 9, 10] {
+            memo.read_block(b, &mut buf).unwrap();
+        }
+        let before = counted.counters();
+        // 2..5 | hit 5 | 6..9 | hits 9, 10 | 11..14
+        read_extent(&memo, 2, 12).unwrap();
+        assert_eq!(read_since(&counted, before), (3, 9));
+        assert_eq!(
+            (memo.device_requests(), memo.device_reads()),
+            (3 + 3, 3 + 9)
+        );
+        assert_eq!(memo.memo_hits(), 3);
+    }
+
+    #[test]
+    fn extent_read_failed_extent_keeps_nothing_and_the_retry_goes_to_the_device() {
+        let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Block(6), TriggerMode::Nth(1));
+        let counted = Arc::new(StatsDisk::new(FaultyDisk::with_plan(filled(16), plan)));
+        let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
+        assert!(read_extent(&memo, 3, 8).is_err());
+        assert_eq!((memo.device_reads(), memo.device_requests()), (0, 0));
+        // the one-shot fault is spent: the same extent is fetched whole,
+        // from the device, and only then kept
+        let before = counted.counters();
+        read_extent(&memo, 3, 8).unwrap();
+        assert_eq!(read_since(&counted, before), (1, 8));
+        read_extent(&memo, 3, 8).unwrap();
+        assert_eq!(read_since(&counted, before), (1, 8));
+        assert_eq!((memo.device_reads(), memo.memo_hits()), (8, 8));
+        // misshapen buffers fail before anything is read or kept
+        let mut short = [0u8; 7];
+        assert!(memo.read_blocks(0, &mut [&mut short[..]]).is_err());
+        assert!(read_extent(&memo, 14, 4).is_err(), "runs off the device");
+        assert_eq!(memo.device_reads(), 8);
+    }
+
+    #[test]
+    fn extent_read_overlapping_extents_and_single_reads_fetch_each_block_once() {
+        const BLOCKS: u64 = 64;
+        let counted = Arc::new(StatsDisk::new(filled(BLOCKS)));
+        let before = counted.counters().reads;
+        let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (memo, start) = (&memo, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..BLOCKS {
+                        let first = (round * 7 + t * 13) % BLOCKS;
+                        if t % 2 == 0 {
+                            let n = ((round + t) % 9 + 1).min(BLOCKS - first);
+                            read_extent(memo, first, n as usize).unwrap();
+                        } else {
+                            let mut buf = vec![0u8; BLOCK_SIZE];
+                            memo.read_block(first, &mut buf).unwrap();
+                            assert_eq!(buf[0], first as u8 + 1);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(counted.counters().reads - before, memo.device_reads());
+        // every block the threads touched is now kept: one more sweep
+        // reaches the device only for blocks no thread read, so a block
+        // fetched twice would push the total past one per block
+        read_extent(&memo, 0, BLOCKS as usize).unwrap();
+        assert_eq!(counted.counters().reads - before, BLOCKS);
+        assert_eq!(memo.device_reads(), BLOCKS);
     }
 
     #[test]

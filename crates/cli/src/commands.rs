@@ -253,13 +253,14 @@ impl Session {
                             .collect();
                         out.push_str(&format!(
                             "last recovery: rung={} failed_rungs=[{}] rung_time={:.2}ms total={:.2}ms \
-                             shadow_device_reads={} shadow_memo_hits={} \
+                             shadow_device_reads={} shadow_device_requests={} shadow_memo_hits={} \
                              resync_candidates={} resync_pinned={} resync_pruned={}",
                             r.rung.as_str(),
                             failed.join(">"),
                             r.rung_time.as_secs_f64() * 1e3,
                             r.duration.as_secs_f64() * 1e3,
                             r.shadow_device_reads,
+                            r.shadow_device_requests,
                             r.shadow_memo_hits,
                             r.resync_candidates,
                             r.resync_pinned,
@@ -693,12 +694,14 @@ mod tests {
         assert!(ladder.contains("rung=cold failed_rungs=[]"), "{ladder}");
         // the cold rung's read-once view: distinct blocks and hits
         assert!(ladder.contains("shadow_device_reads="), "{ladder}");
+        assert!(!ladder.contains("shadow_device_requests=0"), "{ladder}");
         assert!(!ladder.contains("shadow_memo_hits=0"), "{ladder}");
         let json = s.run("stats --json").unwrap();
         assert!(
             json.contains("\"last_recovery\": {\"rung\": \"cold\""),
             "{json}"
         );
+        assert!(json.contains("\"shadow_device_requests\""), "{json}");
         assert!(json.contains("\"shadow_memo_hits\""), "{json}");
     }
 

@@ -816,8 +816,12 @@ impl RaeFs {
                         .event(EventKind::ErrorDetected, class.code(), 0, 0);
                     self.recover(None, None, RecoveryTrigger::WarnPolicy)?;
                 }
-                self.shared.log.lock().trim(self.base.persisted_seq());
-                if self.shared.log.lock().len() > self.config.max_log_records {
+                let over_budget = {
+                    let mut log = self.shared.log.lock();
+                    log.trim(self.base.persisted_seq());
+                    log.len() > self.config.max_log_records
+                };
+                if over_budget {
                     // forced barrier — its own runtime errors must be
                     // masked like any other (a commit-site bug would
                     // otherwise leak to an unrelated operation)
@@ -1450,9 +1454,9 @@ impl RaeFs {
         // cold: the shadow was the view's only reader — take its
         // counters and let it go before the hand-off writes anything.
         // Warm: whatever crossed the write tracker since the reboot.
-        let (shadow_device_reads, shadow_memo_hits) = match &memo {
-            Some(m) => (m.device_reads(), m.memo_hits()),
-            None => (live_reads() - live_reads_before, 0),
+        let (shadow_device_reads, shadow_device_requests, shadow_memo_hits) = match &memo {
+            Some(m) => (m.device_reads(), m.device_requests(), m.memo_hits()),
+            None => (live_reads() - live_reads_before, 0, 0),
         };
         let mut report = RecoveryReport {
             trigger: trigger.clone(),
@@ -1474,6 +1478,7 @@ impl RaeFs {
             fds_restored: delta.fd_entries.len(),
             shadow_checks,
             shadow_device_reads,
+            shadow_device_requests,
             shadow_memo_hits,
             resync_candidates: resync.candidates,
             resync_pinned: resync.pinned,

@@ -268,6 +268,47 @@ fn cold_recovery_reads_each_block_at_most_once() {
     assert_eq!(view.memo_hits(), 0);
 }
 
+/// Distinct blocks the cold rung of [`cold_recovery_program`] reads.
+const SHADOW_BLOCKS: u64 = 75;
+
+#[test]
+fn extent_read_cold_recovery_fetches_its_blocks_in_a_few_requests() {
+    let faults = FaultRegistry::new();
+    faults.arm(BugSpec::new(
+        150,
+        "boom",
+        Site::DirModify,
+        Trigger::PathContains("boom".into()),
+        Effect::DetectedError,
+    ));
+    let disk = Arc::new(rae_blockdev::StatsDisk::new(MemDisk::new(4096)));
+    mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults,
+            ..BaseFsConfig::default()
+        },
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(Arc::clone(&disk) as Arc<dyn BlockDevice>, config).unwrap();
+    cold_recovery_program(&fs, &|| ());
+    let r = &fs.recovery_reports()[0];
+    assert_eq!(r.rung, LadderRung::Cold);
+    // the same distinct blocks a one-block-per-request memo fetched
+    // (recorded before the memo filled runs). The 64-block inode table
+    // is now one extent per checker worker; what stays one block per
+    // request is the superblock, the bitmaps, and the indirect and
+    // directory blocks, each found by reading another
+    assert_eq!(r.shadow_device_reads, SHADOW_BLOCKS, "{r:?}");
+    assert!(
+        r.shadow_device_requests * 4 < r.shadow_device_reads,
+        "{} requests for {} blocks",
+        r.shadow_device_requests,
+        r.shadow_device_reads
+    );
+    fs.unmount().unwrap();
+}
+
 #[test]
 fn specified_errors_do_not_trigger_recovery() {
     let (_dev, fs) = setup(RecoveryMode::Rae, FaultRegistry::new());

@@ -140,6 +140,11 @@ pub struct RecoveryReport {
     /// tracker under the base, and zero — the standby decides its
     /// resync from its own snapshot and overlay.
     pub shadow_device_reads: u64,
+    /// Cold rungs: device requests that carried
+    /// [`RecoveryReport::shadow_device_reads`]. The rung's memo fills a
+    /// run of missing blocks with one extent read, so this is far below
+    /// the block count. Warm rung: zero, as its reads are.
+    pub shadow_device_requests: u64,
     /// Cold rungs: shadow-phase block reads answered from the rung's
     /// memo instead of the device.
     pub shadow_memo_hits: u64,
@@ -188,6 +193,7 @@ impl RecoveryReport {
             fds_restored: 0,
             shadow_checks: 0,
             shadow_device_reads: 0,
+            shadow_device_requests: 0,
             shadow_memo_hits: 0,
             resync_candidates: 0,
             resync_pinned: 0,

@@ -28,7 +28,7 @@ impl Bitmap {
     }
 
     /// Load a bitmap of `nbits` bits from `nblocks` blocks starting at
-    /// `start` on `dev`.
+    /// `start` on `dev`, read as one extent.
     ///
     /// # Errors
     ///
@@ -47,10 +47,8 @@ impl Bitmap {
             });
         }
         let mut bits = vec![0u8; (nblocks as usize) * BLOCK_SIZE];
-        for i in 0..nblocks {
-            let off = (i as usize) * BLOCK_SIZE;
-            dev.read_block(start + i, &mut bits[off..off + BLOCK_SIZE])?;
-        }
+        let mut bufs: Vec<&mut [u8]> = bits.chunks_exact_mut(BLOCK_SIZE).collect();
+        dev.read_blocks(start, &mut bufs)?;
         let bm = Bitmap { bits, nbits };
         for i in nbits..nblocks * BITS_PER_BLOCK {
             if bm.test_raw(i) {

@@ -242,11 +242,13 @@ pub struct LoadedMeta {
 
 /// Most workers a scan pass fans out to, whatever the core count.
 const MAX_SCAN_WORKERS: usize = 8;
-/// Below this many inode-table blocks (pass 2) or inodes (the block-map
-/// pass) per worker, starting a thread costs more than the device
-/// reads it would overlap.
-const MIN_BLOCKS_PER_WORKER: usize = 16;
-const MIN_INODES_PER_WORKER: usize = 64;
+/// Longest extent one pass-2 worker reads in one request (1 MiB of
+/// inode table: a 4096-inode table is one extent per worker).
+const MAX_SCAN_EXTENT: usize = 256;
+/// Below this many inode-table blocks (pass 2) or inodes with a pointer
+/// block (the block-map pass) per worker, starting a thread costs more
+/// than the device reads it would overlap.
+const MIN_READS_PER_WORKER: usize = 16;
 
 /// Worker budget of one check: the core count, clamped.
 fn scan_workers() -> usize {
@@ -293,26 +295,32 @@ fn fan_out<T: Send>(
     })
 }
 
-/// Pass 2 over inode-table blocks `blocks`: one device read per block,
-/// all of its inodes decoded from it. Returns the valid inodes and the
-/// errors, both in inode order.
+/// What pass 2 finds in a range of the inode table: the valid inodes
+/// and the errors, both in inode order.
+type TableScan = (Vec<(InodeNo, DiskInode)>, Vec<FsckError>);
+
+/// Pass 2 over inode-table blocks `blocks`: the range read as extents
+/// of at most [`MAX_SCAN_EXTENT`] blocks, one device request each, and
+/// every inode decoded from them.
+///
+/// A device error names no block, so an extent that fails is read
+/// again block by block to find the unreadable one, which is reported
+/// against its own inodes only. For a fault that repeats (a bad block)
+/// that is exactly the report of a scan of one-block reads. A fault
+/// that does not repeat on the re-read cannot be pinned on a block:
+/// the check fails with the extent's error, as a pointer-block read
+/// error fails it, and absorbing it is left to a retrying device. The
+/// re-read does decide the blocks up to the failing one a second time,
+/// so a one-shot corruption among them reads clean.
 fn scan_inode_table<D: BlockDevice + ?Sized>(
     dev: &D,
     geo: &Geometry,
     blocks: Range<usize>,
-) -> (Vec<(InodeNo, DiskInode)>, Vec<FsckError>) {
+) -> FsResult<TableScan> {
     let mut inodes = Vec::new();
     let mut errors = Vec::new();
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for index in blocks {
-        let index = index as u64;
-        let read = dev.read_block(geo.inode_table_start + index, &mut buf);
-        if read.is_err() {
-            // reported against every inode of the block; the zeroed
-            // image only supplies their numbers
-            buf.fill(0);
-        }
-        for (ino, decoded) in inodes_in_table_block(geo, index, &buf) {
+    let mut decode = |index: usize, read: FsResult<()>, block: &[u8]| {
+        for (ino, decoded) in inodes_in_table_block(geo, index as u64, block) {
             let checked = read.clone().and(decoded).and_then(|slot| {
                 slot.map(|inode| inode.validate(geo).map(|()| inode))
                     .transpose()
@@ -326,8 +334,34 @@ fn scan_inode_table<D: BlockDevice + ?Sized>(
                 }),
             }
         }
+    };
+    let mut extent = vec![0u8; blocks.len().min(MAX_SCAN_EXTENT) * BLOCK_SIZE];
+    for first in blocks.clone().step_by(MAX_SCAN_EXTENT) {
+        let indices = first..(first + MAX_SCAN_EXTENT).min(blocks.end);
+        let images = &mut extent[..indices.len() * BLOCK_SIZE];
+        let mut bufs: Vec<&mut [u8]> = images.chunks_exact_mut(BLOCK_SIZE).collect();
+        let Err(failed) = dev.read_blocks(geo.inode_table_start + first as u64, &mut bufs) else {
+            for (index, block) in indices.zip(images.chunks_exact(BLOCK_SIZE)) {
+                decode(index, Ok(()), block);
+            }
+            continue;
+        };
+        let mut pinned = false;
+        for (index, block) in indices.zip(images.chunks_exact_mut(BLOCK_SIZE)) {
+            let read = dev.read_block(geo.inode_table_start + index as u64, block);
+            if read.is_err() {
+                // reported against every inode of the block; the zeroed
+                // image only supplies their numbers
+                block.fill(0);
+                pinned = true;
+            }
+            decode(index, read, block);
+        }
+        if !pinned {
+            return Err(failed);
+        }
     }
-    (inodes, errors)
+    Ok((inodes, errors))
 }
 
 /// What one inode's pointer tree says, from a single read of each of
@@ -537,19 +571,24 @@ fn check_structure<D: BlockDevice + ?Sized>(
     // Phase 2: inode table scan, block-wise and in parallel.
     let mut inodes: BTreeMap<InodeNo, DiskInode> = BTreeMap::new();
     let table_blocks = usize::try_from(geo.inode_table_blocks).unwrap_or(usize::MAX);
-    for (valid, errors) in fan_out(table_blocks, MIN_BLOCKS_PER_WORKER, workers, |blocks| {
+    for part in fan_out(table_blocks, MIN_READS_PER_WORKER, workers, |blocks| {
         scan_inode_table(dev, &geo, blocks)
     }) {
+        let (valid, errors) = part?;
         inodes.extend(valid);
         report.errors.extend(errors);
     }
     report.inodes_checked = inodes.len() as u64;
 
-    // Phase 3: inode bitmap vs table.
-    for raw in 1..geo.inode_count {
+    // Phase 3: inode bitmap vs table, against a dense populated set
+    // (pass 2 only yields inodes below `inode_count`).
+    let mut populated = vec![false; geo.inode_count as usize];
+    for ino in inodes.keys() {
+        populated[ino.0 as usize] = true;
+    }
+    for (raw, &used) in (0..geo.inode_count).zip(&populated).skip(1) {
         let ino = InodeNo(raw);
         let marked = ibm.test(u64::from(raw)).unwrap_or(false);
-        let used = inodes.contains_key(&ino);
         if marked != used {
             report
                 .errors
@@ -570,18 +609,26 @@ fn check_structure<D: BlockDevice + ?Sized>(
     }
 
     // Block-map pass: every indirect block is read here, once, in
-    // parallel over inode ranges. The directory walk (phase 5) takes
-    // its block lists from the maps and the ownership checks (phase 7)
-    // their owned sets, so neither reads a pointer block again.
-    let listed: Vec<(InodeNo, &DiskInode)> = inodes.iter().map(|(&ino, i)| (ino, i)).collect();
+    // parallel over the inodes that have one. The directory walk
+    // (phase 5) takes its block lists from the maps and the ownership
+    // checks (phase 7) their owned sets, so neither reads a pointer
+    // block again. An inode with only direct pointers is mapped here,
+    // without a read, so an image without indirect blocks starts no
+    // thread.
+    let (indirect, direct): (Vec<_>, Vec<_>) = inodes
+        .iter()
+        .partition(|(_, i)| i.indirect != 0 || i.dindirect != 0);
     let mut maps: BTreeMap<InodeNo, BlockMap> = BTreeMap::new();
-    for part in fan_out(listed.len(), MIN_INODES_PER_WORKER, workers, |range| {
-        listed[range]
+    for part in fan_out(indirect.len(), MIN_READS_PER_WORKER, workers, |range| {
+        indirect[range]
             .iter()
-            .map(|&(ino, inode)| Ok((ino, map_blocks(dev, &geo, ino, inode)?)))
+            .map(|&(&ino, inode)| Ok((ino, map_blocks(dev, &geo, ino, inode)?)))
             .collect::<FsResult<Vec<_>>>()
     }) {
         maps.extend(part?);
+    }
+    for (&ino, inode) in direct {
+        maps.insert(ino, map_blocks(dev, &geo, ino, inode)?);
     }
 
     // Phase 5: directory tree walk from the root.
@@ -687,8 +734,9 @@ fn check_structure<D: BlockDevice + ?Sized>(
     }
 
     // Phase 7: block ownership, double allocation, block counts — the
-    // block maps merged in inode order.
-    let mut owner: BTreeMap<u64, InodeNo> = BTreeMap::new();
+    // block maps merged in inode order into a dense owner per data
+    // block (`claim` keeps data blocks only).
+    let mut owner: Vec<Option<InodeNo>> = vec![None; geo.data_blocks as usize];
     for (ino, map) in maps {
         report.errors.extend(map.errors);
         let recorded = inodes[&ino].blocks;
@@ -701,22 +749,22 @@ fn check_structure<D: BlockDevice + ?Sized>(
         }
         for bno in map.owned {
             report.blocks_accounted += 1;
-            if let Some(&prev) = owner.get(&bno) {
-                report.errors.push(FsckError::DoubleAlloc {
+            let slot = &mut owner[(bno - geo.data_start) as usize];
+            match *slot {
+                Some(prev) => report.errors.push(FsckError::DoubleAlloc {
                     bno,
                     owners: (prev, ino),
-                });
-            } else {
-                owner.insert(bno, ino);
+                }),
+                None => *slot = Some(ino),
             }
         }
     }
 
-    // Phase 8: data bitmap vs ownership.
-    for idx in 0..geo.data_blocks {
+    // Phase 8: data bitmap vs ownership, one dense pass.
+    for (idx, slot) in (0..).zip(&owner) {
         let bno = geo.data_block(idx);
         let marked = dbm.test(idx).unwrap_or(false);
-        let used = owner.contains_key(&bno);
+        let used = slot.is_some();
         if marked != used {
             report
                 .errors
@@ -1284,22 +1332,280 @@ mod tests {
         let (dev, geo) = fresh();
         build_wide(&dev, &geo);
         damage_wide(&dev, &geo);
-        let (inodes, entries, blocks, errors) = wide_golden();
-        // 64 table blocks and 99 inodes: budgets 2, 3 and 8 really do
-        // split both passes (4 table-scan workers at most, 2 block-map)
+        assert_matches_wide_golden(&dev, wide_golden());
+    }
+
+    /// Check `dev` at 1, 2, 3 and 8 workers against `golden`.
+    fn assert_matches_wide_golden<D: BlockDevice>(
+        dev: &D,
+        (inodes, entries, blocks, errors): (u64, u64, u64, Vec<FsckError>),
+    ) {
+        // 64 table blocks and 35 inodes with a pointer block: budgets
+        // 2, 3 and 8 really do split both passes (4 table-scan workers
+        // at most, 3 block-map)
         for workers in [1, 2, 3, 8] {
-            let (report, meta) = check(&dev, workers).unwrap();
-            assert_eq!(report.errors, errors, "{workers} worker(s)");
+            assert_matches_wide_golden_at(dev, workers, (inodes, entries, blocks, errors.clone()));
+        }
+    }
+
+    /// Check `dev` at `workers` workers against `golden`.
+    fn assert_matches_wide_golden_at<D: BlockDevice>(
+        dev: &D,
+        workers: usize,
+        (inodes, entries, blocks, errors): (u64, u64, u64, Vec<FsckError>),
+    ) {
+        let (report, meta) = check(dev, workers).unwrap();
+        assert_eq!(report.errors, errors, "{workers} worker(s)");
+        assert_eq!(
+            (
+                report.inodes_checked,
+                report.entries_checked,
+                report.blocks_accounted
+            ),
+            (inodes, entries, blocks),
+            "{workers} worker(s)"
+        );
+        assert!(meta.is_some());
+    }
+
+    /// `BadInode` for each inode of table block `index` (16 inodes per
+    /// block), read as the injected error at device block `bno`.
+    fn unreadable(index: u32, bno: u64) -> impl Iterator<Item = FsckError> {
+        let detail = rae_vfs::FsError::IoFailed {
+            detail: format!("injected read error at block {bno}"),
+        }
+        .to_string();
+        (index * 16..(index + 1) * 16).map(move |raw| FsckError::BadInode {
+            ino: InodeNo(raw),
+            detail: detail.clone(),
+        })
+    }
+
+    /// The damaged wide image's report with table block 10 (inodes
+    /// 160..176, all free) unreadable: only block 10's own inodes are
+    /// reported, after the rest of pass 2's findings.
+    fn wide_golden_with_block_10_unreadable(geo: &Geometry) -> (u64, u64, u64, Vec<FsckError>) {
+        let (inodes, entries, blocks, mut errors) = wide_golden();
+        errors.splice(2..2, unreadable(10, geo.inode_table_start + 10));
+        (inodes, entries, blocks, errors)
+    }
+
+    // Table block 10 lies inside the first worker's extent at every
+    // budget below, and after block 1 (inodes 16..32) in it.
+
+    #[test]
+    fn extent_read_unreadable_table_block_is_reported_as_the_per_block_scan_does() {
+        use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+        let (dev, geo) = fresh();
+        build_wide(&dev, &geo);
+        damage_wide(&dev, &geo);
+        // the extent fails, the worker reads it again block by block,
+        // and block 10 fails again
+        let bad = geo.inode_table_start + 10;
+        let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Block(bad), TriggerMode::Always);
+        assert_matches_wide_golden(
+            &FaultyDisk::with_plan(dev, plan),
+            wide_golden_with_block_10_unreadable(&geo),
+        );
+    }
+
+    #[test]
+    fn extent_read_one_shot_table_fault_fails_the_check_for_a_retrying_device_to_absorb() {
+        use rae_blockdev::{
+            DiskFaultPlan, FaultTarget, FaultyDisk, RetryDisk, RetryPolicy, TriggerMode,
+        };
+        let (dev, geo) = fresh();
+        build_wide(&dev, &geo);
+        damage_wide(&dev, &geo);
+        let bad = geo.inode_table_start + 10;
+        let once = || DiskFaultPlan::new().fail_reads(FaultTarget::Block(bad), TriggerMode::Nth(1));
+        let faulty = Arc::new(FaultyDisk::with_plan(dev, once()));
+        // the fault does not repeat on the block-by-block re-read, so no
+        // block can be blamed: the check fails with the device's error
+        // instead of coming back clean with the fault swallowed
+        for workers in [1, 2, 3, 8] {
+            faulty.set_plan(once());
+            match check(faulty.as_ref(), workers) {
+                Err(rae_vfs::FsError::IoFailed { detail }) => {
+                    assert_eq!(detail, format!("injected read error at block {bad}"));
+                }
+                other => panic!("{workers} worker(s): {other:?}"),
+            }
+        }
+        // a retrying device re-issues the extent and counts the fault;
+        // the check sees a clean read
+        let retry = RetryDisk::with_policy(
+            Arc::clone(&faulty),
+            RetryPolicy {
+                max_attempts: 4,
+                base_backoff_ns: 1,
+                max_backoff_ns: 8,
+                seed: 0,
+            },
+        );
+        for (k, workers) in [1, 2, 3, 8].into_iter().enumerate() {
+            faulty.set_plan(once());
+            assert_matches_wide_golden_at(&retry, workers, wide_golden());
+            assert_eq!(retry.stats().absorbed, k as u64 + 1, "{workers} worker(s)");
+        }
+    }
+
+    #[test]
+    fn extent_read_corrupt_table_read_is_reported_as_the_per_block_scan_does() {
+        use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+        let (dev, geo) = fresh();
+        build_wide(&dev, &geo);
+        damage_wide(&dev, &geo);
+        // a one-shot bit flip in inode 20's record (table block 1)
+        let (bno, off) = geo.inode_location(InodeNo(20)).unwrap();
+        let flip = (off + 9, 3);
+        // oracle: the same image with the bit flipped on the device, so
+        // every scan reads it flipped
+        let flipped = MemDisk::new(dev.block_count());
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        for b in 0..dev.block_count() {
+            dev.read_block(b, &mut buf).unwrap();
+            if b == bno {
+                buf[flip.0] ^= 1 << flip.1;
+            }
+            flipped.write_block(b, &buf).unwrap();
+        }
+        let (oracle, _) = check(&flipped, 1).unwrap();
+        assert!(
+            oracle.errors.len() > wide_golden().3.len(),
+            "{:?}",
+            oracle.errors
+        );
+        let golden = || {
+            (
+                oracle.inodes_checked,
+                oracle.entries_checked,
+                oracle.blocks_accounted,
+                oracle.errors.clone(),
+            )
+        };
+        let corrupt_once = || {
+            DiskFaultPlan::new().corrupt_reads(
+                FaultTarget::Block(bno),
+                flip.0,
+                flip.1,
+                TriggerMode::Nth(1),
+            )
+        };
+        let faulty = FaultyDisk::with_plan(dev, corrupt_once());
+        // an extent that reads decides each block once, in order: the
+        // one-shot corruption is kept, as a one-block read keeps it
+        for workers in [1, 2, 3, 8] {
+            faulty.set_plan(corrupt_once());
+            assert_matches_wide_golden_at(&faulty, workers, golden());
+        }
+        // an extent that fails at block 10 is re-read from its first
+        // block, and the re-read decides block 1 again: the spent
+        // one-shot corruption reads clean, so the report is the
+        // unreadable block's alone
+        let bad = geo.inode_table_start + 10;
+        for workers in [1, 2, 3, 8] {
+            faulty
+                .set_plan(corrupt_once().fail_reads(FaultTarget::Block(bad), TriggerMode::Always));
+            assert_matches_wide_golden_at(
+                &faulty,
+                workers,
+                wide_golden_with_block_10_unreadable(&geo),
+            );
+        }
+    }
+
+    #[test]
+    fn extent_read_table_longer_than_one_extent_per_worker() {
+        use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, StatsDisk, TriggerMode};
+        // 300 table blocks: one worker reads 256, then a short 44 into
+        // the same buffer
+        let dev = MemDisk::new(4096);
+        let geo = mkfs(
+            &dev,
+            MkfsParams {
+                inode_count: 300 * 16,
+                ..MkfsParams::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(geo.inode_table_blocks, 300);
+        // /far is inode 4320, in table block 270 of the short extent
+        let far = InodeNo(270 * 16);
+        let (root_blk, far_blk) = (geo.data_start, geo.data_start + 1);
+        let mut root = DiskInode::new(FileType::Directory, 0);
+        root.size = BLOCK_SIZE as u64;
+        root.direct[0] = root_blk;
+        root.blocks = 1;
+        write_inode(&dev, &geo, ROOT_INO, Some(&root)).unwrap();
+        let mut db = DirBlock::empty();
+        db.try_insert("far", far, FileType::Regular).unwrap();
+        dev.write_block(root_blk, db.as_bytes()).unwrap();
+        let mut file = DiskInode::new(FileType::Regular, 0);
+        file.size = 100;
+        file.direct[0] = far_blk;
+        file.blocks = 1;
+        write_inode(&dev, &geo, far, Some(&file)).unwrap();
+        let mut ibm = Bitmap::load(
+            &dev,
+            geo.inode_bitmap_start,
+            geo.inode_bitmap_blocks,
+            u64::from(geo.inode_count),
+        )
+        .unwrap();
+        ibm.set(u64::from(far.0)).unwrap();
+        ibm.store(&dev, geo.inode_bitmap_start).unwrap();
+        let mut dbm = Bitmap::load(
+            &dev,
+            geo.data_bitmap_start,
+            geo.data_bitmap_blocks,
+            geo.data_blocks,
+        )
+        .unwrap();
+        for b in [root_blk, far_blk] {
+            dbm.set(geo.data_index(b).unwrap()).unwrap();
+        }
+        dbm.store(&dev, geo.data_bitmap_start).unwrap();
+        let mut sb = Superblock::read_from(&dev).unwrap();
+        sb.free_inodes -= 1;
+        sb.free_blocks -= 2;
+        sb.write_to(&dev).unwrap();
+
+        // clean: /far is decoded from the second extent
+        let dev = Arc::new(dev);
+        let counted = StatsDisk::new(Arc::clone(&dev));
+        let (report, _) = check(&counted, 1).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(
+            (
+                report.inodes_checked,
+                report.entries_checked,
+                report.blocks_accounted
+            ),
+            (2, 1, 2)
+        );
+        // the superblock, each bitmap, two table extents, the root's
+        // directory block
+        assert_eq!(counted.counters().read_requests, 6);
+
+        // an unreadable block 290 in the second extent: the first
+        // extent decodes as read, the second is re-read block by block
+        // and /far is still decoded from its own block
+        let bad = geo.inode_table_start + 290;
+        let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Block(bad), TriggerMode::Always);
+        let faulty = FaultyDisk::with_plan(dev, plan);
+        for workers in [1, 2] {
+            let (report, _) = check(&faulty, workers).unwrap();
             assert_eq!(
-                (
-                    report.inodes_checked,
-                    report.entries_checked,
-                    report.blocks_accounted
-                ),
-                (inodes, entries, blocks),
+                report.errors,
+                unreadable(290, bad).collect::<Vec<_>>(),
                 "{workers} worker(s)"
             );
-            assert!(meta.is_some());
+            assert_eq!(
+                (report.inodes_checked, report.entries_checked),
+                (2, 1),
+                "{workers} worker(s)"
+            );
         }
     }
 

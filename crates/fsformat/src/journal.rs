@@ -215,17 +215,27 @@ pub struct ReplayReport {
 /// reset the journal. Idempotent: replaying twice applies the same
 /// images, and the final reset empties the log.
 ///
-/// The scan reads each transaction in two requests — its descriptor,
-/// then the images and commit block the descriptor announces — and only
-/// *collects* images; each target block is then written home once, with
-/// the image of the last committed transaction that journaled it (a run
-/// of small transactions rewrites the same bitmap and inode-table blocks
-/// over and over, and only the last image of each survives anyway), in
-/// one batch of one extent per run of consecutive targets
-/// ([`write_homes`]). Nothing is written before
-/// the scan is over, and the journal is reset only after the home
-/// writes are flushed, so a crash anywhere in between leaves the log
-/// intact and a second replay produces the same image.
+/// The scan reads ahead: the header comes with the first descriptor,
+/// and each record — the images and commit block its descriptor
+/// announces — comes with the block after it, the next descriptor, so
+/// `T` transactions cost `1 + T` read requests. (A descriptor's address
+/// is known before its content; only its content says how long the
+/// record is.) The blocks are read, and a fault-injecting device decides
+/// them, in the order a scan of one request per descriptor and one per
+/// record reads them; the look-ahead adds one block only after a torn
+/// record, where that scan would have stopped. A device error on that
+/// block fails the replay like any other read error, before anything is
+/// written.
+///
+/// The scan only *collects* images; each target block is then written
+/// home once, with the image of the last committed transaction that
+/// journaled it (a run of small transactions rewrites the same bitmap
+/// and inode-table blocks over and over, and only the last image of each
+/// survives anyway), in one batch of one extent per run of consecutive
+/// targets ([`write_homes`]). Nothing is written before the scan is
+/// over, and the journal is reset only after the home writes are
+/// flushed, so a crash anywhere in between leaves the log intact and a
+/// second replay produces the same image.
 ///
 /// Uncommitted or torn tails (bad descriptor, bad data CRC, missing
 /// commit, sequence gap) terminate the scan silently — that is the
@@ -238,21 +248,21 @@ pub struct ReplayReport {
 /// device or inside the journal/superblock region (never legal, so it
 /// is corruption rather than a torn tail).
 pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<ReplayReport> {
-    let mut hdr = vec![0u8; BLOCK_SIZE];
-    dev.read_block(geo.journal_start, &mut hdr)?;
-    let base_seq = decode_header(&hdr)?;
-
     let first = geo.journal_start + 1;
     let end = geo.journal_start + geo.journal_blocks;
+    // `next` is the block at `cursor`, read with what came before it;
+    // `None` once the cursor has reached the journal's end
+    let mut hdr = read_run(dev, geo.journal_start, 1 + usize::from(first < end))?;
+    let mut next = hdr.split_off(1).pop();
+    let base_seq = decode_header(&hdr[0])?;
+
     let mut cursor = first;
     let mut expected_seq = base_seq;
     let mut report = ReplayReport::default();
-    let mut desc = vec![0u8; BLOCK_SIZE];
     // target -> image of the latest committed transaction naming it
     let mut home: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
 
-    while cursor < end {
-        dev.read_block(cursor, &mut desc)?;
+    while let Some(desc) = next.take() {
         let (seq, tags) = match decode_descriptor(&desc) {
             Ok(Some(d)) => d,
             Ok(None) | Err(_) => break, // end of log or torn descriptor
@@ -266,11 +276,11 @@ pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<Repl
         if commit_at >= end {
             break;
         }
-        // the descriptor names the rest of the record: images and
-        // commit block arrive in one request
-        let mut record = vec![vec![0u8; BLOCK_SIZE]; tags.len() + 1];
-        let mut bufs: Vec<&mut [u8]> = record.iter_mut().map(Vec::as_mut_slice).collect();
-        dev.read_blocks(data_start, &mut bufs)?;
+        // the descriptor names the rest of the record: images, commit
+        // block and the next descriptor arrive in one request
+        let len = tags.len() + 1;
+        let mut record = read_run(dev, data_start, len + usize::from(commit_at + 1 < end))?;
+        next = record.split_off(len).pop();
         let commit = record.pop().expect("the record ends with its commit block");
         // every data block must match its tag CRC (a mismatch is a torn
         // tail), and the commit must have made it
@@ -301,6 +311,14 @@ pub fn replay<D: BlockDevice + ?Sized>(dev: &D, geo: &Geometry) -> FsResult<Repl
     reset(dev, geo, expected_seq)?;
     report.next_seq = expected_seq;
     Ok(report)
+}
+
+/// Read the `len` blocks at `start` in one request.
+fn read_run<D: BlockDevice + ?Sized>(dev: &D, start: u64, len: usize) -> FsResult<Vec<Vec<u8>>> {
+    let mut blocks = vec![vec![0u8; BLOCK_SIZE]; len];
+    let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(Vec::as_mut_slice).collect();
+    dev.read_blocks(start, &mut bufs)?;
+    Ok(blocks)
 }
 
 fn corrupt(msg: &str) -> FsError {
@@ -536,6 +554,86 @@ mod tests {
         let again = replay(&crashed, &g).unwrap();
         assert_eq!(again.transactions, 2, "the journal survived the crash");
         assert_eq!(crashed.snapshot(), uninterrupted.snapshot());
+    }
+
+    /// Journal `count` one-image transactions from slot 1, seq 0 on.
+    fn journal_run(dev: &MemDisk, g: &Geometry, count: u64) -> u64 {
+        reset(dev, g, 0).unwrap();
+        (0..count).fold(1, |slot, seq| {
+            write_txn(dev, g, slot, seq, &[(g.data_start + seq, seq as u8 + 1)])
+        })
+    }
+
+    #[test]
+    fn extent_read_replay_reads_each_record_with_the_next_descriptor() {
+        use rae_blockdev::StatsDisk;
+        let g = geo();
+        for count in [0, 1, 5] {
+            let dev = StatsDisk::new(MemDisk::new(g.total_blocks));
+            journal_run(dev.inner(), &g, count);
+            dev.reset();
+            let report = replay(&dev, &g).unwrap();
+            assert_eq!(report.transactions, count);
+            // the header with the first descriptor, then one request per
+            // record, each ending in the block that stops or continues
+            // the scan
+            assert_eq!(dev.counters().read_requests, 1 + count, "{count} txn(s)");
+            assert_eq!(dev.counters().reads, 2 + 3 * count, "{count} txn(s)");
+        }
+    }
+
+    #[test]
+    fn extent_read_replay_applies_a_record_ending_on_the_journals_last_block() {
+        use rae_blockdev::StatsDisk;
+        let g = geo();
+        let dev = StatsDisk::new(MemDisk::new(g.total_blocks));
+        reset(dev.inner(), &g, 0).unwrap();
+        // slots 1..=32, then 33..=63: the second commit block is the
+        // journal's last, so its record has no look-ahead block
+        let fill = |from: u64, n: u64| -> Vec<(u64, u8)> {
+            (from..from + n)
+                .map(|i| (g.data_start + i, i as u8 + 1))
+                .collect()
+        };
+        let next = write_txn(dev.inner(), &g, 1, 0, &fill(0, 30));
+        assert_eq!(
+            write_txn(dev.inner(), &g, next, 1, &fill(30, 29)),
+            g.journal_blocks
+        );
+        dev.reset();
+        let report = replay(&dev, &g).unwrap();
+        assert_eq!((report.transactions, report.blocks), (2, 59));
+        assert_eq!(dev.counters().read_requests, 3);
+        let mut r = vec![0u8; BLOCK_SIZE];
+        dev.read_block(g.data_start + 58, &mut r).unwrap();
+        assert!(r.iter().all(|&b| b == 59), "the last record was applied");
+    }
+
+    #[test]
+    fn extent_read_replay_stops_at_a_torn_descriptor_read_ahead() {
+        let g = geo();
+        let dev = MemDisk::new(g.total_blocks);
+        let torn_at = journal_run(&dev, &g, 2);
+        // a descriptor for seq 2 whose checksum does not hold, then a
+        // well-formed seq 3 behind it that must stay unapplied
+        let mut torn = encode_descriptor(
+            2,
+            &[TxnTag {
+                target: g.data_start + 9,
+                crc: crc32c(&vec![9u8; BLOCK_SIZE]),
+            }],
+        );
+        torn[DESC_OFF_TAGS] ^= 1;
+        dev.write_block(g.journal_start + torn_at, &torn).unwrap();
+        write_txn(&dev, &g, torn_at + 1, 3, &[(g.data_start + 9, 9)]);
+        let report = replay(&dev, &g).unwrap();
+        assert_eq!((report.transactions, report.next_seq), (2, 2));
+        let mut r = vec![0u8; BLOCK_SIZE];
+        dev.read_block(g.data_start + 9, &mut r).unwrap();
+        assert!(
+            r.iter().all(|&b| b == 0),
+            "nothing past the torn descriptor"
+        );
     }
 
     #[test]

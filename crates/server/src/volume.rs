@@ -792,16 +792,17 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
         s.standby_audits_run,
         s.standby_divergences
     ));
-    // the last recovery's shadow-phase I/O: distinct blocks fetched vs
-    // reads the cold rung's snapshot view answered from memory, and
-    // what the warm rung's resync decided
+    // the last recovery's shadow-phase I/O: distinct blocks fetched, the
+    // device requests that fetched them, reads the cold rung's snapshot
+    // view answered from memory, and what the warm rung's resync decided
     match fs.last_recovery_report() {
         Some(r) => out.push_str(&format!(
             "{indent}\"last_recovery\": {{\"rung\": \"{}\", \"shadow_device_reads\": {}, \
-             \"shadow_memo_hits\": {}, \"resync_candidates\": {}, \"resync_pinned\": {}, \
-             \"resync_pruned\": {}}},\n",
+             \"shadow_device_requests\": {}, \"shadow_memo_hits\": {}, \
+             \"resync_candidates\": {}, \"resync_pinned\": {}, \"resync_pruned\": {}}},\n",
             r.rung.as_str(),
             r.shadow_device_reads,
+            r.shadow_device_requests,
             r.shadow_memo_hits,
             r.resync_candidates,
             r.resync_pinned,
