@@ -8,23 +8,24 @@
 //! The cache is interior-mutable (`&self` API) and lock-striped so
 //! concurrent *readers* of the filesystem — which populate the cache
 //! during path resolution — never serialize on a single dcache lock.
-//! Coherence against mutations (rename/unlink/rmdir) is provided one
-//! level up: `BaseFs` only mutates directories under its exclusive
-//! `inner` write lock, so an invalidate can never race a stale insert.
+//! Eviction is the shared lazy LRU ([`crate::lru`]).
+//!
+//! Coherence against mutations is provided one level up, by `BaseFs`'s
+//! inode stripe locks: a lookup that misses scans the directory and
+//! fills the entry while holding the directory's stripe (shared on a
+//! path walk), and every mutation that adds or removes an entry holds
+//! that directory's stripe exclusively (`rename` runs alone, under the
+//! exclusive rename fence). So an invalidate can never race a stale
+//! fill.
 
-use crate::pagecache::{LRU_SLACK, LRU_SLACK_FLOOR};
+use crate::lru::{self, Lru, Stamped};
 use parking_lot::Mutex;
 use rae_vfs::InodeNo;
 use std::borrow::Borrow;
-use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Stripe count for production-sized caches; small caches collapse to
-/// one shard so LRU eviction order stays exact for tests.
-const DCACHE_SHARDS: usize = 8;
-const SINGLE_SHARD_THRESHOLD: usize = 64;
 
 /// A cache key as a lookup sees it: `(parent, name)` with the name
 /// borrowed. Stored keys own theirs as `Arc<str>`, and both sides hash
@@ -76,36 +77,13 @@ struct Dentry {
     name: Arc<str>,
 }
 
-#[derive(Debug, Default)]
-struct DcShard {
-    map: HashMap<(InodeNo, Arc<str>), Dentry>,
-    lru: VecDeque<(InodeNo, Arc<str>, u64)>, // stale entries skipped
-}
-
-impl DcShard {
-    /// Queue `(parent, name, stamp)` as the entry's current LRU
-    /// position. Every hit re-stamps its entry and leaves the previous
-    /// queue entry behind as a stale one that only an eviction would
-    /// pop, so a workload that fits the cache never drains them: once
-    /// the queue has outgrown the resident set by the page cache's
-    /// bound ([`LRU_SLACK`], same reasons), rebuild it from the map (the live entries are exactly the
-    /// resident ones with their current stamps, in stamp order).
-    /// O(resident) every `(LRU_SLACK - 1) * resident` pushes.
-    fn lru_push(&mut self, parent: InodeNo, name: Arc<str>, stamp: u64) {
-        self.lru.push_back((parent, name, stamp));
-        if self.lru.len() > LRU_SLACK * self.map.len() + LRU_SLACK_FLOOR {
-            self.lru.clear();
-            self.lru.extend(
-                self.map
-                    .iter()
-                    .map(|((p, n), d)| (*p, Arc::clone(n), d.stamp)),
-            );
-            self.lru
-                .make_contiguous()
-                .sort_unstable_by_key(|&(_, _, s)| s);
-        }
+impl Stamped for Dentry {
+    fn stamp(&self) -> u64 {
+        self.stamp
     }
 }
+
+type DcShard = Lru<(InodeNo, Arc<str>), Dentry>;
 
 /// A capacity-bounded dentry cache with LRU eviction (lazy-queue),
 /// striped across shards keyed by `(parent, name)` hash.
@@ -121,11 +99,7 @@ pub(crate) struct DentryCache {
 impl DentryCache {
     pub(crate) fn new(capacity: usize) -> DentryCache {
         let capacity = capacity.max(1);
-        let nshards = if capacity < SINGLE_SHARD_THRESHOLD {
-            1
-        } else {
-            DCACHE_SHARDS
-        };
+        let nshards = lru::shard_count(capacity);
         DentryCache {
             shards: (0..nshards)
                 .map(|_| Mutex::new(DcShard::default()))
@@ -151,7 +125,7 @@ impl DentryCache {
             Some(d) => {
                 d.stamp = stamp;
                 let (child, stored) = (d.child, Arc::clone(&d.name));
-                shard.lru_push(parent, stored, stamp);
+                shard.push((parent, stored), stamp);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(child)
             }
@@ -171,17 +145,12 @@ impl DentryCache {
             stamp,
             name: Arc::clone(&name),
         };
-        shard.map.insert((parent, Arc::clone(&name)), dentry);
-        shard.lru_push(parent, name, stamp);
-        while shard.map.len() > self.shard_capacity {
-            let Some((p, n, s)) = shard.lru.pop_front() else {
-                break;
-            };
-            let key = (p, n);
-            if shard.map.get(&key).is_some_and(|d| d.stamp == s) {
-                shard.map.remove(&key);
-            }
-        }
+        shard.insert((parent, name), dentry);
+        let _ = shard.evict(
+            self.shard_capacity,
+            |_| false,
+            |_, _| Ok::<(), Infallible>(()),
+        );
     }
 
     /// Invalidate one entry (unlink/rmdir/rename source or target).
@@ -195,9 +164,7 @@ impl DentryCache {
     /// Drop everything (contained reboot).
     pub(crate) fn clear(&self) {
         for stripe in &self.shards {
-            let mut shard = stripe.lock();
-            shard.map.clear();
-            shard.lru.clear();
+            stripe.lock().clear();
         }
     }
 
@@ -217,13 +184,14 @@ impl DentryCache {
     /// Total LRU queue entries, stale ones included.
     #[cfg(test)]
     fn lru_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().lru.len()).sum()
+        self.shards.iter().map(|s| s.lock().queue_len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::{LRU_SLACK, LRU_SLACK_FLOOR};
 
     #[test]
     fn insert_lookup_invalidate() {

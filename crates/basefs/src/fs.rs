@@ -13,8 +13,7 @@
 //! 2. `txn` (shared) — the journal-transaction lock. Mutations hold it
 //!    shared for their whole critical section; the group-commit leader
 //!    takes it exclusively, so a commit sees no half-finished
-//!    mutation. `serial_writes` baseline mode makes every mutation
-//!    take it exclusively (the pre-sharding behaviour).
+//!    mutation.
 //! 3. The **inode stripe locks** for the op's write set, acquired in
 //!    ascending stripe order (deadlock-free). Each op declares the
 //!    inodes it mutates (e.g. `unlink` = {parent, victim}) and holds
@@ -41,7 +40,7 @@ use crate::fdtable::{FdEntry, FdTable};
 use crate::icache::InodeCache;
 use crate::jmgr::JournalMgr;
 use crate::pagecache::{CacheStats, PageCache, PageClass};
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Condvar, Mutex, RwLock, RwLockWriteGuard};
 use rae_blockdev::{BlockDevice, Extent, QueueConfig, BLOCK_SIZE};
 use rae_faults::{FaultAction, FaultRegistry, OpContext, Site};
 use rae_fsformat::dirent::DirBlock;
@@ -102,20 +101,9 @@ pub struct BaseFsConfig {
     /// (validate-on-sync: the paper's fault-model assumption that
     /// errors are detected before being persisted to disk).
     pub validate_on_commit: bool,
-    /// Serialize read-only operations behind the exclusive lock (the
-    /// pre-concurrency baseline; benchmarks use this together with
-    /// `cache_shards: Some(1)` for before/after comparisons).
-    pub serial_reads: bool,
-    /// Page-cache shard override (`None` = automatic sizing).
-    pub cache_shards: Option<usize>,
     /// Telemetry handle shared with the page cache and journal manager
     /// (journal-commit and cache-fill timings, stale-eviction events).
     pub telemetry: Option<Arc<rae_telemetry::Telemetry>>,
-    /// Serialize mutations behind one exclusive transaction lock (the
-    /// pre-sharding write path, kept live as the E11 baseline). Group
-    /// commit still runs, but mutations never overlap so batches stay
-    /// at one.
-    pub serial_writes: bool,
     /// Microseconds a group-commit leader waits before sealing its
     /// batch, giving concurrent committers time to join. Zero (the
     /// default) seals immediately; contention alone still forms
@@ -133,10 +121,7 @@ impl Default for BaseFsConfig {
             faults: FaultRegistry::new(),
             max_dirty_meta: 192,
             validate_on_commit: true,
-            serial_reads: false,
-            cache_shards: None,
             telemetry: None,
-            serial_writes: false,
             group_commit_leader_wait_us: 0,
         }
     }
@@ -197,13 +182,6 @@ impl Frees {
     }
 }
 
-/// Guard for the journal-transaction lock: shared for normal sharded
-/// mutations, exclusive in the `serial_writes` baseline.
-enum TxnGuard<'a> {
-    Shared(#[allow(dead_code)] RwLockReadGuard<'a, ()>),
-    Exclusive(#[allow(dead_code)] RwLockWriteGuard<'a, ()>),
-}
-
 /// Outcome of revalidating an optimistic resolution under locks.
 enum Reval {
     /// The resolution still holds; proceed.
@@ -241,7 +219,7 @@ pub struct BaseFs {
     commit_state: Mutex<CommitState>,
     commit_cv: Condvar,
     /// Journal-transaction lock: shared by mutations, exclusive for
-    /// commit leaders (and the `serial_writes`/`serial_reads` modes).
+    /// commit leaders.
     txn: RwLock<()>,
     /// Global rename fence: exclusive for `rename`, shared otherwise.
     fence: RwLock<()>,
@@ -249,8 +227,6 @@ pub struct BaseFs {
     ilocks: Box<[RwLock<()>]>,
     clock: AtomicU64,
     mount_count: u32,
-    serial_reads: bool,
-    serial_writes: bool,
     leader_wait_us: u64,
     counters: OpCounters,
     faults: FaultRegistry,
@@ -304,12 +280,7 @@ impl BaseFs {
         sb.write_to(dev.as_ref())?;
         dev.flush()?;
 
-        let pages = match config.cache_shards {
-            Some(n) => {
-                PageCache::with_shards(Arc::clone(&dev), config.page_cache_blocks, config.queue, n)
-            }
-            None => PageCache::new(Arc::clone(&dev), config.page_cache_blocks, config.queue),
-        };
+        let pages = PageCache::new(Arc::clone(&dev), config.page_cache_blocks, config.queue);
         if let Some(t) = &config.telemetry {
             pages.set_telemetry(Arc::clone(t));
         }
@@ -333,8 +304,6 @@ impl BaseFs {
             ilocks: ilocks.into_boxed_slice(),
             clock: AtomicU64::new(0),
             mount_count: sb.mount_count,
-            serial_reads: config.serial_reads,
-            serial_writes: config.serial_writes,
             leader_wait_us: config.group_commit_leader_wait_us,
             counters: OpCounters::new(),
             faults,
@@ -546,17 +515,29 @@ impl BaseFs {
         }
     }
 
-    /// Number of lock stripes in the page cache (1 in the serial
-    /// baseline configuration).
-    #[must_use]
-    pub fn cache_shard_count(&self) -> usize {
-        self.pages.shard_count()
-    }
-
     /// The page cache (test observability).
     #[cfg(test)]
     pub(crate) fn page_cache(&self) -> &PageCache {
         &self.pages
+    }
+
+    /// [`BaseFs::mount`] with the page cache split into `nshards`
+    /// shards whatever its size, so a test can evict across shards of
+    /// a cache small enough to evict constantly.
+    #[cfg(test)]
+    pub(crate) fn mount_with_page_shards(
+        dev: Arc<dyn BlockDevice>,
+        config: BaseFsConfig,
+        nshards: usize,
+    ) -> FsResult<BaseFs> {
+        let (capacity, queue) = (config.page_cache_blocks, config.queue);
+        let mut fs = Self::mount(dev, config)?;
+        // nothing is dirty yet: the mount's pages can simply be dropped
+        fs.pages = PageCache::with_shards(Arc::clone(&fs.dev), capacity, queue, nshards);
+        if let Some(t) = &fs.telemetry {
+            fs.pages.set_telemetry(Arc::clone(t));
+        }
+        Ok(fs)
     }
 
     /// Snapshot of the open-descriptor table (for the RAE recorder).
@@ -592,27 +573,6 @@ impl BaseFs {
             t.layer_observed(rae_telemetry::SpanLayer::LockWait, t0);
         }
         guards
-    }
-
-    /// Take the transaction lock for a mutation: shared normally,
-    /// exclusive in the `serial_writes` baseline.
-    fn txn_shared(&self) -> TxnGuard<'_> {
-        if self.serial_writes {
-            TxnGuard::Exclusive(self.txn.write())
-        } else {
-            TxnGuard::Shared(self.txn.read())
-        }
-    }
-
-    /// In `serial_reads` baseline mode, readers exclude all mutations
-    /// by taking the transaction lock exclusively; otherwise readers
-    /// take no transaction-level lock at all.
-    fn read_excl(&self) -> Option<RwLockWriteGuard<'_, ()>> {
-        if self.serial_reads {
-            Some(self.txn.write())
-        } else {
-            None
-        }
     }
 
     /// Run a read-only closure, retrying a bounded number of times on
@@ -1402,10 +1362,7 @@ impl BaseFs {
                     continue;
                 }
                 st.leader_running = true;
-                // the serial_writes baseline commits one caller at a
-                // time: the batch never opens, so concurrent fsyncs
-                // serialize exactly as before group commit existed
-                st.batch_open = !self.serial_writes;
+                st.batch_open = true;
                 st.gen_started += 1;
                 st.joined = 1;
                 my_gen = st.gen_started;
@@ -1415,7 +1372,7 @@ impl BaseFs {
         // Leader. Optionally linger to let more committers join, then
         // drain in-flight mutations by taking the transaction lock
         // exclusively (joiners keep accumulating while we wait).
-        if self.leader_wait_us > 0 && !self.serial_writes {
+        if self.leader_wait_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.leader_wait_us));
         }
         let txn = self.txn.write();
@@ -1552,7 +1509,7 @@ impl BaseFs {
         }
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let (parent_comps, name) = split_parent(path)?;
                 for _ in 0..MUT_RETRIES {
@@ -1700,7 +1657,7 @@ impl BaseFs {
     /// for a duplicate descriptor.
     pub fn restore_fd(&self, fd: Fd, ino: InodeNo, flags: OpenFlags, path: &str) -> FsResult<()> {
         let _fence = self.fence.read();
-        let _txn = self.txn_shared();
+        let _txn = self.txn.read();
         let _w = self.lock_stripes(&[ino]);
         let inode = self.load_inode(ino)?;
         if inode.ftype != FileType::Regular {
@@ -2106,7 +2063,7 @@ impl FileSystem for BaseFs {
     fn close(&self, fd: Fd) -> FsResult<()> {
         let r = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 for _ in 0..MUT_RETRIES {
                     // Take the file's stripe before sequencing so a close
@@ -2139,7 +2096,6 @@ impl FileSystem for BaseFs {
     fn read(&self, fd: Fd, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let result = {
             let _fence = self.fence.read();
-            let _excl = self.read_excl();
             self.with_read_retries(|| {
                 let entry = self.fds.lock().get(fd)?;
                 if !entry.flags.readable() {
@@ -2162,7 +2118,7 @@ impl FileSystem for BaseFs {
     fn write(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 for _ in 0..MUT_RETRIES {
                     let entry = self.fds.lock().get(fd)?;
@@ -2199,7 +2155,7 @@ impl FileSystem for BaseFs {
     fn truncate(&self, fd: Fd, size: u64) -> FsResult<()> {
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 for _ in 0..MUT_RETRIES {
                     let entry = self.fds.lock().get(fd)?;
@@ -2230,7 +2186,7 @@ impl FileSystem for BaseFs {
         let _ = self.hook(&ctx)?;
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let comps = split_path(path)?;
                 if comps.is_empty() {
@@ -2291,7 +2247,7 @@ impl FileSystem for BaseFs {
         let _ = self.hook(&ctx)?;
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let (parent_comps, name) = split_parent(path)?;
                 for _ in 0..MUT_RETRIES {
@@ -2322,7 +2278,7 @@ impl FileSystem for BaseFs {
         let _ = self.hook(&ctx)?;
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let (parent_comps, name) = split_parent(path)?;
                 for _ in 0..MUT_RETRIES {
@@ -2355,7 +2311,7 @@ impl FileSystem for BaseFs {
         let _ = self.hook(&ctx)?;
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let (parent_comps, name) = split_parent(path)?;
                 for _ in 0..MUT_RETRIES {
@@ -2393,7 +2349,7 @@ impl FileSystem for BaseFs {
             // exclusively: it runs with no concurrent ops at all, so
             // the body needs no stripes and no revalidation
             let _fence = self.fence.write();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             let r = self.rename_body(from, to);
             if r.is_ok() {
                 self.sequence(&OpOutcome::Unit);
@@ -2415,7 +2371,7 @@ impl FileSystem for BaseFs {
         let _ = self.hook(&ctx)?;
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let ecomps = split_path(existing)?;
                 if ecomps.is_empty() {
@@ -2481,7 +2437,7 @@ impl FileSystem for BaseFs {
         }
         let result = {
             let _fence = self.fence.read();
-            let _txn = self.txn_shared();
+            let _txn = self.txn.read();
             (|| {
                 let (parent_comps, name) = split_parent(linkpath)?;
                 for _ in 0..MUT_RETRIES {
@@ -2510,7 +2466,6 @@ impl FileSystem for BaseFs {
     fn readlink(&self, path: &str) -> FsResult<String> {
         let result = {
             let _fence = self.fence.read();
-            let _excl = self.read_excl();
             self.with_read_retries(|| {
                 let comps = split_path(path)?;
                 let ino = self.resolve_locked(&comps, true)?;
@@ -2546,7 +2501,6 @@ impl FileSystem for BaseFs {
     fn stat(&self, path: &str) -> FsResult<FileStat> {
         let result = {
             let _fence = self.fence.read();
-            let _excl = self.read_excl();
             self.with_read_retries(|| {
                 let comps = split_path(path)?;
                 let ino = self.resolve_locked(&comps, true)?;
@@ -2573,7 +2527,6 @@ impl FileSystem for BaseFs {
     fn fstat(&self, fd: Fd) -> FsResult<FileStat> {
         let result = {
             let _fence = self.fence.read();
-            let _excl = self.read_excl();
             self.with_read_retries(|| {
                 let entry = self.fds.lock().get(fd)?;
                 let _g = self.stripe(entry.ino).read();
@@ -2601,7 +2554,6 @@ impl FileSystem for BaseFs {
         let corrupt = self.hook(&ctx)?;
         let result = {
             let _fence = self.fence.read();
-            let _excl = self.read_excl();
             self.with_read_retries(|| {
                 let comps = split_path(path)?;
                 let ino = self.resolve_locked(&comps, true)?;
@@ -2636,7 +2588,6 @@ impl FileSystem for BaseFs {
 
     fn statfs(&self) -> FsResult<FsGeometryInfo> {
         let _fence = self.fence.read();
-        let _excl = self.read_excl();
         let (free_blocks, free_inodes) = {
             let alloc = self.alloc.lock();
             (alloc.free_blocks, u64::from(alloc.free_inodes))

@@ -4,9 +4,9 @@
 //! as the dentry cache: filesystem *readers* populate it during
 //! `load_inode`, so it must tolerate concurrent insertion without a
 //! shared exclusive lock. Coherence with on-disk state comes from the
-//! `BaseFs` locking discipline — mutations update or remove entries
-//! only while holding the exclusive `inner` lock, readers insert only
-//! values decoded from the (mutation-quiescent) page cache.
+//! `BaseFs` locking discipline — mutations update or remove an entry
+//! only while holding its inode's stripe exclusively, and readers insert
+//! only values decoded from the page cache under that stripe shared.
 
 use parking_lot::Mutex;
 use rae_fsformat::inode::DiskInode;

@@ -50,6 +50,7 @@ mod icache;
 mod jmgr;
 #[cfg(test)]
 mod journal_order_tests;
+mod lru;
 mod pagecache;
 #[cfg(test)]
 mod stress_tests;

@@ -28,10 +28,10 @@
 //!   [`PageCache::checkpoint_done`] clears the stale-home marks once the
 //!   journal manager has rewritten every home location.
 //!
-//! Eviction is LRU via the classic lazy-queue technique (re-stamped
+//! Eviction is the shared lazy-queue LRU ([`crate::lru`]): re-stamped
 //! entries are skipped when popped, and a queue that has outgrown its
 //! resident pages is compacted, so hits that never evict cannot grow
-//! it without bound).
+//! it without bound.
 //!
 //! # Sharding
 //!
@@ -42,16 +42,17 @@
 //! eviction decisions are shard-local (the same design trade the kernel
 //! makes with per-memcg/per-node LRU lists). Small caches collapse to a
 //! single shard so capacity-sensitive tests keep exact global LRU
-//! semantics; [`PageCache::with_shards`] pins a count explicitly. The
-//! dirty-metadata population is tracked by a global atomic counter so
-//! the commit-sizing check ([`PageCache::dirty_meta_count`], called on
-//! every mutation) is O(1) instead of a scan of every shard.
+//! semantics ([`lru::shard_count`]). The dirty-metadata population is
+//! tracked by a global atomic counter so the commit-sizing check
+//! ([`PageCache::dirty_meta_count`], called on every mutation) is O(1)
+//! instead of a scan of every shard.
 
+use crate::lru::{self, Lru, Stamped};
 use parking_lot::Mutex;
 use rae_blockdev::{BlockDevice, QueueConfig, WritebackQueue, BLOCK_SIZE};
 use rae_telemetry::{EventKind, SpanLayer, Telemetry};
 use rae_vfs::{FsError, FsResult};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -97,10 +98,15 @@ impl Page {
     }
 }
 
+impl Stamped for Page {
+    fn stamp(&self) -> u64 {
+        self.stamp
+    }
+}
+
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<u64, Page>,
-    lru: VecDeque<(u64, u64)>, // (bno, stamp) — stale entries skipped
+    lru: Lru<u64, Page>,
     /// Evicted dirty pages whose queued write has not passed a barrier
     /// yet: reads must be served from here, not from the device, or
     /// they would observe pre-write content.
@@ -117,23 +123,6 @@ pub struct CacheStats {
     /// Pages evicted.
     pub evictions: u64,
 }
-
-/// Default shard count for production-sized caches.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// Caches smaller than this stay single-sharded so global LRU order is
-/// exact (capacity-sensitive unit tests, tiny tools).
-const SINGLE_SHARD_THRESHOLD: usize = 64;
-
-/// A shard's LRU queue is compacted when it is longer than this many
-/// times its resident pages (plus a floor, so tiny shards do not
-/// compact on every other push): 256 bytes of queue per 4 KiB page at
-/// most. Not smaller, because the operation that compacts holds the
-/// shard lock for a few microseconds: at a multiple of 4 one cache hit
-/// in ~450 did, enough to move the p99 of a 1 µs read by half; at 16
-/// it is one in ~2000 and the tail is where it was.
-pub(crate) const LRU_SLACK: usize = 16;
-pub(crate) const LRU_SLACK_FLOOR: usize = 64;
 
 /// The write-back page cache (see module docs).
 pub struct PageCache {
@@ -164,20 +153,14 @@ impl std::fmt::Debug for PageCache {
 
 impl PageCache {
     /// Create a cache of `capacity` pages over `dev`, with a write-back
-    /// queue configured by `queue_config`. The shard count is picked
-    /// automatically: one shard for small caches, [`DEFAULT_CACHE_SHARDS`]
-    /// otherwise.
+    /// queue configured by `queue_config`, sharded by
+    /// [`lru::shard_count`].
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(dev: Arc<dyn BlockDevice>, capacity: usize, queue_config: QueueConfig) -> PageCache {
-        let nshards = if capacity < SINGLE_SHARD_THRESHOLD {
-            1
-        } else {
-            DEFAULT_CACHE_SHARDS
-        };
-        Self::with_shards(dev, capacity, queue_config, nshards)
+        Self::with_shards(dev, capacity, queue_config, lru::shard_count(capacity))
     }
 
     /// Create a cache with an explicit shard count (`nshards` is clamped
@@ -186,7 +169,7 @@ impl PageCache {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_shards(
+    pub(crate) fn with_shards(
         dev: Arc<dyn BlockDevice>,
         capacity: usize,
         queue_config: QueueConfig,
@@ -216,12 +199,6 @@ impl PageCache {
         let _ = self.telemetry.set(telemetry);
     }
 
-    /// Number of lock stripes.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_for(&self, bno: u64) -> &Mutex<Shard> {
         &self.shards[(bno % self.shards.len() as u64) as usize]
     }
@@ -230,33 +207,10 @@ impl PageCache {
         self.next_stamp.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Queue `(bno, stamp)` as the page's current LRU position. Every
-    /// touch re-stamps the page and leaves its previous entry behind as
-    /// a stale one, which only an eviction would pop — so a workload
-    /// that fits in the cache never drains them. Once the queue has
-    /// outgrown the resident set by [`LRU_SLACK`], compact it down to
-    /// the live entries. Every re-stamp is pushed here, so the live
-    /// entries are exactly the resident pages with their current
-    /// stamps, in stamp order: rebuilding that from the map costs
-    /// O(resident) however long the queue got, where filtering the
-    /// queue would cost O(queue). The next compaction is at least
-    /// `(LRU_SLACK - 1) * resident` pushes away, so the cost per push
-    /// is constant, and small.
-    fn lru_push(shard: &mut Shard, bno: u64, stamp: u64) {
-        shard.lru.push_back((bno, stamp));
-        if shard.lru.len() > LRU_SLACK * shard.map.len() + LRU_SLACK_FLOOR {
-            let Shard { map, lru, .. } = shard;
-            lru.clear();
-            lru.extend(map.iter().map(|(&b, p)| (b, p.stamp)));
-            lru.make_contiguous()
-                .sort_unstable_by_key(|&(_, stamp)| stamp);
-        }
-    }
-
     fn touch(shard: &mut Shard, bno: u64, stamp: u64) {
-        if let Some(p) = shard.map.get_mut(&bno) {
+        if let Some(p) = shard.lru.map.get_mut(&bno) {
             p.stamp = stamp;
-            Self::lru_push(shard, bno, stamp);
+            shard.lru.push(bno, stamp);
         }
     }
 
@@ -265,22 +219,10 @@ impl PageCache {
     /// dirty and committing meta pages, and pages in a flush batch, are
     /// skipped (pinned).
     fn evict_if_needed(&self, shard: &mut Shard) -> FsResult<()> {
-        let mut skipped: Vec<(u64, u64)> = Vec::new();
-        while shard.map.len() > self.shard_capacity {
-            let Some((bno, stamp)) = shard.lru.pop_front() else {
-                break; // everything left is pinned
-            };
-            let evictable = match shard.map.get(&bno) {
-                Some(p) if p.stamp == stamp => {
-                    !(p.writeback || p.class == PageClass::Meta && (p.dirty || p.committing))
-                }
-                _ => continue, // stale queue entry
-            };
-            if !evictable {
-                skipped.push((bno, stamp));
-                continue;
-            }
-            let page = shard.map.remove(&bno).expect("checked above");
+        let Shard { lru, inflight } = shard;
+        let pinned =
+            |p: &Page| p.writeback || p.class == PageClass::Meta && (p.dirty || p.committing);
+        lru.evict(self.shard_capacity, pinned, |bno, page| {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             // A committed-but-not-checkpointed meta page must be written
             // home before it can be dropped, or the next miss would read
@@ -299,15 +241,11 @@ impl PageCache {
                 }
                 // keep the content visible until the queued write has
                 // provably landed (cleared at the next barrier)
-                shard.inflight.insert(bno, page.data.clone());
+                inflight.insert(bno, page.data.clone());
                 self.queue.submit(bno, page.data)?;
             }
-        }
-        // put pinned pages back in LRU order
-        for e in skipped.into_iter().rev() {
-            shard.lru.push_front(e);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Read a block through the cache.
@@ -319,7 +257,7 @@ impl PageCache {
         let stamp = self.stamp();
         {
             let mut shard = self.shard_for(bno).lock();
-            if let Some(p) = shard.map.get(&bno) {
+            if let Some(p) = shard.lru.map.get(&bno) {
                 let data = p.data.clone();
                 Self::touch(&mut shard, bno, stamp);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -342,7 +280,7 @@ impl PageCache {
             t.layer_observed(SpanLayer::CacheFill, t0);
         }
         let mut shard = self.shard_for(bno).lock();
-        if let Some(p) = shard.map.get(&bno) {
+        if let Some(p) = shard.lru.map.get(&bno) {
             // raced with a writer: their copy is newer
             let data = p.data.clone();
             Self::touch(&mut shard, bno, stamp);
@@ -354,9 +292,8 @@ impl PageCache {
             return Ok(data.clone());
         }
         shard
-            .map
+            .lru
             .insert(bno, Page::new(buf.clone(), class, false, stamp));
-        Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)?;
         Ok(buf)
     }
@@ -379,11 +316,11 @@ impl PageCache {
         // checkpoint actually rewrites it, and a commit or flush batch in
         // flight still has to report back
         let mut page = Page::new(data, class, true, stamp);
-        if let Some(p) = shard.map.get(&bno) {
+        if let Some(p) = shard.lru.map.get(&bno) {
             (page.committing, page.home_stale, page.writeback) =
                 (p.committing, p.home_stale, p.writeback);
         }
-        let old = shard.map.insert(bno, page);
+        let old = shard.lru.insert(bno, page);
         let was_dirty_meta = matches!(old, Some(ref p) if p.class == PageClass::Meta && p.dirty);
         let is_dirty_meta = class == PageClass::Meta;
         if is_dirty_meta && !was_dirty_meta {
@@ -391,7 +328,6 @@ impl PageCache {
         } else if !is_dirty_meta && was_dirty_meta {
             self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
         }
-        Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)
     }
 
@@ -407,7 +343,7 @@ impl PageCache {
         class: PageClass,
         stamp: u64,
     ) -> Option<FsResult<()>> {
-        if let Some(p) = shard.map.get_mut(&bno) {
+        if let Some(p) = shard.lru.map.get_mut(&bno) {
             p.data[offset..offset + bytes.len()].copy_from_slice(bytes);
             let was_dirty_meta = p.class == PageClass::Meta && p.dirty;
             p.class = class;
@@ -419,7 +355,7 @@ impl PageCache {
             } else if !is_dirty_meta && was_dirty_meta {
                 self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
             }
-            Self::lru_push(shard, bno, stamp);
+            shard.lru.push(bno, stamp);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.evict_if_needed(shard));
         }
@@ -428,11 +364,10 @@ impl PageCache {
             // copy is the truth — patch it and reinstall as dirty
             let mut data = data.clone();
             data[offset..offset + bytes.len()].copy_from_slice(bytes);
-            shard.map.insert(bno, Page::new(data, class, true, stamp));
+            shard.lru.insert(bno, Page::new(data, class, true, stamp));
             if class == PageClass::Meta {
                 self.dirty_meta.fetch_add(1, Ordering::Relaxed);
             }
-            Self::lru_push(shard, bno, stamp);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.evict_if_needed(shard));
         }
@@ -476,11 +411,10 @@ impl PageCache {
             return res;
         }
         buf[offset..offset + bytes.len()].copy_from_slice(bytes);
-        shard.map.insert(bno, Page::new(buf, class, true, stamp));
+        shard.lru.insert(bno, Page::new(buf, class, true, stamp));
         if class == PageClass::Meta {
             self.dirty_meta.fetch_add(1, Ordering::Relaxed);
         }
-        Self::lru_push(&mut shard, bno, stamp);
         self.evict_if_needed(&mut shard)
     }
 
@@ -495,9 +429,9 @@ impl PageCache {
     /// safe. Data-class or absent entries are left untouched.
     pub fn discard_meta(&self, bno: u64) {
         let mut shard = self.shard_for(bno).lock();
-        let is_meta = matches!(shard.map.get(&bno), Some(p) if p.class == PageClass::Meta);
+        let is_meta = matches!(shard.lru.map.get(&bno), Some(p) if p.class == PageClass::Meta);
         if is_meta {
-            let page = shard.map.remove(&bno).expect("checked above");
+            let page = shard.lru.map.remove(&bno).expect("checked above");
             if page.dirty {
                 self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
             }
@@ -513,7 +447,7 @@ impl PageCache {
         let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            for (&bno, p) in shard.map.iter_mut() {
+            for (&bno, p) in shard.lru.map.iter_mut() {
                 if p.class == PageClass::Meta && p.dirty {
                     out.push((bno, p.data.clone()));
                     p.dirty = false;
@@ -531,7 +465,7 @@ impl PageCache {
     /// checkpoint (so evicting one now writes it home first).
     pub fn commit_done(&self, blocks: &[u64]) {
         for &bno in blocks {
-            if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+            if let Some(p) = self.shard_for(bno).lock().lru.map.get_mut(&bno) {
                 p.committing = false;
                 p.home_stale = true;
             }
@@ -543,7 +477,7 @@ impl PageCache {
     /// for the next commit and never written home directly.
     pub fn commit_failed(&self, blocks: &[u64]) {
         for &bno in blocks {
-            if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+            if let Some(p) = self.shard_for(bno).lock().lru.map.get_mut(&bno) {
                 if p.committing && !p.dirty {
                     p.dirty = true;
                     self.dirty_meta.fetch_add(1, Ordering::Relaxed);
@@ -559,7 +493,7 @@ impl PageCache {
     pub fn checkpoint_done(&self) {
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            for p in shard.map.values_mut() {
+            for p in shard.lru.map.values_mut() {
                 p.home_stale = false;
             }
         }
@@ -575,6 +509,7 @@ impl PageCache {
             let shard = stripe.lock();
             candidates.extend(
                 shard
+                    .lru
                     .map
                     .iter()
                     .filter(|(_, p)| p.class == PageClass::Meta && p.dirty)
@@ -588,7 +523,7 @@ impl PageCache {
             .find(|b| (prefer_range.0..prefer_range.1).contains(b))
             .or_else(|| candidates.first().copied())?;
         let mut shard = self.shard_for(target).lock();
-        let page = shard.map.get_mut(&target)?;
+        let page = shard.lru.map.get_mut(&target)?;
         // byte 273 = offset 17 of the *second* 256-byte inode slot, so
         // an inode-table scribble damages a real inode (slot 0 is the
         // reserved null inode nothing ever reads)
@@ -616,8 +551,8 @@ impl PageCache {
         let mut queued_before = false;
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            let Shard { map, inflight, .. } = &mut *shard;
-            for (&bno, p) in map.iter_mut() {
+            let Shard { lru, inflight } = &mut *shard;
+            for (&bno, p) in lru.map.iter_mut() {
                 if p.class == PageClass::Data && p.dirty {
                     p.dirty = false;
                     p.writeback = true;
@@ -637,7 +572,7 @@ impl PageCache {
     /// unpinned, and dirty again unless it reached stable storage (`ok`).
     pub fn data_landed(&self, blocks: &[u64], ok: bool) {
         for &bno in blocks {
-            if let Some(p) = self.shard_for(bno).lock().map.get_mut(&bno) {
+            if let Some(p) = self.shard_for(bno).lock().lru.map.get_mut(&bno) {
                 p.writeback = false;
                 p.dirty |= !ok;
             }
@@ -669,7 +604,6 @@ impl PageCache {
     pub fn discard_all(&self) {
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            shard.map.clear();
             shard.lru.clear();
             shard.inflight.clear();
         }
@@ -689,13 +623,19 @@ impl PageCache {
     /// Number of resident pages.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().lru.map.len()).sum()
+    }
+
+    /// Number of lock stripes (test observability).
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// Whether a page is resident (test observability).
     #[cfg(test)]
     fn resident_contains(&self, bno: u64) -> bool {
-        self.shard_for(bno).lock().map.contains_key(&bno)
+        self.shard_for(bno).lock().lru.map.contains_key(&bno)
     }
 
     /// Dirty resident pages of `class`, ascending (test observability).
@@ -707,6 +647,7 @@ impl PageCache {
             .flat_map(|s| {
                 let shard = s.lock();
                 shard
+                    .lru
                     .map
                     .iter()
                     .filter(|(_, p)| p.class == class && p.dirty)
@@ -721,7 +662,7 @@ impl PageCache {
     /// Total LRU queue entries, stale ones included (test observability).
     #[cfg(test)]
     fn lru_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().lru.len()).sum()
+        self.shards.iter().map(|s| s.lock().lru.queue_len()).sum()
     }
 
     /// Total in-flight (evicted-but-unbarriered) pages (test observability).
@@ -734,6 +675,7 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::{LRU_SLACK, LRU_SLACK_FLOOR};
     use rae_blockdev::{Extent, MemDisk};
 
     fn cache(blocks: u64, cap: usize) -> (Arc<MemDisk>, PageCache) {
@@ -776,7 +718,7 @@ mod tests {
         let small = PageCache::new(dev.clone(), 4, QueueConfig::default());
         assert_eq!(small.shard_count(), 1);
         let large = PageCache::new(dev.clone(), 2048, QueueConfig::default());
-        assert_eq!(large.shard_count(), DEFAULT_CACHE_SHARDS);
+        assert_eq!(large.shard_count(), 8);
         let pinned = PageCache::with_shards(dev, 2048, QueueConfig::default(), 3);
         assert_eq!(pinned.shard_count(), 3);
     }
@@ -1108,12 +1050,7 @@ mod tests {
     fn concurrent_readers_hit_distinct_shards() {
         use std::thread;
         let dev = Arc::new(MemDisk::new(512));
-        let pc = Arc::new(PageCache::with_shards(
-            dev,
-            256,
-            QueueConfig::default(),
-            DEFAULT_CACHE_SHARDS,
-        ));
+        let pc = Arc::new(PageCache::with_shards(dev, 256, QueueConfig::default(), 8));
         for bno in 0..64u64 {
             pc.write(bno, block(bno as u8), PageClass::Data).unwrap();
         }

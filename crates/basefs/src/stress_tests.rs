@@ -15,6 +15,14 @@ fn mount(dev: Arc<MemDisk>, config: BaseFsConfig) -> BaseFs {
     BaseFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap()
 }
 
+/// Mount with a 4-shard page cache, however small (see
+/// [`BaseFs::mount_with_page_shards`]).
+fn mount_sharded(dev: Arc<MemDisk>, config: BaseFsConfig) -> BaseFs {
+    let fs = BaseFs::mount_with_page_shards(dev as Arc<dyn BlockDevice>, config, 4).unwrap();
+    assert_eq!(fs.page_cache().shard_count(), 4);
+    fs
+}
+
 #[test]
 fn tiny_page_cache_forces_eviction_churn() {
     let dev = Arc::new(MemDisk::new(4096));
@@ -242,11 +250,10 @@ fn concurrent_readers_race_writers_and_eviction_vs_model_oracle() {
     )
     .unwrap();
     // small sharded cache: constant eviction under the read load
-    let fs = Arc::new(mount(
+    let fs = Arc::new(mount_sharded(
         dev.clone(),
         BaseFsConfig {
             page_cache_blocks: 20,
-            cache_shards: Some(4),
             queue: QueueConfig {
                 nr_queues: 2,
                 queue_depth: 4,
@@ -565,11 +572,10 @@ fn concurrent_readers_during_commit_see_post_write_content() {
     mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
     // depth-1 single queue: submitted write-back lingers, so the
     // in-flight window between eviction and barrier is wide
-    let fs = Arc::new(mount(
+    let fs = Arc::new(mount_sharded(
         dev.clone(),
         BaseFsConfig {
             page_cache_blocks: 16,
-            cache_shards: Some(4),
             queue: QueueConfig {
                 nr_queues: 1,
                 queue_depth: 1,

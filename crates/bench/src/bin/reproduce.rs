@@ -5,10 +5,12 @@
 //! targets: all (default) | table1 | fig1 | e1 | e2 | e3 | e3b | e4 | e4b | e4c | e5 | e6 | e7 | e8 | e9 | e10 | e11 | e12
 //!
 //! `e4` runs availability plus the read-scaling sweep (e4c); both
-//! sub-targets can also be requested on their own. `--smoke` shrinks
-//! the e8 nested-fault campaign to its CI subset, the e9 tail-
-//! latency run to its CI size, the e10 server-traffic run to a
-//! smaller client fleet, the e11 write-scaling ladder to CI-sized
+//! sub-targets can also be requested on their own. `e4c` and `e11`
+//! run one thread ladder per mix on the code being built; a
+//! before/after comparison is `raebench` run on two commits.
+//! `--smoke` shrinks the e8 nested-fault campaign to its CI subset,
+//! the e9 tail-latency run to its CI size, the e10 server-traffic run
+//! to a smaller client fleet, the e11 write-scaling ladder to CI-sized
 //! rungs, and the e12 attribution run to a smaller traced fleet.
 //! ```
 

@@ -576,29 +576,26 @@ fn e4c_mix_config(mix: ReadMix, scale: Scale) -> ReadMixConfig {
     }
 }
 
-fn e4c_base_config(serial: bool, mix: ReadMix) -> BaseFsConfig {
+fn e4c_base_config(mix: ReadMix) -> BaseFsConfig {
     BaseFsConfig {
         page_cache_blocks: if matches!(mix, ReadMix::ReadMiss) {
             256 // half the read-miss working set: forces device reads
         } else {
             2048
         },
-        serial_reads: serial,
-        cache_shards: if serial { Some(1) } else { None },
         ..BaseFsConfig::default()
     }
 }
 
-/// One (mix, mode) sweep: mount, populate, then run the thread ladder
-/// on the same warm mount. Returns `(threads, ops/s)` per rung.
-fn e4c_measure(mix: ReadMix, serial: bool, scale: Scale) -> Vec<(usize, f64)> {
+/// One mix's sweep: mount, populate, then run the thread ladder on the
+/// same warm mount. Returns `(threads, ops/s)` per rung.
+fn e4c_measure(mix: ReadMix, scale: Scale) -> Vec<(usize, f64)> {
     let cfg = e4c_mix_config(mix, scale);
     // 50 µs reads: slow enough that misses are genuinely I/O-bound and
     // their latency overlaps across reader threads (see harness docs)
     let dev = crate::harness::fresh_custom_latency_device(50_000, 16_000);
     let fs = Arc::new(
-        BaseFs::mount(dev as Arc<dyn BlockDevice>, e4c_base_config(serial, mix))
-            .expect("mount base"),
+        BaseFs::mount(dev as Arc<dyn BlockDevice>, e4c_base_config(mix)).expect("mount base"),
     );
     populate_read_set(fs.as_ref(), &cfg).expect("populate read set");
     // untimed warm-up: fill the cache to steady state and spin up the
@@ -613,7 +610,7 @@ fn e4c_measure(mix: ReadMix, serial: bool, scale: Scale) -> Vec<(usize, f64)> {
         .map(|&threads| {
             let report = run_reader_mix(&fs, &cfg, threads).unwrap_or_else(|e| {
                 panic!(
-                    "reader mix failed: mix={} serial={serial} threads={threads}: {e:?}",
+                    "reader mix failed: mix={} threads={threads}: {e:?}",
                     cfg.mix.label()
                 )
             });
@@ -626,8 +623,8 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// One E4c sweep: (mix label, mode label, per-thread-count ops/s).
-type E4cRow = (&'static str, &'static str, Vec<(usize, f64)>);
+/// One E4c sweep: (mix label, per-thread-count ops/s).
+type E4cRow = (&'static str, Vec<(usize, f64)>);
 
 fn e4c_render_json(rows: &[E4cRow]) -> String {
     let mut json = String::new();
@@ -636,13 +633,13 @@ fn e4c_render_json(rows: &[E4cRow]) -> String {
     json.push_str("  \"threads\": [1, 2, 4, 8],\n");
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
     json.push_str("  \"results\": [\n");
-    for (i, (mix, mode, ladder)) in rows.iter().enumerate() {
+    for (i, (mix, ladder)) in rows.iter().enumerate() {
         let ops: Vec<String> = ladder.iter().map(|(_, o)| format!("{o:.0}")).collect();
         let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"mix\": \"{mix}\", \"mode\": \"{mode}\", \"ops_per_sec\": [{}], \"speedup_8t_over_1t\": {speedup:.2}}}{comma}",
+            "    {{\"mix\": \"{mix}\", \"ops_per_sec\": [{}], \"speedup_8t_over_1t\": {speedup:.2}}}{comma}",
             ops.join(", "),
         );
     }
@@ -652,24 +649,16 @@ fn e4c_render_json(rows: &[E4cRow]) -> String {
 
 /// E4c: throughput of 1–8 reader threads against one mounted base, for
 /// cache-resident reads, device-bound reads, and a 90:10 read/write
-/// mix. The pre-concurrency configuration (`serial_reads` plus a
-/// single page-cache shard) runs as the in-tree baseline, so the
-/// before/after comparison is measured live rather than quoted.
+/// mix. To compare two commits, run `raebench` on each.
 ///
 /// Side effect: writes `BENCH_concurrency.json` into the working
 /// directory (the committed artifact at the repo root).
 #[must_use]
 pub fn e4c_read_scaling(scale: Scale) -> String {
     let mut out = String::new();
-    let shards = BaseFs::mount(
-        fresh_device() as Arc<dyn BlockDevice>,
-        e4c_base_config(false, ReadMix::ReadHit),
-    )
-    .expect("mount base")
-    .cache_shard_count();
     let _ = writeln!(
         out,
-        "E4c: concurrent read scaling ({} ops/thread, {shards} cache shards when concurrent, {} host CPUs)",
+        "E4c: concurrent read scaling ({} ops/thread, {} host CPUs)",
         scale.steps,
         host_cpus()
     );
@@ -683,27 +672,24 @@ pub fn e4c_read_scaling(scale: Scale) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<13} {:<16} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "mix", "mode", "1t", "2t", "4t", "8t", "8t/1t"
+        "{:<13} {:>9} {:>9} {:>9} {:>9} {:>7}",
+        "mix", "1t", "2t", "4t", "8t", "8t/1t"
     );
     let mut rows: Vec<E4cRow> = Vec::new();
     for mix in [ReadMix::ReadHit, ReadMix::ReadMiss, ReadMix::Mixed90R10W] {
-        for (mode, serial) in [("serial_baseline", true), ("concurrent", false)] {
-            let ladder = e4c_measure(mix, serial, scale);
-            let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
-            let _ = writeln!(
-                out,
-                "{:<13} {:<16} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>6.2}x",
-                mix.label(),
-                mode,
-                ladder[0].1,
-                ladder[1].1,
-                ladder[2].1,
-                ladder[3].1,
-                speedup
-            );
-            rows.push((mix.label(), mode, ladder));
-        }
+        let ladder = e4c_measure(mix, scale);
+        let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
+        let _ = writeln!(
+            out,
+            "{:<13} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>6.2}x",
+            mix.label(),
+            ladder[0].1,
+            ladder[1].1,
+            ladder[2].1,
+            ladder[3].1,
+            speedup
+        );
+        rows.push((mix.label(), ladder));
     }
     let json = e4c_render_json(&rows);
     match std::fs::write("BENCH_concurrency.json", &json) {
@@ -741,9 +727,8 @@ fn e11_mix_config(mix: WriteMix, scale: Scale, smoke: bool) -> WriteMixConfig {
     }
 }
 
-fn e11_base_config(serial: bool, telemetry: Arc<rae_telemetry::Telemetry>) -> BaseFsConfig {
+fn e11_base_config(telemetry: Arc<rae_telemetry::Telemetry>) -> BaseFsConfig {
     BaseFsConfig {
-        serial_writes: serial,
         // small leader wait so overlapping fsyncs reliably share a
         // batch instead of racing past each other on a fast device
         group_commit_leader_wait_us: 50,
@@ -752,12 +737,12 @@ fn e11_base_config(serial: bool, telemetry: Arc<rae_telemetry::Telemetry>) -> Ba
     }
 }
 
-/// One (mix, mode) sweep on a fresh write-latency-heavy device:
+/// One mix's sweep on a fresh write-latency-heavy device:
 /// populate, warm up, then run the thread ladder on the same warm
 /// mount. Returns `(threads, ops/s, mean commit batch)` per rung — the
 /// batch mean comes from the telemetry histogram delta across the
 /// rung, so each rung reports its own contention level.
-fn e11_measure(mix: WriteMix, serial: bool, scale: Scale, smoke: bool) -> Vec<(usize, f64, f64)> {
+fn e11_measure(mix: WriteMix, scale: Scale, smoke: bool) -> Vec<(usize, f64, f64)> {
     let cfg = e11_mix_config(mix, scale, smoke);
     // 50 µs writes: the journal flush is genuinely I/O-bound, so
     // coalescing N fsyncs into one flush shows up as throughput
@@ -766,7 +751,7 @@ fn e11_measure(mix: WriteMix, serial: bool, scale: Scale, smoke: bool) -> Vec<(u
     let fs = Arc::new(
         BaseFs::mount(
             dev as Arc<dyn BlockDevice>,
-            e11_base_config(serial, Arc::clone(&telemetry)),
+            e11_base_config(Arc::clone(&telemetry)),
         )
         .expect("mount base"),
     );
@@ -782,7 +767,7 @@ fn e11_measure(mix: WriteMix, serial: bool, scale: Scale, smoke: bool) -> Vec<(u
             let before = telemetry.snapshot().commit_batch;
             let report = run_writer_mix(&fs, &cfg, threads).unwrap_or_else(|e| {
                 panic!(
-                    "writer mix failed: mix={} serial={serial} threads={threads}: {e:?}",
+                    "writer mix failed: mix={} threads={threads}: {e:?}",
                     cfg.mix.label()
                 )
             });
@@ -798,9 +783,8 @@ fn e11_measure(mix: WriteMix, serial: bool, scale: Scale, smoke: bool) -> Vec<(u
         .collect()
 }
 
-/// One E11 sweep: (mix label, mode label, per-rung (threads, ops/s,
-/// batch mean)).
-type E11Row = (&'static str, &'static str, Vec<(usize, f64, f64)>);
+/// One E11 sweep: (mix label, per-rung (threads, ops/s, batch mean)).
+type E11Row = (&'static str, Vec<(usize, f64, f64)>);
 
 fn e11_render_json(rows: &[E11Row]) -> String {
     let mut json = String::new();
@@ -809,14 +793,14 @@ fn e11_render_json(rows: &[E11Row]) -> String {
     json.push_str("  \"threads\": [1, 2, 4, 8],\n");
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
     json.push_str("  \"results\": [\n");
-    for (i, (mix, mode, ladder)) in rows.iter().enumerate() {
+    for (i, (mix, ladder)) in rows.iter().enumerate() {
         let ops: Vec<String> = ladder.iter().map(|(_, o, _)| format!("{o:.0}")).collect();
         let batches: Vec<String> = ladder.iter().map(|(_, _, b)| format!("{b:.2}")).collect();
         let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"mix\": \"{mix}\", \"mode\": \"{mode}\", \"ops_per_sec\": [{}], \"commit_batch_mean\": [{}], \"speedup_8t_over_1t\": {speedup:.2}}}{comma}",
+            "    {{\"mix\": \"{mix}\", \"ops_per_sec\": [{}], \"commit_batch_mean\": [{}], \"speedup_8t_over_1t\": {speedup:.2}}}{comma}",
             ops.join(", "),
             batches.join(", "),
         );
@@ -827,12 +811,9 @@ fn e11_render_json(rows: &[E11Row]) -> String {
 
 /// E11: throughput of 1–8 writer threads against one mounted base, for
 /// a write-heavy mix and two read/write blends, with periodic fsyncs
-/// supplying commit pressure. The pre-sharding configuration
-/// (`serial_writes`: every mutation takes the filesystem-wide
-/// exclusive lock) runs as the in-tree baseline, so the before/after
-/// comparison is measured live rather than quoted. The mean journal
-/// commit batch per rung (from the telemetry histogram) shows group
-/// commit engaging as contention rises.
+/// supplying commit pressure. The mean journal commit batch per rung
+/// (from the telemetry histogram) shows group commit engaging as
+/// contention rises. To compare two commits, run `raebench` on each.
 ///
 /// Side effect: writes `BENCH_write_scaling.json` into the working
 /// directory (the committed artifact at the repo root).
@@ -847,16 +828,12 @@ pub fn e11_write_scaling(scale: Scale, smoke: bool) -> String {
     );
     let _ = writeln!(
         out,
-        "(serial_baseline: whole-FS exclusive mutations; concurrent: per-inode stripes +"
+        "(per-inode stripes + group commit; batch = mean ops per journal commit at that thread count)"
     );
     let _ = writeln!(
         out,
-        " group commit. batch = mean ops per journal commit at that thread count)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<13} {:<16} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9}",
-        "mix", "mode", "1t", "2t", "4t", "8t", "8t/1t", "batch@8t"
+        "{:<13} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9}",
+        "mix", "1t", "2t", "4t", "8t", "8t/1t", "batch@8t"
     );
     let mut rows: Vec<E11Row> = Vec::new();
     for mix in [
@@ -864,23 +841,20 @@ pub fn e11_write_scaling(scale: Scale, smoke: bool) -> String {
         WriteMix::Mixed10R90W,
         WriteMix::Mixed50R50W,
     ] {
-        for (mode, serial) in [("serial_baseline", true), ("concurrent", false)] {
-            let ladder = e11_measure(mix, serial, scale, smoke);
-            let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
-            let _ = writeln!(
-                out,
-                "{:<13} {:<16} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>6.2}x {:>9.2}",
-                mix.label(),
-                mode,
-                ladder[0].1,
-                ladder[1].1,
-                ladder[2].1,
-                ladder[3].1,
-                speedup,
-                ladder.last().expect("ladder").2,
-            );
-            rows.push((mix.label(), mode, ladder));
-        }
+        let ladder = e11_measure(mix, scale, smoke);
+        let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
+        let _ = writeln!(
+            out,
+            "{:<13} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>6.2}x {:>9.2}",
+            mix.label(),
+            ladder[0].1,
+            ladder[1].1,
+            ladder[2].1,
+            ladder[3].1,
+            speedup,
+            ladder.last().expect("ladder").2,
+        );
+        rows.push((mix.label(), ladder));
     }
     let json = e11_render_json(&rows);
     match std::fs::write("BENCH_write_scaling.json", &json) {
