@@ -296,14 +296,15 @@ impl Session {
                 let s = self.fs.stats();
                 Ok(format!(
                     "active={} degraded={} completed_seq={} applied_seq={} \
-                     lag={} audits={} divergences={}",
+                     lag={} audits={} divergences={} publish_waits={}",
                     s.standby_active,
                     s.standby_degraded,
                     s.standby_completed_seq,
                     s.standby_applied_seq,
                     s.standby_lag,
                     s.standby_audits_run,
-                    s.standby_divergences
+                    s.standby_divergences,
+                    s.standby_publish_waits
                 ))
             }
             "audit" => {

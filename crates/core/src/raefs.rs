@@ -135,18 +135,19 @@ struct LogShared {
     /// A standby was lost (lag drop, apply failure, failed audit, or
     /// respawn failure) — surfaced in stats, reset on respawn.
     standby_degraded: AtomicBool,
-    /// Audit/divergence counts carried over from standbys that have
-    /// been torn down or handed over. A live standby's counters are
-    /// added on top in `stats`; without this accumulation every
-    /// teardown would silently zero the totals.
+    /// Audit, divergence and publish-wait counts carried over from
+    /// standbys that have been torn down or handed over. A live
+    /// standby's counters are added on top in `stats`; without this
+    /// accumulation every teardown would silently zero the totals.
     standby_audits_acc: AtomicU64,
     standby_divergences_acc: AtomicU64,
+    standby_publish_waits_acc: AtomicU64,
 }
 
 impl LogShared {
     /// Fold a standby handle's final counters into the runtime-owned
-    /// accumulators before it is dropped or handed over, so audit and
-    /// divergence totals survive the teardown. Every site that removes
+    /// accumulators before it is dropped or handed over, so audit,
+    /// divergence and publish-wait totals survive the teardown. Every site that removes
     /// a handle from `self.standby` (or consumes a taken one) must
     /// route through here.
     fn retire_standby(&self, sb: &WarmStandby) {
@@ -155,6 +156,8 @@ impl LogShared {
             .fetch_add(st.audits_run, Ordering::Relaxed);
         self.standby_divergences_acc
             .fetch_add(st.divergences, Ordering::Relaxed);
+        self.standby_publish_waits_acc
+            .fetch_add(st.publish_waits, Ordering::Relaxed);
     }
 
     /// Publish the just-completed record `seq` to the warm standby.
@@ -340,6 +343,7 @@ impl RaeFs {
             standby: Mutex::new(standby),
             standby_degraded: AtomicBool::new(standby_degraded),
             standby_audits_acc: AtomicU64::new(0),
+            standby_publish_waits_acc: AtomicU64::new(0),
             standby_divergences_acc: AtomicU64::new(0),
         });
         // the base calls back into the sequencer at each mutation's
@@ -437,6 +441,11 @@ impl RaeFs {
                 + standby.audits_run,
             standby_divergences: self.shared.standby_divergences_acc.load(Ordering::Relaxed)
                 + standby.divergences,
+            standby_publish_waits: self
+                .shared
+                .standby_publish_waits_acc
+                .load(Ordering::Relaxed)
+                + standby.publish_waits,
             degraded: self.degraded.load(Ordering::Acquire),
             ladder_warm: self.ladder_warm.load(Ordering::Relaxed),
             ladder_cold: self.ladder_cold.load(Ordering::Relaxed),

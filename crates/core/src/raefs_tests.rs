@@ -1555,6 +1555,11 @@ fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
 /// A warm-standby mount over the formatted `dev` with a bug armed on
 /// every directory insertion (not removal) of a name containing "boom".
 fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
+    warm_boom_mount_with(dev, crate::StandbyOpts::default().channel_capacity)
+}
+
+/// [`warm_boom_mount`] with a standby channel of `channel_capacity`.
+fn warm_boom_mount_with(dev: Arc<dyn BlockDevice>, channel_capacity: usize) -> RaeFs {
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
         160,
@@ -1573,6 +1578,7 @@ fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
         },
         standby: crate::StandbyOpts {
             enabled: true,
+            channel_capacity,
             ..crate::StandbyOpts::default()
         },
         ..RaeConfig::default()
@@ -1903,4 +1909,59 @@ fn warm_handover_refused_or_failed_lands_on_cold() {
 
     let refused = warm_rung_with_held_backlog(Backlog::KilledBeforeFault);
     assert_eq!(refused.rung, LadderRung::Cold, "{refused:?}");
+}
+
+/// A publish that finds the standby's channel full is counted in
+/// `standby_publish_waits`, and the count survives the handover that
+/// retires that standby and the re-arm that replaces it.
+#[test]
+fn warm_publish_waits_survive_the_respawn() {
+    const CAPACITY: usize = 2;
+    let dev = Arc::new(MemDisk::new(4096));
+    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let fs = warm_boom_mount_with(Arc::clone(&dev) as Arc<dyn BlockDevice>, CAPACITY);
+    fs.mkdir("/h").unwrap();
+    wait_caught_up(&fs);
+    assert_eq!(fs.stats().standby_publish_waits, 0);
+
+    let release = fs.with_standby(rae_standby::WarmStandby::pause).unwrap();
+    std::thread::scope(|s| {
+        // the last mkdir's publish finds the channel full and waits,
+        // holding the op-log lock, so `stats` cannot be asked until
+        // after the release; the lag event it records once the wait is
+        // counted says when to release
+        let held = s.spawn(|| {
+            for i in 0..=CAPACITY {
+                fs.mkdir(&format!("/h/d{i}")).unwrap();
+            }
+        });
+        let telemetry = fs.telemetry();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !telemetry
+            .timeline()
+            .0
+            .iter()
+            .any(|e| e.kind == rae_telemetry::EventKind::StandbyLag && e.a > CAPACITY as u64)
+        {
+            assert!(std::time::Instant::now() < deadline, "publish never waited");
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        held.join().unwrap();
+    });
+    wait_caught_up(&fs);
+    assert_eq!(fs.stats().standby_publish_waits, 1);
+
+    fs.mkdir("/boom").unwrap(); // masked by a warm recovery
+    let stats = fs.stats();
+    assert_eq!((stats.ladder_warm, stats.ladder_cold), (1, 0));
+    assert!(stats.standby_active, "re-armed");
+    assert_eq!(stats.standby_publish_waits, 1, "carried across the respawn");
+    assert_eq!(
+        fs.standby_status().publish_waits,
+        0,
+        "the new standby's own"
+    );
+    fs.unmount().unwrap();
+    assert!(fsck(dev.as_ref()).unwrap().is_clean());
 }

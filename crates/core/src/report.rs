@@ -249,6 +249,10 @@ pub struct RaeStats {
     /// Divergences the standby observed (cross-check discrepancy notes
     /// plus audit failures).
     pub standby_divergences: u64,
+    /// Publishes that found the standby's channel full and waited for
+    /// its apply thread (`LagPolicy::Block`): completions held back by
+    /// a standby that is not keeping pace.
+    pub standby_publish_waits: u64,
     /// The mount is in read-only degraded mode (mutations refused with
     /// `EROFS`, reads served off the journal-consistent base).
     pub degraded: bool,

@@ -1,5 +1,13 @@
 //! Allocation bitmaps (inode and data), with block-granular images for
 //! journaling.
+//!
+//! The bytes are the on-disk image: bit `i` is bit `i % 8` of byte
+//! `i / 8`. Read as little-endian `u64` words, that makes bit `j` of
+//! word `k` bitmap bit `64k + j`, so the scans — counting, finding a
+//! free bit, checking the tail — work a word at a time (popcount,
+//! `trailing_zeros`) over the same `Vec<u8>`. They run under every
+//! shadow allocation, so under every record the warm standby applies,
+//! and under every allocator load in a contained reboot.
 
 use crate::layout::BITS_PER_BLOCK;
 use rae_blockdev::{BlockDevice, BLOCK_SIZE};
@@ -50,13 +58,7 @@ impl Bitmap {
         let mut bufs: Vec<&mut [u8]> = bits.chunks_exact_mut(BLOCK_SIZE).collect();
         dev.read_blocks(start, &mut bufs)?;
         let bm = Bitmap { bits, nbits };
-        for i in nbits..nblocks * BITS_PER_BLOCK {
-            if bm.test_raw(i) {
-                return Err(FsError::Corrupted {
-                    detail: format!("bitmap has bit {i} set beyond its {nbits}-bit extent"),
-                });
-            }
-        }
+        bm.validate_tail()?;
         Ok(bm)
     }
 
@@ -96,6 +98,38 @@ impl Bitmap {
 
     fn test_raw(&self, i: u64) -> bool {
         self.bits[(i / 8) as usize] & (1 << (i % 8)) != 0
+    }
+
+    /// The backing bytes as little-endian words from word `k` on: bit
+    /// `j` of word `k` is bit `64k + j`. The backing store is whole
+    /// blocks, so whole words.
+    fn words_from(&self, k: usize) -> impl Iterator<Item = u64> + '_ {
+        self.bits[k * 8..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+    }
+
+    /// The first bit in `lo..hi` whose value differs from `skip`'s (an
+    /// all-ones `skip` finds a clear bit, a zero one a set bit), skipping
+    /// whole words that hold nothing else. `hi` is within the backing
+    /// store.
+    fn first_unlike(&self, lo: u64, hi: u64, skip: u64) -> Option<u64> {
+        if lo >= hi {
+            return None;
+        }
+        let first = lo / 64;
+        let words = self.words_from(first as usize);
+        for (k, word) in (first..=(hi - 1) / 64).zip(words) {
+            let mut w = word ^ skip;
+            if k == first {
+                w &= u64::MAX << (lo % 64);
+            }
+            if w != 0 {
+                let bit = k * 64 + u64::from(w.trailing_zeros());
+                return (bit < hi).then_some(bit);
+            }
+        }
+        None
     }
 
     /// Whether bit `i` is set.
@@ -140,23 +174,15 @@ impl Bitmap {
             return None;
         }
         let start = hint % self.nbits;
-        let mut i = start;
-        loop {
-            if !self.test_raw(i) {
-                return Some(i);
-            }
-            i = (i + 1) % self.nbits;
-            if i == start {
-                return None;
-            }
-        }
+        self.first_unlike(start, self.nbits, u64::MAX)
+            .or_else(|| self.first_unlike(0, start, u64::MAX))
     }
 
     /// Number of set bits.
     #[must_use]
     pub fn count_set(&self) -> u64 {
         // trailing bits beyond nbits are guaranteed clear
-        self.bits.iter().map(|b| u64::from(b.count_ones())).sum()
+        self.words_from(0).map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Number of clear bits within the addressable extent.
@@ -190,17 +216,15 @@ impl Bitmap {
     ///
     /// [`FsError::Corrupted`] when trailing garbage bits are set.
     pub fn validate_tail(&self) -> FsResult<()> {
-        for i in self.nbits..self.nblocks() * BITS_PER_BLOCK {
-            if self.test_raw(i) {
-                return Err(FsError::Corrupted {
-                    detail: format!(
-                        "bitmap has bit {i} set beyond its {}-bit extent",
-                        self.nbits
-                    ),
-                });
-            }
+        match self.first_unlike(self.nbits, self.nblocks() * BITS_PER_BLOCK, 0) {
+            None => Ok(()),
+            Some(i) => Err(FsError::Corrupted {
+                detail: format!(
+                    "bitmap has bit {i} set beyond its {}-bit extent",
+                    self.nbits
+                ),
+            }),
         }
-        Ok(())
     }
 
     /// Index of the backing block containing bit `i` (for journaling).
@@ -224,7 +248,165 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rae_blockdev::MemDisk;
+
+    /// Bit-at-a-time references: the scans as they were before they
+    /// went word-wide.
+    fn ref_count_set(bm: &Bitmap) -> u64 {
+        (0..bm.nblocks() * BITS_PER_BLOCK)
+            .filter(|&i| bm.test_raw(i))
+            .count() as u64
+    }
+
+    fn ref_find_free_from(bm: &Bitmap, hint: u64) -> Option<u64> {
+        if bm.nbits == 0 {
+            return None;
+        }
+        let start = hint % bm.nbits;
+        let mut i = start;
+        loop {
+            if !bm.test_raw(i) {
+                return Some(i);
+            }
+            i = (i + 1) % bm.nbits;
+            if i == start {
+                return None;
+            }
+        }
+    }
+
+    fn ref_first_garbage(bm: &Bitmap) -> Option<u64> {
+        (bm.nbits..bm.nblocks() * BITS_PER_BLOCK).find(|&i| bm.test_raw(i))
+    }
+
+    fn garbage_detail(bit: u64, nbits: u64) -> String {
+        format!("bitmap has bit {bit} set beyond its {nbits}-bit extent")
+    }
+
+    /// Set (or clear) each run `[start, start + len)`, clipped to
+    /// `nbits`: long runs of ones cross word boundaries on both sides.
+    fn with_runs(nbits: u64, runs: &[(u64, u64, bool)]) -> Bitmap {
+        let mut bm = Bitmap::new(nbits);
+        for &(start, len, set) in runs {
+            for i in (start % nbits)..(start % nbits + len).min(nbits) {
+                if set {
+                    bm.set(i).unwrap();
+                } else {
+                    bm.clear(i).unwrap();
+                }
+            }
+        }
+        bm
+    }
+
+    fn arb_runs(max_len: u64) -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+        proptest::collection::vec((any::<u64>(), 0..max_len, any::<bool>()), 0..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+        /// Popcounted words count what the bits count, over one and two
+        /// blocks, whatever `nbits % 64`.
+        #[test]
+        fn kernel_count_set_matches_bit_reference(
+            nbits in prop_oneof![1u64..700, 1u64..2 * BITS_PER_BLOCK],
+            runs in arb_runs(300),
+        ) {
+            let bm = with_runs(nbits, &runs);
+            prop_assert_eq!(bm.count_set(), ref_count_set(&bm));
+            prop_assert_eq!(bm.count_clear(), nbits - ref_count_set(&bm));
+        }
+
+        /// Every hint, past the end too (it wraps), finds what the bit
+        /// walk finds; so does a full bitmap (`None`) and a full one
+        /// with a single hole.
+        #[test]
+        fn kernel_find_free_matches_bit_reference_at_every_hint(
+            nbits in 1u64..600,
+            runs in arb_runs(200),
+            hole in any::<u64>(),
+        ) {
+            let bm = with_runs(nbits, &runs);
+            let mut full = with_runs(nbits, &[(0, nbits, true)]);
+            prop_assert_eq!(full.find_free_from(hole), None);
+            let mut holed = full.clone();
+            holed.clear(hole % nbits).unwrap();
+            for hint in 0..nbits + 70 {
+                prop_assert_eq!(bm.find_free_from(hint), ref_find_free_from(&bm, hint), "hint {}", hint);
+                prop_assert_eq!(holed.find_free_from(hint), Some(hole % nbits), "hint {}", hint);
+            }
+            // a set bit past nbits (an unvalidated splice) is never found
+            full.bits[(nbits / 8) as usize] |= 0xFF;
+            prop_assert_eq!(full.find_free_from(0), None);
+        }
+
+        /// Far hints over two blocks: the word skip crosses the block
+        /// boundary and wraps.
+        #[test]
+        fn kernel_find_free_matches_bit_reference_over_blocks(
+            nbits in BITS_PER_BLOCK - 70..2 * BITS_PER_BLOCK,
+            runs in arb_runs(40_000),
+            hints in proptest::collection::vec(any::<u64>(), 1..16),
+        ) {
+            let bm = with_runs(nbits, &runs);
+            for hint in hints.into_iter().chain([0, nbits - 1, nbits]) {
+                prop_assert_eq!(bm.find_free_from(hint), ref_find_free_from(&bm, hint), "hint {}", hint);
+            }
+        }
+    }
+
+    proptest! {
+        // every tail position of a mostly empty block is ~32 k checks
+        #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+        /// One garbage bit at each tail position is reported as the
+        /// first offending bit, with the same message, by
+        /// `validate_tail` and by `load`; a second one further on does
+        /// not change which.
+        #[test]
+        fn kernel_validate_tail_reports_first_garbage_bit(
+            nbits in prop_oneof![1u64..200, BITS_PER_BLOCK - 200..BITS_PER_BLOCK + 1],
+            runs in arb_runs(100),
+            later in any::<u64>(),
+        ) {
+            let mut bm = with_runs(nbits, &runs);
+            prop_assert!(bm.validate_tail().is_ok());
+            let end = bm.nblocks() * BITS_PER_BLOCK;
+            let flip = |bm: &mut Bitmap, i: u64| bm.bits[(i / 8) as usize] ^= 1 << (i % 8);
+            for bit in nbits..end {
+                let second = bit + 1 + later % (end - bit);
+                flip(&mut bm, bit);
+                if second < end {
+                    flip(&mut bm, second);
+                }
+                let Err(FsError::Corrupted { detail }) = bm.validate_tail() else {
+                    return Err(TestCaseError::fail(format!("bit {bit} not reported")));
+                };
+                prop_assert_eq!(detail, garbage_detail(bit, nbits));
+                if bit % 997 == 0 {
+                    prop_assert_eq!(ref_first_garbage(&bm), Some(bit));
+                }
+                flip(&mut bm, bit);
+                if second < end {
+                    flip(&mut bm, second);
+                }
+            }
+            let clean = bm;
+            let dev = MemDisk::new(clean.nblocks());
+            let mut bm = clean.clone();
+            let bit = nbits + later % (end - nbits).max(1);
+            if bit < end {
+                bm.bits[(bit / 8) as usize] |= 1 << (bit % 8);
+                bm.store(&dev, 0).unwrap();
+                let Err(FsError::Corrupted { detail }) = Bitmap::load(&dev, 0, bm.nblocks(), nbits) else {
+                    return Err(TestCaseError::fail("load took a garbage tail".to_string()));
+                };
+                prop_assert_eq!(detail, garbage_detail(bit, nbits));
+            }
+        }
+    }
 
     #[test]
     fn set_clear_test() {

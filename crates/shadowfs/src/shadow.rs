@@ -279,7 +279,7 @@ impl ShadowFs {
     /// Extended checks only run in paranoid mode (E5 ablation switch).
     pub(crate) fn pcheck(
         &mut self,
-        cond: impl FnOnce() -> bool,
+        cond: impl FnOnce(&Self) -> bool,
         name: &str,
         detail: &str,
     ) -> FsResult<()> {
@@ -287,7 +287,7 @@ impl ShadowFs {
             return Ok(());
         }
         self.checks += 1;
-        if cond() {
+        if cond(self) {
             Ok(())
         } else {
             Err(FsError::CheckFailed {
@@ -457,13 +457,8 @@ impl ShadowFs {
         self.free_inodes -= 1;
         self.flush_ibm_block(bit)?;
         // paranoid: the counter must track the bitmap exactly
-        let (count_set, inode_count, free) = (
-            self.ibm.count_set(),
-            u64::from(self.geo.inode_count),
-            u64::from(self.free_inodes),
-        );
         self.pcheck(
-            move || count_set + free == inode_count,
+            |s| s.ibm.count_set() + u64::from(s.free_inodes) == u64::from(s.geo.inode_count),
             "alloc.ino_accounting",
             "free-inode counter diverged from the bitmap",
         )?;
@@ -488,9 +483,8 @@ impl ShadowFs {
         self.dbm.set(bit)?;
         self.free_blocks -= 1;
         self.flush_dbm_block(bit)?;
-        let (clear, free) = (self.dbm.count_clear(), self.free_blocks);
         self.pcheck(
-            move || clear == free,
+            |s| s.dbm.count_clear() == s.free_blocks,
             "alloc.block_accounting",
             "free-block counter diverged from the bitmap",
         )?;

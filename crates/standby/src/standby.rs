@@ -30,6 +30,9 @@
 //! publisher (completion latency absorbs the standby's lag) while
 //! [`LagPolicy::DropToColdReplay`] degrades the standby immediately —
 //! the runtime then falls back to cold replay at the next recovery.
+//! [`StandbyStatus::publish_waits`] counts the publishes that found the
+//! channel full under `Block`: a standby that keeps pace leaves it at
+//! zero, one that runs a channel behind raises it on every mutation.
 //!
 //! # Snapshot isolation
 //!
@@ -58,7 +61,7 @@
 //! thread, or an audit failure — tears the standby down; the runtime
 //! routes the next recovery through cold replay.
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use rae_blockdev::{BlockDevice, MemDisk};
 use rae_shadowfs::{ReplayReport, ShadowFs, ShadowOpts};
 use rae_telemetry::{EventKind, Telemetry};
@@ -139,6 +142,10 @@ pub struct StandbyStatus {
     /// Divergences observed: cross-check discrepancy notes plus audit
     /// failures.
     pub divergences: u64,
+    /// Publishes that found the channel full under [`LagPolicy::Block`]
+    /// and waited for the apply thread: the standby's back-pressure on
+    /// the base.
+    pub publish_waits: u64,
 }
 
 /// What a successful audit did.
@@ -172,6 +179,7 @@ struct Shared {
     applied_records: AtomicU64,
     audits_run: AtomicU64,
     divergences: AtomicU64,
+    publish_waits: AtomicU64,
     /// Highest lag (published − applied) seen so far, for the
     /// telemetry high-water event.
     lag_high_water: AtomicU64,
@@ -195,11 +203,12 @@ enum Msg {
     Audit(Sender<Result<AuditOutcome, String>>),
     Handover(Sender<HandoverState>),
     Shutdown,
-    /// Test-only: hold the apply thread until the receiver yields,
-    /// making channel-full conditions deterministic; a release dropped
-    /// unsent kills the thread, as a failed apply would.
+    /// Test-only: signal on the sender once the apply thread is held,
+    /// then hold it until the receiver yields, making channel-full
+    /// conditions deterministic; a release dropped unsent kills the
+    /// thread, as a failed apply would.
     #[cfg(any(test, feature = "test-hooks"))]
-    Pause(Receiver<()>),
+    Pause(Sender<()>, Receiver<()>),
 }
 
 /// Handle to the warm standby owned by the RAE runtime.
@@ -309,15 +318,22 @@ impl WarmStandby {
         self.shared.completed_seq.store(rec.seq, Ordering::Release);
         let published = self.shared.published_records.fetch_add(1, Ordering::AcqRel) + 1;
         let lag = published.saturating_sub(self.shared.applied_records.load(Ordering::Acquire));
+        let seq = rec.seq;
+        let (sent, waiting) = match self.tx.try_send(Msg::Record(rec)) {
+            Ok(()) => (true, None),
+            Err(TrySendError::Full(msg)) if self.opts.lag_policy == LagPolicy::Block => {
+                self.shared.publish_waits.fetch_add(1, Ordering::AcqRel);
+                (true, Some(msg))
+            }
+            Err(_) => (false, None),
+        };
+        // after the wait is counted, so an observer of the event sees it
         if lag > self.shared.lag_high_water.fetch_max(lag, Ordering::AcqRel) {
             if let Some(t) = self.telemetry.get() {
-                t.event(EventKind::StandbyLag, lag, rec.seq, 0);
+                t.event(EventKind::StandbyLag, lag, seq, 0);
             }
         }
-        let sent = match self.opts.lag_policy {
-            LagPolicy::Block => self.tx.send(Msg::Record(rec)).is_ok(),
-            LagPolicy::DropToColdReplay => self.tx.try_send(Msg::Record(rec)).is_ok(),
-        };
+        let sent = sent && waiting.is_none_or(|msg| self.tx.send(msg).is_ok());
         if sent {
             Publish::Accepted
         } else {
@@ -339,6 +355,7 @@ impl WarmStandby {
             applied_records: applied,
             audits_run: self.shared.audits_run.load(Ordering::Acquire),
             divergences: self.shared.divergences.load(Ordering::Acquire),
+            publish_waits: self.shared.publish_waits.load(Ordering::Acquire),
         }
     }
 
@@ -421,17 +438,19 @@ impl WarmStandby {
     }
 
     /// Test hook: hold the apply thread once it reaches this point of
-    /// the channel, until the returned sender sends. Dropping the sender
-    /// unsent kills the thread and degrades the standby.
+    /// the channel, until the returned sender sends. Returns once the
+    /// thread is held, so the channel is then empty. Dropping the
+    /// sender unsent kills the thread and degrades the standby.
     ///
     /// # Panics
     ///
     /// Panics if the apply thread is gone.
     #[cfg(any(test, feature = "test-hooks"))]
     pub fn pause(&self) -> Sender<()> {
+        let (held_tx, held_rx) = channel::bounded(1);
         let (release_tx, release_rx) = channel::bounded(1);
         assert!(
-            self.tx.send(Msg::Pause(release_rx)).is_ok(),
+            self.tx.send(Msg::Pause(held_tx, release_rx)).is_ok() && held_rx.recv().is_ok(),
             "standby alive"
         );
         release_tx
@@ -515,7 +534,8 @@ fn apply_loop(
                 return;
             }
             #[cfg(any(test, feature = "test-hooks"))]
-            Ok(Msg::Pause(release)) => {
+            Ok(Msg::Pause(held, release)) => {
+                let _ = held.send(());
                 if release.recv().is_err() {
                     shared.degrade();
                     return;
@@ -866,6 +886,41 @@ mod tests {
         }
         wait_until(|| standby.status().lag == 0);
         assert_eq!(standby.status().applied_records, 7);
+    }
+
+    #[test]
+    fn warm_publish_waits_count_blocked_publishes() {
+        let dev = fresh_dev();
+        let records = record_ops(&dev, sample_ops());
+        let capacity = 4;
+        let standby = Arc::new(spawn_default(
+            &dev,
+            StandbyOpts {
+                channel_capacity: capacity,
+                ..StandbyOpts::default()
+            },
+        ));
+        let release = standby.pause();
+        for rec in records.iter().take(capacity).cloned() {
+            assert_eq!(standby.publish(rec), Publish::Accepted);
+        }
+        assert_eq!(standby.status().publish_waits, 0, "room for each");
+        let over = records[capacity].clone();
+        let publisher = {
+            let standby = Arc::clone(&standby);
+            std::thread::spawn(move || standby.publish(over))
+        };
+        wait_until(|| standby.status().publish_waits == 1);
+        release.send(()).unwrap();
+        assert_eq!(publisher.join().unwrap(), Publish::Accepted);
+        for rec in records.iter().skip(capacity + 1).cloned() {
+            assert_eq!(standby.publish(rec), Publish::Accepted);
+        }
+        wait_until(|| standby.status().lag == 0);
+        let status = standby.status();
+        assert_eq!(status.applied_records, records.len() as u64);
+        assert!(status.active);
+        assert!(status.publish_waits >= 1);
     }
 
     #[test]
