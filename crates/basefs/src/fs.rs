@@ -54,7 +54,7 @@ use rae_vfs::{
     FsGeometryInfo, FsResult, InodeNo, OpCounters, OpKind, OpOutcome, OpenFlags, SetAttr,
     MAX_FILE_SIZE, MAX_LINKS, ROOT_INO,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,8 +68,6 @@ const MUT_RETRIES: usize = 64;
 /// Reader retries on [`FsError::Corrupted`] (transient under races
 /// with unlink; persistent when the metadata really is damaged).
 const READ_RETRIES: usize = 3;
-/// Group-commit results kept for late-waking followers.
-const RESULTS_KEPT: usize = 64;
 
 /// Assigns completed mutations their position in a global operation
 /// log. Installed by the RAE runtime via [`BaseFs::set_sequencer`]; the
@@ -149,7 +147,7 @@ pub struct BaseFsStats {
 /// Group-commit coordination state (under its own mutex, paired with
 /// [`BaseFs::commit_cv`]).
 #[derive(Debug, Default)]
-struct CommitState {
+pub(crate) struct CommitState {
     /// A leader is driving a commit right now.
     leader_running: bool,
     /// The running leader's batch is still accepting joiners (it flips
@@ -161,8 +159,41 @@ struct CommitState {
     gen_started: u64,
     /// Generation counter of the latest batch to finish.
     gen_completed: u64,
-    /// Recent `(generation, result)` pairs for waking followers.
-    results: VecDeque<(u64, FsResult<()>)>,
+    /// Every batch up to this generation is durable.
+    ok_through: u64,
+    /// The latest batch that failed, with its error.
+    last_failure: Option<(u64, FsError)>,
+}
+
+impl CommitState {
+    /// File the result of batch `gen`, which has just finished.
+    pub(crate) fn finish(&mut self, gen: u64, result: FsResult<()>) {
+        self.gen_completed = gen;
+        match result {
+            Ok(()) => self.ok_through = gen,
+            Err(e) => self.last_failure = Some((gen, e)),
+        }
+    }
+
+    /// The result of finished batch `gen`. A failed commit re-dirties
+    /// everything it took, so a later success covers it: the batch is
+    /// durable iff a success came at or after it, and otherwise every
+    /// batch since it failed and the latest failure is its answer.
+    pub(crate) fn result_of(&self, gen: u64) -> FsResult<()> {
+        debug_assert!(gen <= self.gen_completed, "batch {gen} has not finished");
+        if self.ok_through >= gen {
+            return Ok(());
+        }
+        match &self.last_failure {
+            Some((failed, e)) => {
+                debug_assert!(*failed >= gen, "batch {gen} failed after the last failure");
+                Err(e.clone())
+            }
+            None => Err(FsError::Internal {
+                detail: format!("group-commit batch {gen} finished with no result"),
+            }),
+        }
+    }
 }
 
 /// Blocks and inodes freed by an operation, applied in one batch at
@@ -1348,13 +1379,7 @@ impl BaseFs {
                     while st.gen_completed < gen {
                         self.commit_cv.wait(&mut st);
                     }
-                    let res = st
-                        .results
-                        .iter()
-                        .find(|(g, _)| *g == gen)
-                        .map(|(_, r)| r.clone());
-                    debug_assert!(res.is_some(), "group-commit result expired early");
-                    return res.unwrap_or(Ok(()));
+                    return st.result_of(gen);
                 }
                 if st.leader_running {
                     // batch already sealed: wait for the next opening
@@ -1399,12 +1424,8 @@ impl BaseFs {
         };
         {
             let mut st = self.commit_state.lock();
-            st.gen_completed = my_gen;
+            st.finish(my_gen, publish);
             st.leader_running = false;
-            st.results.push_back((my_gen, publish));
-            while st.results.len() > RESULTS_KEPT {
-                st.results.pop_front();
-            }
         }
         self.commit_cv.notify_all();
         match result {

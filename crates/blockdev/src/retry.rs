@@ -200,6 +200,18 @@ impl<D: BlockDevice> RetryDisk<D> {
         }
     }
 
+    /// Run `op` — a device-bound operation issued above this wrapper,
+    /// such as a whole contained reboot — under this wrapper's budget
+    /// and backoff, counted in its [`RetryDisk::stats`] like a read.
+    ///
+    /// # Errors
+    ///
+    /// The last error once the budget is spent, or the first permanent
+    /// one.
+    pub fn retrying<T>(&self, op: impl FnMut() -> FsResult<T>) -> FsResult<T> {
+        self.with_retries(DevOp::Read, op)
+    }
+
     fn with_retries<T>(&self, dev_op: DevOp, mut op: impl FnMut() -> FsResult<T>) -> FsResult<T> {
         let budget = self.policy.max_attempts.max(1);
         let mut attempt = 0u32;

@@ -7,9 +7,7 @@ use crate::report::{
 };
 use parking_lot::{Mutex, RwLock};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
-use rae_blockdev::{
-    classify_error, BlockDevice, ErrorClass, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk,
-};
+use rae_blockdev::{BlockDevice, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk};
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
@@ -234,19 +232,24 @@ pub struct RaeFs {
     ops_masked: AtomicU64,
     recovery_time_ns: AtomicU64,
     consecutive_recoveries: AtomicU64,
-    ladder_warm: AtomicU64,
-    ladder_cold: AtomicU64,
-    ladder_cold_retry: AtomicU64,
-    ladder_degraded: AtomicU64,
+    /// Per rung, indexed by [`rung_slot`]: recoveries that ended on it,
+    /// and the time spent attempting it (failures included).
+    rung_count: [AtomicU64; RUNG_SLOTS],
+    rung_time_ns: [AtomicU64; RUNG_SLOTS],
     device_retries: AtomicU64,
     device_faults_absorbed: AtomicU64,
     device_retries_exhausted: AtomicU64,
-    /// Cumulative time spent attempting each rung (failures included).
-    rung_warm_time_ns: AtomicU64,
-    rung_cold_time_ns: AtomicU64,
-    rung_cold_retry_time_ns: AtomicU64,
-    rung_degraded_time_ns: AtomicU64,
     telemetry: Arc<Telemetry>,
+}
+
+/// Rungs with their own counters: warm, cold, cold-retry and degraded.
+const RUNG_SLOTS: usize = 4;
+
+/// The counter slot of `rung`. Offline attempts nothing of its own:
+/// the degrade rung's reboot is what fails before it, so it shares that
+/// slot.
+fn rung_slot(rung: LadderRung) -> usize {
+    (rung.code() as usize).min(RUNG_SLOTS - 1)
 }
 
 /// Resets the device's I/O phase to `Normal` on drop, so phase-scoped
@@ -301,7 +304,8 @@ impl RaeFs {
         base_cfg.telemetry = Some(Arc::clone(&telemetry));
         // interpose the write tracker below the base so warm recovery
         // knows which blocks to reconcile against the standby snapshot
-        let (dev, tracker) = if config.standby.enabled && config.mode == RecoveryMode::Rae {
+        let standby_on = config.standby.enabled && config.mode == RecoveryMode::Rae;
+        let (dev, tracker) = if standby_on {
             let t = Arc::new(TrackedDisk::new(dev));
             t.set_telemetry(Arc::clone(&telemetry));
             (Arc::clone(&t) as Arc<dyn BlockDevice>, Some(t))
@@ -321,23 +325,22 @@ impl RaeFs {
         };
         // spawn the warm standby before any operation completes so its
         // lineage starts at the same on-disk state the base mounted
-        let (standby, standby_degraded) =
-            if config.standby.enabled && config.mode == RecoveryMode::Rae {
-                // drain before the spawn snapshot: anything landing
-                // later stays tracked for the next resync
-                if let Some(t) = &tracker {
-                    let _ = t.take_written();
+        let (standby, standby_degraded) = if standby_on {
+            // drain before the spawn snapshot: anything landing
+            // later stays tracked for the next resync
+            if let Some(t) = &tracker {
+                let _ = t.take_written();
+            }
+            match WarmStandby::spawn(base.device(), config.shadow, config.standby, Vec::new()) {
+                Ok(sb) => {
+                    sb.set_telemetry(Arc::clone(&telemetry));
+                    (Some(sb), false)
                 }
-                match WarmStandby::spawn(base.device(), config.shadow, config.standby, Vec::new()) {
-                    Ok(sb) => {
-                        sb.set_telemetry(Arc::clone(&telemetry));
-                        (Some(sb), false)
-                    }
-                    Err(_) => (None, true), // shadow refused the image: run cold
-                }
-            } else {
-                (None, false)
-            };
+                Err(_) => (None, true), // shadow refused the image: run cold
+            }
+        } else {
+            (None, false)
+        };
         let shared = Arc::new(LogShared {
             log: Mutex::new(OpLog::new()),
             standby: Mutex::new(standby),
@@ -368,17 +371,11 @@ impl RaeFs {
             ops_masked: AtomicU64::new(0),
             recovery_time_ns: AtomicU64::new(0),
             consecutive_recoveries: AtomicU64::new(0),
-            ladder_warm: AtomicU64::new(0),
-            ladder_cold: AtomicU64::new(0),
-            ladder_cold_retry: AtomicU64::new(0),
-            ladder_degraded: AtomicU64::new(0),
+            rung_count: Default::default(),
+            rung_time_ns: Default::default(),
             device_retries: AtomicU64::new(0),
             device_faults_absorbed: AtomicU64::new(0),
             device_retries_exhausted: AtomicU64::new(0),
-            rung_warm_time_ns: AtomicU64::new(0),
-            rung_cold_time_ns: AtomicU64::new(0),
-            rung_cold_retry_time_ns: AtomicU64::new(0),
-            rung_degraded_time_ns: AtomicU64::new(0),
             telemetry,
         })
     }
@@ -417,6 +414,8 @@ impl RaeFs {
     pub fn stats(&self) -> RaeStats {
         let log = self.shared.log.lock();
         let standby = self.standby_status();
+        let count = |r| self.rung_count[rung_slot(r)].load(Ordering::Relaxed);
+        let time_ns = |r| self.rung_time_ns[rung_slot(r)].load(Ordering::Relaxed);
         RaeStats {
             detected_errors: self.detected_errors.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
@@ -424,10 +423,10 @@ impl RaeFs {
             recovery_failures: self.recovery_failures.load(Ordering::Relaxed),
             ops_masked: self.ops_masked.load(Ordering::Relaxed),
             recovery_time_ns: self.recovery_time_ns.load(Ordering::Relaxed),
-            rung_warm_time_ns: self.rung_warm_time_ns.load(Ordering::Relaxed),
-            rung_cold_time_ns: self.rung_cold_time_ns.load(Ordering::Relaxed),
-            rung_cold_retry_time_ns: self.rung_cold_retry_time_ns.load(Ordering::Relaxed),
-            rung_degraded_time_ns: self.rung_degraded_time_ns.load(Ordering::Relaxed),
+            rung_warm_time_ns: time_ns(LadderRung::Warm),
+            rung_cold_time_ns: time_ns(LadderRung::Cold),
+            rung_cold_retry_time_ns: time_ns(LadderRung::ColdRetry),
+            rung_degraded_time_ns: time_ns(LadderRung::Degraded),
             log_len: log.len(),
             log_trimmed: log.trimmed_total(),
             standby_active: standby.active,
@@ -447,10 +446,10 @@ impl RaeFs {
                 .load(Ordering::Relaxed)
                 + standby.publish_waits,
             degraded: self.degraded.load(Ordering::Acquire),
-            ladder_warm: self.ladder_warm.load(Ordering::Relaxed),
-            ladder_cold: self.ladder_cold.load(Ordering::Relaxed),
-            ladder_cold_retry: self.ladder_cold_retry.load(Ordering::Relaxed),
-            ladder_degraded: self.ladder_degraded.load(Ordering::Relaxed),
+            ladder_warm: count(LadderRung::Warm),
+            ladder_cold: count(LadderRung::Cold),
+            ladder_cold_retry: count(LadderRung::ColdRetry),
+            ladder_degraded: count(LadderRung::Degraded),
             device_retries: self.device_retries.load(Ordering::Relaxed),
             device_faults_absorbed: self.device_faults_absorbed.load(Ordering::Relaxed),
             device_retries_exhausted: self.device_retries_exhausted.load(Ordering::Relaxed),
@@ -612,36 +611,8 @@ impl RaeFs {
             return Ok(());
         }
         self.ops_since_audit.store(0, Ordering::Relaxed);
-        // the checkpoint is a base operation like any other: its own
-        // runtime errors must be masked, not leaked to the application
-        let barrier = {
-            let _admitted = self.gate.read();
-            catch_unwind(AssertUnwindSafe(|| self.base.checkpoint()))
-        };
-        match barrier {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                self.detected_errors.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.event(
-                    EventKind::ErrorDetected,
-                    OpClass::Fsync.code(),
-                    Self::error_code(&e),
-                    0,
-                );
-                self.recover(None, None, RecoveryTrigger::DetectedError(e))?;
-                return Ok(()); // recovery respawned the standby; audit next round
-            }
-            Err(p) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                self.telemetry
-                    .event(EventKind::PanicCaught, OpClass::Fsync.code(), 0, 0);
-                self.recover(
-                    None,
-                    None,
-                    RecoveryTrigger::CaughtPanic(panic_msg(p.as_ref())),
-                )?;
-                return Ok(());
-            }
+        if !self.forced_barrier(|| self.base.checkpoint())? {
+            return Ok(()); // recovery respawned the standby; audit next round
         }
         let _quiesced = self.gate.write();
         self.shared.log.lock().trim(self.base.persisted_seq());
@@ -667,7 +638,7 @@ impl RaeFs {
     /// cold-replay initial condition — so the standby's lineage matches
     /// a cold shadow's from here on. Called with the quiesce gate held.
     fn respawn_standby(&self, log: &OpLog) {
-        if !self.config.standby.enabled || self.config.mode != RecoveryMode::Rae {
+        if !self.config.standby.enabled {
             return;
         }
         let (backlog, _) = log.for_recovery();
@@ -781,15 +752,12 @@ impl RaeFs {
         // append the completed record — log order is apply order.
         CURRENT_OP.with(|c| *c.borrow_mut() = Some(op));
         LAST_SEQUENCED.with(|l| *l.borrow_mut() = None);
-        let result = {
-            let _admitted = self.gate.read();
-            catch_unwind(AssertUnwindSafe(|| {
-                CURRENT_OP.with(|c| {
-                    let cur = c.borrow();
-                    self.dispatch_base(cur.as_ref().expect("current op stashed"))
-                })
-            }))
-        };
+        let result = self.in_base(class, || {
+            CURRENT_OP.with(|c| {
+                let cur = c.borrow();
+                self.dispatch_base(cur.as_ref().expect("current op stashed"))
+            })
+        });
         let op = CURRENT_OP.with(|c| c.borrow_mut().take());
         let sequenced = LAST_SEQUENCED.with(|l| l.borrow_mut().take());
 
@@ -820,58 +788,21 @@ impl RaeFs {
                 if self.config.treat_warn_as_error
                     && !self.base.fault_registry().take_warnings().is_empty()
                 {
-                    self.detected_errors.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry
-                        .event(EventKind::ErrorDetected, class.code(), 0, 0);
-                    self.recover(None, None, RecoveryTrigger::WarnPolicy)?;
+                    let trigger = self.base_failed(class, RecoveryTrigger::WarnPolicy);
+                    self.answer(trigger, None, None)?;
                 }
                 let over_budget = {
                     let mut log = self.shared.log.lock();
                     log.trim(self.base.persisted_seq());
                     log.len() > self.config.max_log_records
                 };
-                if over_budget {
-                    // forced barrier — its own runtime errors must be
-                    // masked like any other (a commit-site bug would
-                    // otherwise leak to an unrelated operation)
-                    let barrier = {
-                        let _admitted = self.gate.read();
-                        catch_unwind(AssertUnwindSafe(|| self.base.sync()))
-                    };
-                    match barrier {
-                        Ok(Ok(())) => {
-                            self.shared.log.lock().trim(self.base.persisted_seq());
-                        }
-                        Ok(Err(e)) => {
-                            self.detected_errors.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.event(
-                                EventKind::ErrorDetected,
-                                OpClass::Fsync.code(),
-                                Self::error_code(&e),
-                                0,
-                            );
-                            self.recover(None, None, RecoveryTrigger::DetectedError(e))?;
-                        }
-                        Err(p) => {
-                            self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.event(
-                                EventKind::PanicCaught,
-                                OpClass::Fsync.code(),
-                                0,
-                                0,
-                            );
-                            self.recover(
-                                None,
-                                None,
-                                RecoveryTrigger::CaughtPanic(panic_msg(p.as_ref())),
-                            )?;
-                        }
-                    }
+                if over_budget && self.forced_barrier(|| self.base.sync())? {
+                    self.shared.log.lock().trim(self.base.persisted_seq());
                 }
                 self.maybe_standby_audit()?;
                 Ok(ret)
             }
-            Ok(Err(e)) if e.is_specified() => {
+            Ok(Err(e)) => {
                 // a specified error can only be raised before the
                 // sequencing point (names are validated at path-split
                 // time, space is reserved up front)
@@ -889,55 +820,91 @@ impl RaeFs {
                 }
                 Err(e)
             }
-            Ok(Err(e)) => {
-                self.detected_errors.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.event(
-                    EventKind::ErrorDetected,
-                    class.code(),
-                    Self::error_code(&e),
-                    0,
-                );
-                self.handle_runtime_error(op, sequenced, RecoveryTrigger::DetectedError(e))
-            }
-            Err(p) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                self.telemetry
-                    .event(EventKind::PanicCaught, class.code(), 0, 0);
-                self.handle_runtime_error(
-                    op,
-                    sequenced,
-                    RecoveryTrigger::CaughtPanic(panic_msg(p.as_ref())),
-                )
+            Err(trigger) => {
+                // an operation already sequenced failed in post-op
+                // machinery such as the journal commit: it is in the
+                // log as completed, recovery replays it as such, and
+                // the application receives the recorded outcome
+                let in_flight = if sequenced.is_none() { op } else { None };
+                let (outcome, _) = self.answer(trigger, in_flight, None)?;
+                self.ops_masked.fetch_add(1, Ordering::Relaxed);
+                Self::ret_of(sequenced.map_or(outcome, |(_, recorded)| recorded))
             }
         }
     }
 
-    fn handle_runtime_error(
+    /// Run `f` in the base: admitted through the quiesce gate, its
+    /// unwinding caught. Success and specified errors come back as
+    /// `Ok`; a runtime error or a panic is classified by
+    /// [`RaeFs::base_failed`] and comes back as a recovery trigger.
+    fn in_base<T>(
         &self,
-        op: Option<FsOp>,
-        sequenced: Option<(u64, OpOutcome)>,
-        trigger: RecoveryTrigger,
-    ) -> FsResult<Ret> {
-        match self.config.mode {
-            RecoveryMode::Rae => {
-                let outcome = match sequenced {
-                    // the operation itself completed and is already in
-                    // the log (the failure hit post-op machinery such
-                    // as the journal commit): recovery replays it as a
-                    // completed record and the application receives
-                    // the recorded outcome
-                    Some((_, outcome)) => {
-                        self.recover(None, None, trigger)?;
-                        outcome
-                    }
-                    None => {
-                        let (outcome, _) = self.recover(op, None, trigger)?;
-                        outcome
-                    }
-                };
-                self.ops_masked.fetch_add(1, Ordering::Relaxed);
-                Self::ret_of(outcome)
+        class: OpClass,
+        f: impl FnOnce() -> FsResult<T>,
+    ) -> Result<FsResult<T>, RecoveryTrigger> {
+        let caught = {
+            let _admitted = self.gate.read();
+            catch_unwind(AssertUnwindSafe(f))
+        };
+        match caught {
+            Ok(Err(e)) if e.is_runtime_error() => {
+                Err(self.base_failed(class, RecoveryTrigger::DetectedError(e)))
             }
+            Ok(r) => Ok(r),
+            Err(p) => {
+                Err(self.base_failed(class, RecoveryTrigger::CaughtPanic(panic_msg(p.as_ref()))))
+            }
+        }
+    }
+
+    /// The one classifier of a base failure: count it (a panic apart
+    /// from a detected error or a warn-policy hit) and put it on the
+    /// flight recorder under the class of the call that failed.
+    fn base_failed(&self, class: OpClass, trigger: RecoveryTrigger) -> RecoveryTrigger {
+        let (counter, kind, code) = match &trigger {
+            RecoveryTrigger::CaughtPanic(_) => (&self.panics_caught, EventKind::PanicCaught, 0),
+            RecoveryTrigger::DetectedError(e) => (
+                &self.detected_errors,
+                EventKind::ErrorDetected,
+                Self::error_code(e),
+            ),
+            RecoveryTrigger::WarnPolicy => (&self.detected_errors, EventKind::ErrorDetected, 0),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.event(kind, class.code(), code, 0);
+        trigger
+    }
+
+    /// A barrier the runtime forces on its own: the log budget's sync
+    /// or the standby audit's checkpoint. It is a base call like any
+    /// other, so its failure takes the same road as an operation's and
+    /// the configured mode answers it. Under `Rae` the recovery masks
+    /// it (no operation was in flight, so none counts as masked) and
+    /// this returns `false`; a baseline's answer is the caller's error.
+    fn forced_barrier(&self, barrier: impl FnOnce() -> FsResult<()>) -> FsResult<bool> {
+        match self.in_base(OpClass::Fsync, barrier) {
+            Ok(r) => r.map(|()| true),
+            Err(trigger) => self.answer(trigger, None, None).map(|_| false),
+        }
+    }
+
+    /// The configured mode's answer to a failure in the base, whichever
+    /// base call failed: an application's operation (`in_flight` or
+    /// `read`, when not yet sequenced) or a barrier the runtime forced.
+    fn answer(
+        &self,
+        trigger: RecoveryTrigger,
+        in_flight: Option<FsOp>,
+        read: Option<&ReadRequest>,
+    ) -> FsResult<(OpOutcome, Option<ReadReply>)> {
+        match self.config.mode {
+            // read-only degraded is the ladder's last serving rung: a
+            // runtime error on the journal-consistent base leaves
+            // nothing to recover through
+            RecoveryMode::Rae if self.degraded.load(Ordering::Acquire) => {
+                self.mark_failed(trigger_error(trigger))
+            }
+            RecoveryMode::Rae => self.recover(in_flight, read, trigger),
             RecoveryMode::CrashRemount => {
                 // the whole machine "crashes": buffered state and every
                 // descriptor are gone; remount from disk
@@ -951,20 +918,10 @@ impl RaeFs {
                     Err(e) => self.mark_failed(e),
                 }
             }
-            RecoveryMode::ErrorReturn => {
-                // nothing was pre-appended; a record sequenced before
-                // the failure stays in the log — ErrorReturn keeps
-                // running on untrusted state by design
-                match trigger {
-                    RecoveryTrigger::DetectedError(e) => Err(e),
-                    RecoveryTrigger::CaughtPanic(msg) => Err(FsError::Internal {
-                        detail: format!("base panicked: {msg}"),
-                    }),
-                    RecoveryTrigger::WarnPolicy => Err(FsError::Internal {
-                        detail: "warn policy violation".to_string(),
-                    }),
-                }
-            }
+            // nothing was pre-appended; a record sequenced before the
+            // failure stays in the log — ErrorReturn keeps running on
+            // untrusted state by design
+            RecoveryMode::ErrorReturn => Err(trigger_error(trigger)),
         }
     }
 
@@ -1046,134 +1003,96 @@ impl RaeFs {
         );
         let mut failed_rungs: Vec<RungFailure> = Vec::new();
 
-        // Rung 1 — warm handover, when a healthy standby exists. The
-        // handover consumes the standby either way; a failed warm
-        // attempt falls through to cold with the standby gone. (Take
-        // the handle out first: the `if let` must not hold the lock,
-        // finish_recovery re-arms the standby under it.) The standby
-        // drains its tail into its own snapshot while the rung reboots
-        // the base, and the rung waits for it after the reboot.
-        let taken = self.shared.standby.lock().take();
-        if let Some(sb) = taken {
-            // the handover consumes the handle: bank its counters now
-            self.shared.retire_standby(&sb);
-            let lag = sb.lag();
+        // Rungs 1–3: warm handover (when a healthy standby exists),
+        // cold replay over a fresh shadow, and the cold path once more
+        // with the shadow's device I/O — and the reboot — going through
+        // a retrying wrapper, so one-shot transient errors cannot kill
+        // the attempt. The handover consumes the standby either way: a
+        // failed warm attempt falls through to cold with the standby
+        // gone. (Take the handle out first: finish_recovery re-arms the
+        // standby under the lock.)
+        let mut standby = self.shared.standby.lock().take();
+        for rung in [LadderRung::Warm, LadderRung::Cold, LadderRung::ColdRetry] {
+            if rung == LadderRung::Warm && standby.is_none() {
+                continue; // no healthy standby: the ladder starts cold
+            }
+            let retry_dev = (rung == LadderRung::ColdRetry).then(|| {
+                let d = Arc::new(RetryDisk::with_policy(
+                    self.base.device(),
+                    self.config.retry,
+                ));
+                d.set_telemetry(Arc::clone(&self.telemetry));
+                d
+            });
             let rung_t0 = Instant::now();
-            self.rung_event(EventKind::RungEntered, LadderRung::Warm, 0);
-            match sb.start_handover() {
-                Some(draining) => {
-                    match self.attempt(
-                        LadderRung::Warm,
-                        Some((draining, lag)),
-                        None,
-                        &completed,
+            self.rung_event(EventKind::RungEntered, rung, 0);
+            // the standby drains its tail into its own snapshot while
+            // the rung reboots the base; the rung waits for it after
+            let handover = standby.take().map(|sb| {
+                // the handover consumes the handle: bank its counters now
+                self.shared.retire_standby(&sb);
+                let lag = sb.lag();
+                sb.start_handover().map(|draining| (draining, lag))
+            });
+            let res = match handover {
+                // the standby refused up front: no attempt ran, so the
+                // rung is timed but `failed_rungs` keeps to genuinely
+                // attempted ones
+                Some(None) => None,
+                // a panic anywhere in the rung (injected or real) is an
+                // error that demotes the ladder instead of unwinding
+                // out of `recover`
+                handover => Some(
+                    catch_unwind(AssertUnwindSafe(|| {
+                        self.run_rung(
+                            rung,
+                            handover.flatten(),
+                            retry_dev.as_ref(),
+                            &completed,
+                            in_flight,
+                            read_in_flight,
+                            &trigger,
+                        )
+                    }))
+                    .unwrap_or_else(|p| {
+                        self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                        Err(FsError::Internal {
+                            detail: format!(
+                                "panic during {} recovery rung: {}",
+                                rung.as_str(),
+                                panic_msg(p.as_ref())
+                            ),
+                        })
+                    }),
+                ),
+            };
+            if let Some(d) = &retry_dev {
+                let rs = d.stats();
+                self.device_retries.fetch_add(rs.retries, Ordering::Relaxed);
+                self.device_faults_absorbed
+                    .fetch_add(rs.absorbed, Ordering::Relaxed);
+                self.device_retries_exhausted
+                    .fetch_add(rs.exhausted, Ordering::Relaxed);
+            }
+            match res {
+                Some(Ok(s)) => {
+                    return self.finish_recovery(
+                        log,
+                        s,
                         in_flight,
-                        read_in_flight,
-                        &trigger,
-                    ) {
-                        Ok(s) => {
-                            return self.finish_recovery(
-                                log,
-                                s,
-                                in_flight,
-                                &completed,
-                                start,
-                                rung_t0.elapsed(),
-                                failed_rungs,
-                            )
-                        }
-                        Err(e) => {
-                            self.shared.standby_degraded.store(true, Ordering::Release);
-                            failed_rungs.push(self.rung_failed(
-                                LadderRung::Warm,
-                                &e,
-                                rung_t0.elapsed(),
-                            ));
-                        }
+                        &completed,
+                        start,
+                        rung_t0.elapsed(),
+                        failed_rungs,
+                    )
+                }
+                failure => {
+                    if rung == LadderRung::Warm {
+                        self.shared.standby_degraded.store(true, Ordering::Release);
                     }
+                    let e = failure.and_then(Result::err);
+                    failed_rungs.extend(self.rung_failed(rung, e.as_ref(), rung_t0.elapsed()));
                 }
-                None => {
-                    // no attempt ran (the standby refused up front):
-                    // record the event but keep `failed_rungs` to
-                    // genuinely attempted rungs
-                    self.shared.standby_degraded.store(true, Ordering::Release);
-                    self.rung_event(
-                        EventKind::RungFailed,
-                        LadderRung::Warm,
-                        rung_t0.elapsed().as_nanos() as u64,
-                    );
-                    self.add_rung_time(LadderRung::Warm, rung_t0.elapsed());
-                }
-            }
-        }
-
-        // Rung 2 — cold replay over a fresh shadow.
-        let rung_t0 = Instant::now();
-        self.rung_event(EventKind::RungEntered, LadderRung::Cold, 0);
-        match self.attempt(
-            LadderRung::Cold,
-            None,
-            None,
-            &completed,
-            in_flight,
-            read_in_flight,
-            &trigger,
-        ) {
-            Ok(s) => {
-                return self.finish_recovery(
-                    log,
-                    s,
-                    in_flight,
-                    &completed,
-                    start,
-                    rung_t0.elapsed(),
-                    failed_rungs,
-                )
-            }
-            Err(e) => {
-                failed_rungs.push(self.rung_failed(LadderRung::Cold, &e, rung_t0.elapsed()));
-            }
-        }
-
-        // Rung 3 — the cold path once more, with the shadow's device
-        // I/O going through a retrying wrapper so one-shot transient
-        // errors cannot kill the attempt.
-        let retry_dev = Arc::new(RetryDisk::with_policy(
-            self.base.device(),
-            self.config.retry,
-        ));
-        retry_dev.set_telemetry(Arc::clone(&self.telemetry));
-        let rung_t0 = Instant::now();
-        self.rung_event(EventKind::RungEntered, LadderRung::ColdRetry, 0);
-        let res = self.attempt(
-            LadderRung::ColdRetry,
-            None,
-            Some(Arc::clone(&retry_dev) as Arc<dyn BlockDevice>),
-            &completed,
-            in_flight,
-            read_in_flight,
-            &trigger,
-        );
-        let rs = retry_dev.stats();
-        self.device_retries.fetch_add(rs.retries, Ordering::Relaxed);
-        self.device_faults_absorbed
-            .fetch_add(rs.absorbed, Ordering::Relaxed);
-        self.device_retries_exhausted
-            .fetch_add(rs.exhausted, Ordering::Relaxed);
-        match res {
-            Ok(s) => {
-                return self.finish_recovery(
-                    log,
-                    s,
-                    in_flight,
-                    &completed,
-                    start,
-                    rung_t0.elapsed(),
-                    failed_rungs,
-                )
-            }
-            Err(e) => {
-                failed_rungs.push(self.rung_failed(LadderRung::ColdRetry, &e, rung_t0.elapsed()));
             }
         }
 
@@ -1182,8 +1101,14 @@ impl RaeFs {
         // journal-consistent durable state. Serve reads off that.
         let rung_t0 = Instant::now();
         self.rung_event(EventKind::RungEntered, LadderRung::Degraded, 0);
-        match catch_unwind(AssertUnwindSafe(|| self.base.contained_reboot())) {
-            Ok(Ok(_boot)) => self.enter_degraded(
+        let reboot = catch_unwind(AssertUnwindSafe(|| self.base.contained_reboot()))
+            .unwrap_or_else(|p| {
+                Err(FsError::Internal {
+                    detail: format!("panic during degrade reboot: {}", panic_msg(p.as_ref())),
+                })
+            });
+        match reboot {
+            Ok(_boot) => self.enter_degraded(
                 log,
                 trigger,
                 failed_rungs,
@@ -1192,32 +1117,13 @@ impl RaeFs {
                 in_flight,
                 read_in_flight,
             ),
-            Ok(Err(e)) => {
-                failed_rungs.push(self.rung_failed(LadderRung::Degraded, &e, rung_t0.elapsed()));
-                self.go_offline(trigger, failed_rungs, start, e)
-            }
-            Err(p) => {
-                let msg = panic_msg(p.as_ref());
-                let elapsed = rung_t0.elapsed();
-                self.add_rung_time(LadderRung::Degraded, elapsed);
-                self.rung_event(
-                    EventKind::RungFailed,
+            Err(e) => {
+                failed_rungs.extend(self.rung_failed(
                     LadderRung::Degraded,
-                    elapsed.as_nanos() as u64,
-                );
-                failed_rungs.push(RungFailure {
-                    rung: LadderRung::Degraded,
-                    error: msg.clone(),
-                    duration: elapsed,
-                });
-                self.go_offline(
-                    trigger,
-                    failed_rungs,
-                    start,
-                    FsError::Internal {
-                        detail: format!("panic during degrade reboot: {msg}"),
-                    },
-                )
+                    Some(&e),
+                    rung_t0.elapsed(),
+                ));
+                self.go_offline(trigger, failed_rungs, start, e)
             }
         }
     }
@@ -1227,67 +1133,32 @@ impl RaeFs {
         self.telemetry.event(kind, rung.code(), b, 0);
     }
 
-    /// Accumulate time spent attempting `rung` into the per-rung stats.
-    fn add_rung_time(&self, rung: LadderRung, elapsed: Duration) {
-        let ns = elapsed.as_nanos() as u64;
-        match rung {
-            LadderRung::Warm => &self.rung_warm_time_ns,
-            LadderRung::Cold => &self.rung_cold_time_ns,
-            LadderRung::ColdRetry => &self.rung_cold_retry_time_ns,
-            LadderRung::Degraded | LadderRung::Offline => &self.rung_degraded_time_ns,
+    /// Charge `elapsed` to `rung`'s time, and count the recovery on it
+    /// when it `ended` there.
+    fn charge_rung(&self, rung: LadderRung, elapsed: Duration, ended: bool) {
+        let slot = rung_slot(rung);
+        self.rung_time_ns[slot].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        if ended {
+            self.rung_count[slot].fetch_add(1, Ordering::Relaxed);
         }
-        .fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Bookkeeping for one failed rung attempt: per-rung time, the
-    /// `RungFailed` flight-recorder event, and the report entry.
-    fn rung_failed(&self, rung: LadderRung, e: &FsError, elapsed: Duration) -> RungFailure {
-        self.add_rung_time(rung, elapsed);
+    /// Bookkeeping for one failed rung: per-rung time, the `RungFailed`
+    /// flight-recorder event, and — when an attempt ran and `e` says
+    /// why it failed — the report entry.
+    fn rung_failed(
+        &self,
+        rung: LadderRung,
+        e: Option<&FsError>,
+        elapsed: Duration,
+    ) -> Option<RungFailure> {
+        self.charge_rung(rung, elapsed, false);
         self.rung_event(EventKind::RungFailed, rung, elapsed.as_nanos() as u64);
-        RungFailure {
+        e.map(|e| RungFailure {
             rung,
             error: e.to_string(),
             duration: elapsed,
-        }
-    }
-
-    /// Run one ladder rung under `catch_unwind`: a panic anywhere in
-    /// the rung (injected or real) becomes an error that demotes the
-    /// ladder instead of unwinding out of `recover`.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        rung: LadderRung,
-        warm: Option<(PendingHandover, u64)>,
-        shadow_dev: Option<Arc<dyn BlockDevice>>,
-        completed: &[OpRecord],
-        in_flight: Option<(u64, &FsOp)>,
-        read_in_flight: Option<&ReadRequest>,
-        trigger: &RecoveryTrigger,
-    ) -> FsResult<RungSuccess> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.run_rung(
-                rung,
-                warm,
-                shadow_dev,
-                completed,
-                in_flight,
-                read_in_flight,
-                trigger,
-            )
-        })) {
-            Ok(r) => r,
-            Err(p) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                Err(FsError::Internal {
-                    detail: format!(
-                        "panic during {} recovery rung: {}",
-                        rung.as_str(),
-                        panic_msg(p.as_ref())
-                    ),
-                })
-            }
-        }
+        })
     }
 
     /// Fire the [`Site::RecoveryReplay`] fault-injection site: nested
@@ -1305,16 +1176,16 @@ impl RaeFs {
     }
 
     /// One full rung: contained reboot, caught-up shadow (via the warm
-    /// handover draining meanwhile or a cold load + constrained replay
-    /// over `shadow_dev`), autonomous in-flight completion, and metadata
-    /// download into the base. Any error aborts the rung; the caller
-    /// decides what rung comes next.
+    /// handover draining meanwhile, or a cold load + constrained replay
+    /// — through `retry_dev` on the retry rung), autonomous in-flight
+    /// completion, and metadata download into the base. Any error
+    /// aborts the rung; the ladder decides what rung comes next.
     #[allow(clippy::too_many_arguments)]
     fn run_rung(
         &self,
         rung: LadderRung,
         warm: Option<(PendingHandover, u64)>,
-        shadow_dev: Option<Arc<dyn BlockDevice>>,
+        retry_dev: Option<&Arc<RetryDisk<Arc<dyn BlockDevice>>>>,
         completed: &[OpRecord],
         in_flight: Option<(u64, &FsOp)>,
         read_in_flight: Option<&ReadRequest>,
@@ -1327,40 +1198,9 @@ impl RaeFs {
         // handle, below any retry wrapper — on the retry rung, give its
         // transient failures the same bounded budget by re-issuing the
         // whole reboot (idempotent over the durable state).
-        let boot = if rung == LadderRung::ColdRetry {
-            let budget = self.config.retry.max_attempts.max(1);
-            let mut att = 0u32;
-            loop {
-                att += 1;
-                match self.base.contained_reboot() {
-                    Ok(b) => {
-                        if att > 1 {
-                            self.device_faults_absorbed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break b;
-                    }
-                    Err(e) if att < budget && classify_error(&e) == ErrorClass::Transient => {
-                        self.device_retries.fetch_add(1, Ordering::Relaxed);
-                        let shift = (att - 1).min(32);
-                        let step = self
-                            .config
-                            .retry
-                            .base_backoff_ns
-                            .saturating_mul(1u64 << shift)
-                            .min(self.config.retry.max_backoff_ns);
-                        std::thread::sleep(Duration::from_nanos(step));
-                    }
-                    Err(e) => {
-                        if classify_error(&e) == ErrorClass::Transient {
-                            self.device_retries_exhausted
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        } else {
-            self.base.contained_reboot()?
+        let boot = match retry_dev {
+            Some(d) => d.retrying(|| self.base.contained_reboot())?,
+            None => self.base.contained_reboot()?,
         };
         let reboot_time = t0.elapsed();
 
@@ -1397,7 +1237,7 @@ impl RaeFs {
                 // until `absorb_recovery`, by which point the shadow
                 // (and the view with it) has been consumed.
                 let dev = Arc::new(MemoDisk::new(
-                    shadow_dev.unwrap_or_else(|| self.base.device()),
+                    retry_dev.map_or_else(|| self.base.device(), |d| Arc::clone(d) as _),
                 ));
                 memo = Some(Arc::clone(&dev));
                 let t_load = Instant::now();
@@ -1567,27 +1407,12 @@ impl RaeFs {
             None => self.respawn_standby(log),
         }
 
-        let elapsed = start.elapsed();
         self.recoveries.fetch_add(1, Ordering::Relaxed);
-        match report.rung {
-            LadderRung::Warm => &self.ladder_warm,
-            LadderRung::Cold => &self.ladder_cold,
-            _ => &self.ladder_cold_retry,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        self.add_rung_time(report.rung, rung_elapsed);
-        self.recovery_time_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        report.duration = elapsed;
+        self.charge_rung(report.rung, rung_elapsed, true);
+        report.duration = start.elapsed();
         report.rung_time = rung_elapsed;
         report.failed_rungs = failed_rungs;
-        self.telemetry.event(
-            EventKind::RecoveryDone,
-            report.rung.code(),
-            elapsed.as_nanos() as u64,
-            report.records_replayed,
-        );
-        self.reports.lock().push(report);
+        self.file_report(report);
         match read_reply {
             Some(Ok(r)) => Ok((outcome, Some(r))),
             Some(Err(e)) => Err(e), // the application's specified answer
@@ -1611,29 +1436,19 @@ impl RaeFs {
         read_in_flight: Option<&ReadRequest>,
     ) -> FsResult<(OpOutcome, Option<ReadReply>)> {
         self.degraded.store(true, Ordering::Release);
-        self.ladder_degraded.fetch_add(1, Ordering::Relaxed);
-        self.add_rung_time(LadderRung::Degraded, rung_elapsed);
+        self.charge_rung(LadderRung::Degraded, rung_elapsed, true);
         // the shadow could not reproduce the retained log: it is
         // unreplayable and the buffered tail it described is gone
         log.clear();
         if self.config.standby.enabled {
             self.shared.standby_degraded.store(true, Ordering::Release);
         }
-        let elapsed = start.elapsed();
-        self.recovery_time_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         let mut report =
-            RecoveryReport::terminal(trigger, LadderRung::Degraded, failed_rungs, elapsed);
+            RecoveryReport::terminal(trigger, LadderRung::Degraded, failed_rungs, start.elapsed());
         report.rung_time = rung_elapsed;
         report.had_in_flight = in_flight.is_some() || read_in_flight.is_some();
         self.telemetry.event(EventKind::Degraded, 0, 0, 0);
-        self.telemetry.event(
-            EventKind::RecoveryDone,
-            LadderRung::Degraded.code(),
-            elapsed.as_nanos() as u64,
-            0,
-        );
-        self.reports.lock().push(report);
+        self.file_report(report);
 
         // a pending read can still be answered off the now
         // journal-consistent base; a pending mutation cannot
@@ -1662,23 +1477,28 @@ impl RaeFs {
         start: Instant,
         e: FsError,
     ) -> FsResult<(OpOutcome, Option<ReadReply>)> {
-        let elapsed = start.elapsed();
-        self.recovery_time_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.telemetry.event(EventKind::Offline, 0, 0, 0);
-        self.telemetry.event(
-            EventKind::RecoveryDone,
-            LadderRung::Offline.code(),
-            elapsed.as_nanos() as u64,
-            0,
-        );
-        self.reports.lock().push(RecoveryReport::terminal(
+        self.file_report(RecoveryReport::terminal(
             trigger,
             LadderRung::Offline,
             failed_rungs,
-            elapsed,
+            start.elapsed(),
         ));
         self.mark_failed(e)
+    }
+
+    /// File a finished recovery: its wall time into the stats, the
+    /// `RecoveryDone` event, and the report itself.
+    fn file_report(&self, report: RecoveryReport) {
+        let ns = report.duration.as_nanos() as u64;
+        self.recovery_time_ns.fetch_add(ns, Ordering::Relaxed);
+        self.telemetry.event(
+            EventKind::RecoveryDone,
+            report.rung.code(),
+            ns,
+            report.records_replayed,
+        );
+        self.reports.lock().push(report);
     }
 
     fn dispatch_read_base(&self, op: &ReadRequest) -> FsResult<ReadReply> {
@@ -1717,71 +1537,35 @@ impl RaeFs {
 
     fn exec_read_inner(&self, op: &ReadRequest, class: OpClass) -> FsResult<ReadReply> {
         self.check_online()?;
-        let first = {
-            let _admitted = self.gate.read();
-            catch_unwind(AssertUnwindSafe(|| self.dispatch_read_base(op)))
-        };
-        let trigger = match first {
+        match self.in_base(class, || self.dispatch_read_base(op)) {
             Ok(Ok(v)) => {
                 self.consecutive_recoveries.store(0, Ordering::Relaxed);
-                return Ok(v);
+                Ok(v)
             }
-            Ok(Err(e)) if e.is_specified() => return Err(e),
-            Ok(Err(e)) => {
-                self.detected_errors.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.event(
-                    EventKind::ErrorDetected,
-                    class.code(),
-                    Self::error_code(&e),
-                    0,
-                );
-                if self.degraded.load(Ordering::Acquire) {
-                    // read-only degraded is the ladder's last serving
-                    // rung: a runtime error on the journal-consistent
-                    // base leaves nothing to recover through
-                    return self.mark_failed(e);
-                }
-                RecoveryTrigger::DetectedError(e)
-            }
-            Err(p) => {
-                self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                self.telemetry
-                    .event(EventKind::PanicCaught, class.code(), 0, 0);
-                let msg = panic_msg(p.as_ref());
-                if self.degraded.load(Ordering::Acquire) {
-                    return self.mark_failed(FsError::Internal {
-                        detail: format!("base panicked while degraded: {msg}"),
-                    });
-                }
-                RecoveryTrigger::CaughtPanic(msg)
-            }
-        };
-        match self.config.mode {
-            RecoveryMode::Rae => {
-                let (_, reply) = self.recover(None, Some(op), trigger)?;
+            Ok(Err(e)) => Err(e),
+            Err(trigger) => {
+                let (_, reply) = self.answer(trigger, None, Some(op))?;
                 self.ops_masked.fetch_add(1, Ordering::Relaxed);
                 reply.ok_or_else(|| FsError::Internal {
                     detail: "recovery did not produce a read reply".to_string(),
                 })
             }
-            RecoveryMode::CrashRemount => {
-                let _quiesced = self.gate.write();
-                self.shared.log.lock().clear();
-                match self.base.contained_reboot() {
-                    Ok(_) => Err(FsError::IoFailed {
-                        detail: "filesystem crashed and was remounted".to_string(),
-                    }),
-                    Err(e) => self.mark_failed(e),
-                }
-            }
-            RecoveryMode::ErrorReturn => match trigger {
-                RecoveryTrigger::DetectedError(e) => Err(e),
-                RecoveryTrigger::CaughtPanic(msg) => Err(FsError::Internal {
-                    detail: format!("base panicked: {msg}"),
-                }),
-                RecoveryTrigger::WarnPolicy => unreachable!("reads do not apply warn policy"),
-            },
         }
+    }
+}
+
+/// What a base failure means to an application that is told of it (the
+/// `ErrorReturn` baseline, or a failure with nothing left to recover
+/// through).
+fn trigger_error(trigger: RecoveryTrigger) -> FsError {
+    match trigger {
+        RecoveryTrigger::DetectedError(e) => e,
+        RecoveryTrigger::CaughtPanic(msg) => FsError::Internal {
+            detail: format!("base panicked: {msg}"),
+        },
+        RecoveryTrigger::WarnPolicy => FsError::Internal {
+            detail: "warn policy violation".to_string(),
+        },
     }
 }
 

@@ -894,6 +894,64 @@ fn forced_barrier_failures_are_masked_too() {
     }
 }
 
+#[test]
+fn forced_barrier_failure_follows_the_recovery_mode() {
+    // the log cap forces a sync, and a commit-site bug fails it: the
+    // barrier's failure takes the configured mode's road like any other
+    // base failure — only `Rae` climbs the ladder
+    for mode in [
+        RecoveryMode::Rae,
+        RecoveryMode::CrashRemount,
+        RecoveryMode::ErrorReturn,
+    ] {
+        let faults = FaultRegistry::new();
+        faults.arm(BugSpec::new(
+            951,
+            "commit-bug",
+            Site::JournalCommit,
+            Trigger::NthMatch(2),
+            Effect::DetectedError,
+        ));
+        let dev = Arc::new(MemDisk::new(4096));
+        mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+        let config = RaeConfig {
+            base: BaseFsConfig {
+                faults: faults.clone(),
+                ..BaseFsConfig::default()
+            },
+            mode,
+            max_log_records: 5,
+            ..RaeConfig::default()
+        };
+        let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
+        let errors: Vec<FsError> = (0..30)
+            .filter_map(|i| fs.mkdir(&format!("/d{i}")).err())
+            .collect();
+        assert_eq!(faults.fired(951), 1, "{mode:?}: commit bug fired once");
+        let st = fs.stats();
+        assert_eq!(st.detected_errors, 1, "{mode:?}");
+        match mode {
+            RecoveryMode::Rae => {
+                assert!(errors.is_empty(), "Rae masks the barrier: {errors:?}");
+                assert_eq!(st.recoveries, 1);
+                assert_eq!(st.ops_masked, 0, "no operation was in flight");
+            }
+            RecoveryMode::CrashRemount => {
+                assert_eq!(st.recoveries, 0, "no RAE recovery in this mode");
+                assert!(
+                    matches!(errors.as_slice(), [FsError::IoFailed { .. }]),
+                    "{errors:?}"
+                );
+            }
+            RecoveryMode::ErrorReturn => {
+                assert_eq!(st.recoveries, 0, "no RAE recovery in this mode");
+                assert_eq!(errors, vec![FsError::DetectedBug { bug_id: 951 }]);
+            }
+        }
+        assert_eq!(st.ladder_cold, st.recoveries, "{mode:?}");
+    }
+}
+
 // ----------------------------------------------------------------------
 // Warm standby
 // ----------------------------------------------------------------------
