@@ -81,13 +81,14 @@ pub trait OpSequencer: Send + Sync {
     fn sequenced(&self, outcome: &OpOutcome) -> Option<u64>;
 }
 
+/// Dentry-cache capacity in entries.
+const DENTRY_CACHE_ENTRIES: usize = 4096;
+
 /// Configuration of a [`BaseFs`] instance.
 #[derive(Debug, Clone)]
 pub struct BaseFsConfig {
     /// Page-cache capacity in blocks.
     pub page_cache_blocks: usize,
-    /// Dentry-cache capacity in entries.
-    pub dentry_cache_entries: usize,
     /// Write-back queue configuration.
     pub queue: QueueConfig,
     /// Fault registry consulted by the bug hooks (empty = no faults).
@@ -95,10 +96,6 @@ pub struct BaseFsConfig {
     /// Commit the running transaction when this many dirty metadata
     /// pages accumulate (bounds journal transaction size).
     pub max_dirty_meta: usize,
-    /// Validate metadata images before each journal commit
-    /// (validate-on-sync: the paper's fault-model assumption that
-    /// errors are detected before being persisted to disk).
-    pub validate_on_commit: bool,
     /// Telemetry handle shared with the page cache and journal manager
     /// (journal-commit and cache-fill timings, stale-eviction events).
     pub telemetry: Option<Arc<rae_telemetry::Telemetry>>,
@@ -114,11 +111,9 @@ impl Default for BaseFsConfig {
     fn default() -> BaseFsConfig {
         BaseFsConfig {
             page_cache_blocks: 2048,
-            dentry_cache_entries: 4096,
             queue: QueueConfig::default(),
             faults: FaultRegistry::new(),
             max_dirty_meta: 192,
-            validate_on_commit: true,
             telemetry: None,
             group_commit_leader_wait_us: 0,
         }
@@ -262,7 +257,6 @@ pub struct BaseFs {
     counters: OpCounters,
     faults: FaultRegistry,
     max_dirty_meta: usize,
-    validate_on_commit: bool,
     cur_seq: AtomicU64,
     persisted_seq: AtomicU64,
     sequencer: RwLock<Option<Arc<dyn OpSequencer>>>,
@@ -324,7 +318,7 @@ impl BaseFs {
             geo,
             pages,
             icache: InodeCache::new(),
-            dcache: DentryCache::new(config.dentry_cache_entries),
+            dcache: DentryCache::new(DENTRY_CACHE_ENTRIES),
             fds: Mutex::new(FdTable::new()),
             alloc: Mutex::new(alloc),
             jmgr: Mutex::new(jmgr),
@@ -339,7 +333,6 @@ impl BaseFs {
             counters: OpCounters::new(),
             faults,
             max_dirty_meta: config.max_dirty_meta.max(8),
-            validate_on_commit: config.validate_on_commit,
             cur_seq: AtomicU64::new(0),
             persisted_seq: AtomicU64::new(0),
             sequencer: RwLock::new(None),
@@ -1460,11 +1453,11 @@ impl BaseFs {
                 mount_count: self.mount_count,
             };
             images.push((0, sb.encode()));
-            if self.validate_on_commit {
-                if let Err(e) = self.validate_commit_images(&images) {
-                    self.pages.commit_failed(&handed);
-                    return Err(e);
-                }
+            // validate-on-sync: the paper's fault-model assumption that
+            // errors are detected before being persisted to disk
+            if let Err(e) = self.validate_commit_images(&images) {
+                self.pages.commit_failed(&handed);
+                return Err(e);
             }
         }
         // ordered mode: the file data goes in the record's batch and is

@@ -769,37 +769,6 @@ fn validate_on_commit_catches_scribbled_metadata() {
 }
 
 #[test]
-fn validate_on_commit_can_be_disabled() {
-    let faults = FaultRegistry::new();
-    faults.arm(BugSpec::new(
-        601,
-        "memory-scribbler",
-        Site::Write,
-        Trigger::NthMatch(1),
-        Effect::CorruptMetadata,
-    ));
-    let (dev, fs) = fresh_with(BaseFsConfig {
-        faults,
-        validate_on_commit: false,
-        ..BaseFsConfig::default()
-    });
-    fs.mkdir("/d").unwrap();
-    let fd = fs.open("/d/f", rw_create()).unwrap();
-    fs.write(fd, 0, b"trigger").unwrap();
-    fs.close(fd).unwrap();
-    // without the check the corruption persists: the commit journals
-    // the damaged image and the checkpoint writes it home
-    fs.checkpoint().unwrap();
-    drop(fs);
-    // ...and the image is now inconsistent (fsck sees the bad inode)
-    let report = fsck(dev.as_ref()).unwrap();
-    assert!(
-        !report.is_clean(),
-        "corruption reached the platter undetected"
-    );
-}
-
-#[test]
 fn group_commit_result_of_a_batch_follows_the_commits_after_it() {
     let mut st = CommitState::default();
     let bug = FsError::DetectedBug { bug_id: 7 };

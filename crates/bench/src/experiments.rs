@@ -361,10 +361,7 @@ fn e3b_table(out: &mut String, scale: Scale, deployed: bool) {
                     ..ShadowOpts::default()
                 },
                 max_log_records: usize::MAX,
-                standby: StandbyOpts {
-                    enabled: warm,
-                    ..StandbyOpts::default()
-                },
+                standby: StandbyOpts { enabled: warm },
                 ..RaeConfig::default()
             };
             let fs = mount_rae(dev, config);

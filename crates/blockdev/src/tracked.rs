@@ -16,9 +16,8 @@ use std::sync::{Arc, OnceLock};
 /// supplies the "blocks the base touched" half of that union, which is
 /// all the reconciliation needs to know about the live device: it
 /// never reads it. The set is drained at every snapshot point
-/// (standby spawn, re-spawn, and coordinated audit re-base) and at
-/// every warm hand-over, so its size is bounded by the write traffic
-/// between those.
+/// (standby spawn and re-spawn) and at every warm hand-over, so its
+/// size is bounded by the write traffic between those.
 ///
 /// The set is one bit per device block (the block count is fixed), so
 /// the base's write-back workers record a write with one `fetch_or`

@@ -296,13 +296,12 @@ impl Session {
                 let s = self.fs.stats();
                 Ok(format!(
                     "active={} degraded={} completed_seq={} applied_seq={} \
-                     lag={} audits={} divergences={} publish_waits={}",
+                     lag={} divergences={} publish_waits={}",
                     s.standby_active,
                     s.standby_degraded,
                     s.standby_completed_seq,
                     s.standby_applied_seq,
                     s.standby_lag,
-                    s.standby_audits_run,
                     s.standby_divergences,
                     s.standby_publish_waits
                 ))
@@ -592,7 +591,7 @@ const HELP: &str = "commands:
   statfs | sync             filesystem-wide
   inject <site> <n> <eff>   arm a bug (RAE will mask it; n=0 -> always)
   stats [--json]            RAE runtime introspection (--json for scripts)
-  audit                     coordinated shadow cross-check
+  audit                     on-demand shadow cross-check
   ladder                    recovery-ladder rungs, per-rung timings, retries
   standby                   warm-standby watermarks and lag
   timeline [--trace <id>]   flight-recorder dump (filtered to one trace)
@@ -772,14 +771,8 @@ mod tests {
     fn standby_command_reports_watermarks_and_warm_recovery() {
         let dev = Arc::new(MemDisk::new(4096));
         mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
-        let mut s = Session::mount_with(
-            dev as Arc<dyn BlockDevice>,
-            StandbyOpts {
-                enabled: true,
-                ..StandbyOpts::default()
-            },
-        )
-        .unwrap();
+        let mut s = Session::mount_with(dev as Arc<dyn BlockDevice>, StandbyOpts { enabled: true })
+            .unwrap();
         s.run("mkdir /d").unwrap();
         s.run("write /d/f warm data").unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -825,14 +818,8 @@ mod tests {
     fn stats_json_reports_device_extents() {
         let dev = Arc::new(MemDisk::new(4096));
         mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
-        let mut s = Session::mount_with(
-            dev as Arc<dyn BlockDevice>,
-            StandbyOpts {
-                enabled: true,
-                ..StandbyOpts::default()
-            },
-        )
-        .unwrap();
+        let mut s = Session::mount_with(dev as Arc<dyn BlockDevice>, StandbyOpts { enabled: true })
+            .unwrap();
         for i in 0..4 {
             s.run(&format!("write /f{i} payload")).unwrap();
             s.run("sync").unwrap();

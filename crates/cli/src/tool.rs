@@ -165,13 +165,7 @@ pub fn run_tool(args: &[String]) -> Result<String, ToolError> {
         }
         "standby" => {
             let dev: Arc<dyn BlockDevice> = Arc::new(FileDisk::open(image)?);
-            let mut session = Session::mount_with(
-                dev,
-                rae::StandbyOpts {
-                    enabled: true,
-                    ..rae::StandbyOpts::default()
-                },
-            )?;
+            let mut session = Session::mount_with(dev, rae::StandbyOpts { enabled: true })?;
             let mut out = String::new();
             if let Some(script) = args.get(2) {
                 for line in script.split(';') {

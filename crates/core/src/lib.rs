@@ -58,8 +58,8 @@ mod report;
 
 pub use oplog::OpLog;
 pub use rae_blockdev::{RetryPolicy, RetryStats};
-pub use rae_standby::{LagPolicy, StandbyOpts, StandbyStatus};
-pub use raefs::{DiscrepancyPolicy, RaeConfig, RaeFs, RecoveryMode};
+pub use rae_standby::{StandbyOpts, StandbyStatus};
+pub use raefs::{RaeConfig, RaeFs, RecoveryMode, MAX_CONSECUTIVE_RECOVERIES};
 pub use report::{
     LadderRung, RaeStats, RecoveryPath, RecoveryReport, RecoveryTrigger, RungFailure,
 };

@@ -39,15 +39,11 @@ pub enum RecoveryMode {
     ErrorReturn,
 }
 
-/// What to do when the shadow's cross-check disagrees with a recorded
-/// outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiscrepancyPolicy {
-    /// Report and continue (default: availability first).
-    Continue,
-    /// Abort the recovery (strictness first).
-    Abort,
-}
+/// Give up (go offline) after this many recoveries with no successful
+/// operation in between — a recovery storm means the shadow's output
+/// immediately re-triggers errors and availability is no longer being
+/// bought.
+pub const MAX_CONSECUTIVE_RECOVERIES: u32 = 8;
 
 /// Configuration of the RAE runtime.
 #[derive(Debug, Clone)]
@@ -56,20 +52,14 @@ pub struct RaeConfig {
     pub base: BaseFsConfig,
     /// Reaction to runtime errors.
     pub mode: RecoveryMode,
-    /// Shadow configuration used during recovery.
+    /// Shadow configuration used during recovery. Cross-check
+    /// disagreements are reported and recovery continues.
     pub shadow: ShadowOpts,
-    /// Cross-check disagreement policy.
-    pub on_discrepancy: DiscrepancyPolicy,
     /// Treat WARN events as runtime errors (recover immediately).
     pub treat_warn_as_error: bool,
     /// Force a persistence barrier (sync) when the operation log
     /// exceeds this many records.
     pub max_log_records: usize,
-    /// Give up (go offline) after this many recoveries with no
-    /// successful operation in between — a recovery storm means the
-    /// shadow's output immediately re-triggers errors and availability
-    /// is no longer being bought.
-    pub max_consecutive_recoveries: u32,
     /// Warm-standby shadow configuration (default-off: cold replay is
     /// the baseline).
     pub standby: StandbyOpts,
@@ -89,10 +79,8 @@ impl Default for RaeConfig {
             base: BaseFsConfig::default(),
             mode: RecoveryMode::Rae,
             shadow: ShadowOpts::default(),
-            on_discrepancy: DiscrepancyPolicy::Continue,
             treat_warn_as_error: false,
             max_log_records: 10_000,
-            max_consecutive_recoveries: 8,
             standby: StandbyOpts::default(),
             retry: RetryPolicy::default(),
             telemetry: None,
@@ -130,28 +118,25 @@ struct LogShared {
     /// The warm standby, when spawned and healthy. `None` after
     /// degradation or when disabled; recovery takes the cold path.
     standby: Mutex<Option<WarmStandby>>,
-    /// A standby was lost (lag drop, apply failure, failed audit, or
-    /// respawn failure) — surfaced in stats, reset on respawn.
+    /// A standby was lost (apply failure, failed warm rung, or respawn
+    /// failure) — surfaced in stats, reset on respawn.
     standby_degraded: AtomicBool,
-    /// Audit, divergence and publish-wait counts carried over from
-    /// standbys that have been torn down or handed over. A live
-    /// standby's counters are added on top in `stats`; without this
-    /// accumulation every teardown would silently zero the totals.
-    standby_audits_acc: AtomicU64,
+    /// Divergence and publish-wait counts carried over from standbys
+    /// that have been torn down or handed over. A live standby's
+    /// counters are added on top in `stats`; without this accumulation
+    /// every teardown would silently zero the totals.
     standby_divergences_acc: AtomicU64,
     standby_publish_waits_acc: AtomicU64,
 }
 
 impl LogShared {
     /// Fold a standby handle's final counters into the runtime-owned
-    /// accumulators before it is dropped or handed over, so audit,
-    /// divergence and publish-wait totals survive the teardown. Every site that removes
-    /// a handle from `self.standby` (or consumes a taken one) must
-    /// route through here.
+    /// accumulators before it is dropped or handed over, so divergence
+    /// and publish-wait totals survive the teardown. Every site that
+    /// removes a handle from `self.standby` (or consumes a taken one)
+    /// must route through here.
     fn retire_standby(&self, sb: &WarmStandby) {
         let st = sb.status();
-        self.standby_audits_acc
-            .fetch_add(st.audits_run, Ordering::Relaxed);
         self.standby_divergences_acc
             .fetch_add(st.divergences, Ordering::Relaxed);
         self.standby_publish_waits_acc
@@ -218,8 +203,6 @@ pub struct RaeFs {
     /// warm recovery's resync reconciles the standby against. `Some`
     /// exactly when the standby is configured.
     tracker: Option<Arc<TrackedDisk>>,
-    /// Completed operations since the last coordinated standby audit.
-    ops_since_audit: AtomicU64,
     failed: AtomicBool,
     /// Read-only degraded: the ladder exhausted its shadow rungs but a
     /// contained reboot produced a journal-consistent base to serve
@@ -331,7 +314,7 @@ impl RaeFs {
             if let Some(t) = &tracker {
                 let _ = t.take_written();
             }
-            match WarmStandby::spawn(base.device(), config.shadow, config.standby, Vec::new()) {
+            match WarmStandby::spawn(base.device(), config.shadow, Vec::new()) {
                 Ok(sb) => {
                     sb.set_telemetry(Arc::clone(&telemetry));
                     (Some(sb), false)
@@ -345,7 +328,6 @@ impl RaeFs {
             log: Mutex::new(OpLog::new()),
             standby: Mutex::new(standby),
             standby_degraded: AtomicBool::new(standby_degraded),
-            standby_audits_acc: AtomicU64::new(0),
             standby_publish_waits_acc: AtomicU64::new(0),
             standby_divergences_acc: AtomicU64::new(0),
         });
@@ -361,7 +343,6 @@ impl RaeFs {
             gate: RwLock::new(()),
             reports: Mutex::new(Vec::new()),
             tracker,
-            ops_since_audit: AtomicU64::new(0),
             failed: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             detected_errors: AtomicU64::new(0),
@@ -436,8 +417,6 @@ impl RaeFs {
             standby_lag: standby.lag,
             // totals survive standby teardown: retired handles fold
             // their final counts into the accumulators
-            standby_audits_run: self.shared.standby_audits_acc.load(Ordering::Relaxed)
-                + standby.audits_run,
             standby_divergences: self.shared.standby_divergences_acc.load(Ordering::Relaxed)
                 + standby.divergences,
             standby_publish_waits: self
@@ -489,22 +468,28 @@ impl RaeFs {
     /// condition in the shadow; either way it is worth reporting.
     ///
     /// The base's buffered state must be durable for the shadow to see
-    /// it, so the audit starts with a sync. The remaining log after the
-    /// barrier (live opens as `RestoreFd` records) is what gets
-    /// replayed.
+    /// it, so the audit starts with a checkpoint, a forced barrier: a
+    /// failure in it is masked like any other base failure, and the
+    /// recovered state is then checkpointed once more. The remaining
+    /// log after the barrier (live opens as `RestoreFd` records) is
+    /// what gets replayed.
     ///
     /// # Errors
     ///
-    /// Sync failures or shadow runtime errors.
+    /// Checkpoint failures (a second one after a masked first one
+    /// included) or shadow runtime errors.
     pub fn audit(&self) -> FsResult<rae_shadowfs::ReplayReport> {
         // the audit begins with a checkpoint, a mutation of the device:
         // refused in read-only degraded mode like any other mutation
         self.check_writable()?;
-        {
-            let _admitted = self.gate.read();
-            // commit + checkpoint: the raw device must show the full
-            // durable state for the shadow to audit it
-            self.base.checkpoint()?;
+        // commit + checkpoint: the raw device must show the full durable
+        // state for the shadow to audit it, not a stale image. A masked
+        // failure leaves the recovered state to checkpoint once more.
+        let checkpoint = || self.forced_barrier(|| self.base.checkpoint());
+        if !checkpoint()? && !checkpoint()? {
+            return Err(FsError::Internal {
+                detail: "audit checkpoint failed again after a masked failure".to_string(),
+            });
         }
         let _quiesced = self.gate.write();
         let mut log = self.shared.log.lock();
@@ -596,43 +581,6 @@ impl RaeFs {
     // Warm standby
     // ------------------------------------------------------------------
 
-    /// Every `audit_interval_ops` completed operations: checkpoint the
-    /// base (the audit re-bases the standby onto the raw device, which
-    /// is only sound on the full durable state), quiesce, and run the
-    /// standby's consistency check + model diff + re-base divergence
-    /// check. An audit failure is a divergence: the standby is torn
-    /// down and recovery falls back to cold replay.
-    fn maybe_standby_audit(&self) -> FsResult<()> {
-        let interval = self.config.standby.audit_interval_ops;
-        if interval == 0 || self.shared.standby.lock().is_none() {
-            return Ok(());
-        }
-        if self.ops_since_audit.fetch_add(1, Ordering::Relaxed) + 1 < interval {
-            return Ok(());
-        }
-        self.ops_since_audit.store(0, Ordering::Relaxed);
-        if !self.forced_barrier(|| self.base.checkpoint())? {
-            return Ok(()); // recovery respawned the standby; audit next round
-        }
-        let _quiesced = self.gate.write();
-        self.shared.log.lock().trim(self.base.persisted_seq());
-        let mut guard = self.shared.standby.lock();
-        if let Some(sb) = guard.as_ref() {
-            if sb.run_audit().is_ok() {
-                // the audit re-based the standby onto the (still
-                // quiesced) durable image: restart the write set there
-                if let Some(t) = &self.tracker {
-                    let _ = t.take_written();
-                }
-            } else {
-                self.shared.retire_standby(sb);
-                *guard = None;
-                self.shared.standby_degraded.store(true, Ordering::Release);
-            }
-        }
-        Ok(())
-    }
-
     /// Restart the warm standby after a recovery: the backlog is the
     /// retained completed log over the current device — exactly the
     /// cold-replay initial condition — so the standby's lineage matches
@@ -646,12 +594,7 @@ impl RaeFs {
         if let Some(t) = &self.tracker {
             let _ = t.take_written();
         }
-        match WarmStandby::spawn(
-            self.base.device(),
-            self.config.shadow,
-            self.config.standby,
-            backlog,
-        ) {
+        match WarmStandby::spawn(self.base.device(), self.config.shadow, backlog) {
             Ok(sb) => {
                 sb.set_telemetry(Arc::clone(&self.telemetry));
                 *self.shared.standby.lock() = Some(sb);
@@ -799,7 +742,6 @@ impl RaeFs {
                 if over_budget && self.forced_barrier(|| self.base.sync())? {
                     self.shared.log.lock().trim(self.base.persisted_seq());
                 }
-                self.maybe_standby_audit()?;
                 Ok(ret)
             }
             Ok(Err(e)) => {
@@ -876,11 +818,11 @@ impl RaeFs {
     }
 
     /// A barrier the runtime forces on its own: the log budget's sync
-    /// or the standby audit's checkpoint. It is a base call like any
-    /// other, so its failure takes the same road as an operation's and
-    /// the configured mode answers it. Under `Rae` the recovery masks
-    /// it (no operation was in flight, so none counts as masked) and
-    /// this returns `false`; a baseline's answer is the caller's error.
+    /// or the audit's checkpoint. It is a base call like any other, so
+    /// its failure takes the same road as an operation's and the
+    /// configured mode answers it. Under `Rae` the recovery masks it
+    /// (no operation was in flight, so none counts as masked) and this
+    /// returns `false`; a baseline's answer is the caller's error.
     fn forced_barrier(&self, barrier: impl FnOnce() -> FsResult<()>) -> FsResult<bool> {
         match self.in_base(OpClass::Fsync, barrier) {
             Ok(r) => r.map(|()| true),
@@ -973,7 +915,7 @@ impl RaeFs {
         // recovery-storm guard: masking is pointless if every recovery
         // immediately re-triggers another error
         let streak = self.consecutive_recoveries.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak > u64::from(self.config.max_consecutive_recoveries) {
+        if streak > u64::from(MAX_CONSECUTIVE_RECOVERIES) {
             let e = FsError::Internal {
                 detail: format!("recovery storm: {streak} consecutive recoveries without progress"),
             };
@@ -1249,13 +1191,6 @@ impl RaeFs {
                 (RecoveryPath::Cold, load_time, shadow, replay, executed)
             }
         };
-        if !replay.is_clean() && self.config.on_discrepancy == DiscrepancyPolicy::Abort {
-            return Err(FsError::CheckFailed {
-                check: "cross-check".to_string(),
-                detail: format!("{} discrepancies", replay.discrepancies.len()),
-            });
-        }
-
         // 4. autonomous execution of the in-flight operation (pending
         // reads complete through the shadow too)
         let mut reissue_sync = false;
@@ -1394,12 +1329,7 @@ impl RaeFs {
                     .map(|(s, _)| s)
                     .or_else(|| completed.last().map(|r| r.seq))
                     .unwrap_or(0);
-                let resumed = WarmStandby::resume(
-                    forked,
-                    self.config.standby,
-                    self.base.device(),
-                    resume_seq,
-                );
+                let resumed = WarmStandby::resume(forked, resume_seq);
                 resumed.set_telemetry(Arc::clone(&self.telemetry));
                 *self.shared.standby.lock() = Some(resumed);
                 self.shared.standby_degraded.store(false, Ordering::Release);

@@ -2,7 +2,8 @@
 //! semantics, baselines.
 
 use crate::{
-    DiscrepancyPolicy, LadderRung, RaeConfig, RaeFs, RecoveryMode, RecoveryTrigger, RetryPolicy,
+    LadderRung, RaeConfig, RaeFs, RecoveryMode, RecoveryTrigger, RetryPolicy,
+    MAX_CONSECUTIVE_RECOVERIES,
 };
 use rae_basefs::BaseFsConfig;
 use rae_blockdev::{
@@ -10,7 +11,6 @@ use rae_blockdev::{
 };
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{fsck, mkfs, MkfsParams};
-use rae_shadowfs::ShadowOpts;
 use rae_vfs::{Fd, FileSystem, FsError, FsStatus, OpenFlags, SetAttr};
 use std::sync::Arc;
 
@@ -657,40 +657,6 @@ fn consecutive_recoveries_from_same_log() {
 }
 
 #[test]
-fn strict_discrepancy_policy_aborts_on_divergence() {
-    // no bugs armed; verify the Abort policy plumbing via a clean run
-    // (the divergence path itself is exercised in the shadow's tests)
-    let dev = Arc::new(MemDisk::new(4096));
-    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
-    let faults = FaultRegistry::new();
-    faults.arm(BugSpec::new(
-        1,
-        "bug",
-        Site::Alloc,
-        Trigger::NthMatch(2),
-        Effect::DetectedError,
-    ));
-    let config = RaeConfig {
-        base: BaseFsConfig {
-            faults,
-            ..BaseFsConfig::default()
-        },
-        on_discrepancy: DiscrepancyPolicy::Abort,
-        shadow: ShadowOpts {
-            refinement_check: true,
-            ..ShadowOpts::default()
-        },
-        ..RaeConfig::default()
-    };
-    let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
-    fs.mkdir("/a").unwrap();
-    fs.mkdir("/b").unwrap(); // bug -> recovery with strict checking
-    assert!(fs.stat("/b").is_ok());
-    assert_eq!(fs.stats().recoveries, 1);
-    assert!(fs.recovery_reports()[0].discrepancies.is_empty());
-}
-
-#[test]
 fn concurrent_clients_survive_recovery() {
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
@@ -732,6 +698,31 @@ fn audit_is_clean_on_a_healthy_filesystem() {
     assert_eq!(fs.read(fd, 0, 8).unwrap(), b"audit me");
     fs.close(fd).unwrap();
     assert_eq!(fs.stats().recoveries, 0, "audit never reboots");
+}
+
+#[test]
+fn audit_checkpoint_failure_is_masked() {
+    // the audit's opening checkpoint is a base call like any other: a
+    // bug in its commit takes the failure road, recovery masks it, and
+    // the audit runs over the recovered state checkpointed again
+    for effect in [Effect::Panic, Effect::DetectedError] {
+        let faults = FaultRegistry::new();
+        faults.arm(BugSpec::new(
+            701,
+            "commit-bug",
+            Site::JournalCommit,
+            Trigger::NthMatch(1),
+            effect,
+        ));
+        let (_dev, fs) = setup(RecoveryMode::Rae, faults.clone());
+        fs.mkdir("/a").unwrap();
+        let report = fs.audit();
+        assert_eq!(faults.fired(701), 1, "{effect:?}: commit bug fired");
+        let report = report.unwrap_or_else(|e| panic!("{effect:?}: {e}"));
+        assert!(report.is_clean(), "{effect:?}: {:?}", report.discrepancies);
+        assert_eq!(fs.stats().recoveries, 1, "{effect:?}");
+        assert!(fs.stat("/a").is_ok(), "{effect:?}: /a lost");
+    }
 }
 
 #[test]
@@ -812,12 +803,11 @@ fn recovery_storm_guard_takes_filesystem_offline() {
             faults,
             ..BaseFsConfig::default()
         },
-        max_consecutive_recoveries: 3,
         ..RaeConfig::default()
     };
     let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
     let mut offline = false;
-    for i in 0..10 {
+    for i in 0..2 * MAX_CONSECUTIVE_RECOVERIES {
         match fs.mkdir(&format!("/d{i}")) {
             Ok(()) => {}
             Err(FsError::RecoveryFailed { .. }) => {
@@ -829,7 +819,11 @@ fn recovery_storm_guard_takes_filesystem_offline() {
     }
     assert!(offline, "storm guard never engaged: {:?}", fs.stats());
     assert_eq!(fs.status(), FsStatus::Failed);
-    assert!(fs.stats().recoveries <= 3, "{:?}", fs.stats());
+    assert!(
+        fs.stats().recoveries <= u64::from(MAX_CONSECUTIVE_RECOVERIES),
+        "{:?}",
+        fs.stats()
+    );
 }
 
 #[test]
@@ -849,15 +843,19 @@ fn interleaved_successes_reset_the_storm_counter() {
             faults,
             ..BaseFsConfig::default()
         },
-        max_consecutive_recoveries: 2,
         ..RaeConfig::default()
     };
     let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
-    // every other op recovers, but successes interleave: never a storm
-    for i in 0..12 {
+    // every other op recovers, but successes interleave: never a storm,
+    // though the recoveries add up to more than the guard allows in a row
+    for i in 0..40 {
         fs.mkdir(&format!("/d{i}")).unwrap();
     }
-    assert!(fs.stats().recoveries >= 3);
+    assert!(
+        fs.stats().recoveries > u64::from(MAX_CONSECUTIVE_RECOVERIES),
+        "{:?}",
+        fs.stats()
+    );
     assert_eq!(fs.status(), FsStatus::Active);
 }
 
@@ -957,11 +955,7 @@ fn forced_barrier_failure_follows_the_recovery_mode() {
 // ----------------------------------------------------------------------
 
 fn warm_opts() -> crate::StandbyOpts {
-    crate::StandbyOpts {
-        enabled: true,
-        channel_capacity: 8,
-        ..crate::StandbyOpts::default()
-    }
+    crate::StandbyOpts { enabled: true }
 }
 
 fn rename_crash_faults() -> FaultRegistry {
@@ -1125,29 +1119,6 @@ fn standby_watermarks_surface_in_stats() {
     assert_eq!(stats.standby_divergences, 0);
 }
 
-#[test]
-fn standby_audits_run_on_schedule_and_stay_clean() {
-    let dev = Arc::new(MemDisk::new(4096));
-    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
-    let config = RaeConfig {
-        standby: crate::StandbyOpts {
-            enabled: true,
-            audit_interval_ops: 4,
-            ..crate::StandbyOpts::default()
-        },
-        ..RaeConfig::default()
-    };
-    let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
-    for i in 0..12 {
-        fs.mkdir(&format!("/d{i}")).unwrap();
-    }
-    let stats = fs.stats();
-    assert_eq!(stats.standby_audits_run, 3, "one audit per 4 completed ops");
-    assert_eq!(stats.standby_divergences, 0);
-    assert!(stats.standby_active, "clean audits keep the standby alive");
-    assert!(!stats.standby_degraded);
-}
-
 // ----------------------------------------------------------------------
 // Recovery degradation ladder
 // ----------------------------------------------------------------------
@@ -1165,9 +1136,9 @@ macro_rules! assert_offline {
 
 #[test]
 fn offline_mount_rejects_every_operation() {
-    // a one-recovery storm budget plus an always-firing bug drives the
-    // ladder to its last rung immediately; after that, *every*
-    // FileSystem entry point — reads included — must refuse
+    // an always-firing bug exhausts the storm budget and drives the
+    // ladder to its last rung; after that, *every* FileSystem entry
+    // point — reads included — must refuse
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
         960,
@@ -1183,12 +1154,11 @@ fn offline_mount_rejects_every_operation() {
             faults,
             ..BaseFsConfig::default()
         },
-        max_consecutive_recoveries: 1,
         ..RaeConfig::default()
     };
     let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
     let mut offline = false;
-    for i in 0..5 {
+    for i in 0..2 * MAX_CONSECUTIVE_RECOVERIES {
         if matches!(
             fs.mkdir(&format!("/d{i}")),
             Err(FsError::RecoveryFailed { .. })
@@ -1199,6 +1169,11 @@ fn offline_mount_rejects_every_operation() {
     }
     assert!(offline, "storm guard never engaged: {:?}", fs.stats());
     assert_eq!(fs.status(), FsStatus::Failed);
+    assert!(
+        fs.stats().recoveries <= u64::from(MAX_CONSECUTIVE_RECOVERIES),
+        "{:?}",
+        fs.stats()
+    );
     let reports = fs.recovery_reports();
     assert_eq!(reports.last().unwrap().rung, LadderRung::Offline);
     assert!(fs.stats().recovery_failures >= 1);
@@ -1553,10 +1528,7 @@ fn run_concurrent_churn(standby: crate::StandbyOpts) -> (Arc<MemDisk>, RaeFs) {
 #[test]
 fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
     let (cold_dev, cold) = run_concurrent_churn(crate::StandbyOpts::default());
-    let (warm_dev, warm) = run_concurrent_churn(crate::StandbyOpts {
-        enabled: true,
-        ..crate::StandbyOpts::default()
-    });
+    let (warm_dev, warm) = run_concurrent_churn(crate::StandbyOpts { enabled: true });
 
     // the mid-churn recovery replayed a concurrently-built log; an
     // out-of-order log would fail the outcome cross-check (wrong fds,
@@ -1613,11 +1585,6 @@ fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
 /// A warm-standby mount over the formatted `dev` with a bug armed on
 /// every directory insertion (not removal) of a name containing "boom".
 fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
-    warm_boom_mount_with(dev, crate::StandbyOpts::default().channel_capacity)
-}
-
-/// [`warm_boom_mount`] with a standby channel of `channel_capacity`.
-fn warm_boom_mount_with(dev: Arc<dyn BlockDevice>, channel_capacity: usize) -> RaeFs {
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
         160,
@@ -1634,11 +1601,7 @@ fn warm_boom_mount_with(dev: Arc<dyn BlockDevice>, channel_capacity: usize) -> R
             faults,
             ..BaseFsConfig::default()
         },
-        standby: crate::StandbyOpts {
-            enabled: true,
-            channel_capacity,
-            ..crate::StandbyOpts::default()
-        },
+        standby: crate::StandbyOpts { enabled: true },
         ..RaeConfig::default()
     };
     RaeFs::mount(dev, config).unwrap()
@@ -1974,10 +1937,10 @@ fn warm_handover_refused_or_failed_lands_on_cold() {
 /// retires that standby and the re-arm that replaces it.
 #[test]
 fn warm_publish_waits_survive_the_respawn() {
-    const CAPACITY: usize = 2;
+    const CAPACITY: usize = rae_standby::CHANNEL_CAPACITY;
     let dev = Arc::new(MemDisk::new(4096));
     mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
-    let fs = warm_boom_mount_with(Arc::clone(&dev) as Arc<dyn BlockDevice>, CAPACITY);
+    let fs = warm_boom_mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
     fs.mkdir("/h").unwrap();
     wait_caught_up(&fs);
     assert_eq!(fs.stats().standby_publish_waits, 0);

@@ -235,8 +235,8 @@ pub struct RaeStats {
     pub log_trimmed: u64,
     /// A warm standby is live (spawned and not degraded).
     pub standby_active: bool,
-    /// The standby degraded (lag drop, apply failure, or failed audit)
-    /// and the next recovery will take the cold path.
+    /// The standby degraded (apply failure, failed warm rung, or failed
+    /// respawn) and the next recovery will take the cold path.
     pub standby_degraded: bool,
     /// Highest completed sequence number published to the standby.
     pub standby_completed_seq: u64,
@@ -244,14 +244,12 @@ pub struct RaeStats {
     pub standby_applied_seq: u64,
     /// Records published to the standby but not yet applied.
     pub standby_lag: u64,
-    /// Coordinated standby audits completed successfully.
-    pub standby_audits_run: u64,
     /// Divergences the standby observed (cross-check discrepancy notes
-    /// plus audit failures).
+    /// plus apply failures).
     pub standby_divergences: u64,
     /// Publishes that found the standby's channel full and waited for
-    /// its apply thread (`LagPolicy::Block`): completions held back by
-    /// a standby that is not keeping pace.
+    /// its apply thread: completions held back by a standby that is not
+    /// keeping pace.
     pub standby_publish_waits: u64,
     /// The mount is in read-only degraded mode (mutations refused with
     /// `EROFS`, reads served off the journal-consistent base).

@@ -783,14 +783,12 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
     }
     out.push_str(&format!(
         "{indent}\"standby\": {{\"active\": {}, \"degraded\": {}, \"completed_seq\": {}, \
-         \"applied_seq\": {}, \"lag\": {}, \"audits_run\": {}, \"divergences\": {}, \
-         \"publish_waits\": {}}},\n",
+         \"applied_seq\": {}, \"lag\": {}, \"divergences\": {}, \"publish_waits\": {}}},\n",
         s.standby_active,
         s.standby_degraded,
         s.standby_completed_seq,
         s.standby_applied_seq,
         s.standby_lag,
-        s.standby_audits_run,
         s.standby_divergences,
         s.standby_publish_waits
     ));

@@ -30,12 +30,6 @@ fn read_meta(dev: &dyn BlockDevice) -> FsResult<LoadedMeta> {
     })
 }
 
-fn free_inode_count(geo: &Geometry, ibm: &Bitmap) -> FsResult<u32> {
-    u32::try_from(u64::from(geo.inode_count) - ibm.count_set()).map_err(|_| FsError::Corrupted {
-        detail: "inode bitmap overflow".to_string(),
-    })
-}
-
 /// Options controlling the shadow's check battery.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowOpts {
@@ -138,7 +132,12 @@ impl ShadowFs {
         };
         let geo = meta.superblock.geometry;
         let (ibm, dbm) = (meta.inode_bitmap, meta.data_bitmap);
-        let free_inodes = free_inode_count(&geo, &ibm)?;
+        let free_inodes =
+            u32::try_from(u64::from(geo.inode_count) - ibm.count_set()).map_err(|_| {
+                FsError::Corrupted {
+                    detail: "inode bitmap overflow".to_string(),
+                }
+            })?;
         let free_blocks = dbm.count_clear();
 
         let mut shadow = ShadowFs {
@@ -180,43 +179,6 @@ impl ShadowFs {
         self.overlay.len()
     }
 
-    /// The refinement model maintained in lockstep with applied
-    /// operations, if `refine_against_model` is enabled.
-    #[must_use]
-    pub fn refinement_model(&self) -> Option<&ModelFs> {
-        self.model.as_ref()
-    }
-
-    /// Adopt `fresh` as the backing device and drop the overlay
-    /// entirely: bitmaps and free counts are reloaded from the new
-    /// image while the descriptor table, refinement model, and check
-    /// counters carry over.
-    ///
-    /// Sound only when the shadow's merged view is logically
-    /// equivalent to `fresh` — the warm standby calls this at
-    /// quiesced, checkpointed, caught-up audit points to shed its
-    /// accumulated overlay and re-anchor on the base's durable image.
-    /// Returns the number of overlay blocks released.
-    ///
-    /// # Errors
-    ///
-    /// Superblock/bitmap read errors on the new device.
-    pub fn rebase(&mut self, fresh: Arc<dyn BlockDevice>) -> FsResult<usize> {
-        let meta = read_meta(fresh.as_ref())?;
-        let geo = meta.superblock.geometry;
-        let (ibm, dbm) = (meta.inode_bitmap, meta.data_bitmap);
-        let free_inodes = free_inode_count(&geo, &ibm)?;
-        let dropped = self.overlay.len();
-        self.dev = fresh;
-        self.geo = geo;
-        self.overlay.clear();
-        self.ibm = ibm;
-        self.free_blocks = dbm.count_clear();
-        self.dbm = dbm;
-        self.free_inodes = free_inodes;
-        Ok(dropped)
-    }
-
     /// An independent copy sharing the (immutable) backing device
     /// handle and, until either side patches one, the overlay's block
     /// images. The RAE runtime forks the handed-over warm
@@ -239,20 +201,6 @@ impl ShadowFs {
             checks: self.checks,
             model: self.model.clone(),
         }
-    }
-
-    /// Rebuild a fresh in-memory model from the shadow's current tree
-    /// (the same walk recovery audits use). Diffing this against
-    /// [`refinement_model`] detects drift between the incrementally
-    /// maintained model and the actual shadow state.
-    ///
-    /// # Errors
-    ///
-    /// Shadow runtime errors while walking the tree.
-    ///
-    /// [`refinement_model`]: ShadowFs::refinement_model
-    pub fn snapshot_model(&mut self) -> FsResult<ModelFs> {
-        self.build_model()
     }
 
     // ------------------------------------------------------------------

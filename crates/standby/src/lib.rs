@@ -5,8 +5,8 @@
 //! replay off the critical path — a background thread keeps a live
 //! [`rae_shadowfs::ShadowFs`] continuously caught up as operations
 //! complete, so recovery only drains the in-flight tail:
-//! O(in-flight). See [`standby`] for the protocol, lag policies,
-//! coordinated audits and divergence fallback.
+//! O(in-flight). See [`standby`] for the protocol, back-pressure and
+//! divergence fallback.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +14,6 @@
 pub mod standby;
 
 pub use standby::{
-    AuditOutcome, HandoverState, LagPolicy, PendingHandover, Publish, StandbyOpts, StandbyStatus,
-    WarmStandby,
+    HandoverState, PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby,
+    CHANNEL_CAPACITY,
 };

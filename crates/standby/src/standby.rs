@@ -24,15 +24,13 @@
 //! touches only the standby's own snapshot, runs while the runtime
 //! reboots the base.
 //!
-//! # Lag policy
+//! # Back-pressure
 //!
-//! When the channel is full, [`LagPolicy::Block`] back-pressures the
-//! publisher (completion latency absorbs the standby's lag) while
-//! [`LagPolicy::DropToColdReplay`] degrades the standby immediately —
-//! the runtime then falls back to cold replay at the next recovery.
-//! [`StandbyStatus::publish_waits`] counts the publishes that found the
-//! channel full under `Block`: a standby that keeps pace leaves it at
-//! zero, one that runs a channel behind raises it on every mutation.
+//! The channel holds [`CHANNEL_CAPACITY`] records. When it is full the
+//! publisher waits for the apply thread (completion latency absorbs the
+//! standby's lag); [`StandbyStatus::publish_waits`] counts those waits:
+//! a standby that keeps pace leaves it at zero, one that runs a channel
+//! behind raises it on every mutation.
 //!
 //! # Snapshot isolation
 //!
@@ -40,77 +38,38 @@
 //! device back asynchronously — a lagging standby that first reads a
 //! block *after* the base persisted a later version of it would see
 //! the future and re-apply records on top of it. The standby therefore
-//! never touches the live device: [`WarmStandby::spawn`] copies the
-//! (quiesced) device into a private [`rae_blockdev::MemDisk`] snapshot
-//! and the shadow executes against that frozen image.
+//! never touches the live device after spawn: [`WarmStandby::spawn`]
+//! copies the (quiesced) device into a private
+//! [`rae_blockdev::MemDisk`] snapshot and the shadow executes against
+//! that frozen image.
 //!
-//! # Audits
-//!
-//! [`WarmStandby::run_audit`] runs the shadow's full consistency check
-//! and a logical tree-diff, then **re-bases** the standby onto a fresh
-//! snapshot of the live device: the overlay is dropped wholesale
-//! (bounding standby memory) and a post-re-base tree-diff compares the
-//! standby's pre-audit state against the base's durable image — the
-//! real standby-vs-base divergence check. This is only meaningful when
-//! the base is quiesced, checkpointed durable, and the standby caught
-//! up; the RAE runtime guarantees all three under its quiesce gate
-//! (the FIFO channel guarantees catch-up: the audit request queues
-//! behind every published record).
-//!
-//! Any divergence — a shadow runtime error, a panic in the apply
-//! thread, or an audit failure — tears the standby down; the runtime
-//! routes the next recovery through cold replay.
+//! Any divergence — a shadow runtime error or a panic in the apply
+//! thread — tears the standby down; the runtime routes the next
+//! recovery through cold replay.
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use rae_blockdev::{BlockDevice, MemDisk};
 use rae_shadowfs::{ReplayReport, ShadowFs, ShadowOpts};
 use rae_telemetry::{EventKind, Telemetry};
-use rae_vfs::{FileSystem, FileType, FsResult, OpRecord, OpenFlags};
+use rae_vfs::{FsResult, OpRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-/// What the publisher does when the standby channel is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LagPolicy {
-    /// Block the completing operation until the standby drains — the
-    /// base absorbs standby lag as completion latency.
-    #[default]
-    Block,
-    /// Give up on the warm standby: degrade it immediately and let the
-    /// next recovery take the cold-replay path.
-    DropToColdReplay,
-}
-
 /// Configuration for the warm standby, carried in the RAE runtime
 /// config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StandbyOpts {
     /// Spawn the standby at mount (and respawn it after recovery).
     pub enabled: bool,
-    /// Bound of the publish channel (records in flight to the apply
-    /// thread), and so of what a handover can have left to drain.
-    pub channel_capacity: usize,
-    /// Run a coordinated audit every this many completed operations;
-    /// `0` disables audits.
-    pub audit_interval_ops: u64,
-    /// Full-channel behavior.
-    pub lag_policy: LagPolicy,
 }
 
-impl Default for StandbyOpts {
-    fn default() -> StandbyOpts {
-        StandbyOpts {
-            enabled: false,
-            // a full channel drains (at several µs a record) within the
-            // contained reboot the drain overlaps
-            channel_capacity: 256,
-            audit_interval_ops: 0,
-            lag_policy: LagPolicy::Block,
-        }
-    }
-}
+/// Bound of the publish channel (records in flight to the apply
+/// thread), and so of what a handover can have left to drain: a full
+/// channel drains (at several µs a record) within the contained reboot
+/// the drain overlaps.
+pub const CHANNEL_CAPACITY: usize = 256;
 
 /// Result of publishing one record to the standby.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,23 +96,12 @@ pub struct StandbyStatus {
     pub lag: u64,
     /// Records applied over the standby's lifetime (backlog included).
     pub applied_records: u64,
-    /// Coordinated audits completed successfully.
-    pub audits_run: u64,
-    /// Divergences observed: cross-check discrepancy notes plus audit
+    /// Divergences observed: cross-check discrepancy notes plus apply
     /// failures.
     pub divergences: u64,
-    /// Publishes that found the channel full under [`LagPolicy::Block`]
-    /// and waited for the apply thread: the standby's back-pressure on
-    /// the base.
+    /// Publishes that found the channel full and waited for the apply
+    /// thread: the standby's back-pressure on the base.
     pub publish_waits: u64,
-}
-
-/// What a successful audit did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AuditOutcome {
-    /// Overlay blocks released by re-basing the standby onto a fresh
-    /// snapshot of the checkpointed device.
-    pub compacted_blocks: usize,
 }
 
 /// The caught-up shadow handed over at recovery.
@@ -177,7 +125,6 @@ struct Shared {
     applied_seq: AtomicU64,
     published_records: AtomicU64,
     applied_records: AtomicU64,
-    audits_run: AtomicU64,
     divergences: AtomicU64,
     publish_waits: AtomicU64,
     /// Highest lag (published − applied) seen so far, for the
@@ -200,7 +147,6 @@ impl Shared {
 
 enum Msg {
     Record(OpRecord),
-    Audit(Sender<Result<AuditOutcome, String>>),
     Handover(Sender<HandoverState>),
     Shutdown,
     /// Test-only: signal on the sender once the apply thread is held,
@@ -215,7 +161,6 @@ enum Msg {
 pub struct WarmStandby {
     tx: Sender<Msg>,
     shared: Arc<Shared>,
-    opts: StandbyOpts,
     handle: Option<JoinHandle<()>>,
     telemetry: OnceLock<Arc<Telemetry>>,
 }
@@ -231,8 +176,7 @@ impl WarmStandby {
     /// The caller must hold `dev` quiesced for the duration of this
     /// call (mount-time and the post-recovery respawn both do): the
     /// snapshot must capture the exact state the backlog continues
-    /// from. Afterwards the live device is only touched again during
-    /// coordinated audits.
+    /// from. Afterwards the live device is never touched again.
     ///
     /// # Errors
     ///
@@ -240,7 +184,6 @@ impl WarmStandby {
     pub fn spawn(
         dev: Arc<dyn BlockDevice>,
         shadow_opts: ShadowOpts,
-        opts: StandbyOpts,
         backlog: Vec<OpRecord>,
     ) -> FsResult<WarmStandby> {
         let snapshot: Arc<dyn BlockDevice> = Arc::new(MemDisk::clone_of(dev.as_ref())?);
@@ -252,24 +195,11 @@ impl WarmStandby {
         shared
             .published_records
             .store(backlog.len() as u64, Ordering::Release);
-        let (tx, rx) = channel::bounded(opts.channel_capacity.max(1));
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("rae-standby".into())
-            .spawn(move || apply_loop(shadow, backlog, &rx, &thread_shared, &dev))
-            .expect("spawn standby apply thread");
-        Ok(WarmStandby {
-            tx,
-            shared,
-            opts,
-            handle: Some(handle),
-            telemetry: OnceLock::new(),
-        })
+        Ok(WarmStandby::start(shadow, backlog, shared))
     }
 
-    /// Attach a telemetry handle: publish-side lag high-water marks and
-    /// coordinated-audit outcomes become flight-recorder events. First
-    /// call wins.
+    /// Attach a telemetry handle: publish-side lag high-water marks
+    /// become flight-recorder events. First call wins.
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         let _ = self.telemetry.set(telemetry);
     }
@@ -280,29 +210,27 @@ impl WarmStandby {
     /// merged view, so the shadow *is* the current filesystem state:
     /// no device snapshot and no backlog replay are needed, keeping
     /// the re-arm out of the recovery latency. `resume_seq` is the
-    /// highest sequence number the shadow covers; `live` is touched
-    /// only by future coordinated audits. The same quiescence rule as
-    /// [`WarmStandby::spawn`] applies.
+    /// highest sequence number the shadow covers. The same quiescence
+    /// rule as [`WarmStandby::spawn`] applies.
     #[must_use]
-    pub fn resume(
-        shadow: ShadowFs,
-        opts: StandbyOpts,
-        live: Arc<dyn BlockDevice>,
-        resume_seq: u64,
-    ) -> WarmStandby {
+    pub fn resume(shadow: ShadowFs, resume_seq: u64) -> WarmStandby {
         let shared = Arc::new(Shared::default());
         shared.completed_seq.store(resume_seq, Ordering::Release);
         shared.applied_seq.store(resume_seq, Ordering::Release);
-        let (tx, rx) = channel::bounded(opts.channel_capacity.max(1));
+        WarmStandby::start(shadow, Vec::new(), shared)
+    }
+
+    /// Start the apply thread over `shadow`, `backlog` first.
+    fn start(shadow: ShadowFs, backlog: Vec<OpRecord>, shared: Arc<Shared>) -> WarmStandby {
+        let (tx, rx) = channel::bounded(CHANNEL_CAPACITY);
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("rae-standby".into())
-            .spawn(move || apply_loop(shadow, Vec::new(), &rx, &thread_shared, &live))
+            .spawn(move || apply_loop(shadow, backlog, &rx, &thread_shared))
             .expect("spawn standby apply thread");
         WarmStandby {
             tx,
             shared,
-            opts,
             handle: Some(handle),
             telemetry: OnceLock::new(),
         }
@@ -321,11 +249,11 @@ impl WarmStandby {
         let seq = rec.seq;
         let (sent, waiting) = match self.tx.try_send(Msg::Record(rec)) {
             Ok(()) => (true, None),
-            Err(TrySendError::Full(msg)) if self.opts.lag_policy == LagPolicy::Block => {
+            Err(TrySendError::Full(msg)) => {
                 self.shared.publish_waits.fetch_add(1, Ordering::AcqRel);
                 (true, Some(msg))
             }
-            Err(_) => (false, None),
+            Err(TrySendError::Disconnected(_)) => (false, None),
         };
         // after the wait is counted, so an observer of the event sees it
         if lag > self.shared.lag_high_water.fetch_max(lag, Ordering::AcqRel) {
@@ -353,55 +281,8 @@ impl WarmStandby {
             applied_seq: self.shared.applied_seq.load(Ordering::Acquire),
             lag: published.saturating_sub(applied),
             applied_records: applied,
-            audits_run: self.shared.audits_run.load(Ordering::Acquire),
             divergences: self.shared.divergences.load(Ordering::Acquire),
             publish_waits: self.shared.publish_waits.load(Ordering::Acquire),
-        }
-    }
-
-    /// Run a coordinated audit on the warm shadow: full consistency
-    /// check, model tree-diff against the incrementally maintained
-    /// refinement model (when enabled), then a **re-base** onto a
-    /// fresh snapshot of the live device with a before/after tree-diff
-    /// — any difference means the standby and the base's durable state
-    /// have diverged. Re-basing drops the accumulated overlay, so
-    /// audits also bound standby memory.
-    ///
-    /// The caller **must** have quiesced the base and checkpointed it
-    /// durable first — the re-base adopts the raw device image, which
-    /// is only the base's full state when the device is still and
-    /// everything durable; the standby must also be caught up (the
-    /// FIFO channel guarantees that: the audit request queues behind
-    /// every published record).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable divergence description. The standby is already
-    /// degraded when this returns `Err`; discard the handle.
-    pub fn run_audit(&self) -> Result<AuditOutcome, String> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        if self.tx.send(Msg::Audit(reply_tx)).is_err() {
-            self.shared.degrade();
-            self.audit_event(Err(&"apply thread gone".to_string()));
-            return Err("standby apply thread is gone".into());
-        }
-        let outcome = match reply_rx.recv() {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                self.shared.degrade();
-                Err("standby apply thread exited during audit".into())
-            }
-        };
-        self.audit_event(outcome.as_ref());
-        outcome
-    }
-
-    fn audit_event(&self, outcome: Result<&AuditOutcome, &String>) {
-        if let Some(t) = self.telemetry.get() {
-            match outcome {
-                Ok(o) => t.event(EventKind::StandbyAudit, 0, o.compacted_blocks as u64, 0),
-                Err(_) => t.event(EventKind::StandbyAudit, 1, 0, 0),
-            }
         }
     }
 
@@ -414,9 +295,8 @@ impl WarmStandby {
     /// Returns `None` if the standby degraded — the caller falls back
     /// to cold replay.
     pub fn start_handover(self) -> Option<PendingHandover> {
-        // A degraded standby (dropped records, failed apply, failed
-        // audit) may still have a live apply thread — its state is
-        // untrusted regardless, so refuse up front.
+        // A degraded standby's state is untrusted whether or not its
+        // apply thread has exited yet, so refuse up front.
         if !self.shared.healthy() {
             return None;
         }
@@ -492,13 +372,7 @@ impl PendingHandover {
     }
 }
 
-fn apply_loop(
-    mut shadow: ShadowFs,
-    backlog: Vec<OpRecord>,
-    rx: &Receiver<Msg>,
-    shared: &Shared,
-    live: &Arc<dyn BlockDevice>,
-) {
+fn apply_loop(mut shadow: ShadowFs, backlog: Vec<OpRecord>, rx: &Receiver<Msg>, shared: &Shared) {
     let mut report = ReplayReport::default();
     for rec in &backlog {
         if !apply_one(&mut shadow, rec, &mut report, shared) {
@@ -512,18 +386,6 @@ fn apply_loop(
                     return;
                 }
             }
-            Ok(Msg::Audit(reply)) => match audit(&mut shadow, live.as_ref()) {
-                Ok(outcome) => {
-                    shared.audits_run.fetch_add(1, Ordering::AcqRel);
-                    let _ = reply.send(Ok(outcome));
-                }
-                Err(why) => {
-                    shared.divergences.fetch_add(1, Ordering::AcqRel);
-                    shared.degrade();
-                    let _ = reply.send(Err(why));
-                    return;
-                }
-            },
             Ok(Msg::Handover(reply)) => {
                 let _ = reply.send(HandoverState {
                     shadow: Box::new(shadow),
@@ -577,147 +439,12 @@ fn apply_one(
     }
 }
 
-/// The coordinated audit. `live` must be quiesced and checkpointed
-/// durable, and the shadow caught up (the runtime's responsibility):
-///
-/// 1. full consistency check of the merged view;
-/// 2. tree-diff of the incrementally maintained refinement model
-///    against a fresh walk (when refinement is on) — internal drift;
-/// 3. re-base onto a snapshot of `live`, then tree-diff the pre-audit
-///    state against the adopted durable image — standby-vs-base
-///    divergence, caught *before* a bug fires.
-fn audit(shadow: &mut ShadowFs, live: &dyn BlockDevice) -> Result<AuditOutcome, String> {
-    let result = catch_unwind(AssertUnwindSafe(|| -> Result<AuditOutcome, String> {
-        shadow
-            .verify_consistency()
-            .map_err(|e| format!("standby consistency check failed: {e}"))?;
-        let before = shadow
-            .snapshot_model()
-            .map_err(|e| format!("standby model walk failed: {e}"))?;
-        if let Some(maintained) = shadow.refinement_model() {
-            let diffs = diff_trees(maintained, &before);
-            if !diffs.is_empty() {
-                return Err(format!("standby model drift: {}", diffs.join("; ")));
-            }
-        }
-        let fresh = MemDisk::clone_of(live).map_err(|e| format!("device snapshot failed: {e}"))?;
-        let compacted_blocks = shadow
-            .rebase(Arc::new(fresh))
-            .map_err(|e| format!("standby re-base failed: {e}"))?;
-        let after = shadow
-            .snapshot_model()
-            .map_err(|e| format!("durable-image walk failed: {e}"))?;
-        let diffs = diff_trees(&before, &after);
-        if !diffs.is_empty() {
-            return Err(format!(
-                "standby diverged from the base's durable state: {}",
-                diffs.join("; ")
-            ));
-        }
-        Ok(AuditOutcome { compacted_blocks })
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(_) => Err("standby audit panicked".into()),
-    }
-}
-
-/// Maximum differences reported by a tree diff before it stops
-/// walking; the audit only needs a non-empty witness.
-const MAX_DIFFS: usize = 16;
-
-/// Compare two filesystem trees by logical content: names, types,
-/// sizes, link counts, file bytes and symlink targets. Inode numbers
-/// and block accounting are implementation detail and are ignored.
-fn diff_trees(a: &dyn FileSystem, b: &dyn FileSystem) -> Vec<String> {
-    let mut diffs = Vec::new();
-    diff_path(a, b, "/", &mut diffs);
-    diffs
-}
-
-fn diff_path(a: &dyn FileSystem, b: &dyn FileSystem, path: &str, diffs: &mut Vec<String>) {
-    if diffs.len() >= MAX_DIFFS {
-        return;
-    }
-    let (sa, sb) = match (a.stat(path), b.stat(path)) {
-        (Ok(sa), Ok(sb)) => (sa, sb),
-        (Err(_), Err(_)) => return,
-        (ra, rb) => {
-            diffs.push(format!(
-                "{path}: presence {:?} vs {:?}",
-                ra.is_ok(),
-                rb.is_ok()
-            ));
-            return;
-        }
-    };
-    if sa.ftype != sb.ftype {
-        diffs.push(format!("{path}: type {:?} vs {:?}", sa.ftype, sb.ftype));
-        return;
-    }
-    if sa.nlink != sb.nlink {
-        diffs.push(format!("{path}: nlink {} vs {}", sa.nlink, sb.nlink));
-    }
-    match sa.ftype {
-        FileType::Regular => {
-            if sa.size != sb.size {
-                diffs.push(format!("{path}: size {} vs {}", sa.size, sb.size));
-            } else if read_all(a, path, sa.size) != read_all(b, path, sb.size) {
-                diffs.push(format!("{path}: content differs"));
-            }
-        }
-        FileType::Symlink => {
-            let (ta, tb) = (a.readlink(path), b.readlink(path));
-            if ta != tb {
-                diffs.push(format!("{path}: target {ta:?} vs {tb:?}"));
-            }
-        }
-        FileType::Directory => {
-            let mut names_a = dir_names(a, path);
-            let mut names_b = dir_names(b, path);
-            names_a.sort();
-            names_b.sort();
-            for name in names_a.iter().filter(|n| !names_b.contains(n)) {
-                diffs.push(format!("{}: only in maintained model", child(path, name)));
-            }
-            for name in names_b.iter().filter(|n| !names_a.contains(n)) {
-                diffs.push(format!("{}: only in fresh snapshot", child(path, name)));
-            }
-            for name in names_a.iter().filter(|n| names_b.contains(n)) {
-                diff_path(a, b, &child(path, name), diffs);
-            }
-        }
-    }
-}
-
-fn child(dir: &str, name: &str) -> String {
-    if dir == "/" {
-        format!("/{name}")
-    } else {
-        format!("{dir}/{name}")
-    }
-}
-
-fn dir_names(fs: &dyn FileSystem, path: &str) -> Vec<String> {
-    fs.readdir(path)
-        .map(|entries| entries.into_iter().map(|e| e.name).collect())
-        .unwrap_or_default()
-}
-
-fn read_all(fs: &dyn FileSystem, path: &str, size: u64) -> Option<Vec<u8>> {
-    let fd = fs.open(path, OpenFlags::RDONLY).ok()?;
-    let data = fs.read(fd, 0, size as usize);
-    let _ = fs.close(fd);
-    data.ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rae_blockdev::MemDisk;
     use rae_fsformat::{apply_corruption, mkfs, Corruption, MkfsParams};
     use rae_shadowfs::{ReadReply, ReadRequest};
-    use rae_vfs::{Fd, FsOp, InodeNo};
+    use rae_vfs::{Fd, FsOp, InodeNo, OpenFlags};
     use std::time::{Duration, Instant};
 
     fn fresh_dev() -> Arc<MemDisk> {
@@ -772,6 +499,15 @@ mod tests {
         ]
     }
 
+    /// One more `mkdir` than the channel holds.
+    fn over_capacity_ops() -> Vec<FsOp> {
+        (0..=CHANNEL_CAPACITY)
+            .map(|i| FsOp::Mkdir {
+                path: format!("/d{i}"),
+            })
+            .collect()
+    }
+
     fn wait_until(mut cond: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !cond() {
@@ -788,11 +524,10 @@ mod tests {
         standby.start_handover().and_then(PendingHandover::wait)
     }
 
-    fn spawn_default(dev: &Arc<MemDisk>, opts: StandbyOpts) -> WarmStandby {
+    fn spawn_default(dev: &Arc<MemDisk>) -> WarmStandby {
         WarmStandby::spawn(
             dev.clone() as Arc<dyn BlockDevice>,
             ShadowOpts::default(),
-            opts,
             Vec::new(),
         )
         .unwrap()
@@ -803,7 +538,7 @@ mod tests {
         let dev = fresh_dev();
         let records = record_ops(&dev, sample_ops());
         let n = records.len() as u64;
-        let standby = spawn_default(&dev, StandbyOpts::default());
+        let standby = spawn_default(&dev);
         for rec in records {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
@@ -841,7 +576,6 @@ mod tests {
         let standby = WarmStandby::spawn(
             dev.clone() as Arc<dyn BlockDevice>,
             ShadowOpts::default(),
-            StandbyOpts::default(),
             records,
         )
         .unwrap();
@@ -861,51 +595,34 @@ mod tests {
     #[test]
     fn block_policy_fills_channel_without_degrading() {
         let dev = fresh_dev();
-        let records = record_ops(&dev, sample_ops());
-        let capacity = 4;
-        let standby = spawn_default(
-            &dev,
-            StandbyOpts {
-                channel_capacity: capacity,
-                ..StandbyOpts::default()
-            },
-        );
+        let records = record_ops(&dev, over_capacity_ops());
+        let standby = spawn_default(&dev);
         // Hold the apply thread still so the channel genuinely fills.
         let release = standby.pause();
-        for rec in records.iter().take(capacity).cloned() {
+        for rec in records.iter().take(CHANNEL_CAPACITY).cloned() {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
-        assert_eq!(standby.status().lag, capacity as u64);
-        assert!(
-            standby.status().active,
-            "full channel is not a failure under Block"
-        );
+        assert_eq!(standby.status().lag, CHANNEL_CAPACITY as u64);
+        assert!(standby.status().active, "a full channel is not a failure");
         release.send(()).unwrap();
-        for rec in records.iter().skip(capacity).cloned() {
+        for rec in records.iter().skip(CHANNEL_CAPACITY).cloned() {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
         wait_until(|| standby.status().lag == 0);
-        assert_eq!(standby.status().applied_records, 7);
+        assert_eq!(standby.status().applied_records, records.len() as u64);
     }
 
     #[test]
     fn warm_publish_waits_count_blocked_publishes() {
         let dev = fresh_dev();
-        let records = record_ops(&dev, sample_ops());
-        let capacity = 4;
-        let standby = Arc::new(spawn_default(
-            &dev,
-            StandbyOpts {
-                channel_capacity: capacity,
-                ..StandbyOpts::default()
-            },
-        ));
+        let records = record_ops(&dev, over_capacity_ops());
+        let standby = Arc::new(spawn_default(&dev));
         let release = standby.pause();
-        for rec in records.iter().take(capacity).cloned() {
+        for rec in records.iter().take(CHANNEL_CAPACITY).cloned() {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
         assert_eq!(standby.status().publish_waits, 0, "room for each");
-        let over = records[capacity].clone();
+        let over = records[CHANNEL_CAPACITY].clone();
         let publisher = {
             let standby = Arc::clone(&standby);
             std::thread::spawn(move || standby.publish(over))
@@ -913,39 +630,11 @@ mod tests {
         wait_until(|| standby.status().publish_waits == 1);
         release.send(()).unwrap();
         assert_eq!(publisher.join().unwrap(), Publish::Accepted);
-        for rec in records.iter().skip(capacity + 1).cloned() {
-            assert_eq!(standby.publish(rec), Publish::Accepted);
-        }
         wait_until(|| standby.status().lag == 0);
         let status = standby.status();
         assert_eq!(status.applied_records, records.len() as u64);
         assert!(status.active);
-        assert!(status.publish_waits >= 1);
-    }
-
-    #[test]
-    fn drop_policy_degrades_when_consumer_is_slow() {
-        let dev = fresh_dev();
-        let records = record_ops(&dev, sample_ops());
-        let standby = spawn_default(
-            &dev,
-            StandbyOpts {
-                channel_capacity: 2,
-                lag_policy: LagPolicy::DropToColdReplay,
-                ..StandbyOpts::default()
-            },
-        );
-        let release = standby.pause();
-        let mut outcomes = Vec::new();
-        for rec in records {
-            outcomes.push(standby.publish(rec));
-        }
-        assert_eq!(outcomes[0], Publish::Accepted);
-        assert_eq!(*outcomes.last().unwrap(), Publish::Degraded);
-        assert!(!standby.status().active);
-        release.send(()).unwrap();
-        // A degraded standby refuses the handover: cold-replay fallback.
-        assert!(handover(standby).is_none());
+        assert_eq!(status.publish_waits, 1);
     }
 
     #[test]
@@ -963,7 +652,6 @@ mod tests {
                 validate_image: false,
                 ..ShadowOpts::default()
             },
-            StandbyOpts::default(),
             Vec::new(),
         )
         .unwrap();
@@ -983,7 +671,7 @@ mod tests {
         let dev = fresh_dev();
         let records = record_ops(&dev, sample_ops());
         let n = records.len() as u64;
-        let standby = spawn_default(&dev, StandbyOpts::default());
+        let standby = spawn_default(&dev);
         let release = standby.pause();
         for rec in records {
             assert_eq!(standby.publish(rec), Publish::Accepted);
@@ -1008,7 +696,7 @@ mod tests {
         let dev = fresh_dev();
         let records = record_ops(&dev, sample_ops());
         let n = records.len() as u64;
-        let standby = spawn_default(&dev, StandbyOpts::default());
+        let standby = spawn_default(&dev);
         let release = standby.pause();
         for rec in records {
             assert_eq!(standby.publish(rec), Publish::Accepted);
@@ -1028,7 +716,7 @@ mod tests {
     #[test]
     fn a_handover_whose_drain_fails_waits_to_none() {
         let dev = fresh_dev();
-        let standby = spawn_default(&dev, StandbyOpts::default());
+        let standby = spawn_default(&dev);
         let release = standby.pause();
         for rec in record_ops(&dev, sample_ops()) {
             assert_eq!(standby.publish(rec), Publish::Accepted);
@@ -1036,59 +724,5 @@ mod tests {
         let pending = standby.start_handover().expect("healthy when started");
         drop(release); // the apply thread dies mid-drain
         assert!(pending.wait().is_none());
-    }
-
-    #[test]
-    fn audit_passes_when_standby_matches_durable_state() {
-        let dev = fresh_dev();
-        let standby = WarmStandby::spawn(
-            dev.clone() as Arc<dyn BlockDevice>,
-            ShadowOpts {
-                refinement_check: true,
-                ..ShadowOpts::default()
-            },
-            StandbyOpts {
-                audit_interval_ops: 4,
-                ..StandbyOpts::default()
-            },
-            Vec::new(),
-        )
-        .unwrap();
-        // Nothing published: the snapshot still equals the device, so
-        // the re-base adopts an identical image and finds no
-        // divergence. The only overlay entry released is the
-        // superblock counter refresh the consistency check writes.
-        let outcome = standby.run_audit().expect("healthy audit");
-        assert_eq!(outcome.compacted_blocks, 1);
-        let status = standby.status();
-        assert_eq!(status.audits_run, 1);
-        assert!(status.active);
-        assert_eq!(status.divergences, 0);
-    }
-
-    #[test]
-    fn audit_detects_divergence_from_durable_state() {
-        let dev = fresh_dev();
-        let records = record_ops(&dev, sample_ops());
-        let standby = spawn_default(&dev, StandbyOpts::default());
-        for rec in records {
-            assert_eq!(standby.publish(rec), Publish::Accepted);
-        }
-        wait_until(|| standby.status().lag == 0);
-        // The published records never reached the device (the generator
-        // shadow kept them in its overlay), so the standby is ahead of
-        // the durable image — exactly the skew the re-base diff exists
-        // to catch.
-        let err = standby
-            .run_audit()
-            .expect_err("standby-vs-base skew must fail the audit");
-        assert!(err.contains("diverged"), "{err}");
-        let status = standby.status();
-        assert!(!status.active);
-        assert!(status.divergences > 0);
-        assert!(
-            handover(standby).is_none(),
-            "a diverged standby must not hand over"
-        );
     }
 }

@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 /// | `RungFailed` | rung code | duration ns | 0 |
 /// | `RecoveryDone` | final rung code | duration ns | records replayed |
 /// | `StandbyLag` | lag high-water (records) | completed seq | 0 |
-/// | `StandbyAudit` | outcome (0 ok, 1 failed) | compacted/divergent blocks | 0 |
 /// | `Degraded` | 0 | 0 | 0 |
 /// | `Offline` | 0 | 0 | 0 |
 /// | `RetryAbsorbed` | attempts used | device op (0 r, 1 w, 2 flush) | 0 |
@@ -55,8 +54,6 @@ pub enum EventKind {
     RecoveryDone,
     /// The standby apply-loop lag reached a new high-water mark.
     StandbyLag,
-    /// A coordinated standby audit finished.
-    StandbyAudit,
     /// The mount entered read-only degraded mode.
     Degraded,
     /// The mount went offline.
@@ -98,7 +95,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in code order.
-    pub const ALL: [EventKind; 25] = [
+    pub const ALL: [EventKind; 24] = [
         EventKind::FaultInjected,
         EventKind::ErrorDetected,
         EventKind::PanicCaught,
@@ -107,7 +104,6 @@ impl EventKind {
         EventKind::RungFailed,
         EventKind::RecoveryDone,
         EventKind::StandbyLag,
-        EventKind::StandbyAudit,
         EventKind::Degraded,
         EventKind::Offline,
         EventKind::RetryAbsorbed,
@@ -151,7 +147,6 @@ impl EventKind {
             EventKind::RungFailed => "rung_failed",
             EventKind::RecoveryDone => "recovery_done",
             EventKind::StandbyLag => "standby_lag",
-            EventKind::StandbyAudit => "standby_audit",
             EventKind::Degraded => "degraded",
             EventKind::Offline => "offline",
             EventKind::RetryAbsorbed => "retry_absorbed",
@@ -289,11 +284,6 @@ impl Event {
                 b as f64 / 1e6
             ),
             EventKind::StandbyLag => format!("standby lag high-water: {a} (completed_seq={b})"),
-            EventKind::StandbyAudit => format!(
-                "standby audit: {} ({} blocks)",
-                if a == 0 { "ok" } else { "FAILED" },
-                b
-            ),
             EventKind::Degraded => "entered read-only degraded mode".to_string(),
             EventKind::Offline => "went offline".to_string(),
             EventKind::RetryAbsorbed => format!(
@@ -457,14 +447,14 @@ mod tests {
 
     #[test]
     fn server_layer_codes_are_appended_not_renumbered() {
-        // the ring stores codes, not names: appending keeps old
-        // recordings decodable
-        assert_eq!(EventKind::ServerShutdown.code(), 19);
-        assert_eq!(EventKind::ConnAccepted.code(), 20);
-        assert_eq!(EventKind::ConnClosed.code(), 21);
-        assert_eq!(EventKind::QuotaRefused.code(), 22);
-        assert_eq!(EventKind::ShutdownBegin.code(), 23);
-        assert_eq!(EventKind::SlowOp.code(), 24);
+        // the ring stores codes, not names: a code is the kind's
+        // position in `ALL`, and the server layer's kinds come last
+        assert_eq!(EventKind::ServerShutdown.code(), 18);
+        assert_eq!(EventKind::ConnAccepted.code(), 19);
+        assert_eq!(EventKind::ConnClosed.code(), 20);
+        assert_eq!(EventKind::QuotaRefused.code(), 21);
+        assert_eq!(EventKind::ShutdownBegin.code(), 22);
+        assert_eq!(EventKind::SlowOp.code(), 23);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! guarantees (stats bumped inside a failing rung must survive the
 //! unwind; standby audit totals must survive standby teardown).
 
-use rae::{LadderRung, RaeConfig, RaeFs, StandbyOpts};
+use rae::{LadderRung, RaeConfig, RaeFs};
 use rae_basefs::BaseFsConfig;
 use rae_blockdev::{BlockDevice, MemDisk};
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
@@ -28,7 +28,7 @@ fn quiet_panics() {
     });
 }
 
-fn setup_with(faults: FaultRegistry, standby: StandbyOpts) -> RaeFs {
+fn setup(faults: FaultRegistry) -> RaeFs {
     quiet_panics();
     let dev = Arc::new(MemDisk::new(8192));
     mkfs(
@@ -45,14 +45,9 @@ fn setup_with(faults: FaultRegistry, standby: StandbyOpts) -> RaeFs {
             faults,
             ..BaseFsConfig::default()
         },
-        standby,
         ..RaeConfig::default()
     };
     RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap()
-}
-
-fn setup(faults: FaultRegistry) -> RaeFs {
-    setup_with(faults, StandbyOpts::default())
 }
 
 #[test]
@@ -286,47 +281,4 @@ fn attribution_vectors_cover_the_mutation_path() {
     // the rendered snapshot carries the attr rows for `top`
     let table = snap.render_table();
     assert!(table.contains("attr/"), "{table}");
-}
-
-#[test]
-fn standby_audit_totals_survive_teardown() {
-    let faults = FaultRegistry::new();
-    faults.arm(BugSpec::new(
-        31,
-        "late-bug",
-        Site::DirModify,
-        Trigger::PathContains("boom".into()),
-        Effect::DetectedError,
-    ));
-    let fs = setup_with(
-        faults,
-        StandbyOpts {
-            enabled: true,
-            audit_interval_ops: 4,
-            ..StandbyOpts::default()
-        },
-    );
-
-    for i in 0..9 {
-        fs.mkdir(&format!("/d{i}")).unwrap();
-    }
-    let before = fs.stats();
-    assert!(
-        before.standby_audits_run >= 2,
-        "audits ran: {}",
-        before.standby_audits_run
-    );
-
-    // recovery consumes the standby handle (handover) and re-arms a
-    // fresh one whose own counters start at zero — the totals must not
-    // reset with it
-    fs.mkdir("/boom").unwrap();
-    let after = fs.stats();
-    assert!(
-        after.standby_audits_run >= before.standby_audits_run,
-        "audit totals survive standby teardown: {} -> {}",
-        before.standby_audits_run,
-        after.standby_audits_run
-    );
-    assert!(after.standby_active, "standby re-armed after recovery");
 }
