@@ -99,12 +99,6 @@ pub struct BaseFsConfig {
     /// Telemetry handle shared with the page cache and journal manager
     /// (journal-commit and cache-fill timings, stale-eviction events).
     pub telemetry: Option<Arc<rae_telemetry::Telemetry>>,
-    /// Microseconds a group-commit leader waits before sealing its
-    /// batch, giving concurrent committers time to join. Zero (the
-    /// default) seals immediately; contention alone still forms
-    /// batches because joiners accumulate while the leader waits for
-    /// the exclusive transaction lock.
-    pub group_commit_leader_wait_us: u64,
 }
 
 impl Default for BaseFsConfig {
@@ -115,7 +109,6 @@ impl Default for BaseFsConfig {
             faults: FaultRegistry::new(),
             max_dirty_meta: 192,
             telemetry: None,
-            group_commit_leader_wait_us: 0,
         }
     }
 }
@@ -253,7 +246,6 @@ pub struct BaseFs {
     ilocks: Box<[RwLock<()>]>,
     clock: AtomicU64,
     mount_count: u32,
-    leader_wait_us: u64,
     counters: OpCounters,
     faults: FaultRegistry,
     max_dirty_meta: usize,
@@ -329,7 +321,6 @@ impl BaseFs {
             ilocks: ilocks.into_boxed_slice(),
             clock: AtomicU64::new(0),
             mount_count: sb.mount_count,
-            leader_wait_us: config.group_commit_leader_wait_us,
             counters: OpCounters::new(),
             faults,
             max_dirty_meta: config.max_dirty_meta.max(8),
@@ -1387,12 +1378,8 @@ impl BaseFs {
                 break;
             }
         }
-        // Leader. Optionally linger to let more committers join, then
-        // drain in-flight mutations by taking the transaction lock
-        // exclusively (joiners keep accumulating while we wait).
-        if self.leader_wait_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(self.leader_wait_us));
-        }
+        // Leader: drain in-flight mutations by taking the transaction
+        // lock exclusively (joiners keep accumulating while we wait).
         let txn = self.txn.write();
         let batch = {
             let mut st = self.commit_state.lock();

@@ -491,14 +491,7 @@ fn crash_after_group_commits_replays_to_model_tree() {
         },
     )
     .unwrap();
-    let fs = Arc::new(mount(
-        dev.clone(),
-        BaseFsConfig {
-            // generous leader wait: concurrent fsyncs must coalesce
-            group_commit_leader_wait_us: 200,
-            ..BaseFsConfig::default()
-        },
-    ));
+    let fs = Arc::new(mount(dev.clone(), BaseFsConfig::default()));
     for t in 0..THREADS {
         let fd = fs.open(&format!("/gc{t}"), rw_create()).unwrap();
         fs.write(fd, 0, &vec![0u8; FILE_BLOCKS * BLOCK_SIZE])

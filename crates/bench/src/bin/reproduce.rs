@@ -1,17 +1,16 @@
 //! Regenerate every table and figure.
 //!
 //! ```text
-//! cargo run --release -p rae-bench --bin reproduce -- [--fast] [targets...]
-//! targets: all (default) | table1 | fig1 | e1 | e2 | e3 | e3b | e4 | e4b | e4c | e5 | e6 | e7 | e8 | e9 | e10 | e11 | e12
+//! cargo run --release -p rae-bench --bin reproduce -- [--fast] [--smoke] [targets...]
+//! targets: all (default) | table1 | fig1 | e1 | e2 | e3 | e3b | e4 | e4b | e4c | e5 | e6 | e7 | e8 | e9 | trust
 //!
 //! `e4` runs availability plus the read-scaling sweep (e4c); both
-//! sub-targets can also be requested on their own. `e4c` and `e11`
-//! run one thread ladder per mix on the code being built; a
-//! before/after comparison is `raebench` run on two commits.
-//! `--smoke` shrinks the e8 nested-fault campaign to its CI subset,
-//! the e9 tail-latency run to its CI size, the e10 server-traffic run
-//! to a smaller client fleet, the e11 write-scaling ladder to CI-sized
-//! rungs, and the e12 attribution run to a smaller traced fleet.
+//! sub-targets can also be requested on their own. `e4c` runs one
+//! thread ladder per mix on the code being built; a before/after
+//! comparison is `raebench` run on two commits, which is also where
+//! server traffic, write scaling and per-layer attribution are
+//! measured. `--smoke` shrinks the e8 nested-fault campaign to its CI
+//! subset and the e9 tail-latency run to its CI size.
 //! ```
 
 use rae_bench::experiments::{self, Scale};
@@ -53,12 +52,11 @@ fn main() {
             "e7" => experiments::e7_crafted_images(),
             "e8" => experiments::e8_recovery_resilience(smoke),
             "e9" => experiments::e9_tail_latency(scale, smoke),
-            "e10" => experiments::e10_server_traffic(smoke),
-            "e11" => experiments::e11_write_scaling(scale, smoke),
-            "e12" => experiments::e12_tail_attribution(smoke),
             "trust" => experiments::trust_accounting(),
             other => {
-                eprintln!("unknown target '{other}' (use all|table1|fig1|e1..e12|e3b|e4b|e4c)");
+                eprintln!(
+                    "unknown target '{other}' (use all|table1|fig1|e1..e9|e3b|e4b|e4c|trust)"
+                );
                 std::process::exit(2);
             }
         };

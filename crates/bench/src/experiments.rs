@@ -1,4 +1,5 @@
-//! Experiment implementations E1–E7 plus the bug-study artifacts.
+//! Experiment implementations E1–E9, the bug-study artifacts and the
+//! trusted-code accounting.
 //!
 //! Every function returns the rendered table it printed, so integration
 //! tests can assert on shapes (who wins, in which direction) without
@@ -16,8 +17,8 @@ use rae_fsmodel::ModelFs;
 use rae_shadowfs::{ShadowAsPrimary, ShadowFs, ShadowOpts};
 use rae_vfs::{FileSystem, FsOp, OpRecord, OpenFlags};
 use rae_workloads::{
-    compare_outcomes, generate_script, populate_read_set, populate_write_set, run_reader_mix,
-    run_script, run_writer_mix, Profile, ReadMix, ReadMixConfig, WriteMix, WriteMixConfig,
+    compare_outcomes, generate_script, populate_read_set, run_reader_mix, run_script, Profile,
+    ReadMix, ReadMixConfig,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -695,171 +696,6 @@ pub fn e4c_read_scaling(scale: Scale) -> String {
         }
         Err(e) => {
             let _ = writeln!(out, "(could not write BENCH_concurrency.json: {e})");
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// E11: concurrent write scaling (group commit + inode sharding)
-// ---------------------------------------------------------------------
-
-const E11_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn e11_mix_config(mix: WriteMix, scale: Scale, smoke: bool) -> WriteMixConfig {
-    WriteMixConfig {
-        nfiles: 32,
-        file_size: 32 * 1024,
-        write_size: 4096,
-        ops_per_thread: if smoke {
-            200
-        } else {
-            (scale.steps / 2).max(200)
-        },
-        seed: 0xE11,
-        mix,
-        // periodic per-thread fsyncs: the commit pressure that group
-        // commit coalesces when threads overlap
-        fsync_every: 8,
-    }
-}
-
-fn e11_base_config(telemetry: Arc<rae_telemetry::Telemetry>) -> BaseFsConfig {
-    BaseFsConfig {
-        // small leader wait so overlapping fsyncs reliably share a
-        // batch instead of racing past each other on a fast device
-        group_commit_leader_wait_us: 50,
-        telemetry: Some(telemetry),
-        ..BaseFsConfig::default()
-    }
-}
-
-/// One mix's sweep on a fresh write-latency-heavy device:
-/// populate, warm up, then run the thread ladder on the same warm
-/// mount. Returns `(threads, ops/s, mean commit batch)` per rung — the
-/// batch mean comes from the telemetry histogram delta across the
-/// rung, so each rung reports its own contention level.
-fn e11_measure(mix: WriteMix, scale: Scale, smoke: bool) -> Vec<(usize, f64, f64)> {
-    let cfg = e11_mix_config(mix, scale, smoke);
-    // 50 µs writes: the journal flush is genuinely I/O-bound, so
-    // coalescing N fsyncs into one flush shows up as throughput
-    let dev = crate::harness::fresh_custom_latency_device(16_000, 50_000);
-    let telemetry = rae_telemetry::Telemetry::new();
-    let fs = Arc::new(
-        BaseFs::mount(
-            dev as Arc<dyn BlockDevice>,
-            e11_base_config(Arc::clone(&telemetry)),
-        )
-        .expect("mount base"),
-    );
-    populate_write_set(fs.as_ref(), &cfg).expect("populate write set");
-    let warm = WriteMixConfig {
-        ops_per_thread: cfg.ops_per_thread / 2,
-        ..cfg
-    };
-    let _ = run_writer_mix(&fs, &warm, 2).expect("warm-up");
-    E11_THREADS
-        .iter()
-        .map(|&threads| {
-            let before = telemetry.snapshot().commit_batch;
-            let report = run_writer_mix(&fs, &cfg, threads).unwrap_or_else(|e| {
-                panic!(
-                    "writer mix failed: mix={} threads={threads}: {e:?}",
-                    cfg.mix.label()
-                )
-            });
-            let after = telemetry.snapshot().commit_batch;
-            let commits = after.count.saturating_sub(before.count);
-            let batch_mean = if commits == 0 {
-                0.0
-            } else {
-                after.sum.saturating_sub(before.sum) as f64 / commits as f64
-            };
-            (threads, report.ops_per_sec(), batch_mean)
-        })
-        .collect()
-}
-
-/// One E11 sweep: (mix label, per-rung (threads, ops/s, batch mean)).
-type E11Row = (&'static str, Vec<(usize, f64, f64)>);
-
-fn e11_render_json(rows: &[E11Row]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"e11_write_scaling\",\n");
-    json.push_str("  \"threads\": [1, 2, 4, 8],\n");
-    let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
-    json.push_str("  \"results\": [\n");
-    for (i, (mix, ladder)) in rows.iter().enumerate() {
-        let ops: Vec<String> = ladder.iter().map(|(_, o, _)| format!("{o:.0}")).collect();
-        let batches: Vec<String> = ladder.iter().map(|(_, _, b)| format!("{b:.2}")).collect();
-        let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"mix\": \"{mix}\", \"ops_per_sec\": [{}], \"commit_batch_mean\": [{}], \"speedup_8t_over_1t\": {speedup:.2}}}{comma}",
-            ops.join(", "),
-            batches.join(", "),
-        );
-    }
-    json.push_str("  ]\n}\n");
-    json
-}
-
-/// E11: throughput of 1–8 writer threads against one mounted base, for
-/// a write-heavy mix and two read/write blends, with periodic fsyncs
-/// supplying commit pressure. The mean journal commit batch per rung
-/// (from the telemetry histogram) shows group commit engaging as
-/// contention rises. To compare two commits, run `raebench` on each.
-///
-/// Side effect: writes `BENCH_write_scaling.json` into the working
-/// directory (the committed artifact at the repo root).
-#[must_use]
-pub fn e11_write_scaling(scale: Scale, smoke: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "E11: concurrent write scaling ({} ops/thread, fsync every 8 writes, {} host CPUs)",
-        e11_mix_config(WriteMix::WriteHeavy, scale, smoke).ops_per_thread,
-        host_cpus()
-    );
-    let _ = writeln!(
-        out,
-        "(per-inode stripes + group commit; batch = mean ops per journal commit at that thread count)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<13} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9}",
-        "mix", "1t", "2t", "4t", "8t", "8t/1t", "batch@8t"
-    );
-    let mut rows: Vec<E11Row> = Vec::new();
-    for mix in [
-        WriteMix::WriteHeavy,
-        WriteMix::Mixed10R90W,
-        WriteMix::Mixed50R50W,
-    ] {
-        let ladder = e11_measure(mix, scale, smoke);
-        let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
-        let _ = writeln!(
-            out,
-            "{:<13} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>6.2}x {:>9.2}",
-            mix.label(),
-            ladder[0].1,
-            ladder[1].1,
-            ladder[2].1,
-            ladder[3].1,
-            speedup,
-            ladder.last().expect("ladder").2,
-        );
-        rows.push((mix.label(), ladder));
-    }
-    let json = e11_render_json(&rows);
-    match std::fs::write("BENCH_write_scaling.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_write_scaling.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_write_scaling.json: {e})");
         }
     }
     out
@@ -1599,21 +1435,22 @@ fn e9_cache_hit_ns_per_op(reads: usize, rounds: usize) -> (f64, f64) {
 /// `RecoveryDone` timestamps carve the per-op samples into before /
 /// during / after windows, and the histogram percentiles quantify how
 /// recovery shows up as response-time tail. A second probe gates the
-/// telemetry off to price the instrumentation itself.
+/// telemetry off to price the instrumentation itself against a 5 %
+/// budget.
 ///
 /// Side effect: writes `BENCH_tail_latency.json` into the working
 /// directory (the committed artifact at the repo root).
 #[must_use]
 pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
     use std::time::Instant;
-    const OVERHEAD_BUDGET_PCT: f64 = 15.0;
+    const OVERHEAD_BUDGET_PCT: f64 = 5.0;
     let ops = if smoke {
         400
     } else {
         scale.campaign_steps.min(2000)
     };
     let fault_at = ops / 2;
-    let (reads, rounds) = if smoke { (20_000, 2) } else { (100_000, 3) };
+    let reads = if smoke { 20_000 } else { 100_000 };
 
     let tele = rae_telemetry::Telemetry::new();
     let faults = FaultRegistry::new();
@@ -1696,7 +1533,7 @@ pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
         e9_window("after", after),
     ];
 
-    let (on_ns, off_ns) = e9_cache_hit_ns_per_op(reads, rounds);
+    let (on_ns, off_ns) = e9_cache_hit_ns_per_op(reads, 3);
     let overhead_pct = (on_ns - off_ns) / off_ns.max(f64::MIN_POSITIVE) * 100.0;
     let within_budget = overhead_pct <= OVERHEAD_BUDGET_PCT;
 
@@ -1754,590 +1591,6 @@ pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
         }
         Err(e) => {
             let _ = writeln!(out, "(could not write BENCH_tail_latency.json: {e})");
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// E10: multi-tenant server under fault (the server subsystem end to
-// end — real sockets, Zipfian tenants, faults injected mid-traffic)
-// ---------------------------------------------------------------------
-
-/// E10: run the fault ladder against a *live* multi-tenant server.
-///
-/// Four volumes behind one `rae-server` on a loopback socket, hundreds
-/// of logical clients multiplexed over real TCP connections with
-/// Zipf-skewed file popularity, one tenant on a deliberately tight op
-/// quota. At ~30% progress two fault classes land mid-traffic — a
-/// panic in vol0's path-lookup and a detected error in vol1's write
-/// path. RAE must mask both while traffic continues; the interesting
-/// numbers are the per-tenant tail latencies and the *client-observed
-/// unavailability window* around each fault (gap between the last
-/// success before and the first success after, as seen from the
-/// socket side).
-///
-/// Side effect: writes `BENCH_server_traffic.json` into the working
-/// directory (the committed artifact at the repo root).
-///
-/// # Panics
-///
-/// Panics if the server cannot bind, a connection drops, a fault
-/// escapes masking, or a volume ends the run wedged (neither Active
-/// nor Degraded).
-#[must_use]
-pub fn e10_server_traffic(smoke: bool) -> String {
-    use rae_server::{Client, Server, ServerConfig, VolumeManager};
-    use rae_workloads::{populate_volumes, start_load, unavailability_window, LoadGenConfig};
-    use std::time::Instant;
-
-    // wire codes: Site::ALL index / effect table index
-    const SITE_PATH_LOOKUP: u8 = 1;
-    const SITE_WRITE: u8 = 4;
-    const EFFECT_DETECTED_ERROR: u8 = 0;
-    const EFFECT_PANIC: u8 = 1;
-
-    let (connections, clients_per_connection, ops_per_client) =
-        if smoke { (16, 4, 80) } else { (64, 16, 40) };
-    let volumes_wanted = 4usize;
-    let files_per_volume = 32usize;
-    let file_size = 16 * 1024usize;
-
-    // populate cost per volume: mkdir + per-file (open + 2 chunked
-    // writes) + sync — the quota must leave room for it
-    let populate_ops = 2 + files_per_volume as u64 * 3;
-    let traffic_per_volume =
-        (connections * clients_per_connection * ops_per_client / volumes_wanted) as u64;
-    // the metered tenant gets half its fair share of traffic
-    let metered_quota = populate_ops + traffic_per_volume / 2;
-
-    let manager = Arc::new(VolumeManager::new());
-    let config = ServerConfig {
-        // connection-per-worker: every loadgen connection plus the
-        // admin/populate clients need a slot, with headroom
-        workers: connections + 8,
-        queue: connections + 8,
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&manager), &config).expect("bind server");
-    let addr = server.local_addr().to_string();
-
-    let mut admin = Client::connect(addr.as_str()).expect("admin connect");
-    let mut volume_ids = Vec::new();
-    for i in 0..volumes_wanted {
-        let quota = if i == 3 { metered_quota } else { 0 };
-        let id = admin
-            .create_volume(&format!("vol{i}"), 4096, 1024, 256, quota, 0)
-            .expect("create volume");
-        volume_ids.push(id);
-    }
-    drop(admin);
-    // volume creation also works from the manager side; assert the two
-    // views agree before traffic starts
-    assert_eq!(manager.len(), volumes_wanted);
-
-    let cfg = LoadGenConfig {
-        addr: addr.clone(),
-        volumes: volume_ids.clone(),
-        connections,
-        clients_per_connection,
-        ops_per_client,
-        write_pct: 30,
-        zipf_exponent: 0.99,
-        files_per_volume,
-        file_size,
-        read_size: 1024,
-        seed: 0xE10,
-        trace: false,
-    };
-    let fds = populate_volumes(&cfg).expect("populate volumes");
-
-    let epoch = Instant::now();
-    let run = start_load(&cfg, &fds, epoch).expect("start load");
-    while run.progress() < 0.3 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    // two fault classes, two different tenants, mid-traffic
-    let mut admin = Client::connect(addr.as_str()).expect("admin reconnect");
-    let fault_a_ns = run.now_ns();
-    admin
-        .inject_fault(volume_ids[0], SITE_PATH_LOOKUP, EFFECT_PANIC, 1)
-        .expect("inject panic fault");
-    let fault_b_ns = run.now_ns();
-    admin
-        .inject_fault(volume_ids[1], SITE_WRITE, EFFECT_DETECTED_ERROR, 1)
-        .expect("inject detected-error fault");
-    let injected_at = run.progress();
-    let report = run.join();
-
-    assert_eq!(
-        report.total_ops,
-        (connections * clients_per_connection * ops_per_client) as u64
-    );
-    assert_eq!(report.total_io_errors, 0, "no connection may drop");
-    assert_eq!(report.total_errors, 0, "every fault must be masked");
-    assert!(
-        report.per_volume[3].refusals > 0,
-        "the metered tenant must hit its quota"
-    );
-
-    let faults = [
-        ("vol0", volume_ids[0], "path_lookup", "panic", fault_a_ns),
-        ("vol1", volume_ids[1], "write", "detected_error", fault_b_ns),
-    ];
-    let windows: Vec<(&str, u32, &str, &str, f64)> = faults
-        .iter()
-        .map(|&(name, id, site, effect, at_ns)| {
-            let vol = report
-                .per_volume
-                .iter()
-                .find(|v| v.volume == id)
-                .expect("faulted volume in report");
-            let w = unavailability_window(&vol.timeline, at_ns)
-                .expect("faulted volume must serve successes on both sides of the fault");
-            (name, id, site, effect, w as f64 / 1e6)
-        })
-        .collect();
-
-    // server-side ground truth: both faulted volumes recovered, and
-    // every volume ends Active or Degraded — never wedged
-    let mut recoveries = 0u64;
-    let mut statuses = Vec::new();
-    for (i, &id) in volume_ids.iter().enumerate() {
-        let vol = manager.get(id).expect("volume still mounted");
-        let stats = vol.fs().stats();
-        if i < 2 {
-            recoveries += stats.recoveries;
-        }
-        statuses.push(format!("{:?}", vol.fs().status()));
-        assert!(
-            matches!(
-                vol.fs().status(),
-                rae_vfs::FsStatus::Active | rae_vfs::FsStatus::Degraded
-            ),
-            "vol{i} ended {:?}",
-            vol.fs().status()
-        );
-    }
-    assert!(recoveries >= 2, "both injected faults must recover");
-
-    let quota_rejections = manager
-        .get(volume_ids[3])
-        .map_or(0, |v| v.quota_rejections());
-
-    let shutdown = server.shutdown().expect("graceful shutdown");
-    assert_eq!(shutdown.volumes_unmounted, volumes_wanted);
-    assert!(shutdown.all_clean, "all volumes must unmount cleanly");
-
-    let mut out = format!(
-        "E10: multi-tenant server under fault ({} volumes, {} connections x {} clients, \
-         {} ops, {:.0} ops/s, faults at {:.0}% progress)\n\
-         tenant   ops      p50_us   p99_us  p999_us   max_us  refused\n",
-        volumes_wanted,
-        connections,
-        clients_per_connection,
-        report.total_ops,
-        report.ops_per_sec(),
-        injected_at * 100.0
-    );
-    for (i, v) in report.per_volume.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "vol{i}   {:>6}  {:>8.1} {:>8.1} {:>8.1} {:>8.1}  {:>6}",
-            v.ops,
-            v.p50_ns as f64 / 1e3,
-            v.p99_ns as f64 / 1e3,
-            v.p999_ns as f64 / 1e3,
-            v.max_ns as f64 / 1e3,
-            v.refusals
-        );
-    }
-    for &(name, _, site, effect, ms) in &windows {
-        let _ = writeln!(
-            out,
-            "{name}: {effect}@{site} masked; client-observed unavailability {ms:.2} ms"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "statuses: [{}]; recoveries(faulted)={recoveries}; quota rejections={quota_rejections}; \
-         shutdown: {} requests / {} connections, clean={}",
-        statuses.join(", "),
-        shutdown.requests,
-        shutdown.connections,
-        shutdown.all_clean
-    );
-
-    let mut json = String::from("{\n  \"experiment\": \"e10_server_traffic\",\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        json,
-        "  \"load\": {{\"volumes\": {volumes_wanted}, \"connections\": {connections}, \
-         \"clients_per_connection\": {clients_per_connection}, \"ops\": {}, \
-         \"ops_per_sec\": {:.0}, \"write_pct\": 30, \"zipf_exponent\": 0.99}},",
-        report.total_ops,
-        report.ops_per_sec()
-    );
-    json.push_str("  \"tenants\": [\n");
-    for (i, v) in report.per_volume.iter().enumerate() {
-        let comma = if i + 1 < report.per_volume.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"tenant\": \"vol{i}\", \"ops\": {}, \"errors\": {}, \"refusals\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"max_us\": {:.1}, \
-             \"status\": \"{}\"}}{comma}",
-            v.ops,
-            v.errors,
-            v.refusals,
-            v.p50_ns as f64 / 1e3,
-            v.p99_ns as f64 / 1e3,
-            v.p999_ns as f64 / 1e3,
-            v.max_ns as f64 / 1e3,
-            statuses[i]
-        );
-    }
-    json.push_str("  ],\n  \"faults\": [\n");
-    for (i, &(name, _, site, effect, ms)) in windows.iter().enumerate() {
-        let comma = if i + 1 < windows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"tenant\": \"{name}\", \"site\": \"{site}\", \"effect\": \"{effect}\", \
-             \"masked\": true, \"unavailability_ms\": {ms:.3}}}{comma}"
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"quota\": {{\"tenant\": \"vol3\", \"max_ops\": {metered_quota}, \"rejections\": {quota_rejections}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"shutdown\": {{\"requests\": {}, \"connections\": {}, \"volumes_unmounted\": {}, \"all_clean\": {}}}",
-        shutdown.requests, shutdown.connections, shutdown.volumes_unmounted, shutdown.all_clean
-    );
-    json.push_str("}\n");
-    match std::fs::write("BENCH_server_traffic.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_server_traffic.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_server_traffic.json: {e})");
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// E12: tail-latency attribution under multi-tenant traffic (which
-// *layer* owns the tail, before / during / after a masked fault)
-// ---------------------------------------------------------------------
-
-/// One window's merged attribution view: the end-to-end op histogram
-/// delta plus the per-layer attribution deltas over the same interval.
-struct E12Window {
-    name: &'static str,
-    e2e: rae_telemetry::HistogramSummary,
-    layers: Vec<(&'static str, rae_telemetry::HistogramSummary)>,
-    attr_sum_ns: u64,
-    e2e_sum_ns: u64,
-}
-
-impl E12Window {
-    /// Attribution-mass-to-end-to-end ratio; 1.0 when the per-layer
-    /// vectors account for exactly the recorded op time.
-    fn ratio(&self) -> f64 {
-        if self.e2e_sum_ns == 0 {
-            return 1.0;
-        }
-        self.attr_sum_ns as f64 / self.e2e_sum_ns as f64
-    }
-}
-
-/// Frozen dump of every histogram E12 windows over: the API-boundary
-/// op histograms (all classes merged) and the six attribution layers,
-/// each merged across all volumes.
-struct E12Snap {
-    e2e: rae_telemetry::HistDump,
-    layers: Vec<rae_telemetry::HistDump>,
-}
-
-fn e12_snap(teles: &[Arc<rae_telemetry::Telemetry>]) -> E12Snap {
-    let mut e2e = rae_telemetry::HistDump::empty();
-    for t in teles {
-        for &class in rae_telemetry::OpClass::ALL.iter() {
-            e2e.merge(&t.op_histogram(class).dump());
-        }
-    }
-    let layers = rae_telemetry::SpanLayer::ALL
-        .iter()
-        .map(|&layer| {
-            let mut d = rae_telemetry::HistDump::empty();
-            for t in teles {
-                d.merge(&t.attr_histogram(layer).dump());
-            }
-            d
-        })
-        .collect();
-    E12Snap { e2e, layers }
-}
-
-fn e12_window(name: &'static str, later: &E12Snap, earlier: &E12Snap) -> E12Window {
-    let e2e = later.e2e.delta(&earlier.e2e);
-    let layers: Vec<(&'static str, rae_telemetry::HistogramSummary)> =
-        rae_telemetry::SpanLayer::ALL
-            .iter()
-            .zip(later.layers.iter().zip(earlier.layers.iter()))
-            .map(|(&layer, (l, e))| (layer.name(), l.delta(e).summary()))
-            .collect();
-    let attr_sum_ns = rae_telemetry::SpanLayer::ALL
-        .iter()
-        .zip(later.layers.iter().zip(earlier.layers.iter()))
-        .map(|(_, (l, e))| l.delta(e).sum())
-        .sum();
-    E12Window {
-        name,
-        e2e_sum_ns: e2e.sum(),
-        e2e: e2e.summary(),
-        layers,
-        attr_sum_ns,
-    }
-}
-
-/// E12: decompose the client-visible latency distribution into
-/// per-layer contributions, across a masked mid-traffic fault.
-///
-/// The E10 traffic shape (multi-tenant server on a loopback socket,
-/// Zipf-skewed clients, trace contexts minted per op) runs while the
-/// API-boundary op histograms and the six span-attribution histograms
-/// are dumped at three instants, carving the run into *before* /
-/// *during* / *after* windows around a panic injected into vol0's
-/// path lookup. Each window reports the end-to-end percentiles next
-/// to per-layer percentiles, and the invariant that makes the
-/// attribution trustworthy: the per-layer mass must sum to the
-/// recorded end-to-end mass (ratio within 10%; it is 1.0 by
-/// construction, since the unattributed remainder is booked as
-/// `other`). A final probe prices the whole tracing plane on
-/// cache-hit reads against a 5% budget.
-///
-/// Side effect: writes `BENCH_tail_attribution.json` into the working
-/// directory (the committed artifact at the repo root).
-///
-/// # Panics
-///
-/// Panics if the server cannot bind, the fault escapes masking, a
-/// window records nothing, or the attribution mass drifts more than
-/// 10% from the end-to-end mass.
-#[must_use]
-pub fn e12_tail_attribution(smoke: bool) -> String {
-    use rae_server::{Client, Server, ServerConfig, VolumeManager};
-    use rae_workloads::{populate_volumes, start_load, LoadGenConfig};
-    use std::time::Instant;
-
-    const OVERHEAD_BUDGET_PCT: f64 = 5.0;
-    const SITE_PATH_LOOKUP: u8 = 1;
-    const EFFECT_PANIC: u8 = 1;
-
-    let (connections, clients_per_connection, ops_per_client) =
-        if smoke { (8, 4, 150) } else { (32, 8, 150) };
-    let volumes_wanted = 2usize;
-    let files_per_volume = 32usize;
-
-    let manager = Arc::new(VolumeManager::new());
-    let config = ServerConfig {
-        workers: connections + 8,
-        queue: connections + 8,
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&manager), &config).expect("bind server");
-    let addr = server.local_addr().to_string();
-
-    let mut admin = Client::connect(addr.as_str()).expect("admin connect");
-    let mut volume_ids = Vec::new();
-    for i in 0..volumes_wanted {
-        let id = admin
-            .create_volume(&format!("vol{i}"), 4096, 1024, 256, 0, 0)
-            .expect("create volume");
-        volume_ids.push(id);
-    }
-
-    let cfg = LoadGenConfig {
-        addr: addr.clone(),
-        volumes: volume_ids.clone(),
-        connections,
-        clients_per_connection,
-        ops_per_client,
-        write_pct: 30,
-        zipf_exponent: 0.99,
-        files_per_volume,
-        file_size: 16 * 1024,
-        read_size: 1024,
-        seed: 0xE12,
-        trace: true,
-    };
-    let fds = populate_volumes(&cfg).expect("populate volumes");
-    let teles: Vec<Arc<rae_telemetry::Telemetry>> = volume_ids
-        .iter()
-        .map(|&id| manager.get(id).expect("volume").fs().telemetry())
-        .collect();
-
-    let baseline = e12_snap(&teles);
-    let run = start_load(&cfg, &fds, Instant::now()).expect("start load");
-    while run.progress() < 0.33 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let snap_before = e12_snap(&teles);
-    admin
-        .inject_fault(volume_ids[0], SITE_PATH_LOOKUP, EFFECT_PANIC, 1)
-        .expect("inject panic fault");
-    while run.progress() < 0.7 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let snap_during = e12_snap(&teles);
-    let report = run.join();
-    let snap_after = e12_snap(&teles);
-
-    assert_eq!(report.total_errors, 0, "the injected panic must be masked");
-    assert_eq!(report.total_io_errors, 0, "no connection may drop");
-    let recoveries = manager
-        .get(volume_ids[0])
-        .map_or(0, |v| v.fs().stats().recoveries);
-    assert!(recoveries >= 1, "vol0 must have recovered");
-
-    let windows = [
-        e12_window("before", &snap_before, &baseline),
-        e12_window("during", &snap_during, &snap_before),
-        e12_window("after", &snap_after, &snap_during),
-    ];
-    for w in &windows {
-        assert!(w.e2e.count > 0, "window '{}' recorded nothing", w.name);
-        let r = w.ratio();
-        assert!(
-            (0.9..=1.1).contains(&r),
-            "window '{}': attribution mass {} vs e2e mass {} (ratio {r:.3})",
-            w.name,
-            w.attr_sum_ns,
-            w.e2e_sum_ns
-        );
-    }
-
-    let scrape = manager.scrape_prometheus();
-    assert!(
-        scrape.contains("rae_attr_ns"),
-        "metrics plane exports attribution"
-    );
-
-    let shutdown = server.shutdown().expect("graceful shutdown");
-    assert!(shutdown.all_clean, "all volumes must unmount cleanly");
-
-    // price the tracing plane itself on the cheapest op RAE serves
-    let (reads, rounds) = if smoke { (20_000, 3) } else { (100_000, 3) };
-    let (on_ns, off_ns) = e9_cache_hit_ns_per_op(reads, rounds);
-    let overhead_pct = (on_ns - off_ns) / off_ns.max(f64::MIN_POSITIVE) * 100.0;
-    let within_budget = overhead_pct <= OVERHEAD_BUDGET_PCT;
-
-    let mut out = format!(
-        "E12: tail-latency attribution across a masked fault ({} volumes, \
-         {} connections x {} clients, {} ops, {:.0} ops/s)\n",
-        volumes_wanted,
-        connections,
-        clients_per_connection,
-        report.total_ops,
-        report.ops_per_sec()
-    );
-    for w in &windows {
-        let _ = writeln!(
-            out,
-            "window {:<7} e2e: n={:<6} p50={:>7}ns p99={:>9}ns p999={:>9}ns  (attr/e2e {:.3})",
-            w.name,
-            w.e2e.count,
-            w.e2e.p50,
-            w.e2e.p99,
-            w.e2e.p999,
-            w.ratio()
-        );
-        for (name, s) in &w.layers {
-            if s.count == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  {:<12} n={:<6} p50={:>7}ns p99={:>9}ns p999={:>9}ns sum={}ns",
-                name, s.count, s.p50, s.p99, s.p999, s.sum
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "tracing overhead on cache-hit reads: on={on_ns:.0} ns/op off={off_ns:.0} ns/op \
-         ({overhead_pct:+.1}%, budget {OVERHEAD_BUDGET_PCT:.0}%, within={within_budget})"
-    );
-
-    let mut json = String::from("{\n  \"experiment\": \"e12_tail_attribution\",\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        json,
-        "  \"load\": {{\"volumes\": {volumes_wanted}, \"connections\": {connections}, \
-         \"clients_per_connection\": {clients_per_connection}, \"ops\": {}, \
-         \"ops_per_sec\": {:.0}, \"write_pct\": 30, \"traced\": true}},",
-        report.total_ops,
-        report.ops_per_sec()
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault\": {{\"tenant\": \"vol0\", \"site\": \"path_lookup\", \"effect\": \"panic\", \
-         \"masked\": true, \"recoveries\": {recoveries}}},"
-    );
-    json.push_str("  \"windows\": [\n");
-    for (i, w) in windows.iter().enumerate() {
-        let comma = if i + 1 < windows.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{\"window\": \"{}\",", w.name);
-        let _ = writeln!(
-            json,
-            "     \"e2e\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"max_ns\": {}}},",
-            w.e2e.count, w.e2e.sum, w.e2e.p50, w.e2e.p99, w.e2e.p999, w.e2e.max
-        );
-        json.push_str("     \"layers\": {");
-        let mut first = true;
-        for (name, s) in &w.layers {
-            if !first {
-                json.push_str(", ");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "\"{name}\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"p999_ns\": {}}}",
-                s.count, s.sum, s.p50, s.p99, s.p999
-            );
-        }
-        json.push_str("},\n");
-        let _ = writeln!(
-            json,
-            "     \"attribution_sum_ns\": {}, \"e2e_sum_ns\": {}, \"attr_to_e2e_ratio\": {:.4}, \
-             \"ratio_within_10pct\": {}}}{comma}",
-            w.attr_sum_ns,
-            w.e2e_sum_ns,
-            w.ratio(),
-            (0.9..=1.1).contains(&w.ratio())
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"overhead\": {{\"tracing_on_ns_per_op\": {on_ns:.0}, \"tracing_off_ns_per_op\": {off_ns:.0}, \
-         \"overhead_pct\": {overhead_pct:.2}, \"budget_pct\": {OVERHEAD_BUDGET_PCT:.1}, \
-         \"within_budget\": {within_budget}}}"
-    );
-    json.push_str("}\n");
-    match std::fs::write("BENCH_tail_attribution.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_tail_attribution.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_tail_attribution.json: {e})");
         }
     }
     out
@@ -2564,9 +1817,6 @@ pub fn run_all(scale: Scale) -> String {
         e7_crafted_images(),
         e8_recovery_resilience(false),
         e9_tail_latency(scale, false),
-        e10_server_traffic(false),
-        e11_write_scaling(scale, false),
-        e12_tail_attribution(false),
         trust_accounting(),
     ] {
         out.push_str(&section);

@@ -12,8 +12,11 @@
 //! | E5 | cost of the shadow's check battery | "extensive runtime checks" |
 //! | E6 | differential testing finds silent bugs | §4.3 post-error testing tool |
 //! | E7 | crafted-image robustness | §2.1 bypass-FSCK attack class |
+//! | E8 | faults while recovery runs (nested-fault campaign) | §4.3 robustness of recovery |
+//! | E9 | observed latency across a masked fault, telemetry tax | "high performance in the common case" |
+//! | trust | trusted vs base lines of code | §4.3 "quantify the code we trust" |
 //!
-//! `cargo run -p rae-bench --bin reproduce [--fast] [all|table1|fig1|e1..e7]`
+//! `cargo run -p rae-bench --bin reproduce [--fast] [all|table1|fig1|e1..e9|trust]`
 //! regenerates everything and prints the tables EXPERIMENTS.md records.
 
 #![forbid(unsafe_code)]

@@ -530,13 +530,6 @@ impl<D: BlockDevice> FaultyDisk<D> {
         sh.staged_recovery = Some(plan);
     }
 
-    /// Remove the staged (and any armed) recovery-scoped plan.
-    pub fn clear_recovery_plan(&self) {
-        let mut sh = self.state.lock();
-        sh.staged_recovery = None;
-        sh.recovery = None;
-    }
-
     /// The phase most recently announced via
     /// [`BlockDevice::set_phase`].
     #[must_use]

@@ -98,18 +98,6 @@ impl MemDisk {
             .write()
             .copy_from_slice(data);
     }
-
-    /// Flip the bit at `(byte_offset, bit)` inside block `bno` — the
-    /// smallest possible silent corruption, used by fault campaigns.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range coordinates.
-    pub fn flip_bit(&self, bno: u64, byte_offset: usize, bit: u8) {
-        assert!(byte_offset < BLOCK_SIZE && bit < 8);
-        let mut guard = self.blocks[usize::try_from(bno).expect("bno fits usize")].write();
-        guard[byte_offset] ^= 1 << bit;
-    }
 }
 
 impl BlockDevice for MemDisk {
@@ -277,16 +265,6 @@ mod tests {
         d.write_block(2, &b).unwrap();
         snap.read_block(2, &mut r).unwrap();
         assert_eq!(r[7], 0xAB);
-    }
-
-    #[test]
-    fn flip_bit_changes_exactly_one_bit() {
-        let d = MemDisk::new(1);
-        d.flip_bit(0, 10, 3);
-        let mut r = vec![0u8; BLOCK_SIZE];
-        d.read_block(0, &mut r).unwrap();
-        assert_eq!(r[10], 1 << 3);
-        assert_eq!(r.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
     }
 
     #[test]

@@ -271,8 +271,7 @@ fn run_serve(addr: &str, args: &[String]) -> Result<String, ToolError> {
 /// multi-tenant traffic over every volume it exports and print the
 /// per-tenant latency/error breakdown. With `--inject-fault`, a panic
 /// is armed in the first volume's path-lookup at ~30% progress and
-/// the client-observed unavailability window is reported — the E10
-/// mechanism as a shell one-liner.
+/// the client-observed unavailability window is reported.
 fn run_loadgen(addr: &str, args: &[String]) -> Result<String, ToolError> {
     let connections = parse_flag(args, "--connections", 8)?;
     let clients = parse_flag(args, "--clients", 16)?;

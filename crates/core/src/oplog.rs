@@ -49,17 +49,6 @@ impl OpLog {
         (idx < self.records.len() && self.records[idx].seq == seq).then_some(idx)
     }
 
-    /// Borrow the operation of record `seq` (the common path avoids
-    /// cloning multi-kilobyte write payloads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not in the log.
-    #[must_use]
-    pub fn op_of(&self, seq: u64) -> &FsOp {
-        &self.record_of(seq).op
-    }
-
     /// Borrow the full record for `seq` (outcome included) — the
     /// standby publish path clones from here after completion.
     ///
@@ -251,12 +240,6 @@ impl OpLog {
             }
         }
         (completed, pending)
-    }
-
-    /// Remove the record for `seq` entirely (e.g. an in-flight record
-    /// the crash-remount baseline abandons).
-    pub fn drop_record(&mut self, seq: u64) {
-        self.records.retain(|r| r.seq != seq);
     }
 
     /// Remove a just-appended successful barrier record. Its own commit
@@ -528,14 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_record_removes_pending() {
-        let mut log = OpLog::new();
-        let s = log.append(FsOp::Sync);
-        log.drop_record(s);
-        assert!(log.is_empty());
-    }
-
-    #[test]
     fn seq_lookup_survives_trims() {
         // The binary-searched lookups rely on the retained log staying
         // strictly seq-ascending across trims and RestoreFd rewrites.
@@ -551,9 +526,9 @@ mod tests {
         let mk2 = log.append(FsOp::Mkdir { path: "/b".into() });
         log.complete(mk2, OpOutcome::Unit);
 
-        assert!(matches!(log.op_of(open_seq), FsOp::RestoreFd { .. }));
+        assert!(matches!(log.record_of(open_seq).op, FsOp::RestoreFd { .. }));
         assert_eq!(log.record_of(mk2).seq, mk2);
-        assert!(matches!(log.op_of(mk2), FsOp::Mkdir { .. }));
+        assert!(matches!(log.record_of(mk2).op, FsOp::Mkdir { .. }));
         // resolve_pending on a trimmed seq is a tolerated no-op
         log.resolve_pending(mk1, OpOutcome::Unit);
         // completing on top of a trimmed gap still finds the right record

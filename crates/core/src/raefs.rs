@@ -1186,7 +1186,7 @@ impl RaeFs {
                 let mut shadow = ShadowFs::load(dev, self.config.shadow)?;
                 let load_time = t_load.elapsed();
                 t_replay = Instant::now();
-                let replay = shadow.replay_constrained_protected(completed)?;
+                let replay = shadow.replay_constrained(completed)?;
                 let executed = replay.executed;
                 (RecoveryPath::Cold, load_time, shadow, replay, executed)
             }
@@ -1199,11 +1199,11 @@ impl RaeFs {
                 reissue_sync = true;
                 OpOutcome::Unit
             }
-            Some((_, op)) => shadow.execute_autonomous_protected(op)?,
+            Some((_, op)) => shadow.execute_autonomous(op)?,
             None => OpOutcome::Unit,
         };
         let read_reply = match read_in_flight {
-            Some(req) => match shadow.serve_read_protected(req) {
+            Some(req) => match shadow.serve_read(req) {
                 Ok(r) => Some(Ok(r)),
                 Err(e) if e.is_specified() => Some(Err(e)),
                 Err(e) => return Err(e),

@@ -5,7 +5,7 @@
 //! fault registry), its own [`Telemetry`] handle, and its own quota
 //! accounting. Tenants cannot observe each other's faults: a panic
 //! injected into volume 0 recovers there while volumes 1..n keep
-//! serving — that isolation is what E10 measures.
+//! serving — the loopback load-generator test asserts that isolation.
 //!
 //! Descriptor tables are **per volume**, not per connection: an `Fd`
 //! minted over one connection is valid on any connection addressing
@@ -117,7 +117,8 @@ impl Volume {
         &self.fs
     }
 
-    /// The volume's fault registry (E10 injects through this).
+    /// The volume's fault registry (the admin `InjectFault` arms bugs
+    /// here).
     #[must_use]
     pub fn faults(&self) -> &FaultRegistry {
         &self.faults
@@ -838,8 +839,7 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
 }
 
 /// Populate a volume with `files` fixed-size files under `/data` so
-/// load generators have a working set (shared by E10 and the CLI
-/// `serve` command).
+/// a load generator has a working set.
 ///
 /// # Errors
 ///

@@ -417,27 +417,6 @@ impl ShadowFs {
         Ok(report)
     }
 
-    /// [`ShadowFs::replay_constrained`] with unwind containment: a
-    /// panic inside the shadow (a bug in the recovery substrate itself)
-    /// is converted into [`FsError::Internal`] instead of unwinding
-    /// through the recovery driver. The RAE degradation ladder depends
-    /// on this — a failed replay attempt must be a value it can step
-    /// past, not a crash.
-    ///
-    /// On `Err` the shadow's state may be inconsistent and the instance
-    /// must be discarded (the ladder loads a fresh one per attempt).
-    ///
-    /// # Errors
-    ///
-    /// The shadow's own runtime errors, plus [`FsError::Internal`] for
-    /// contained panics.
-    pub fn replay_constrained_protected(&mut self, records: &[OpRecord]) -> FsResult<ReplayReport> {
-        let mut this = std::panic::AssertUnwindSafe(&mut *self);
-        protect("constrained replay", move || {
-            this.replay_constrained(records)
-        })
-    }
-
     /// Make the overlay the whole difference between this shadow's
     /// merged view and the live image the base wrote since the
     /// snapshot, so that the eventual delta ([`ShadowFs::into_delta`])
@@ -545,19 +524,6 @@ impl ShadowFs {
         }
     }
 
-    /// [`ShadowFs::execute_autonomous`] with unwind containment (see
-    /// [`ShadowFs::replay_constrained_protected`]). On `Err` the shadow
-    /// must be discarded.
-    ///
-    /// # Errors
-    ///
-    /// The shadow's own runtime errors, plus [`FsError::Internal`] for
-    /// contained panics.
-    pub fn execute_autonomous_protected(&mut self, op: &FsOp) -> FsResult<OpOutcome> {
-        let mut this = std::panic::AssertUnwindSafe(&mut *self);
-        protect("autonomous execution", move || this.execute_autonomous(op))
-    }
-
     /// Refresh the superblock image in the overlay so its free counters
     /// match the reconstructed bitmaps. This never touches the device —
     /// it is part of the metadata the shadow produces for the base.
@@ -621,19 +587,6 @@ impl ShadowFs {
         }
     }
 
-    /// [`ShadowFs::serve_read`] with unwind containment (see
-    /// [`ShadowFs::replay_constrained_protected`]). On `Err` the shadow
-    /// must be discarded.
-    ///
-    /// # Errors
-    ///
-    /// Specified errors (the application's answer), shadow runtime
-    /// errors, or [`FsError::Internal`] for contained panics.
-    pub fn serve_read_protected(&mut self, op: &ReadRequest) -> FsResult<ReadReply> {
-        let mut this = std::panic::AssertUnwindSafe(&mut *self);
-        protect("in-flight read service", move || this.serve_read(op))
-    }
-
     /// Consume the shadow, producing the hand-off payload for the base.
     #[must_use]
     pub fn into_delta(mut self) -> RecoveryDelta {
@@ -663,24 +616,6 @@ impl ShadowFs {
                     path: e.path,
                 })
                 .collect(),
-        }
-    }
-}
-
-/// Run `f`, converting a panic into [`FsError::Internal`] so recovery
-/// code paths surface every failure as a value.
-fn protect<T>(what: &str, f: impl FnOnce() -> FsResult<T>) -> FsResult<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            Err(FsError::Internal {
-                detail: format!("shadow panicked during {what}: {msg}"),
-            })
         }
     }
 }

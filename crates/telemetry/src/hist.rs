@@ -210,113 +210,6 @@ impl LatencyHistogram {
             p999: Self::quantile_of(&snap, 0.999),
         }
     }
-
-    /// Copy the live bucket table into an owned dump, for windowed
-    /// analysis: `later.delta(&earlier)` yields the distribution of
-    /// exactly the samples recorded between two dumps.
-    #[must_use]
-    pub fn dump(&self) -> HistDump {
-        HistDump {
-            buckets: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
-            count: self.count(),
-            sum: self.sum(),
-        }
-    }
-}
-
-/// An owned point-in-time copy of a histogram's buckets and totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistDump {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl Default for HistDump {
-    fn default() -> Self {
-        HistDump::empty()
-    }
-}
-
-impl HistDump {
-    /// An all-zero dump (identity for [`HistDump::merge`] and
-    /// [`HistDump::delta`]).
-    #[must_use]
-    pub fn empty() -> HistDump {
-        HistDump {
-            buckets: vec![0; NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// The per-bucket difference `self - earlier`: the samples
-    /// recorded between the two dumps. Saturating, so a mismatched
-    /// pair degrades to zeros instead of wrapping.
-    #[must_use]
-    pub fn delta(&self, earlier: &HistDump) -> HistDump {
-        HistDump {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(earlier.buckets.iter())
-                .map(|(l, e)| l.saturating_sub(*e))
-                .collect(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-
-    /// Add `other`'s buckets and totals into `self` (aggregating the
-    /// per-class windows of one layer, say).
-    pub fn merge(&mut self, other: &HistDump) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// Timed samples in the dump.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Sum of the dump's samples.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Quantiles and totals of the dumped distribution. `max` is the
-    /// upper bucket bound of the highest occupied bucket (the exact
-    /// max is not recoverable from a windowed delta).
-    #[must_use]
-    pub fn summary(&self) -> HistogramSummary {
-        let max = self
-            .buckets
-            .iter()
-            .rposition(|&n| n > 0)
-            .map(|idx| {
-                if idx + 1 < NUM_BUCKETS {
-                    bucket_value(idx + 1).saturating_sub(1)
-                } else {
-                    u64::MAX
-                }
-            })
-            .unwrap_or(0);
-        HistogramSummary {
-            count: self.count,
-            samples: self.samples(),
-            sum: self.sum,
-            max,
-            p50: LatencyHistogram::quantile_of(&self.buckets, 0.50),
-            p90: LatencyHistogram::quantile_of(&self.buckets, 0.90),
-            p99: LatencyHistogram::quantile_of(&self.buckets, 0.99),
-            p999: LatencyHistogram::quantile_of(&self.buckets, 0.999),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -389,38 +282,6 @@ mod tests {
         assert!(!h.observe(u64::MAX, false, 0), "zero threshold disables");
         assert_eq!(h.count(), 2);
         assert_eq!(h.samples(), 1);
-    }
-
-    #[test]
-    fn dump_delta_isolates_a_window() {
-        let h = LatencyHistogram::new();
-        h.record(10);
-        h.record(10);
-        let before = h.dump();
-        h.record(5_000);
-        h.record(5_000);
-        h.record(5_000);
-        let window = h.dump().delta(&before);
-        let s = window.summary();
-        assert_eq!(s.samples, 3);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sum, 15_000);
-        assert!(s.p50 >= 4_000 && s.p50 <= 5_000, "p50={}", s.p50);
-        assert!(s.max >= 5_000, "max upper bound covers the samples");
-        // merging the window back with `before` restores the full set
-        let mut merged = before.clone();
-        merged.merge(&window);
-        assert_eq!(merged.samples(), 5);
-    }
-
-    #[test]
-    fn empty_dump_is_identity() {
-        let e = HistDump::empty();
-        assert_eq!(e.summary().samples, 0);
-        assert_eq!(e.summary().max, 0);
-        let h = LatencyHistogram::new();
-        h.record(77);
-        assert_eq!(h.dump().delta(&e), h.dump());
     }
 
     #[test]

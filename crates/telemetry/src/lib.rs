@@ -31,7 +31,7 @@ pub use event::{
     dev_op_name, fault_class_name, render_timeline, render_trace_timeline, rung_name, trigger_name,
     Event, EventKind,
 };
-pub use hist::{HistDump, HistogramSummary, LatencyHistogram, NUM_BUCKETS};
+pub use hist::{HistogramSummary, LatencyHistogram, NUM_BUCKETS};
 pub use ring::{EventRing, RawEvent};
 pub use snapshot::TelemetrySnapshot;
 pub use trace::{

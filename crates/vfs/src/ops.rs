@@ -348,37 +348,6 @@ impl FsOp {
     pub fn is_sync_family(&self) -> bool {
         matches!(self, FsOp::Fsync { .. } | FsOp::Sync)
     }
-
-    /// The primary path argument, when the operation has one.
-    #[must_use]
-    pub fn primary_path(&self) -> Option<&str> {
-        match self {
-            FsOp::Create { path, .. }
-            | FsOp::Open { path, .. }
-            | FsOp::SetAttr { path, .. }
-            | FsOp::Mkdir { path }
-            | FsOp::Rmdir { path }
-            | FsOp::Unlink { path } => Some(path),
-            FsOp::Rename { from, .. } => Some(from),
-            FsOp::Link { existing, .. } => Some(existing),
-            FsOp::Symlink { linkpath, .. } => Some(linkpath),
-            FsOp::RestoreFd { path, .. } => Some(path),
-            _ => None,
-        }
-    }
-
-    /// The descriptor argument, when the operation targets one.
-    #[must_use]
-    pub fn target_fd(&self) -> Option<Fd> {
-        match self {
-            FsOp::Close { fd }
-            | FsOp::Write { fd, .. }
-            | FsOp::Truncate { fd, .. }
-            | FsOp::Fsync { fd }
-            | FsOp::RestoreFd { fd, .. } => Some(*fd),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for FsOp {
@@ -568,24 +537,6 @@ mod tests {
         assert!(FsOp::Sync.is_sync_family());
         assert!(FsOp::Fsync { fd: Fd(1) }.is_sync_family());
         assert!(!FsOp::Mkdir { path: "/d".into() }.is_sync_family());
-    }
-
-    #[test]
-    fn primary_path_and_fd_extraction() {
-        let op = FsOp::Rename {
-            from: "/a".into(),
-            to: "/b".into(),
-        };
-        assert_eq!(op.primary_path(), Some("/a"));
-        assert_eq!(op.target_fd(), None);
-
-        let op = FsOp::Write {
-            fd: Fd(9),
-            offset: 4,
-            data: Vec::new().into(),
-        };
-        assert_eq!(op.primary_path(), None);
-        assert_eq!(op.target_fd(), Some(Fd(9)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The load generator against a live loopback server: multi-tenant
-//! traffic completes, per-volume stats make sense, and a fault
-//! injected mid-run yields a measurable client-observed
-//! unavailability window while every volume stays serviceable.
+//! traffic completes, per-volume stats make sense, and faults of both
+//! effects injected mid-run on two volumes are masked, each with a
+//! measurable client-observed unavailability window, while every
+//! volume stays serviceable and the scrape exports per-layer
+//! attribution.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,19 +46,22 @@ fn loadgen_drives_multi_tenant_traffic_through_a_fault() {
     let epoch = Instant::now();
     let run = start_load(&cfg, &fds, epoch).expect("start load");
 
-    // Wait for the run to be genuinely mid-flight, then panic the
-    // write path of the first volume (wire site code 4 = Write,
-    // effect 1 = Panic).
+    // Wait for the run to be genuinely mid-flight, then fault the
+    // write path (wire site code 4) of two volumes: a panic (effect 1)
+    // on the first, a detected error (effect 0) on the second.
     while run.progress() < 0.3 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let fault_ns = run.now_ns();
-    admin.inject_fault(volumes[0], 4, 1, 1).expect("inject");
+    let mut fault_ns = Vec::new();
+    for (volume, effect) in [(volumes[0], 1), (volumes[1], 0)] {
+        fault_ns.push(run.now_ns());
+        admin.inject_fault(volume, 4, effect, 1).expect("inject");
+    }
 
     let report = run.join();
     assert_eq!(report.total_ops, 4 * 4 * 60);
     assert_eq!(report.total_io_errors, 0, "no connections may drop");
-    assert_eq!(report.total_errors, 0, "the fault must be masked");
+    assert_eq!(report.total_errors, 0, "both faults must be masked");
     assert!(report.ops_per_sec() > 0.0);
 
     for v in &report.per_volume {
@@ -64,18 +69,28 @@ fn loadgen_drives_multi_tenant_traffic_through_a_fault() {
         assert!(v.p50_ns > 0 && v.p50_ns <= v.p99_ns && v.p99_ns <= v.max_ns);
     }
 
-    // The faulted volume recovered under live traffic: some success
-    // exists on both sides of the injection point.
-    let faulted = &report.per_volume[0];
-    let window = unavailability_window(&faulted.timeline, fault_ns)
-        .expect("volume must serve successes after the fault");
-    assert!(window > 0);
-
-    // Exactly one volume recovered, and it ended Active.
-    let stats = admin.volume_stats(volumes[0]).unwrap();
-    assert!(stats.contains("\"recoveries\": 1"), "stats: {stats}");
+    // Each faulted volume recovered under live traffic: some success
+    // exists on both sides of its injection point, and it recovered
+    // exactly once. The untouched volume never recovered.
+    for (i, &at_ns) in fault_ns.iter().enumerate() {
+        let window = unavailability_window(&report.per_volume[i].timeline, at_ns)
+            .expect("volume must serve successes after the fault");
+        assert!(window > 0);
+        let stats = admin.volume_stats(volumes[i]).unwrap();
+        assert!(stats.contains("\"recoveries\": 1"), "stats: {stats}");
+    }
+    let stats = admin.volume_stats(volumes[2]).unwrap();
+    assert!(stats.contains("\"recoveries\": 0"), "stats: {stats}");
     let listed = admin.list_volumes().unwrap();
     assert!(listed.iter().all(|v| v.status == 0));
+
+    // The metrics plane exports the per-layer attribution of the ops
+    // each volume served, the faulted ones included.
+    let scrape = admin.scrape(false).unwrap();
+    for name in ["t0", "t1", "t2"] {
+        let row = format!("rae_attr_ns_count{{volume=\"{name}\",layer=");
+        assert!(scrape.contains(&row), "missing {row} in:\n{scrape}");
+    }
 
     drop(admin);
     let report = server.shutdown().unwrap();

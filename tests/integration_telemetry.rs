@@ -1,14 +1,15 @@
 //! End-to-end telemetry: flight-recorder timelines, per-class latency
-//! histograms, per-rung recovery timing, and the counter-visibility
-//! guarantees (stats bumped inside a failing rung must survive the
-//! unwind; standby audit totals must survive standby teardown).
+//! histograms, per-rung recovery timing, per-layer attribution that
+//! sums to the end-to-end latency across a masked fault, and the
+//! counter-visibility guarantee (stats bumped inside a failing rung
+//! must survive the unwind).
 
 use rae::{LadderRung, RaeConfig, RaeFs};
 use rae_basefs::BaseFsConfig;
 use rae_blockdev::{BlockDevice, MemDisk};
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{mkfs, MkfsParams};
-use rae_telemetry::{EventKind, OpClass};
+use rae_telemetry::{EventKind, OpClass, SpanLayer, Telemetry};
 use rae_vfs::{FileSystem, OpenFlags};
 use std::sync::Arc;
 
@@ -281,4 +282,59 @@ fn attribution_vectors_cover_the_mutation_path() {
     // the rendered snapshot carries the attr rows for `top`
     let table = snap.render_table();
     assert!(table.contains("attr/"), "{table}");
+}
+
+/// Nanoseconds booked so far to the per-layer attribution histograms
+/// and to the API-boundary op histograms.
+fn attributed_and_end_to_end_ns(tele: &Telemetry) -> (u64, u64) {
+    let attributed = SpanLayer::ALL
+        .iter()
+        .map(|&layer| tele.attr_histogram(layer).sum())
+        .sum();
+    let end_to_end = OpClass::ALL
+        .iter()
+        .map(|&class| tele.op_histogram(class).sum())
+        .sum();
+    (attributed, end_to_end)
+}
+
+#[test]
+fn attribution_mass_matches_end_to_end_across_a_masked_fault() {
+    let faults = FaultRegistry::new();
+    faults.arm(BugSpec::new(
+        51,
+        "mid-stream",
+        Site::DirModify,
+        Trigger::PathContains("f0100".into()),
+        Effect::Panic,
+    ));
+    let fs = setup(faults);
+    let tele = fs.telemetry();
+    let stream = |files: std::ops::Range<u32>| {
+        for i in files {
+            let path = format!("/f{i:04}");
+            let fd = fs.open(&path, OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+            fs.write(fd, 0, &[i as u8; 1024]).unwrap();
+            fs.read(fd, 0, 1024).unwrap();
+            fs.close(fd).unwrap();
+            fs.stat(&path).unwrap();
+        }
+    };
+
+    stream(0..100);
+    let before = attributed_and_end_to_end_ns(&tele);
+    stream(100..200); // creating /f0100 panics; recovery masks it
+    let after = attributed_and_end_to_end_ns(&tele);
+    assert_eq!(fs.stats().recoveries, 1, "the mid-stream fault recovered");
+
+    let across = (after.0 - before.0, after.1 - before.1);
+    for (window, (attributed, end_to_end)) in [("before", before), ("across the fault", across)] {
+        assert!(end_to_end > 0, "window '{window}' recorded nothing");
+        let ratio = attributed as f64 / end_to_end as f64;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "window '{window}': attribution mass {attributed} ns vs end-to-end mass \
+             {end_to_end} ns (ratio {ratio:.3})"
+        );
+    }
 }
