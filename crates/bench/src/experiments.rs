@@ -1473,9 +1473,7 @@ pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
         telemetry: Some(Arc::clone(&tele)),
         ..RaeConfig::default()
     };
-    let dev = fresh_latency_device();
-    dev.set_telemetry(Arc::clone(&tele));
-    let fs = mount_rae(dev as Arc<dyn BlockDevice>, config);
+    let fs = mount_rae(fresh_latency_device() as Arc<dyn BlockDevice>, config);
 
     // per-op (start_ns, latency_us) through create+write+close
     // transactions — the e4b workload, now timestamped on the

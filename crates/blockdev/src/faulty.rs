@@ -42,7 +42,7 @@
 
 use crate::device::{BlockDevice, Extent, IoPhase, BLOCK_SIZE};
 use parking_lot::Mutex;
-use rae_telemetry::{DevOp, EventKind, Telemetry};
+use rae_telemetry::{EventKind, Telemetry};
 use rae_vfs::{FsError, FsResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -491,19 +491,15 @@ impl<D: BlockDevice> FaultyDisk<D> {
     }
 
     /// Attach a telemetry handle: injected faults become
-    /// [`EventKind::FaultInjected`] flight-recorder events and every
-    /// I/O records its latency (including modeled media latency) into
-    /// the per-phase device histograms. First call wins.
+    /// [`EventKind::FaultInjected`] flight-recorder events. (Requests
+    /// and their latency are the mount's to meter, above this device.)
+    /// First call wins.
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         let _ = self.telemetry.set(telemetry);
     }
 
-    fn tele(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.get()
-    }
-
     fn fault_event(&self, class: u64, bno: u64, recovery: bool) {
-        if let Some(t) = self.tele() {
+        if let Some(t) = self.telemetry.get() {
             t.event(EventKind::FaultInjected, class, bno, u64::from(recovery));
         }
     }
@@ -603,7 +599,6 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
         if bufs.is_empty() {
             return Ok(());
         }
-        let t0 = self.tele().and_then(|t| t.clock());
         // Decide block by block, as the loop of one-block reads would:
         // the first failing block ends the request, the ones before it
         // are read (and maybe corrupted).
@@ -652,9 +647,6 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
                 });
             }
         }
-        if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Read, recovery, 1, bufs.len() as u64, t0);
-        }
         result
     }
 
@@ -663,7 +655,6 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
         if blocks == 0 {
             return Ok(());
         }
-        let t0 = self.tele().and_then(|t| t.clock());
         // Decide block by block across the batch, as the loop of
         // one-block writes would: blocks land until the cut-off, are
         // dropped after it, and the first failing block ends the batch.
@@ -731,14 +722,10 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
                 result = Err(FsError::IoFailed { detail });
             }
         }
-        if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Write, recovery, reached as u64, blocks as u64, t0);
-        }
         result
     }
 
     fn flush(&self) -> FsResult<()> {
-        let t0 = self.tele().and_then(|t| t.clock());
         let (fails, recovery) = {
             let mut sh = self.state.lock();
             let fails = sh.active().flush_decision();
@@ -747,7 +734,7 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             }
             (fails, sh.phase == IoPhase::Recovery)
         };
-        let result = if fails {
+        if fails {
             self.injected.fetch_add(1, Ordering::Relaxed);
             self.fault_event(fault_class::FLUSH_FAIL, 0, recovery);
             Err(FsError::IoFailed {
@@ -755,11 +742,7 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             })
         } else {
             self.inner.flush()
-        };
-        if let Some(t) = self.tele() {
-            t.dev_observed(DevOp::Flush, recovery, 1, 0, t0);
         }
-        result
     }
 
     fn set_phase(&self, phase: IoPhase) {

@@ -19,9 +19,10 @@
 //!   crosses the device at most once (a cold recovery rung's whole
 //!   pass over the image shares one);
 //! * [`StatsDisk`] — a transparent I/O accounting wrapper;
-//! * [`TrackedDisk`] — a wrapper recording the written-block set (one
-//!   atomic bit per block), which is all the warm standby's recovery
-//!   resync needs to know about the live device;
+//! * [`TrackedDisk`] — the RAE mount's device meter (every request into
+//!   telemetry) and written-block set (one atomic bit per block), which
+//!   is all the warm standby's recovery resync needs to know about the
+//!   live device;
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
 //!   write-back engine the base filesystem's page cache evicts through;
 //! * [`TapeDisk`] — an in-memory disk recording every read, write (with

@@ -46,16 +46,12 @@ type Slot = Arc<Mutex<Option<Box<[u8]>>>>;
 pub struct MemoDisk {
     inner: Arc<dyn BlockDevice>,
     slots: Mutex<HashMap<u64, Slot>>,
-    device_reads: AtomicU64,
-    device_requests: AtomicU64,
     memo_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for MemoDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoDisk")
-            .field("device_reads", &self.device_reads())
-            .field("device_requests", &self.device_requests())
             .field("memo_hits", &self.memo_hits())
             .finish()
     }
@@ -68,37 +64,16 @@ impl MemoDisk {
         MemoDisk {
             inner,
             slots: Mutex::new(HashMap::new()),
-            device_reads: AtomicU64::new(0),
-            device_requests: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
         }
     }
 
-    /// Blocks fetched from the wrapped device by successful reads — one
-    /// per distinct block read through this view.
-    #[must_use]
-    pub fn device_reads(&self) -> u64 {
-        self.device_reads.load(Ordering::Relaxed)
-    }
-
-    /// Successful requests that fetched those blocks: one per run of
-    /// missing blocks in a read (a one-block read is a run of one).
-    #[must_use]
-    pub fn device_requests(&self) -> u64 {
-        self.device_requests.load(Ordering::Relaxed)
-    }
-
-    /// Reads answered from the memo without touching the device.
+    /// Block reads answered from the memo without touching the device.
+    /// (What did reach the device is the mount's device meter's to
+    /// count.)
     #[must_use]
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.load(Ordering::Relaxed)
-    }
-
-    /// Count one successful request that fetched `blocks` blocks.
-    fn fetched(&self, blocks: usize) {
-        self.device_reads
-            .fetch_add(blocks as u64, Ordering::Relaxed);
-        self.device_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     fn refuse(what: &str) -> FsError {
@@ -143,7 +118,6 @@ impl BlockDevice for MemoDisk {
             // an error keeps nothing of the run: failures are not memoised
             self.inner
                 .read_blocks(start + i as u64, &mut bufs[i..run])?;
-            self.fetched(run - i);
             for (image, buf) in images[i..run].iter_mut().zip(&bufs[i..run]) {
                 **image = Some(Box::from(&**buf));
             }
@@ -198,7 +172,6 @@ mod tests {
             }
         }
         assert_eq!(counted.counters().reads - before, 3);
-        assert_eq!(memo.device_reads(), 3);
         assert_eq!(memo.memo_hits(), 17);
     }
 
@@ -219,7 +192,7 @@ mod tests {
 
     #[test]
     fn refuses_extent_writes_and_serves_extent_reads() {
-        let raw = Arc::new(filled(4));
+        let raw = Arc::new(StatsDisk::new(filled(4)));
         let memo = MemoDisk::new(Arc::clone(&raw) as Arc<dyn BlockDevice>);
         let blk = vec![0xEEu8; BLOCK_SIZE];
         assert!(matches!(
@@ -236,23 +209,24 @@ mod tests {
             (2, 3),
             "the refused extent never reached the device"
         );
-        assert_eq!((memo.device_reads(), memo.device_requests()), (2, 1));
+        let c = raw.counters();
+        assert_eq!((c.read_requests, c.reads, c.writes), (1, 2, 0));
     }
 
     #[test]
     fn failed_reads_are_not_memoised() {
         let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Block(2), TriggerMode::Nth(1));
-        let faulty = Arc::new(FaultyDisk::with_plan(filled(4), plan));
-        let memo = MemoDisk::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+        let counted = Arc::new(StatsDisk::new(FaultyDisk::with_plan(filled(4), plan)));
+        let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
         let mut buf = vec![0u8; BLOCK_SIZE];
         assert!(memo.read_block(2, &mut buf).is_err());
-        assert_eq!(memo.device_reads(), 0);
+        assert_eq!(counted.counters().reads, 0);
         // the one-shot fault is spent: the same read now succeeds, from
         // the device, and only then is kept
         memo.read_block(2, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
         memo.read_block(2, &mut buf).unwrap();
-        assert_eq!((memo.device_reads(), memo.memo_hits()), (1, 1));
+        assert_eq!((counted.counters().reads, memo.memo_hits()), (1, 1));
         // out-of-range and misshapen reads fail without poisoning anything
         assert!(memo.read_block(99, &mut buf).is_err());
         assert!(memo.read_block(0, &mut [0u8; 7]).is_err());
@@ -275,7 +249,8 @@ mod tests {
         memo.read_block(0, &mut buf).unwrap();
         assert_eq!(buf[0], 1);
         assert_eq!(retry.stats().absorbed, 1);
-        assert_eq!(memo.device_reads(), 1);
+        memo.read_block(0, &mut buf).unwrap();
+        assert_eq!(memo.memo_hits(), 1, "the absorbed read was kept");
     }
 
     /// Read blocks `start..start + n` through `memo` as one extent and
@@ -306,7 +281,6 @@ mod tests {
         let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
         read_extent(&memo, 4, 20).unwrap();
         assert_eq!(read_since(&counted, before), (1, 20));
-        assert_eq!((memo.device_requests(), memo.device_reads()), (1, 20));
         // the same extent again is all hits
         read_extent(&memo, 4, 20).unwrap();
         assert_eq!(read_since(&counted, before), (1, 20));
@@ -325,10 +299,6 @@ mod tests {
         // 2..5 | hit 5 | 6..9 | hits 9, 10 | 11..14
         read_extent(&memo, 2, 12).unwrap();
         assert_eq!(read_since(&counted, before), (3, 9));
-        assert_eq!(
-            (memo.device_requests(), memo.device_reads()),
-            (3 + 3, 3 + 9)
-        );
         assert_eq!(memo.memo_hits(), 3);
     }
 
@@ -338,7 +308,7 @@ mod tests {
         let counted = Arc::new(StatsDisk::new(FaultyDisk::with_plan(filled(16), plan)));
         let memo = MemoDisk::new(Arc::clone(&counted) as Arc<dyn BlockDevice>);
         assert!(read_extent(&memo, 3, 8).is_err());
-        assert_eq!((memo.device_reads(), memo.device_requests()), (0, 0));
+        assert_eq!(counted.counters().reads, 0);
         // the one-shot fault is spent: the same extent is fetched whole,
         // from the device, and only then kept
         let before = counted.counters();
@@ -346,12 +316,12 @@ mod tests {
         assert_eq!(read_since(&counted, before), (1, 8));
         read_extent(&memo, 3, 8).unwrap();
         assert_eq!(read_since(&counted, before), (1, 8));
-        assert_eq!((memo.device_reads(), memo.memo_hits()), (8, 8));
+        assert_eq!(memo.memo_hits(), 8);
         // misshapen buffers fail before anything is read or kept
         let mut short = [0u8; 7];
         assert!(memo.read_blocks(0, &mut [&mut short[..]]).is_err());
         assert!(read_extent(&memo, 14, 4).is_err(), "runs off the device");
-        assert_eq!(memo.device_reads(), 8);
+        assert_eq!(counted.counters().reads, 8);
     }
 
     #[test]
@@ -380,13 +350,11 @@ mod tests {
                 });
             }
         });
-        assert_eq!(counted.counters().reads - before, memo.device_reads());
         // every block the threads touched is now kept: one more sweep
         // reaches the device only for blocks no thread read, so a block
         // fetched twice would push the total past one per block
         read_extent(&memo, 0, BLOCKS as usize).unwrap();
         assert_eq!(counted.counters().reads - before, BLOCKS);
-        assert_eq!(memo.device_reads(), BLOCKS);
     }
 
     #[test]
@@ -408,6 +376,6 @@ mod tests {
             }
         });
         assert_eq!(counted.counters().reads - before, 16);
-        assert_eq!(memo.device_reads() + memo.memo_hits(), 64);
+        assert_eq!(memo.memo_hits(), 64 - 16);
     }
 }

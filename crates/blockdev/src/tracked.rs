@@ -1,13 +1,20 @@
-//! Write-set tracking for warm-standby resynchronization.
+//! The mount's device meter, and write-set tracking for warm-standby
+//! resynchronization.
 
 use crate::device::{BlockDevice, Extent, IoPhase};
 use rae_telemetry::{DevOp, Telemetry};
 use rae_vfs::FsResult;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// A wrapper recording which blocks have been written since the last
+/// The one wrapper every RAE mount puts directly on its device: it
+/// meters every request into the mount's [`Telemetry`] and records
+/// which blocks have been written since the last
 /// [`TrackedDisk::take_written`].
+///
+/// All base traffic crosses it, so its telemetry counts are the
+/// mount's device I/O, and a recovery reads its shadow phase's device
+/// reads off the same meter.
 ///
 /// The warm standby executes against a frozen snapshot of the device,
 /// so at recovery time the runtime must reconcile the standby's merged
@@ -28,10 +35,7 @@ pub struct TrackedDisk {
     /// device write returned and drained with `Acquire`, so a drain
     /// that sees the bit is ordered after the write it stands for.
     written: Box<[AtomicU64]>,
-    /// Reads forwarded to the device (a statistic: a recovery samples
-    /// it around its shadow phase).
-    reads: AtomicU64,
-    telemetry: OnceLock<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
     recovery_phase: AtomicBool,
 }
 
@@ -44,26 +48,16 @@ impl std::fmt::Debug for TrackedDisk {
 }
 
 impl TrackedDisk {
-    /// Wrap `inner` with an empty write set.
+    /// Wrap `inner` with an empty write set, metering into `telemetry`.
     #[must_use]
-    pub fn new(inner: Arc<dyn BlockDevice>) -> TrackedDisk {
+    pub fn new(inner: Arc<dyn BlockDevice>, telemetry: Arc<Telemetry>) -> TrackedDisk {
         let words = inner.block_count().div_ceil(64);
         TrackedDisk {
             inner,
             written: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            reads: AtomicU64::new(0),
-            telemetry: OnceLock::new(),
+            telemetry,
             recovery_phase: AtomicBool::new(false),
         }
-    }
-
-    /// Attach a telemetry handle: every forwarded I/O records its
-    /// latency into the per-phase device histograms. First call wins.
-    /// (The RAE runtime attaches here because this wrapper is the one
-    /// layer guaranteed to sit directly on the device when the standby
-    /// is enabled — it sees all base traffic.)
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        let _ = self.telemetry.set(telemetry);
     }
 
     /// Run one submission of `requests` commands moving `blocks` blocks
@@ -75,17 +69,15 @@ impl TrackedDisk {
         blocks: usize,
         f: impl FnOnce() -> FsResult<T>,
     ) -> FsResult<T> {
-        let t0 = self.telemetry.get().and_then(|t| t.clock());
+        let t0 = self.telemetry.clock();
         let result = f();
-        if let Some(t) = self.telemetry.get() {
-            t.dev_observed(
-                op,
-                self.recovery_phase.load(Ordering::Relaxed),
-                requests as u64,
-                blocks as u64,
-                t0,
-            );
-        }
+        self.telemetry.dev_observed(
+            op,
+            self.recovery_phase.load(Ordering::Relaxed),
+            requests as u64,
+            blocks as u64,
+            t0,
+        );
         result
     }
 
@@ -124,12 +116,6 @@ impl TrackedDisk {
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
             .sum()
     }
-
-    /// Blocks read from the device since construction.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
 }
 
 impl BlockDevice for TrackedDisk {
@@ -138,7 +124,6 @@ impl BlockDevice for TrackedDisk {
     }
 
     fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         self.timed(DevOp::Read, 1, 1, || self.inner.read_block(bno, buf))
     }
 
@@ -151,7 +136,6 @@ impl BlockDevice for TrackedDisk {
     }
 
     fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
-        self.reads.fetch_add(bufs.len() as u64, Ordering::Relaxed);
         self.timed(DevOp::Read, 1, bufs.len(), || {
             self.inner.read_blocks(start, bufs)
         })
@@ -188,9 +172,13 @@ mod tests {
     use crate::device::BLOCK_SIZE;
     use crate::mem::MemDisk;
 
+    fn tracked(inner: impl BlockDevice + 'static) -> TrackedDisk {
+        TrackedDisk::new(Arc::new(inner), Telemetry::new())
+    }
+
     #[test]
     fn records_writes_and_drains() {
-        let disk = TrackedDisk::new(Arc::new(MemDisk::new(8)));
+        let disk = tracked(MemDisk::new(8));
         let blk = vec![3u8; BLOCK_SIZE];
         disk.write_block(2, &blk).unwrap();
         disk.write_block(5, &blk).unwrap();
@@ -205,12 +193,12 @@ mod tests {
         disk.read_block(5, &mut back).unwrap();
         assert_eq!(back[0], 3);
         assert_eq!(disk.written_len(), 0);
-        assert_eq!(disk.reads(), 1);
+        assert_eq!(disk.telemetry.dev_requests(DevOp::Read), 1);
     }
 
     #[test]
     fn drains_in_order_across_word_boundaries() {
-        let disk = TrackedDisk::new(Arc::new(MemDisk::new(200)));
+        let disk = tracked(MemDisk::new(200));
         let blk = vec![1u8; BLOCK_SIZE];
         for bno in [199, 64, 0, 63, 128, 65] {
             disk.write_block(bno, &blk).unwrap();
@@ -222,7 +210,7 @@ mod tests {
 
     #[test]
     fn extent_writes_track_every_block() {
-        let disk = TrackedDisk::new(Arc::new(MemDisk::new(200)));
+        let disk = tracked(MemDisk::new(200));
         let blk = vec![1u8; BLOCK_SIZE];
         let bufs = [&blk[..]; 4];
         let batch = [62, 130].map(|start| Extent { start, bufs: &bufs });
@@ -230,14 +218,22 @@ mod tests {
         assert_eq!(disk.take_written(), [62, 63, 64, 65, 130, 131, 132, 133]);
         let mut back = vec![0u8; BLOCK_SIZE];
         disk.read_blocks(62, &mut [&mut back[..]]).unwrap();
-        assert_eq!(disk.reads(), 1);
+        let t = &disk.telemetry;
+        assert_eq!(
+            (t.dev_requests(DevOp::Write), t.dev_blocks(DevOp::Write)),
+            (2, 8)
+        );
+        assert_eq!(
+            (t.dev_requests(DevOp::Read), t.dev_blocks(DevOp::Read)),
+            (1, 1)
+        );
     }
 
     #[test]
     fn a_failed_extent_tracks_the_whole_extent() {
         use crate::faulty::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
         let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Block(5), TriggerMode::Always);
-        let disk = TrackedDisk::new(Arc::new(FaultyDisk::with_plan(MemDisk::new(16), plan)));
+        let disk = tracked(FaultyDisk::with_plan(MemDisk::new(16), plan));
         let blk = vec![1u8; BLOCK_SIZE];
         let bufs = [&blk[..]; 4];
         let batch = [3, 10].map(|start| Extent { start, bufs: &bufs });
@@ -250,7 +246,7 @@ mod tests {
 
     #[test]
     fn failed_writes_stay_out_of_the_set() {
-        let disk = TrackedDisk::new(Arc::new(MemDisk::new(2)));
+        let disk = tracked(MemDisk::new(2));
         let blk = vec![0u8; BLOCK_SIZE];
         assert!(disk.write_block(9, &blk).is_err());
         assert_eq!(disk.written_len(), 0);

@@ -811,9 +811,9 @@ mod tests {
         assert!(json.contains("\"resync_pruned\""), "{json}");
     }
 
-    /// With the standby on, the write tracker times every device request
-    /// into telemetry: journal commits move their records as extents, so
-    /// the write requests come out fewer than the blocks written.
+    /// The mount's device meter times every device request into
+    /// telemetry: journal commits move their records as extents, so the
+    /// write requests come out fewer than the blocks written.
     #[test]
     fn stats_json_reports_device_extents() {
         let dev = Arc::new(MemDisk::new(4096));

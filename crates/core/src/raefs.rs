@@ -11,7 +11,7 @@ use rae_blockdev::{BlockDevice, IoPhase, MemoDisk, RetryDisk, RetryPolicy, Track
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
-use rae_telemetry::{EventKind, OpClass, Telemetry};
+use rae_telemetry::{DevOp, EventKind, OpClass, Telemetry};
 use rae_vfs::{
     DirEntry, Fd, FileStat, FileSystem, FsError, FsGeometryInfo, FsOp, FsResult, FsStatus, InodeNo,
     OpKind, OpOutcome, OpRecord, OpenFlags, SetAttr,
@@ -198,11 +198,12 @@ pub struct RaeFs {
     /// admitted").
     gate: RwLock<()>,
     reports: Mutex<Vec<RecoveryReport>>,
-    /// Records which device blocks the base writes, drained at every
-    /// standby snapshot point and every warm hand-over: the write set
-    /// warm recovery's resync reconciles the standby against. `Some`
-    /// exactly when the standby is configured.
-    tracker: Option<Arc<TrackedDisk>>,
+    /// Directly on the device under the base: meters every request
+    /// into `telemetry`, and records which blocks the base writes,
+    /// drained at every standby snapshot point and every warm
+    /// hand-over — the write set warm recovery's resync reconciles the
+    /// standby against.
+    tracker: Arc<TrackedDisk>,
     failed: AtomicBool,
     /// Read-only degraded: the ladder exhausted its shadow rungs but a
     /// contained reboot produced a journal-consistent base to serve
@@ -285,16 +286,9 @@ impl RaeFs {
             .unwrap_or_else(|| Arc::new(Telemetry::default()));
         let mut base_cfg = config.base.clone();
         base_cfg.telemetry = Some(Arc::clone(&telemetry));
-        // interpose the write tracker below the base so warm recovery
-        // knows which blocks to reconcile against the standby snapshot
-        let standby_on = config.standby.enabled && config.mode == RecoveryMode::Rae;
-        let (dev, tracker) = if standby_on {
-            let t = Arc::new(TrackedDisk::new(dev));
-            t.set_telemetry(Arc::clone(&telemetry));
-            (Arc::clone(&t) as Arc<dyn BlockDevice>, Some(t))
-        } else {
-            (dev, None)
-        };
+        // interpose the device meter and write tracker below the base
+        let tracker = Arc::new(TrackedDisk::new(dev, Arc::clone(&telemetry)));
+        let dev = Arc::clone(&tracker) as Arc<dyn BlockDevice>;
         let base = match catch_unwind(AssertUnwindSafe(|| BaseFs::mount(dev, base_cfg))) {
             Ok(r) => r?,
             Err(p) => {
@@ -308,22 +302,21 @@ impl RaeFs {
         };
         // spawn the warm standby before any operation completes so its
         // lineage starts at the same on-disk state the base mounted
-        let (standby, standby_degraded) = if standby_on {
-            // drain before the spawn snapshot: anything landing
-            // later stays tracked for the next resync
-            if let Some(t) = &tracker {
-                let _ = t.take_written();
-            }
-            match WarmStandby::spawn(base.device(), config.shadow, Vec::new()) {
-                Ok(sb) => {
-                    sb.set_telemetry(Arc::clone(&telemetry));
-                    (Some(sb), false)
+        let (standby, standby_degraded) =
+            if config.standby.enabled && config.mode == RecoveryMode::Rae {
+                // drain before the spawn snapshot: anything landing
+                // later stays tracked for the next resync
+                let _ = tracker.take_written();
+                match WarmStandby::spawn(base.device(), config.shadow, Vec::new()) {
+                    Ok(sb) => {
+                        sb.set_telemetry(Arc::clone(&telemetry));
+                        (Some(sb), false)
+                    }
+                    Err(_) => (None, true), // shadow refused the image: run cold
                 }
-                Err(_) => (None, true), // shadow refused the image: run cold
-            }
-        } else {
-            (None, false)
-        };
+            } else {
+                (None, false)
+            };
         let shared = Arc::new(LogShared {
             log: Mutex::new(OpLog::new()),
             standby: Mutex::new(standby),
@@ -591,9 +584,7 @@ impl RaeFs {
         }
         let (backlog, _) = log.for_recovery();
         // drain before the spawn snapshot (see `mount`)
-        if let Some(t) = &self.tracker {
-            let _ = t.take_written();
-        }
+        let _ = self.tracker.take_written();
         match WarmStandby::spawn(self.base.device(), self.config.shadow, backlog) {
             Ok(sb) => {
                 sb.set_telemetry(Arc::clone(&self.telemetry));
@@ -728,8 +719,7 @@ impl RaeFs {
                         log.drop_barrier(seq);
                     }
                 }
-                if self.config.treat_warn_as_error
-                    && !self.base.fault_registry().take_warnings().is_empty()
+                if self.config.treat_warn_as_error && self.base.fault_registry().take_warnings() > 0
                 {
                     let trigger = self.base_failed(class, RecoveryTrigger::WarnPolicy);
                     self.answer(trigger, None, None)?;
@@ -1155,8 +1145,13 @@ impl RaeFs {
         self.replay_fault_hook()?;
         let mut t_replay = Instant::now();
         let mut memo: Option<Arc<MemoDisk>> = None;
-        let live_reads = || self.tracker.as_ref().map_or(0, |t| t.reads());
-        let live_reads_before = live_reads();
+        // what the shadow phase reads from the device, off the mount's
+        // meter: `(requests, blocks)`
+        let meter = || {
+            let t = &self.telemetry;
+            (t.dev_requests(DevOp::Read), t.dev_blocks(DevOp::Read))
+        };
+        let meter_before = meter();
         let (path, shadow_load_time, mut shadow, replay, records_replayed) = match warm {
             Some((draining, drained)) => {
                 let handed = draining.wait().ok_or_else(|| FsError::Internal {
@@ -1220,11 +1215,7 @@ impl RaeFs {
         // download consumes the shadow: the copy resumes as the next
         // standby without an O(device) snapshot or a backlog replay.
         let (resync, standby_fork) = if path == RecoveryPath::Warm {
-            let written = self
-                .tracker
-                .as_ref()
-                .expect("a standby only exists above a write tracker")
-                .take_written();
+            let written = self.tracker.take_written();
             (shadow.resync_against(&written)?, Some(shadow.fork()))
         } else {
             (ResyncReport::default(), None)
@@ -1235,13 +1226,12 @@ impl RaeFs {
         let t_handoff = Instant::now();
         let shadow_checks = shadow.checks_performed();
         let delta = shadow.into_delta();
-        // cold: the shadow was the view's only reader — take its
-        // counters and let it go before the hand-off writes anything.
-        // Warm: whatever crossed the write tracker since the reboot.
-        let (shadow_device_reads, shadow_device_requests, shadow_memo_hits) = match &memo {
-            Some(m) => (m.device_reads(), m.device_requests(), m.memo_hits()),
-            None => (live_reads() - live_reads_before, 0, 0),
-        };
+        // both rungs: whatever crossed the meter since the reboot (the
+        // cold rung's first reads through its view; nothing, warm)
+        let (requests, blocks) = meter();
+        let shadow_device_requests = requests - meter_before.0;
+        let shadow_device_reads = blocks - meter_before.1;
+        let shadow_memo_hits = memo.map_or(0, |m| m.memo_hits());
         let mut report = RecoveryReport {
             trigger: trigger.clone(),
             path,

@@ -11,6 +11,7 @@ use rae_blockdev::{
 };
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{fsck, mkfs, MkfsParams};
+use rae_telemetry::{DevOp, Telemetry};
 use rae_vfs::{Fd, FileSystem, FsError, FsStatus, OpenFlags, SetAttr};
 use std::sync::Arc;
 
@@ -204,8 +205,9 @@ fn cold_recovery_program(fs: &dyn FileSystem, before_boom: &dyn Fn()) {
     fs.mkdir("/boom").unwrap();
 }
 
-#[test]
-fn cold_recovery_reads_each_block_at_most_once() {
+/// A detected error at the `mkdir /boom` that ends
+/// [`cold_recovery_program`].
+fn boom_faults() -> FaultRegistry {
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
         150,
@@ -214,6 +216,12 @@ fn cold_recovery_reads_each_block_at_most_once() {
         Trigger::PathContains("boom".into()),
         Effect::DetectedError,
     ));
+    faults
+}
+
+#[test]
+fn cold_recovery_reads_each_block_at_most_once() {
+    let faults = boom_faults();
     let disk = Arc::new(rae_blockdev::StatsDisk::new(MemDisk::new(4096)));
     let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
     let config = RaeConfig {
@@ -273,14 +281,7 @@ const SHADOW_BLOCKS: u64 = 75;
 
 #[test]
 fn extent_read_cold_recovery_fetches_its_blocks_in_a_few_requests() {
-    let faults = FaultRegistry::new();
-    faults.arm(BugSpec::new(
-        150,
-        "boom",
-        Site::DirModify,
-        Trigger::PathContains("boom".into()),
-        Effect::DetectedError,
-    ));
+    let faults = boom_faults();
     let disk = Arc::new(rae_blockdev::StatsDisk::new(MemDisk::new(4096)));
     mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
     let config = RaeConfig {
@@ -306,6 +307,79 @@ fn extent_read_cold_recovery_fetches_its_blocks_in_a_few_requests() {
         r.shadow_device_requests,
         r.shadow_device_reads
     );
+    fs.unmount().unwrap();
+}
+
+/// Every mount meters its device once: with the standby on and the
+/// mount's telemetry also handed to a fault-injecting device below it,
+/// telemetry's request counts are exactly what reached the device.
+#[test]
+fn the_device_is_counted_once() {
+    let tele = Telemetry::new();
+    let faulty = FaultyDisk::new(MemDisk::new(4096));
+    faulty.set_telemetry(Arc::clone(&tele));
+    let disk = Arc::new(rae_blockdev::StatsDisk::new(faulty));
+    mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let before = disk.counters();
+    let config = RaeConfig {
+        standby: warm_opts(),
+        telemetry: Some(Arc::clone(&tele)),
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(Arc::clone(&disk) as Arc<dyn BlockDevice>, config).unwrap();
+    fs.mkdir("/churn").unwrap();
+    for i in 0..40u8 {
+        let path = format!("/churn/f{i:02}");
+        let fd = fs.open(&path, rw_create()).unwrap();
+        fs.write(fd, 0, &vec![i; 5000]).unwrap();
+        fs.close(fd).unwrap();
+        if i % 3 == 0 {
+            fs.unlink(&path).unwrap();
+        }
+    }
+    fs.sync().unwrap();
+    // unmounted, nothing is left in flight between the two counters
+    fs.unmount().unwrap();
+    let c = disk.counters();
+    assert_eq!(c.errors, 0);
+    let seen = [
+        tele.dev_requests(DevOp::Read),
+        tele.dev_requests(DevOp::Write),
+        tele.dev_requests(DevOp::Flush),
+    ];
+    let reached = [
+        c.read_requests - before.read_requests,
+        c.write_requests - before.write_requests,
+        c.flushes - before.flushes,
+    ];
+    assert_eq!(seen, reached);
+    assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
+}
+
+/// The meter counts with recording off: the device's requests and a
+/// cold rung's shadow reads are still reported.
+#[test]
+fn the_device_meter_runs_with_telemetry_off() {
+    let tele = Telemetry::new();
+    tele.set_enabled(false);
+    let dev = Arc::new(MemDisk::new(4096));
+    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults: boom_faults(),
+            ..BaseFsConfig::default()
+        },
+        telemetry: Some(Arc::clone(&tele)),
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(dev as Arc<dyn BlockDevice>, config).unwrap();
+    cold_recovery_program(&fs, &|| ());
+    assert!(tele.dev_requests(DevOp::Write) > 0);
+    assert_eq!(tele.dev_histogram(DevOp::Write, false).count(), 0);
+    let r = &fs.recovery_reports()[0];
+    assert_eq!(r.rung, LadderRung::Cold);
+    assert!(r.shadow_device_requests > 0, "{r:?}");
+    assert_eq!(r.shadow_device_reads, SHADOW_BLOCKS, "{r:?}");
     fs.unmount().unwrap();
 }
 

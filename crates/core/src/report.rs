@@ -133,17 +133,19 @@ pub struct RecoveryReport {
     /// Runtime checks the shadow performed during this recovery.
     pub shadow_checks: u64,
     /// Block reads the shadow phase (everything between the contained
-    /// reboot and the hand-off) sent to the live device. Cold rungs:
-    /// one per distinct block touched by image validation, load, replay
-    /// and in-flight completion, through the rung's
-    /// [`rae_blockdev::MemoDisk`]. Warm rung: counted by the write
-    /// tracker under the base, and zero — the standby decides its
-    /// resync from its own snapshot and overlay.
+    /// reboot and the hand-off) sent to the live device, read off the
+    /// mount's device meter (a telemetry handle shared by several
+    /// mounts meters them all). Cold rungs: one per distinct block
+    /// touched by image validation, load, replay and in-flight
+    /// completion, through the rung's [`rae_blockdev::MemoDisk`]. Warm
+    /// rung: zero — the standby decides its resync from its own
+    /// snapshot and overlay.
     pub shadow_device_reads: u64,
-    /// Cold rungs: device requests that carried
-    /// [`RecoveryReport::shadow_device_reads`]. The rung's memo fills a
-    /// run of missing blocks with one extent read, so this is far below
-    /// the block count. Warm rung: zero, as its reads are.
+    /// Device requests that carried
+    /// [`RecoveryReport::shadow_device_reads`], off the same meter.
+    /// The cold rung's memo fills a run of missing blocks with one
+    /// extent read, so this is far below the block count. Warm rung:
+    /// zero, as its reads are.
     pub shadow_device_requests: u64,
     /// Cold rungs: shadow-phase block reads answered from the rung's
     /// memo instead of the device.

@@ -41,5 +41,5 @@ mod registry;
 mod spec;
 
 pub use corpus::standard_bug_corpus;
-pub use registry::{FaultAction, FaultRegistry, WarnEvent};
+pub use registry::{FaultAction, FaultRegistry};
 pub use spec::{BugSpec, Effect, OpContext, Site, Trigger};

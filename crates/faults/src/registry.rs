@@ -50,15 +50,6 @@ impl FaultAction {
     }
 }
 
-/// A WARN event recorded by a [`Effect::Warn`] bug.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarnEvent {
-    /// The bug that warned.
-    pub bug_id: u32,
-    /// Sequential index of the event since registry creation.
-    pub index: u64,
-}
-
 #[derive(Debug)]
 struct Armed {
     spec: BugSpec,
@@ -70,8 +61,10 @@ struct Armed {
 struct Inner {
     armed: Vec<Armed>,
     rng: SmallRng,
-    warn_log: Vec<WarnEvent>,
+    /// WARNs fired since creation, and how many of them
+    /// [`FaultRegistry::take_warnings`] has already returned.
     warn_count: u64,
+    warn_taken: u64,
 }
 
 /// Thread-safe registry of armed bugs; cloneable handle.
@@ -98,8 +91,8 @@ impl FaultRegistry {
             inner: Arc::new(Mutex::new(Some(Inner {
                 armed: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
-                warn_log: Vec::new(),
                 warn_count: 0,
+                warn_taken: 0,
             }))),
         }
     }
@@ -160,13 +153,18 @@ impl FaultRegistry {
         self.with_inner(|inner| inner.armed.iter().map(|a| a.fires).sum())
     }
 
-    /// Drain recorded WARN events.
+    /// How many WARNs fired since the previous call (or since
+    /// creation).
     #[must_use]
-    pub fn take_warnings(&self) -> Vec<WarnEvent> {
-        self.with_inner(|inner| std::mem::take(&mut inner.warn_log))
+    pub fn take_warnings(&self) -> u64 {
+        self.with_inner(|inner| {
+            let fresh = inner.warn_count - inner.warn_taken;
+            inner.warn_taken = inner.warn_count;
+            fresh
+        })
     }
 
-    /// Number of WARN events recorded since creation (not reset by
+    /// Number of WARNs fired since creation (not reset by
     /// [`FaultRegistry::take_warnings`]).
     #[must_use]
     pub fn warn_count(&self) -> u64 {
@@ -191,7 +189,7 @@ impl FaultRegistry {
     /// Consult the registry at a hook. Returns the action of the first
     /// armed bug (in arming order) whose site and trigger match.
     ///
-    /// WARN effects are recorded here (and still returned, so the base
+    /// WARN effects are counted here (and still returned, so the base
     /// can trace them).
     #[must_use]
     pub fn check(&self, ctx: &OpContext<'_>) -> Option<FaultAction> {
@@ -199,8 +197,8 @@ impl FaultRegistry {
             let Inner {
                 armed,
                 rng,
-                warn_log,
                 warn_count,
+                ..
             } = inner;
             for a in armed.iter_mut() {
                 if a.spec.site != ctx.site {
@@ -237,10 +235,6 @@ impl FaultRegistry {
                     Effect::DetectedError => FaultAction::FailDetected { bug_id },
                     Effect::Panic => FaultAction::Panic { bug_id },
                     Effect::Warn => {
-                        warn_log.push(WarnEvent {
-                            bug_id,
-                            index: *warn_count,
-                        });
                         *warn_count += 1;
                         FaultAction::Warn { bug_id }
                     }
@@ -387,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn warn_events_are_logged_and_drained() {
+    fn warnings_are_counted_and_taken() {
         let reg = FaultRegistry::new();
         reg.arm(BugSpec::new(
             7,
@@ -398,11 +392,11 @@ mod tests {
         ));
         let _ = reg.check(&ctx(Site::Readdir));
         let _ = reg.check(&ctx(Site::Readdir));
-        let events = reg.take_warnings();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].bug_id, 7);
-        assert!(reg.take_warnings().is_empty());
-        assert_eq!(reg.warn_count(), 2, "cumulative count survives draining");
+        assert_eq!(reg.take_warnings(), 2);
+        assert_eq!(reg.take_warnings(), 0);
+        let _ = reg.check(&ctx(Site::Readdir));
+        assert_eq!(reg.take_warnings(), 1, "only the ones since the last take");
+        assert_eq!(reg.warn_count(), 3, "cumulative count survives taking");
     }
 
     #[test]

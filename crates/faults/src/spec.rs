@@ -58,16 +58,6 @@ impl Site {
         Site::RecoveryReplay,
         Site::RecoveryAbsorb,
     ];
-
-    /// Whether the site sits inside the recovery path itself (fired
-    /// only while a recovery is running, not by foreground operations).
-    #[must_use]
-    pub fn is_recovery_site(self) -> bool {
-        matches!(
-            self,
-            Site::RecoveryReboot | Site::RecoveryReplay | Site::RecoveryAbsorb
-        )
-    }
 }
 
 /// When an armed bug fires.

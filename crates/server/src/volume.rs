@@ -813,9 +813,9 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
     }
     // the journal's commit latency beside what a committer waits (the
     // gap between the two is mostly the ordered data flush), and what
-    // the device was asked for: requests against the blocks they moved
-    // (timed where a wrapper reports to telemetry — the standby's write
-    // tracker, for one)
+    // the device was asked for: requests against the blocks they moved,
+    // off the one meter every mount puts directly on its device (the
+    // write tracker), counted whether or not telemetry records latency
     let t = fs.telemetry();
     for (name, hist) in [
         ("commit_stall", t.commit_stall_histogram()),
@@ -952,6 +952,30 @@ mod tests {
         let status = vol.force_recover();
         assert_eq!(status, FsStatus::Active);
         assert_eq!(vol.fs().stats().recoveries, 1);
+    }
+
+    /// A volume has no standby, and its device is metered all the same.
+    #[test]
+    fn a_volume_meters_its_device() {
+        let (mgr, id) = manager_with_volume(QuotaSpec::default());
+        let vol = mgr.get(id).unwrap();
+        let fs = vol.fs();
+        let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+        fs.write(fd, 0, &[7u8; 8192]).unwrap();
+        fs.fsync(fd).unwrap();
+        let t = fs.telemetry();
+        assert!(t.dev_requests(DevOp::Write) > 0);
+        assert!(t.dev_requests(DevOp::Flush) > 0);
+        let json = render_volume_body_inner(fs, "");
+        let io = &json[json.find("\"device_io\"").expect("device_io")..];
+        let io = &io[..io.find('\n').unwrap()];
+        let requests = |op: &str| -> u64 {
+            let key = format!("\"{op}\": {{\"requests\": ");
+            let at = io.find(&key).expect(op) + key.len();
+            let digits = io[at..].split(|c: char| !c.is_ascii_digit()).next();
+            digits.unwrap().parse().unwrap()
+        };
+        assert!(requests("write") > 0 && requests("flush") > 0, "{io}");
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! every layer. Recording is gated by one relaxed [`AtomicBool`] so
 //! the whole subsystem can be switched off at runtime to measure its
 //! own overhead; when disabled the hot-path cost is that single load.
+//! The one exception is the device meter's request and block counts
+//! ([`Telemetry::dev_observed`]), which recovery reports read and so
+//! always advance.
 //!
 //! The crate has zero dependencies (not even on the other `rae-*`
 //! crates) so any layer can use it without cycles.
@@ -177,9 +180,10 @@ pub struct Telemetry {
     /// 1 = recovery. One sample per submission (a batch of extents is
     /// one submission, waited for once).
     dev_hist: [[LatencyHistogram; 2]; 3],
-    /// Device requests per dev op: one per extent of a submission.
+    /// Device requests per dev op: one per extent of a submission,
+    /// counted whether or not recording is on.
     dev_requests: [AtomicU64; 3],
-    /// Blocks moved by the timed device requests, per dev op.
+    /// Blocks moved by those requests, per dev op.
     dev_blocks: [AtomicU64; 3],
     journal_commit: LatencyHistogram,
     cache_fill: LatencyHistogram,
@@ -439,6 +443,9 @@ impl Telemetry {
 
     /// Finish a device-I/O measurement started with [`Telemetry::clock`]:
     /// one submission of `requests` requests that moved `blocks` blocks.
+    /// The request and block counts are the mount's device meter and
+    /// advance on every call; only the latency sample needs recording
+    /// switched on.
     pub fn dev_observed(
         &self,
         op: DevOp,
@@ -447,10 +454,10 @@ impl Telemetry {
         blocks: u64,
         started: Option<Instant>,
     ) {
+        self.dev_requests[op.code() as usize].fetch_add(requests, Relaxed);
+        self.dev_blocks[op.code() as usize].fetch_add(blocks, Relaxed);
         if let Some(t0) = started {
             self.record_dev_ns(op, recovery_phase, t0.elapsed().as_nanos() as u64);
-            self.dev_requests[op.code() as usize].fetch_add(requests, Relaxed);
-            self.dev_blocks[op.code() as usize].fetch_add(blocks, Relaxed);
         }
     }
 
@@ -466,14 +473,6 @@ impl Telemetry {
     pub fn record_cache_fill_ns(&self, ns: u64) {
         if self.enabled() {
             self.cache_fill.record(ns);
-        }
-    }
-
-    /// Record the time one mutation spent waiting for its journal
-    /// commit (leading it or parked behind the leader), in nanoseconds.
-    pub fn record_commit_stall_ns(&self, ns: u64) {
-        if self.enabled() {
-            self.commit_stall.record(ns);
         }
     }
 
@@ -514,13 +513,13 @@ impl Telemetry {
         &self.dev_hist[op.code() as usize][usize::from(recovery_phase)]
     }
 
-    /// Timed device requests of one op, both phases.
+    /// Device requests of one op, both phases.
     #[must_use]
     pub fn dev_requests(&self, op: DevOp) -> u64 {
         self.dev_requests[op.code() as usize].load(Relaxed)
     }
 
-    /// Blocks moved by the timed device requests of one op.
+    /// Blocks moved by the device requests of one op.
     #[must_use]
     pub fn dev_blocks(&self, op: DevOp) -> u64 {
         self.dev_blocks[op.code() as usize].load(Relaxed)
@@ -536,12 +535,6 @@ impl Telemetry {
     #[must_use]
     pub fn commit_stall_histogram(&self) -> &LatencyHistogram {
         &self.commit_stall
-    }
-
-    /// Histogram of stripe-lock wait times.
-    #[must_use]
-    pub fn lock_wait_histogram(&self) -> &LatencyHistogram {
-        &self.lock_wait
     }
 
     /// Attribution histogram for one span layer.
@@ -661,6 +654,24 @@ mod tests {
         assert_eq!(t.dev_histogram(DevOp::Write, false).count(), 2);
         assert_eq!(t.dev_blocks(DevOp::Write), 14);
         assert_eq!(t.dev_requests(DevOp::Flush), 1);
+    }
+
+    #[test]
+    fn the_device_meter_counts_with_recording_off() {
+        let t = Telemetry::new();
+        t.set_enabled(false);
+        t.dev_observed(DevOp::Read, false, 1, 4, t.clock());
+        t.dev_observed(DevOp::Flush, true, 1, 0, t.clock());
+        assert_eq!(
+            (t.dev_requests(DevOp::Read), t.dev_blocks(DevOp::Read)),
+            (1, 4)
+        );
+        assert_eq!(t.dev_requests(DevOp::Flush), 1);
+        assert_eq!(
+            t.dev_histogram(DevOp::Read, false).count(),
+            0,
+            "no latency sample"
+        );
     }
 
     #[test]

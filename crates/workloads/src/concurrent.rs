@@ -133,206 +133,6 @@ pub fn populate_read_set(fs: &dyn FileSystem, cfg: &ReadMixConfig) -> FsResult<V
     Ok(contents)
 }
 
-/// The operation mix a writer thread draws from (the write-path
-/// scaling workloads: group commit + per-inode sharding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteMix {
-    /// 100% writes, each thread hammering the shared file set.
-    WriteHeavy,
-    /// 10% reads / 90% writes.
-    Mixed10R90W,
-    /// 50% reads / 50% writes.
-    Mixed50R50W,
-}
-
-impl WriteMix {
-    /// Stable lowercase label for reports and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            WriteMix::WriteHeavy => "write_heavy",
-            WriteMix::Mixed10R90W => "mixed_10r90w",
-            WriteMix::Mixed50R50W => "mixed_50r50w",
-        }
-    }
-
-    /// Reads per 100 operations.
-    #[must_use]
-    pub fn read_pct(self) -> u32 {
-        match self {
-            WriteMix::WriteHeavy => 0,
-            WriteMix::Mixed10R90W => 10,
-            WriteMix::Mixed50R50W => 50,
-        }
-    }
-}
-
-/// Configuration for [`populate_write_set`] + [`run_writer_mix`].
-#[derive(Debug, Clone, Copy)]
-pub struct WriteMixConfig {
-    /// Number of files in the shared write set. More files than
-    /// threads keeps inode-stripe collisions rare; fewer forces
-    /// same-inode contention.
-    pub nfiles: usize,
-    /// Size of each file in bytes (writes stay within this span, so
-    /// steady-state runs overwrite rather than grow).
-    pub file_size: usize,
-    /// Bytes per write (and per read in the mixed variants).
-    pub write_size: usize,
-    /// Operations each thread performs.
-    pub ops_per_thread: usize,
-    /// RNG seed (per-thread streams derive from it deterministically).
-    pub seed: u64,
-    /// The operation mix.
-    pub mix: WriteMix,
-    /// Issue an `fsync` on the just-written file every N operations
-    /// (0 = never). Concurrent fsyncs from different threads are what
-    /// the journal's group commit coalesces into shared batches.
-    pub fsync_every: usize,
-}
-
-impl Default for WriteMixConfig {
-    fn default() -> WriteMixConfig {
-        WriteMixConfig {
-            nfiles: 32,
-            file_size: 64 * 1024,
-            write_size: 4096,
-            ops_per_thread: 2000,
-            seed: 0x5EED,
-            mix: WriteMix::WriteHeavy,
-            fsync_every: 0,
-        }
-    }
-}
-
-/// Path of file `i` in the shared write set.
-#[must_use]
-pub fn write_set_path(i: usize) -> String {
-    format!("/writeset/f{i:04}")
-}
-
-/// Create `/writeset` and pre-size `cfg.nfiles` files to
-/// `cfg.file_size` zeroed bytes each, then sync — so the timed window
-/// measures overwrites (journal + data path), not first-touch block
-/// allocation.
-///
-/// # Errors
-///
-/// Any filesystem error during population.
-pub fn populate_write_set(fs: &dyn FileSystem, cfg: &WriteMixConfig) -> FsResult<()> {
-    fs.mkdir("/writeset")?;
-    let zeros = vec![0u8; 8192];
-    for i in 0..cfg.nfiles {
-        let fd = fs.open(&write_set_path(i), OpenFlags::RDWR | OpenFlags::CREATE)?;
-        let mut off = 0usize;
-        while off < cfg.file_size {
-            let n = (cfg.file_size - off).min(zeros.len());
-            fs.write(fd, off as u64, &zeros[..n])?;
-            off += n;
-        }
-        fs.close(fd)?;
-    }
-    fs.sync()?;
-    Ok(())
-}
-
-/// One deterministic writer stream: `ops` operations drawn from `mix`
-/// against the shared write set via the pre-opened descriptors.
-fn writer_stream(
-    fs: &dyn FileSystem,
-    cfg: &WriteMixConfig,
-    fds: &[Fd],
-    thread_seed: u64,
-    read_bytes: &AtomicU64,
-    written_bytes: &AtomicU64,
-) -> FsResult<u64> {
-    let mut rng = SmallRng::seed_from_u64(thread_seed);
-    let mut ops = 0u64;
-    let span = cfg.file_size.saturating_sub(cfg.write_size).max(1) as u64;
-    let mut buf = vec![0u8; cfg.write_size];
-    for k in 0..cfg.ops_per_thread {
-        let fi = rng.gen_range(0..cfg.nfiles);
-        let off = rng.gen_range(0..span);
-        if rng.gen_range(0..100u32) < cfg.mix.read_pct() {
-            let data = fs.read(fds[fi], off, cfg.write_size)?;
-            read_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-        } else {
-            rng.fill(&mut buf[..]);
-            let n = fs.write(fds[fi], off, &buf)?;
-            written_bytes.fetch_add(n as u64, Ordering::Relaxed);
-            if cfg.fsync_every > 0 && (k + 1) % cfg.fsync_every == 0 {
-                fs.fsync(fds[fi])?;
-            }
-        }
-        ops += 1;
-    }
-    Ok(ops)
-}
-
-/// Run `threads` concurrent writer streams over a populated write set
-/// and report aggregate throughput.
-///
-/// Descriptors are opened before and closed after the timed window, so
-/// the measurement covers only the write mix itself.
-///
-/// # Errors
-///
-/// Any filesystem error from any thread (the first one wins).
-///
-/// # Panics
-///
-/// Panics if a writer thread itself panics.
-pub fn run_writer_mix<F>(fs: &Arc<F>, cfg: &WriteMixConfig, threads: usize) -> FsResult<MixReport>
-where
-    F: FileSystem + Send + Sync + 'static,
-{
-    let mut fds = Vec::with_capacity(cfg.nfiles);
-    for i in 0..cfg.nfiles {
-        fds.push(fs.open(&write_set_path(i), OpenFlags::RDWR)?);
-    }
-    let fds = Arc::new(fds);
-    let read_bytes = Arc::new(AtomicU64::new(0));
-    let written_bytes = Arc::new(AtomicU64::new(0));
-
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let fs = Arc::clone(fs);
-        let fds = Arc::clone(&fds);
-        let rb = Arc::clone(&read_bytes);
-        let wb = Arc::clone(&written_bytes);
-        let cfg = *cfg;
-        let thread_seed = cfg
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(t as u64);
-        handles.push(std::thread::spawn(move || {
-            writer_stream(fs.as_ref(), &cfg, &fds, thread_seed, &rb, &wb)
-        }));
-    }
-    let mut ops = 0u64;
-    let mut first_err = None;
-    for h in handles {
-        match h.join().expect("writer thread panicked") {
-            Ok(n) => ops += n,
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    let elapsed = start.elapsed();
-    for fd in fds.iter() {
-        let _ = fs.close(*fd);
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    Ok(MixReport {
-        ops,
-        bytes_read: read_bytes.load(Ordering::Relaxed),
-        bytes_written: written_bytes.load(Ordering::Relaxed),
-        elapsed,
-    })
-}
-
 /// One deterministic reader stream: `ops` operations drawn from `mix`
 /// against the shared read set, using pre-opened descriptors in `fds`
 /// (one per file, opened read-write for the mixed workload).
@@ -505,55 +305,6 @@ mod tests {
             let got = fs.read(fd, 0, cfg.file_size).unwrap();
             assert_eq!(&got, want);
             fs.close(fd).unwrap();
-        }
-    }
-
-    fn small_write_cfg(mix: WriteMix) -> WriteMixConfig {
-        WriteMixConfig {
-            nfiles: 6,
-            file_size: 8192,
-            write_size: 512,
-            ops_per_thread: 150,
-            seed: 11,
-            mix,
-            fsync_every: 4,
-        }
-    }
-
-    #[test]
-    fn write_heavy_mix_is_all_writes() {
-        let fs = Arc::new(ModelFs::new());
-        let cfg = small_write_cfg(WriteMix::WriteHeavy);
-        populate_write_set(fs.as_ref(), &cfg).unwrap();
-        let report = run_writer_mix(&fs, &cfg, 4).unwrap();
-        assert_eq!(report.ops, 4 * cfg.ops_per_thread as u64);
-        assert!(report.bytes_written > 0);
-        assert_eq!(report.bytes_read, 0);
-        assert!(report.ops_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn mixed_write_mixes_read_and_write() {
-        let fs = Arc::new(ModelFs::new());
-        let cfg = small_write_cfg(WriteMix::Mixed50R50W);
-        populate_write_set(fs.as_ref(), &cfg).unwrap();
-        let report = run_writer_mix(&fs, &cfg, 2).unwrap();
-        assert!(report.bytes_written > 0, "half the mix is writes");
-        assert!(report.bytes_read > 0, "half the mix is reads");
-    }
-
-    #[test]
-    fn write_set_stays_within_populated_size() {
-        let fs = Arc::new(ModelFs::new());
-        let cfg = small_write_cfg(WriteMix::Mixed10R90W);
-        populate_write_set(fs.as_ref(), &cfg).unwrap();
-        run_writer_mix(&fs, &cfg, 3).unwrap();
-        for i in 0..cfg.nfiles {
-            let st = fs.stat(&write_set_path(i)).unwrap();
-            assert_eq!(
-                st.size, cfg.file_size as u64,
-                "writes overwrite in place; files must not grow"
-            );
         }
     }
 }

@@ -25,8 +25,7 @@ mod loadgen;
 mod script;
 
 pub use concurrent::{
-    populate_read_set, populate_write_set, read_set_path, run_reader_mix, run_writer_mix,
-    write_set_path, MixReport, ReadMix, ReadMixConfig, WriteMix, WriteMixConfig,
+    populate_read_set, read_set_path, run_reader_mix, MixReport, ReadMix, ReadMixConfig,
 };
 pub use differential::{compare_outcomes, diff_trees, dump_tree, Divergence, TreeNode};
 pub use loadgen::{
