@@ -212,7 +212,8 @@ impl Session {
                 let s = self.fs.stats();
                 Ok(format!(
                     "status={:?} detected={} panics={} recoveries={} failures={} masked={} \
-                     recovery_time={:.2}ms log_len={} trimmed={} degraded={}",
+                     recovery_time={:.2}ms log_len={} trimmed={} degraded={} \
+                     reads_served_in_recovery={}",
                     self.fs.status(),
                     s.detected_errors,
                     s.panics_caught,
@@ -222,7 +223,8 @@ impl Session {
                     s.recovery_time_ns as f64 / 1e6,
                     s.log_len,
                     s.log_trimmed,
-                    s.degraded
+                    s.degraded,
+                    s.reads_served_in_recovery
                 ))
             }
             "ladder" => {
@@ -254,7 +256,8 @@ impl Session {
                         out.push_str(&format!(
                             "last recovery: rung={} failed_rungs=[{}] rung_time={:.2}ms total={:.2}ms \
                              shadow_device_reads={} shadow_device_requests={} shadow_memo_hits={} \
-                             resync_candidates={} resync_pinned={} resync_pruned={}",
+                             resync_candidates={} resync_pinned={} resync_pruned={} \
+                             reads_served={}",
                             r.rung.as_str(),
                             failed.join(">"),
                             r.rung_time.as_secs_f64() * 1e3,
@@ -264,7 +267,8 @@ impl Session {
                             r.shadow_memo_hits,
                             r.resync_candidates,
                             r.resync_pinned,
-                            r.resync_pruned
+                            r.resync_pruned,
+                            r.reads_served
                         ));
                         for f in &r.failed_rungs {
                             out.push_str(&format!(
@@ -797,6 +801,8 @@ mod tests {
         assert_eq!(s.run("cat /d/g").unwrap(), "warm data");
         let stats = s.run("stats").unwrap();
         assert!(stats.contains("recoveries=1"), "{stats}");
+        // no other reader ran while the gate was held
+        assert!(stats.contains("reads_served_in_recovery=0"), "{stats}");
         let out = s.run("standby").unwrap();
         assert!(out.contains("active=true"), "{out}");
         assert!(out.contains("degraded=false"), "{out}");
@@ -807,8 +813,11 @@ mod tests {
         assert!(ladder.contains("shadow_device_reads=0 "), "{ladder}");
         assert!(ladder.contains("resync_candidates="), "{ladder}");
         assert!(!ladder.contains("resync_candidates=0"), "{ladder}");
+        assert!(ladder.contains("reads_served=0"), "{ladder}");
         let json = s.run("stats --json").unwrap();
         assert!(json.contains("\"resync_pruned\""), "{json}");
+        assert!(json.contains("\"reads_served\": 0"), "{json}");
+        assert!(json.contains("\"reads_served_in_recovery\": 0"), "{json}");
     }
 
     /// The mount's device meter times every device request into

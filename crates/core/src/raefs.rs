@@ -5,7 +5,7 @@ use crate::oplog::OpLog;
 use crate::report::{
     LadderRung, RaeStats, RecoveryPath, RecoveryReport, RecoveryTrigger, RungFailure,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
 use rae_blockdev::{BlockDevice, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk};
 use rae_faults::{FaultAction, OpContext, Site};
@@ -18,7 +18,7 @@ use rae_vfs::{
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,11 +110,24 @@ thread_local! {
     static LAST_SEQUENCED: RefCell<Option<(u64, OpOutcome)>> = const { RefCell::new(None) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: run once by this thread's next recovery between the
+    /// rung's resync and its metadata download, with the gate held.
+    pub(crate) static BEFORE_ABSORB: RefCell<Option<Box<dyn FnOnce() + Send>>> =
+        const { RefCell::new(None) };
+}
+
 /// State shared between the runtime and the sequencer callback the
 /// base invokes at each operation's internal sequencing point: the
 /// operation log and the warm standby it feeds.
 struct LogShared {
     log: Mutex<OpLog>,
+    /// The log's length and trimmed total, mirrored each time a
+    /// [`LogGuard`] drops, so `stats` reads them without waiting out a
+    /// recovery that holds the log for its whole ladder.
+    log_len: AtomicUsize,
+    log_trimmed: AtomicU64,
     /// The warm standby, when spawned and healthy. `None` after
     /// degradation or when disabled; recovery takes the cold path.
     standby: Mutex<Option<WarmStandby>>,
@@ -130,6 +143,14 @@ struct LogShared {
 }
 
 impl LogShared {
+    /// Lock the op log.
+    fn log(&self) -> LogGuard<'_> {
+        LogGuard {
+            log: self.log.lock(),
+            shared: self,
+        }
+    }
+
     /// Fold a standby handle's final counters into the runtime-owned
     /// accumulators before it is dropped or handed over, so divergence
     /// and publish-wait totals survive the teardown. Every site that
@@ -158,6 +179,36 @@ impl LogShared {
     }
 }
 
+/// The op-log lock. On release — still under the lock, since the
+/// inner guard drops after `drop` runs — it mirrors the log's length
+/// and trimmed total into [`LogShared`]'s counters.
+struct LogGuard<'a> {
+    log: MutexGuard<'a, OpLog>,
+    shared: &'a LogShared,
+}
+
+impl std::ops::Deref for LogGuard<'_> {
+    type Target = OpLog;
+    fn deref(&self) -> &OpLog {
+        &self.log
+    }
+}
+
+impl std::ops::DerefMut for LogGuard<'_> {
+    fn deref_mut(&mut self) -> &mut OpLog {
+        &mut self.log
+    }
+}
+
+impl Drop for LogGuard<'_> {
+    fn drop(&mut self) {
+        let s = self.shared;
+        s.log_len.store(self.log.len(), Ordering::Relaxed);
+        s.log_trimmed
+            .store(self.log.trimmed_total(), Ordering::Relaxed);
+    }
+}
+
 /// The base's [`OpSequencer`]: invoked at each mutation's sequencing
 /// point with the operation's per-inode locks still held, it appends
 /// the completed record to the op log and publishes it to the warm
@@ -175,7 +226,7 @@ impl OpSequencer for RaeSequencer {
         // the op for the remainder of the base call. One payload copy
         // per sequenced mutation, paid outside the log lock.
         let op = CURRENT_OP.with(|c| c.borrow().as_ref().cloned())?;
-        let mut log = self.shared.log.lock();
+        let mut log = self.shared.log();
         let seq = log.append_completed(op, outcome.clone());
         LAST_SEQUENCED.with(|l| *l.borrow_mut() = Some((seq, outcome.clone())));
         self.shared.publish_to_standby(&log, seq);
@@ -195,8 +246,15 @@ pub struct RaeFs {
     shared: Arc<LogShared>,
     /// Recovery quiesce gate: operations hold `read`, recovery holds
     /// `write` ("during recovery, new application operations are not
-    /// admitted").
+    /// admitted"). One exception: once a warm rung's standby has
+    /// drained, a read that finds the gate shut is answered from the
+    /// fork in `serve` instead of waiting for the gate to drop.
     gate: RwLock<()>,
+    /// The reads' side door while `recover` holds the gate (see
+    /// [`Serve`]); the condvar wakes readers when a fork is published
+    /// and when a recovery ends. Taken after `gate`, never before it.
+    serve: Arc<(Mutex<Serve>, Condvar)>,
+    reads_served_in_recovery: AtomicU64,
     reports: Mutex<Vec<RecoveryReport>>,
     /// Directly on the device under the base: meters every request
     /// into `telemetry`, and records which blocks the base writes,
@@ -224,6 +282,39 @@ pub struct RaeFs {
     device_faults_absorbed: AtomicU64,
     device_retries_exhausted: AtomicU64,
     telemetry: Arc<Telemetry>,
+}
+
+/// What a reader that finds the quiesce gate shut can use instead.
+#[derive(Default)]
+struct Serve {
+    /// Recoveries that hold the gate or are waiting for it; counted
+    /// before `gate.write()`, so a read turned away by a waiting
+    /// recovery parks on the condvar rather than at the gate.
+    recovering: u32,
+    /// A read-only fork of the warm standby's shadow, published by the
+    /// handover's drained callback: it holds exactly the completed
+    /// records, and no mutation is admitted while it is up, so every
+    /// read it answers linearizes before the in-flight operation.
+    fork: Option<ShadowFs>,
+    /// Reads the fork answered in the current recovery.
+    served: u64,
+}
+
+/// Held by `recover` from just after it takes the gate; dropped before
+/// the gate on every exit path, it withdraws the fork, ends the
+/// recovery's count and wakes the parked readers, who then queue at
+/// the gate.
+struct ServingGuard<'a>(&'a (Mutex<Serve>, Condvar));
+
+impl Drop for ServingGuard<'_> {
+    fn drop(&mut self) {
+        let (slot, parked) = self.0;
+        let mut serve = slot.lock();
+        serve.recovering -= 1;
+        serve.served = 0;
+        serve.fork = None;
+        parked.notify_all();
+    }
 }
 
 /// Rungs with their own counters: warm, cold, cold-retry and degraded.
@@ -319,6 +410,8 @@ impl RaeFs {
             };
         let shared = Arc::new(LogShared {
             log: Mutex::new(OpLog::new()),
+            log_len: AtomicUsize::new(0),
+            log_trimmed: AtomicU64::new(0),
             standby: Mutex::new(standby),
             standby_degraded: AtomicBool::new(standby_degraded),
             standby_publish_waits_acc: AtomicU64::new(0),
@@ -334,6 +427,8 @@ impl RaeFs {
             config,
             shared,
             gate: RwLock::new(()),
+            serve: Arc::default(),
+            reads_served_in_recovery: AtomicU64::new(0),
             reports: Mutex::new(Vec::new()),
             tracker,
             failed: AtomicBool::new(false),
@@ -383,10 +478,10 @@ impl RaeFs {
         self.shared.standby.lock().as_ref().map(f)
     }
 
-    /// Runtime statistics snapshot.
+    /// Runtime statistics snapshot. Lock-free apart from the standby
+    /// handle, so it answers while a recovery holds the op log.
     #[must_use]
     pub fn stats(&self) -> RaeStats {
-        let log = self.shared.log.lock();
         let standby = self.standby_status();
         let count = |r| self.rung_count[rung_slot(r)].load(Ordering::Relaxed);
         let time_ns = |r| self.rung_time_ns[rung_slot(r)].load(Ordering::Relaxed);
@@ -401,8 +496,9 @@ impl RaeFs {
             rung_cold_time_ns: time_ns(LadderRung::Cold),
             rung_cold_retry_time_ns: time_ns(LadderRung::ColdRetry),
             rung_degraded_time_ns: time_ns(LadderRung::Degraded),
-            log_len: log.len(),
-            log_trimmed: log.trimmed_total(),
+            log_len: self.shared.log_len.load(Ordering::Relaxed),
+            log_trimmed: self.shared.log_trimmed.load(Ordering::Relaxed),
+            reads_served_in_recovery: self.reads_served_in_recovery.load(Ordering::Relaxed),
             standby_active: standby.active,
             standby_degraded: self.shared.standby_degraded.load(Ordering::Acquire),
             standby_completed_seq: standby.completed_seq,
@@ -485,7 +581,7 @@ impl RaeFs {
             });
         }
         let _quiesced = self.gate.write();
-        let mut log = self.shared.log.lock();
+        let mut log = self.shared.log();
         log.trim(self.base.persisted_seq());
         let mut shadow = ShadowFs::load(self.base.device(), self.config.shadow)?;
         let (completed, _) = log.for_recovery();
@@ -706,7 +802,7 @@ impl RaeFs {
                     // next commit so trimming matches the old behavior
                     let op = op.expect("op retained");
                     let is_barrier = op.is_sync_family();
-                    let mut log = self.shared.log.lock();
+                    let mut log = self.shared.log();
                     let seq = log.append_completed(op, Self::outcome_of(ret));
                     self.base.note_op_seq(seq);
                     self.shared.publish_to_standby(&log, seq);
@@ -725,12 +821,12 @@ impl RaeFs {
                     self.answer(trigger, None, None)?;
                 }
                 let over_budget = {
-                    let mut log = self.shared.log.lock();
+                    let mut log = self.shared.log();
                     log.trim(self.base.persisted_seq());
                     log.len() > self.config.max_log_records
                 };
                 if over_budget && self.forced_barrier(|| self.base.sync())? {
-                    self.shared.log.lock().trim(self.base.persisted_seq());
+                    self.shared.log().trim(self.base.persisted_seq());
                 }
                 Ok(ret)
             }
@@ -743,7 +839,7 @@ impl RaeFs {
                     // `Failed` records are published too: the standby
                     // must accumulate the same skip counts a cold
                     // replay of this log would report
-                    let mut log = self.shared.log.lock();
+                    let mut log = self.shared.log();
                     let seq = log
                         .append_completed(op.expect("op retained"), OpOutcome::Failed(e.clone()));
                     self.base.note_op_seq(seq);
@@ -774,10 +870,18 @@ impl RaeFs {
         class: OpClass,
         f: impl FnOnce() -> FsResult<T>,
     ) -> Result<FsResult<T>, RecoveryTrigger> {
-        let caught = {
-            let _admitted = self.gate.read();
-            catch_unwind(AssertUnwindSafe(f))
-        };
+        self.admitted(self.gate.read(), class, f)
+    }
+
+    /// [`RaeFs::in_base`] for a caller that already holds the gate.
+    fn admitted<T>(
+        &self,
+        gate: RwLockReadGuard<'_, ()>,
+        class: OpClass,
+        f: impl FnOnce() -> FsResult<T>,
+    ) -> Result<FsResult<T>, RecoveryTrigger> {
+        let caught = catch_unwind(AssertUnwindSafe(f));
+        drop(gate);
         match caught {
             Ok(Err(e)) if e.is_runtime_error() => {
                 Err(self.base_failed(class, RecoveryTrigger::DetectedError(e)))
@@ -841,7 +945,7 @@ impl RaeFs {
                 // the whole machine "crashes": buffered state and every
                 // descriptor are gone; remount from disk
                 let _quiesced = self.gate.write();
-                self.shared.log.lock().clear();
+                self.shared.log().clear();
                 match self.base.contained_reboot() {
                     Ok(_) => Err(FsError::IoFailed {
                         detail: "filesystem crashed and was remounted; unsynced state lost"
@@ -890,9 +994,13 @@ impl RaeFs {
         // order the sequencer observes (gate read-held by dispatching
         // threads, log taken inside). By the time the write gate is
         // granted, no operation is inside the base and nothing can
-        // append to the log concurrently.
+        // append to the log concurrently. Readers turned away from the
+        // gate park on `serve` from the moment the recovery is counted,
+        // and the guard, dropped before the gate, sends them back to it.
+        self.serve.0.lock().recovering += 1;
         let _quiesced = self.gate.write();
-        let mut log_guard = self.shared.log.lock();
+        let _serving = ServingGuard(&self.serve);
+        let mut log_guard = self.shared.log();
         let log = &mut *log_guard;
         let start = Instant::now();
         self.telemetry.event(
@@ -959,12 +1067,19 @@ impl RaeFs {
             let rung_t0 = Instant::now();
             self.rung_event(EventKind::RungEntered, rung, 0);
             // the standby drains its tail into its own snapshot while
-            // the rung reboots the base; the rung waits for it after
+            // the rung reboots the base; the rung waits for it after.
+            // Once drained, a fork of its shadow answers the readers.
             let handover = standby.take().map(|sb| {
                 // the handover consumes the handle: bank its counters now
                 self.shared.retire_standby(&sb);
                 let lag = sb.lag();
-                sb.start_handover().map(|draining| (draining, lag))
+                let serve = Arc::clone(&self.serve);
+                sb.start_handover(move |shadow| {
+                    let fork = shadow.fork();
+                    serve.0.lock().fork = Some(fork);
+                    serve.1.notify_all();
+                })
+                .map(|draining| (draining, lag))
             });
             let res = match handover {
                 // the standby refused up front: no attempt ran, so the
@@ -1020,6 +1135,9 @@ impl RaeFs {
                 }
                 failure => {
                     if rung == LadderRung::Warm {
+                        // the handover is over (waited or dropped), so
+                        // nothing publishes a fork after this
+                        self.serve.0.lock().fork = None;
                         self.shared.standby_degraded.store(true, Ordering::Release);
                     }
                     let e = failure.and_then(Result::err);
@@ -1257,8 +1375,13 @@ impl RaeFs {
             resync_candidates: resync.candidates,
             resync_pinned: resync.pinned,
             resync_pruned: resync.pruned,
+            reads_served: 0, // counted by file_report
             had_in_flight: in_flight.is_some(),
         };
+        #[cfg(test)]
+        if let Some(hook) = BEFORE_ABSORB.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
         self.base.absorb_recovery(delta)?;
         report.handoff_time = t_handoff.elapsed();
         Ok(RungSuccess {
@@ -1407,9 +1530,16 @@ impl RaeFs {
         self.mark_failed(e)
     }
 
-    /// File a finished recovery: its wall time into the stats, the
-    /// `RecoveryDone` event, and the report itself.
-    fn file_report(&self, report: RecoveryReport) {
+    /// File a finished recovery: its wall time and the reads its fork
+    /// answered (the fork goes here) into the stats, the
+    /// `ReadsServedInRecovery` and `RecoveryDone` events, and the
+    /// report itself.
+    fn file_report(&self, mut report: RecoveryReport) {
+        report.reads_served = self.stop_serving();
+        self.reads_served_in_recovery
+            .fetch_add(report.reads_served, Ordering::Relaxed);
+        self.telemetry
+            .event(EventKind::ReadsServedInRecovery, report.reads_served, 0, 0);
         let ns = report.duration.as_nanos() as u64;
         self.recovery_time_ns.fetch_add(ns, Ordering::Relaxed);
         self.telemetry.event(
@@ -1457,7 +1587,14 @@ impl RaeFs {
 
     fn exec_read_inner(&self, op: &ReadRequest, class: OpClass) -> FsResult<ReadReply> {
         self.check_online()?;
-        match self.in_base(class, || self.dispatch_read_base(op)) {
+        let gate = match self.gate.try_read() {
+            Some(gate) => gate,
+            None => match self.read_while_gated(op) {
+                Some(answer) => return answer,
+                None => self.gate.read(),
+            },
+        };
+        match self.admitted(gate, class, || self.dispatch_read_base(op)) {
             Ok(Ok(v)) => {
                 self.consecutive_recoveries.store(0, Ordering::Relaxed);
                 Ok(v)
@@ -1471,6 +1608,45 @@ impl RaeFs {
                 })
             }
         }
+    }
+
+    /// A read that found the gate shut. While a recovery is under way,
+    /// it is answered from the drained standby's fork once one is
+    /// published, and parks until then. `None` sends the reader to the
+    /// gate: no recovery holds it (an audit, a crash-remount), or the
+    /// fork failed at runtime. A failed fork is withdrawn for the rest
+    /// of the recovery and starts none of its own; a specified error
+    /// from it is the application's answer.
+    #[cold]
+    #[inline(never)]
+    fn read_while_gated(&self, op: &ReadRequest) -> Option<FsResult<ReadReply>> {
+        let (slot, parked) = &*self.serve;
+        let mut serve = slot.lock();
+        loop {
+            if let Some(fork) = serve.fork.as_mut() {
+                match catch_unwind(AssertUnwindSafe(|| fork.serve_read(op))) {
+                    Ok(r) if r.as_ref().err().is_none_or(FsError::is_specified) => {
+                        serve.served += 1;
+                        return Some(r);
+                    }
+                    _ => {
+                        serve.fork = None;
+                        return None;
+                    }
+                }
+            }
+            if serve.recovering == 0 {
+                return None;
+            }
+            parked.wait(&mut serve);
+        }
+    }
+
+    /// Withdraw the fork and take the count of the reads it answered.
+    fn stop_serving(&self) -> u64 {
+        let mut serve = self.serve.0.lock();
+        serve.fork = None;
+        std::mem::take(&mut serve.served)
     }
 }
 

@@ -1889,11 +1889,31 @@ fn warm_recoveries_under_churn_do_not_ratchet() {
 /// Runs a one-shot action at the first read it serves once a recovery
 /// has started. The warm rung asks for the handover before the
 /// contained reboot reads anything, so the action runs inside the
-/// reboot, after the drain was requested.
+/// reboot, after the drain was requested. It can also answer the first
+/// read of one block with doctored bytes.
 struct ActOnRebootRead {
     inner: MemDisk,
     recovering: std::sync::atomic::AtomicBool,
     action: std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    doctored: std::sync::Mutex<Option<(u64, Vec<u8>)>>,
+}
+
+impl ActOnRebootRead {
+    /// A freshly formatted device with no action armed.
+    fn formatted() -> (Arc<ActOnRebootRead>, rae_fsformat::Geometry) {
+        let dev = Arc::new(ActOnRebootRead {
+            inner: MemDisk::new(4096),
+            recovering: std::sync::atomic::AtomicBool::new(false),
+            action: std::sync::Mutex::new(None),
+            doctored: std::sync::Mutex::new(None),
+        });
+        let geo = mkfs(&dev.inner, MkfsParams::default()).unwrap();
+        (dev, geo)
+    }
+
+    fn arm(&self, action: impl FnOnce() + Send + 'static) {
+        *self.action.lock().unwrap() = Some(Box::new(action));
+    }
 }
 
 impl BlockDevice for ActOnRebootRead {
@@ -1906,6 +1926,12 @@ impl BlockDevice for ActOnRebootRead {
                 act();
             }
         }
+        let mut doctored = self.doctored.lock().unwrap();
+        if let Some((_, bytes)) = doctored.take_if(|(b, _)| *b == bno) {
+            buf.copy_from_slice(&bytes);
+            return Ok(());
+        }
+        drop(doctored);
         self.inner.read_block(bno, buf)
     }
     fn write_block(&self, bno: u64, buf: &[u8]) -> rae_vfs::FsResult<()> {
@@ -1938,12 +1964,7 @@ enum Backlog {
 /// tree against the model and the unmounted image with `fsck`.
 fn warm_rung_with_held_backlog(backlog: Backlog) -> crate::RecoveryReport {
     const HELD: u64 = 40;
-    let dev = Arc::new(ActOnRebootRead {
-        inner: MemDisk::new(4096),
-        recovering: std::sync::atomic::AtomicBool::new(false),
-        action: std::sync::Mutex::new(None),
-    });
-    mkfs(&dev.inner, MkfsParams::default()).unwrap();
+    let (dev, _) = ActOnRebootRead::formatted();
     let fs = warm_boom_mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
     let model = rae_fsmodel::ModelFs::new();
     for f in [&fs as &dyn FileSystem, &model] {
@@ -1971,7 +1992,7 @@ fn warm_rung_with_held_backlog(backlog: Backlog) -> crate::RecoveryReport {
             Box::new(|| {})
         }
     };
-    *dev.action.lock().unwrap() = Some(act);
+    dev.arm(act);
 
     fs.mkdir("/boom").unwrap(); // masked by the recovery
     model.mkdir("/boom").unwrap();
@@ -2022,7 +2043,7 @@ fn warm_publish_waits_survive_the_respawn() {
     let release = fs.with_standby(rae_standby::WarmStandby::pause).unwrap();
     std::thread::scope(|s| {
         // the last mkdir's publish finds the channel full and waits,
-        // holding the op-log lock, so `stats` cannot be asked until
+        // holding the standby lock, so `stats` cannot be asked until
         // after the release; the lag event it records once the wait is
         // counted says when to release
         let held = s.spawn(|| {
@@ -2059,4 +2080,392 @@ fn warm_publish_waits_survive_the_respawn() {
     );
     fs.unmount().unwrap();
     assert!(fsck(dev.as_ref()).unwrap().is_clean());
+}
+
+// ----------------------------------------------------------------------
+// Readers served through a warm recovery
+// ----------------------------------------------------------------------
+
+/// An action that says it has started, then holds its thread until the
+/// returned sender sends (or is dropped).
+fn hold() -> (
+    impl FnOnce() + Send + 'static,
+    std::sync::mpsc::Receiver<()>,
+    std::sync::mpsc::Sender<()>,
+) {
+    let (held_tx, held) = std::sync::mpsc::channel();
+    let (release, release_rx) = std::sync::mpsc::channel::<()>();
+    let action = move || {
+        held_tx.send(()).unwrap();
+        let _ = release_rx.recv();
+    };
+    (action, held, release)
+}
+
+/// A reply a reader thread must get within this long, or not at all.
+const PROMPT: std::time::Duration = std::time::Duration::from_secs(10);
+/// How long a reader that must be held is watched for a reply.
+const HELD: std::time::Duration = std::time::Duration::from_millis(200);
+
+/// A directory with a file (kept open for reading) and a
+/// subdirectory. Returns the open descriptor.
+fn serve_program(fs: &dyn FileSystem) -> Fd {
+    fs.mkdir("/s").unwrap();
+    let fd = fs.open("/s/f", rw_create()).unwrap();
+    fs.write(fd, 0, b"written before the fault").unwrap();
+    fs.mkdir("/s/d").unwrap();
+    fd
+}
+
+/// A mount over `dev` whose base fails every creation of a name
+/// containing "boom" at its allocation, before the operation reaches
+/// its sequencing point: the create is in flight, not in the log.
+fn serve_mount(dev: &Arc<ActOnRebootRead>, config: RaeConfig) -> RaeFs {
+    let faults = FaultRegistry::new();
+    faults.arm(BugSpec::new(
+        170,
+        "alloc-boom",
+        Site::Alloc,
+        Trigger::PathContains("boom".into()),
+        Effect::DetectedError,
+    ));
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults,
+            ..BaseFsConfig::default()
+        },
+        ..config
+    };
+    RaeFs::mount(Arc::clone(dev) as Arc<dyn BlockDevice>, config).unwrap()
+}
+
+fn warm_config() -> RaeConfig {
+    RaeConfig {
+        standby: warm_opts(),
+        ..RaeConfig::default()
+    }
+}
+
+/// What one reader sees: a stat, a read, a readdir, and a stat of the
+/// path the faulting operation creates.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    size: rae_vfs::FsResult<u64>,
+    data: rae_vfs::FsResult<Vec<u8>>,
+    names: rae_vfs::FsResult<Vec<String>>,
+    boom: rae_vfs::FsResult<u64>,
+}
+
+fn observe(fs: &dyn FileSystem, fd: Fd) -> Seen {
+    Seen {
+        size: fs.stat("/s/f").map(|st| st.size),
+        data: fs.read(fd, 0, 64),
+        names: fs.readdir("/s").map(|es| {
+            let mut names: Vec<String> = es.into_iter().map(|e| e.name).collect();
+            names.sort();
+            names
+        }),
+        boom: fs.stat("/s/boom").map(|st| st.size),
+    }
+}
+
+/// Where a reader meets a warm recovery of an in-flight `create`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arrival {
+    /// While the standby's drain is still held back.
+    BeforeDrain,
+    /// Inside the contained reboot.
+    InReboot,
+    /// Between the resync and the metadata download.
+    InAbsorb,
+    /// After the faulting operation returned.
+    AfterGate,
+}
+
+/// Run [`serve_program`] on a warm mount and on the model, fault a
+/// `create` of `/s/boom`, and send one reader thread in at `arrival`.
+/// Checks what it saw against the model at the last completed
+/// operation, the recovered tree against the model, and the image with
+/// `fsck`; returns the recovery's report and the stats after it.
+fn warm_serve(arrival: Arrival) -> (crate::RecoveryReport, crate::RaeStats) {
+    let (dev, _) = ActOnRebootRead::formatted();
+    let fs = serve_mount(&dev, warm_config());
+    let model = rae_fsmodel::ModelFs::new();
+    let fd = serve_program(&fs);
+    let model_fd = serve_program(&model);
+    wait_caught_up(&fs);
+    // before the drain: a backlog the standby has not applied yet
+    let standby = (arrival == Arrival::BeforeDrain).then(|| {
+        let release = fs.with_standby(rae_standby::WarmStandby::pause).unwrap();
+        for f in [&fs as &dyn FileSystem, &model] {
+            f.mkdir("/s/held").unwrap();
+        }
+        release
+    });
+    let before = observe(&model, model_fd);
+
+    let (action, held, release) = hold();
+    let (started_tx, started) = std::sync::mpsc::channel();
+    // the recovery is held inside the reboot, or before the download
+    let mut hook: Option<Box<dyn FnOnce() + Send>> = None;
+    match arrival {
+        Arrival::InReboot => dev.arm(action),
+        Arrival::BeforeDrain => {
+            dev.arm(move || started_tx.send(()).unwrap());
+            hook = Some(Box::new(action));
+        }
+        Arrival::InAbsorb => hook = Some(Box::new(action)),
+        Arrival::AfterGate => {}
+    }
+    let (seen, early) = std::thread::scope(|s| {
+        let fs = &fs;
+        let faulting = s.spawn(move || {
+            crate::raefs::BEFORE_ABSORB.with(|h| *h.borrow_mut() = hook);
+            fs.open("/s/boom", rw_create())
+        });
+        let (reply_tx, reply) = std::sync::mpsc::channel();
+        let reader = || {
+            s.spawn(move || reply_tx.send(observe(fs, fd)).unwrap());
+        };
+        let (seen, early) = match arrival {
+            Arrival::BeforeDrain => {
+                started.recv().unwrap();
+                reader();
+                let early = reply.recv_timeout(HELD).is_ok();
+                standby.unwrap().send(()).unwrap();
+                let seen = reply.recv_timeout(PROMPT);
+                if held.recv_timeout(PROMPT).is_err() {
+                    panic!("the recovery never reached the download");
+                }
+                (seen, early)
+            }
+            Arrival::InReboot | Arrival::InAbsorb => {
+                held.recv().unwrap();
+                reader();
+                (reply.recv_timeout(PROMPT), false)
+            }
+            Arrival::AfterGate => {
+                faulting.join().unwrap().unwrap();
+                reader();
+                return (reply.recv_timeout(PROMPT), false);
+            }
+        };
+        release.send(()).unwrap();
+        faulting.join().unwrap().unwrap();
+        (seen, early)
+    });
+    model.open("/s/boom", rw_create()).unwrap();
+    let seen = seen.unwrap_or_else(|_| panic!("{arrival:?}: the reader was never answered"));
+    assert!(!early, "{arrival:?}: answered before the standby drained");
+    if arrival == Arrival::AfterGate {
+        assert_eq!(seen, observe(&model, model_fd), "{arrival:?}");
+    } else {
+        assert_eq!(seen.boom, Err(FsError::NotFound), "{arrival:?}");
+        assert_eq!(seen, before, "{arrival:?}");
+    }
+
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    tree_of(&model, "/", &mut want);
+    tree_of(&fs, "/", &mut got);
+    assert_eq!(got, want, "{arrival:?}");
+    let report = fs.last_recovery_report().unwrap();
+    let stats = fs.stats();
+    assert_eq!(report.rung, LadderRung::Warm, "{arrival:?}: {report:?}");
+    assert_eq!(stats.recoveries, 1, "{arrival:?}");
+    // one flight-recorder event per recovery carries the count
+    let counts: Vec<u64> = fs
+        .telemetry()
+        .timeline()
+        .0
+        .iter()
+        .filter(|e| e.kind == rae_telemetry::EventKind::ReadsServedInRecovery)
+        .map(|e| e.a)
+        .collect();
+    assert_eq!(counts, [report.reads_served], "{arrival:?}");
+    assert_eq!(stats.reads_served_in_recovery, report.reads_served);
+    fs.unmount().unwrap();
+    assert!(fsck(&dev.inner).unwrap().is_clean(), "{arrival:?}");
+    (report, stats)
+}
+
+#[test]
+fn warm_serve_a_reader_arriving_before_the_drain_ends() {
+    // it waits for the drain, then the fork answers all four reads,
+    // the drained backlog included, before the faulting op returns
+    let (report, _) = warm_serve(Arrival::BeforeDrain);
+    assert_eq!(report.reads_served, 4, "{report:?}");
+}
+
+#[test]
+fn warm_serve_a_reader_arriving_inside_the_reboot() {
+    let (report, _) = warm_serve(Arrival::InReboot);
+    assert_eq!(report.reads_served, 4, "{report:?}");
+}
+
+#[test]
+fn warm_serve_a_reader_arriving_during_resync_and_absorb() {
+    let (report, _) = warm_serve(Arrival::InAbsorb);
+    assert_eq!(report.reads_served, 4, "{report:?}");
+}
+
+#[test]
+fn warm_serve_a_reader_arriving_after_the_gate_drops() {
+    let (report, stats) = warm_serve(Arrival::AfterGate);
+    assert_eq!(report.reads_served, 0, "the base answered");
+    assert_eq!(stats.reads_served_in_recovery, 0);
+}
+
+#[test]
+fn warm_serve_a_fork_stat_of_the_in_flight_create_is_not_found() {
+    // `warm_serve` checks that the reader's stat of `/s/boom` is
+    // `NotFound`: the fork holds the completed records only. That
+    // specified error is the fork's answer, so it counts as served.
+    let (report, _) = warm_serve(Arrival::InAbsorb);
+    assert!(report.had_in_flight, "{report:?}");
+    assert_eq!(report.reads_served, 4, "{report:?}");
+}
+
+#[test]
+fn warm_serve_none_on_the_cold_rung() {
+    let (dev, _) = ActOnRebootRead::formatted();
+    let fs = serve_mount(&dev, RaeConfig::default());
+    let model = rae_fsmodel::ModelFs::new();
+    let fd = serve_program(&fs);
+    let model_fd = serve_program(&model);
+    let (action, held, release) = hold();
+    dev.arm(action);
+    let (seen, early) = std::thread::scope(|s| {
+        let fs = &fs;
+        let faulting = s.spawn(|| fs.open("/s/boom", rw_create()));
+        held.recv().unwrap();
+        let (reply_tx, reply) = std::sync::mpsc::channel();
+        s.spawn(move || reply_tx.send(observe(fs, fd)).unwrap());
+        let early = reply.recv_timeout(HELD).is_ok();
+        release.send(()).unwrap();
+        faulting.join().unwrap().unwrap();
+        (reply.recv_timeout(PROMPT), early)
+    });
+    // the reader waited out the recovery at the gate
+    assert!(!early, "a cold recovery has no fork to answer from");
+    model.open("/s/boom", rw_create()).unwrap();
+    assert_eq!(seen.unwrap(), observe(&model, model_fd));
+    let report = fs.last_recovery_report().unwrap();
+    assert_eq!(report.rung, LadderRung::Cold, "{report:?}");
+    assert_eq!(report.reads_served, 0);
+    assert_eq!(fs.stats().reads_served_in_recovery, 0);
+}
+
+#[test]
+fn warm_serve_a_failing_fork_sends_readers_to_the_gate() {
+    // `/x` is written by an earlier mount, with its inode alone in its
+    // inode-table block; the standby's snapshot reads that block
+    // doctored (a flipped byte in the inode), the live device never does
+    let (dev, geo) = ActOnRebootRead::formatted();
+    let x = {
+        let fs = RaeFs::mount(
+            Arc::clone(&dev) as Arc<dyn BlockDevice>,
+            RaeConfig::default(),
+        )
+        .unwrap();
+        for i in 0..2 * rae_fsformat::inode::INODES_PER_BLOCK {
+            let fd = fs.open(&format!("/z{i}"), rw_create()).unwrap();
+            fs.close(fd).unwrap();
+        }
+        let fd = fs.open("/x", rw_create()).unwrap();
+        fs.write(fd, 0, b"durable").unwrap();
+        fs.close(fd).unwrap();
+        for i in 0..2 * rae_fsformat::inode::INODES_PER_BLOCK {
+            fs.unlink(&format!("/z{i}")).unwrap();
+        }
+        let ino = fs.stat("/x").unwrap().ino;
+        fs.unmount().unwrap();
+        ino
+    };
+    let (bno, _) = geo.inode_location(x).unwrap();
+    let rotten = MemDisk::clone_of(&dev.inner).unwrap();
+    rae_fsformat::apply_corruption(&rotten, &rae_fsformat::Corruption::InodeBitrot { ino: x })
+        .unwrap();
+    let mut bytes = vec![0; BLOCK_SIZE];
+    rotten.read_block(bno, &mut bytes).unwrap();
+    *dev.doctored.lock().unwrap() = Some((bno, bytes));
+
+    let fs = serve_mount(
+        &dev,
+        RaeConfig {
+            // the standby loads its snapshot without the structural
+            // check that would refuse it
+            shadow: rae_shadowfs::ShadowOpts {
+                validate_image: false,
+                ..rae_shadowfs::ShadowOpts::default()
+            },
+            ..warm_config()
+        },
+    );
+    assert!(
+        dev.doctored.lock().unwrap().is_none(),
+        "the snapshot took it"
+    );
+    serve_program(&fs);
+    wait_caught_up(&fs);
+    // held before the download, so the drain is over and the fork is up
+    let (action, held, release) = hold();
+    let hook: Box<dyn FnOnce() + Send> = Box::new(action);
+    let (during, after) = std::thread::scope(|s| {
+        let fs = &fs;
+        let faulting = s.spawn(move || {
+            crate::raefs::BEFORE_ABSORB.with(|h| *h.borrow_mut() = Some(hook));
+            fs.open("/s/boom", rw_create())
+        });
+        held.recv().unwrap();
+        let (reply_tx, reply) = std::sync::mpsc::channel();
+        // the fork answers the first stat, fails the second at runtime
+        // and is withdrawn, so the third finds none either
+        let mut during = Vec::new();
+        for (path, wait) in [("/s/f", PROMPT), ("/x", HELD), ("/s/f", HELD)] {
+            let reply_tx = reply_tx.clone();
+            s.spawn(move || reply_tx.send((path, fs.stat(path).map(|st| st.size))));
+            during.push(reply.recv_timeout(wait).ok());
+        }
+        release.send(()).unwrap();
+        faulting.join().unwrap().unwrap();
+        let mut after: Vec<_> = (0..during.iter().filter(|r| r.is_none()).count())
+            .map(|_| reply.recv_timeout(PROMPT).unwrap())
+            .collect();
+        after.sort_by_key(|r| r.0);
+        (during, after)
+    });
+    assert_eq!(during, [Some(("/s/f", Ok(24))), None, None]);
+    // the last two waited at the gate for the recovered base
+    assert_eq!(after, [("/s/f", Ok(24)), ("/x", Ok(7))]);
+    let stats = fs.stats();
+    assert_eq!((stats.recoveries, stats.ladder_warm), (1, 1), "{stats:?}");
+    assert_eq!(stats.reads_served_in_recovery, 1);
+    fs.unmount().unwrap();
+    assert!(fsck(&dev.inner).unwrap().is_clean());
+}
+
+#[test]
+fn stats_answer_while_a_recovery_holds_the_log() {
+    let (dev, _) = ActOnRebootRead::formatted();
+    let fs = serve_mount(&dev, warm_config());
+    serve_program(&fs);
+    let log_len = fs.stats().log_len;
+    assert!(log_len > 0);
+    let (action, held, release) = hold();
+    dev.arm(action);
+    let during = std::thread::scope(|s| {
+        let fs = &fs;
+        let faulting = s.spawn(|| fs.open("/s/boom", rw_create()));
+        held.recv().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        s.spawn(move || tx.send(fs.stats()).unwrap());
+        let during = rx.recv_timeout(PROMPT);
+        release.send(()).unwrap();
+        faulting.join().unwrap().unwrap();
+        during
+    });
+    let during = during.expect("stats waited for the recovery");
+    assert_eq!(during.recoveries, 0);
+    assert_eq!(during.log_len, log_len);
+    assert_eq!(fs.stats().recoveries, 1);
 }

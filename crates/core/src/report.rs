@@ -160,6 +160,10 @@ pub struct RecoveryReport {
     /// Warm rung: free data blocks left out of the delta (and dropped
     /// from the standby's overlay).
     pub resync_pruned: usize,
+    /// Reads answered from the drained standby's fork while this
+    /// recovery held the quiesce gate (zero unless a warm rung's
+    /// standby drained).
+    pub reads_served: u64,
     /// Whether an in-flight operation was completed autonomously.
     pub had_in_flight: bool,
 }
@@ -200,6 +204,7 @@ impl RecoveryReport {
             resync_candidates: 0,
             resync_pinned: 0,
             resync_pruned: 0,
+            reads_served: 0,
             had_in_flight: false,
         }
     }
@@ -235,6 +240,9 @@ pub struct RaeStats {
     pub log_len: usize,
     /// Records discarded at persistence barriers so far.
     pub log_trimmed: u64,
+    /// Reads answered from a drained warm standby's fork while a
+    /// recovery held the quiesce gate, over all recoveries.
+    pub reads_served_in_recovery: u64,
     /// A warm standby is live (spawned and not degraded).
     pub standby_active: bool,
     /// The standby degraded (apply failure, failed warm rung, or failed

@@ -577,6 +577,11 @@ impl VolumeManager {
                 "Whether the volume is running degraded (0/1).",
                 3,
             ),
+            (
+                "rae_reads_served_in_recovery",
+                "Reads answered from the drained warm standby's fork during recoveries.",
+                4,
+            ),
         ] {
             gauge(
                 &mut out,
@@ -589,7 +594,8 @@ impl VolumeManager {
                             0 => s.recoveries,
                             1 => s.detected_errors,
                             2 => s.recovery_time_ns,
-                            _ => u64::from(s.degraded),
+                            3 => u64::from(s.degraded),
+                            _ => s.reads_served_in_recovery,
                         };
                         (vlabel(v), val)
                     })
@@ -759,7 +765,7 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
     let s = fs.stats();
     let mut out = String::new();
     out.push_str(&format!("{indent}\"status\": \"{:?}\",\n", fs.status()));
-    let fields: [(&str, u64); 18] = [
+    let fields: [(&str, u64); 19] = [
         ("detected_errors", s.detected_errors),
         ("panics_caught", s.panics_caught),
         ("recoveries", s.recoveries),
@@ -772,6 +778,7 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
         ("rung_degraded_time_ns", s.rung_degraded_time_ns),
         ("log_len", s.log_len as u64),
         ("log_trimmed", s.log_trimmed),
+        ("reads_served_in_recovery", s.reads_served_in_recovery),
         ("ladder_warm", s.ladder_warm),
         ("ladder_cold", s.ladder_cold),
         ("ladder_cold_retry", s.ladder_cold_retry),
@@ -795,19 +802,22 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
     ));
     // the last recovery's shadow-phase I/O: distinct blocks fetched, the
     // device requests that fetched them, reads the cold rung's snapshot
-    // view answered from memory, and what the warm rung's resync decided
+    // view answered from memory, what the warm rung's resync decided,
+    // and the reads its drained standby's fork answered meanwhile
     match fs.last_recovery_report() {
         Some(r) => out.push_str(&format!(
             "{indent}\"last_recovery\": {{\"rung\": \"{}\", \"shadow_device_reads\": {}, \
              \"shadow_device_requests\": {}, \"shadow_memo_hits\": {}, \
-             \"resync_candidates\": {}, \"resync_pinned\": {}, \"resync_pruned\": {}}},\n",
+             \"resync_candidates\": {}, \"resync_pinned\": {}, \"resync_pruned\": {}, \
+             \"reads_served\": {}}},\n",
             r.rung.as_str(),
             r.shadow_device_reads,
             r.shadow_device_requests,
             r.shadow_memo_hits,
             r.resync_candidates,
             r.resync_pinned,
-            r.resync_pruned
+            r.resync_pruned,
+            r.reads_served
         )),
         None => out.push_str(&format!("{indent}\"last_recovery\": null,\n")),
     }
@@ -1035,6 +1045,7 @@ mod tests {
             "rae_request_latency_ns_count{volume=\"t0\",class=\"read\"} 1",
             "quantile=\"0.999\"",
             "rae_recoveries{volume=\"t0\"} 0",
+            "rae_reads_served_in_recovery{volume=\"t0\"} 0",
             "# TYPE rae_attr_ns summary",
             "rae_events_dropped{volume=\"t0\"}",
         ] {

@@ -22,7 +22,10 @@
 //! split in two — [`WarmStandby::start_handover`] queues the request,
 //! [`PendingHandover::wait`] collects the shadow — so the drain, which
 //! touches only the standby's own snapshot, runs while the runtime
-//! reboots the base.
+//! reboots the base. The request carries a one-shot *drained* callback
+//! that the apply thread calls with the caught-up shadow just before it
+//! replies: the runtime forks a read-only copy there and answers readers
+//! from it for the rest of the recovery, while the base still reboots.
 //!
 //! # Back-pressure
 //!
@@ -147,7 +150,9 @@ impl Shared {
 
 enum Msg {
     Record(OpRecord),
-    Handover(Sender<HandoverState>),
+    /// The reply channel, and the drained callback run just before the
+    /// reply (see [`WarmStandby::start_handover`]).
+    Handover(Sender<HandoverState>, Box<dyn FnOnce(&ShadowFs) + Send>),
     Shutdown,
     /// Test-only: signal on the sender once the apply thread is held,
     /// then hold it until the receiver yields, making channel-full
@@ -290,18 +295,27 @@ impl WarmStandby {
     /// published so far (the caller holds the op-log lock, so nothing
     /// new can be published) into its own snapshot, concurrently with
     /// whatever the caller does next, and [`PendingHandover::wait`]
-    /// takes ownership of the caught-up shadow.
+    /// takes ownership of the caught-up shadow. `on_drained` runs on the
+    /// apply thread with that shadow once the drain is done, before the
+    /// reply; it never runs if the drain fails.
     ///
     /// Returns `None` if the standby degraded — the caller falls back
     /// to cold replay.
-    pub fn start_handover(self) -> Option<PendingHandover> {
+    pub fn start_handover(
+        self,
+        on_drained: impl FnOnce(&ShadowFs) + Send + 'static,
+    ) -> Option<PendingHandover> {
         // A degraded standby's state is untrusted whether or not its
         // apply thread has exited yet, so refuse up front.
         if !self.shared.healthy() {
             return None;
         }
         let (reply_tx, reply) = channel::bounded(1);
-        if self.tx.send(Msg::Handover(reply_tx)).is_err() {
+        if self
+            .tx
+            .send(Msg::Handover(reply_tx, Box::new(on_drained)))
+            .is_err()
+        {
             return None;
         }
         Some(PendingHandover {
@@ -386,7 +400,8 @@ fn apply_loop(mut shadow: ShadowFs, backlog: Vec<OpRecord>, rx: &Receiver<Msg>, 
                     return;
                 }
             }
-            Ok(Msg::Handover(reply)) => {
+            Ok(Msg::Handover(reply, on_drained)) => {
+                on_drained(&shadow);
                 let _ = reply.send(HandoverState {
                     shadow: Box::new(shadow),
                     report,
@@ -521,7 +536,9 @@ mod tests {
 
     /// Start the handover and wait for it straight away.
     fn handover(standby: WarmStandby) -> Option<HandoverState> {
-        standby.start_handover().and_then(PendingHandover::wait)
+        standby
+            .start_handover(|_| {})
+            .and_then(PendingHandover::wait)
     }
 
     fn spawn_default(dev: &Arc<MemDisk>) -> WarmStandby {
@@ -702,7 +719,7 @@ mod tests {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
         // starting does not wait: the whole backlog is still queued
-        let pending = standby.start_handover().expect("healthy standby");
+        let pending = standby.start_handover(|_| {}).expect("healthy standby");
         release.send(()).unwrap();
         let handed = pending.wait().expect("the drain completes");
         assert_eq!((handed.applied_records, handed.report.executed), (n, n));
@@ -714,6 +731,33 @@ mod tests {
     }
 
     #[test]
+    fn the_drained_callback_sees_the_caught_up_shadow() {
+        let dev = fresh_dev();
+        let standby = spawn_default(&dev);
+        let release = standby.pause();
+        for rec in record_ops(&dev, sample_ops()) {
+            assert_eq!(standby.publish(rec), Publish::Accepted);
+        }
+        let (seen_tx, seen) = channel::bounded(1);
+        let pending = standby
+            .start_handover(move |shadow| {
+                // a fork reads on its own while the handover goes on
+                let stat = shadow.fork().serve_read(&ReadRequest::Stat {
+                    path: "/dir/a".into(),
+                });
+                seen_tx.send(stat).unwrap();
+            })
+            .expect("healthy standby");
+        assert!(seen.try_recv().is_err(), "called before the drain");
+        release.send(()).unwrap();
+        let Ok(ReadReply::Stat(st)) = seen.recv().unwrap() else {
+            panic!("stat reply shape");
+        };
+        assert_eq!(st.size, b"warm payload".len() as u64);
+        assert!(pending.wait().is_some());
+    }
+
+    #[test]
     fn a_handover_whose_drain_fails_waits_to_none() {
         let dev = fresh_dev();
         let standby = spawn_default(&dev);
@@ -721,8 +765,12 @@ mod tests {
         for rec in record_ops(&dev, sample_ops()) {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
-        let pending = standby.start_handover().expect("healthy when started");
+        let (called_tx, called) = channel::bounded(1);
+        let pending = standby
+            .start_handover(move |_| called_tx.send(()).unwrap())
+            .expect("healthy when started");
         drop(release); // the apply thread dies mid-drain
         assert!(pending.wait().is_none());
+        assert!(called.try_recv().is_err(), "no drained shadow to call with");
     }
 }

@@ -36,6 +36,7 @@ use std::fmt::Write as _;
 /// | `QuotaRefused` | volume id | ops used | bytes used |
 /// | `ShutdownBegin` | source (0 admin op, 1 signal/local) | 0 | 0 |
 /// | `SlowOp` | op class code | duration ns | timing (1 sampled, 0 deep-layer lower bound) |
+/// | `ReadsServedInRecovery` | reads the drained standby's fork answered | 0 | 0 |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A device-level fault fired (injected by the fault harness).
@@ -91,11 +92,15 @@ pub enum EventKind {
     /// An op exceeded the slow-op threshold (always recorded, sampler
     /// bypassed).
     SlowOp,
+    /// A recovery is filed: how many reads the drained standby's fork
+    /// answered while it held the gate (one event per recovery, not
+    /// one per read).
+    ReadsServedInRecovery,
 }
 
 impl EventKind {
     /// All kinds, in code order.
-    pub const ALL: [EventKind; 24] = [
+    pub const ALL: [EventKind; 25] = [
         EventKind::FaultInjected,
         EventKind::ErrorDetected,
         EventKind::PanicCaught,
@@ -120,6 +125,7 @@ impl EventKind {
         EventKind::QuotaRefused,
         EventKind::ShutdownBegin,
         EventKind::SlowOp,
+        EventKind::ReadsServedInRecovery,
     ];
 
     /// Stable wire code.
@@ -163,6 +169,7 @@ impl EventKind {
             EventKind::QuotaRefused => "quota_refused",
             EventKind::ShutdownBegin => "shutdown_begin",
             EventKind::SlowOp => "slow_op",
+            EventKind::ReadsServedInRecovery => "reads_served_in_recovery",
         }
     }
 }
@@ -344,6 +351,9 @@ impl Event {
                     "deep-layer lower bound"
                 }
             ),
+            EventKind::ReadsServedInRecovery => {
+                format!("reads served from the standby's fork: {a}")
+            }
         }
     }
 }
@@ -455,6 +465,7 @@ mod tests {
         assert_eq!(EventKind::QuotaRefused.code(), 21);
         assert_eq!(EventKind::ShutdownBegin.code(), 22);
         assert_eq!(EventKind::SlowOp.code(), 23);
+        assert_eq!(EventKind::ReadsServedInRecovery.code(), 24);
     }
 
     #[test]
