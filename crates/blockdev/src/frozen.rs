@@ -1,0 +1,728 @@
+//! A frozen, copy-before-write view of a metered device.
+//!
+//! [`crate::TrackedDisk::snapshot`] returns a [`FrozenView`]: every read
+//! through it answers the device's contents as they were when the
+//! snapshot was taken (its *epoch*), however the device has been written
+//! since. Nothing is copied up front. Each block is copied once, on the
+//! first of two events:
+//!
+//! * the view reads it: the block is read from the live device, which
+//!   still holds the epoch's contents, since the base has not yet
+//!   written it;
+//! * the base is about to write it for the first time since the epoch:
+//!   the tracker reads the old contents from the device before the
+//!   write goes out (a *copy-before-write*).
+//!
+//! Old contents always come from the device, never from a cache above
+//! it. A view therefore holds what the base overwrote plus what the
+//! view's reader looked at, not the device.
+//!
+//! # Why a copy is always the epoch's
+//!
+//! Each block has a write-once slot, and the first copy to fill it wins.
+//! A base write fills the slot (or finds it filled) *before* it reaches
+//! the device. So while a slot is empty no post-epoch write of its block
+//! has landed, and a copy that fills it was read before any did. A
+//! reader that loses the race copies out the winner, which is the epoch's
+//! contents whichever party won. This holds for any interleaving, given
+//! that every write of the device crosses the tracker and that no two
+//! writes of one block are in flight at once (the page cache writes a
+//! block from one place).
+//!
+//! # Failures fail closed
+//!
+//! A copy-before-write read that fails never fails or delays the base's
+//! write: the block's slot is marked *lost*, every later read of it
+//! through the view is an error, and [`FrozenView::intact`] turns false,
+//! which the warm standby takes as its cue to degrade.
+
+use crate::device::{check_extent, BlockDevice, BLOCK_SIZE};
+use crate::tracked::TrackedDisk;
+use rae_vfs::{FsError, FsResult};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+/// What one block's slot holds once filled.
+enum Kept {
+    /// The block's contents at the epoch.
+    Image(Box<[u8]>),
+    /// A copy-before-write read of the block failed; its epoch contents
+    /// are gone.
+    Lost,
+}
+
+/// One snapshot's epoch contents: a write-once slot per device block.
+pub(crate) struct Epoch {
+    slots: Box<[OnceLock<Kept>]>,
+    /// Slots holding an image, and how many of those a base write
+    /// filled: statistics only.
+    held: AtomicU64,
+    captures: AtomicU64,
+    /// Slots marked lost: raised with `Release` after the slot is set,
+    /// read with `Acquire` by [`FrozenView::intact`].
+    lost: AtomicU64,
+    /// The tracker's count of live epochs, given back on drop.
+    live: Arc<AtomicUsize>,
+}
+
+impl Epoch {
+    pub(crate) fn new(blocks: u64, live: Arc<AtomicUsize>) -> Epoch {
+        Epoch {
+            slots: (0..blocks).map(|_| OnceLock::new()).collect(),
+            held: AtomicU64::new(0),
+            captures: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
+            live,
+        }
+    }
+
+    fn slot(&self, bno: u64) -> &OnceLock<Kept> {
+        &self.slots[usize::try_from(bno).expect("bno fits usize")]
+    }
+
+    /// Whether block `bno` still has to be copied.
+    pub(crate) fn needs(&self, bno: u64) -> bool {
+        self.slot(bno).get().is_none()
+    }
+
+    /// Offer `img` as block `bno`'s epoch contents; `captured` says a base
+    /// write is copying it. Returns `false` if the slot was already
+    /// filled, in which case the slot, not `img`, holds the answer.
+    pub(crate) fn keep(&self, bno: u64, img: &[u8], captured: bool) -> bool {
+        let slot = self.slot(bno);
+        if slot.get().is_some() || slot.set(Kept::Image(Box::from(img))).is_err() {
+            return false;
+        }
+        self.held.fetch_add(1, Ordering::Relaxed);
+        if captured {
+            self.captures.fetch_add(1, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Mark block `bno`'s epoch contents lost, unless a copy got there
+    /// first.
+    pub(crate) fn lose(&self, bno: u64) {
+        if self.slot(bno).set(Kept::Lost).is_ok() {
+            self.lost.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Copy a filled slot into `buf`: `None` if it is empty, an error if
+    /// its contents were lost.
+    fn copy_out(&self, bno: u64, buf: &mut [u8]) -> Option<FsResult<()>> {
+        Some(match self.slot(bno).get()? {
+            Kept::Image(img) => {
+                buf.copy_from_slice(img);
+                Ok(())
+            }
+            Kept::Lost => Err(FsError::IoFailed {
+                detail: format!(
+                    "block {bno}: its snapshot contents were lost to a failed copy-before-write read"
+                ),
+            }),
+        })
+    }
+}
+
+impl Drop for Epoch {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A read-only view of a [`TrackedDisk`]'s device frozen at the moment
+/// [`TrackedDisk::snapshot`] was taken (see the module docs). Clones
+/// share one epoch; when the last one is dropped the tracker stops
+/// copying for it.
+///
+/// Reads of blocks it does not hold yet cross the tracker, so they are
+/// metered like any other device read. Writes and flushes are refused.
+#[derive(Clone)]
+pub struct FrozenView {
+    epoch: Arc<Epoch>,
+    tracker: Arc<TrackedDisk>,
+}
+
+impl std::fmt::Debug for FrozenView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrozenView")
+            .field("held_blocks", &self.held_blocks())
+            .field("captures", &self.captures())
+            .field("intact", &self.intact())
+            .finish()
+    }
+}
+
+impl FrozenView {
+    pub(crate) fn new(epoch: Arc<Epoch>, tracker: Arc<TrackedDisk>) -> FrozenView {
+        FrozenView { epoch, tracker }
+    }
+
+    /// Blocks whose epoch contents the view holds: its memory, in
+    /// blocks.
+    #[must_use]
+    pub fn held_blocks(&self) -> u64 {
+        self.epoch.held.load(Ordering::Relaxed)
+    }
+
+    /// How many of [`FrozenView::held_blocks`] a base write forced (the
+    /// rest the view's reader read first).
+    #[must_use]
+    pub fn captures(&self) -> u64 {
+        self.epoch.captures.load(Ordering::Relaxed)
+    }
+
+    /// No copy-before-write read has failed: every block still reads as
+    /// at the epoch.
+    #[must_use]
+    pub fn intact(&self) -> bool {
+        self.epoch.lost.load(Ordering::Acquire) == 0
+    }
+
+    fn refuse(what: &str) -> FsError {
+        FsError::Internal {
+            detail: format!("{what} through a frozen snapshot view"),
+        }
+    }
+}
+
+impl BlockDevice for FrozenView {
+    fn block_count(&self) -> u64 {
+        self.tracker.block_count()
+    }
+
+    fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+        self.read_blocks(bno, &mut [buf])
+    }
+
+    /// Held blocks are copied out; each maximal run of blocks not held
+    /// yet is read from the live device as one extent and kept. A block
+    /// a base write copied meanwhile keeps the copy, so the reader gets
+    /// that instead of what it read.
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        if bufs.is_empty() {
+            return Ok(());
+        }
+        check_extent(start, bufs.iter().map(|b| b.len()), self.block_count())?;
+        let epoch = &self.epoch;
+        let mut i = 0;
+        while i < bufs.len() {
+            let bno = start + i as u64;
+            if let Some(held) = epoch.copy_out(bno, bufs[i]) {
+                held?;
+                i += 1;
+                continue;
+            }
+            let run = i
+                + (bno..)
+                    .take(bufs.len() - i)
+                    .take_while(|&b| epoch.needs(b))
+                    .count();
+            self.tracker.read_blocks(bno, &mut bufs[i..run])?;
+            for (b, buf) in (bno..).zip(&mut bufs[i..run]) {
+                if !epoch.keep(b, buf, false) {
+                    epoch
+                        .copy_out(b, buf)
+                        .expect("a lost race leaves the slot filled")?;
+                }
+            }
+            i = run;
+        }
+        Ok(())
+    }
+
+    /// Always an error: the view is frozen.
+    fn write_block(&self, bno: u64, _buf: &[u8]) -> FsResult<()> {
+        Err(Self::refuse(&format!("write of block {bno}")))
+    }
+
+    /// Always an error, as [`FrozenView::write_block`].
+    fn flush(&self) -> FsResult<()> {
+        Err(Self::refuse("flush"))
+    }
+}
+
+/// Copy-before-write for one batch: before the blocks of `ranges` are
+/// written, read each maximal run of them that some live epoch still
+/// needs as one extent through the tracker, and keep it in every epoch
+/// that needs it. A run that fails is read again block by block, to
+/// find the unreadable block; only that one is lost. A run of one block
+/// has nothing to attribute and is not read again.
+pub(crate) fn capture(
+    tracker: &TrackedDisk,
+    epochs: &[Arc<Epoch>],
+    ranges: impl IntoIterator<Item = (u64, u64)>,
+) {
+    let needed = |bno: u64| epochs.iter().any(|e| e.needs(bno));
+    for (start, end) in ranges {
+        let end = end.min(tracker.block_count());
+        let mut bno = start;
+        while bno < end {
+            if !needed(bno) {
+                bno += 1;
+                continue;
+            }
+            let run_end = (bno..end).find(|&b| !needed(b)).unwrap_or(end);
+            capture_run(tracker, epochs, bno, run_end);
+            bno = run_end;
+        }
+    }
+}
+
+fn capture_run(tracker: &TrackedDisk, epochs: &[Arc<Epoch>], start: u64, end: u64) {
+    let mut images = vec![0u8; (end - start) as usize * BLOCK_SIZE];
+    let mut bufs: Vec<&mut [u8]> = images.chunks_mut(BLOCK_SIZE).collect();
+    let whole = tracker.read_blocks(start, &mut bufs).is_ok();
+    for (bno, buf) in (start..).zip(bufs.iter_mut()) {
+        let read = whole || (end - start > 1 && tracker.read_block(bno, buf).is_ok());
+        for epoch in epochs {
+            if read {
+                epoch.keep(bno, buf, true);
+            } else {
+                epoch.lose(bno);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::Extent;
+    use crate::faulty::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode};
+    use crate::mem::MemDisk;
+    use rae_telemetry::{DevOp, Telemetry};
+
+    /// Block `bno`'s image at version `tag`.
+    fn img(tag: u8, bno: u64) -> Vec<u8> {
+        let mut b = vec![tag; BLOCK_SIZE];
+        b[..8].copy_from_slice(&bno.to_le_bytes());
+        b
+    }
+
+    /// A tracker over a fault-injecting disk whose block `b` holds
+    /// `img(0, b)`.
+    struct Rig {
+        disk: Arc<FaultyDisk<MemDisk>>,
+        tracker: Arc<TrackedDisk>,
+        tele: Arc<Telemetry>,
+    }
+
+    impl Rig {
+        fn new(blocks: u64) -> Rig {
+            let mem = MemDisk::new(blocks);
+            for b in 0..blocks {
+                mem.write_block(b, &img(0, b)).unwrap();
+            }
+            let disk = Arc::new(FaultyDisk::new(mem));
+            let tele = Telemetry::new();
+            let tracker = Arc::new(TrackedDisk::new(
+                Arc::clone(&disk) as Arc<dyn BlockDevice>,
+                Arc::clone(&tele),
+            ));
+            Rig {
+                disk,
+                tracker,
+                tele,
+            }
+        }
+
+        /// A view, and the oracle: an eager copy of the device taken at
+        /// the same moment (off the meter).
+        fn snapshot(&self) -> (FrozenView, MemDisk) {
+            let oracle = MemDisk::clone_of(self.disk.inner()).unwrap();
+            (self.tracker.snapshot(), oracle)
+        }
+
+        fn write(&self, bno: u64, tag: u8) {
+            self.tracker.write_block(bno, &img(tag, bno)).unwrap();
+        }
+
+        /// Write `[start, start + len)` at `tag` as one extent per range.
+        fn write_batch(&self, ranges: &[(u64, usize)], tag: u8) -> FsResult<()> {
+            let images: Vec<Vec<Vec<u8>>> = ranges
+                .iter()
+                .map(|&(s, n)| (s..s + n as u64).map(|b| img(tag, b)).collect())
+                .collect();
+            let bufs: Vec<Vec<&[u8]>> = images
+                .iter()
+                .map(|run| run.iter().map(Vec::as_slice).collect())
+                .collect();
+            let extents: Vec<Extent<'_>> = ranges
+                .iter()
+                .zip(&bufs)
+                .map(|(&(start, _), bufs)| Extent { start, bufs })
+                .collect();
+            self.tracker.write_blocks(&extents)
+        }
+
+        /// Read requests and blocks across the meter so far.
+        fn reads(&self) -> (u64, u64) {
+            (
+                self.tele.dev_requests(DevOp::Read),
+                self.tele.dev_blocks(DevOp::Read),
+            )
+        }
+
+        fn device(&self, bno: u64) -> Vec<u8> {
+            let mut buf = vec![0; BLOCK_SIZE];
+            self.disk.inner().read_block(bno, &mut buf).unwrap();
+            buf
+        }
+    }
+
+    fn oracle_block(oracle: &MemDisk, bno: u64) -> Vec<u8> {
+        let mut buf = vec![0; BLOCK_SIZE];
+        oracle.read_block(bno, &mut buf).unwrap();
+        buf
+    }
+
+    /// Block `bno` reads through `view` as through `oracle`.
+    fn assert_block(view: &FrozenView, oracle: &MemDisk, bno: u64) {
+        let mut got = vec![0; BLOCK_SIZE];
+        view.read_block(bno, &mut got).unwrap();
+        assert!(got == oracle_block(oracle, bno), "block {bno} moved");
+    }
+
+    /// Every block reads as in `oracle`, one block at a time and as
+    /// one extent of the whole device.
+    fn assert_frozen(view: &FrozenView, oracle: &MemDisk) {
+        let n = view.block_count();
+        for bno in 0..n {
+            assert_block(view, oracle, bno);
+        }
+        let mut all = vec![0u8; n as usize * BLOCK_SIZE];
+        let mut bufs: Vec<&mut [u8]> = all.chunks_mut(BLOCK_SIZE).collect();
+        view.read_blocks(0, &mut bufs).unwrap();
+        assert!(all == MemDisk::snapshot(oracle), "extent read moved");
+    }
+
+    #[test]
+    fn snapshot_untouched_blocks_read_from_the_device_once() {
+        let rig = Rig::new(16);
+        let (view, oracle) = rig.snapshot();
+        assert_eq!(view.held_blocks(), 0, "nothing copied up front");
+        assert_frozen(&view, &oracle);
+        // the per-block pass fetched each block once, the extent pass
+        // found them all held
+        assert_eq!(rig.reads(), (16, 16));
+        assert_eq!((view.held_blocks(), view.captures()), (16, 0));
+        assert!(view.intact());
+    }
+
+    #[test]
+    fn snapshot_read_then_written() {
+        let rig = Rig::new(8);
+        let (view, oracle) = rig.snapshot();
+        assert_block(&view, &oracle, 3);
+        let before = rig.reads();
+        rig.write(3, 1);
+        assert_eq!(rig.reads(), before, "held already: no copy");
+        assert_eq!(rig.device(3), img(1, 3));
+        assert_block(&view, &oracle, 3);
+        assert_eq!((view.held_blocks(), view.captures()), (1, 0));
+        assert_frozen(&view, &oracle);
+    }
+
+    #[test]
+    fn snapshot_written_then_read() {
+        let rig = Rig::new(8);
+        let (view, oracle) = rig.snapshot();
+        rig.write(5, 1);
+        assert_eq!(rig.reads(), (1, 1), "one copy-before-write");
+        assert_eq!((view.held_blocks(), view.captures()), (1, 1));
+        assert_block(&view, &oracle, 5);
+        assert_eq!(rig.reads(), (1, 1), "read from the copy");
+        assert_frozen(&view, &oracle);
+    }
+
+    #[test]
+    fn snapshot_written_twice() {
+        let rig = Rig::new(8);
+        let (view, oracle) = rig.snapshot();
+        rig.write(2, 1);
+        rig.write(2, 2);
+        assert_eq!(rig.reads(), (1, 1), "copied before the first write only");
+        assert_eq!(view.captures(), 1);
+        assert_eq!(rig.device(2), img(2, 2));
+        assert_frozen(&view, &oracle);
+    }
+
+    #[test]
+    fn snapshot_batch_mixing_copied_and_uncopied_blocks() {
+        let rig = Rig::new(16);
+        let (view, oracle) = rig.snapshot();
+        assert_block(&view, &oracle, 4);
+        rig.write(11, 1);
+        let before = rig.reads();
+        // extents [2, 8) and [10, 13): held 4 and 11 split them into
+        // the runs [2, 4), [5, 8), [10, 11) and [12, 13)
+        rig.write_batch(&[(2, 6), (10, 3)], 2).unwrap();
+        assert_eq!(
+            (rig.reads().0 - before.0, rig.reads().1 - before.1),
+            (4, 7),
+            "one request per run of uncopied blocks"
+        );
+        assert_eq!((view.held_blocks(), view.captures()), (9, 8));
+        assert_frozen(&view, &oracle);
+    }
+
+    #[test]
+    fn snapshot_write_failing_at_the_device_after_its_copy() {
+        let rig = Rig::new(16);
+        let (view, oracle) = rig.snapshot();
+        rig.disk
+            .set_plan(DiskFaultPlan::new().fail_writes(FaultTarget::Block(5), TriggerMode::Always));
+        assert!(rig.tracker.write_block(5, &img(1, 5)).is_err());
+        // a batch that lands 3 and 4, fails at 5 and never tries 6
+        assert!(rig.write_batch(&[(3, 4)], 2).is_err());
+        assert_eq!(rig.device(4), img(2, 4));
+        assert_eq!(rig.device(5), img(0, 5));
+        assert_eq!(view.captures(), 4, "copied before the write was tried");
+        assert_frozen(&view, &oracle);
+    }
+
+    #[test]
+    fn snapshot_failed_copy_loses_only_that_block() {
+        let rig = Rig::new(16);
+        let (view, oracle) = rig.snapshot();
+        rig.disk
+            .set_plan(DiskFaultPlan::new().fail_reads(FaultTarget::Block(6), TriggerMode::Always));
+        // the run [4, 9) fails as one extent; read again block by block,
+        // only 6 is unreadable
+        rig.write_batch(&[(4, 5)], 1)
+            .expect("the base's write succeeds");
+        rig.disk.clear_plan();
+        assert_eq!(rig.device(6), img(1, 6), "and lands");
+        assert!(!view.intact());
+        assert_eq!((view.held_blocks(), view.captures()), (4, 4));
+        let mut buf = vec![0; BLOCK_SIZE];
+        assert!(matches!(
+            view.read_block(6, &mut buf),
+            Err(FsError::IoFailed { .. })
+        ));
+        let mut run = vec![0u8; 3 * BLOCK_SIZE];
+        let mut bufs: Vec<&mut [u8]> = run.chunks_mut(BLOCK_SIZE).collect();
+        assert!(view.read_blocks(5, &mut bufs).is_err(), "nor in an extent");
+        for bno in (0..16).filter(|&b| b != 6) {
+            assert_block(&view, &oracle, bno);
+        }
+        // a lone block has nothing to attribute: read once, lost
+        rig.disk
+            .set_plan(DiskFaultPlan::new().fail_reads(FaultTarget::Block(12), TriggerMode::Nth(1)));
+        let before = rig.reads();
+        let (view2, _) = rig.snapshot();
+        rig.write(12, 2);
+        assert_eq!(rig.reads().0 - before.0, 1);
+        assert!(!view2.intact());
+        assert!(view2.read_block(12, &mut buf).is_err());
+    }
+
+    #[test]
+    fn snapshot_two_live_views_taken_at_different_times() {
+        let rig = Rig::new(8);
+        let (first, first_oracle) = rig.snapshot();
+        rig.write(1, 1);
+        rig.write(2, 1);
+        let (second, second_oracle) = rig.snapshot();
+        let before = rig.reads();
+        // 1 and 2 are held by the first view only; 3 by neither: one
+        // run [1, 4) both need some of, one request
+        rig.write_batch(&[(1, 3)], 2).unwrap();
+        assert_eq!((rig.reads().0 - before.0, rig.reads().1 - before.1), (1, 3));
+        assert_eq!((first.captures(), second.captures()), (3, 3));
+        assert_frozen(&first, &first_oracle);
+        assert_frozen(&second, &second_oracle);
+        assert!(oracle_block(&first_oracle, 1) != oracle_block(&second_oracle, 1));
+    }
+
+    #[test]
+    fn snapshot_dropped_view_stops_copying() {
+        let rig = Rig::new(8);
+        let (view, _) = rig.snapshot();
+        let clone = view.clone();
+        drop(view);
+        rig.write(1, 1);
+        assert_eq!(clone.captures(), 1, "a clone keeps the epoch alive");
+        drop(clone);
+        assert_eq!(rig.tracker.live_views(), 0, "a write is back to one load");
+        let before = rig.reads();
+        rig.write(2, 1);
+        rig.write_batch(&[(3, 4)], 1).unwrap();
+        assert_eq!(rig.reads(), before, "no view, no copy");
+    }
+
+    #[test]
+    fn snapshot_refuses_writes_and_flushes() {
+        let rig = Rig::new(4);
+        let (view, _) = rig.snapshot();
+        assert!(matches!(
+            view.write_block(1, &img(9, 1)),
+            Err(FsError::Internal { .. })
+        ));
+        assert!(view.flush().is_err());
+        assert_eq!(rig.device(1), img(0, 1));
+    }
+
+    /// One writer's blocks: batch `j` writes version `j` to the extent of
+    /// blocks `j % (N - 1)` and the one after it.
+    const WRITER_BLOCKS: u64 = 24;
+
+    /// The version a block holds, `None` for the initial image.
+    fn version(buf: &[u8]) -> Option<u64> {
+        (buf[8] == 1).then(|| u64::from_le_bytes(buf[9..17].try_into().unwrap()))
+    }
+
+    fn versioned(j: u64) -> Vec<u8> {
+        let mut b = vec![0u8; BLOCK_SIZE];
+        b[8] = 1;
+        b[9..17].copy_from_slice(&j.to_le_bytes());
+        b
+    }
+
+    fn batch_blocks(j: u64) -> [u64; 2] {
+        let s = j % (WRITER_BLOCKS - 1);
+        [s, s + 1]
+    }
+
+    /// The version of block `i` after batches `0..=upto`.
+    fn after(i: u64, upto: Option<u64>) -> Option<u64> {
+        let upto = upto?;
+        (upto.saturating_sub(2 * WRITER_BLOCKS)..=upto)
+            .rev()
+            .find(|&j| batch_blocks(j).contains(&i))
+    }
+
+    /// `seen` (one writer's blocks through a view) is the state after
+    /// some prefix of its batches, the last of them possibly in part:
+    /// every batch done before the snapshot began, none begun after it
+    /// returned.
+    fn assert_a_cut(seen: &[Option<u64>], done_before: u64, started_after: u64) {
+        let m = seen.iter().flatten().copied().max();
+        for (i, &v) in (0u64..).zip(seen) {
+            let whole = after(i, m);
+            let partial = m.is_some_and(|m| batch_blocks(m).contains(&i))
+                && v == after(i, m.and_then(|m| m.checked_sub(1)));
+            assert!(v == whole || partial, "block {i}: {v:?} in {seen:?}");
+        }
+        let visible = m.map_or(0, |m| m + 1);
+        assert!(visible <= started_after, "{seen:?} saw a batch begun later");
+        let whole_last =
+            m.is_some_and(|m| batch_blocks(m).iter().all(|&i| seen[i as usize] == Some(m)));
+        assert!(
+            visible > done_before || (visible == done_before && (done_before == 0 || whole_last)),
+            "{seen:?} misses a batch done before the snapshot ({done_before})"
+        );
+    }
+
+    /// Writer threads overwrite versioned blocks, one two-block extent
+    /// per batch, while reader threads read each fresh view (one block
+    /// at a time and in extents, in varying order) and the view of the
+    /// round before: every view must read as one cut of every writer's
+    /// history — its epoch — and the same on every read.
+    #[test]
+    fn snapshot_stress_views_stay_at_their_epoch() {
+        use std::sync::atomic::AtomicBool;
+        const WRITERS: u64 = 2;
+        const READERS: usize = 2;
+        let rounds = if cfg!(debug_assertions) { 20 } else { 400 };
+        let rig = Rig::new(WRITERS * WRITER_BLOCKS);
+        let started: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+        let done: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+        let stop = AtomicBool::new(false);
+        let read_all = |view: &FrozenView, turn: usize| -> Vec<Option<u64>> {
+            let n = (WRITERS * WRITER_BLOCKS) as usize;
+            let mut out = vec![None; n];
+            let mut buf = vec![0u8; BLOCK_SIZE];
+            // odd turns read extents of five from the top down, even
+            // turns one block at a time from the bottom up
+            if turn.is_multiple_of(2) {
+                for (bno, slot) in out.iter_mut().enumerate() {
+                    view.read_block(bno as u64, &mut buf).unwrap();
+                    *slot = version(&buf);
+                }
+            } else {
+                let mut end = n;
+                while end > 0 {
+                    let start = end.saturating_sub(5);
+                    let mut run = vec![0u8; (end - start) * BLOCK_SIZE];
+                    let mut bufs: Vec<&mut [u8]> = run.chunks_mut(BLOCK_SIZE).collect();
+                    view.read_blocks(start as u64, &mut bufs).unwrap();
+                    for (k, b) in run.chunks(BLOCK_SIZE).enumerate() {
+                        out[start + k] = version(b);
+                    }
+                    end = start;
+                }
+            }
+            out
+        };
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (rig, started, done, stop) = (&rig, &started, &done, &stop);
+                s.spawn(move || {
+                    let base = w * WRITER_BLOCKS;
+                    let mut j = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let img = versioned(j);
+                        let [a, _] = batch_blocks(j);
+                        started[w as usize].store(j + 1, Ordering::SeqCst);
+                        let bufs = [&img[..], &img[..]];
+                        rig.tracker
+                            .write_blocks(&[Extent {
+                                start: base + a,
+                                bufs: &bufs,
+                            }])
+                            .unwrap();
+                        done[w as usize].store(j + 1, Ordering::SeqCst);
+                        j += 1;
+                    }
+                });
+            }
+            // a failed check stops the writers too, or the scope would
+            // wait for them forever
+            struct StopOnDrop<'a>(&'a AtomicBool);
+            impl Drop for StopOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _stop = StopOnDrop(&stop);
+            let mut previous: Option<(FrozenView, Vec<Option<u64>>)> = None;
+            for round in 0..rounds {
+                let done_before: Vec<u64> = done.iter().map(|d| d.load(Ordering::SeqCst)).collect();
+                let view = rig.tracker.snapshot();
+                let started_after: Vec<u64> =
+                    started.iter().map(|d| d.load(Ordering::SeqCst)).collect();
+                let mut seen: Vec<Vec<Option<u64>>> = std::thread::scope(|r| {
+                    let readers: Vec<_> = (0..READERS)
+                        .map(|t| {
+                            let view = &view;
+                            r.spawn(move || read_all(view, round + t))
+                        })
+                        .collect();
+                    readers.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                assert!(
+                    seen.iter().all(|s| *s == seen[0]),
+                    "round {round}: readers differ"
+                );
+                for w in 0..WRITERS as usize {
+                    let mine = &seen[0][w * WRITER_BLOCKS as usize..][..WRITER_BLOCKS as usize];
+                    assert_a_cut(mine, done_before[w], started_after[w]);
+                }
+                if let Some((old, old_seen)) = previous.take() {
+                    assert_eq!(
+                        read_all(&old, round + 1),
+                        old_seen,
+                        "round {round}: an older view moved"
+                    );
+                }
+                assert!(view.intact());
+                previous = Some((view, seen.swap_remove(0)));
+            }
+        });
+        let captures = rig.tele.dev_requests(DevOp::Read);
+        assert!(captures > 0);
+    }
+}

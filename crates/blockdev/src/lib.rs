@@ -22,7 +22,9 @@
 //! * [`TrackedDisk`] — the RAE mount's device meter (every request into
 //!   telemetry) and written-block set (one atomic bit per block), which
 //!   is all the warm standby's recovery resync needs to know about the
-//!   live device;
+//!   live device; its [`TrackedDisk::snapshot`] is a [`FrozenView`], the
+//!   device as of one moment, copied a block at a time before the base
+//!   overwrites it (copy-before-write) or when the view first reads it;
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
 //!   write-back engine the base filesystem's page cache evicts through;
 //! * [`TapeDisk`] — an in-memory disk recording every read, write (with
@@ -55,6 +57,7 @@ pub mod crash;
 mod device;
 mod faulty;
 mod file;
+mod frozen;
 mod mem;
 mod memo;
 mod queue;
@@ -69,6 +72,7 @@ pub use faulty::{
     WriteCutMode,
 };
 pub use file::FileDisk;
+pub use frozen::FrozenView;
 pub use mem::MemDisk;
 pub use memo::MemoDisk;
 pub use queue::{QueueConfig, WritebackQueue};

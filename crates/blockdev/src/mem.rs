@@ -58,9 +58,11 @@ impl MemDisk {
         MemDisk { blocks }
     }
 
-    /// Copy every block of `dev` into a new in-memory disk. The warm
-    /// standby snapshots the device this way at quiesced points so its
-    /// reads never race the live base's write-back.
+    /// Copy every block of `dev` into a new in-memory disk: an eager
+    /// snapshot, O(device) in time and memory. The warm standby does not
+    /// use it — its [`crate::FrozenView`] copies a block only when read
+    /// or about to be overwritten — but tests use it as that view's
+    /// oracle.
     ///
     /// # Errors
     ///

@@ -1,34 +1,43 @@
-//! The mount's device meter, and write-set tracking for warm-standby
-//! resynchronization.
+//! The mount's device meter, write-set tracking for warm-standby
+//! resynchronization, and the copy-before-write behind its frozen
+//! snapshots.
 
 use crate::device::{BlockDevice, Extent, IoPhase};
+use crate::frozen::{capture, Epoch, FrozenView};
+use parking_lot::RwLock;
 use rae_telemetry::{DevOp, Telemetry};
 use rae_vfs::FsResult;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 /// The one wrapper every RAE mount puts directly on its device: it
-/// meters every request into the mount's [`Telemetry`] and records
-/// which blocks have been written since the last
-/// [`TrackedDisk::take_written`].
+/// meters every request into the mount's [`Telemetry`], records which
+/// blocks have been written since the last [`TrackedDisk::take_written`],
+/// and hands out frozen views of the device
+/// ([`TrackedDisk::snapshot`]).
 ///
 /// All base traffic crosses it, so its telemetry counts are the
 /// mount's device I/O, and a recovery reads its shadow phase's device
-/// reads off the same meter.
+/// reads off the same meter. A frozen view's reads cross it too.
 ///
-/// The warm standby executes against a frozen snapshot of the device,
-/// so at recovery time the runtime must reconcile the standby's merged
-/// view with the live image. Blocks neither side touched since the
-/// snapshot are the same on both and need no attention — this wrapper
-/// supplies the "blocks the base touched" half of that union, which is
-/// all the reconciliation needs to know about the live device: it
-/// never reads it. The set is drained at every snapshot point
-/// (standby spawn and re-spawn) and at every warm hand-over, so its
-/// size is bounded by the write traffic between those.
+/// The warm standby executes against a frozen view of the device, so at
+/// recovery time the runtime must reconcile the standby's merged view
+/// with the live image. Blocks neither side touched since the snapshot
+/// are the same on both and need no attention — this wrapper supplies
+/// the "blocks the base touched" half of that union. The set is
+/// drained at every snapshot point (standby spawn and re-spawn) and at
+/// every warm hand-over, so its size is bounded by the write traffic
+/// between those.
 ///
 /// The set is one bit per device block (the block count is fixed), so
 /// the base's write-back workers record a write with one `fetch_or`
 /// and never meet on a lock.
+///
+/// While a view is live, a write first copies the old contents of each
+/// block no live view holds yet from the device into those views, one
+/// read request per run of such blocks (see [`crate::FrozenView`]).
+/// With no view live — the standby off — a write pays one atomic load
+/// for this. No lock is held across a device request.
 pub struct TrackedDisk {
     inner: Arc<dyn BlockDevice>,
     /// Bit `bno % 64` of word `bno / 64`. Set with `Release` after the
@@ -37,6 +46,12 @@ pub struct TrackedDisk {
     written: Box<[AtomicU64]>,
     telemetry: Arc<Telemetry>,
     recovery_phase: AtomicBool,
+    /// The epochs of the views handed out; dead ones are pruned at the
+    /// next snapshot.
+    views: RwLock<Vec<Weak<Epoch>>>,
+    /// How many of `views` are alive: a write that loads 0 skips the
+    /// copy-before-write entirely.
+    live_views: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for TrackedDisk {
@@ -57,6 +72,43 @@ impl TrackedDisk {
             written: (0..words).map(|_| AtomicU64::new(0)).collect(),
             telemetry,
             recovery_phase: AtomicBool::new(false),
+            views: RwLock::new(Vec::new()),
+            live_views: Arc::new(AtomicUsize::new(0)),
+        }
+    }
+
+    /// A read-only view of the device frozen at this moment: every read
+    /// through it answers the contents the device holds now, however
+    /// it is written later. Blocks are copied lazily, when the view
+    /// reads them or just before a write through this tracker first
+    /// overwrites them, so the view costs the blocks that changed or
+    /// were looked at, not the device.
+    #[must_use]
+    pub fn snapshot(self: &Arc<Self>) -> FrozenView {
+        let epoch = Arc::new(Epoch::new(self.block_count(), Arc::clone(&self.live_views)));
+        let mut views = self.views.write();
+        views.retain(|v| v.strong_count() > 0);
+        views.push(Arc::downgrade(&epoch));
+        self.live_views.fetch_add(1, Ordering::SeqCst);
+        drop(views);
+        FrozenView::new(epoch, Arc::clone(self))
+    }
+
+    /// How many views handed out are still alive.
+    #[cfg(test)]
+    pub(crate) fn live_views(&self) -> usize {
+        self.live_views.load(Ordering::SeqCst)
+    }
+
+    /// Copy-before-write for a write of `ranges` (`[start, end)` each):
+    /// one load when no view is live.
+    fn capture_before_write(&self, ranges: impl IntoIterator<Item = (u64, u64)>) {
+        if self.live_views.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let epochs: Vec<Arc<Epoch>> = self.views.read().iter().filter_map(Weak::upgrade).collect();
+        if !epochs.is_empty() {
+            capture(self, &epochs, ranges);
         }
     }
 
@@ -128,6 +180,7 @@ impl BlockDevice for TrackedDisk {
     }
 
     fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+        self.capture_before_write([(bno, bno + 1)]);
         self.timed(DevOp::Write, 1, 1, || {
             self.inner.write_block(bno, buf)?;
             self.mark_written(bno, bno + 1);
@@ -145,6 +198,7 @@ impl BlockDevice for TrackedDisk {
     /// joins the write set either way: a superset only costs the resync
     /// a look at a block, a missed block would be a stale one.
     fn write_blocks(&self, extents: &[Extent<'_>]) -> FsResult<()> {
+        self.capture_before_write(extents.iter().map(|e| (e.start, e.start + e.len() as u64)));
         let blocks = extents.iter().map(Extent::len).sum();
         self.timed(DevOp::Write, extents.len(), blocks, || {
             let result = self.inner.write_blocks(extents);

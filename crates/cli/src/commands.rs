@@ -300,14 +300,17 @@ impl Session {
                 let s = self.fs.stats();
                 Ok(format!(
                     "active={} degraded={} completed_seq={} applied_seq={} \
-                     lag={} divergences={} publish_waits={}",
+                     lag={} divergences={} publish_waits={} snapshot_blocks={} \
+                     snapshot_captures={}",
                     s.standby_active,
                     s.standby_degraded,
                     s.standby_completed_seq,
                     s.standby_applied_seq,
                     s.standby_lag,
                     s.standby_divergences,
-                    s.standby_publish_waits
+                    s.standby_publish_waits,
+                    s.standby_snapshot_blocks,
+                    s.standby_snapshot_captures
                 ))
             }
             "audit" => {
@@ -790,6 +793,15 @@ mod tests {
         let out = s.run("standby").unwrap();
         assert!(out.contains("active=true"), "{out}");
         assert!(out.contains("lag=0"), "{out}");
+        // the frozen view holds what the standby read and what the base
+        // overwrote, not the device
+        let count = |out: &str, key: &str| -> u64 {
+            let at = out.find(key).unwrap_or_else(|| panic!("{key} in {out}")) + key.len();
+            out[at..].split(' ').next().unwrap().parse().unwrap()
+        };
+        let held = count(&out, "snapshot_blocks=");
+        assert!(0 < held && held < 4096, "{out}");
+        assert!(count(&out, "snapshot_captures=") <= held, "{out}");
 
         // a masked panic now recovers through the warm standby and the
         // standby respawns for the next fault
@@ -814,7 +826,14 @@ mod tests {
         assert!(ladder.contains("resync_candidates="), "{ladder}");
         assert!(!ladder.contains("resync_candidates=0"), "{ladder}");
         assert!(ladder.contains("reads_served=0"), "{ladder}");
+        let out = s.run("standby").unwrap();
+        assert!(
+            count(&out, "snapshot_blocks=") > 0,
+            "resumed over the view: {out}"
+        );
         let json = s.run("stats --json").unwrap();
+        assert!(json.contains("\"snapshot_blocks\": "), "{json}");
+        assert!(json.contains("\"snapshot_captures\": "), "{json}");
         assert!(json.contains("\"resync_pruned\""), "{json}");
         assert!(json.contains("\"reads_served\": 0"), "{json}");
         assert!(json.contains("\"reads_served_in_recovery\": 0"), "{json}");
@@ -855,6 +874,10 @@ mod tests {
         let mut s = session();
         let out = s.run("standby").unwrap();
         assert!(out.contains("active=false"), "{out}");
+        assert!(
+            out.contains("snapshot_blocks=0 snapshot_captures=0"),
+            "{out}"
+        );
         assert!(s.run("help").unwrap().contains("standby"));
     }
 

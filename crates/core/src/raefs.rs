@@ -7,7 +7,9 @@ use crate::report::{
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
-use rae_blockdev::{BlockDevice, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk};
+use rae_blockdev::{
+    BlockDevice, FrozenView, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk,
+};
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
@@ -349,7 +351,9 @@ struct RungSuccess {
     outcome: OpOutcome,
     read_reply: Option<FsResult<ReadReply>>,
     report: RecoveryReport,
-    standby_fork: Option<ShadowFs>,
+    /// The warm rung's re-arm: a fork of the handed-over shadow and the
+    /// frozen view it reads.
+    standby_fork: Option<(ShadowFs, FrozenView)>,
     reissue_sync: bool,
 }
 
@@ -398,7 +402,7 @@ impl RaeFs {
                 // drain before the spawn snapshot: anything landing
                 // later stays tracked for the next resync
                 let _ = tracker.take_written();
-                match WarmStandby::spawn(base.device(), config.shadow, Vec::new()) {
+                match WarmStandby::spawn(tracker.snapshot(), config.shadow, Vec::new()) {
                     Ok(sb) => {
                         sb.set_telemetry(Arc::clone(&telemetry));
                         (Some(sb), false)
@@ -513,6 +517,8 @@ impl RaeFs {
                 .standby_publish_waits_acc
                 .load(Ordering::Relaxed)
                 + standby.publish_waits,
+            standby_snapshot_blocks: standby.snapshot_blocks,
+            standby_snapshot_captures: standby.snapshot_captures,
             degraded: self.degraded.load(Ordering::Acquire),
             ladder_warm: count(LadderRung::Warm),
             ladder_cold: count(LadderRung::Cold),
@@ -681,7 +687,7 @@ impl RaeFs {
         let (backlog, _) = log.for_recovery();
         // drain before the spawn snapshot (see `mount`)
         let _ = self.tracker.take_written();
-        match WarmStandby::spawn(self.base.device(), self.config.shadow, backlog) {
+        match WarmStandby::spawn(self.tracker.snapshot(), self.config.shadow, backlog) {
             Ok(sb) => {
                 sb.set_telemetry(Arc::clone(&self.telemetry));
                 *self.shared.standby.lock() = Some(sb);
@@ -1270,13 +1276,13 @@ impl RaeFs {
             (t.dev_requests(DevOp::Read), t.dev_blocks(DevOp::Read))
         };
         let meter_before = meter();
-        let (path, shadow_load_time, mut shadow, replay, records_replayed) = match warm {
+        let (view, shadow_load_time, mut shadow, replay, records_replayed) = match warm {
             Some((draining, drained)) => {
                 let handed = draining.wait().ok_or_else(|| FsError::Internal {
                     detail: "warm standby failed while draining for the handover".to_string(),
                 })?;
                 (
-                    RecoveryPath::Warm,
+                    Some(handed.view),
                     Duration::ZERO,
                     *handed.shadow,
                     handed.report,
@@ -1301,8 +1307,13 @@ impl RaeFs {
                 t_replay = Instant::now();
                 let replay = shadow.replay_constrained(completed)?;
                 let executed = replay.executed;
-                (RecoveryPath::Cold, load_time, shadow, replay, executed)
+                (None, load_time, shadow, replay, executed)
             }
+        };
+        let path = if view.is_some() {
+            RecoveryPath::Warm
+        } else {
+            RecoveryPath::Cold
         };
         // 4. autonomous execution of the in-flight operation (pending
         // reads complete through the shadow too)
@@ -1324,19 +1335,24 @@ impl RaeFs {
             None => None,
         };
 
-        // Warm path: the shadow ran on its own frozen snapshot, so its
+        // Warm path: the shadow ran on its own frozen view, so its
         // overlay is not yet the whole difference to the live image the
         // base kept writing. Quiesced, caught up, and the device just
         // rebooted to the durable state: reconcile against the base's
-        // write set — from what the shadow already holds, without a
-        // read of the live device — then fork before the metadata
-        // download consumes the shadow: the copy resumes as the next
-        // standby without an O(device) snapshot or a backlog replay.
-        let (resync, standby_fork) = if path == RecoveryPath::Warm {
-            let written = self.tracker.take_written();
-            (shadow.resync_against(&written)?, Some(shadow.fork()))
-        } else {
-            (ResyncReport::default(), None)
+        // write set — from what the shadow already holds and the view
+        // copied before the base overwrote it, without a read of the
+        // live device — then fork before the metadata download consumes
+        // the shadow: the copy resumes as the next standby, over the
+        // same view, without a new snapshot or a backlog replay.
+        let (resync, standby_fork) = match view {
+            Some(view) => {
+                let written = self.tracker.take_written();
+                (
+                    shadow.resync_against(&written)?,
+                    Some((shadow.fork(), view)),
+                )
+            }
+            None => (ResyncReport::default(), None),
         };
 
         // 5. metadata download into the rebooted base
@@ -1435,14 +1451,14 @@ impl RaeFs {
         // re-arm the warm standby so the *next* recovery is warm too:
         // a warm recovery resumes the forked shadow (it already holds
         // the exact state the base just absorbed); a cold one re-spawns
-        // from a fresh device snapshot plus the retained log
+        // from a fresh frozen view plus the retained log
         match standby_fork {
-            Some(forked) => {
+            Some((forked, view)) => {
                 let resume_seq = in_flight
                     .map(|(s, _)| s)
                     .or_else(|| completed.last().map(|r| r.seq))
                     .unwrap_or(0);
-                let resumed = WarmStandby::resume(forked, resume_seq);
+                let resumed = WarmStandby::resume(forked, view, resume_seq);
                 resumed.set_telemetry(Arc::clone(&self.telemetry));
                 *self.shared.standby.lock() = Some(resumed);
                 self.shared.standby_degraded.store(false, Ordering::Release);

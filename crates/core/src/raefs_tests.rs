@@ -7,7 +7,8 @@ use crate::{
 };
 use rae_basefs::BaseFsConfig;
 use rae_blockdev::{
-    BlockDevice, DiskFaultPlan, FaultTarget, FaultyDisk, MemDisk, TapeDisk, TriggerMode, BLOCK_SIZE,
+    BlockDevice, DiskFaultPlan, FaultTarget, FaultyDisk, MemDisk, TapeDisk, TapeEntry, TriggerMode,
+    BLOCK_SIZE,
 };
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{fsck, mkfs, MkfsParams};
@@ -1659,6 +1660,10 @@ fn concurrent_churn_replay_matches_model_for_cold_and_warm() {
 /// A warm-standby mount over the formatted `dev` with a bug armed on
 /// every directory insertion (not removal) of a name containing "boom".
 fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
+    warm_boom_mount_with(dev, rae_shadowfs::ShadowOpts::default())
+}
+
+fn warm_boom_mount_with(dev: Arc<dyn BlockDevice>, shadow: rae_shadowfs::ShadowOpts) -> RaeFs {
     let faults = FaultRegistry::new();
     faults.arm(BugSpec::new(
         160,
@@ -1676,6 +1681,7 @@ fn warm_boom_mount(dev: Arc<dyn BlockDevice>) -> RaeFs {
             ..BaseFsConfig::default()
         },
         standby: crate::StandbyOpts { enabled: true },
+        shadow,
         ..RaeConfig::default()
     };
     RaeFs::mount(dev, config).unwrap()
@@ -1717,7 +1723,7 @@ fn warm_recovery_reads_nothing_from_the_live_device() {
 
     let mark = disk.mark();
     fs.mkdir("/boom").unwrap(); // bug fires; masked by a warm recovery
-    let reads = disk.reads_since(mark);
+    let tape = disk.since(mark);
 
     let reports = fs.recovery_reports();
     assert_eq!(reports.len(), 1);
@@ -1736,17 +1742,37 @@ fn warm_recovery_reads_nothing_from_the_live_device() {
     // seen from under the stack: every read of the whole recovery is
     // the contained reboot's (superblock, journal scan, allocator
     // bitmaps) — none from the inode table or the data region, where
-    // the resync's candidates live
+    // the resync's candidates live — or the standby's frozen view
+    // copying a block the reboot is about to write home: the tape's
+    // next request on that block is its write, in the same flush epoch,
+    // and no block is copied twice
     let reboot_reads = |b: u64| b < geo.inode_table_start;
-    assert!(!reads.is_empty());
-    assert!(
-        reads.iter().all(|&b| reboot_reads(b)),
-        "live-device reads outside the reboot: {:?}",
-        reads
-            .iter()
-            .filter(|&&b| !reboot_reads(b))
-            .collect::<Vec<_>>()
-    );
+    let mut copied = Vec::new();
+    for (i, entry) in tape.iter().enumerate() {
+        let TapeEntry::Read(b) = *entry else { continue };
+        if reboot_reads(b) {
+            continue;
+        }
+        let next = tape[i + 1..].iter().find(|e| match e {
+            TapeEntry::Read(x) | TapeEntry::Write(x, _) => *x == b,
+            TapeEntry::Flush => true,
+        });
+        assert!(
+            matches!(next, Some(TapeEntry::Write(x, _)) if *x == b),
+            "live-device read of block {b} at {i} is no copy-before-write: next {:?}",
+            next.map(|e| match e {
+                TapeEntry::Read(x) => format!("read {x}"),
+                TapeEntry::Write(x, _) => format!("write {x}"),
+                TapeEntry::Flush => "flush".to_string(),
+            })
+        );
+        copied.push(b);
+    }
+    assert!(tape.iter().any(|e| matches!(e, TapeEntry::Read(_))));
+    let n = copied.len();
+    copied.sort_unstable();
+    copied.dedup();
+    assert_eq!(copied.len(), n, "a block copied twice: {copied:?}");
 
     let model = rae_fsmodel::ModelFs::new();
     warm_handover_program(&model);
@@ -1890,12 +1916,12 @@ fn warm_recoveries_under_churn_do_not_ratchet() {
 /// has started. The warm rung asks for the handover before the
 /// contained reboot reads anything, so the action runs inside the
 /// reboot, after the drain was requested. It can also answer the first
-/// read of one block with doctored bytes.
+/// read of one block made on one thread with doctored bytes.
 struct ActOnRebootRead {
     inner: MemDisk,
     recovering: std::sync::atomic::AtomicBool,
     action: std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    doctored: std::sync::Mutex<Option<(u64, Vec<u8>)>>,
+    doctored: std::sync::Mutex<Option<(std::thread::ThreadId, u64, Vec<u8>)>>,
 }
 
 impl ActOnRebootRead {
@@ -1927,7 +1953,8 @@ impl BlockDevice for ActOnRebootRead {
             }
         }
         let mut doctored = self.doctored.lock().unwrap();
-        if let Some((_, bytes)) = doctored.take_if(|(b, _)| *b == bno) {
+        let here = std::thread::current().id();
+        if let Some((_, _, bytes)) = doctored.take_if(|(t, b, _)| *t == here && *b == bno) {
             buf.copy_from_slice(&bytes);
             return Ok(());
         }
@@ -2080,6 +2107,228 @@ fn warm_publish_waits_survive_the_respawn() {
     );
     fs.unmount().unwrap();
     assert!(fsck(dev.as_ref()).unwrap().is_clean());
+}
+
+// ----------------------------------------------------------------------
+// The standby's frozen view: copy-before-write, not a device copy
+// ----------------------------------------------------------------------
+
+/// One step of round `round`, in the seeded directory `/w{round}`:
+/// open, a partial two-block overwrite and close of a seed file, and a
+/// `mkdir` — one record each.
+fn overwrite_step(f: &dyn FileSystem, round: u64, k: u64, fd: &mut Option<Fd>) {
+    let file = format!("/w{round}/f{}", (k / 4) % 8);
+    match k % 4 {
+        0 => *fd = Some(f.open(&file, OpenFlags::RDWR).unwrap()),
+        1 => {
+            let offset = ((k / 4) % 3) * BLOCK_SIZE as u64 + 100;
+            f.write(fd.unwrap(), offset, &[k as u8; 5000]).unwrap();
+        }
+        2 => f.close(fd.take().unwrap()).unwrap(),
+        _ => f.mkdir(&format!("/w{round}/d{k}")).unwrap(),
+    }
+}
+
+/// The base runs a full channel of records ahead of a held standby,
+/// then syncs and checkpoints, so the device holds blocks from the
+/// standby's future before it reads them. Its frozen view answers their
+/// contents at the epoch, and every handover yields the model's tree.
+/// A standby that validates its image at load has read the metadata by
+/// then, so the blocks it first reads late are file data; one that
+/// does not reads each round's directory blocks late, and a standby
+/// that saw the future there would find the round's directories
+/// already made.
+#[test]
+fn warm_handover_a_full_channel_behind_reads_the_epoch() {
+    for validate_image in [false, true] {
+        warm_full_channel_behind(rae_shadowfs::ShadowOpts {
+            validate_image,
+            ..rae_shadowfs::ShadowOpts::default()
+        });
+    }
+}
+
+fn warm_full_channel_behind(shadow: rae_shadowfs::ShadowOpts) {
+    const CAPACITY: u64 = rae_standby::CHANNEL_CAPACITY as u64;
+    const ROUNDS: u64 = 3;
+    let dev = Arc::new(MemDisk::new(4096));
+    mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let model = rae_fsmodel::ModelFs::new();
+    // seeded by an earlier mount: the standby reads it through its
+    // view, not out of its own overlay; one directory per round, so
+    // every round's blocks are new to the view
+    let seed = RaeFs::mount(
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        RaeConfig::default(),
+    )
+    .unwrap();
+    for f in [&seed as &dyn FileSystem, &model] {
+        for round in 0..ROUNDS {
+            f.mkdir(&format!("/w{round}")).unwrap();
+            for i in 0..8u8 {
+                let fd = f.open(&format!("/w{round}/f{i}"), rw_create()).unwrap();
+                f.write(fd, 0, &vec![i + 1; 3 * BLOCK_SIZE]).unwrap();
+                f.close(fd).unwrap();
+            }
+        }
+    }
+    seed.unmount().unwrap();
+
+    let fs = warm_boom_mount_with(Arc::clone(&dev) as Arc<dyn BlockDevice>, shadow);
+    for round in 0..ROUNDS {
+        wait_caught_up(&fs);
+        let captures = fs.stats().standby_snapshot_captures;
+        let release = fs.with_standby(rae_standby::WarmStandby::pause).unwrap();
+        let (mut fd, mut model_fd, mut k) = (None, None, 0);
+        while fs.stats().standby_lag < CAPACITY - 1 {
+            overwrite_step(&fs, round, k, &mut fd);
+            overwrite_step(&model, round, k, &mut model_fd);
+            k += 1;
+        }
+        fs.sync().unwrap();
+        model.sync().unwrap();
+        fs.base().checkpoint().unwrap();
+        let stats = fs.stats();
+        assert_eq!(stats.standby_lag, CAPACITY, "round {round}: a full channel");
+        assert!(
+            stats.standby_snapshot_captures > captures,
+            "round {round}: the base overwrote blocks the view had not read"
+        );
+        release.send(()).unwrap();
+
+        let boom = format!("/w{round}/boom");
+        fs.close(fs.open(&boom, rw_create()).unwrap()).unwrap(); // a warm recovery
+        model
+            .close(model.open(&boom, rw_create()).unwrap())
+            .unwrap();
+        for (f, fd) in [(&fs as &dyn FileSystem, fd), (&model, model_fd)] {
+            if let Some(fd) = fd {
+                f.close(fd).unwrap();
+            }
+        }
+        let r = fs.last_recovery_report().unwrap();
+        assert_eq!(r.rung, LadderRung::Warm, "round {round}, {shadow:?}: {r:?}");
+        assert!(
+            r.discrepancies.is_empty(),
+            "{shadow:?}: {:?}",
+            r.discrepancies
+        );
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        tree_of(&model, "/", &mut want);
+        tree_of(&fs, "/", &mut got);
+        assert_eq!(got, want, "round {round}, {shadow:?}");
+    }
+    assert_eq!(fs.stats().ladder_warm, ROUNDS);
+    fs.unmount().unwrap();
+    assert!(fsck(dev.as_ref()).unwrap().is_clean());
+}
+
+/// A cold recovery with the standby on re-arms it over a new frozen
+/// view: it reads the metadata it loads, not the device.
+#[test]
+fn warm_standby_re_armed_by_a_cold_recovery_reads_metadata_not_the_device() {
+    let tele = Telemetry::new();
+    let dev = Arc::new(MemDisk::new(4096));
+    let geo = mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
+    let fs = RaeFs::mount(
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        RaeConfig {
+            base: BaseFsConfig {
+                faults: boom_faults(),
+                ..BaseFsConfig::default()
+            },
+            standby: warm_opts(),
+            telemetry: Some(Arc::clone(&tele)),
+            ..RaeConfig::default()
+        },
+    )
+    .unwrap();
+    fs.mkdir("/d").unwrap();
+    for i in 0..16u8 {
+        let fd = fs.open(&format!("/d/f{i}"), rw_create()).unwrap();
+        fs.write(fd, 0, &vec![i; 2 * BLOCK_SIZE]).unwrap();
+        fs.close(fd).unwrap();
+    }
+    // the standby dies, so the next recovery is cold
+    drop(fs.with_standby(rae_standby::WarmStandby::pause).unwrap());
+    while fs.stats().standby_active {
+        std::thread::yield_now();
+    }
+    let before = tele.dev_blocks(DevOp::Read);
+    fs.mkdir("/d/boom").unwrap();
+    let read = tele.dev_blocks(DevOp::Read) - before;
+    let r = fs.last_recovery_report().unwrap();
+    assert_eq!(r.rung, LadderRung::Cold, "{r:?}");
+    let stats = fs.stats();
+    assert!(stats.standby_active, "re-armed");
+    // the reboot, the cold rung's pass and the new view's load read
+    // the journal, bitmaps and inode table they need and the blocks of
+    // `/` and `/d`: fewer than the metadata region holds, where a copy
+    // of the device would read all 4096 blocks
+    assert!(read < geo.data_start, "{read} blocks read for {r:?}");
+    assert!(stats.standby_snapshot_blocks < geo.data_start, "{stats:?}");
+    fs.unmount().unwrap();
+    assert!(fsck(dev.as_ref()).unwrap().is_clean());
+}
+
+/// A copy-before-write read that fails loses the block in the view, not
+/// the base's write: the standby degrades, the next recovery is cold
+/// and correct, and the one after it warm again.
+#[test]
+fn warm_a_lost_snapshot_block_degrades_the_standby_and_recovers_cold() {
+    let disk = Arc::new(FaultyDisk::new(MemDisk::new(4096)));
+    let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let fs = warm_boom_mount(Arc::clone(&disk) as Arc<dyn BlockDevice>);
+    let model = rae_fsmodel::ModelFs::new();
+    for f in [&fs as &dyn FileSystem, &model] {
+        f.mkdir("/d").unwrap();
+    }
+    wait_caught_up(&fs);
+    // the base writes new files while no data-region block can be read:
+    // the view holds none of them, so their copies fail
+    disk.set_plan(DiskFaultPlan::new().fail_reads(
+        FaultTarget::Range {
+            start: geo.data_start,
+            end: geo.total_blocks,
+        },
+        TriggerMode::Always,
+    ));
+    for f in [&fs as &dyn FileSystem, &model] {
+        for i in 0..4u8 {
+            let fd = f.open(&format!("/d/f{i}"), rw_create()).unwrap();
+            f.write(fd, 0, &vec![i + 1; 3 * BLOCK_SIZE]).unwrap();
+            f.close(fd).unwrap();
+        }
+        f.sync().expect("the base's writes succeed");
+    }
+    disk.clear_plan();
+    assert!(
+        !fs.stats().standby_active,
+        "a lost block degrades the standby"
+    );
+    for f in [&fs as &dyn FileSystem, &model] {
+        f.mkdir("/d/after").unwrap();
+    }
+    assert!(fs.stats().standby_degraded);
+
+    for (round, rung) in [(0, LadderRung::Cold), (1, LadderRung::Warm)] {
+        wait_caught_up(&fs);
+        let boom = format!("/d/boom{round}");
+        fs.close(fs.open(&boom, rw_create()).unwrap()).unwrap();
+        model
+            .close(model.open(&boom, rw_create()).unwrap())
+            .unwrap();
+        let r = fs.last_recovery_report().unwrap();
+        assert_eq!(r.rung, rung, "{r:?}");
+        assert!(r.failed_rungs.is_empty(), "{r:?}");
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        tree_of(&model, "/", &mut want);
+        tree_of(&fs, "/", &mut got);
+        assert_eq!(got, want, "round {round}");
+        assert!(fs.stats().standby_active, "round {round}: re-armed");
+    }
+    fs.unmount().unwrap();
+    assert!(fsck(disk.as_ref()).unwrap().is_clean());
 }
 
 // ----------------------------------------------------------------------
@@ -2358,8 +2607,11 @@ fn warm_serve_none_on_the_cold_rung() {
 #[test]
 fn warm_serve_a_failing_fork_sends_readers_to_the_gate() {
     // `/x` is written by an earlier mount, with its inode alone in its
-    // inode-table block; the standby's snapshot reads that block
-    // doctored (a flipped byte in the inode), the live device never does
+    // inode-table block; the standby's frozen view reads that block
+    // doctored (a flipped byte in the inode), the base never does: the
+    // doctored read is the first of that block on the thread of a
+    // reader that arrives while the gate is held, which only the view
+    // serves
     let (dev, geo) = ActOnRebootRead::formatted();
     let x = {
         let fs = RaeFs::mount(
@@ -2387,7 +2639,6 @@ fn warm_serve_a_failing_fork_sends_readers_to_the_gate() {
         .unwrap();
     let mut bytes = vec![0; BLOCK_SIZE];
     rotten.read_block(bno, &mut bytes).unwrap();
-    *dev.doctored.lock().unwrap() = Some((bno, bytes));
 
     let fs = serve_mount(
         &dev,
@@ -2400,10 +2651,6 @@ fn warm_serve_a_failing_fork_sends_readers_to_the_gate() {
             },
             ..warm_config()
         },
-    );
-    assert!(
-        dev.doctored.lock().unwrap().is_none(),
-        "the snapshot took it"
     );
     serve_program(&fs);
     wait_caught_up(&fs);
@@ -2423,7 +2670,15 @@ fn warm_serve_a_failing_fork_sends_readers_to_the_gate() {
         let mut during = Vec::new();
         for (path, wait) in [("/s/f", PROMPT), ("/x", HELD), ("/s/f", HELD)] {
             let reply_tx = reply_tx.clone();
-            s.spawn(move || reply_tx.send((path, fs.stat(path).map(|st| st.size))));
+            let doctor = (path == "/x").then(|| (bno, bytes.clone()));
+            let dev = &dev;
+            s.spawn(move || {
+                if let Some((bno, bytes)) = doctor {
+                    let here = std::thread::current().id();
+                    *dev.doctored.lock().unwrap() = Some((here, bno, bytes));
+                }
+                reply_tx.send((path, fs.stat(path).map(|st| st.size)))
+            });
             during.push(reply.recv_timeout(wait).ok());
         }
         release.send(()).unwrap();
@@ -2434,6 +2689,7 @@ fn warm_serve_a_failing_fork_sends_readers_to_the_gate() {
         after.sort_by_key(|r| r.0);
         (during, after)
     });
+    assert!(dev.doctored.lock().unwrap().is_none(), "the view took it");
     assert_eq!(during, [Some(("/s/f", Ok(24))), None, None]);
     // the last two waited at the gate for the recovered base
     assert_eq!(after, [("/s/f", Ok(24)), ("/x", Ok(7))]);

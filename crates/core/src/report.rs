@@ -261,6 +261,12 @@ pub struct RaeStats {
     /// its apply thread: completions held back by a standby that is not
     /// keeping pace.
     pub standby_publish_waits: u64,
+    /// Blocks the live standby's frozen view holds — the standby's
+    /// snapshot memory, in blocks (0 with no standby).
+    pub standby_snapshot_blocks: u64,
+    /// How many of `standby_snapshot_blocks` a base write forced: the
+    /// old contents copied before the base overwrote them.
+    pub standby_snapshot_captures: u64,
     /// The mount is in read-only degraded mode (mutations refused with
     /// `EROFS`, reads served off the journal-consistent base).
     pub degraded: bool,

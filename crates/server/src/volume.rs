@@ -582,6 +582,16 @@ impl VolumeManager {
                 "Reads answered from the drained warm standby's fork during recoveries.",
                 4,
             ),
+            (
+                "rae_standby_snapshot_blocks",
+                "Blocks the warm standby's frozen view holds (its snapshot memory).",
+                5,
+            ),
+            (
+                "rae_standby_snapshot_captures",
+                "Snapshot blocks copied before a base write overwrote them.",
+                6,
+            ),
         ] {
             gauge(
                 &mut out,
@@ -595,7 +605,9 @@ impl VolumeManager {
                             1 => s.detected_errors,
                             2 => s.recovery_time_ns,
                             3 => u64::from(s.degraded),
-                            _ => s.reads_served_in_recovery,
+                            4 => s.reads_served_in_recovery,
+                            5 => s.standby_snapshot_blocks,
+                            _ => s.standby_snapshot_captures,
                         };
                         (vlabel(v), val)
                     })
@@ -791,14 +803,17 @@ fn render_volume_body_inner(fs: &RaeFs, indent: &str) -> String {
     }
     out.push_str(&format!(
         "{indent}\"standby\": {{\"active\": {}, \"degraded\": {}, \"completed_seq\": {}, \
-         \"applied_seq\": {}, \"lag\": {}, \"divergences\": {}, \"publish_waits\": {}}},\n",
+         \"applied_seq\": {}, \"lag\": {}, \"divergences\": {}, \"publish_waits\": {}, \
+         \"snapshot_blocks\": {}, \"snapshot_captures\": {}}},\n",
         s.standby_active,
         s.standby_degraded,
         s.standby_completed_seq,
         s.standby_applied_seq,
         s.standby_lag,
         s.standby_divergences,
-        s.standby_publish_waits
+        s.standby_publish_waits,
+        s.standby_snapshot_blocks,
+        s.standby_snapshot_captures
     ));
     // the last recovery's shadow-phase I/O: distinct blocks fetched, the
     // device requests that fetched them, reads the cold rung's snapshot
@@ -1024,6 +1039,10 @@ mod tests {
         assert!(json.contains("\"volumes\""), "{json}");
         assert!(json.contains("\"alpha\""), "{json}");
         assert!(json.contains("\"beta\""), "{json}");
+        assert!(
+            json.contains("\"snapshot_blocks\": 0, \"snapshot_captures\": 0}"),
+            "{json}"
+        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -1046,6 +1065,8 @@ mod tests {
             "quantile=\"0.999\"",
             "rae_recoveries{volume=\"t0\"} 0",
             "rae_reads_served_in_recovery{volume=\"t0\"} 0",
+            "rae_standby_snapshot_blocks{volume=\"t0\"} 0",
+            "rae_standby_snapshot_captures{volume=\"t0\"} 0",
             "# TYPE rae_attr_ns summary",
             "rae_events_dropped{volume=\"t0\"}",
         ] {

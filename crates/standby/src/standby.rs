@@ -41,17 +41,21 @@
 //! device back asynchronously — a lagging standby that first reads a
 //! block *after* the base persisted a later version of it would see
 //! the future and re-apply records on top of it. The standby therefore
-//! never touches the live device after spawn: [`WarmStandby::spawn`]
-//! copies the (quiesced) device into a private
-//! [`rae_blockdev::MemDisk`] snapshot and the shadow executes against
-//! that frozen image.
+//! never reads the live device as it is now: [`WarmStandby::spawn`]
+//! takes a [`FrozenView`] of the (quiesced) device, and the shadow
+//! executes against that frozen image. The view copies a block only
+//! when the shadow first reads it or just before the base first
+//! overwrites it (copy-before-write), so the standby holds what changed
+//! and what it looked at, not the device; [`StandbyStatus`] reports
+//! both counts. A view that lost a block to a failed copy-before-write
+//! read degrades the standby.
 //!
 //! Any divergence — a shadow runtime error or a panic in the apply
 //! thread — tears the standby down; the runtime routes the next
 //! recovery through cold replay.
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use rae_blockdev::{BlockDevice, MemDisk};
+use rae_blockdev::FrozenView;
 use rae_shadowfs::{ReplayReport, ShadowFs, ShadowOpts};
 use rae_telemetry::{EventKind, Telemetry};
 use rae_vfs::{FsResult, OpRecord};
@@ -105,6 +109,12 @@ pub struct StandbyStatus {
     /// Publishes that found the channel full and waited for the apply
     /// thread: the standby's back-pressure on the base.
     pub publish_waits: u64,
+    /// Blocks the standby's frozen view holds: its snapshot's memory,
+    /// in blocks.
+    pub snapshot_blocks: u64,
+    /// How many of `snapshot_blocks` a base write forced
+    /// (copy-before-write); the rest the standby read first.
+    pub snapshot_captures: u64,
 }
 
 /// The caught-up shadow handed over at recovery.
@@ -116,6 +126,8 @@ pub struct HandoverState {
     pub report: ReplayReport,
     /// Records applied over the standby's lifetime.
     pub applied_records: u64,
+    /// The frozen view the shadow reads, to resume a standby over.
+    pub view: FrozenView,
 }
 
 const HEALTHY: u8 = 0;
@@ -166,33 +178,32 @@ enum Msg {
 pub struct WarmStandby {
     tx: Sender<Msg>,
     shared: Arc<Shared>,
+    view: FrozenView,
     handle: Option<JoinHandle<()>>,
     telemetry: OnceLock<Arc<Telemetry>>,
 }
 
 impl WarmStandby {
-    /// Snapshot `dev`, load a shadow over the snapshot (synchronously,
-    /// so load errors surface here), and start the apply thread.
+    /// Load a shadow over the frozen `view` (synchronously, so load
+    /// errors surface here), and start the apply thread.
     /// `backlog` is replayed first — at mount it is empty; after a
     /// recovery it is the retained completed log, i.e. exactly the
     /// cold-replay initial condition, so the standby's lineage matches
     /// a cold shadow's from then on.
     ///
-    /// The caller must hold `dev` quiesced for the duration of this
-    /// call (mount-time and the post-recovery respawn both do): the
-    /// snapshot must capture the exact state the backlog continues
-    /// from. Afterwards the live device is never touched again.
+    /// The caller must take `view` with the device quiesced (mount-time
+    /// and the post-recovery respawn both do): its epoch must be the
+    /// exact state the backlog continues from.
     ///
     /// # Errors
     ///
-    /// Device snapshot errors; shadow load/validation errors.
+    /// Device read errors; shadow load/validation errors.
     pub fn spawn(
-        dev: Arc<dyn BlockDevice>,
+        view: FrozenView,
         shadow_opts: ShadowOpts,
         backlog: Vec<OpRecord>,
     ) -> FsResult<WarmStandby> {
-        let snapshot: Arc<dyn BlockDevice> = Arc::new(MemDisk::clone_of(dev.as_ref())?);
-        let shadow = ShadowFs::load(snapshot, shadow_opts)?;
+        let shadow = ShadowFs::load(Arc::new(view.clone()), shadow_opts)?;
         let shared = Arc::new(Shared::default());
         if let Some(last) = backlog.last() {
             shared.completed_seq.store(last.seq, Ordering::Release);
@@ -200,7 +211,16 @@ impl WarmStandby {
         shared
             .published_records
             .store(backlog.len() as u64, Ordering::Release);
-        Ok(WarmStandby::start(shadow, backlog, shared))
+        Ok(WarmStandby::start(shadow, view, backlog, shared))
+    }
+
+    /// Healthy, with a view that has lost no block. A lost block
+    /// degrades the standby here, at the first look after the loss.
+    fn healthy(&self) -> bool {
+        if !self.view.intact() {
+            self.shared.degrade();
+        }
+        self.shared.healthy()
     }
 
     /// Attach a telemetry handle: publish-side lag high-water marks
@@ -213,29 +233,37 @@ impl WarmStandby {
     /// post-recovery re-arm path. A warm handover shadow has applied
     /// every completed record and the base has just absorbed its
     /// merged view, so the shadow *is* the current filesystem state:
-    /// no device snapshot and no backlog replay are needed, keeping
-    /// the re-arm out of the recovery latency. `resume_seq` is the
-    /// highest sequence number the shadow covers. The same quiescence
-    /// rule as [`WarmStandby::spawn`] applies.
+    /// no new snapshot and no backlog replay are needed, keeping the
+    /// re-arm out of the recovery latency. `view` is the frozen view
+    /// the shadow reads (the handover's). `resume_seq` is the highest
+    /// sequence number the shadow covers. The same quiescence rule as
+    /// [`WarmStandby::spawn`] applies.
     #[must_use]
-    pub fn resume(shadow: ShadowFs, resume_seq: u64) -> WarmStandby {
+    pub fn resume(shadow: ShadowFs, view: FrozenView, resume_seq: u64) -> WarmStandby {
         let shared = Arc::new(Shared::default());
         shared.completed_seq.store(resume_seq, Ordering::Release);
         shared.applied_seq.store(resume_seq, Ordering::Release);
-        WarmStandby::start(shadow, Vec::new(), shared)
+        WarmStandby::start(shadow, view, Vec::new(), shared)
     }
 
     /// Start the apply thread over `shadow`, `backlog` first.
-    fn start(shadow: ShadowFs, backlog: Vec<OpRecord>, shared: Arc<Shared>) -> WarmStandby {
+    fn start(
+        shadow: ShadowFs,
+        view: FrozenView,
+        backlog: Vec<OpRecord>,
+        shared: Arc<Shared>,
+    ) -> WarmStandby {
         let (tx, rx) = channel::bounded(CHANNEL_CAPACITY);
         let thread_shared = Arc::clone(&shared);
+        let thread_view = view.clone();
         let handle = std::thread::Builder::new()
             .name("rae-standby".into())
-            .spawn(move || apply_loop(shadow, backlog, &rx, &thread_shared))
+            .spawn(move || apply_loop(shadow, thread_view, backlog, &rx, &thread_shared))
             .expect("spawn standby apply thread");
         WarmStandby {
             tx,
             shared,
+            view,
             handle: Some(handle),
             telemetry: OnceLock::new(),
         }
@@ -245,7 +273,7 @@ impl WarmStandby {
     /// serializes operation completion (the runtime's op-log lock) so
     /// the channel order is the completion order.
     pub fn publish(&self, rec: OpRecord) -> Publish {
-        if !self.shared.healthy() {
+        if !self.healthy() {
             return Publish::Degraded;
         }
         self.shared.completed_seq.store(rec.seq, Ordering::Release);
@@ -281,13 +309,15 @@ impl WarmStandby {
         let published = self.shared.published_records.load(Ordering::Acquire);
         let applied = self.shared.applied_records.load(Ordering::Acquire);
         StandbyStatus {
-            active: self.shared.healthy(),
+            active: self.healthy(),
             completed_seq: self.shared.completed_seq.load(Ordering::Acquire),
             applied_seq: self.shared.applied_seq.load(Ordering::Acquire),
             lag: published.saturating_sub(applied),
             applied_records: applied,
             divergences: self.shared.divergences.load(Ordering::Acquire),
             publish_waits: self.shared.publish_waits.load(Ordering::Acquire),
+            snapshot_blocks: self.view.held_blocks(),
+            snapshot_captures: self.view.captures(),
         }
     }
 
@@ -307,7 +337,7 @@ impl WarmStandby {
     ) -> Option<PendingHandover> {
         // A degraded standby's state is untrusted whether or not its
         // apply thread has exited yet, so refuse up front.
-        if !self.shared.healthy() {
+        if !self.healthy() {
             return None;
         }
         let (reply_tx, reply) = channel::bounded(1);
@@ -386,7 +416,13 @@ impl PendingHandover {
     }
 }
 
-fn apply_loop(mut shadow: ShadowFs, backlog: Vec<OpRecord>, rx: &Receiver<Msg>, shared: &Shared) {
+fn apply_loop(
+    mut shadow: ShadowFs,
+    view: FrozenView,
+    backlog: Vec<OpRecord>,
+    rx: &Receiver<Msg>,
+    shared: &Shared,
+) {
     let mut report = ReplayReport::default();
     for rec in &backlog {
         if !apply_one(&mut shadow, rec, &mut report, shared) {
@@ -406,6 +442,7 @@ fn apply_loop(mut shadow: ShadowFs, backlog: Vec<OpRecord>, rx: &Receiver<Msg>, 
                     shadow: Box::new(shadow),
                     report,
                     applied_records: shared.applied_records.load(Ordering::Acquire),
+                    view,
                 });
                 shared.health.store(STOPPED, Ordering::Release);
                 return;
@@ -457,6 +494,7 @@ fn apply_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rae_blockdev::{BlockDevice, MemDisk, TrackedDisk};
     use rae_fsformat::{apply_corruption, mkfs, Corruption, MkfsParams};
     use rae_shadowfs::{ReadReply, ReadRequest};
     use rae_vfs::{Fd, FsOp, InodeNo, OpenFlags};
@@ -541,13 +579,13 @@ mod tests {
             .and_then(PendingHandover::wait)
     }
 
+    /// A frozen view of `dev` as it is now, through a fresh meter.
+    fn frozen(dev: &Arc<MemDisk>) -> FrozenView {
+        Arc::new(TrackedDisk::new(dev.clone(), Telemetry::new())).snapshot()
+    }
+
     fn spawn_default(dev: &Arc<MemDisk>) -> WarmStandby {
-        WarmStandby::spawn(
-            dev.clone() as Arc<dyn BlockDevice>,
-            ShadowOpts::default(),
-            Vec::new(),
-        )
-        .unwrap()
+        WarmStandby::spawn(frozen(dev), ShadowOpts::default(), Vec::new()).unwrap()
     }
 
     #[test]
@@ -590,12 +628,7 @@ mod tests {
         let dev = fresh_dev();
         let mut records = record_ops(&dev, sample_ops());
         let tail = records.split_off(4);
-        let standby = WarmStandby::spawn(
-            dev.clone() as Arc<dyn BlockDevice>,
-            ShadowOpts::default(),
-            records,
-        )
-        .unwrap();
+        let standby = WarmStandby::spawn(frozen(&dev), ShadowOpts::default(), records).unwrap();
         for rec in tail {
             assert_eq!(standby.publish(rec), Publish::Accepted);
         }
@@ -664,7 +697,7 @@ mod tests {
         // runtime error.
         apply_corruption(dev.as_ref(), &Corruption::InodeBitrot { ino: InodeNo(1) }).unwrap();
         let standby = WarmStandby::spawn(
-            dev.clone() as Arc<dyn BlockDevice>,
+            frozen(&dev),
             ShadowOpts {
                 validate_image: false,
                 ..ShadowOpts::default()
@@ -681,6 +714,31 @@ mod tests {
             handover(standby).is_none(),
             "degraded standby must not hand over"
         );
+    }
+
+    #[test]
+    fn warm_a_view_that_lost_a_block_degrades_the_standby() {
+        use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode, BLOCK_SIZE};
+        let dev = fresh_dev();
+        let records = record_ops(&dev, sample_ops());
+        let disk = Arc::new(FaultyDisk::new(MemDisk::clone_of(dev.as_ref()).unwrap()));
+        let tracker = Arc::new(TrackedDisk::new(
+            Arc::clone(&disk) as Arc<dyn BlockDevice>,
+            Telemetry::new(),
+        ));
+        let standby =
+            WarmStandby::spawn(tracker.snapshot(), ShadowOpts::default(), Vec::new()).unwrap();
+        assert_eq!(standby.publish(records[0].clone()), Publish::Accepted);
+        // the copy-before-write read of the last block fails; the write
+        // itself lands
+        let last = disk.block_count() - 1;
+        disk.set_plan(
+            DiskFaultPlan::new().fail_reads(FaultTarget::Block(last), TriggerMode::Always),
+        );
+        tracker.write_block(last, &[7; BLOCK_SIZE]).unwrap();
+        assert!(!standby.status().active);
+        assert_eq!(standby.publish(records[1].clone()), Publish::Degraded);
+        assert!(handover(standby).is_none(), "no handover from a lossy view");
     }
 
     #[test]
