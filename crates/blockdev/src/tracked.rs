@@ -1,6 +1,6 @@
 //! The mount's device meter, write-set tracking for warm-standby
 //! resynchronization, and the copy-before-write behind its frozen
-//! snapshots.
+//! snapshots, which skips the blocks a view's reader excluded.
 
 use crate::device::{BlockDevice, Extent, IoPhase};
 use crate::frozen::{capture, Epoch, FrozenView};
@@ -34,8 +34,11 @@ use std::sync::{Arc, Weak};
 /// and never meet on a lock.
 ///
 /// While a view is live, a write first copies the old contents of each
-/// block no live view holds yet from the device into those views, one
-/// read request per run of such blocks (see [`crate::FrozenView`]).
+/// block some live view still needs — neither holds nor excludes — from
+/// the device into those views, one read request per run of such blocks
+/// (see [`crate::FrozenView`]). A block every live view excludes, as the
+/// warm standby's view does the journal and the data blocks free at its
+/// epoch, is written with no copy.
 /// With no view live — the standby off — a write pays one atomic load
 /// for this. No lock is held across a device request.
 pub struct TrackedDisk {

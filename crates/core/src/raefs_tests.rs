@@ -1745,20 +1745,27 @@ fn warm_recovery_reads_nothing_from_the_live_device() {
     // the resync's candidates live — or the standby's frozen view
     // copying a block the reboot is about to write home: the tape's
     // next request on that block is its write, in the same flush epoch,
-    // and no block is copied twice
+    // and no block is copied twice. The view excludes the journal, so
+    // no journal read is a copy: the journal reset's write of the
+    // header finds it read only by the reboot's scan, a barrier before.
+    let journal = geo.journal_start..geo.journal_start + geo.journal_blocks;
     let reboot_reads = |b: u64| b < geo.inode_table_start;
     let mut copied = Vec::new();
     for (i, entry) in tape.iter().enumerate() {
         let TapeEntry::Read(b) = *entry else { continue };
-        if reboot_reads(b) {
-            continue;
-        }
         let next = tape[i + 1..].iter().find(|e| match e {
             TapeEntry::Read(x) | TapeEntry::Write(x, _) => *x == b,
             TapeEntry::Flush => true,
         });
+        let is_copy = matches!(next, Some(TapeEntry::Write(x, _)) if *x == b);
+        if journal.contains(&b) {
+            assert!(!is_copy, "journal block {b} copied at {i}");
+        }
+        if reboot_reads(b) {
+            continue;
+        }
         assert!(
-            matches!(next, Some(TapeEntry::Write(x, _)) if *x == b),
+            is_copy,
             "live-device read of block {b} at {i} is no copy-before-write: next {:?}",
             next.map(|e| match e {
                 TapeEntry::Read(x) => format!("read {x}"),
@@ -2223,6 +2230,52 @@ fn warm_full_channel_behind(shadow: rae_shadowfs::ShadowOpts) {
     assert!(fsck(dev.as_ref()).unwrap().is_clean());
 }
 
+/// On a fresh image every data block is free at the standby's epoch,
+/// and the standby's validating load reads all the other metadata the
+/// base writes: so however the base churns — journal commits, files
+/// created, overwritten, renamed and unlinked, syncs and checkpoints —
+/// no base write forces a copy into the frozen view, and what the view
+/// holds stays what the load read, across warm recoveries that keep it.
+#[test]
+fn warm_standby_memory_stays_flat_across_warm_recoveries() {
+    let (disk, geo, fs) = warm_mount_on_tape();
+    let model = rae_fsmodel::ModelFs::new();
+    wait_caught_up(&fs);
+    let held = fs.stats().standby_snapshot_blocks;
+    assert!(held > 0 && held < geo.data_start, "{held}");
+    fs.mkdir("/c").unwrap();
+    model.mkdir("/c").unwrap();
+    for round in 0..3u64 {
+        for k in 2 * round..2 * round + 2 {
+            churn_round(&fs, k);
+            churn_round(&model, k);
+        }
+        fs.base().checkpoint().unwrap();
+        wait_caught_up(&fs);
+        let boom = format!("/boom{round}");
+        fs.mkdir(&boom).unwrap(); // masked by a warm recovery
+        model.mkdir(&boom).unwrap();
+        let r = fs.last_recovery_report().unwrap();
+        assert_eq!(r.rung, LadderRung::Warm, "round {round}: {r:?}");
+        let stats = fs.stats();
+        assert_eq!(
+            (
+                stats.standby_snapshot_blocks,
+                stats.standby_snapshot_captures
+            ),
+            (held, 0),
+            "round {round}: the view copied a journal block or one free at its epoch"
+        );
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        tree_of(&model, "/", &mut want);
+        tree_of(&fs, "/", &mut got);
+        assert_eq!(got, want, "round {round}");
+    }
+    assert_eq!(fs.stats().ladder_warm, 3);
+    fs.unmount().unwrap();
+    assert!(fsck(disk.as_ref()).unwrap().is_clean());
+}
+
 /// A cold recovery with the standby on re-arms it over a new frozen
 /// view: it reads the metadata it loads, not the device.
 #[test]
@@ -2273,18 +2326,43 @@ fn warm_standby_re_armed_by_a_cold_recovery_reads_metadata_not_the_device() {
 
 /// A copy-before-write read that fails loses the block in the view, not
 /// the base's write: the standby degrades, the next recovery is cold
-/// and correct, and the one after it warm again.
+/// and correct, and the one after it warm again. The lost blocks are
+/// data blocks of files that exist at the view's epoch, which the view
+/// keeps (a block free at the epoch it would not copy at all).
 #[test]
 fn warm_a_lost_snapshot_block_degrades_the_standby_and_recovers_cold() {
     let disk = Arc::new(FaultyDisk::new(MemDisk::new(4096)));
     let geo = mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
-    let fs = warm_boom_mount(Arc::clone(&disk) as Arc<dyn BlockDevice>);
     let model = rae_fsmodel::ModelFs::new();
-    for f in [&fs as &dyn FileSystem, &model] {
+    let seed = RaeFs::mount(
+        Arc::clone(&disk) as Arc<dyn BlockDevice>,
+        RaeConfig::default(),
+    )
+    .unwrap();
+    for f in [&seed as &dyn FileSystem, &model] {
         f.mkdir("/d").unwrap();
+        for i in 0..4u8 {
+            let fd = f.open(&format!("/d/f{i}"), rw_create()).unwrap();
+            f.write(fd, 0, &vec![i + 1; 3 * BLOCK_SIZE]).unwrap();
+            f.close(fd).unwrap();
+        }
     }
+    seed.unmount().unwrap();
+
+    let fs = warm_boom_mount(Arc::clone(&disk) as Arc<dyn BlockDevice>);
+    let open_all = |f: &dyn FileSystem| -> Vec<Fd> {
+        (0..4u8)
+            .map(|i| {
+                let fd = f.open(&format!("/d/f{i}"), OpenFlags::RDWR).unwrap();
+                assert_eq!(f.read(fd, 0, 3 * BLOCK_SIZE).unwrap().len(), 3 * BLOCK_SIZE);
+                fd
+            })
+            .collect()
+    };
+    let (fds, model_fds) = (open_all(&fs), open_all(&model));
     wait_caught_up(&fs);
-    // the base writes new files while no data-region block can be read:
+    // the base overwrites the files in place, in whole blocks (so
+    // neither side reads them), while no data-region block can be read:
     // the view holds none of them, so their copies fail
     disk.set_plan(DiskFaultPlan::new().fail_reads(
         FaultTarget::Range {
@@ -2293,11 +2371,9 @@ fn warm_a_lost_snapshot_block_degrades_the_standby_and_recovers_cold() {
         },
         TriggerMode::Always,
     ));
-    for f in [&fs as &dyn FileSystem, &model] {
-        for i in 0..4u8 {
-            let fd = f.open(&format!("/d/f{i}"), rw_create()).unwrap();
-            f.write(fd, 0, &vec![i + 1; 3 * BLOCK_SIZE]).unwrap();
-            f.close(fd).unwrap();
+    for (f, fds) in [(&fs as &dyn FileSystem, &fds), (&model, &model_fds)] {
+        for (i, &fd) in (0u8..).zip(fds) {
+            f.write(fd, 0, &vec![0xF0 + i; 3 * BLOCK_SIZE]).unwrap();
         }
         f.sync().expect("the base's writes succeed");
     }
@@ -2306,7 +2382,10 @@ fn warm_a_lost_snapshot_block_degrades_the_standby_and_recovers_cold() {
         !fs.stats().standby_active,
         "a lost block degrades the standby"
     );
-    for f in [&fs as &dyn FileSystem, &model] {
+    for (f, fds) in [(&fs as &dyn FileSystem, &fds), (&model, &model_fds)] {
+        for &fd in fds {
+            f.close(fd).unwrap();
+        }
         f.mkdir("/d/after").unwrap();
     }
     assert!(fs.stats().standby_degraded);

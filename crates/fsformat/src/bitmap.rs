@@ -178,6 +178,18 @@ impl Bitmap {
             .or_else(|| self.first_unlike(0, start, u64::MAX))
     }
 
+    /// The maximal runs `[start, end)` of clear bits, in order.
+    pub fn clear_runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let start = self.first_unlike(at, self.nbits, u64::MAX)?;
+            at = self
+                .first_unlike(start, self.nbits, 0)
+                .unwrap_or(self.nbits);
+            Some((start, at))
+        })
+    }
+
     /// Number of set bits.
     #[must_use]
     pub fn count_set(&self) -> u64 {
@@ -276,6 +288,17 @@ mod tests {
         }
     }
 
+    fn ref_clear_runs(bm: &Bitmap) -> Vec<(u64, u64)> {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for i in (0..bm.nbits).filter(|&i| !bm.test_raw(i)) {
+            match runs.last_mut() {
+                Some((_, end)) if *end == i => *end += 1,
+                _ => runs.push((i, i + 1)),
+            }
+        }
+        runs
+    }
+
     fn ref_first_garbage(bm: &Bitmap) -> Option<u64> {
         (bm.nbits..bm.nblocks() * BITS_PER_BLOCK).find(|&i| bm.test_raw(i))
     }
@@ -340,6 +363,20 @@ mod tests {
             // a set bit past nbits (an unvalidated splice) is never found
             full.bits[(nbits / 8) as usize] |= 0xFF;
             prop_assert_eq!(full.find_free_from(0), None);
+        }
+
+        /// The clear runs are the bit walk's, over one and two blocks:
+        /// runs that cross words and blocks, a full and an empty bitmap.
+        #[test]
+        fn kernel_clear_runs_match_bit_reference(
+            nbits in prop_oneof![1u64..700, BITS_PER_BLOCK - 70..2 * BITS_PER_BLOCK],
+            runs in arb_runs(40_000),
+        ) {
+            let bm = with_runs(nbits, &runs);
+            prop_assert_eq!(bm.clear_runs().collect::<Vec<_>>(), ref_clear_runs(&bm));
+            let full = with_runs(nbits, &[(0, nbits, true)]);
+            prop_assert_eq!(full.clear_runs().count(), 0);
+            prop_assert_eq!(Bitmap::new(nbits).clear_runs().collect::<Vec<_>>(), vec![(0, nbits)]);
         }
 
         /// Far hints over two blocks: the word skip crosses the block

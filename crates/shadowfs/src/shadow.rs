@@ -173,6 +173,25 @@ impl ShadowFs {
         self.geo
     }
 
+    /// The block ranges (`[start, end)` each) this shadow will never
+    /// read from its device: the journal, which it never reads, and
+    /// every data block free in its bitmap now. It reads a data block
+    /// only while the block is allocated, and an allocation puts a
+    /// zero-filled image in the overlay first, which a resync drops only
+    /// once the block is free again (DESIGN §4i). The warm standby
+    /// excludes these from its frozen view right after the load.
+    #[must_use]
+    pub fn never_read(&self) -> Vec<(u64, u64)> {
+        let geo = self.geo;
+        std::iter::once((geo.journal_start, geo.journal_start + geo.journal_blocks))
+            .chain(
+                self.dbm
+                    .clear_runs()
+                    .map(|(s, e)| (geo.data_block(s), geo.data_block(e))),
+            )
+            .collect()
+    }
+
     /// Number of blocks modified in the overlay.
     #[must_use]
     pub fn overlay_len(&self) -> usize {

@@ -732,6 +732,31 @@ fn resync_pins_untouched_written_blocks_with_snapshot_bytes() {
     assert_eq!(meta.1[..], want[..], "pinned as metadata");
 }
 
+/// What the shadow says it will never read is the journal and the data
+/// blocks free at its load, each once, and nothing else: the blocks of
+/// a file that exists at the load and every other metadata block stay
+/// readable.
+#[test]
+fn never_read_is_the_journal_and_the_free_data_blocks() {
+    let (_dev, sh, kept) = shadow_over_populated_snapshot();
+    let geo = sh.geometry();
+    let mut never = vec![false; geo.total_blocks as usize];
+    for (start, end) in sh.never_read() {
+        for b in start..end {
+            assert!(
+                !std::mem::replace(&mut never[b as usize], true),
+                "block {b} twice"
+            );
+        }
+    }
+    let journal = geo.journal_start..geo.journal_start + geo.journal_blocks;
+    for b in 0..geo.total_blocks {
+        let free = geo.is_data_block(b) && !sh.dbm.test(b - geo.data_start).unwrap();
+        assert_eq!(never[b as usize], journal.contains(&b) || free, "block {b}");
+    }
+    assert!(!never[kept as usize] && !never[kept as usize + 1]);
+}
+
 #[test]
 fn resync_ignores_superblock_journal_and_out_of_range() {
     let (_dev, mut sh, _) = shadow_over_populated_snapshot();

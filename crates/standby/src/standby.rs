@@ -47,7 +47,16 @@
 //! when the shadow first reads it or just before the base first
 //! overwrites it (copy-before-write), so the standby holds what changed
 //! and what it looked at, not the device; [`StandbyStatus`] reports
-//! both counts. A view that lost a block to a failed copy-before-write
+//! both counts. Right after the load, `spawn` excludes from the view the
+//! blocks the shadow will never read ([`ShadowFs::never_read`]): the
+//! journal and every data block free in the just-loaded bitmap. A base
+//! write of an excluded block copies nothing, so the standby holds the
+//! blocks its shadow can still read that the base changed, not the
+//! base's journal traffic or the files it created since the epoch. Until
+//! the exclusion is installed the copies are conservative: at mount
+//! nothing has been served yet, and at a cold re-arm the gate is held.
+//! A warm [`WarmStandby::resume`] keeps its view and the view's
+//! exclusions. A view that lost a block to a failed copy-before-write
 //! read degrades the standby.
 //!
 //! Any divergence — a shadow runtime error or a panic in the apply
@@ -204,6 +213,8 @@ impl WarmStandby {
         backlog: Vec<OpRecord>,
     ) -> FsResult<WarmStandby> {
         let shadow = ShadowFs::load(Arc::new(view.clone()), shadow_opts)?;
+        // before the apply thread or a fork can read through the view
+        view.exclude(shadow.never_read());
         let shared = Arc::new(Shared::default());
         if let Some(last) = backlog.last() {
             shared.completed_seq.store(last.seq, Ordering::Release);
@@ -720,7 +731,27 @@ mod tests {
     fn warm_a_view_that_lost_a_block_degrades_the_standby() {
         use rae_blockdev::{DiskFaultPlan, FaultTarget, FaultyDisk, TriggerMode, BLOCK_SIZE};
         let dev = fresh_dev();
-        let records = record_ops(&dev, sample_ops());
+        // a file that exists at the view's epoch: the image a shadow
+        // reaches by creating it, written to the device
+        let mut seeder =
+            ShadowFs::load(dev.clone() as Arc<dyn BlockDevice>, ShadowOpts::default()).unwrap();
+        for op in sample_ops()
+            .into_iter()
+            .take(3)
+            .chain([FsOp::Close { fd: Fd(3) }])
+        {
+            seeder.execute_autonomous(&op).unwrap();
+        }
+        let delta = seeder.into_delta();
+        for (bno, img) in delta.meta_blocks.iter().chain(&delta.data_blocks) {
+            dev.write_block(*bno, img).unwrap();
+        }
+        let (file_block, _) = delta
+            .data_blocks
+            .iter()
+            .find(|(_, img)| img.starts_with(b"warm payload"))
+            .expect("the file's data block");
+        let records = record_ops(&dev, over_capacity_ops().into_iter().take(2).collect());
         let disk = Arc::new(FaultyDisk::new(MemDisk::clone_of(dev.as_ref()).unwrap()));
         let tracker = Arc::new(TrackedDisk::new(
             Arc::clone(&disk) as Arc<dyn BlockDevice>,
@@ -729,13 +760,12 @@ mod tests {
         let standby =
             WarmStandby::spawn(tracker.snapshot(), ShadowOpts::default(), Vec::new()).unwrap();
         assert_eq!(standby.publish(records[0].clone()), Publish::Accepted);
-        // the copy-before-write read of the last block fails; the write
-        // itself lands
-        let last = disk.block_count() - 1;
+        // the copy-before-write read of the file's block, which the view
+        // keeps and has not read, fails; the in-place overwrite lands
         disk.set_plan(
-            DiskFaultPlan::new().fail_reads(FaultTarget::Block(last), TriggerMode::Always),
+            DiskFaultPlan::new().fail_reads(FaultTarget::Block(*file_block), TriggerMode::Always),
         );
-        tracker.write_block(last, &[7; BLOCK_SIZE]).unwrap();
+        tracker.write_block(*file_block, &[7; BLOCK_SIZE]).unwrap();
         assert!(!standby.status().active);
         assert_eq!(standby.publish(records[1].clone()), Publish::Degraded);
         assert!(handover(standby).is_none(), "no handover from a lossy view");
