@@ -15,16 +15,16 @@
 //! * [`RetryDisk`] — a wrapper absorbing transient-class errors with a
 //!   deterministic, seeded exponential backoff and a bounded attempt
 //!   budget (the recovery ladder's retry rung);
-//! * [`MemoDisk`] — a read-only, fill-once snapshot view: each block
-//!   crosses the device at most once (a cold recovery rung's whole
-//!   pass over the image shares one);
 //! * [`StatsDisk`] — a transparent I/O accounting wrapper;
 //! * [`TrackedDisk`] — the RAE mount's device meter (every request into
 //!   telemetry) and written-block set (one atomic bit per block), which
 //!   is all the warm standby's recovery resync needs to know about the
 //!   live device; its [`TrackedDisk::snapshot`] is a [`FrozenView`], the
 //!   device as of one moment, copied a block at a time before the base
-//!   overwrites it (copy-before-write) or when the view first reads it;
+//!   overwrites it (copy-before-write) or when the view first reads it,
+//!   so each block crosses the device at most once for it (the warm
+//!   standby's shadow reads through one, and so does a cold recovery
+//!   rung's whole pass over the image);
 //! * [`WritebackQueue`] — a blk-mq-flavoured multi-queue asynchronous
 //!   write-back engine the base filesystem's page cache evicts through;
 //! * [`TapeDisk`] — an in-memory disk recording every read, write (with
@@ -59,7 +59,6 @@ mod faulty;
 mod file;
 mod frozen;
 mod mem;
-mod memo;
 mod queue;
 mod retry;
 mod stats;
@@ -74,7 +73,6 @@ pub use faulty::{
 pub use file::FileDisk;
 pub use frozen::FrozenView;
 pub use mem::MemDisk;
-pub use memo::MemoDisk;
 pub use queue::{QueueConfig, WritebackQueue};
 pub use retry::{classify_error, ErrorClass, RetryDisk, RetryPolicy, RetryStats};
 pub use stats::{DiskCounters, StatsDisk};

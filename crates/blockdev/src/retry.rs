@@ -7,10 +7,12 @@
 //! invariant violations — are surfaced immediately, because repeating
 //! the operation cannot change their outcome.
 //!
-//! The recovery ladder mounts this wrapper over the device for its
-//! retry rung, so a recovery attempt that would otherwise die to a
-//! one-shot injected (or real) I/O hiccup instead absorbs it and
-//! completes. Determinism matters there: given the same seed and the
+//! The recovery ladder's retry rung retries its contained reboot under
+//! this wrapper's budget and reads its shadow phase through a wrapper
+//! over the rung's snapshot view that shares the budget
+//! ([`RetryDisk::over`]), so a recovery attempt that would otherwise
+//! die to a one-shot injected (or real) I/O hiccup instead absorbs it
+//! and completes. Determinism matters there: given the same seed and the
 //! same error sequence, the backoff schedule is identical run to run,
 //! which keeps the fault campaigns reproducible.
 
@@ -95,6 +97,12 @@ pub struct RetryStats {
 /// device with deterministic exponential backoff.
 pub struct RetryDisk<D> {
     inner: D,
+    budget: Arc<Budget>,
+}
+
+/// A [`RetryDisk`]'s policy, backoff jitter and counters, shared with
+/// the wrappers [`RetryDisk::over`] makes from it.
+struct Budget {
     policy: RetryPolicy,
     rng: parking_lot::Mutex<SmallRng>,
     retries: AtomicU64,
@@ -108,8 +116,8 @@ impl<D: std::fmt::Debug> std::fmt::Debug for RetryDisk<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RetryDisk")
             .field("inner", &self.inner)
-            .field("policy", &self.policy)
-            .field("retries", &self.retries.load(Ordering::Relaxed))
+            .field("policy", &self.budget.policy)
+            .field("retries", &self.budget.retries.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -126,37 +134,51 @@ impl<D: BlockDevice> RetryDisk<D> {
     pub fn with_policy(inner: D, policy: RetryPolicy) -> RetryDisk<D> {
         RetryDisk {
             inner,
-            policy,
-            rng: parking_lot::Mutex::new(SmallRng::seed_from_u64(policy.seed)),
-            retries: AtomicU64::new(0),
-            absorbed: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-            permanent: AtomicU64::new(0),
-            telemetry: OnceLock::new(),
+            budget: Arc::new(Budget {
+                policy,
+                rng: parking_lot::Mutex::new(SmallRng::seed_from_u64(policy.seed)),
+                retries: AtomicU64::new(0),
+                absorbed: AtomicU64::new(0),
+                exhausted: AtomicU64::new(0),
+                permanent: AtomicU64::new(0),
+                telemetry: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// Wrap `inner` under this wrapper's policy, counting into its
+    /// [`RetryDisk::stats`]: one budget over two devices, such as a
+    /// device and a snapshot view taken of it later.
+    #[must_use]
+    pub fn over<E: BlockDevice>(&self, inner: E) -> RetryDisk<E> {
+        RetryDisk {
+            inner,
+            budget: Arc::clone(&self.budget),
         }
     }
 
     /// Attach a telemetry handle: absorbed and exhausted retry budgets
     /// become flight-recorder events. First call wins.
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        let _ = self.telemetry.set(telemetry);
+        let _ = self.budget.telemetry.set(telemetry);
     }
 
     /// Current counter values.
     #[must_use]
     pub fn stats(&self) -> RetryStats {
+        let b = &self.budget;
         RetryStats {
-            retries: self.retries.load(Ordering::Relaxed),
-            absorbed: self.absorbed.load(Ordering::Relaxed),
-            exhausted: self.exhausted.load(Ordering::Relaxed),
-            permanent: self.permanent.load(Ordering::Relaxed),
+            retries: b.retries.load(Ordering::Relaxed),
+            absorbed: b.absorbed.load(Ordering::Relaxed),
+            exhausted: b.exhausted.load(Ordering::Relaxed),
+            permanent: b.permanent.load(Ordering::Relaxed),
         }
     }
 
     /// The active policy.
     #[must_use]
     pub fn policy(&self) -> RetryPolicy {
-        self.policy
+        self.budget.policy
     }
 
     /// Access the wrapped device.
@@ -171,12 +193,13 @@ impl<D: BlockDevice> RetryDisk<D> {
     fn backoff(&self, retry: u32) {
         let shift = retry.saturating_sub(1).min(32);
         let step = self
+            .budget
             .policy
             .base_backoff_ns
             .saturating_mul(1u64 << shift)
-            .min(self.policy.max_backoff_ns);
+            .min(self.budget.policy.max_backoff_ns);
         let jitter = if step >= 4 {
-            self.rng.lock().gen_range(0..=step / 4)
+            self.budget.rng.lock().gen_range(0..=step / 4)
         } else {
             0
         };
@@ -213,15 +236,16 @@ impl<D: BlockDevice> RetryDisk<D> {
     }
 
     fn with_retries<T>(&self, dev_op: DevOp, mut op: impl FnMut() -> FsResult<T>) -> FsResult<T> {
-        let budget = self.policy.max_attempts.max(1);
+        let b = &self.budget;
+        let budget = b.policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             match op() {
                 Ok(v) => {
                     if attempt > 1 {
-                        self.absorbed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = self.telemetry.get() {
+                        b.absorbed.fetch_add(1, Ordering::Relaxed);
+                        if let Some(t) = b.telemetry.get() {
                             t.event(
                                 EventKind::RetryAbsorbed,
                                 u64::from(attempt),
@@ -233,12 +257,12 @@ impl<D: BlockDevice> RetryDisk<D> {
                     return Ok(v);
                 }
                 Err(e) if classify_error(&e) == ErrorClass::Permanent => {
-                    self.permanent.fetch_add(1, Ordering::Relaxed);
+                    b.permanent.fetch_add(1, Ordering::Relaxed);
                     return Err(e);
                 }
                 Err(e) if attempt >= budget => {
-                    self.exhausted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = self.telemetry.get() {
+                    b.exhausted.fetch_add(1, Ordering::Relaxed);
+                    if let Some(t) = b.telemetry.get() {
                         t.event(
                             EventKind::RetryExhausted,
                             u64::from(attempt),
@@ -249,7 +273,7 @@ impl<D: BlockDevice> RetryDisk<D> {
                     return Err(e);
                 }
                 Err(_) => {
-                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    b.retries.fetch_add(1, Ordering::Relaxed);
                     self.backoff(attempt);
                 }
             }
@@ -438,6 +462,21 @@ mod tests {
             classify_error(&FsError::Internal { detail: "x".into() }),
             ErrorClass::Permanent
         );
+    }
+
+    #[test]
+    fn a_wrapper_over_another_device_counts_into_one_budget() {
+        let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Any, TriggerMode::Nth(1));
+        let d = RetryDisk::with_policy(FaultyDisk::with_plan(MemDisk::new(2), plan), fast_policy());
+        let plan = DiskFaultPlan::new().fail_reads(FaultTarget::Any, TriggerMode::Always);
+        let other = d.over(FaultyDisk::with_plan(MemDisk::new(2), plan));
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        d.read_block(0, &mut buf).unwrap();
+        assert!(other.read_block(0, &mut buf).is_err());
+        assert_eq!(other.policy(), d.policy());
+        let s = d.stats();
+        assert_eq!((s.retries, s.absorbed, s.exhausted), (4, 1, 1));
+        assert_eq!(other.stats(), s);
     }
 
     #[test]

@@ -7,9 +7,7 @@ use crate::report::{
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
-use rae_blockdev::{
-    BlockDevice, FrozenView, IoPhase, MemoDisk, RetryDisk, RetryPolicy, TrackedDisk,
-};
+use rae_blockdev::{BlockDevice, FrozenView, IoPhase, RetryDisk, RetryPolicy, TrackedDisk};
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
@@ -1268,7 +1266,7 @@ impl RaeFs {
         // whole retained log (O(retained log)).
         self.replay_fault_hook()?;
         let mut t_replay = Instant::now();
-        let mut memo: Option<Arc<MemoDisk>> = None;
+        let mut cold_view: Option<FrozenView> = None;
         // what the shadow phase reads from the device, off the mount's
         // meter: `(requests, blocks)`
         let meter = || {
@@ -1291,16 +1289,18 @@ impl RaeFs {
             }
             None => {
                 // the shadow phase reads through a per-attempt snapshot
-                // view, so image validation, load and replay share one
-                // pass over the metadata. Coherent by construction: the
-                // gate is held, the journal was just replayed, and the
-                // shadow never writes — nothing can change the device
-                // until `absorb_recovery`, by which point the shadow
-                // (and the view with it) has been consumed.
-                let dev = Arc::new(MemoDisk::new(
-                    retry_dev.map_or_else(|| self.base.device(), |d| Arc::clone(d) as _),
-                ));
-                memo = Some(Arc::clone(&dev));
+                // of the just-rebooted device, so image validation, load
+                // and replay share one pass over the metadata. It stays
+                // at this moment however the device is written after
+                // (copy-before-write), and the shadow never writes to
+                // it. The retry rung retries above the view, which
+                // keeps no failed read.
+                let view = self.tracker.snapshot();
+                let dev: Arc<dyn BlockDevice> = match retry_dev {
+                    Some(d) => Arc::new(d.over(view.clone())),
+                    None => Arc::new(view.clone()),
+                };
+                cold_view = Some(view);
                 let t_load = Instant::now();
                 let mut shadow = ShadowFs::load(dev, self.config.shadow)?;
                 let load_time = t_load.elapsed();
@@ -1365,7 +1365,9 @@ impl RaeFs {
         let (requests, blocks) = meter();
         let shadow_device_requests = requests - meter_before.0;
         let shadow_device_reads = blocks - meter_before.1;
-        let shadow_memo_hits = memo.map_or(0, |m| m.memo_hits());
+        // the shadow is consumed: the view goes with this last handle,
+        // before the download's writes would copy into it
+        let shadow_memo_hits = cold_view.map_or(0, |v| v.hits());
         let mut report = RecoveryReport {
             trigger: trigger.clone(),
             path,

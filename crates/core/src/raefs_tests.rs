@@ -270,11 +270,16 @@ fn cold_recovery_reads_each_block_at_most_once() {
     assert_eq!(got, want);
     fs.unmount().unwrap();
 
-    // the checker on its own is read-once too, on this real image: a
-    // hit in a snapshot view over it would be a block read twice
-    let view = rae_blockdev::MemoDisk::new(disk as Arc<dyn BlockDevice>);
-    assert!(fsck(&view).unwrap().is_clean());
-    assert_eq!(view.memo_hits(), 0);
+    // the checker on its own is read-once too, on this real image, as
+    // a tape under it records its reads
+    let tape = TapeDisk::from_image(&disk.inner().snapshot());
+    assert!(fsck(&tape).unwrap().is_clean());
+    let mut reads = tape.reads_since(0);
+    reads.sort_unstable();
+    assert!(
+        reads.windows(2).all(|w| w[0] != w[1]),
+        "a block read twice: {reads:?}"
+    );
 }
 
 /// Distinct blocks the cold rung of [`cold_recovery_program`] reads.
@@ -296,8 +301,8 @@ fn extent_read_cold_recovery_fetches_its_blocks_in_a_few_requests() {
     cold_recovery_program(&fs, &|| ());
     let r = &fs.recovery_reports()[0];
     assert_eq!(r.rung, LadderRung::Cold);
-    // the same distinct blocks a one-block-per-request memo fetched
-    // (recorded before the memo filled runs). The 64-block inode table
+    // the same distinct blocks a one-block-per-request snapshot view
+    // fetched (recorded before the view filled runs). The 64-block inode table
     // is now one extent per checker worker; what stays one block per
     // request is the superblock, the bitmaps, and the indirect and
     // directory blocks, each found by reading another
@@ -309,6 +314,78 @@ fn extent_read_cold_recovery_fetches_its_blocks_in_a_few_requests() {
         r.shadow_device_reads
     );
     fs.unmount().unwrap();
+}
+
+/// The reads of `tape` that are a copy-before-write: a read of block
+/// `b` whose next request on `b`, in the same flush epoch, is its write.
+fn copies_before_write(tape: &[TapeEntry]) -> Vec<u64> {
+    let mut copied = Vec::new();
+    for (i, entry) in tape.iter().enumerate() {
+        let TapeEntry::Read(b) = *entry else { continue };
+        let next = tape[i + 1..].iter().find(|e| match e {
+            TapeEntry::Read(x) | TapeEntry::Write(x, _) => *x == b,
+            TapeEntry::Flush => true,
+        });
+        if matches!(next, Some(TapeEntry::Write(x, _)) if *x == b) {
+            copied.push(b);
+        }
+    }
+    copied
+}
+
+/// The cold rung's snapshot view is gone before the metadata download:
+/// a device write from there on copies nothing into it, and nor does
+/// any write after the recovery.
+#[test]
+fn cold_recovery_drops_its_view_before_the_handoff() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let disk = Arc::new(TapeDisk::new(4096));
+    mkfs(disk.as_ref(), MkfsParams::default()).unwrap();
+    let config = RaeConfig {
+        base: BaseFsConfig {
+            faults: boom_faults(),
+            ..BaseFsConfig::default()
+        },
+        ..RaeConfig::default()
+    };
+    let fs = RaeFs::mount(Arc::clone(&disk) as Arc<dyn BlockDevice>, config).unwrap();
+    // at the download, rewrite the device's last block — free, so no
+    // reader of a view holds it — as it is, through the mount's device
+    let handoff = Arc::new(AtomicUsize::new(usize::MAX));
+    let (tape, dev, at) = (Arc::clone(&disk), fs.base().device(), Arc::clone(&handoff));
+    let hook: Box<dyn FnOnce() + Send> = Box::new(move || {
+        at.store(tape.mark(), Ordering::SeqCst);
+        let last = dev.block_count() - 1;
+        let at = last as usize * BLOCK_SIZE;
+        dev.write_block(last, &tape.snapshot()[at..at + BLOCK_SIZE])
+            .unwrap();
+    });
+    crate::raefs::BEFORE_ABSORB.with(|h| *h.borrow_mut() = Some(hook));
+    cold_recovery_program(&fs, &|| ());
+    let r = &fs.recovery_reports()[0];
+    assert_eq!(r.rung, LadderRung::Cold);
+    assert!(r.shadow_memo_hits > 0, "{r:?}");
+    let handoff = disk.since(handoff.load(Ordering::SeqCst));
+    assert!(handoff.iter().any(|e| matches!(e, TapeEntry::Write(..))));
+    assert_eq!(
+        copies_before_write(&handoff),
+        [],
+        "a write after the shadow phase copied into its view"
+    );
+
+    let mark = disk.mark();
+    let fd = fs.open("/after", rw_create()).unwrap();
+    fs.write(fd, 0, &[7; 3 * BLOCK_SIZE]).unwrap();
+    fs.close(fd).unwrap();
+    fs.sync().unwrap();
+    assert!(!disk.writes_since(mark).is_empty());
+    assert_eq!(
+        disk.reads_since(mark),
+        [],
+        "a write after the recovery read the device"
+    );
+    fs.unmount().unwrap();
+    assert!(fsck(disk.as_ref()).unwrap().is_clean());
 }
 
 /// Every mount meters its device once: with the standby on and the

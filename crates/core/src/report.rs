@@ -137,18 +137,20 @@ pub struct RecoveryReport {
     /// mount's device meter (a telemetry handle shared by several
     /// mounts meters them all). Cold rungs: one per distinct block
     /// touched by image validation, load, replay and in-flight
-    /// completion, through the rung's [`rae_blockdev::MemoDisk`]. Warm
+    /// completion, through the rung's [`rae_blockdev::FrozenView`]. Warm
     /// rung: zero — the standby decides its resync from its own
     /// snapshot and overlay.
     pub shadow_device_reads: u64,
     /// Device requests that carried
     /// [`RecoveryReport::shadow_device_reads`], off the same meter.
-    /// The cold rung's memo fills a run of missing blocks with one
-    /// extent read, so this is far below the block count. Warm rung:
+    /// The cold rung's view fills a run of blocks it does not hold with
+    /// one extent read, so this is far below the block count. Warm rung:
     /// zero, as its reads are.
     pub shadow_device_requests: u64,
-    /// Cold rungs: shadow-phase block reads answered from the rung's
-    /// memo instead of the device.
+    /// Cold rungs: shadow-phase block reads the rung's snapshot view
+    /// answered from a block it held, instead of the device
+    /// ([`rae_blockdev::FrozenView::hits`]). The name predates the
+    /// view; it is kept as the report's JSON and `ladder` key.
     pub shadow_memo_hits: u64,
     /// Warm rung: distinct blocks the handover resync considered — the
     /// standby's overlay plus the base's tracked write set (see

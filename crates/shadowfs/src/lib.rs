@@ -9,16 +9,16 @@
 //!   nothing between an operation and the bytes it validates: every
 //!   block it wants, it asks its device for, and decodes and checks
 //!   again. What the *device* is, is the caller's business — a cold
-//!   recovery rung hands it a [`rae_blockdev::MemoDisk`], a fill-once
-//!   snapshot view under which each block crosses the real device once
-//!   per rung. That is below the shadow and invisible to it: no
+//!   recovery rung hands it a [`rae_blockdev::FrozenView`], a fill-once
+//!   snapshot under which each block crosses the real device once per
+//!   rung. That is below the shadow and invisible to it: no
 //!   invalidation, no coherence logic, no second code path here.
 //! * **Never writes to the device**: every mutation lands in an
 //!   in-memory *overlay* of block images. Completed sync operations are
 //!   already on disk (they are the shadow's input); incomplete sync
 //!   operations are delegated back to the base. The overlay becomes the
 //!   [`rae_fsformat::RecoveryDelta`] the base absorbs. (Under a
-//!   `MemoDisk` the rule is enforced, not assumed: a write through the
+//!   `FrozenView` the rule is enforced, not assumed: a write through the
 //!   view is an error.)
 //! * **Extensive runtime checks**: every structure is validated on
 //!   load, every allocation is cross-checked against the bitmaps, and
