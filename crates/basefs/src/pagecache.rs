@@ -33,6 +33,26 @@
 //! resident pages is compacted, so hits that never evict cannot grow
 //! it without bound.
 //!
+//! # The dirty index
+//!
+//! A commit must not pay for the whole cache to find the few pages it
+//! commits. Each shard indexes its dirty blocks in two lists, one per
+//! class: every transition of a page into *dirty as that class* (a
+//! write, a patch, a class change by patch, an update miss, a failed
+//! commit or flush batch re-dirtying a page) pushes its block number.
+//! The takes ([`PageCache::take_dirty_meta`],
+//! [`PageCache::take_dirty_data`]) `mem::take` their list and look each
+//! entry up; an entry whose page is gone (evicted, discarded), clean or
+//! of the other class is stale and is dropped there, and a duplicate
+//! finds its page already taken. A third list indexes the pages whose
+//! home turned stale at [`PageCache::commit_done`], and
+//! [`PageCache::checkpoint_done`] walks it the same way. So a take or a
+//! checkpoint costs what it takes plus the entries that went stale since
+//! the last one, never the resident set. A list that outgrows its
+//! shard's resident pages between takes (dirty pages evicted and
+//! dirtied again, with no commit) is pruned to its live entries, so
+//! memory stays bounded by the cache.
+//!
 //! # Sharding
 //!
 //! The cache is lock-striped into N shards (block number modulo N), so
@@ -47,7 +67,7 @@
 //! ([`PageCache::dirty_meta_count`], called on every mutation) is O(1)
 //! instead of a scan of every shard.
 
-use crate::lru::{self, Lru, Stamped};
+use crate::lru::{self, Lru, Stamped, LRU_SLACK_FLOOR};
 use parking_lot::Mutex;
 use rae_blockdev::{BlockDevice, QueueConfig, WritebackQueue, BLOCK_SIZE};
 use rae_telemetry::{EventKind, SpanLayer, Telemetry};
@@ -111,6 +131,40 @@ struct Shard {
     /// yet: reads must be served from here, not from the device, or
     /// they would observe pre-write content.
     inflight: HashMap<u64, Vec<u8>>,
+    /// The dirty index (see module docs): blocks that turned dirty as
+    /// meta, and as data, since the last take; stale entries allowed.
+    dirty_meta: Vec<u64>,
+    dirty_data: Vec<u64>,
+    /// Blocks whose home turned stale since the last checkpoint.
+    stale_home: Vec<u64>,
+}
+
+impl Shard {
+    /// Index `bno`, which just turned dirty as `class`.
+    fn index_dirty(&mut self, bno: u64, class: PageClass) {
+        let list = match class {
+            PageClass::Meta => &mut self.dirty_meta,
+            PageClass::Data => &mut self.dirty_data,
+        };
+        push_pruned(list, bno, &self.lru.map, |p| p.dirty && p.class == class);
+    }
+}
+
+/// Push `bno` onto an index list. A list that has outgrown twice its
+/// shard's resident pages is cut to its `live` entries, once each: one
+/// O(list) pass per that many pushes.
+fn push_pruned(
+    list: &mut Vec<u64>,
+    bno: u64,
+    map: &HashMap<u64, Page>,
+    live: impl Fn(&Page) -> bool,
+) {
+    list.push(bno);
+    if list.len() > 2 * map.len() + LRU_SLACK_FLOOR {
+        list.retain(|b| map.get(b).is_some_and(&live));
+        list.sort_unstable();
+        list.dedup();
+    }
 }
 
 /// Cache statistics.
@@ -214,12 +268,27 @@ impl PageCache {
         }
     }
 
+    /// Account the page at `bno`, now dirty as `class` and before dirty
+    /// as `was` (`None`: clean or absent): the dirty-meta count and the
+    /// dirty index follow every change of the pair.
+    fn dirtied(&self, shard: &mut Shard, bno: u64, was: Option<PageClass>, class: PageClass) {
+        if was == Some(class) {
+            return;
+        }
+        if class == PageClass::Meta {
+            self.dirty_meta.fetch_add(1, Ordering::Relaxed);
+        } else if was == Some(PageClass::Meta) {
+            self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
+        }
+        shard.index_dirty(bno, class);
+    }
+
     /// Evict pages until at most `shard_capacity` resident in this
     /// shard. Dirty data pages are submitted to the write-back queue;
     /// dirty and committing meta pages, and pages in a flush batch, are
     /// skipped (pinned).
     fn evict_if_needed(&self, shard: &mut Shard) -> FsResult<()> {
-        let Shard { lru, inflight } = shard;
+        let Shard { lru, inflight, .. } = shard;
         let pinned =
             |p: &Page| p.writeback || p.class == PageClass::Meta && (p.dirty || p.committing);
         lru.evict(self.shard_capacity, pinned, |bno, page| {
@@ -321,13 +390,8 @@ impl PageCache {
                 (p.committing, p.home_stale, p.writeback);
         }
         let old = shard.lru.insert(bno, page);
-        let was_dirty_meta = matches!(old, Some(ref p) if p.class == PageClass::Meta && p.dirty);
-        let is_dirty_meta = class == PageClass::Meta;
-        if is_dirty_meta && !was_dirty_meta {
-            self.dirty_meta.fetch_add(1, Ordering::Relaxed);
-        } else if !is_dirty_meta && was_dirty_meta {
-            self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
-        }
+        let was = old.filter(|p| p.dirty).map(|p| p.class);
+        self.dirtied(&mut shard, bno, was, class);
         self.evict_if_needed(&mut shard)
     }
 
@@ -345,16 +409,11 @@ impl PageCache {
     ) -> Option<FsResult<()>> {
         if let Some(p) = shard.lru.map.get_mut(&bno) {
             p.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-            let was_dirty_meta = p.class == PageClass::Meta && p.dirty;
+            let was = p.dirty.then_some(p.class);
             p.class = class;
             p.dirty = true;
             p.stamp = stamp;
-            let is_dirty_meta = class == PageClass::Meta;
-            if is_dirty_meta && !was_dirty_meta {
-                self.dirty_meta.fetch_add(1, Ordering::Relaxed);
-            } else if !is_dirty_meta && was_dirty_meta {
-                self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
-            }
+            self.dirtied(shard, bno, was, class);
             shard.lru.push(bno, stamp);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.evict_if_needed(shard));
@@ -365,9 +424,7 @@ impl PageCache {
             let mut data = data.clone();
             data[offset..offset + bytes.len()].copy_from_slice(bytes);
             shard.lru.insert(bno, Page::new(data, class, true, stamp));
-            if class == PageClass::Meta {
-                self.dirty_meta.fetch_add(1, Ordering::Relaxed);
-            }
+            self.dirtied(shard, bno, None, class);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(self.evict_if_needed(shard));
         }
@@ -412,9 +469,7 @@ impl PageCache {
         }
         buf[offset..offset + bytes.len()].copy_from_slice(bytes);
         shard.lru.insert(bno, Page::new(buf, class, true, stamp));
-        if class == PageClass::Meta {
-            self.dirty_meta.fetch_add(1, Ordering::Relaxed);
-        }
+        self.dirtied(&mut shard, bno, None, class);
         self.evict_if_needed(&mut shard)
     }
 
@@ -441,18 +496,25 @@ impl PageCache {
     /// Snapshot all dirty metadata pages and hand them to a journal
     /// commit: they stop being dirty but stay pinned until the commit
     /// reports back through [`PageCache::commit_done`] or
-    /// [`PageCache::commit_failed`] with the same block numbers.
+    /// [`PageCache::commit_failed`] with the same block numbers. Walks
+    /// the dirty index, not the cache.
     #[must_use]
     pub fn take_dirty_meta(&self) -> Vec<(u64, Vec<u8>)> {
         let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            for (&bno, p) in shard.lru.map.iter_mut() {
-                if p.class == PageClass::Meta && p.dirty {
-                    out.push((bno, p.data.clone()));
-                    p.dirty = false;
-                    p.committing = true;
-                    self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
+            let Shard {
+                lru, dirty_meta, ..
+            } = &mut *shard;
+            for bno in std::mem::take(dirty_meta) {
+                match lru.map.get_mut(&bno) {
+                    Some(p) if p.class == PageClass::Meta && p.dirty => {
+                        out.push((bno, p.data.clone()));
+                        p.dirty = false;
+                        p.committing = true;
+                        self.dirty_meta.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    _ => {} // stale, or a duplicate already taken
                 }
             }
         }
@@ -465,9 +527,16 @@ impl PageCache {
     /// checkpoint (so evicting one now writes it home first).
     pub fn commit_done(&self, blocks: &[u64]) {
         for &bno in blocks {
-            if let Some(p) = self.shard_for(bno).lock().lru.map.get_mut(&bno) {
+            let mut shard = self.shard_for(bno).lock();
+            let Shard {
+                lru, stale_home, ..
+            } = &mut *shard;
+            if let Some(p) = lru.map.get_mut(&bno) {
                 p.committing = false;
-                p.home_stale = true;
+                if !p.home_stale {
+                    p.home_stale = true;
+                    push_pruned(stale_home, bno, &lru.map, |p| p.home_stale);
+                }
             }
         }
     }
@@ -477,24 +546,34 @@ impl PageCache {
     /// for the next commit and never written home directly.
     pub fn commit_failed(&self, blocks: &[u64]) {
         for &bno in blocks {
-            if let Some(p) = self.shard_for(bno).lock().lru.map.get_mut(&bno) {
-                if p.committing && !p.dirty {
-                    p.dirty = true;
-                    self.dirty_meta.fetch_add(1, Ordering::Relaxed);
-                }
-                p.committing = false;
+            let mut shard = self.shard_for(bno).lock();
+            let Some(p) = shard.lru.map.get_mut(&bno) else {
+                continue;
+            };
+            let redirty = p.committing && !p.dirty;
+            p.committing = false;
+            if redirty {
+                p.dirty = true;
+                let class = p.class;
+                self.dirtied(&mut shard, bno, None, class);
             }
         }
     }
 
     /// The journal manager rewrote every committed image at its home
     /// location: resident meta pages are no longer ahead of the device,
-    /// so eviction may drop them without a write-back.
+    /// so eviction may drop them without a write-back. Walks the
+    /// stale-home index, not the cache.
     pub fn checkpoint_done(&self) {
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            for p in shard.lru.map.values_mut() {
-                p.home_stale = false;
+            let Shard {
+                lru, stale_home, ..
+            } = &mut *shard;
+            for bno in std::mem::take(stale_home) {
+                if let Some(p) = lru.map.get_mut(&bno) {
+                    p.home_stale = false;
+                }
             }
         }
     }
@@ -507,16 +586,12 @@ impl PageCache {
         let mut candidates: Vec<u64> = Vec::new();
         for stripe in &self.shards {
             let shard = stripe.lock();
-            candidates.extend(
-                shard
-                    .lru
-                    .map
-                    .iter()
-                    .filter(|(_, p)| p.class == PageClass::Meta && p.dirty)
-                    .map(|(&b, _)| b),
-            );
+            candidates.extend(shard.dirty_meta.iter().copied().filter(|b| {
+                matches!(shard.lru.map.get(b), Some(p) if p.class == PageClass::Meta && p.dirty)
+            }));
         }
         candidates.sort_unstable();
+        candidates.dedup();
         let target = candidates
             .iter()
             .copied()
@@ -544,20 +619,29 @@ impl PageCache {
     /// the `writeback` mark until the caller reports back through
     /// [`PageCache::data_landed`] with the same block numbers. An
     /// evicted copy of a taken block that is still queued is older, so
-    /// this waits for it to land first.
+    /// this waits for it to land first. Walks the dirty index, not the
+    /// cache.
     #[must_use]
     pub fn take_dirty_data(&self) -> Vec<(u64, Vec<u8>)> {
         let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut queued_before = false;
         for stripe in &self.shards {
             let mut shard = stripe.lock();
-            let Shard { lru, inflight } = &mut *shard;
-            for (&bno, p) in lru.map.iter_mut() {
-                if p.class == PageClass::Data && p.dirty {
-                    p.dirty = false;
-                    p.writeback = true;
-                    batch.push((bno, p.data.clone()));
-                    queued_before |= inflight.contains_key(&bno);
+            let Shard {
+                lru,
+                inflight,
+                dirty_data,
+                ..
+            } = &mut *shard;
+            for bno in std::mem::take(dirty_data) {
+                match lru.map.get_mut(&bno) {
+                    Some(p) if p.class == PageClass::Data && p.dirty => {
+                        p.dirty = false;
+                        p.writeback = true;
+                        batch.push((bno, p.data.clone()));
+                        queued_before |= inflight.contains_key(&bno);
+                    }
+                    _ => {} // stale, or a duplicate already taken
                 }
             }
         }
@@ -572,9 +656,15 @@ impl PageCache {
     /// unpinned, and dirty again unless it reached stable storage (`ok`).
     pub fn data_landed(&self, blocks: &[u64], ok: bool) {
         for &bno in blocks {
-            if let Some(p) = self.shard_for(bno).lock().lru.map.get_mut(&bno) {
-                p.writeback = false;
-                p.dirty |= !ok;
+            let mut shard = self.shard_for(bno).lock();
+            let Some(p) = shard.lru.map.get_mut(&bno) else {
+                continue;
+            };
+            p.writeback = false;
+            if !ok && !p.dirty {
+                p.dirty = true;
+                let class = p.class;
+                self.dirtied(&mut shard, bno, None, class);
             }
         }
     }
@@ -606,6 +696,9 @@ impl PageCache {
             let mut shard = stripe.lock();
             shard.lru.clear();
             shard.inflight.clear();
+            shard.dirty_meta.clear();
+            shard.dirty_data.clear();
+            shard.stale_home.clear();
         }
         self.dirty_meta.store(0, Ordering::Relaxed);
     }
@@ -638,25 +731,57 @@ impl PageCache {
         self.shard_for(bno).lock().lru.map.contains_key(&bno)
     }
 
-    /// Dirty resident pages of `class`, ascending (test observability).
+    /// Dirty resident pages of `class`, ascending: the whole-cache walk
+    /// the dirty index replaces, kept as its oracle (test observability).
     #[cfg(test)]
     pub(crate) fn dirty_blocks(&self, class: PageClass) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                let shard = s.lock();
+        self.scan(|p| p.class == class && p.dirty)
+    }
+
+    /// Resident pages for which `pick` holds, ascending, by a walk of
+    /// every shard's map (test observability).
+    #[cfg(test)]
+    fn scan(&self, pick: impl Fn(&Page) -> bool) -> Vec<u64> {
+        let mut out: Vec<u64> = Vec::new();
+        for stripe in &self.shards {
+            let shard = stripe.lock();
+            out.extend(
                 shard
                     .lru
                     .map
                     .iter()
-                    .filter(|(_, p)| p.class == class && p.dirty)
-                    .map(|(&bno, _)| bno)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+                    .filter(|(_, p)| pick(p))
+                    .map(|(&b, _)| b),
+            );
+        }
         out.sort_unstable();
         out
+    }
+
+    /// The entries of one index list (`list`) whose page `pick` holds
+    /// for, ascending, once each: what the index can find, to compare
+    /// with [`PageCache::scan`] (test observability).
+    #[cfg(test)]
+    fn indexed(&self, list: fn(&Shard) -> &Vec<u64>, pick: impl Fn(&Page) -> bool) -> Vec<u64> {
+        let mut out: Vec<u64> = Vec::new();
+        for stripe in &self.shards {
+            let shard = stripe.lock();
+            out.extend(
+                list(&shard)
+                    .iter()
+                    .filter(|b| shard.lru.map.get(b).is_some_and(&pick)),
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Total index entries, stale ones included (test observability).
+    #[cfg(test)]
+    fn index_len(&self) -> usize {
+        let lists = |s: &Shard| s.dirty_meta.len() + s.dirty_data.len() + s.stale_home.len();
+        self.shards.iter().map(|s| lists(&s.lock())).sum()
     }
 
     /// Total LRU queue entries, stale ones included (test observability).
@@ -669,6 +794,24 @@ impl PageCache {
     #[cfg(test)]
     fn inflight_len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().inflight.len()).sum()
+    }
+
+    /// In-flight copies of blocks that are not resident, ascending: a
+    /// patch of one takes the in-flight branch (test observability).
+    #[cfg(test)]
+    fn scan_inflight_not_resident(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = Vec::new();
+        for stripe in &self.shards {
+            let shard = stripe.lock();
+            out.extend(
+                shard
+                    .inflight
+                    .keys()
+                    .filter(|b| !shard.lru.map.contains_key(b)),
+            );
+        }
+        out.sort_unstable();
+        out
     }
 }
 
@@ -1070,6 +1213,139 @@ mod tests {
         }
         assert!(pc.stats().hits >= 4 * 200);
     }
+
+    /// After every step of a seeded random sequence of the cache's
+    /// state changes, the dirty index finds exactly the dirty pages of
+    /// each class and the stale-home index exactly the stale-home pages
+    /// a walk of the whole cache finds, and each take hands out what the
+    /// walk found just before it.
+    #[test]
+    fn dirty_index_matches_a_full_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let meta_list: fn(&Shard) -> &Vec<u64> = |s| &s.dirty_meta;
+        let data_list: fn(&Shard) -> &Vec<u64> = |s| &s.dirty_data;
+        let stale_list: fn(&Shard) -> &Vec<u64> = |s| &s.stale_home;
+        let class_of = |rng: &mut SmallRng| {
+            if rng.gen_bool(0.5) {
+                PageClass::Meta
+            } else {
+                PageClass::Data
+            }
+        };
+        let flip = |c: PageClass| match c {
+            PageClass::Meta => PageClass::Data,
+            PageClass::Data => PageClass::Meta,
+        };
+        for seed in 0..48u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let dev = Arc::new(MemDisk::new(48));
+            let pc = PageCache::with_shards(dev, 12, QueueConfig::default(), 3);
+            // handed meta blocks (committing) and taken data blocks
+            // (under writeback) not yet reported back
+            let mut handed: Vec<u64> = Vec::new();
+            let mut taken: Vec<u64> = Vec::new();
+            for step in 0..400 {
+                let bno = rng.gen_range(0..48u64);
+                let op = rng.gen_range(0..15u32);
+                match op {
+                    0 | 1 => pc
+                        .write(bno, block(step as u8), class_of(&mut rng))
+                        .unwrap(),
+                    // an update hit or miss, whichever `bno` is
+                    2 | 3 => pc
+                        .update(bno, 8, &[step as u8], class_of(&mut rng))
+                        .unwrap(),
+                    4 => {
+                        // a patch of an in-flight (evicted, queued) copy
+                        let gone = pc.scan_inflight_not_resident();
+                        if let Some(&b) = gone.get(rng.gen_range(0..gone.len().max(1))) {
+                            pc.update(b, 16, &[step as u8], class_of(&mut rng)).unwrap();
+                        }
+                    }
+                    5 => {
+                        // a class change by patch of a dirty page
+                        let dirty = pc.scan(|p| p.dirty);
+                        if let Some(&b) = dirty.get(rng.gen_range(0..dirty.len().max(1))) {
+                            let class = pc.shard_for(b).lock().lru.map[&b].class;
+                            pc.update(b, 24, &[step as u8], flip(class)).unwrap();
+                        }
+                    }
+                    // reads evict: dirty data into the write-back queue
+                    6 => drop(pc.read(bno, class_of(&mut rng)).unwrap()),
+                    7 => pc.discard_meta(bno),
+                    8 => {
+                        let expect = pc.dirty_blocks(PageClass::Meta);
+                        let got: Vec<u64> = pc.take_dirty_meta().iter().map(|m| m.0).collect();
+                        assert_eq!(got, expect, "seed {seed} step {step}: meta take");
+                        handed.extend(got);
+                    }
+                    9 => {
+                        let expect = pc.dirty_blocks(PageClass::Data);
+                        let got: Vec<u64> = pc.take_dirty_data().iter().map(|d| d.0).collect();
+                        assert_eq!(got, expect, "seed {seed} step {step}: data take");
+                        taken.extend(got);
+                    }
+                    10 if rng.gen_bool(0.5) => pc.commit_failed(&std::mem::take(&mut handed)),
+                    10 => pc.commit_done(&std::mem::take(&mut handed)),
+                    11 => pc.data_landed(&std::mem::take(&mut taken), rng.gen_bool(0.5)),
+                    12 => pc.checkpoint_done(),
+                    13 => pc.settle().unwrap(),
+                    _ if rng.gen_bool(0.1) => {
+                        pc.discard_all();
+                        handed.clear();
+                        taken.clear();
+                    }
+                    _ => {}
+                }
+                let at = format!("seed {seed} step {step} op {op}");
+                for class in [PageClass::Meta, PageClass::Data] {
+                    let list = if class == PageClass::Meta {
+                        meta_list
+                    } else {
+                        data_list
+                    };
+                    let dirty = |p: &Page| p.dirty && p.class == class;
+                    assert_eq!(pc.indexed(list, dirty), pc.scan(dirty), "{at}: {class:?}");
+                }
+                let stale = |p: &Page| p.home_stale;
+                assert_eq!(
+                    pc.indexed(stale_list, stale),
+                    pc.scan(stale),
+                    "{at}: stale home"
+                );
+                assert_eq!(
+                    pc.dirty_meta_count(),
+                    pc.dirty_blocks(PageClass::Meta).len(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    /// Dirty pages evicted and dirtied again with no take in between
+    /// leave stale index entries behind; the index is pruned, so they
+    /// cannot grow it past a few times the cache.
+    #[test]
+    fn dirty_index_stays_bounded_without_takes() {
+        let (_dev, pc) = cache(4096, 16);
+        for i in 0..20_000u64 {
+            pc.write(i % 4096, block(i as u8), PageClass::Data).unwrap();
+            // pushed with the new page in, before eviction: 17 resident
+            assert!(
+                pc.index_len() <= 2 * 17 + LRU_SLACK_FLOOR,
+                "{}",
+                pc.index_len()
+            );
+        }
+        // clean traffic indexes nothing
+        pc.settle().unwrap();
+        let _ = pc.take_dirty_data();
+        for bno in 0..4096u64 {
+            let _ = pc.read(bno, PageClass::Data).unwrap();
+        }
+        assert_eq!(pc.index_len(), 0);
+    }
 }
 
 #[cfg(test)]
@@ -1246,6 +1522,49 @@ mod writeback_race_tests {
         let mut raw = vec![0u8; BLOCK_SIZE];
         dev.inner.read_block(0, &mut raw).unwrap();
         assert_eq!(raw[0], 2, "the queued older image landed last");
+    }
+
+    /// Delays every one-block write (the write-back queue's).
+    struct SlowSingles {
+        inner: MemDisk,
+    }
+
+    impl BlockDevice for SlowSingles {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+            self.inner.read_block(bno, buf)
+        }
+        fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            self.inner.write_block(bno, buf)
+        }
+        fn flush(&self) -> FsResult<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// The idle fast path does not let `take_dirty_data` skip its wait:
+    /// with an older copy of a taken block still queued, the take
+    /// returns only once that copy (and all queued before it) landed.
+    #[test]
+    fn take_dirty_data_waits_for_an_older_queued_copy() {
+        let dev = Arc::new(SlowSingles {
+            inner: MemDisk::new(16),
+        });
+        let pc = PageCache::new(dev.clone(), 2, QueueConfig::default());
+        pc.write(0, vec![1; BLOCK_SIZE], PageClass::Data).unwrap();
+        pc.write(1, vec![2; BLOCK_SIZE], PageClass::Data).unwrap();
+        pc.write(2, vec![3; BLOCK_SIZE], PageClass::Data).unwrap(); // evicts 0
+        pc.update(0, 0, &[4], PageClass::Data).unwrap(); // back, and dirty
+        assert!(pc.queue.completed() < pc.queue.submitted(), "still queued");
+        let batch = pc.take_dirty_data();
+        assert!(batch.iter().any(|&(bno, _)| bno == 0));
+        assert_eq!(pc.queue.completed(), pc.queue.submitted());
+        let mut raw = vec![0u8; BLOCK_SIZE];
+        dev.inner.read_block(0, &mut raw).unwrap();
+        assert_eq!(raw[0], 1, "the older copy landed before the take returned");
     }
 
     #[test]

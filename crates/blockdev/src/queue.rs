@@ -7,6 +7,23 @@
 //! Write errors are reported *asynchronously*: they surface at the next
 //! [`WritebackQueue::barrier`], exactly like write-back errors surfacing
 //! at `fsync` time in Linux.
+//!
+//! # The idle fast path
+//!
+//! Most barriers find the queue empty: a journal commit runs one in
+//! front of every commit block, and only evictions of dirty pages queue
+//! anything. Draining an empty queue orders nothing (only the flush
+//! does), so [`WritebackQueue::drain`] returns at once when every write
+//! sent so far has completed, and sends no message to any worker.
+//! `submitted` counts a write before its send (and takes it back if the
+//! send fails), `completed` after its device write, so `completed <=
+//! submitted` at all times. The drain loads `completed` (Acquire) and
+//! only then `submitted`: the completions it read were all counted as
+//! submissions by then, so equal counts mean every write submitted
+//! before the drain began has completed, and the Acquire makes each
+//! one's error slot visible to the barrier. Read the other way round, a
+//! submission made after the first load could complete before the
+//! second and stand in for an older write still in flight.
 
 use crate::device::BlockDevice;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -132,18 +149,30 @@ impl WritebackQueue {
     ///
     /// [`FsError::Internal`] if the worker pool has shut down.
     pub fn submit(&self, bno: u64, data: Vec<u8>) -> FsResult<()> {
+        // counted before the send, so no completion can outrun its count
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.senders[self.route(bno)]
-            .send(Msg::Write { bno, data })
-            .map_err(|_| FsError::Internal {
-                detail: "write-back queue is shut down".to_string(),
-            })
+        let sent = self.senders[self.route(bno)].send(Msg::Write { bno, data });
+        if sent.is_err() {
+            // never sent, so it never completes: uncounted, or the idle
+            // fast path would never see the queue empty again
+            self.submitted.fetch_sub(1, Ordering::Relaxed);
+        }
+        sent.map_err(|_| FsError::Internal {
+            detail: "write-back queue is shut down".to_string(),
+        })
     }
 
     /// Completion wait: returns once every previously submitted write
-    /// has completed on every queue. No flush, and any asynchronous
-    /// write error stays for the next [`WritebackQueue::barrier`].
+    /// has completed on every queue — at once, without a round trip to
+    /// the workers, when none is outstanding (see the module docs). No
+    /// flush, and any asynchronous write error stays for the next
+    /// [`WritebackQueue::barrier`].
     pub fn drain(&self) {
+        // completed first: see the module docs for why the order matters
+        let completed = self.completed.load(Ordering::Acquire);
+        if completed == self.submitted.load(Ordering::Relaxed) {
+            return;
+        }
         let (ack_tx, ack_rx) = bounded(self.senders.len());
         let mut expected = 0;
         for s in &self.senders {
@@ -259,6 +288,113 @@ mod tests {
         let q = WritebackQueue::new(disk, QueueConfig::default());
         q.barrier().unwrap();
         q.barrier().unwrap();
+    }
+
+    /// A device whose writes take `delay` each; a write to `poison`
+    /// panics, killing its worker.
+    struct SlowDisk {
+        inner: MemDisk,
+        delay: std::time::Duration,
+        poison: Option<u64>,
+    }
+
+    impl BlockDevice for SlowDisk {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+            self.inner.read_block(bno, buf)
+        }
+        fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+            assert_ne!(Some(bno), self.poison, "poisoned block written");
+            std::thread::sleep(self.delay);
+            self.inner.write_block(bno, buf)
+        }
+        fn flush(&self) -> FsResult<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// The idle fast path skips the workers, not the error slots: an
+    /// error from a write that completed before the barrier began still
+    /// surfaces there.
+    #[test]
+    fn idle_barrier_still_returns_an_earlier_error() {
+        let plan = DiskFaultPlan::new().fail_writes(FaultTarget::Block(3), TriggerMode::Always);
+        let disk: Arc<dyn BlockDevice> = Arc::new(FaultyDisk::with_plan(MemDisk::new(8), plan));
+        let q = WritebackQueue::new(disk, QueueConfig::default());
+        q.submit(3, vec![1; BLOCK_SIZE]).unwrap();
+        while q.completed() < 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(q.submitted(), q.completed(), "the queue is idle");
+        let err = q.barrier().unwrap_err();
+        assert!(matches!(err, FsError::IoFailed { .. }));
+        q.barrier().unwrap();
+    }
+
+    /// A barrier on one thread after another thread's submits returns
+    /// only once every one of them has completed, however slow the
+    /// device.
+    #[test]
+    fn barrier_waits_for_another_threads_submits() {
+        const N: u64 = 8;
+        let disk = Arc::new(SlowDisk {
+            inner: MemDisk::new(N),
+            delay: std::time::Duration::from_millis(5),
+            poison: None,
+        });
+        let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for bno in 0..N {
+                    q.submit(bno, vec![bno as u8 + 1; BLOCK_SIZE]).unwrap();
+                }
+                sent_tx.send(()).unwrap();
+            });
+            sent_rx.recv().unwrap();
+            q.barrier().unwrap();
+            assert_eq!(q.completed(), N);
+        });
+        for bno in 0..N {
+            let mut r = vec![0u8; BLOCK_SIZE];
+            disk.read_block(bno, &mut r).unwrap();
+            assert_eq!(r[0], bno as u8 + 1, "block {bno}");
+        }
+    }
+
+    /// A write whose send fails (its worker is gone) is not counted as
+    /// submitted: it will never complete, and counting it would keep
+    /// `submitted` above `completed` for good.
+    #[test]
+    fn a_write_that_was_not_sent_is_not_counted() {
+        let disk = Arc::new(SlowDisk {
+            inner: MemDisk::new(4),
+            delay: std::time::Duration::ZERO,
+            poison: Some(0),
+        });
+        let q = WritebackQueue::new(
+            disk,
+            QueueConfig {
+                nr_queues: 1,
+                queue_depth: 4,
+            },
+        );
+        q.submit(0, vec![1; BLOCK_SIZE]).unwrap(); // the worker panics
+        let refused = (0..10_000).find_map(|_| {
+            let before = q.submitted();
+            match q.submit(1, vec![2; BLOCK_SIZE]) {
+                Ok(()) => {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    None
+                }
+                Err(_) => Some(before),
+            }
+        });
+        let before = refused.expect("a submit to the dead worker fails");
+        assert_eq!(q.submitted(), before, "the refused write was counted");
+        q.drain(); // the one lost write is waited for by no one
     }
 
     #[test]
