@@ -91,8 +91,6 @@ type DcShard = Lru<(InodeNo, Arc<str>), Dentry>;
 pub(crate) struct DentryCache {
     shards: Vec<Mutex<DcShard>>,
     shard_capacity: usize,
-    next_stamp: AtomicU64,
-    hits: AtomicU64,
     misses: AtomicU64,
 }
 
@@ -105,8 +103,6 @@ impl DentryCache {
                 .map(|_| Mutex::new(DcShard::default()))
                 .collect(),
             shard_capacity: capacity.div_ceil(nshards),
-            next_stamp: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
@@ -119,14 +115,14 @@ impl DentryCache {
     }
 
     pub(crate) fn lookup(&self, parent: InodeNo, name: &str) -> Option<InodeNo> {
-        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shard_for(parent, name).lock();
+        let stamp = shard.tick();
         match shard.map.get_mut(&(parent, name) as &dyn DentryKey) {
             Some(d) => {
                 d.stamp = stamp;
                 let (child, stored) = (d.child, Arc::clone(&d.name));
                 shard.push((parent, stored), stamp);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                shard.note_hit();
                 Some(child)
             }
             None => {
@@ -137,8 +133,8 @@ impl DentryCache {
     }
 
     pub(crate) fn insert(&self, parent: InodeNo, name: &str, child: InodeNo) {
-        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shard_for(parent, name).lock();
+        let stamp = shard.tick();
         let name: Arc<str> = name.into();
         let dentry = Dentry {
             child,
@@ -169,7 +165,7 @@ impl DentryCache {
     }
 
     pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().hits()).sum()
     }
 
     pub(crate) fn misses(&self) -> u64 {

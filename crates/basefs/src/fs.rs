@@ -9,7 +9,9 @@
 //!    operation that rewrites the namespace *between* directories, so
 //!    it takes `fence` exclusively and runs alone; every other
 //!    operation (mutating or reading) takes it shared and never sees a
-//!    rename in flight.
+//!    rename in flight. It is a reader-slot lock
+//!    ([`rae_vfs::slot::SlotLock`]): the shared side locks only the
+//!    calling thread's slot, the exclusive side every slot.
 //! 2. `txn` (shared) — the journal-transaction lock. Mutations hold it
 //!    shared for their whole critical section; the group-commit leader
 //!    takes it exclusively, so a commit sees no half-finished
@@ -19,7 +21,9 @@
 //!    inodes it mutates (e.g. `unlink` = {parent, victim}) and holds
 //!    their stripes exclusively.
 //! 4. Leaf mutexes (`fds`, `alloc`, `jmgr`, `commit_state`) — short
-//!    capture/release holds only, never nested with one another.
+//!    capture/release holds only, never nested with one another. A
+//!    read's descriptor lookup takes only its thread slot's cache of
+//!    `fds` ([`crate::fdtable`]).
 //!
 //! Because path resolution runs before the write-set is known, every
 //! mutation resolves optimistically, locks its stripes, then
@@ -36,7 +40,7 @@
 
 use crate::alloc::Allocators;
 use crate::dentry::DentryCache;
-use crate::fdtable::{FdEntry, FdTable};
+use crate::fdtable::{FdEntry, Fds};
 use crate::icache::InodeCache;
 use crate::jmgr::JournalMgr;
 use crate::pagecache::{CacheStats, PageCache, PageClass};
@@ -49,6 +53,7 @@ use rae_fsformat::inode::{
 };
 use rae_fsformat::journal::{self, ReplayReport};
 use rae_fsformat::{Geometry, MountState, RecoveryDelta, Superblock};
+use rae_vfs::slot::SlotLock;
 use rae_vfs::{
     split_parent, split_path, DirEntry, Fd, FileStat, FileSystem, FileType, FsError,
     FsGeometryInfo, FsResult, InodeNo, OpCounters, OpKind, OpOutcome, OpenFlags, SetAttr,
@@ -232,7 +237,9 @@ pub struct BaseFs {
     pages: PageCache,
     icache: InodeCache,
     dcache: DentryCache,
-    fds: Mutex<FdTable>,
+    /// The descriptor table; reads look descriptors up in a per-slot
+    /// cache of it.
+    fds: Fds,
     alloc: Mutex<Allocators>,
     jmgr: Mutex<JournalMgr>,
     commit_state: Mutex<CommitState>,
@@ -241,7 +248,9 @@ pub struct BaseFs {
     /// commit leaders.
     txn: RwLock<()>,
     /// Global rename fence: exclusive for `rename`, shared otherwise.
-    fence: RwLock<()>,
+    /// A reader-slot lock, so the shared side writes only the calling
+    /// thread's slot.
+    fence: SlotLock,
     /// Per-inode stripe locks (see the module docs).
     ilocks: Box<[RwLock<()>]>,
     clock: AtomicU64,
@@ -311,13 +320,13 @@ impl BaseFs {
             pages,
             icache: InodeCache::new(),
             dcache: DentryCache::new(DENTRY_CACHE_ENTRIES),
-            fds: Mutex::new(FdTable::new()),
+            fds: Fds::default(),
             alloc: Mutex::new(alloc),
             jmgr: Mutex::new(jmgr),
             commit_state: Mutex::new(CommitState::default()),
             commit_cv: Condvar::new(),
             txn: RwLock::new(()),
-            fence: RwLock::new(()),
+            fence: SlotLock::new(),
             ilocks: ilocks.into_boxed_slice(),
             clock: AtomicU64::new(0),
             mount_count: sb.mount_count,
@@ -408,7 +417,7 @@ impl BaseFs {
         self.pages.discard_all();
         self.icache.clear();
         self.dcache.clear();
-        self.fds.lock().clear();
+        self.fds.write().clear();
 
         let report = journal::replay(self.dev.as_ref(), &self.geo)?;
         *self.alloc.lock() = Allocators::load(self.geo, &self.pages)?;
@@ -447,7 +456,7 @@ impl BaseFs {
         {
             let mut alloc = self.alloc.lock();
             *alloc = Allocators::load(self.geo, &self.pages)?;
-            let mut fds = self.fds.lock();
+            let mut fds = self.fds.write();
             fds.clear();
             for rfd in &delta.fd_entries {
                 if !alloc.ino_allocated(rfd.ino)? {
@@ -525,7 +534,7 @@ impl BaseFs {
             dentry_misses: self.dcache.misses(),
             journal_commits,
             journal_checkpoints,
-            open_fds: self.fds.lock().len(),
+            open_fds: self.fds.read().len(),
             resident_pages: self.pages.resident(),
         }
     }
@@ -559,10 +568,10 @@ impl BaseFs {
     #[must_use]
     pub fn fd_snapshot(&self) -> Vec<(Fd, InodeNo, OpenFlags, String)> {
         self.fds
-            .lock()
+            .read()
             .entries()
             .into_iter()
-            .map(|(fd, e)| (fd, e.ino, e.flags, e.path))
+            .map(|(fd, e)| (fd, e.ino, e.flags, e.path.to_string()))
             .collect()
     }
 
@@ -701,8 +710,9 @@ impl BaseFs {
             return Ok(Some(i));
         }
         let (bno, off) = self.geo.inode_location(ino)?;
-        let block = self.pages.read(bno, PageClass::Meta)?;
-        let decoded = DiskInode::decode(&block[off..off + INODE_SIZE])?;
+        let decoded = self.pages.read_with(bno, PageClass::Meta, |block| {
+            DiskInode::decode(&block[off..off + INODE_SIZE])
+        })??;
         if let Some(i) = decoded {
             self.icache.insert(ino, i);
         }
@@ -723,8 +733,9 @@ impl BaseFs {
             return Ok(Some(i));
         }
         let (bno, off) = self.geo.inode_location(ino)?;
-        let block = self.pages.read(bno, PageClass::Meta)?;
-        DiskInode::decode(&block[off..off + INODE_SIZE])
+        self.pages.read_with(bno, PageClass::Meta, |block| {
+            DiskInode::decode(&block[off..off + INODE_SIZE])
+        })?
     }
 
     fn store_inode(&self, ino: InodeNo, inode: &DiskInode) -> FsResult<()> {
@@ -748,9 +759,10 @@ impl BaseFs {
     // ------------------------------------------------------------------
 
     fn read_ptr(&self, bno: u64, slot: usize) -> FsResult<u64> {
-        let img = self.pages.read(bno, PageClass::Meta)?;
         let mut b = [0u8; 8];
-        b.copy_from_slice(&img[slot * 8..slot * 8 + 8]);
+        self.pages.read_with(bno, PageClass::Meta, |img| {
+            b.copy_from_slice(&img[slot * 8..slot * 8 + 8]);
+        })?;
         Ok(u64::from_le_bytes(b))
     }
 
@@ -1576,7 +1588,7 @@ impl BaseFs {
         // order must equal log order for the shadow's lowest-free fd
         // allocation to reproduce the same numbering
         let r = {
-            let mut fds = self.fds.lock();
+            let mut fds = self.fds.write();
             let r = fds.alloc(ino, flags, path);
             if let Ok(fd) = r {
                 self.sequence(&OpOutcome::Opened {
@@ -1620,7 +1632,7 @@ impl BaseFs {
         let inode = DiskInode::new(FileType::Regular, now);
         self.store_inode(ino, &inode)?;
         let fd = {
-            let mut fds = self.fds.lock();
+            let mut fds = self.fds.write();
             match fds.alloc(ino, flags, path) {
                 Ok(fd) => {
                     self.sequence(&OpOutcome::Opened {
@@ -1666,7 +1678,7 @@ impl BaseFs {
                 detail: format!("descriptor restore aimed at non-file {ino}"),
             });
         }
-        let mut fds = self.fds.lock();
+        let mut fds = self.fds.write();
         fds.install(fd, ino, flags, path)?;
         self.sequence(&OpOutcome::Opened {
             fd,
@@ -1789,9 +1801,9 @@ impl BaseFs {
         self.apply_frees(&frees)
     }
 
-    /// The file-read body, under `R{entry.ino}`.
-    fn read_body(&self, entry: &FdEntry, offset: u64, len: usize) -> FsResult<Vec<u8>> {
-        let inode = self.load_inode(entry.ino)?;
+    /// The file-read body, under `R{ino}`.
+    fn read_body(&self, ino: InodeNo, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        let inode = self.load_inode(ino)?;
         let start = offset.min(inode.size);
         let end = offset.saturating_add(len as u64).min(inode.size);
         let mut out = Vec::with_capacity((end - start) as usize);
@@ -1804,8 +1816,10 @@ impl BaseFs {
             if bno == 0 {
                 out.extend(std::iter::repeat_n(0u8, take));
             } else {
-                let blk = self.pages.read(bno, PageClass::Data)?;
-                out.extend_from_slice(&blk[in_blk..in_blk + take]);
+                // the one copy: from the cached page into the reply
+                self.pages.read_with(bno, PageClass::Data, |blk| {
+                    out.extend_from_slice(&blk[in_blk..in_blk + take]);
+                })?;
             }
             pos += take as u64;
         }
@@ -1867,7 +1881,7 @@ impl BaseFs {
         match inode.ftype {
             FileType::Directory => return Err(FsError::IsDir),
             FileType::Regular => {
-                if self.fds.lock().has_open(child) {
+                if self.fds.read().has_open(child) {
                     return Err(FsError::Busy);
                 }
             }
@@ -2001,7 +2015,7 @@ impl BaseFs {
                 (true, false) => return Err(FsError::NotDir),
                 (false, true) => return Err(FsError::IsDir),
                 (false, false) => {
-                    if dst_inode.ftype == FileType::Regular && self.fds.lock().has_open(dst) {
+                    if dst_inode.ftype == FileType::Regular && self.fds.read().has_open(dst) {
                         return Err(FsError::Busy);
                     }
                 }
@@ -2071,9 +2085,9 @@ impl FileSystem for BaseFs {
                     // can never reach the log ahead of an in-flight write
                     // on the same inode; re-check the binding under the
                     // stripe (the fd could have been closed and reused).
-                    let ino = self.fds.lock().get(fd)?.ino;
+                    let (ino, _) = self.fds.lookup(fd)?;
                     let _w = self.lock_stripes(&[ino]);
-                    let mut fds = self.fds.lock();
+                    let mut fds = self.fds.write();
                     match fds.get(fd) {
                         Ok(cur) if cur.ino == ino => {
                             fds.close(fd)?;
@@ -2098,12 +2112,12 @@ impl FileSystem for BaseFs {
         let result = {
             let _fence = self.fence.read();
             self.with_read_retries(|| {
-                let entry = self.fds.lock().get(fd)?;
-                if !entry.flags.readable() {
+                let (ino, flags) = self.fds.lookup(fd)?;
+                if !flags.readable() {
                     return Err(FsError::BadAccessMode);
                 }
-                let _g = self.stripe(entry.ino).read();
-                self.read_body(&entry, offset, len)
+                let _g = self.stripe(ino).read();
+                self.read_body(ino, offset, len)
             })
         };
         match &result {
@@ -2122,7 +2136,7 @@ impl FileSystem for BaseFs {
             let _txn = self.txn.read();
             (|| {
                 for _ in 0..MUT_RETRIES {
-                    let entry = self.fds.lock().get(fd)?;
+                    let entry = self.fds.read().get(fd)?;
                     if !entry.flags.writable() {
                         return Err(FsError::BadAccessMode);
                     }
@@ -2132,7 +2146,7 @@ impl FileSystem for BaseFs {
                     let _w = self.lock_stripes(&[entry.ino]);
                     // revalidate the fd→inode binding under the stripe
                     // (a concurrent close/open may have rebound it)
-                    match self.fds.lock().get(fd) {
+                    match self.fds.read().get(fd) {
                         Ok(cur) if cur.ino == entry.ino => {}
                         Ok(_) => continue,
                         Err(e) => return Err(e),
@@ -2159,12 +2173,12 @@ impl FileSystem for BaseFs {
             let _txn = self.txn.read();
             (|| {
                 for _ in 0..MUT_RETRIES {
-                    let entry = self.fds.lock().get(fd)?;
+                    let entry = self.fds.read().get(fd)?;
                     if !entry.flags.writable() {
                         return Err(FsError::BadAccessMode);
                     }
                     let _w = self.lock_stripes(&[entry.ino]);
-                    match self.fds.lock().get(fd) {
+                    match self.fds.read().get(fd) {
                         Ok(cur) if cur.ino == entry.ino => {}
                         Ok(_) => continue,
                         Err(e) => return Err(e),
@@ -2224,7 +2238,7 @@ impl FileSystem for BaseFs {
 
     fn fsync(&self, fd: Fd) -> FsResult<()> {
         let result = (|| {
-            self.fds.lock().get(fd)?;
+            self.fds.lookup(fd)?;
             self.commit_coordinated()
         })();
         match &result {
@@ -2529,11 +2543,11 @@ impl FileSystem for BaseFs {
         let result = {
             let _fence = self.fence.read();
             self.with_read_retries(|| {
-                let entry = self.fds.lock().get(fd)?;
-                let _g = self.stripe(entry.ino).read();
-                let inode = self.load_inode(entry.ino)?;
+                let (ino, _) = self.fds.lookup(fd)?;
+                let _g = self.stripe(ino).read();
+                let inode = self.load_inode(ino)?;
                 Ok(FileStat {
-                    ino: entry.ino,
+                    ino,
                     ftype: inode.ftype,
                     size: inode.size,
                     nlink: u32::from(inode.links),

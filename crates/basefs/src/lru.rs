@@ -7,6 +7,12 @@
 //! resident set by [`LRU_SLACK`] from the map (the live entries are
 //! exactly the resident ones at their current stamps): O(resident), at
 //! most once every `(LRU_SLACK - 1) * resident` pushes.
+//!
+//! Stamps come from the shard's own clock ([`Lru::tick`]), read and
+//! advanced under the shard lock, and the shard counts its own hits: a
+//! cache hit writes only the shard it hits, never a line every shard's
+//! users share. Stamps order touches within a shard, which is all
+//! eviction, being shard-local, ever compares.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -38,13 +44,17 @@ pub(crate) trait Stamped {
 }
 
 /// One shard's map and its lazy LRU queue (see the module docs). Code
-/// that re-stamps a value in `map` must [`Lru::push`] it with the new
-/// stamp; removing from `map` directly is fine, the queue entry goes
-/// stale.
+/// that re-stamps a value in `map` must take the stamp from
+/// [`Lru::tick`] and [`Lru::push`] it; removing from `map` directly is
+/// fine, the queue entry goes stale.
 #[derive(Debug)]
 pub(crate) struct Lru<K, V> {
     pub(crate) map: HashMap<K, V>,
     queue: VecDeque<(K, u64)>,
+    /// The shard's clock: the last stamp handed out.
+    clock: u64,
+    /// Lookups this shard served.
+    hits: u64,
 }
 
 impl<K, V> Default for Lru<K, V> {
@@ -52,7 +62,28 @@ impl<K, V> Default for Lru<K, V> {
         Lru {
             map: HashMap::new(),
             queue: VecDeque::new(),
+            clock: 0,
+            hits: 0,
         }
+    }
+}
+
+impl<K, V> Lru<K, V> {
+    /// The next stamp of this shard's clock, later than every stamp it
+    /// handed out before.
+    pub(crate) fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Count one lookup served from this shard.
+    pub(crate) fn note_hit(&mut self) {
+        self.hits += 1;
+    }
+
+    /// Lookups this shard served.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
     }
 }
 
@@ -112,7 +143,7 @@ impl<K: Hash + Eq + Clone, V: Stamped> Lru<K, V> {
         result
     }
 
-    /// Drop every entry.
+    /// Drop every entry. The clock and the hit count run on.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.queue.clear();

@@ -188,8 +188,6 @@ pub struct PageCache {
     /// Global dirty-metadata page population (kept exact by every
     /// clean↔dirty transition so `dirty_meta_count` is O(1)).
     dirty_meta: AtomicUsize,
-    next_stamp: AtomicU64,
-    hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     telemetry: OnceLock<Arc<Telemetry>>,
@@ -238,8 +236,6 @@ impl PageCache {
             dev,
             shard_capacity: capacity.div_ceil(nshards),
             dirty_meta: AtomicUsize::new(0),
-            next_stamp: AtomicU64::new(1),
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             telemetry: OnceLock::new(),
@@ -255,17 +251,6 @@ impl PageCache {
 
     fn shard_for(&self, bno: u64) -> &Mutex<Shard> {
         &self.shards[(bno % self.shards.len() as u64) as usize]
-    }
-
-    fn stamp(&self) -> u64 {
-        self.next_stamp.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn touch(shard: &mut Shard, bno: u64, stamp: u64) {
-        if let Some(p) = shard.lru.map.get_mut(&bno) {
-            p.stamp = stamp;
-            shard.lru.push(bno, stamp);
-        }
     }
 
     /// Account the page at `bno`, now dirty as `class` and before dirty
@@ -317,26 +302,44 @@ impl PageCache {
         })
     }
 
-    /// Read a block through the cache.
+    /// Read a block through the cache into a copy of its own.
     ///
     /// # Errors
     ///
     /// Device errors on a miss.
     pub fn read(&self, bno: u64, class: PageClass) -> FsResult<Vec<u8>> {
-        let stamp = self.stamp();
+        self.read_with(bno, class, <[u8]>::to_vec)
+    }
+
+    /// Read a block through the cache and lend it to `f`, under the
+    /// shard lock: what `f` copies out is the one copy a read makes. `f`
+    /// runs once, and must neither block nor call back into the cache.
+    ///
+    /// # Errors
+    ///
+    /// Device errors on a miss.
+    pub fn read_with<R>(
+        &self,
+        bno: u64,
+        class: PageClass,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> FsResult<R> {
         {
-            let mut shard = self.shard_for(bno).lock();
-            if let Some(p) = shard.lru.map.get(&bno) {
-                let data = p.data.clone();
-                Self::touch(&mut shard, bno, stamp);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(data);
+            let mut guard = self.shard_for(bno).lock();
+            let shard = &mut *guard;
+            let stamp = shard.lru.tick();
+            if let Some(p) = shard.lru.map.get_mut(&bno) {
+                p.stamp = stamp;
+                let r = f(&p.data);
+                shard.lru.push(bno, stamp);
+                shard.lru.note_hit();
+                return Ok(r);
             }
             if let Some(data) = shard.inflight.get(&bno) {
                 // evicted but the write-back has not landed: the
                 // in-flight copy is the truth
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(data.clone());
+                shard.lru.note_hit();
+                return Ok(f(data));
             }
         }
         // Miss: read outside the lock, then insert (double-read on a
@@ -348,23 +351,25 @@ impl PageCache {
         if let Some(t) = self.telemetry.get() {
             t.layer_observed(SpanLayer::CacheFill, t0);
         }
-        let mut shard = self.shard_for(bno).lock();
-        if let Some(p) = shard.lru.map.get(&bno) {
+        let mut guard = self.shard_for(bno).lock();
+        let shard = &mut *guard;
+        let stamp = shard.lru.tick();
+        if let Some(p) = shard.lru.map.get_mut(&bno) {
             // raced with a writer: their copy is newer
-            let data = p.data.clone();
-            Self::touch(&mut shard, bno, stamp);
-            return Ok(data);
+            p.stamp = stamp;
+            let r = f(&p.data);
+            shard.lru.push(bno, stamp);
+            return Ok(r);
         }
         if let Some(data) = shard.inflight.get(&bno) {
             // raced with an eviction: the in-flight copy is newer than
             // what we just read from the device
-            return Ok(data.clone());
+            return Ok(f(data));
         }
-        shard
-            .lru
-            .insert(bno, Page::new(buf.clone(), class, false, stamp));
-        self.evict_if_needed(&mut shard)?;
-        Ok(buf)
+        let r = f(&buf);
+        shard.lru.insert(bno, Page::new(buf, class, false, stamp));
+        self.evict_if_needed(shard)?;
+        Ok(r)
     }
 
     /// Install a full block image, marking it dirty.
@@ -379,12 +384,11 @@ impl PageCache {
                 detail: format!("page write of {} bytes", data.len()),
             });
         }
-        let stamp = self.stamp();
         let mut shard = self.shard_for(bno).lock();
         // carried across rewrites: the home block stays stale until a
         // checkpoint actually rewrites it, and a commit or flush batch in
         // flight still has to report back
-        let mut page = Page::new(data, class, true, stamp);
+        let mut page = Page::new(data, class, true, shard.lru.tick());
         if let Some(p) = shard.lru.map.get(&bno) {
             (page.committing, page.home_stale, page.writeback) =
                 (p.committing, p.home_stale, p.writeback);
@@ -405,8 +409,8 @@ impl PageCache {
         offset: usize,
         bytes: &[u8],
         class: PageClass,
-        stamp: u64,
     ) -> Option<FsResult<()>> {
+        let stamp = shard.lru.tick();
         if let Some(p) = shard.lru.map.get_mut(&bno) {
             p.data[offset..offset + bytes.len()].copy_from_slice(bytes);
             let was = p.dirty.then_some(p.class);
@@ -415,7 +419,7 @@ impl PageCache {
             p.stamp = stamp;
             self.dirtied(shard, bno, was, class);
             shard.lru.push(bno, stamp);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            shard.lru.note_hit();
             return Some(self.evict_if_needed(shard));
         }
         if let Some(data) = shard.inflight.get(&bno) {
@@ -425,7 +429,7 @@ impl PageCache {
             data[offset..offset + bytes.len()].copy_from_slice(bytes);
             shard.lru.insert(bno, Page::new(data, class, true, stamp));
             self.dirtied(shard, bno, None, class);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            shard.lru.note_hit();
             return Some(self.evict_if_needed(shard));
         }
         None
@@ -446,10 +450,9 @@ impl PageCache {
                 detail: "page update crosses block boundary".to_string(),
             });
         }
-        let stamp = self.stamp();
         {
             let mut shard = self.shard_for(bno).lock();
-            if let Some(res) = self.patch_locked(&mut shard, bno, offset, bytes, class, stamp) {
+            if let Some(res) = self.patch_locked(&mut shard, bno, offset, bytes, class) {
                 return res;
             }
         }
@@ -464,10 +467,11 @@ impl PageCache {
             t.layer_observed(SpanLayer::CacheFill, t0);
         }
         let mut shard = self.shard_for(bno).lock();
-        if let Some(res) = self.patch_locked(&mut shard, bno, offset, bytes, class, stamp) {
+        if let Some(res) = self.patch_locked(&mut shard, bno, offset, bytes, class) {
             return res;
         }
         buf[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let stamp = shard.lru.tick();
         shard.lru.insert(bno, Page::new(buf, class, true, stamp));
         self.dirtied(&mut shard, bno, None, class);
         self.evict_if_needed(&mut shard)
@@ -707,7 +711,7 @@ impl PageCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.shards.iter().map(|s| s.lock().lru.hits()).sum(),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
@@ -1104,6 +1108,63 @@ mod tests {
         pc.write(3, block(3), PageClass::Data).unwrap();
         assert!(pc.resident_contains(0), "recently touched page survived");
         assert!(!pc.resident_contains(1), "cold page evicted");
+    }
+
+    /// Per-shard clocks order touches exactly as the one global clock
+    /// did within each shard: over a seeded mix of reads, writes and
+    /// patches on a 4-shard cache, the resident set after every step is
+    /// the one an exact LRU per shard keeps, and the hits counted across
+    /// the shards are the touches of resident pages.
+    #[test]
+    fn lru_eviction_order_within_a_shard_is_exact_lru() {
+        const SHARDS: usize = 4;
+        const PER_SHARD: usize = 8;
+        let dev = Arc::new(MemDisk::new(256));
+        let pc = PageCache::with_shards(dev, SHARDS * PER_SHARD, QueueConfig::default(), SHARDS);
+        let mut model: Vec<std::collections::VecDeque<u64>> = vec![Default::default(); SHARDS];
+        let mut hits = 0u64;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..20_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // skewed: a hot eighth of the blocks takes half the traffic
+            let bno = if x.is_multiple_of(2) {
+                x % 32
+            } else {
+                (x >> 8) % 256
+            };
+            let lru = &mut model[bno as usize % SHARDS];
+            let resident = lru.contains(&bno);
+            match (x >> 20) % 8 {
+                0 => {
+                    pc.write(bno, block(step as u8), PageClass::Data).unwrap();
+                    // clean again, so no page is ever pinned
+                    write_back(&pc).unwrap();
+                }
+                1 => {
+                    pc.update(bno, 8, &step.to_le_bytes(), PageClass::Data)
+                        .unwrap();
+                    write_back(&pc).unwrap();
+                    hits += u64::from(resident);
+                }
+                _ => {
+                    let _ = pc.read_with(bno, PageClass::Data, |b| b[0]).unwrap();
+                    hits += u64::from(resident);
+                }
+            }
+            lru.retain(|&b| b != bno);
+            lru.push_back(bno);
+            if lru.len() > PER_SHARD {
+                lru.pop_front();
+            }
+            let expected: usize = model.iter().map(|l| l.len()).sum();
+            assert_eq!(pc.resident(), expected, "step {step}");
+            for b in model.iter().flatten() {
+                assert!(pc.resident_contains(*b), "step {step}: {b} evicted early");
+            }
+        }
+        assert_eq!(pc.stats().hits, hits);
     }
 
     /// Regression test: a cache-resident read workload evicts nothing,

@@ -29,6 +29,7 @@ use crate::device::BlockDevice;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rae_vfs::{FsError, FsResult};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -110,7 +111,7 @@ impl WritebackQueue {
                     for msg in rx {
                         match msg {
                             Msg::Write { bno, data } => {
-                                if let Err(e) = dev.write_block(bno, &data) {
+                                if let Err(e) = write_caught(dev.as_ref(), bno, &data) {
                                     errs.lock().get_or_insert(e);
                                 }
                                 done.fetch_add(1, Ordering::Release);
@@ -218,6 +219,23 @@ impl WritebackQueue {
     }
 }
 
+/// One device write on a worker, a panic in it caught and reported as
+/// [`FsError::IoFailed`]: the write failed, and the worker lives on to
+/// serve the writes queued behind it (an uncaught panic would end it
+/// for good, and every later write routed to it would be refused).
+fn write_caught(dev: &dyn BlockDevice, bno: u64, data: &[u8]) -> FsResult<()> {
+    catch_unwind(AssertUnwindSafe(|| dev.write_block(bno, data))).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(FsError::IoFailed {
+            detail: format!("write of block {bno} panicked: {msg}"),
+        })
+    })
+}
+
 impl Drop for WritebackQueue {
     fn drop(&mut self) {
         self.senders.clear(); // close channels; workers drain and exit
@@ -291,11 +309,22 @@ mod tests {
     }
 
     /// A device whose writes take `delay` each; a write to `poison`
-    /// panics, killing its worker.
+    /// panics, and with `kill` set the panic's payload panics again
+    /// when the worker drops it, which no catch in the worker survives.
     struct SlowDisk {
         inner: MemDisk,
         delay: std::time::Duration,
         poison: Option<u64>,
+        kill: bool,
+    }
+
+    /// A panic payload whose drop panics.
+    struct KillsItsCatcher;
+
+    impl Drop for KillsItsCatcher {
+        fn drop(&mut self) {
+            panic!("the payload of a caught panic panicked when dropped");
+        }
     }
 
     impl BlockDevice for SlowDisk {
@@ -306,7 +335,12 @@ mod tests {
             self.inner.read_block(bno, buf)
         }
         fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-            assert_ne!(Some(bno), self.poison, "poisoned block written");
+            if Some(bno) == self.poison {
+                if self.kill {
+                    std::panic::panic_any(KillsItsCatcher);
+                }
+                panic!("poisoned block {bno} written");
+            }
             std::thread::sleep(self.delay);
             self.inner.write_block(bno, buf)
         }
@@ -343,6 +377,7 @@ mod tests {
             inner: MemDisk::new(N),
             delay: std::time::Duration::from_millis(5),
             poison: None,
+            kill: false,
         });
         let q = WritebackQueue::new(disk.clone(), QueueConfig::default());
         let (sent_tx, sent_rx) = std::sync::mpsc::channel();
@@ -364,6 +399,39 @@ mod tests {
         }
     }
 
+    /// A device write that panics fails that write, not its worker: the
+    /// panic surfaces at the next barrier as `IoFailed`, the write counts
+    /// as completed (so the idle fast path sees the queue empty again),
+    /// and the next write routed to the same worker lands.
+    #[test]
+    fn a_panicking_write_fails_at_the_barrier_and_the_worker_lives_on() {
+        let disk = Arc::new(SlowDisk {
+            inner: MemDisk::new(4),
+            delay: std::time::Duration::ZERO,
+            poison: Some(0),
+            kill: false,
+        });
+        let q = WritebackQueue::new(
+            disk.clone(),
+            QueueConfig {
+                nr_queues: 1,
+                queue_depth: 4,
+            },
+        );
+        q.submit(0, vec![1; BLOCK_SIZE]).unwrap();
+        let err = q.barrier().unwrap_err();
+        assert!(
+            matches!(&err, FsError::IoFailed { detail } if detail.contains("poisoned block 0")),
+            "{err:?}"
+        );
+        assert_eq!(q.completed(), q.submitted(), "the panicked write completed");
+        q.submit(1, vec![2; BLOCK_SIZE]).unwrap();
+        q.barrier().unwrap();
+        let mut r = vec![0u8; BLOCK_SIZE];
+        disk.read_block(1, &mut r).unwrap();
+        assert!(r.iter().all(|&b| b == 2), "the next write landed");
+    }
+
     /// A write whose send fails (its worker is gone) is not counted as
     /// submitted: it will never complete, and counting it would keep
     /// `submitted` above `completed` for good.
@@ -373,6 +441,7 @@ mod tests {
             inner: MemDisk::new(4),
             delay: std::time::Duration::ZERO,
             poison: Some(0),
+            kill: true,
         });
         let q = WritebackQueue::new(
             disk,

@@ -5,13 +5,14 @@ use crate::oplog::OpLog;
 use crate::report::{
     LadderRung, RaeStats, RecoveryPath, RecoveryReport, RecoveryTrigger, RungFailure,
 };
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
 use rae_blockdev::{BlockDevice, FrozenView, IoPhase, RetryDisk, RetryPolicy, TrackedDisk};
 use rae_faults::{FaultAction, OpContext, Site};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
 use rae_telemetry::{DevOp, EventKind, OpClass, Telemetry};
+use rae_vfs::slot::{SlotLock, SlotReadGuard};
 use rae_vfs::{
     DirEntry, Fd, FileStat, FileSystem, FsError, FsGeometryInfo, FsOp, FsResult, FsStatus, InodeNo,
     OpKind, OpOutcome, OpRecord, OpenFlags, SetAttr,
@@ -248,8 +249,13 @@ pub struct RaeFs {
     /// `write` ("during recovery, new application operations are not
     /// admitted"). One exception: once a warm rung's standby has
     /// drained, a read that finds the gate shut is answered from the
-    /// fork in `serve` instead of waiting for the gate to drop.
-    gate: RwLock<()>,
+    /// fork in `serve` instead of waiting for the gate to drop. A
+    /// reader-slot lock: an operation locks only its thread's slot, so
+    /// two threads admitted at once write no cache line in common. A
+    /// recovery takes the slots one by one, so an operation may still be
+    /// admitted on a slot it has not reached; it is out of the base
+    /// before the recovery holds its slot, as one admitted just before.
+    gate: SlotLock,
     /// The reads' side door while `recover` holds the gate (see
     /// [`Serve`]); the condvar wakes readers when a fork is published
     /// and when a recovery ends. Taken after `gate`, never before it.
@@ -428,7 +434,7 @@ impl RaeFs {
             base,
             config,
             shared,
-            gate: RwLock::new(()),
+            gate: SlotLock::new(),
             serve: Arc::default(),
             reads_served_in_recovery: AtomicU64::new(0),
             reports: Mutex::new(Vec::new()),
@@ -797,7 +803,7 @@ impl RaeFs {
 
         match result {
             Ok(Ok(ret)) => {
-                self.consecutive_recoveries.store(0, Ordering::Relaxed);
+                self.made_progress();
                 if sequenced.is_none() {
                     // ops the base never sequences (the sync family,
                     // empty writes, no-op renames) are appended
@@ -880,7 +886,7 @@ impl RaeFs {
     /// [`RaeFs::in_base`] for a caller that already holds the gate.
     fn admitted<T>(
         &self,
-        gate: RwLockReadGuard<'_, ()>,
+        gate: SlotReadGuard<'_>,
         class: OpClass,
         f: impl FnOnce() -> FsResult<T>,
     ) -> Result<FsResult<T>, RecoveryTrigger> {
@@ -962,6 +968,15 @@ impl RaeFs {
             // failure stays in the log — ErrorReturn keeps running on
             // untrusted state by design
             RecoveryMode::ErrorReturn => Err(trigger_error(trigger)),
+        }
+    }
+
+    /// An operation completed in the base: the recovery streak ends.
+    /// Written only when there is a streak, so the common case reads a
+    /// line it shares with the other cores and writes none.
+    fn made_progress(&self) {
+        if self.consecutive_recoveries.load(Ordering::Relaxed) != 0 {
+            self.consecutive_recoveries.store(0, Ordering::Relaxed);
         }
     }
 
@@ -1614,7 +1629,7 @@ impl RaeFs {
         };
         match self.admitted(gate, class, || self.dispatch_read_base(op)) {
             Ok(Ok(v)) => {
-                self.consecutive_recoveries.store(0, Ordering::Relaxed);
+                self.made_progress();
                 Ok(v)
             }
             Ok(Err(e)) => Err(e),

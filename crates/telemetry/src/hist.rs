@@ -5,7 +5,12 @@
 //! across the full `u64` range with a fixed 1920-bucket table. Every
 //! bucket is an `AtomicU64` bumped with a relaxed `fetch_add`, so
 //! recording is wait-free, allocation-free, and safe from any thread.
+//! The event count is striped by thread slot ([`rae_vfs::slot`]): the
+//! count an unsampled op notes is the one write a sampled histogram
+//! takes on every op, and two threads noting it write no cache line in
+//! common; a reader sums the slots.
 
+use rae_vfs::slot::Striped;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Sub-bucket resolution: 2^5 = 32 sub-buckets per octave.
@@ -77,7 +82,7 @@ impl HistogramSummary {
 /// walks a relaxed snapshot of the bucket table.
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
+    count: Striped<AtomicU64>,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -94,7 +99,7 @@ impl LatencyHistogram {
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
             buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
+            count: Striped::default(),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -104,7 +109,7 @@ impl LatencyHistogram {
     /// and a `fetch_max`.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
+        self.count.mine().fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
         self.max.fetch_max(v, Relaxed);
     }
@@ -113,7 +118,7 @@ impl LatencyHistogram {
     /// sampled latency recording: the count stays exact while only a
     /// subset of events pays for two clock reads and a full `record`.
     pub fn note(&self) {
-        self.count.fetch_add(1, Relaxed);
+        self.count.mine().fetch_add(1, Relaxed);
     }
 
     /// Record or note one observation, with a slow-op bypass: a sampled
@@ -135,7 +140,7 @@ impl LatencyHistogram {
     /// Events observed so far (timed and noted).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
+        self.count.iter().map(|c| c.load(Relaxed)).sum()
     }
 
     /// Timed samples behind the buckets (`<= count`).
@@ -164,7 +169,7 @@ impl LatencyHistogram {
                 mine.fetch_add(n, Relaxed);
             }
         }
-        self.count.fetch_add(other.count(), Relaxed);
+        self.count.mine().fetch_add(other.count(), Relaxed);
         self.sum.fetch_add(other.sum(), Relaxed);
         self.max.fetch_max(other.max(), Relaxed);
     }
@@ -282,6 +287,27 @@ mod tests {
         assert!(!h.observe(u64::MAX, false, 0), "zero threshold disables");
         assert_eq!(h.count(), 2);
         assert_eq!(h.samples(), 1);
+    }
+
+    /// Noted and recorded counts stay exact with more racing threads
+    /// than slots, so some threads share one.
+    #[test]
+    fn striped_count_is_exact_under_racing_threads() {
+        const THREADS: u64 = rae_vfs::slot::SLOTS as u64 + 4;
+        const PER: u64 = 5_000;
+        let h = LatencyHistogram::new();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for i in 0..PER {
+                        h.observe(100, i % 8 == 0, 0);
+                    }
+                });
+            }
+        });
+        assert_eq!(h.count(), THREADS * PER);
+        assert_eq!(h.samples(), THREADS * PER / 8);
+        assert_eq!(h.summary().count, THREADS * PER);
     }
 
     #[test]

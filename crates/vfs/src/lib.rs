@@ -35,6 +35,7 @@
 mod error;
 mod fs;
 mod ops;
+pub mod slot;
 mod stats;
 mod types;
 

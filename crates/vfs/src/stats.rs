@@ -1,19 +1,30 @@
 //! Lock-free operation counters shared by filesystems and harnesses.
 
 use crate::ops::OpKind;
+use crate::slot::Striped;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-kind operation counters plus byte totals.
-///
-/// All methods take `&self` and are safe to call concurrently; counters
-/// use relaxed atomics (they are statistics, not synchronization).
+/// One slot's share of an [`OpCounters`].
 #[derive(Debug, Default)]
-pub struct OpCounters {
+struct Counts {
     counts: [AtomicU64; OpKind::ALL.len()],
     errors: [AtomicU64; OpKind::ALL.len()],
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
+}
+
+/// Per-kind operation counters plus byte totals.
+///
+/// All methods take `&self` and are safe to call concurrently; counters
+/// use relaxed atomics (they are statistics, not synchronization). They
+/// are striped by thread slot ([`crate::slot`]): a thread bumps only
+/// its own slot's copy, so two threads counting never write a cache
+/// line in common, and a reader sums the slots (exact once the
+/// counting threads are done).
+#[derive(Debug, Default)]
+pub struct OpCounters {
+    slots: Striped<Counts>,
 }
 
 impl OpCounters {
@@ -30,66 +41,79 @@ impl OpCounters {
             .expect("OpKind::ALL covers every kind")
     }
 
+    fn sum(&self, field: impl Fn(&Counts) -> &AtomicU64) -> u64 {
+        self.slots
+            .iter()
+            .map(|c| field(c).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Record one completed operation of `kind`.
     pub fn record(&self, kind: OpKind) {
-        self.counts[Self::idx(kind)].fetch_add(1, Ordering::Relaxed);
+        self.slots.mine().counts[Self::idx(kind)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one failed operation of `kind`.
     pub fn record_error(&self, kind: OpKind) {
-        self.errors[Self::idx(kind)].fetch_add(1, Ordering::Relaxed);
+        self.slots.mine().errors[Self::idx(kind)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Add to the bytes-read total.
     pub fn add_bytes_read(&self, n: u64) {
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
+        self.slots.mine().bytes_read.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add to the bytes-written total.
     pub fn add_bytes_written(&self, n: u64) {
-        self.bytes_written.fetch_add(n, Ordering::Relaxed);
+        self.slots
+            .mine()
+            .bytes_written
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Completed operations of `kind`.
     #[must_use]
     pub fn count(&self, kind: OpKind) -> u64 {
-        self.counts[Self::idx(kind)].load(Ordering::Relaxed)
+        let i = Self::idx(kind);
+        self.sum(|c| &c.counts[i])
     }
 
     /// Failed operations of `kind`.
     #[must_use]
     pub fn error_count(&self, kind: OpKind) -> u64 {
-        self.errors[Self::idx(kind)].load(Ordering::Relaxed)
+        let i = Self::idx(kind);
+        self.sum(|c| &c.errors[i])
     }
 
     /// Total completed operations across all kinds.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        (0..OpKind::ALL.len())
+            .map(|i| self.sum(|c| &c.counts[i]))
+            .sum()
     }
 
     /// Total bytes read.
     #[must_use]
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
+        self.sum(|c| &c.bytes_read)
     }
 
     /// Total bytes written.
     #[must_use]
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
+        self.sum(|c| &c.bytes_written)
     }
 
     /// Reset every counter to zero.
     pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
+        for c in self.slots.iter() {
+            for n in c.counts.iter().chain(&c.errors) {
+                n.store(0, Ordering::Relaxed);
+            }
+            c.bytes_read.store(0, Ordering::Relaxed);
+            c.bytes_written.store(0, Ordering::Relaxed);
         }
-        for c in &self.errors {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
     }
 }
 
@@ -162,6 +186,39 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.count(OpKind::Stat), 4000);
+    }
+
+    /// Striped counts stay exact with more racing threads than slots
+    /// (so some share a slot) and every field bumped.
+    #[test]
+    fn striped_counters_are_exact_under_racing_threads() {
+        const THREADS: u64 = crate::slot::SLOTS as u64 + 4;
+        const PER: u64 = 5_000;
+        let c = OpCounters::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (c, start) = (&c, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER {
+                        c.record(OpKind::Read);
+                        c.add_bytes_read(t + 1);
+                        if i % 5 == 0 {
+                            c.record_error(OpKind::Write);
+                            c.add_bytes_written(1);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(c.count(OpKind::Read), THREADS * PER);
+        assert_eq!(c.total(), THREADS * PER);
+        assert_eq!(c.error_count(OpKind::Write), THREADS * PER / 5);
+        assert_eq!(c.bytes_written(), THREADS * PER / 5);
+        assert_eq!(c.bytes_read(), PER * THREADS * (THREADS + 1) / 2);
+        c.reset();
+        assert_eq!((c.total(), c.bytes_read()), (0, 0));
     }
 
     #[test]
