@@ -13,17 +13,21 @@
 //!    ([`rae_vfs::slot::SlotLock`]): the shared side locks only the
 //!    calling thread's slot, the exclusive side every slot.
 //! 2. `txn` (shared) — the journal-transaction lock. Mutations hold it
-//!    shared for their whole critical section; the group-commit leader
-//!    takes it exclusively, so a commit sees no half-finished
-//!    mutation.
+//!    shared for their whole critical section; a commit takes it
+//!    exclusively, so its cut sees no half-finished mutation.
 //! 3. The **inode stripe locks** for the op's write set, acquired in
 //!    ascending stripe order (deadlock-free). Each op declares the
 //!    inodes it mutates (e.g. `unlink` = {parent, victim}) and holds
 //!    their stripes exclusively.
-//! 4. Leaf mutexes (`fds`, `alloc`, `jmgr`, `commit_state`) — short
-//!    capture/release holds only, never nested with one another. A
-//!    read's descriptor lookup takes only its thread slot's cache of
-//!    `fds` ([`crate::fdtable`]).
+//! 4. Leaf mutexes (`fds`, `alloc`, `jmgr`) — short capture/release
+//!    holds only, never nested with one another. A read's descriptor
+//!    lookup takes only its thread slot's cache of `fds`
+//!    ([`crate::fdtable`]).
+//!
+//! An fsync, a sync or an autocommit holds no op lock. It takes
+//! `commit_lock`, then `txn` exclusively, and holds both across the
+//! commit; `commit_lock` is therefore taken before `txn` and is not a
+//! leaf.
 //!
 //! Because path resolution runs before the write-set is known, every
 //! mutation resolves optimistically, locks its stripes, then
@@ -44,7 +48,7 @@ use crate::fdtable::{FdEntry, Fds};
 use crate::icache::InodeCache;
 use crate::jmgr::JournalMgr;
 use crate::pagecache::{CacheStats, PageCache, PageClass};
-use parking_lot::{Condvar, Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rae_blockdev::{BlockDevice, Extent, QueueConfig, BLOCK_SIZE};
 use rae_faults::{FaultAction, FaultRegistry, OpContext, Site};
 use rae_fsformat::dirent::DirBlock;
@@ -137,58 +141,6 @@ pub struct BaseFsStats {
     pub resident_pages: usize,
 }
 
-/// Group-commit coordination state (under its own mutex, paired with
-/// [`BaseFs::commit_cv`]).
-#[derive(Debug, Default)]
-pub(crate) struct CommitState {
-    /// A leader is driving a commit right now.
-    leader_running: bool,
-    /// The running leader's batch is still accepting joiners (it flips
-    /// closed when the leader acquires the transaction lock).
-    batch_open: bool,
-    /// Callers folded into the forming batch (leader included).
-    joined: u64,
-    /// Generation counter of the latest batch to start.
-    gen_started: u64,
-    /// Generation counter of the latest batch to finish.
-    gen_completed: u64,
-    /// Every batch up to this generation is durable.
-    ok_through: u64,
-    /// The latest batch that failed, with its error.
-    last_failure: Option<(u64, FsError)>,
-}
-
-impl CommitState {
-    /// File the result of batch `gen`, which has just finished.
-    pub(crate) fn finish(&mut self, gen: u64, result: FsResult<()>) {
-        self.gen_completed = gen;
-        match result {
-            Ok(()) => self.ok_through = gen,
-            Err(e) => self.last_failure = Some((gen, e)),
-        }
-    }
-
-    /// The result of finished batch `gen`. A failed commit re-dirties
-    /// everything it took, so a later success covers it: the batch is
-    /// durable iff a success came at or after it, and otherwise every
-    /// batch since it failed and the latest failure is its answer.
-    pub(crate) fn result_of(&self, gen: u64) -> FsResult<()> {
-        debug_assert!(gen <= self.gen_completed, "batch {gen} has not finished");
-        if self.ok_through >= gen {
-            return Ok(());
-        }
-        match &self.last_failure {
-            Some((failed, e)) => {
-                debug_assert!(*failed >= gen, "batch {gen} failed after the last failure");
-                Err(e.clone())
-            }
-            None => Err(FsError::Internal {
-                detail: format!("group-commit batch {gen} finished with no result"),
-            }),
-        }
-    }
-}
-
 /// Blocks and inodes freed by an operation, applied in one batch at
 /// the op's end (after its sequence point, locks still held). Deferring
 /// the frees keeps the free→reuse ordering hazard out of the sharded
@@ -212,6 +164,16 @@ enum Reval {
     Ok,
     /// A concurrent mutation invalidated it; drop the locks and retry.
     Retry,
+}
+
+/// Counts a caller inside [`BaseFs::commit_coordinated`] until it
+/// leaves, by return or by unwind.
+struct Inside<'a>(&'a AtomicU64);
+
+impl Drop for Inside<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A worst-case block reservation, returned to the allocator on drop.
@@ -242,10 +204,17 @@ pub struct BaseFs {
     fds: Fds,
     alloc: Mutex<Allocators>,
     jmgr: Mutex<JournalMgr>,
-    commit_state: Mutex<CommitState>,
-    commit_cv: Condvar,
-    /// Journal-transaction lock: shared by mutations, exclusive for
-    /// commit leaders.
+    /// Serializes [`BaseFs::commit_coordinated`]'s callers: each checks
+    /// for a covering cut, and commits if there is none, under it.
+    commit_lock: Mutex<()>,
+    /// Cuts taken: a commit bumps it once it holds `txn` exclusively.
+    cuts: AtomicU64,
+    /// The latest cut a commit made durable.
+    durable_cut: AtomicU64,
+    /// Callers inside [`BaseFs::commit_coordinated`] (`commit_batch`).
+    committers: AtomicU64,
+    /// Journal-transaction lock: shared by mutations, exclusive for a
+    /// commit.
     txn: RwLock<()>,
     /// Global rename fence: exclusive for `rename`, shared otherwise.
     /// A reader-slot lock, so the shared side writes only the calling
@@ -323,8 +292,10 @@ impl BaseFs {
             fds: Fds::default(),
             alloc: Mutex::new(alloc),
             jmgr: Mutex::new(jmgr),
-            commit_state: Mutex::new(CommitState::default()),
-            commit_cv: Condvar::new(),
+            commit_lock: Mutex::new(()),
+            cuts: AtomicU64::new(0),
+            durable_cut: AtomicU64::new(0),
+            committers: AtomicU64::new(0),
             txn: RwLock::new(()),
             fence: SlotLock::new(),
             ilocks: ilocks.into_boxed_slice(),
@@ -1346,90 +1317,56 @@ impl BaseFs {
     }
 
     // ------------------------------------------------------------------
-    // Journal group commit
+    // Journal commit
     // ------------------------------------------------------------------
 
-    /// Commit the running transaction, batching with concurrent
-    /// committers: the first caller becomes the *leader*, later callers
-    /// *join* its batch and park until the leader publishes the shared
-    /// result. One journal write persists every batched caller's
-    /// metadata at once.
+    /// Make every operation completed before the call durable. The rule
+    /// is one sequence check: a cut taken after the call contains every
+    /// op the caller completed (mutations hold `txn` shared, a cut holds
+    /// it exclusively), so once such a cut is durable the caller returns
+    /// with no I/O of its own. Otherwise it commits. A failed commit
+    /// re-dirties what it took and raises no cut, so a caller queued
+    /// behind it commits for itself; a panicking one unwinds through the
+    /// non-poisoning locks.
     fn commit_coordinated(&self) -> FsResult<()> {
         let t0 = self.telemetry.as_ref().and_then(|t| t.layer_clock());
-        let r = self.commit_coordinated_inner();
+        let mine = self.cuts.load(Ordering::Relaxed);
+        // counted once `mine` is read (Release: a test that sees the
+        // count knows the caller's cut is fixed)
+        self.committers.fetch_add(1, Ordering::Release);
+        let _inside = Inside(&self.committers);
+        let r = {
+            let _commit = self.commit_lock.lock();
+            if self.durable_cut.load(Ordering::Relaxed) > mine {
+                Ok(())
+            } else {
+                let _txn = self.txn.write();
+                if let Some(t) = self.telemetry.as_ref() {
+                    t.record_commit_batch(self.committers.load(Ordering::Relaxed));
+                }
+                self.commit_with_txn_held()
+            }
+        };
         if let Some(t) = self.telemetry.as_ref() {
             t.layer_observed(rae_telemetry::SpanLayer::CommitStall, t0);
         }
         r
     }
 
-    fn commit_coordinated_inner(&self) -> FsResult<()> {
-        let my_gen;
-        {
-            let mut st = self.commit_state.lock();
-            loop {
-                if st.leader_running && st.batch_open {
-                    // join the forming batch and wait for its result
-                    let gen = st.gen_started;
-                    st.joined += 1;
-                    while st.gen_completed < gen {
-                        self.commit_cv.wait(&mut st);
-                    }
-                    return st.result_of(gen);
-                }
-                if st.leader_running {
-                    // batch already sealed: wait for the next opening
-                    self.commit_cv.wait(&mut st);
-                    continue;
-                }
-                st.leader_running = true;
-                st.batch_open = true;
-                st.gen_started += 1;
-                st.joined = 1;
-                my_gen = st.gen_started;
-                break;
-            }
-        }
-        // Leader: drain in-flight mutations by taking the transaction
-        // lock exclusively (joiners keep accumulating while we wait).
-        let txn = self.txn.write();
-        let batch = {
-            let mut st = self.commit_state.lock();
-            st.batch_open = false;
-            st.joined
-        };
-        // The commit itself can panic (injected `Panic` faults at the
-        // JournalCommit site). Followers must still be woken with a
-        // result, or they would park forever.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _txn = txn;
-            self.commit_with_txn_held()
-        }));
-        if let Some(t) = self.telemetry.as_ref() {
-            t.record_commit_batch(batch);
-        }
-        let publish = match &result {
-            Ok(r) => r.clone(),
-            Err(_) => Err(FsError::Internal {
-                detail: "journal commit leader panicked".to_string(),
-            }),
-        };
-        {
-            let mut st = self.commit_state.lock();
-            st.finish(my_gen, publish);
-            st.leader_running = false;
-        }
-        self.commit_cv.notify_all();
-        match result {
-            Ok(r) => r,
-            Err(p) => std::panic::resume_unwind(p),
-        }
+    /// Callers inside [`BaseFs::commit_coordinated`], each with its
+    /// cut read.
+    #[cfg(test)]
+    pub(crate) fn committers(&self) -> u64 {
+        self.committers.load(Ordering::Acquire)
     }
 
     /// The commit body. The caller holds the transaction lock
     /// exclusively, so no mutation is mid-flight: the dirty metadata
     /// set is a consistent cut and `cur_seq` is a true high-water mark.
+    /// The cut is numbered from `cuts`, and a success raises
+    /// `durable_cut` to it.
     fn commit_with_txn_held(&self) -> FsResult<()> {
+        let cut = self.cuts.fetch_add(1, Ordering::Relaxed) + 1;
         let ctx = OpContext::new(OpKind::Sync, Site::JournalCommit);
         let _ = self.hook(&ctx)?;
 
@@ -1491,12 +1428,13 @@ impl BaseFs {
             self.persisted_seq
                 .fetch_max(self.cur_seq.load(Ordering::Relaxed), Ordering::Relaxed);
         }
+        self.durable_cut.fetch_max(cut, Ordering::Relaxed);
         Ok(())
     }
 
     /// Commit if the running transaction has grown past the bound.
-    /// Callers must have dropped every op-level lock first (the leader
-    /// path takes the transaction lock exclusively).
+    /// Callers must have dropped every op-level lock first (a commit
+    /// takes the transaction lock exclusively).
     fn maybe_autocommit(&self) -> FsResult<()> {
         if self.pages.dirty_meta_count() >= self.max_dirty_meta {
             self.commit_coordinated()?;

@@ -1,6 +1,6 @@
 //! Unit and conformance tests for [`BaseFs`].
 
-use crate::fs::{BaseFs, BaseFsConfig, CommitState};
+use crate::fs::{BaseFs, BaseFsConfig};
 use rae_blockdev::{BlockDevice, MemDisk, BLOCK_SIZE};
 use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsformat::{fsck, mkfs, MkfsParams};
@@ -766,35 +766,4 @@ fn validate_on_commit_catches_scribbled_metadata() {
         matches!(err, FsError::Corrupted { ref detail } if detail.contains("validate-on-commit")),
         "{err}"
     );
-}
-
-#[test]
-fn group_commit_result_of_a_batch_follows_the_commits_after_it() {
-    let mut st = CommitState::default();
-    let bug = FsError::DetectedBug { bug_id: 7 };
-    st.finish(1, Ok(()));
-    assert_eq!(st.result_of(1), Ok(()));
-    st.finish(2, Err(bug.clone()));
-    assert_eq!(st.result_of(1), Ok(()), "an earlier success stands");
-    assert_eq!(st.result_of(2), Err(bug.clone()));
-    // batch 2 is now older than any window of recent results, and
-    // every batch since failed too: it must still read as a failure
-    let io = FsError::IoFailed {
-        detail: "commit".to_string(),
-    };
-    for gen in 3..=200 {
-        st.finish(gen, Err(io.clone()));
-    }
-    assert_eq!(
-        st.result_of(2),
-        Err(io.clone()),
-        "the latest failure answers"
-    );
-    assert_eq!(st.result_of(200), Err(io));
-    // a failed commit re-dirtied what it took, so the next success
-    // made every batch before it durable
-    st.finish(201, Ok(()));
-    for gen in [1, 2, 150, 201] {
-        assert_eq!(st.result_of(gen), Ok(()), "batch {gen}");
-    }
 }

@@ -2,8 +2,10 @@
 //! replay's extent requests, every crash state the flush epochs of a
 //! commit, a checkpointing commit and a replay allow (the crash-state
 //! explorer), the failure paths of a commit's combined data + record
-//! batch, and the write-ahead rule under a commit that stalls while
-//! readers evict.
+//! batch, the write-ahead rule under a commit that stalls while
+//! readers evict, and the commit rule: which callers a commit's cut
+//! covers, a failed or panicking commit with a caller queued behind
+//! it, and the crash states of two committers.
 
 use crate::fs::{BaseFs, BaseFsConfig};
 use rae_blockdev::crash::{self, CrashImage, Epoch};
@@ -608,4 +610,289 @@ fn commit_pins_journaled_pages_until_the_commit_block() {
         fs.close(fd).unwrap();
     }
     fs.unmount().unwrap();
+}
+
+// ----------------------------------------------------------------------
+// The commit rule: an fsync returns once a durable commit's cut covers it
+// ----------------------------------------------------------------------
+
+/// What a [`ParkDisk`] parks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Park {
+    Read,
+    Flush,
+}
+
+/// What a [`ParkDisk`] parks next, the signal that it parked and the
+/// receiver of its release.
+type Armed = Option<(Park, mpsc::Sender<()>, mpsc::Receiver<()>)>;
+
+/// Forwards every request to `inner`; once armed, parks the first read
+/// or flush until released.
+struct ParkDisk {
+    inner: Arc<dyn BlockDevice>,
+    armed: Mutex<Armed>,
+}
+
+impl ParkDisk {
+    fn new(inner: Arc<dyn BlockDevice>) -> Arc<ParkDisk> {
+        Arc::new(ParkDisk {
+            inner,
+            armed: Mutex::new(None),
+        })
+    }
+
+    /// Park the next `what`: returns the signal that it parked and the
+    /// sender that releases it.
+    fn arm(&self, what: Park) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        *self.armed.lock().unwrap() = Some((what, parked_tx, release_rx));
+        (parked_rx, release_tx)
+    }
+
+    fn park(&self, what: Park) {
+        let armed = self
+            .armed
+            .lock()
+            .unwrap()
+            .take_if(|(armed, ..)| *armed == what);
+        if let Some((_, parked, release)) = armed {
+            parked.send(()).unwrap();
+            // bounded, so that a test failing while a request is parked
+            // ends instead of hanging
+            let _ = release.recv_timeout(std::time::Duration::from_secs(10));
+        }
+    }
+}
+
+impl BlockDevice for ParkDisk {
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+    fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
+        self.park(Park::Read);
+        self.inner.read_block(bno, buf)
+    }
+    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
+        self.park(Park::Read);
+        self.inner.read_blocks(start, bufs)
+    }
+    fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
+        self.inner.write_block(bno, buf)
+    }
+    fn write_blocks(&self, extents: &[rae_blockdev::Extent<'_>]) -> FsResult<()> {
+        self.inner.write_blocks(extents)
+    }
+    fn flush(&self) -> FsResult<()> {
+        self.park(Park::Flush);
+        self.inner.flush()
+    }
+}
+
+/// Wait for `what` to park.
+fn parked(signal: &mpsc::Receiver<()>, what: &str) {
+    signal
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} never parked"));
+}
+
+/// Wait until `n` callers are inside the commit path with their cuts
+/// read.
+fn await_committers(fs: &BaseFs, n: u64) {
+    let t0 = std::time::Instant::now();
+    while fs.committers() < n {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "{n} committers never queued"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// Create `path` holding a block and a half of `fill`; the descriptor
+/// stays open.
+fn put(fs: &dyn FileSystem, path: &str, fill: u8) -> rae_vfs::Fd {
+    let fd = fs.open(path, OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+    fs.write(fd, 0, &[fill; BLOCK_SIZE + BLOCK_SIZE / 2])
+        .unwrap();
+    fd
+}
+
+/// `/a` and `/b` written and `/base/m` made on a mount of [`base_image`]
+/// over a [`ParkDisk`], with both files' fsyncs queued while the mkdir
+/// is parked in a device read under the transaction lock: each caller
+/// read its cut before any commit's cut. Returns what each fsync did.
+fn fsyncs_queued_behind_a_mutation(
+    fs: &BaseFs,
+    dev: &ParkDisk,
+) -> [std::thread::Result<FsResult<()>>; 2] {
+    let (fa, fb) = (put(fs, "/a", 1), put(fs, "/b", 2));
+    let (signal, release) = dev.arm(Park::Read);
+    std::thread::scope(|s| {
+        let m = s.spawn(|| fs.mkdir("/base/m"));
+        parked(&signal, "the mkdir's directory read");
+        let a = s.spawn(|| fs.fsync(fa));
+        let b = s.spawn(|| fs.fsync(fb));
+        await_committers(fs, 2);
+        release.send(()).unwrap();
+        m.join().unwrap().unwrap();
+        [a.join(), b.join()]
+    })
+}
+
+/// Two fsyncs queued before any cut cost one commit: the caller that
+/// finds a durable cut taken after it arrived returns with no commit of
+/// its own, and the crashed image holds both writes.
+#[test]
+fn commit_rule_callers_queued_before_a_cut_share_its_commit() {
+    let mem = Arc::new(MemDisk::from_image(&base_image()));
+    let dev = ParkDisk::new(Arc::clone(&mem) as Arc<dyn BlockDevice>);
+    let telemetry = rae_telemetry::Telemetry::new();
+    let fs = BaseFs::mount(
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        BaseFsConfig {
+            telemetry: Some(Arc::clone(&telemetry)),
+            ..BaseFsConfig::default()
+        },
+    )
+    .unwrap();
+    let commits = fs.stats().journal_commits;
+    for r in fsyncs_queued_behind_a_mutation(&fs, &dev) {
+        r.unwrap().unwrap();
+    }
+    assert_eq!(fs.stats().journal_commits - commits, 1, "two fsyncs");
+    // an empty commit journals nothing, so count the commits the fsyncs
+    // made: one, its cut taken with both callers inside
+    let batch = telemetry.snapshot().commit_batch;
+    assert_eq!((batch.count, batch.sum), (1, 2), "{batch:?}");
+    let want = tree(&fs);
+    assert!(want.contains_key("/a") && want.contains_key("/b"));
+    fs.crash();
+    assert_eq!(recovered_tree(&mem.snapshot(), "crashed"), want);
+}
+
+/// `/a` written and fsynced, its commit parked at its first flush (the
+/// cut is taken); meanwhile a second caller writes `/b`, which waits
+/// for the commit, and fsyncs. Both fsyncs return.
+fn fsync_after_a_parked_cut(fs: &BaseFs, dev: &ParkDisk) {
+    let fa = put(fs, "/a", 1);
+    let (signal, release) = dev.arm(Park::Flush);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| fs.fsync(fa));
+        parked(&signal, "the commit's flush");
+        let b = s.spawn(|| {
+            let fb = put(fs, "/b", 2);
+            fs.fsync(fb)
+        });
+        release.send(()).unwrap();
+        a.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+    });
+}
+
+/// A caller that reads its cut after a commit's cut commits again: that
+/// commit, though durable when the caller asks, does not hold the
+/// caller's write, and a crash afterwards must.
+#[test]
+fn commit_rule_a_caller_after_a_cut_commits_again() {
+    let mem = Arc::new(MemDisk::from_image(&base_image()));
+    let dev = ParkDisk::new(Arc::clone(&mem) as Arc<dyn BlockDevice>);
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    let commits = fs.stats().journal_commits;
+    fsync_after_a_parked_cut(&fs, &dev);
+    assert_eq!(fs.stats().journal_commits - commits, 2);
+    let want = tree(&fs);
+    fs.crash();
+    let got = recovered_tree(&mem.snapshot(), "crashed");
+    assert_eq!(got.get("/b"), want.get("/b"), "the second write");
+    assert_eq!(got, want);
+}
+
+/// A commit whose flush fails errs for its own caller only: the other
+/// caller, queued before that commit's cut, finds no durable cut
+/// covering it, commits what the failure re-dirtied, and returns `Ok`;
+/// the crashed image holds both writes.
+#[test]
+fn commit_rule_a_failed_commit_errs_only_for_its_own_caller() {
+    use rae_blockdev::TriggerMode;
+    let faulty = Arc::new(FaultyDisk::new(MemDisk::from_image(&base_image())));
+    let dev = ParkDisk::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    let commits = fs.stats().journal_commits;
+    faulty.set_plan(DiskFaultPlan::new().fail_flushes(TriggerMode::Nth(1)));
+    let results = fsyncs_queued_behind_a_mutation(&fs, &dev).map(|r| r.unwrap());
+    assert_eq!(faulty.injected_faults(), 1);
+    assert_eq!(
+        results.iter().filter(|r| r.is_err()).count(),
+        1,
+        "only the failed commit's caller errs: {results:?}"
+    );
+    assert_eq!(fs.stats().journal_commits - commits, 1);
+    let want = tree(&fs);
+    assert!(want.contains_key("/a") && want.contains_key("/b"));
+    fs.crash();
+    assert_eq!(recovered_tree(&faulty.inner().snapshot(), "crashed"), want);
+}
+
+/// A commit that panics unwinds its own caller only: the caller queued
+/// behind it neither hangs nor inherits the panic, and commits.
+#[test]
+fn commit_rule_a_panicking_commit_leaves_its_queue_running() {
+    use rae_faults::{BugSpec, Effect, FaultRegistry, Site, Trigger};
+    let faults = FaultRegistry::new();
+    faults.arm(BugSpec::new(
+        700,
+        "commit-panic",
+        Site::JournalCommit,
+        Trigger::NthMatch(1),
+        Effect::Panic,
+    ));
+    let mem = Arc::new(MemDisk::from_image(&base_image()));
+    let dev = ParkDisk::new(Arc::clone(&mem) as Arc<dyn BlockDevice>);
+    let fs = BaseFs::mount(
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        BaseFsConfig {
+            faults: faults.clone(),
+            ..BaseFsConfig::default()
+        },
+    )
+    .unwrap();
+    let commits = fs.stats().journal_commits;
+    let results = fsyncs_queued_behind_a_mutation(&fs, &dev);
+    assert_eq!(faults.fired(700), 1);
+    assert_eq!(
+        results.iter().filter(|r| r.is_err()).count(),
+        1,
+        "one commit panicked"
+    );
+    for r in results.into_iter().flatten() {
+        r.unwrap();
+    }
+    assert_eq!(fs.stats().journal_commits - commits, 1);
+    let want = tree(&fs);
+    fs.crash();
+    assert_eq!(recovered_tree(&mem.snapshot(), "crashed"), want);
+}
+
+/// Every crash state of two committers, the second after the first's
+/// cut ([`fsync_after_a_parked_cut`]), replays to the tree before either
+/// commit, after the first's, or after both, by the commit blocks landed.
+#[test]
+fn crash_epoch_two_committers() {
+    let pre = base_image();
+    let model = rae_fsmodel::ModelFs::new();
+    base_program(&model);
+    let mut trees = vec![tree(&model)];
+    for (path, fill) in [("/a", 1), ("/b", 2)] {
+        put(&model, path, fill);
+        trees.push(tree(&model));
+    }
+    let tape = Arc::new(TapeDisk::from_image(&pre));
+    let dev = ParkDisk::new(Arc::clone(&tape) as Arc<dyn BlockDevice>);
+    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
+    assert_eq!(tree(&fs), trees[0]);
+    fsync_after_a_parked_cut(&fs, &dev);
+    fs.crash();
+    explore(&pre, &tape.since(0), &trees);
 }

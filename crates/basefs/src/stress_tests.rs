@@ -471,10 +471,11 @@ fn concurrent_mutators_sibling_and_nested_races_vs_model_oracle() {
     assert!(fsck(dev.as_ref()).unwrap().is_clean());
 }
 
-/// Concurrent writers fsync in lockstep so the journal group-commits
-/// their mutations in shared batches; a crash (all in-memory state
-/// lost) must replay the journal to a batch-atomic state equal to the
-/// model tree of everything acknowledged before the crash.
+/// Concurrent writers fsync in lockstep, so one commit's cut covers
+/// callers queued behind it and they return without a commit of their
+/// own; a crash (all in-memory state lost) must replay the journal to
+/// a commit-atomic state equal to the model tree of everything
+/// acknowledged before the crash.
 #[test]
 fn crash_after_group_commits_replays_to_model_tree() {
     const THREADS: usize = 4;
@@ -511,8 +512,9 @@ fn crash_after_group_commits_replays_to_model_tree() {
                     let fd = fs.open(&format!("/gc{t}"), OpenFlags::RDWR).unwrap();
                     fs.write(fd, 0, &vec![round; FILE_BLOCKS * BLOCK_SIZE])
                         .unwrap();
-                    // all threads reach fsync together: the commit
-                    // leader absorbs the whole round into one batch
+                    // all threads reach fsync together: a caller that
+                    // finds a durable cut taken after it arrived
+                    // returns without committing
                     barrier.wait();
                     fs.fsync(fd).unwrap();
                     fs.close(fd).unwrap();
@@ -530,8 +532,8 @@ fn crash_after_group_commits_replays_to_model_tree() {
         THREADS * ROUNDS as usize
     );
 
-    // crash: caches, queues, and any open batch vanish; only the
-    // journal's committed batches survive
+    // crash: caches and queues vanish; only the journal's committed
+    // transactions survive
     let fs = Arc::try_unwrap(fs).expect("all threads joined");
     fs.crash();
     let fs = mount(dev.clone(), BaseFsConfig::default());

@@ -433,8 +433,8 @@ impl Session {
 
     /// `writers <threads> <ops> <path>`: hammer one file with N
     /// concurrent writer threads (the sharded write path demo — writers
-    /// to the same inode still serialize on its stripe, but the journal
-    /// group-commits their mutations in batches).
+    /// to the same inode still serialize on its stripe, and an fsync
+    /// whose writes a concurrent commit's cut covered commits nothing).
     fn writers(&self, threads: usize, ops: usize, path: &str) -> Result<String, CommandError> {
         let st = self.fs.stat(path)?;
         let fd = self.fs.open(path, OpenFlags::RDWR)?;

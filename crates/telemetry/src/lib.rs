@@ -188,7 +188,8 @@ pub struct Telemetry {
     journal_commit: LatencyHistogram,
     cache_fill: LatencyHistogram,
     commit_stall: LatencyHistogram,
-    /// Group-commit batch sizes — raw op counts, not nanoseconds.
+    /// Callers inside the commit path at each commit's cut — raw
+    /// counts, not nanoseconds.
     commit_batch: LatencyHistogram,
     lock_wait: LatencyHistogram,
     /// Per-layer attribution: for each completed op whose end-to-end
@@ -476,8 +477,10 @@ impl Telemetry {
         }
     }
 
-    /// Record the number of committers amortized into one group-commit
-    /// journal flush. The value is a raw count, not nanoseconds.
+    /// Record the number of callers inside the commit path when a commit
+    /// takes its cut: the committer and the callers queued behind it,
+    /// whom the cut may cover. The value is a raw count, not
+    /// nanoseconds.
     pub fn record_commit_batch(&self, n: u64) {
         if self.enabled() {
             self.commit_batch.record(n);

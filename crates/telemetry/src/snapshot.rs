@@ -18,10 +18,12 @@ pub struct TelemetrySnapshot {
     pub journal_commit: HistogramSummary,
     /// Page-cache miss fill durations.
     pub cache_fill: HistogramSummary,
-    /// Per-mutation journal-commit stall durations (time spent leading
-    /// or parked behind a group commit).
+    /// Per-call journal-commit stall durations (an fsync, sync or
+    /// autocommit from entry to return: waiting for the commit and
+    /// transaction locks, and its own commit if no cut covered it).
     pub commit_stall: HistogramSummary,
-    /// Group-commit batch sizes (raw op counts, not nanoseconds).
+    /// Callers inside the commit path when a commit took its cut, one
+    /// sample per commit (raw counts, not nanoseconds).
     pub commit_batch: HistogramSummary,
     /// Stripe-lock wait durations.
     pub lock_wait: HistogramSummary,

@@ -15,7 +15,7 @@
 //! under a layer label as the op passes through them, and the boundary
 //! collects the vector at completion (`span_take`). Nested layers
 //! (device reads inside a cache fill, the whole journal commit inside
-//! a group-commit stall) are kept non-overlapping by *exclusion*:
+//! a commit stall) are kept non-overlapping by *exclusion*:
 //! a layer measured via [`crate::Telemetry::layer_observed`] subtracts
 //! whatever inner layers accumulated during its own window, so the
 //! per-layer vector sums to (at most) the end-to-end latency and the
@@ -54,8 +54,9 @@ impl TraceCtx {
 pub enum SpanLayer {
     /// Waiting to acquire the mutation's inode stripe locks.
     LockWait,
-    /// Parked in (or leading) the group-commit state machine, minus
-    /// the journal I/O itself.
+    /// An fsync, sync or autocommit from its entry to its return:
+    /// waiting for the commit lock and the transaction lock, and the
+    /// commit itself, minus the journal I/O.
     CommitStall,
     /// Journal descriptor/data/commit writes and barriers, minus the
     /// device time underneath.
