@@ -50,7 +50,7 @@ use crate::jmgr::JournalMgr;
 use crate::pagecache::{CacheStats, PageCache, PageClass};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rae_blockdev::{BlockDevice, Extent, QueueConfig, BLOCK_SIZE};
-use rae_faults::{FaultAction, FaultRegistry, OpContext, Site};
+use rae_faults::{FaultAction, FaultRegistry, OpContext, Site, INJECTED_PANIC_PREFIX};
 use rae_fsformat::dirent::DirBlock;
 use rae_fsformat::inode::{
     locate_block, BlockPtrLoc, DiskInode, INODES_PER_BLOCK, INODE_SIZE, PTRS_PER_BLOCK,
@@ -616,7 +616,7 @@ impl BaseFs {
         match action {
             FaultAction::FailDetected { bug_id } => Err(FsError::DetectedBug { bug_id }),
             FaultAction::Panic { bug_id } => {
-                panic!("injected filesystem bug #{bug_id}: simulated kernel BUG()")
+                panic!("{INJECTED_PANIC_PREFIX} #{bug_id}: simulated kernel BUG()")
             }
             FaultAction::Warn { .. } => Ok(false),
             FaultAction::CorruptSilently { .. } => Ok(true),

@@ -721,6 +721,53 @@ fn concurrent_readers_and_writers() {
     }
 }
 
+/// Device-bound read misses overlap instead of serialising: with one
+/// reader's miss parked in the device, another reader's miss on a
+/// different file completes.
+#[test]
+fn concurrent_read_misses_overlap_at_the_device() {
+    use crate::support_tests::{parked, Park, ParkDisk};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (mem, fs) = fresh();
+    for (path, fill) in [("/a", 1u8), ("/b", 2)] {
+        let fd = fs.open(path, rw_create()).unwrap();
+        fs.write(fd, 0, &[fill; BLOCK_SIZE]).unwrap();
+        fs.close(fd).unwrap();
+    }
+    fs.unmount().unwrap();
+
+    // a cold mount: nothing cached until the opens load both inodes
+    let dev = ParkDisk::new(mem as Arc<dyn BlockDevice>);
+    let fs = BaseFs::mount(
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        BaseFsConfig::default(),
+    )
+    .unwrap();
+    let fa = fs.open("/a", OpenFlags::RDONLY).unwrap();
+    let fb = fs.open("/b", OpenFlags::RDONLY).unwrap();
+    let misses = fs.stats().cache.misses;
+    let (signal, release) = dev.arm(Park::Read);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| fs.read(fa, 0, BLOCK_SIZE));
+        parked(&signal, "the first data read");
+        let (done_tx, done_rx) = mpsc::channel();
+        let fs = &fs;
+        let b = s.spawn(move || {
+            let r = fs.read(fb, 0, BLOCK_SIZE);
+            let _ = done_tx.send(());
+            r
+        });
+        let overlapped = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        release.send(()).unwrap();
+        assert!(overlapped, "the second miss waited for the parked one");
+        assert_eq!(a.join().unwrap().unwrap(), vec![1u8; BLOCK_SIZE]);
+        assert_eq!(b.join().unwrap().unwrap(), vec![2u8; BLOCK_SIZE]);
+    });
+    assert_eq!(fs.stats().cache.misses - misses, 2, "both reads missed");
+}
+
 #[test]
 fn mount_rejects_garbage_device() {
     let dev = Arc::new(MemDisk::new(64));

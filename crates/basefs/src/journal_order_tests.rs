@@ -8,6 +8,7 @@
 //! it, and the crash states of two committers.
 
 use crate::fs::{BaseFs, BaseFsConfig};
+use crate::support_tests::{parked, Park, ParkDisk};
 use rae_blockdev::crash::{self, CrashImage, Epoch};
 use rae_blockdev::{
     BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, StatsDisk, TapeDisk, TapeEntry, WriteCutMode,
@@ -615,87 +616,6 @@ fn commit_pins_journaled_pages_until_the_commit_block() {
 // ----------------------------------------------------------------------
 // The commit rule: an fsync returns once a durable commit's cut covers it
 // ----------------------------------------------------------------------
-
-/// What a [`ParkDisk`] parks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Park {
-    Read,
-    Flush,
-}
-
-/// What a [`ParkDisk`] parks next, the signal that it parked and the
-/// receiver of its release.
-type Armed = Option<(Park, mpsc::Sender<()>, mpsc::Receiver<()>)>;
-
-/// Forwards every request to `inner`; once armed, parks the first read
-/// or flush until released.
-struct ParkDisk {
-    inner: Arc<dyn BlockDevice>,
-    armed: Mutex<Armed>,
-}
-
-impl ParkDisk {
-    fn new(inner: Arc<dyn BlockDevice>) -> Arc<ParkDisk> {
-        Arc::new(ParkDisk {
-            inner,
-            armed: Mutex::new(None),
-        })
-    }
-
-    /// Park the next `what`: returns the signal that it parked and the
-    /// sender that releases it.
-    fn arm(&self, what: Park) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
-        let (parked_tx, parked_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
-        *self.armed.lock().unwrap() = Some((what, parked_tx, release_rx));
-        (parked_rx, release_tx)
-    }
-
-    fn park(&self, what: Park) {
-        let armed = self
-            .armed
-            .lock()
-            .unwrap()
-            .take_if(|(armed, ..)| *armed == what);
-        if let Some((_, parked, release)) = armed {
-            parked.send(()).unwrap();
-            // bounded, so that a test failing while a request is parked
-            // ends instead of hanging
-            let _ = release.recv_timeout(std::time::Duration::from_secs(10));
-        }
-    }
-}
-
-impl BlockDevice for ParkDisk {
-    fn block_count(&self) -> u64 {
-        self.inner.block_count()
-    }
-    fn read_block(&self, bno: u64, buf: &mut [u8]) -> FsResult<()> {
-        self.park(Park::Read);
-        self.inner.read_block(bno, buf)
-    }
-    fn read_blocks(&self, start: u64, bufs: &mut [&mut [u8]]) -> FsResult<()> {
-        self.park(Park::Read);
-        self.inner.read_blocks(start, bufs)
-    }
-    fn write_block(&self, bno: u64, buf: &[u8]) -> FsResult<()> {
-        self.inner.write_block(bno, buf)
-    }
-    fn write_blocks(&self, extents: &[rae_blockdev::Extent<'_>]) -> FsResult<()> {
-        self.inner.write_blocks(extents)
-    }
-    fn flush(&self) -> FsResult<()> {
-        self.park(Park::Flush);
-        self.inner.flush()
-    }
-}
-
-/// Wait for `what` to park.
-fn parked(signal: &mpsc::Receiver<()>, what: &str) {
-    signal
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .unwrap_or_else(|_| panic!("{what} never parked"));
-}
 
 /// Wait until `n` callers are inside the commit path with their cuts
 /// read.

@@ -54,6 +54,8 @@ mod lru;
 mod pagecache;
 #[cfg(test)]
 mod stress_tests;
+#[cfg(test)]
+mod support_tests;
 
 pub use fs::{BaseFs, BaseFsConfig, BaseFsStats, OpSequencer};
 pub use pagecache::PageClass;

@@ -9,17 +9,14 @@ use crate::harness::{
     fresh_device, fresh_latency_device, mount_base, mount_rae, ops_per_sec, populate_small_tree,
     timed,
 };
-use rae::{RaeConfig, RecoveryMode, RecoveryPath, StandbyOpts};
-use rae_basefs::{BaseFs, BaseFsConfig};
+use rae::{RaeConfig, RecoveryMode};
+use rae_basefs::BaseFsConfig;
 use rae_blockdev::{BlockDevice, MemDisk};
 use rae_faults::{standard_bug_corpus, BugSpec, Effect, FaultRegistry, Site, Trigger};
 use rae_fsmodel::ModelFs;
 use rae_shadowfs::{ShadowAsPrimary, ShadowFs, ShadowOpts};
 use rae_vfs::{FileSystem, FsOp, OpRecord, OpenFlags};
-use rae_workloads::{
-    compare_outcomes, generate_script, populate_read_set, run_reader_mix, run_script, Profile,
-    ReadMix, ReadMixConfig,
-};
+use rae_workloads::{compare_outcomes, generate_script, run_script, Profile};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -308,110 +305,6 @@ pub fn e3_recovery_latency(scale: Scale) -> String {
     out
 }
 
-/// E3b: warm-standby handover vs cold replay at the same retained log
-/// length, twice. First with replay isolated (unvalidated shadow,
-/// zero-latency device): the cold column grows with the log; the warm
-/// column only pays the contained reboot, the in-flight tail drain and
-/// the hand-off, so it should stay ~flat — the O(retained log) vs
-/// O(in-flight) separation the standby subsystem exists for. Then as
-/// deployed (validated shadow load, NVMe-latency device), where device
-/// reads are what recovery costs: the cold rung reads each block once,
-/// the warm rung reads none after the reboot, and warm stays under
-/// cold at every log length.
-#[must_use]
-pub fn e3b_warm_recovery(scale: Scale) -> String {
-    let mut out = String::from("E3b: cold replay vs warm standby handover\n");
-    for (deployed, caption) in [
-        (
-            false,
-            "(unvalidated shadow, zero-latency device; warm waits for the standby to\n\
-             catch up before the bug fires, so the drain is the in-flight tail only)",
-        ),
-        (
-            true,
-            "(as deployed: validated shadow load, 8/16 us NVMe-latency device)",
-        ),
-    ] {
-        let _ = writeln!(
-            out,
-            "{caption}\nlog_len  cold_ms  cold_replayed  warm_ms  warm_drained"
-        );
-        e3b_table(&mut out, scale, deployed);
-    }
-    out
-}
-
-fn e3b_table(out: &mut String, scale: Scale, deployed: bool) {
-    for &len in scale.log_lengths {
-        let mut total = [Duration::ZERO; 2];
-        let mut replayed = [0u64; 2];
-        for (i, warm) in [false, true].into_iter().enumerate() {
-            let dev = if deployed {
-                fresh_latency_device() as Arc<dyn BlockDevice>
-            } else {
-                fresh_device() as Arc<dyn BlockDevice>
-            };
-            let faults = FaultRegistry::new();
-            let config = RaeConfig {
-                base: BaseFsConfig {
-                    faults: faults.clone(),
-                    ..BaseFsConfig::default()
-                },
-                shadow: ShadowOpts {
-                    validate_image: deployed,
-                    ..ShadowOpts::default()
-                },
-                max_log_records: usize::MAX,
-                standby: StandbyOpts { enabled: warm },
-                ..RaeConfig::default()
-            };
-            let fs = mount_rae(dev, config);
-            for k in 0..len {
-                let fd = fs
-                    .open(&format!("/f{k:05}"), OpenFlags::RDWR | OpenFlags::CREATE)
-                    .unwrap();
-                fs.write(fd, 0, &[k as u8; 512]).unwrap();
-                fs.close(fd).unwrap();
-            }
-            if warm {
-                while fs.stats().standby_lag > 0 {
-                    std::thread::yield_now();
-                }
-            }
-            faults.arm(BugSpec::new(
-                9000,
-                "trigger",
-                Site::Alloc,
-                Trigger::Always,
-                Effect::DetectedError,
-            ));
-            fs.mkdir("/trigger").unwrap();
-            let reports = fs.recovery_reports();
-            assert_eq!(reports.len(), 1);
-            assert_eq!(
-                reports[0].path,
-                if warm {
-                    RecoveryPath::Warm
-                } else {
-                    RecoveryPath::Cold
-                }
-            );
-            total[i] = reports[0].duration;
-            replayed[i] = reports[0].records_replayed;
-        }
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let _ = writeln!(
-            out,
-            "{:>7} {:>8.2} {:>13} {:>8.2} {:>12}",
-            len,
-            ms(total[0]),
-            replayed[0],
-            ms(total[1]),
-            replayed[1],
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // E4: availability campaign
 // ---------------------------------------------------------------------
@@ -482,224 +375,6 @@ pub fn e4_availability(scale: Scale) -> String {
 // ---------------------------------------------------------------------
 // E5: the shadow's check battery
 // ---------------------------------------------------------------------
-
-/// E4b: client-observed operation latency under a recurring
-/// deterministic bug — the paper's §4.3 point that recovery time shows
-/// up as response-time tail for applications with in-flight
-/// operations. Percentiles over create+write+close transactions.
-#[must_use]
-pub fn e4b_latency_tail(scale: Scale) -> String {
-    use std::time::Instant;
-    let ops = scale.campaign_steps.min(2000);
-    let mut out = String::from(
-        "E4b: client-observed latency with a recurring masked bug\n\
-         policy        p50_us    p99_us     max_us  recoveries\n",
-    );
-    for (label, bug_every) in [("no-faults", 0u64), ("bug-every-300", 300)] {
-        let dev = fresh_device();
-        let faults = FaultRegistry::new();
-        if bug_every > 0 {
-            faults.arm(BugSpec::new(
-                9100,
-                "recurring",
-                Site::Alloc,
-                Trigger::EveryNth(bug_every),
-                Effect::DetectedError,
-            ));
-        }
-        let config = RaeConfig {
-            base: BaseFsConfig {
-                faults,
-                ..BaseFsConfig::default()
-            },
-            shadow: ShadowOpts {
-                validate_image: false,
-                ..ShadowOpts::default()
-            },
-            ..RaeConfig::default()
-        };
-        let fs = mount_rae(dev as Arc<dyn BlockDevice>, config);
-        let mut lat_us: Vec<f64> = Vec::with_capacity(ops);
-        for i in 0..ops {
-            let t0 = Instant::now();
-            let fd = fs
-                .open(&format!("/f{i:06}"), OpenFlags::RDWR | OpenFlags::CREATE)
-                .expect("open");
-            fs.write(fd, 0, &[7u8; 256]).expect("write");
-            fs.close(fd).expect("close");
-            lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        lat_us.sort_by(f64::total_cmp);
-        let pick = |q: f64| lat_us[(q * (lat_us.len() - 1) as f64) as usize];
-        let _ = writeln!(
-            out,
-            "{:<13} {:>7.1} {:>9.1} {:>10.1} {:>11}",
-            label,
-            pick(0.50),
-            pick(0.99),
-            lat_us.last().unwrap(),
-            fs.stats().recoveries,
-        );
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// E4c: concurrent read scaling
-// ---------------------------------------------------------------------
-
-const E4C_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Workload shape per mix. The read-miss set (64 × 32 KiB = 512 data
-/// blocks) is sized against a deliberately small page cache so a large
-/// fraction of reads touch the latency-modelled device.
-fn e4c_mix_config(mix: ReadMix, scale: Scale) -> ReadMixConfig {
-    match mix {
-        ReadMix::ReadHit | ReadMix::Mixed90R10W => ReadMixConfig {
-            nfiles: 32,
-            file_size: 16 * 1024,
-            read_size: 1024,
-            ops_per_thread: scale.steps,
-            seed: 0xE4C,
-            mix,
-        },
-        ReadMix::ReadMiss => ReadMixConfig {
-            nfiles: 64,
-            file_size: 32 * 1024,
-            read_size: 4096,
-            ops_per_thread: (scale.steps / 2).max(100),
-            seed: 0xE4C,
-            mix,
-        },
-    }
-}
-
-fn e4c_base_config(mix: ReadMix) -> BaseFsConfig {
-    BaseFsConfig {
-        page_cache_blocks: if matches!(mix, ReadMix::ReadMiss) {
-            256 // half the read-miss working set: forces device reads
-        } else {
-            2048
-        },
-        ..BaseFsConfig::default()
-    }
-}
-
-/// One mix's sweep: mount, populate, then run the thread ladder on the
-/// same warm mount. Returns `(threads, ops/s)` per rung.
-fn e4c_measure(mix: ReadMix, scale: Scale) -> Vec<(usize, f64)> {
-    let cfg = e4c_mix_config(mix, scale);
-    // 50 µs reads: slow enough that misses are genuinely I/O-bound and
-    // their latency overlaps across reader threads (see harness docs)
-    let dev = crate::harness::fresh_custom_latency_device(50_000, 16_000);
-    let fs = Arc::new(
-        BaseFs::mount(dev as Arc<dyn BlockDevice>, e4c_base_config(mix)).expect("mount base"),
-    );
-    populate_read_set(fs.as_ref(), &cfg).expect("populate read set");
-    // untimed warm-up: fill the cache to steady state and spin up the
-    // CPU before the first timed rung
-    let warm = ReadMixConfig {
-        ops_per_thread: cfg.ops_per_thread / 2,
-        ..cfg
-    };
-    let _ = run_reader_mix(&fs, &warm, 2).expect("warm-up");
-    E4C_THREADS
-        .iter()
-        .map(|&threads| {
-            let report = run_reader_mix(&fs, &cfg, threads).unwrap_or_else(|e| {
-                panic!(
-                    "reader mix failed: mix={} threads={threads}: {e:?}",
-                    cfg.mix.label()
-                )
-            });
-            (threads, report.ops_per_sec())
-        })
-        .collect()
-}
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// One E4c sweep: (mix label, per-thread-count ops/s).
-type E4cRow = (&'static str, Vec<(usize, f64)>);
-
-fn e4c_render_json(rows: &[E4cRow]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"e4c_read_scaling\",\n");
-    json.push_str("  \"threads\": [1, 2, 4, 8],\n");
-    let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
-    json.push_str("  \"results\": [\n");
-    for (i, (mix, ladder)) in rows.iter().enumerate() {
-        let ops: Vec<String> = ladder.iter().map(|(_, o)| format!("{o:.0}")).collect();
-        let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"mix\": \"{mix}\", \"ops_per_sec\": [{}], \"speedup_8t_over_1t\": {speedup:.2}}}{comma}",
-            ops.join(", "),
-        );
-    }
-    json.push_str("  ]\n}\n");
-    json
-}
-
-/// E4c: throughput of 1–8 reader threads against one mounted base, for
-/// cache-resident reads, device-bound reads, and a 90:10 read/write
-/// mix. To compare two commits, run `raebench` on each.
-///
-/// Side effect: writes `BENCH_concurrency.json` into the working
-/// directory (the committed artifact at the repo root).
-#[must_use]
-pub fn e4c_read_scaling(scale: Scale) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "E4c: concurrent read scaling ({} ops/thread, {} host CPUs)",
-        scale.steps,
-        host_cpus()
-    );
-    let _ = writeln!(
-        out,
-        "(cache-resident mixes are CPU-bound: their scaling ceiling is the host CPU count;"
-    );
-    let _ = writeln!(
-        out,
-        " the read-miss mix is I/O-bound and scales with overlapped device latency)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<13} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "mix", "1t", "2t", "4t", "8t", "8t/1t"
-    );
-    let mut rows: Vec<E4cRow> = Vec::new();
-    for mix in [ReadMix::ReadHit, ReadMix::ReadMiss, ReadMix::Mixed90R10W] {
-        let ladder = e4c_measure(mix, scale);
-        let speedup = ladder.last().expect("ladder").1 / ladder[0].1.max(f64::MIN_POSITIVE);
-        let _ = writeln!(
-            out,
-            "{:<13} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>6.2}x",
-            mix.label(),
-            ladder[0].1,
-            ladder[1].1,
-            ladder[2].1,
-            ladder[3].1,
-            speedup
-        );
-        rows.push((mix.label(), ladder));
-    }
-    let json = e4c_render_json(&rows);
-    match std::fs::write("BENCH_concurrency.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote BENCH_concurrency.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "(could not write BENCH_concurrency.json: {e})");
-        }
-    }
-    out
-}
 
 /// Build a recorded operation sequence by running ops through an
 /// autonomous shadow (a stand-in for the base's recorder, entirely
@@ -1476,8 +1151,8 @@ pub fn e9_tail_latency(scale: Scale, smoke: bool) -> String {
     let fs = mount_rae(fresh_latency_device() as Arc<dyn BlockDevice>, config);
 
     // per-op (start_ns, latency_us) through create+write+close
-    // transactions — the e4b workload, now timestamped on the
-    // telemetry clock so samples line up with flight-recorder events
+    // transactions, timestamped on the telemetry clock so samples line
+    // up with flight-recorder events
     let mut samples: Vec<(u64, u64, f64)> = Vec::with_capacity(ops);
     for i in 0..ops {
         let start_ns = tele.now_ns();
@@ -1806,10 +1481,7 @@ pub fn run_all(scale: Scale) -> String {
         e1_base_vs_shadow(scale),
         e2_rae_overhead(scale),
         e3_recovery_latency(scale),
-        e3b_warm_recovery(scale),
         e4_availability(scale),
-        e4b_latency_tail(scale),
-        e4c_read_scaling(scale),
         e5_check_cost(scale),
         e6_differential(scale),
         e7_crafted_images(),

@@ -40,21 +40,6 @@ pub fn fresh_latency_device() -> Arc<FaultyDisk<MemDisk>> {
     Arc::new(FaultyDisk::with_plan(mem, plan))
 }
 
-/// A formatted device with custom per-op latency. The concurrency
-/// experiment (E4c) uses 50 µs reads — a networked/cloud block device —
-/// so the read-miss mix is genuinely I/O-bound and the benefit of
-/// overlapping misses across reader threads is visible rather than
-/// drowned in lock-free CPU work.
-#[must_use]
-pub fn fresh_custom_latency_device(read_ns: u64, write_ns: u64) -> Arc<FaultyDisk<MemDisk>> {
-    let mem = MemDisk::new(16384);
-    mkfs(&mem, experiment_params()).expect("mkfs");
-    let plan = DiskFaultPlan::new()
-        .read_latency_ns(read_ns)
-        .write_latency_ns(write_ns);
-    Arc::new(FaultyDisk::with_plan(mem, plan))
-}
-
 /// Mount a base filesystem with `faults`.
 #[must_use]
 pub fn mount_base(dev: Arc<dyn BlockDevice>, faults: FaultRegistry) -> BaseFs {
@@ -95,28 +80,6 @@ pub fn populate_small_tree(fs: &dyn FileSystem) -> FsResult<()> {
     fs.link("/docs/file1", "/docs/a/hard")?;
     fs.sync()?;
     Ok(())
-}
-
-/// Silence panic messages from *injected* bugs (the RAE runtime
-/// catches the unwinds; the default hook would still spam stderr).
-/// Real panics keep printing.
-pub fn quiet_injected_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| {
-                info.payload()
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-            });
-        if msg.is_some_and(|m| m.contains("injected filesystem bug")) {
-            return;
-        }
-        default_hook(info);
-    }));
 }
 
 /// Time a closure.

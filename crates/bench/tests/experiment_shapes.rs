@@ -4,22 +4,6 @@
 
 use rae_bench::experiments::{self, Scale};
 
-fn quiet_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let is_injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected filesystem bug"));
-            if !is_injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
 #[test]
 fn table1_matches_paper_exactly() {
     let out = experiments::table1();
@@ -80,7 +64,7 @@ fn e3_recovery_time_grows_with_log_length() {
 
 #[test]
 fn e4_rae_masks_everything() {
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let out = experiments::e4_availability(Scale::fast());
     let rae_line = out.lines().find(|l| l.starts_with("rae")).unwrap();
     let fields: Vec<&str> = rae_line.split_whitespace().collect();
@@ -141,7 +125,7 @@ fn e7_shadow_rejects_every_crafted_image() {
 
 #[test]
 fn e8_every_scenario_reaches_a_terminal_state() {
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let out = experiments::e8_recovery_resilience(true);
     assert!(out.contains("0 unexpected"), "{out}");
     // the control recovers on the first (cold) rung
@@ -179,7 +163,7 @@ fn e8_every_scenario_reaches_a_terminal_state() {
 
 #[test]
 fn e9_windows_split_around_the_recovery() {
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let out = experiments::e9_tail_latency(Scale::fast(), true);
     assert!(out.contains("rung=cold"), "{out}");
     let field = |window: &str, idx: usize| -> f64 {

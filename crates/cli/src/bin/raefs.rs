@@ -7,16 +7,7 @@ use std::sync::Arc;
 
 fn main() {
     // injected panics are caught by RAE; keep stderr clean
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("injected filesystem bug"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    rae_faults::quiet_injected_panics();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("shell") {

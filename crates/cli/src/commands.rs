@@ -687,10 +687,8 @@ mod tests {
         s.run("write /a x").unwrap();
         // the rename panics in the base; RAE masks it; the shell sees
         // a normal success
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        rae_faults::quiet_injected_panics();
         s.run("mv /a /b").unwrap();
-        std::panic::set_hook(quiet);
         assert_eq!(s.run("cat /b").unwrap(), "x");
         let stats = s.run("stats").unwrap();
         assert!(stats.contains("recoveries=1"), "{stats}");
@@ -806,10 +804,8 @@ mod tests {
         // a masked panic now recovers through the warm standby and the
         // standby respawns for the next fault
         s.run("inject rename 1 panic").unwrap();
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        rae_faults::quiet_injected_panics();
         s.run("mv /d/f /d/g").unwrap();
-        std::panic::set_hook(quiet);
         assert_eq!(s.run("cat /d/g").unwrap(), "warm data");
         let stats = s.run("stats").unwrap();
         assert!(stats.contains("recoveries=1"), "{stats}");

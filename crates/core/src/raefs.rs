@@ -8,7 +8,7 @@ use crate::report::{
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
 use rae_blockdev::{BlockDevice, FrozenView, IoPhase, RetryDisk, RetryPolicy, TrackedDisk};
-use rae_faults::{FaultAction, OpContext, Site};
+use rae_faults::{FaultAction, OpContext, Site, INJECTED_PANIC_PREFIX};
 use rae_shadowfs::{ReadReply, ReadRequest, ResyncReport, ShadowFs, ShadowOpts};
 use rae_standby::{PendingHandover, Publish, StandbyOpts, StandbyStatus, WarmStandby};
 use rae_telemetry::{DevOp, EventKind, OpClass, Telemetry};
@@ -1238,7 +1238,7 @@ impl RaeFs {
         match self.base.fault_registry().check(&ctx) {
             Some(FaultAction::FailDetected { bug_id }) => Err(FsError::DetectedBug { bug_id }),
             Some(FaultAction::Panic { bug_id }) => {
-                panic!("injected filesystem bug #{bug_id}: panic at recovery replay")
+                panic!("{INJECTED_PANIC_PREFIX} #{bug_id}: panic at recovery replay")
             }
             _ => Ok(()),
         }

@@ -1136,9 +1136,14 @@ fn wait_caught_up(fs: &RaeFs) {
 }
 
 /// Identical workload, no persistence barrier (nothing trims), ending
-/// in a masked in-flight panic. With `standby.enabled` the recovery
-/// takes the warm path; otherwise cold.
-fn run_rename_crash_scenario(standby: crate::StandbyOpts) -> (Arc<MemDisk>, RaeFs) {
+/// in a masked in-flight panic. `padding` directories are made first,
+/// to lengthen the retained log. With `standby.enabled` the recovery
+/// takes the warm path; otherwise cold. Returns the retained log length
+/// when the panic fires.
+fn run_rename_crash_scenario(
+    standby: crate::StandbyOpts,
+    padding: usize,
+) -> (Arc<MemDisk>, RaeFs, usize) {
     let dev = Arc::new(MemDisk::new(4096));
     mkfs(dev.as_ref(), MkfsParams::default()).unwrap();
     let config = RaeConfig {
@@ -1150,6 +1155,9 @@ fn run_rename_crash_scenario(standby: crate::StandbyOpts) -> (Arc<MemDisk>, RaeF
         ..RaeConfig::default()
     };
     let fs = RaeFs::mount(dev.clone() as Arc<dyn BlockDevice>, config).unwrap();
+    for k in 0..padding {
+        fs.mkdir(&format!("/pad{k:03}")).unwrap();
+    }
     fs.mkdir("/d").unwrap();
     let a = fs.open("/d/a", rw_create()).unwrap();
     fs.write(a, 0, b"unsynced payload").unwrap();
@@ -1161,75 +1169,82 @@ fn run_rename_crash_scenario(standby: crate::StandbyOpts) -> (Arc<MemDisk>, RaeF
     if fs.stats().standby_active {
         wait_caught_up(&fs);
     }
+    let retained = fs.stats().log_len;
     // panics inside the base; RAE masks it through recovery
     fs.rename("/victim", "/renamed").unwrap();
-    (dev, fs)
+    (dev, fs, retained)
 }
 
+/// At two log lengths: cold replays the whole retained log, warm
+/// drains only the in-flight tail, and both reach the same state.
 #[test]
 fn warm_and_cold_recovery_reach_identical_state() {
-    let (cold_dev, cold) = run_rename_crash_scenario(crate::StandbyOpts::default());
-    let (warm_dev, warm) = run_rename_crash_scenario(warm_opts());
+    for padding in [0, 200] {
+        let (cold_dev, cold, retained) =
+            run_rename_crash_scenario(crate::StandbyOpts::default(), padding);
+        let (warm_dev, warm, _) = run_rename_crash_scenario(warm_opts(), padding);
+        assert_eq!(retained, padding + 8, "{padding}: nothing trimmed");
 
-    let cold_reports = cold.recovery_reports();
-    let warm_reports = warm.recovery_reports();
-    assert_eq!(cold_reports.len(), 1);
-    assert_eq!(warm_reports.len(), 1);
-    let (cr, wr) = (&cold_reports[0], &warm_reports[0]);
-    assert_eq!(cr.path, crate::RecoveryPath::Cold);
-    assert_eq!(wr.path, crate::RecoveryPath::Warm);
-    assert!(cr.had_in_flight && wr.had_in_flight);
+        let cold_reports = cold.recovery_reports();
+        let warm_reports = warm.recovery_reports();
+        assert_eq!(cold_reports.len(), 1);
+        assert_eq!(warm_reports.len(), 1);
+        let (cr, wr) = (&cold_reports[0], &warm_reports[0]);
+        assert_eq!(cr.path, crate::RecoveryPath::Cold);
+        assert_eq!(wr.path, crate::RecoveryPath::Warm);
+        assert!(cr.had_in_flight && wr.had_in_flight);
 
-    // identical cross-check verdicts: the standby's accumulated report
-    // equals what cold replay of the same log produced
-    assert_eq!(cr.discrepancies, wr.discrepancies);
-    // cold pays O(retained log); the warm drain is only the published-
-    // but-unapplied tail, which was empty once caught up
-    assert_eq!(
-        cr.records_replayed, 8,
-        "cold replays the whole retained log"
-    );
-    assert_eq!(
-        wr.records_replayed, 0,
-        "warm drains only the in-flight tail"
-    );
-
-    // both recovered filesystems answer identically
-    for fs in [&cold, &warm] {
-        assert_eq!(fs.stat("/victim"), Err(FsError::NotFound));
-        assert_eq!(fs.readlink("/sym").unwrap(), "/d/a");
-        assert_eq!(fs.stat("/hard").unwrap().nlink, 2);
+        // identical cross-check verdicts: the standby's accumulated
+        // report equals what cold replay of the same log produced
+        assert_eq!(cr.discrepancies, wr.discrepancies);
+        // cold pays O(retained log); the warm drain is only the
+        // published-but-unapplied tail, which was empty once caught up
         assert_eq!(
-            fs.stat("/d/a").unwrap().size,
-            b"unsynced payload".len() as u64
+            cr.records_replayed, retained as u64,
+            "{padding}: cold replays the whole retained log"
         );
-        let fd = fs.open("/renamed", OpenFlags::RDONLY).unwrap();
-        assert_eq!(fs.read(fd, 0, 16).unwrap(), b"precious");
-        fs.close(fd).unwrap();
-        assert_eq!(fs.stats().recoveries, 1);
-    }
-    let root_names = |fs: &RaeFs| {
-        let mut names: Vec<String> = fs
-            .readdir("/")
-            .unwrap()
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        names.sort();
-        names
-    };
-    assert_eq!(root_names(&cold), root_names(&warm));
+        assert_eq!(
+            wr.records_replayed, 0,
+            "{padding}: warm drains only the in-flight tail"
+        );
 
-    // and both on-disk images are consistent after unmount
-    cold.unmount().unwrap();
-    warm.unmount().unwrap();
-    fsck(cold_dev.as_ref()).unwrap();
-    fsck(warm_dev.as_ref()).unwrap();
+        // both recovered filesystems answer identically
+        for fs in [&cold, &warm] {
+            assert_eq!(fs.stat("/victim"), Err(FsError::NotFound));
+            assert_eq!(fs.readlink("/sym").unwrap(), "/d/a");
+            assert_eq!(fs.stat("/hard").unwrap().nlink, 2);
+            assert_eq!(
+                fs.stat("/d/a").unwrap().size,
+                b"unsynced payload".len() as u64
+            );
+            let fd = fs.open("/renamed", OpenFlags::RDONLY).unwrap();
+            assert_eq!(fs.read(fd, 0, 16).unwrap(), b"precious");
+            fs.close(fd).unwrap();
+            assert_eq!(fs.stats().recoveries, 1);
+        }
+        let root_names = |fs: &RaeFs| {
+            let mut names: Vec<String> = fs
+                .readdir("/")
+                .unwrap()
+                .into_iter()
+                .map(|e| e.name)
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(root_names(&cold), root_names(&warm));
+
+        // and both on-disk images are consistent after unmount
+        cold.unmount().unwrap();
+        warm.unmount().unwrap();
+        fsck(cold_dev.as_ref()).unwrap();
+        fsck(warm_dev.as_ref()).unwrap();
+    }
 }
 
 #[test]
 fn warm_recovery_respawns_standby_for_the_next_one() {
-    let (_dev, fs) = run_rename_crash_scenario(warm_opts());
+    let (_dev, fs, _) = run_rename_crash_scenario(warm_opts(), 0);
     let stats = fs.stats();
     assert!(stats.standby_active, "standby respawned after recovery");
     assert!(!stats.standby_degraded);

@@ -37,9 +37,11 @@
 #![warn(missing_docs)]
 
 mod corpus;
+mod quiet;
 mod registry;
 mod spec;
 
 pub use corpus::standard_bug_corpus;
+pub use quiet::{quiet_injected_panics, INJECTED_PANIC_PREFIX};
 pub use registry::{FaultAction, FaultRegistry};
 pub use spec::{BugSpec, Effect, OpContext, Site, Trigger};

@@ -37,26 +37,5 @@ pub use wire::{
     Request, Response, ServerError, VolumeInfo, MAX_FRAME_LEN,
 };
 
-/// Keep the default panic hook from printing a backtrace for every
-/// *injected* bug that fires as a panic — the server catches those and
-/// recovers, so the spew is pure noise. Anything else still reaches
-/// the previous hook. Call once per process before injecting faults
-/// (the `serve` CLI and fault-campaign harnesses do).
-pub fn quiet_injected_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| {
-                info.payload()
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-            });
-        if msg.is_some_and(|m| m.contains("injected filesystem bug")) {
-            return;
-        }
-        default_hook(info);
-    }));
-}
+// kept here too for the callers that import it from the server
+pub use rae_faults::quiet_injected_panics;

@@ -1,7 +1,7 @@
 //! Socket-level load generator for the multi-tenant [`rae_server`].
 //!
-//! Where [`crate::concurrent`] drives an in-process `FileSystem`
-//! directly, this module simulates a *fleet of remote tenants*: N
+//! Where a script drives an in-process `FileSystem` directly, this
+//! module simulates a *fleet of remote tenants*: N
 //! connection threads each multiplex many logical clients over one
 //! socket, issuing a configurable read/write mix against the server's
 //! volumes with Zipfian file popularity (a few hot files absorb most

@@ -15,16 +15,7 @@ use std::sync::Arc;
 
 fn main() -> FsResult<()> {
     // injected panics are caught by RAE; keep stderr clean
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("injected filesystem bug"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    rae_faults::quiet_injected_panics();
 
     // 1. make a filesystem on an in-memory device
     let dev = Arc::new(MemDisk::new(4096));

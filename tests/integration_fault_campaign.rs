@@ -11,24 +11,8 @@ use rae_vfs::FileSystem;
 use rae_workloads::{generate_script, run_script, Profile, StepResult};
 use std::sync::Arc;
 
-fn quiet_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let is_injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected filesystem bug"));
-            if !is_injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
 fn campaign_fs(faults: FaultRegistry) -> (Arc<MemDisk>, RaeFs) {
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let dev = Arc::new(MemDisk::new(16384));
     mkfs(
         dev.as_ref(),

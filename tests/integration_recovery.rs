@@ -13,24 +13,8 @@ fn rw_create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE
 }
 
-fn quiet_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let is_injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected filesystem bug"));
-            if !is_injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
 fn setup(faults: FaultRegistry) -> (Arc<MemDisk>, RaeFs) {
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let dev = Arc::new(MemDisk::new(8192));
     mkfs(
         dev.as_ref(),
@@ -254,7 +238,7 @@ fn crash_remount_vs_rae_availability_difference() {
             Trigger::NthMatch(10),
             Effect::DetectedError,
         ));
-        quiet_panics();
+        rae_faults::quiet_injected_panics();
         let dev = Arc::new(MemDisk::new(8192));
         mkfs(
             dev.as_ref(),
@@ -302,7 +286,7 @@ fn shadow_refinement_mode_recovery_is_clean() {
         Trigger::NthMatch(1),
         Effect::DetectedError,
     ));
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let dev = Arc::new(MemDisk::new(8192));
     mkfs(
         dev.as_ref(),

@@ -13,24 +13,8 @@ use rae_telemetry::{EventKind, OpClass, SpanLayer, Telemetry};
 use rae_vfs::{FileSystem, OpenFlags};
 use std::sync::Arc;
 
-fn quiet_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let is_injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected filesystem bug"));
-            if !is_injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
 fn setup(faults: FaultRegistry) -> RaeFs {
-    quiet_panics();
+    rae_faults::quiet_injected_panics();
     let dev = Arc::new(MemDisk::new(8192));
     mkfs(
         dev.as_ref(),

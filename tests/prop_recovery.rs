@@ -15,22 +15,6 @@ use rae_workloads::{
 };
 use std::sync::Arc;
 
-fn quiet_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let is_injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected filesystem bug"));
-            if !is_injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
 fn fresh_dev() -> Arc<MemDisk> {
     let dev = Arc::new(MemDisk::new(16384));
     mkfs(
@@ -99,7 +83,7 @@ proptest! {
         site_pick in 0usize..4,
         effect_pick in 0usize..2,
     ) {
-        quiet_panics();
+        rae_faults::quiet_injected_panics();
         let script = generate_script(Profile::Chaos, seed, steps);
         let model = ModelFs::new();
         let expected = run_script(&model, &script);
