@@ -1,18 +1,17 @@
-//! Journal write-order tests: every crash cut inside a commit's and a
-//! replay's extent requests, every crash state the flush epochs of a
-//! commit, a checkpointing commit and a replay allow (the crash-state
-//! explorer), the failure paths of a commit's combined data + record
-//! batch, the write-ahead rule under a commit that stalls while
-//! readers evict, and the commit rule: which callers a commit's cut
-//! covers, a failed or panicking commit with a caller queued behind
-//! it, and the crash states of two committers.
+//! Journal write-order tests: every crash state the flush epochs of a
+//! commit, a scattered fsync, a checkpointing commit and a replay allow
+//! (the crash-state explorer), with the extent shape of their requests,
+//! the failure paths of a commit's combined data + record batch, the
+//! write-ahead rule under a commit that stalls while readers evict, and
+//! the commit rule: which callers a commit's cut covers, a failed or
+//! panicking commit with a caller queued behind it, and the crash
+//! states of two committers.
 
 use crate::fs::{BaseFs, BaseFsConfig};
 use crate::support_tests::{parked, Park, ParkDisk};
 use rae_blockdev::crash::{self, CrashImage, Epoch};
 use rae_blockdev::{
-    BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, StatsDisk, TapeDisk, TapeEntry, WriteCutMode,
-    BLOCK_SIZE,
+    BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, StatsDisk, TapeDisk, TapeEntry, BLOCK_SIZE,
 };
 use rae_fsformat::journal::{self, decode_descriptor, is_commit};
 use rae_fsformat::{fsck, mkfs, MkfsParams, Superblock};
@@ -105,72 +104,6 @@ fn base_image() -> Vec<u8> {
     dev.snapshot()
 }
 
-/// Mount `image` behind a device that silently drops every write after
-/// the first `cut` blocks, run `txn`, crash, and return what reached
-/// the device.
-fn crash_after(image: &[u8], cut: u64, txn: fn(&dyn FileSystem) -> FsResult<()>) -> Vec<u8> {
-    let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
-    let dev = Arc::new(FaultyDisk::with_plan(MemDisk::from_image(image), plan));
-    let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
-    txn(&fs).unwrap();
-    fs.crash();
-    dev.inner().snapshot()
-}
-
-/// Run `txn` once uncut over `pre_image`, then crash it at every write
-/// cut from before the mount's first write to past the commit block:
-/// each crashed image must mount, replay and check clean, with the old
-/// tree until the commit block — the last write — lands and the new
-/// one, data and all, from then on. Returns the uncut run's write
-/// requests and blocks for `txn` alone.
-fn every_cut_is_pre_or_post(
-    pre_image: &[u8],
-    txn: fn(&dyn FileSystem) -> FsResult<()>,
-) -> (u64, u64) {
-    let pre = recovered_tree(pre_image, "pre");
-    let counted = Arc::new(StatsDisk::new(MemDisk::from_image(pre_image)));
-    let fs = mount(Arc::clone(&counted) as Arc<dyn BlockDevice>);
-    let before = counted.counters();
-    txn(&fs).unwrap();
-    let after = counted.counters();
-    fs.crash();
-    let total = after.writes;
-    let post = recovered_tree(&counted.inner().snapshot(), "post");
-    assert_ne!(pre, post);
-
-    let mut flipped_at = None;
-    for cut in 0..=total + 1 {
-        let got = recovered_tree(&crash_after(pre_image, cut, txn), &format!("cut {cut}"));
-        if got == post {
-            flipped_at.get_or_insert(cut);
-        } else {
-            assert_eq!(
-                got, pre,
-                "cut {cut}: neither the pre- nor the post-transaction tree"
-            );
-            assert!(flipped_at.is_none(), "cut {cut}: the old tree came back");
-        }
-    }
-    assert_eq!(
-        flipped_at,
-        Some(total),
-        "the transaction is durable exactly when its commit block, the last write, lands"
-    );
-    (
-        after.write_requests - before.write_requests,
-        after.writes - before.writes,
-    )
-}
-
-#[test]
-fn extent_commit_survives_every_cut() {
-    let (requests, blocks) = every_cut_is_pre_or_post(&base_image(), |fs| transaction(fs, 1));
-    assert!(
-        requests < blocks,
-        "the commit moved some blocks as an extent: {requests} requests, {blocks} blocks"
-    );
-}
-
 /// Holes to scatter new data into.
 const HOLES: u8 = 8;
 
@@ -205,16 +138,6 @@ fn scattered_fsync(fs: &dyn FileSystem) -> FsResult<()> {
         last = Some(fd);
     }
     fs.fsync(last.expect("at least one file"))
-}
-
-#[test]
-fn extent_fsync_of_scattered_data_survives_every_cut() {
-    let (requests, _) = every_cut_is_pre_or_post(&fragmented_image(), scattered_fsync);
-    // one request per hole, then the record and the commit block
-    assert!(
-        requests >= u64::from(HOLES) + 2,
-        "the data went out scattered: {requests} requests"
-    );
 }
 
 /// Every way a commit's data + record batch can fail — a write fault
@@ -308,30 +231,6 @@ fn journaled_image() -> (Vec<u8>, rae_fsformat::Geometry, Tree) {
     (journaled, geo, post)
 }
 
-#[test]
-fn extent_replay_survives_every_cut() {
-    let (journaled, geo, post) = journaled_image();
-    let counted = StatsDisk::new(MemDisk::from_image(&journaled));
-    let report = journal::replay(&counted, &geo).unwrap();
-    assert_eq!(report.transactions, 3);
-    let c = counted.counters();
-    assert!(
-        c.write_requests < c.writes && c.read_requests < c.reads,
-        "replay moves runs, not blocks: {c:?}"
-    );
-
-    // a replay cut anywhere — inside the home runs, between them and the
-    // reset, inside the reset — leaves a journal that replays to the
-    // same tree
-    for cut in 0..=c.writes + 1 {
-        let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
-        let dying = FaultyDisk::with_plan(MemDisk::from_image(&journaled), plan);
-        journal::replay(&dying, &geo).unwrap();
-        let got = recovered_tree(&dying.inner().snapshot(), &format!("replay cut {cut}"));
-        assert_eq!(got, post, "replay cut {cut}");
-    }
-}
-
 // ----------------------------------------------------------------------
 // Crash-state explorer: every subset of every flush epoch
 // ----------------------------------------------------------------------
@@ -409,31 +308,47 @@ fn explore(pre: &[u8], tape: &[TapeEntry], trees: &[Tree]) -> Vec<usize> {
 
 /// Mount `pre` over a tape, run `txn`, crash, and explore the tape:
 /// every state is the old tree or, from the commit block on, the new.
-/// Returns the epochs' sizes.
-fn explore_txn(pre: &[u8], txn: fn(&dyn FileSystem) -> FsResult<()>) -> Vec<usize> {
-    let dev = Arc::new(TapeDisk::from_image(pre));
+/// Returns the epochs' sizes and `txn`'s own write requests and blocks.
+fn explore_txn(pre: &[u8], txn: fn(&dyn FileSystem) -> FsResult<()>) -> (Vec<usize>, u64, u64) {
+    let dev = Arc::new(StatsDisk::new(TapeDisk::from_image(pre)));
     let fs = mount(Arc::clone(&dev) as Arc<dyn BlockDevice>);
     let before = tree(&fs);
+    let c0 = dev.counters();
     txn(&fs).unwrap();
+    let c1 = dev.counters();
     let after = tree(&fs);
     fs.crash();
-    explore(pre, &dev.since(0), &[before, after])
+    let sizes = explore(pre, &dev.inner().since(0), &[before, after]);
+    (
+        sizes,
+        c1.write_requests - c0.write_requests,
+        c1.writes - c0.writes,
+    )
 }
 
 #[test]
 fn crash_epoch_scattered_fsync() {
-    let sizes = explore_txn(&fragmented_image(), scattered_fsync);
+    let (sizes, requests, _) = explore_txn(&fragmented_image(), scattered_fsync);
     // one hole per file, the record and its commit block among them; the
     // combined batch is too large to enumerate whole
     assert!(
         sizes.iter().any(|&n| n > crash::EXHAUSTIVE_WRITES),
         "{sizes:?}"
     );
+    // one request per hole, then the record and the commit block
+    assert!(
+        requests >= u64::from(HOLES) + 2,
+        "the data went out scattered: {requests} requests"
+    );
 }
 
 #[test]
 fn crash_epoch_transaction() {
-    explore_txn(&base_image(), |fs| transaction(fs, 1));
+    let (_, requests, blocks) = explore_txn(&base_image(), |fs| transaction(fs, 1));
+    assert!(
+        requests < blocks,
+        "the commit moved some blocks as an extent: {requests} requests, {blocks} blocks"
+    );
 }
 
 #[test]
@@ -460,10 +375,16 @@ fn crash_epoch_auto_checkpoint() {
 #[test]
 fn crash_epoch_replay() {
     let (journaled, geo, post) = journaled_image();
-    let dev = TapeDisk::from_image(&journaled);
+    let dev = StatsDisk::new(TapeDisk::from_image(&journaled));
     assert_eq!(journal::replay(&dev, &geo).unwrap().transactions, 3);
-    // a crash anywhere inside recovery replays to the same tree
-    explore(&journaled, &dev.since(0), &[post]);
+    let c = dev.counters();
+    assert!(
+        c.write_requests < c.writes && c.read_requests < c.reads,
+        "replay moves runs, not blocks: {c:?}"
+    );
+    // a crash anywhere inside recovery — inside the home runs, between
+    // them and the reset, inside the reset — replays to the same tree
+    explore(&journaled, &dev.inner().since(0), &[post]);
 }
 
 /// What a [`StallDisk`] saw, in order.

@@ -4,8 +4,10 @@
 //! fault classes the paper's fault model covers: explicit I/O errors
 //! (transient or targeted), *silent* read corruption (the "cores that
 //! don't count" / bad-DRAM class the shadow's runtime checks defend
-//! against), failed flush barriers, per-operation latency (to model
-//! slow media), and write cut-off (crash emulation).
+//! against), failed flush barriers, and per-operation latency (to
+//! model slow media). Crashes are not among them: a
+//! [`crate::TapeDisk`] records a run and [`crate::crash`] enumerates
+//! every state a crash between its flushes could leave.
 //!
 //! Plans can also be *phase-scoped*: a plan staged with
 //! [`FaultyDisk::stage_recovery_plan`] arms each time the mount
@@ -31,21 +33,16 @@
 //! models no media time at all.
 //!
 //! Fault decisions stay per block, in order across the whole batch: a
-//! batch consumes rule counters, records events and reaches the write
-//! cut-off exactly as the loop of one-block requests it replaces would,
-//! so an N-th access fault inside an extent fires on its block, the
-//! first failing block ends the batch, and a failed or cut-off batch
-//! leaves the same written prefix. A one-block request is simply a batch
-//! of one one-block extent. The blocks a write will land count toward
-//! the cut-off before the plan lock is released, so concurrent writers
-//! cannot overshoot it.
+//! batch consumes rule counters and records events exactly as the loop
+//! of one-block requests it replaces would, so an N-th access fault
+//! inside an extent fires on its block, the first failing block ends
+//! the batch, and a failed batch leaves the same written prefix. A
+//! one-block request is simply a batch of one one-block extent.
 
 use crate::device::{BlockDevice, Extent, IoPhase, BLOCK_SIZE};
 use parking_lot::Mutex;
 use rae_telemetry::{EventKind, Telemetry};
 use rae_vfs::{FsError, FsResult};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -105,7 +102,6 @@ mod fault_class {
     pub const WRITE_FAIL: u64 = 1;
     pub const FLUSH_FAIL: u64 = 2;
     pub const CORRUPT_READ: u64 = 3;
-    pub const WRITE_CUT: u64 = 4;
 }
 
 /// Which blocks a fault rule applies to.
@@ -141,9 +137,6 @@ pub enum TriggerMode {
     Always,
     /// Exactly once, on the n-th matching access (1-based).
     Nth(u64),
-    /// Independently with probability `p` per matching access
-    /// (deterministic given the plan seed).
-    Prob(f64),
 }
 
 /// An error-injection rule for reads or writes.
@@ -170,16 +163,6 @@ pub struct CorruptRule {
     pub mode: TriggerMode,
 }
 
-/// What happens to writes after a write cut-off point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteCutMode {
-    /// Writes fail with [`FsError::IoFailed`].
-    Error,
-    /// Writes report success but are discarded — emulates a crash where
-    /// the machine died and later writes never reached the platter.
-    SilentDrop,
-}
-
 /// A device-level fault plan.
 ///
 /// Build with the fluent methods, then install via
@@ -192,8 +175,6 @@ pub struct DiskFaultPlan {
     flush_errors: Vec<TriggerMode>,
     read_latency_ns: u64,
     write_latency_ns: u64,
-    write_cut: Option<(u64, WriteCutMode)>,
-    seed: u64,
 }
 
 impl DiskFaultPlan {
@@ -201,13 +182,6 @@ impl DiskFaultPlan {
     #[must_use]
     pub fn new() -> DiskFaultPlan {
         DiskFaultPlan::default()
-    }
-
-    /// Seed for probabilistic rules (default 0).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> DiskFaultPlan {
-        self.seed = seed;
-        self
     }
 
     /// Fail matching reads.
@@ -268,13 +242,6 @@ impl DiskFaultPlan {
         self.write_latency_ns = ns;
         self
     }
-
-    /// Cut writes off after `n` successful writes (crash emulation).
-    #[must_use]
-    pub fn cut_writes_after(mut self, n: u64, mode: WriteCutMode) -> DiskFaultPlan {
-        self.write_cut = Some((n, mode));
-        self
-    }
 }
 
 /// Record of one injected fault, for assertions in tests and reports.
@@ -286,8 +253,6 @@ pub enum FaultEvent {
     WriteError(u64),
     /// A read of `bno` was silently corrupted.
     CorruptedRead(u64),
-    /// A write of `bno` was dropped past the cut-off.
-    DroppedWrite(u64),
     /// A flush barrier was failed.
     FlushError,
 }
@@ -303,7 +268,6 @@ struct ReadDecision {
 struct WriteDecision {
     latency_ns: u64,
     error: bool,
-    cut: Option<WriteCutMode>,
 }
 
 struct FaultState {
@@ -312,7 +276,6 @@ struct FaultState {
     write_rule_hits: Vec<u64>,
     corrupt_rule_hits: Vec<u64>,
     flush_rule_hits: Vec<u64>,
-    rng: SmallRng,
 }
 
 impl FaultState {
@@ -322,17 +285,15 @@ impl FaultState {
             write_rule_hits: vec![0; plan.write_errors.len()],
             corrupt_rule_hits: vec![0; plan.corrupt_reads.len()],
             flush_rule_hits: vec![0; plan.flush_errors.len()],
-            rng: SmallRng::seed_from_u64(plan.seed),
             plan,
         }
     }
 
-    fn rule_fires(mode: TriggerMode, hits: &mut u64, rng: &mut SmallRng) -> bool {
+    fn rule_fires(mode: TriggerMode, hits: &mut u64) -> bool {
         *hits += 1;
         match mode {
             TriggerMode::Always => true,
             TriggerMode::Nth(n) => *hits == n,
-            TriggerMode::Prob(p) => rng.gen_bool(p.clamp(0.0, 1.0)),
         }
     }
 
@@ -345,13 +306,12 @@ impl FaultState {
             plan,
             read_rule_hits,
             corrupt_rule_hits,
-            rng,
             ..
         } = self;
 
         let mut error = false;
         for (rule, hits) in plan.read_errors.iter().zip(read_rule_hits.iter_mut()) {
-            if rule.target.matches(bno) && Self::rule_fires(rule.mode, hits, rng) {
+            if rule.target.matches(bno) && Self::rule_fires(rule.mode, hits) {
                 error = true;
                 break;
             }
@@ -360,7 +320,7 @@ impl FaultState {
         let mut corrupt = None;
         if !error {
             for (rule, hits) in plan.corrupt_reads.iter().zip(corrupt_rule_hits.iter_mut()) {
-                if rule.target.matches(bno) && Self::rule_fires(rule.mode, hits, rng) {
+                if rule.target.matches(bno) && Self::rule_fires(rule.mode, hits) {
                     corrupt = Some((rule.byte, rule.bit));
                     break;
                 }
@@ -374,35 +334,24 @@ impl FaultState {
         }
     }
 
-    fn write_decision(&mut self, bno: u64, writes_done: u64) -> WriteDecision {
+    fn write_decision(&mut self, bno: u64) -> WriteDecision {
         let FaultState {
             plan,
             write_rule_hits,
-            rng,
             ..
         } = self;
 
         let mut error = false;
         for (rule, hits) in plan.write_errors.iter().zip(write_rule_hits.iter_mut()) {
-            if rule.target.matches(bno) && Self::rule_fires(rule.mode, hits, rng) {
+            if rule.target.matches(bno) && Self::rule_fires(rule.mode, hits) {
                 error = true;
                 break;
             }
         }
 
-        let cut = if error {
-            None
-        } else {
-            match plan.write_cut {
-                Some((n, mode)) if writes_done >= n => Some(mode),
-                _ => None,
-            }
-        };
-
         WriteDecision {
             latency_ns: plan.write_latency_ns,
             error,
-            cut,
         }
     }
 
@@ -410,11 +359,10 @@ impl FaultState {
         let FaultState {
             plan,
             flush_rule_hits,
-            rng,
             ..
         } = self;
         for (mode, hits) in plan.flush_errors.iter().zip(flush_rule_hits.iter_mut()) {
-            if Self::rule_fires(*mode, hits, rng) {
+            if Self::rule_fires(*mode, hits) {
                 return true;
             }
         }
@@ -451,7 +399,6 @@ impl Shared {
 pub struct FaultyDisk<D> {
     inner: D,
     state: Mutex<Shared>,
-    writes_done: AtomicU64,
     injected: AtomicU64,
     telemetry: OnceLock<Arc<Telemetry>>,
 }
@@ -484,7 +431,6 @@ impl<D: BlockDevice> FaultyDisk<D> {
                 phase: IoPhase::Normal,
                 events: Vec::new(),
             }),
-            writes_done: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             telemetry: OnceLock::new(),
         }
@@ -656,71 +602,43 @@ impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
             return Ok(());
         }
         // Decide block by block across the batch, as the loop of
-        // one-block writes would: blocks land until the cut-off, are
-        // dropped after it, and the first failing block ends the batch.
-        // What lands is therefore a prefix of the batch. Those blocks
-        // are counted toward the cut-off before the lock drops, so a
-        // concurrent request is decided against them.
+        // one-block writes would: the first failing block ends the batch
+        // and the blocks before it land, so what lands is a prefix.
         let mut latency_ns = 0;
         let mut landed = 0;
-        let mut dropped = Vec::new();
-        let mut stop = None;
+        let mut failed = None;
         let mut reached = 0;
         let recovery = {
             let mut sh = self.state.lock();
-            let writes_done = self.writes_done.load(Ordering::Relaxed);
             'batch: for e in extents.iter().filter(|e| !e.is_empty()) {
                 reached += 1;
                 for bno in (e.start..).take(e.len()) {
-                    let d = sh.active().write_decision(bno, writes_done + landed as u64);
+                    let d = sh.active().write_decision(bno);
                     latency_ns = d.latency_ns;
                     if d.error {
                         sh.events.push(FaultEvent::WriteError(bno));
-                        stop = Some((bno, fault_class::WRITE_FAIL));
+                        failed = Some(bno);
                         break 'batch;
                     }
-                    match d.cut {
-                        None => landed += 1,
-                        Some(WriteCutMode::SilentDrop) => {
-                            sh.events.push(FaultEvent::DroppedWrite(bno));
-                            dropped.push(bno);
-                        }
-                        Some(WriteCutMode::Error) => {
-                            stop = Some((bno, fault_class::WRITE_CUT));
-                            break 'batch;
-                        }
-                    }
+                    landed += 1;
                 }
             }
-            self.writes_done.fetch_add(landed as u64, Ordering::Relaxed);
             sh.phase == IoPhase::Recovery
         };
-        let attempted = landed + dropped.len() + usize::from(stop.is_some());
+        let attempted = landed + usize::from(failed.is_some());
         Self::busy_wait(latency_ns, batch_ns(latency_ns, reached, attempted));
 
         let mut result = match landed {
             0 => Ok(()),
             n if n == blocks => self.inner.write_blocks(extents),
             n => self.inner.write_blocks(&batch_prefix(extents, n)),
-        }
-        .inspect_err(|_| {
-            self.writes_done.fetch_sub(landed as u64, Ordering::Relaxed);
-        });
-        if result.is_ok() {
-            for bno in dropped {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                self.fault_event(fault_class::WRITE_CUT, bno, recovery);
-            }
-            if let Some((bno, class)) = stop {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                self.fault_event(class, bno, recovery);
-                let detail = if class == fault_class::WRITE_FAIL {
-                    format!("injected write error at block {bno}")
-                } else {
-                    format!("write cut-off reached at block {bno}")
-                };
-                result = Err(FsError::IoFailed { detail });
-            }
+        };
+        if let (Ok(()), Some(bno)) = (&result, failed) {
+            self.injected.fetch_add(1, Ordering::Relaxed);
+            self.fault_event(fault_class::WRITE_FAIL, bno, recovery);
+            result = Err(FsError::IoFailed {
+                detail: format!("injected write error at block {bno}"),
+            });
         }
         result
     }
@@ -819,44 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_faults_are_seed_deterministic() {
-        let run = |seed| {
-            let plan = DiskFaultPlan::new()
-                .seed(seed)
-                .fail_reads(FaultTarget::Any, TriggerMode::Prob(0.5));
-            let d = FaultyDisk::with_plan(MemDisk::new(1), plan);
-            let mut r = block(0);
-            (0..64)
-                .map(|_| d.read_block(0, &mut r).is_err())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn write_cut_error_mode() {
-        let plan = DiskFaultPlan::new().cut_writes_after(2, WriteCutMode::Error);
-        let d = FaultyDisk::with_plan(MemDisk::new(4), plan);
-        assert!(d.write_block(0, &block(1)).is_ok());
-        assert!(d.write_block(1, &block(1)).is_ok());
-        assert!(d.write_block(2, &block(1)).is_err());
-    }
-
-    #[test]
-    fn write_cut_silent_drop_swallows() {
-        let plan = DiskFaultPlan::new().cut_writes_after(1, WriteCutMode::SilentDrop);
-        let d = FaultyDisk::with_plan(MemDisk::new(4), plan);
-        d.write_block(0, &block(7)).unwrap();
-        d.write_block(1, &block(7)).unwrap(); // dropped, reports ok
-
-        let mut r = block(9);
-        d.read_block(1, &mut r).unwrap();
-        assert!(r.iter().all(|&b| b == 0), "dropped write never landed");
-        assert_eq!(d.take_events(), vec![FaultEvent::DroppedWrite(1)]);
-    }
-
-    #[test]
     fn flush_faults_fire_and_record() {
         let plan = DiskFaultPlan::new().fail_flushes(TriggerMode::Nth(2));
         let d = FaultyDisk::with_plan(MemDisk::new(1), plan);
@@ -944,33 +824,6 @@ mod tests {
         assert_eq!(batch_ns(0, 100, 400), 0, "no latency model, no media time");
     }
 
-    #[test]
-    fn concurrent_extents_stop_exactly_at_the_cut() {
-        let plan = DiskFaultPlan::new().cut_writes_after(10, WriteCutMode::SilentDrop);
-        let d = FaultyDisk::with_plan(MemDisk::new(128), plan);
-        let blk = block(1);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let (d, blk) = (&d, &blk);
-                s.spawn(move || {
-                    let bufs = [&blk[..]; 4];
-                    for r in 0..4 {
-                        let start = t * 32 + r * 8;
-                        let batch = [0, 4].map(|off| Extent {
-                            start: start + off,
-                            bufs: &bufs,
-                        });
-                        d.write_blocks(&batch).unwrap();
-                    }
-                });
-            }
-        });
-        let image = d.inner().snapshot();
-        let landed = image.chunks_exact(BLOCK_SIZE).filter(|b| b[0] != 0).count();
-        assert_eq!(landed, 10);
-        assert_eq!(d.injected_faults(), 128 - 10);
-    }
-
     /// A plan's outcome under one request shape: what the request
     /// returned per attempt, the image left behind, the events, and the
     /// injected-fault count.
@@ -1027,35 +880,11 @@ mod tests {
     }
 
     #[test]
-    fn extent_batch_silent_cut_drops_the_loops_suffix() {
-        for cut in 0..=10 {
-            let plan = DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop);
-            let got = write_batch(&plan, &SCATTERED, true);
-            assert_eq!(got, write_batch(&plan, &SCATTERED, false), "cut {cut}");
-            let (failed, image, events, injected) = got;
-            let bnos: Vec<u64> = SCATTERED.iter().flat_map(|&(s, n)| s..s + n).collect();
-            let (kept, lost) = bnos.split_at((cut as usize).min(bnos.len()));
-            assert_eq!(failed, vec![false], "a silent cut reports success");
-            assert!(kept.iter().all(|&b| image[b as usize * BLOCK_SIZE] != 0));
-            assert!(lost.iter().all(|&b| image[b as usize * BLOCK_SIZE] == 0));
-            let dropped: Vec<FaultEvent> =
-                lost.iter().map(|&b| FaultEvent::DroppedWrite(b)).collect();
-            assert_eq!((events, injected), (dropped, lost.len() as u64));
-        }
-    }
-
-    #[test]
     fn extent_write_faults_fire_on_their_block() {
         let plans = [
             DiskFaultPlan::new().fail_writes(FaultTarget::Any, TriggerMode::Nth(4)),
             DiskFaultPlan::new()
                 .fail_writes(FaultTarget::Range { start: 6, end: 8 }, TriggerMode::Always),
-            DiskFaultPlan::new().cut_writes_after(3, WriteCutMode::SilentDrop),
-            DiskFaultPlan::new().cut_writes_after(3, WriteCutMode::Error),
-            DiskFaultPlan::new()
-                .cut_writes_after(2, WriteCutMode::SilentDrop)
-                .fail_writes(FaultTarget::Block(6), TriggerMode::Always),
-            DiskFaultPlan::new().cut_writes_after(0, WriteCutMode::SilentDrop),
         ];
         for plan in &plans {
             assert_eq!(
@@ -1074,16 +903,6 @@ mod tests {
         );
         let landed = |bno: usize| image[bno * BLOCK_SIZE] != 0;
         assert!((1..4).all(landed) && !(4..=8).any(landed));
-
-        // a silent cut-off inside the extent drops exactly its suffix
-        let (failed, image, events, _) = write_eight(&plans[2], true);
-        assert_eq!(failed, vec![false]);
-        let landed = |bno: usize| image[bno * BLOCK_SIZE] != 0;
-        assert!((1..=3).all(landed) && !(4..=8).any(landed));
-        assert_eq!(
-            events,
-            (4..=8).map(FaultEvent::DroppedWrite).collect::<Vec<_>>()
-        );
     }
 
     /// Read blocks 0..8 of a disk whose block `b` holds `b + 1`, as one

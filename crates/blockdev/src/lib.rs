@@ -9,9 +9,9 @@
 //!   (the workhorse for tests and benchmarks);
 //! * [`FileDisk`] — a file-backed disk for persistent images;
 //! * [`FaultyDisk`] — a wrapper injecting device-level faults: targeted
-//!   or probabilistic read/write/flush errors, silent bit corruption,
-//!   per-op latency, write cut-off for crash emulation, and
-//!   phase-scoped plans that arm only while recovery runs;
+//!   read/write/flush errors (always or on the N-th access), silent bit
+//!   corruption, per-op latency, and phase-scoped plans that arm only
+//!   while recovery runs;
 //! * [`RetryDisk`] — a wrapper absorbing transient-class errors with a
 //!   deterministic, seeded exponential backoff and a bounded attempt
 //!   budget (the recovery ladder's retry rung);
@@ -68,7 +68,6 @@ mod tracked;
 pub use device::{zeroed_block, BlockDevice, Extent, IoPhase, BLOCK_SIZE};
 pub use faulty::{
     AccessRule, CorruptRule, DiskFaultPlan, FaultEvent, FaultTarget, FaultyDisk, TriggerMode,
-    WriteCutMode,
 };
 pub use file::FileDisk;
 pub use frozen::FrozenView;

@@ -1,9 +1,7 @@
 //! Property tests of the block-device substrate.
 
 use proptest::prelude::*;
-use rae_blockdev::{
-    BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, QueueConfig, WritebackQueue, BLOCK_SIZE,
-};
+use rae_blockdev::{BlockDevice, FaultyDisk, MemDisk, QueueConfig, WritebackQueue, BLOCK_SIZE};
 use std::sync::Arc;
 
 proptest! {
@@ -66,29 +64,5 @@ proptest! {
         let image = d.snapshot();
         let d2 = MemDisk::from_image(&image);
         prop_assert_eq!(d2.snapshot(), image);
-    }
-
-    /// Write cut-off: exactly the first `cut` writes land, regardless
-    /// of interleaving.
-    #[test]
-    fn write_cut_is_exact(
-        writes in proptest::collection::vec(0u64..16, 1..50),
-        cut in 0u64..40,
-    ) {
-        use rae_blockdev::WriteCutMode;
-        let reference = MemDisk::new(16);
-        let disk = FaultyDisk::with_plan(
-            MemDisk::new(16),
-            DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop),
-        );
-        for (i, bno) in writes.iter().enumerate() {
-            let fill = (i % 251) as u8 + 1;
-            let buf = vec![fill; BLOCK_SIZE];
-            disk.write_block(*bno, &buf).unwrap();
-            if (i as u64) < cut {
-                reference.write_block(*bno, &buf).unwrap();
-            }
-        }
-        prop_assert_eq!(disk.inner().snapshot(), reference.snapshot());
     }
 }

@@ -60,6 +60,4 @@ pub use oplog::OpLog;
 pub use rae_blockdev::{RetryPolicy, RetryStats};
 pub use rae_standby::{StandbyOpts, StandbyStatus};
 pub use raefs::{RaeConfig, RaeFs, RecoveryMode, MAX_CONSECUTIVE_RECOVERIES};
-pub use report::{
-    LadderRung, RaeStats, RecoveryPath, RecoveryReport, RecoveryTrigger, RungFailure,
-};
+pub use report::{LadderRung, RaeStats, RecoveryReport, RecoveryTrigger, RungFailure};

@@ -2,9 +2,7 @@
 //! errors, and masks them through shadow recovery.
 
 use crate::oplog::OpLog;
-use crate::report::{
-    LadderRung, RaeStats, RecoveryPath, RecoveryReport, RecoveryTrigger, RungFailure,
-};
+use crate::report::{LadderRung, RaeStats, RecoveryReport, RecoveryTrigger, RungFailure};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rae_basefs::{BaseFs, BaseFsConfig, OpSequencer};
 use rae_blockdev::{BlockDevice, FrozenView, IoPhase, RetryDisk, RetryPolicy, TrackedDisk};
@@ -1325,11 +1323,6 @@ impl RaeFs {
                 (None, load_time, shadow, replay, executed)
             }
         };
-        let path = if view.is_some() {
-            RecoveryPath::Warm
-        } else {
-            RecoveryPath::Cold
-        };
         // 4. autonomous execution of the in-flight operation (pending
         // reads complete through the shadow too)
         let mut reissue_sync = false;
@@ -1385,7 +1378,6 @@ impl RaeFs {
         let shadow_memo_hits = cold_view.map_or(0, |v| v.hits());
         let mut report = RecoveryReport {
             trigger: trigger.clone(),
-            path,
             rung,
             failed_rungs: Vec::new(), // filled by finish_recovery
             duration: t0.elapsed(),   // refined by finish_recovery

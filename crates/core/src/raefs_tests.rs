@@ -1190,8 +1190,8 @@ fn warm_and_cold_recovery_reach_identical_state() {
         assert_eq!(cold_reports.len(), 1);
         assert_eq!(warm_reports.len(), 1);
         let (cr, wr) = (&cold_reports[0], &warm_reports[0]);
-        assert_eq!(cr.path, crate::RecoveryPath::Cold);
-        assert_eq!(wr.path, crate::RecoveryPath::Warm);
+        assert_eq!(cr.rung, crate::LadderRung::Cold);
+        assert_eq!(wr.rung, crate::LadderRung::Warm);
         assert!(cr.had_in_flight && wr.had_in_flight);
 
         // identical cross-check verdicts: the standby's accumulated
@@ -1258,7 +1258,7 @@ fn warm_recovery_respawns_standby_for_the_next_one() {
 
     let reports = fs.recovery_reports();
     assert_eq!(reports.len(), 2);
-    assert_eq!(reports[1].path, crate::RecoveryPath::Warm);
+    assert_eq!(reports[1].rung, crate::LadderRung::Warm);
     assert_eq!(fs.stats().recoveries, 2);
     let fd = fs.open("/renamed2", OpenFlags::RDONLY).unwrap();
     assert_eq!(fs.read(fd, 0, 5).unwrap(), b"again");

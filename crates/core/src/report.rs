@@ -17,19 +17,6 @@ pub enum RecoveryTrigger {
     WarnPolicy,
 }
 
-/// Which replay substrate produced the recovered state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPath {
-    /// Fresh shadow load plus constrained replay of the whole retained
-    /// log — O(retained log).
-    #[default]
-    Cold,
-    /// Handover from the warm standby, which was already caught up;
-    /// only the published-but-unapplied tail was drained —
-    /// O(in-flight).
-    Warm,
-}
-
 /// A rung of the recovery degradation ladder. Recovery tries rungs in
 /// declaration order; each failure drops to the next, and only the last
 /// two sacrifice service (mutations, then everything).
@@ -92,8 +79,6 @@ pub struct RungFailure {
 pub struct RecoveryReport {
     /// Why recovery ran.
     pub trigger: RecoveryTrigger,
-    /// Cold replay or warm standby handover.
-    pub path: RecoveryPath,
     /// The ladder rung that produced the final state. `Warm`, `Cold`,
     /// and `ColdRetry` recovered full service; `Degraded` left the
     /// mount read-only; `Offline` gave up.
@@ -183,7 +168,6 @@ impl RecoveryReport {
     ) -> RecoveryReport {
         RecoveryReport {
             trigger,
-            path: RecoveryPath::Cold,
             rung,
             failed_rungs,
             duration,

@@ -206,7 +206,6 @@ pub fn fault_class_name(code: u64) -> &'static str {
         1 => "write_fail",
         2 => "flush_fail",
         3 => "corrupt_read",
-        4 => "write_cut",
         _ => "?",
     }
 }

@@ -1,12 +1,15 @@
 //! Crash-consistency integration: the journal must make every
 //! crash/remount land on a consistent image with all synced state
-//! present, including crashes carved at arbitrary write-cut points.
+//! present. A synced workload is recorded on a [`TapeDisk`], and every
+//! state a crash between its flushes can leave ([`crash::crash_states`])
+//! is mounted and checked.
 
 use rae_basefs::{BaseFs, BaseFsConfig};
-use rae_blockdev::{BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, WriteCutMode};
+use rae_blockdev::crash::{self, CrashImage};
+use rae_blockdev::{BlockDevice, DiskFaultPlan, FaultyDisk, MemDisk, TapeDisk, TapeEntry};
 use rae_faults::FaultRegistry;
 use rae_fsformat::{fsck, mkfs, MkfsParams};
-use rae_vfs::{FileSystem, OpenFlags};
+use rae_vfs::{FileSystem, FsError, OpenFlags};
 use std::sync::Arc;
 
 fn params() -> MkfsParams {
@@ -21,108 +24,117 @@ fn rw_create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE
 }
 
-/// Run a deterministic workload with periodic fsync against a device
-/// that silently drops all writes after `cut`: everything after the cut
-/// never reaches the "platter", emulating a machine crash at that
-/// instant. Returns the surviving image.
-fn run_until_cut(cut: u64) -> Vec<u8> {
+/// Files the workload writes, a sync after every tenth.
+const FILES: usize = 60;
+
+/// Bytes of file `i`, every one of them `i`.
+const FILE_BYTES: usize = 3000;
+
+fn file(i: usize) -> String {
+    format!("/d{}/f{i}", i % 5)
+}
+
+/// Run the workload on a tape over a fresh image and crash. Returns the
+/// image the tape starts from, the tape, and per sync the files it made
+/// durable and the flush epoch from which they are: a crash state of
+/// that epoch or a later one holds every write of the epochs before.
+fn record_workload() -> (Vec<u8>, Vec<TapeEntry>, Vec<(usize, usize)>) {
     let mem = MemDisk::new(8192);
     mkfs(&mem, params()).unwrap();
-    let dev = Arc::new(FaultyDisk::with_plan(
-        mem,
-        DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop),
-    ));
+    let pre = mem.snapshot();
+    let dev = Arc::new(TapeDisk::from_image(&pre));
     let fs = BaseFs::mount(dev.clone() as Arc<dyn BlockDevice>, BaseFsConfig::default()).unwrap();
-    let mut synced = 0usize;
-    for i in 0..60 {
-        let dir = format!("/d{}", i % 5);
-        let _ = fs.mkdir(&dir);
-        if let Ok(fd) = fs.open(&format!("{dir}/f{i}"), rw_create()) {
-            let _ = fs.write(fd, 0, &vec![i as u8; 3000]);
-            let _ = fs.close(fd);
+    let mut marks = Vec::new();
+    for i in 0..FILES {
+        if i < 5 {
+            fs.mkdir(&format!("/d{i}")).unwrap();
         }
-        if i % 10 == 9 && fs.sync().is_ok() {
-            synced = i + 1;
+        let fd = fs.open(&file(i), rw_create()).unwrap();
+        fs.write(fd, 0, &[i as u8; FILE_BYTES]).unwrap();
+        fs.close(fd).unwrap();
+        if i % 10 == 9 {
+            fs.sync().unwrap();
+            marks.push((i + 1, dev.mark()));
         }
     }
-    let _ = synced;
     fs.crash();
-    dev.inner().snapshot()
+    let tape = dev.since(0);
+    let durable = marks
+        .into_iter()
+        .map(|(files, mark)| {
+            let flushes = tape[..mark].iter().filter(|e| **e == TapeEntry::Flush);
+            (files, flushes.count())
+        })
+        .collect();
+    (pre, tape, durable)
+}
+
+/// Mount one crash state, read every file, unmount and `fsck`: each file
+/// present holds nothing or exactly its own bytes, the first `synced`
+/// are all present with theirs, and the image checks clean.
+fn check_state(dev: Arc<CrashImage>, synced: usize) -> Result<(), String> {
+    let fs = BaseFs::mount(dev.clone() as Arc<dyn BlockDevice>, BaseFsConfig::default())
+        .map_err(|e| format!("mount: {e}"))?;
+    for i in 0..FILES {
+        let path = file(i);
+        let size = match fs.stat(&path) {
+            Ok(st) => st.size as usize,
+            Err(FsError::NotFound) if i >= synced => continue,
+            Err(e) => return Err(format!("{path} (synced: {}): {e}", i < synced)),
+        };
+        let fd = fs
+            .open(&path, OpenFlags::RDONLY)
+            .map_err(|e| format!("{path}: {e}"))?;
+        let got = fs.read(fd, 0, size).map_err(|e| format!("{path}: {e}"))?;
+        fs.close(fd).map_err(|e| format!("{path}: {e}"))?;
+        let own = got.len() == FILE_BYTES && got.iter().all(|&b| b == i as u8);
+        // an unsynced file may have lost its data, never gained another's
+        let emptied = got.is_empty() && i >= synced;
+        if !(own || emptied) {
+            return Err(format!(
+                "{path} (synced: {}) holds {} bytes, not its own",
+                i < synced,
+                got.len()
+            ));
+        }
+    }
+    fs.unmount().map_err(|e| format!("unmount: {e}"))?;
+    let report = fsck(dev.as_ref()).map_err(|e| format!("fsck: {e}"))?;
+    if !report.is_clean() {
+        return Err(format!("fsck: {report}"));
+    }
+    Ok(())
 }
 
 #[test]
-fn every_crash_point_yields_recoverable_image() {
-    // sweep crash points through the interesting range
-    for cut in [5u64, 25, 60, 120, 200, 400, 800] {
-        let image = run_until_cut(cut);
-        let dev = Arc::new(MemDisk::from_image(&image));
-        // mount replays the journal; the result must be consistent
-        let fs =
-            BaseFs::mount(dev.clone() as Arc<dyn BlockDevice>, BaseFsConfig::default()).unwrap();
-        // tree must be walkable (no corruption)
-        let mut stack = vec![String::from("/")];
-        let mut files = 0usize;
-        while let Some(dir) = stack.pop() {
-            for e in fs.readdir(&dir).unwrap() {
-                let path = if dir == "/" {
-                    format!("/{}", e.name)
-                } else {
-                    format!("{dir}/{}", e.name)
-                };
-                match e.ftype {
-                    rae_vfs::FileType::Directory => stack.push(path),
-                    _ => {
-                        files += 1;
-                        let st = fs.stat(&path).unwrap();
-                        if st.ftype == rae_vfs::FileType::Regular && st.size > 0 {
-                            let fd = fs.open(&path, OpenFlags::RDONLY).unwrap();
-                            let _ = fs.read(fd, 0, st.size as usize).unwrap();
-                            fs.close(fd).unwrap();
-                        }
-                    }
-                }
-            }
-        }
-        let _ = files;
-        fs.unmount().unwrap();
-        let report = fsck(dev.as_ref()).unwrap();
-        assert!(report.is_clean(), "cut={cut}: {report}");
-    }
-}
-
-#[test]
-fn synced_data_survives_any_later_crash() {
-    // phase 1: write + sync a known tree, snapshot the device
-    let mem = MemDisk::new(8192);
-    mkfs(&mem, params()).unwrap();
-    let dev = Arc::new(mem);
-    let fs = BaseFs::mount(dev.clone() as Arc<dyn BlockDevice>, BaseFsConfig::default()).unwrap();
-    fs.mkdir("/safe").unwrap();
-    for i in 0..10 {
-        let fd = fs.open(&format!("/safe/f{i}"), rw_create()).unwrap();
-        fs.write(fd, 0, format!("durable-{i}").as_bytes()).unwrap();
-        fs.close(fd).unwrap();
-    }
-    fs.sync().unwrap();
-    // phase 2: unsynced churn, then crash
-    for i in 0..30 {
-        let fd = fs.open(&format!("/volatile{i}"), rw_create()).unwrap();
-        fs.write(fd, 0, b"gone").unwrap();
-        fs.close(fd).unwrap();
-    }
-    fs.crash();
-
-    let fs2 = BaseFs::mount(dev.clone() as Arc<dyn BlockDevice>, BaseFsConfig::default()).unwrap();
-    for i in 0..10 {
-        let fd = fs2.open(&format!("/safe/f{i}"), OpenFlags::RDONLY).unwrap();
-        assert_eq!(
-            fs2.read(fd, 0, 20).unwrap(),
-            format!("durable-{i}").as_bytes()
-        );
-        fs2.close(fd).unwrap();
-    }
-    fs2.unmount().unwrap();
-    assert!(fsck(dev.as_ref()).unwrap().is_clean());
+fn crash_epoch_synced_workload_every_state_recovers() {
+    let (pre, tape, durable) = record_workload();
+    assert_eq!(durable.len(), FILES / 10);
+    let base = Arc::new(MemDisk::from_image(&pre));
+    let epochs = crash::epochs(&tape);
+    let states = crash::crash_states(&epochs, 0);
+    let bad: Vec<String> = states
+        .iter()
+        .filter_map(|state| {
+            let synced = durable
+                .iter()
+                .filter(|&&(_, epoch)| epoch <= state.epoch)
+                .map(|&(files, _)| files)
+                .max()
+                .unwrap_or(0);
+            let dev = Arc::new(CrashImage::new(Arc::clone(&base), &epochs, state));
+            check_state(dev, synced)
+                .err()
+                .map(|why| format!("{state:?}: {why}"))
+        })
+        .collect();
+    assert!(
+        bad.is_empty(),
+        "{} of {} crash states are bad; the first: {}",
+        bad.len(),
+        states.len(),
+        bad[0]
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Property-based end-to-end tests: for random operation scripts and
 //! random fault points, RAE-recovered state must equal the executable
-//! specification's state, and images must stay fsck-clean.
+//! specification's state, and images must stay fsck-clean, crash
+//! states sampled from a script's tape among them.
 
 use proptest::prelude::*;
 use rae::{RaeConfig, RaeFs};
@@ -120,33 +121,39 @@ proptest! {
         prop_assert!(report.is_clean(), "{report}");
     }
 
-    /// Crash anywhere (write cut-off), remount: image is always
-    /// fsck-consistent (crash-safety property of the journal).
+    /// Crash anywhere: record the script on a tape, take one of the
+    /// crash states between its flushes ([`crash::crash_states`]) and
+    /// remount it: the image is always fsck-consistent (crash-safety
+    /// property of the journal). A script's tape has tens of thousands
+    /// of states, so this samples them; the integration test
+    /// `crash_epoch_synced_workload_every_state_recovers` enumerates a
+    /// smaller workload's.
     #[test]
-    fn crash_anywhere_is_recoverable(seed in 0u64..2000, cut in 3u64..600) {
-        use rae_blockdev::{DiskFaultPlan, FaultyDisk, WriteCutMode};
+    fn crash_anywhere_is_recoverable(seed in 0u64..2000, pick in 0usize..1 << 20) {
+        use rae_blockdev::crash::{self, CrashImage};
+        use rae_blockdev::TapeDisk;
         let mem = MemDisk::new(8192);
         mkfs(&mem, MkfsParams { total_blocks: 8192, inode_count: 2048, journal_blocks: 128 }).unwrap();
-        let dev = Arc::new(FaultyDisk::with_plan(
-            mem,
-            DiskFaultPlan::new().cut_writes_after(cut, WriteCutMode::SilentDrop),
-        ));
+        let pre = mem.snapshot();
+        let dev = Arc::new(TapeDisk::from_image(&pre));
         let base = rae_basefs::BaseFs::mount(
             dev.clone() as Arc<dyn BlockDevice>,
             BaseFsConfig::default(),
         ).unwrap();
         let script = generate_script(Profile::Varmail, seed, 150);
-        let _ = run_script(&base, &script); // fsyncs may fail post-cut; ignored
+        let _ = run_script(&base, &script);
         base.crash();
 
-        let image = dev.inner().snapshot();
-        let survivor = Arc::new(MemDisk::from_image(&image));
+        let epochs = crash::epochs(&dev.since(0));
+        let states = crash::crash_states(&epochs, seed);
+        let state = &states[pick % states.len()];
+        let survivor = Arc::new(CrashImage::new(Arc::new(MemDisk::from_image(&pre)), &epochs, state));
         let fs2 = rae_basefs::BaseFs::mount(
             survivor.clone() as Arc<dyn BlockDevice>,
             BaseFsConfig::default(),
         ).unwrap();
         fs2.unmount().unwrap();
         let report = fsck(survivor.as_ref()).unwrap();
-        prop_assert!(report.is_clean(), "cut={cut}: {report}");
+        prop_assert!(report.is_clean(), "{state:?} of {}: {report}", states.len());
     }
 }
