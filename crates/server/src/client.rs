@@ -154,7 +154,9 @@ impl Client {
             None => self.trace,
         };
         write_frame(&mut self.stream, &request.encode_traced(ctx))?;
-        let Some(body) = read_frame(&mut self.stream)? else {
+        // the socket has no read timeout, so the reader never asks
+        // whether to keep waiting
+        let Some(body) = read_frame(&mut self.stream, || true)? else {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",

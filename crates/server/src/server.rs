@@ -13,7 +13,8 @@
 //! Shutdown: [`Server::request_shutdown`] (or the `Shutdown` admin
 //! op, or SIGINT via [`sigint_installed`]) flips a flag; the accept
 //! loop rejects new and queued connections with a `ShuttingDown`
-//! frame, workers finish the request in flight and then say
+//! frame, workers finish the request in flight (and give up on a
+//! frame the client has only half sent) and then say
 //! `ShuttingDown` before closing, and [`Server::shutdown`] joins
 //! everything and flushes/unmounts every volume.
 
@@ -25,7 +26,7 @@ use crate::wire::{
 use rae_faults::{BugSpec, Trigger};
 use rae_telemetry::EventKind;
 use rae_vfs::FsError;
-use std::io::Read;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -275,115 +276,60 @@ fn worker_loop(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared) {
     }
 }
 
-enum ReadOutcome {
-    Frame(Vec<u8>),
-    Eof,
-    Shutdown,
-    Error,
-}
-
-/// Read one frame, polling the shutdown flag while the connection is
-/// idle (the socket carries a short read timeout so an idle worker
-/// notices shutdown within ~50 ms).
-fn read_frame_interruptible(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
-    let mut hdr = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        if got == 0 && shared.shutdown.load(Ordering::SeqCst) {
-            return ReadOutcome::Shutdown;
-        }
-        match stream.read(&mut hdr[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Error
-                }
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return ReadOutcome::Error,
-        }
-    }
-    let len = u32::from_le_bytes(hdr) as usize;
-    if len > wire::MAX_FRAME_LEN {
-        return ReadOutcome::Error;
-    }
-    let mut body = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match stream.read(&mut body[got..]) {
-            Ok(0) => return ReadOutcome::Error,
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return ReadOutcome::Error,
-        }
-    }
-    ReadOutcome::Frame(body)
-}
-
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+    // a short read timeout lets the worker look at the shutdown flag
+    // while it waits, between frames and inside one
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let running = || !shared.shutdown.load(Ordering::SeqCst);
     let mut served = 0u64;
     // ConnClosed reason codes: 0 eof, 1 transport error, 2 shutdown,
-    // 3 bad frame (see the EventKind schema table)
-    let mut close_reason = 0u64;
-    loop {
-        let body = match read_frame_interruptible(&mut stream, shared) {
-            ReadOutcome::Frame(body) => body,
-            ReadOutcome::Eof => break,
-            ReadOutcome::Error => {
-                close_reason = 1;
-                break;
-            }
-            ReadOutcome::Shutdown => {
-                close_reason = 2;
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::ServerErr(ServerError::ShuttingDown).encode(),
-                );
-                break;
-            }
-        };
-        let response = match Request::decode_traced(&body) {
-            Ok((request, ctx)) => {
-                served += 1;
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                // The trace id travels the rest of the way through the
-                // per-thread cell: every flight-recorder event the
-                // request's layers record is stamped with it.
-                if let Some(ctx) = ctx {
-                    rae_telemetry::set_current_trace(ctx.trace_id);
-                }
-                let response = handle_request(request, shared);
-                rae_telemetry::clear_current_trace();
-                response
-            }
-            Err(e) => {
-                // a malformed frame poisons the stream position: answer
-                // once, then close the connection
-                close_reason = 3;
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::ServerErr(ServerError::BadFrame {
-                        reason: e.0.to_string(),
-                    })
-                    .encode(),
-                );
-                break;
-            }
-        };
-        if write_frame(&mut stream, &response.encode()).is_err() {
-            break;
+    // 3 bad frame (see the EventKind schema table); the connection's
+    // last word, if any, goes out just before it closes
+    let (close_reason, last_word) = loop {
+        if !running() {
+            break (2, Some(ServerError::ShuttingDown));
         }
+        let body = match wire::read_frame(&mut stream, running) {
+            Ok(Some(body)) => body,
+            Ok(None) => break (0, None),
+            Err(e) if e.kind() == ErrorKind::TimedOut => {
+                break (2, Some(ServerError::ShuttingDown));
+            }
+            Err(e) if e.kind() == ErrorKind::InvalidData => break (3, Some(bad_frame(e))),
+            Err(_) => break (1, None),
+        };
+        // a malformed frame poisons the stream position: answer once,
+        // then close the connection
+        let (request, ctx) = match Request::decode_traced(&body) {
+            Ok(decoded) => decoded,
+            Err(e) => break (3, Some(bad_frame(e.0))),
+        };
+        served += 1;
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        // The trace id travels the rest of the way through the
+        // per-thread cell: every flight-recorder event the request's
+        // layers record is stamped with it.
+        if let Some(ctx) = ctx {
+            rae_telemetry::set_current_trace(ctx.trace_id);
+        }
+        let response = handle_request(request, shared);
+        rae_telemetry::clear_current_trace();
+        if write_frame(&mut stream, &response.encode()).is_err() {
+            break (1, None);
+        }
+    };
+    if let Some(err) = last_word {
+        let _ = write_frame(&mut stream, &Response::ServerErr(err).encode());
     }
     let t = shared.manager.telemetry();
     t.event(EventKind::ClientDisconnected, 0, served, 0);
     t.event(EventKind::ConnClosed, served, close_reason, 0);
+}
+
+fn bad_frame(reason: impl ToString) -> ServerError {
+    ServerError::BadFrame {
+        reason: reason.to_string(),
+    }
 }
 
 fn handle_request(request: Request, shared: &Shared) -> Response {

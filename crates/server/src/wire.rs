@@ -2,6 +2,9 @@
 //!
 //! Every message is a *frame*: a little-endian `u32` body length
 //! followed by that many body bytes, capped at [`MAX_FRAME_LEN`].
+//! [`write_frame`] sends prefix and body in one write, and both ends
+//! read with [`read_frame`], which lets the caller give up on a frame
+//! whenever a read times out (the server's workers do at shutdown).
 //! Request bodies start with a one-byte opcode; filesystem operations
 //! reuse [`rae_vfs::OpKind::code`] as their opcode so the wire
 //! vocabulary and the recorded-operation vocabulary cannot drift
@@ -80,31 +83,45 @@ impl std::error::Error for DecodeError {}
 // ---------------------------------------------------------------------
 // frame I/O
 
-/// Write one frame (length prefix + body).
+/// Write one frame (length prefix + body) in one `write_all`, so that
+/// on a `TCP_NODELAY` socket the frame leaves in one segment and the
+/// reader wakes once for it.
 ///
 /// # Errors
 ///
 /// I/O errors from the writer.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     debug_assert!(body.len() <= MAX_FRAME_LEN);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one frame body. Returns `Ok(None)` on clean EOF (the peer
 /// closed between frames).
 ///
+/// Every read that times out (a socket with a read timeout) asks
+/// `keep_waiting` whether to go on, wherever in the frame it is; on
+/// `false` the frame is abandoned with `TimedOut`. A reader with no
+/// timeout never calls it.
+///
 /// # Errors
 ///
 /// `UnexpectedEof` for a truncated frame, `InvalidData` for an
-/// oversized length prefix, plus transport errors.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
+/// oversized length prefix, `TimedOut` for an abandoned frame, plus
+/// transport errors.
+pub fn read_frame(
+    r: &mut impl Read,
+    mut keep_waiting: impl FnMut() -> bool,
+) -> std::io::Result<Option<Vec<u8>>> {
+    let truncated = || std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
     let mut hdr = [0u8; 4];
-    match r.read(&mut hdr) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut hdr[n..])?,
-        Err(e) => return Err(e),
+    match fill(r, &mut hdr, &mut keep_waiting)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(truncated()),
     }
     let len = u32::from_le_bytes(hdr) as usize;
     if len > MAX_FRAME_LEN {
@@ -114,8 +131,38 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         ));
     }
     let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    if fill(r, &mut body, &mut keep_waiting)? < len {
+        return Err(truncated());
+    }
     Ok(Some(body))
+}
+
+/// Read into `buf` until it is full or the peer closes; returns how
+/// many bytes arrived.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    keep_waiting: &mut impl FnMut() -> bool,
+) -> std::io::Result<usize> {
+    use std::io::ErrorKind;
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if !keep_waiting() {
+                    return Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        "frame abandoned while waiting for the peer",
+                    ));
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 // ---------------------------------------------------------------------
@@ -515,19 +562,29 @@ impl Request {
     /// Encode into a frame body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+        self.encode_traced(None)
+    }
+
+    /// The opcode byte (without [`TRACE_FLAG`]).
+    fn opcode(&self) -> u8 {
         match self {
-            Request::Ping => out.push(PING_OPCODE),
-            Request::Negotiate { version } => {
-                out.push(NEGOTIATE_OPCODE);
-                out.extend_from_slice(&version.to_le_bytes());
-            }
+            Request::Ping => PING_OPCODE,
+            Request::Negotiate { .. } => NEGOTIATE_OPCODE,
+            Request::Fs { op, .. } => op.kind().code(),
+            Request::Admin(op) => op.opcode(),
+        }
+    }
+
+    /// Append the fields that follow the opcode.
+    fn put_fields(&self, out: &mut Vec<u8>) {
+        match self {
+            Request::Ping => {}
+            Request::Negotiate { version } => out.extend_from_slice(&version.to_le_bytes()),
             Request::Fs { volume, op } => {
-                out.push(op.kind().code());
                 out.extend_from_slice(&volume.to_le_bytes());
                 match op {
                     FsOp::Open { path, flags } => {
-                        put_str(&mut out, path);
+                        put_str(out, path);
                         out.extend_from_slice(&flags.bits().to_le_bytes());
                     }
                     FsOp::Close { fd } | FsOp::Fsync { fd } | FsOp::Fstat { fd } => {
@@ -541,16 +598,16 @@ impl Request {
                     FsOp::Write { fd, offset, data } => {
                         out.extend_from_slice(&fd.0.to_le_bytes());
                         out.extend_from_slice(&offset.to_le_bytes());
-                        put_bytes(&mut out, data);
+                        put_bytes(out, data);
                     }
                     FsOp::Truncate { fd, size } => {
                         out.extend_from_slice(&fd.0.to_le_bytes());
                         out.extend_from_slice(&size.to_le_bytes());
                     }
                     FsOp::SetAttr { path, attr } => {
-                        put_str(&mut out, path);
-                        put_opt_u64(&mut out, attr.size);
-                        put_opt_u64(&mut out, attr.mtime);
+                        put_str(out, path);
+                        put_opt_u64(out, attr.size);
+                        put_opt_u64(out, attr.mtime);
                     }
                     FsOp::Sync | FsOp::Statfs => {}
                     FsOp::Mkdir { path }
@@ -558,7 +615,7 @@ impl Request {
                     | FsOp::Unlink { path }
                     | FsOp::Readlink { path }
                     | FsOp::Stat { path }
-                    | FsOp::Readdir { path } => put_str(&mut out, path),
+                    | FsOp::Readdir { path } => put_str(out, path),
                     FsOp::Rename { from: a, to: b }
                     | FsOp::Link {
                         existing: a,
@@ -568,51 +625,47 @@ impl Request {
                         target: a,
                         linkpath: b,
                     } => {
-                        put_str(&mut out, a);
-                        put_str(&mut out, b);
+                        put_str(out, a);
+                        put_str(out, b);
                     }
                 }
             }
-            Request::Admin(op) => {
-                out.push(op.opcode());
-                match op {
-                    AdminOp::CreateVolume {
-                        name,
-                        blocks,
-                        inodes,
-                        journal,
-                        max_ops,
-                        max_bytes,
-                    } => {
-                        put_str(&mut out, name);
-                        out.extend_from_slice(&blocks.to_le_bytes());
-                        out.extend_from_slice(&inodes.to_le_bytes());
-                        out.extend_from_slice(&journal.to_le_bytes());
-                        out.extend_from_slice(&max_ops.to_le_bytes());
-                        out.extend_from_slice(&max_bytes.to_le_bytes());
-                    }
-                    AdminOp::UnmountVolume { volume }
-                    | AdminOp::VolumeStats { volume }
-                    | AdminOp::ForceRecover { volume } => {
-                        out.extend_from_slice(&volume.to_le_bytes());
-                    }
-                    AdminOp::InjectFault {
-                        volume,
-                        site,
-                        effect,
-                        nth,
-                    } => {
-                        out.extend_from_slice(&volume.to_le_bytes());
-                        out.push(*site);
-                        out.push(*effect);
-                        out.extend_from_slice(&nth.to_le_bytes());
-                    }
-                    AdminOp::Scrape { json } => out.push(u8::from(*json)),
-                    AdminOp::ListVolumes | AdminOp::ServerStats | AdminOp::Shutdown => {}
+            Request::Admin(op) => match op {
+                AdminOp::CreateVolume {
+                    name,
+                    blocks,
+                    inodes,
+                    journal,
+                    max_ops,
+                    max_bytes,
+                } => {
+                    put_str(out, name);
+                    out.extend_from_slice(&blocks.to_le_bytes());
+                    out.extend_from_slice(&inodes.to_le_bytes());
+                    out.extend_from_slice(&journal.to_le_bytes());
+                    out.extend_from_slice(&max_ops.to_le_bytes());
+                    out.extend_from_slice(&max_bytes.to_le_bytes());
                 }
-            }
+                AdminOp::UnmountVolume { volume }
+                | AdminOp::VolumeStats { volume }
+                | AdminOp::ForceRecover { volume } => {
+                    out.extend_from_slice(&volume.to_le_bytes());
+                }
+                AdminOp::InjectFault {
+                    volume,
+                    site,
+                    effect,
+                    nth,
+                } => {
+                    out.extend_from_slice(&volume.to_le_bytes());
+                    out.push(*site);
+                    out.push(*effect);
+                    out.extend_from_slice(&nth.to_le_bytes());
+                }
+                AdminOp::Scrape { json } => out.push(u8::from(*json)),
+                AdminOp::ListVolumes | AdminOp::ServerStats | AdminOp::Shutdown => {}
+            },
         }
-        out
     }
 
     /// Decode a frame body.
@@ -625,6 +678,12 @@ impl Request {
     pub fn decode(body: &[u8]) -> Result<Request, DecodeError> {
         let mut c = Cursor::new(body);
         let opcode = c.u8("opcode")?;
+        Request::decode_fields(opcode, &mut c)
+    }
+
+    /// Decode the v1 fields that follow `opcode`, through the end of
+    /// the body.
+    fn decode_fields(opcode: u8, c: &mut Cursor<'_>) -> Result<Request, DecodeError> {
         if opcode == PING_OPCODE {
             c.done("ping")?;
             return Ok(Request::Ping);
@@ -699,8 +758,8 @@ impl Request {
             OpKind::SetAttr => FsOp::SetAttr {
                 path: c.str("setattr.path")?,
                 attr: SetAttr {
-                    size: take_opt_u64(&mut c, "setattr.size")?,
-                    mtime: take_opt_u64(&mut c, "setattr.mtime")?,
+                    size: take_opt_u64(c, "setattr.size")?,
+                    mtime: take_opt_u64(c, "setattr.mtime")?,
                 },
             },
             OpKind::Fsync => FsOp::Fsync {
@@ -758,18 +817,16 @@ impl Request {
     /// negotiated [`PROTOCOL_VERSION`] >= 2.
     #[must_use]
     pub fn encode_traced(&self, ctx: Option<TraceCtx>) -> Vec<u8> {
-        let body = self.encode();
-        let Some(ctx) = ctx else {
-            return body;
-        };
-        if matches!(self, Request::Ping | Request::Negotiate { .. }) {
-            return body;
+        let mut out = Vec::with_capacity(32);
+        match ctx {
+            Some(ctx) if !matches!(self, Request::Ping | Request::Negotiate { .. }) => {
+                out.push(self.opcode() | TRACE_FLAG);
+                out.extend_from_slice(&ctx.trace_id.to_le_bytes());
+                out.push(ctx.span);
+            }
+            _ => out.push(self.opcode()),
         }
-        let mut out = Vec::with_capacity(body.len() + 9);
-        out.push(body[0] | TRACE_FLAG);
-        out.extend_from_slice(&ctx.trace_id.to_le_bytes());
-        out.push(ctx.span);
-        out.extend_from_slice(&body[1..]);
+        self.put_fields(&mut out);
         out
     }
 
@@ -782,28 +839,20 @@ impl Request {
     /// [`DecodeError`] as [`Request::decode`], plus truncated trace
     /// prefixes and malformed negotiation frames.
     pub fn decode_traced(body: &[u8]) -> Result<(Request, Option<TraceCtx>), DecodeError> {
-        let Some(&opcode) = body.first() else {
-            return Err(DecodeError("empty frame"));
-        };
+        let mut c = Cursor::new(body);
+        let opcode = c.u8("empty frame")?;
         if opcode == NEGOTIATE_OPCODE {
-            let mut c = Cursor::new(body);
-            let _ = c.u8("opcode")?;
             let version = c.u32("negotiate.version")?;
             c.done("negotiate trailing bytes")?;
             return Ok((Request::Negotiate { version }, None));
         }
         if opcode == PING_OPCODE || opcode & TRACE_FLAG == 0 {
-            return Ok((Request::decode(body)?, None));
+            return Ok((Request::decode_fields(opcode, &mut c)?, None));
         }
-        if body.len() < 10 {
-            return Err(DecodeError("traced frame truncated"));
-        }
-        let trace_id = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes checked"));
-        let span = body[9];
-        let mut v1 = Vec::with_capacity(body.len() - 9);
-        v1.push(opcode & !TRACE_FLAG);
-        v1.extend_from_slice(&body[10..]);
-        Ok((Request::decode(&v1)?, Some(TraceCtx { trace_id, span })))
+        let trace_id = c.u64("traced frame truncated")?;
+        let span = c.u8("traced frame truncated")?;
+        let request = Request::decode_fields(opcode & !TRACE_FLAG, &mut c)?;
+        Ok((request, Some(TraceCtx { trace_id, span })))
     }
 }
 
@@ -1527,7 +1576,7 @@ mod tests {
     fn oversized_frame_rejected_without_allocation() {
         let hdr = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         let mut buf: &[u8] = &hdr;
-        let err = read_frame(&mut buf).expect_err("oversized accepted");
+        let err = read_frame(&mut buf, || true).expect_err("oversized accepted");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
@@ -1537,11 +1586,11 @@ mod tests {
         let mut data = 10u32.to_le_bytes().to_vec();
         data.extend_from_slice(&[1, 2, 3]);
         let mut r: &[u8] = &data;
-        let err = read_frame(&mut r).expect_err("truncated accepted");
+        let err = read_frame(&mut r, || true).expect_err("truncated accepted");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         // clean EOF between frames is None
         let mut empty: &[u8] = &[];
-        assert_eq!(read_frame(&mut empty).expect("eof"), None);
+        assert_eq!(read_frame(&mut empty, || true).expect("eof"), None);
     }
 
     #[test]
@@ -1550,9 +1599,74 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut r: &[u8] = &buf;
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        assert_eq!(read_frame(&mut r, || true).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut r, || true).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r, || true).unwrap(), None);
+    }
+
+    #[test]
+    fn frame_is_one_write() {
+        /// Counts `write` calls and keeps what they wrote.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for body in [Vec::new(), b"hello".to_vec(), vec![7u8; 4096 + 4]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(
+                w.writes,
+                1,
+                "a {}-byte frame took {} writes",
+                body.len(),
+                w.writes
+            );
+            let mut want = (body.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&body);
+            assert_eq!(w.bytes, want);
+        }
+    }
+
+    #[test]
+    fn abandoned_frame_is_timed_out_wherever_it_stops() {
+        /// Hands out its bytes, then times out forever.
+        struct Stalls<'a>(&'a [u8]);
+        impl Read for Stalls<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                let n = buf.len().min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut frame = 8u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[1, 2, 3]);
+        // idle, half a header, a header and half a body: each waits as
+        // long as it is told to, then gives up
+        for sent in [0, 2, 7] {
+            let mut asked = 0;
+            let err = read_frame(&mut Stalls(&frame[..sent]), || {
+                asked += 1;
+                asked < 3
+            })
+            .expect_err("a stalled frame was accepted");
+            assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "sent={sent}");
+            assert_eq!(asked, 3, "sent={sent}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use rae_server::wire::{Request, Response, ServerError};
@@ -232,7 +232,9 @@ fn send_raw(server: &Server, frame: &[u8]) -> std::io::Result<Option<Vec<u8>>> {
     let mut s = TcpStream::connect(server.local_addr())?;
     s.set_read_timeout(Some(Duration::from_secs(5)))?;
     s.write_all(frame)?;
-    s.flush()?;
+    // nothing more is coming: a frame cut short is truncated at once,
+    // not left for the server to wait on
+    s.shutdown(std::net::Shutdown::Write)?;
     // server replies with one frame (or closes); then must close.
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -285,13 +287,17 @@ fn malformed_frames_error_cleanly_without_wedging_the_pool() {
         Response::ServerErr(ServerError::BadFrame { .. })
     ));
 
-    // Oversized length header: the server drops the connection without
-    // attempting the allocation. (No response frame is required.)
+    // Oversized length header: refused like any other malformed frame,
+    // one BadFrame and a close, without attempting the allocation.
     let huge = (rae_server::MAX_FRAME_LEN as u32 + 1).to_le_bytes();
-    let _ = send_raw(&server, &huge);
+    let raw = send_raw(&server, &huge).unwrap().unwrap();
+    assert!(matches!(
+        Response::decode(&raw[4..]).unwrap(),
+        Response::ServerErr(ServerError::BadFrame { .. })
+    ));
 
     // Truncated header: connection just closes.
-    let _ = send_raw(&server, &[0x01]);
+    assert_eq!(send_raw(&server, &[0x01]).unwrap(), None);
 
     // Hammer more garbage connections than there are workers, then
     // prove the pool still serves well-formed clients.
@@ -349,5 +355,33 @@ fn graceful_shutdown_drains_and_refuses() {
             Err(ClientError::Server(ServerError::ShuttingDown) | ClientError::Io(_)) => {}
             other => panic!("late client should be refused, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn shutdown_returns_with_a_half_sent_frame() {
+    // half a header, then a header (an 8-byte body) plus half the body
+    for partial in [&[8u8, 0][..], &[8, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE][..]] {
+        let server = start_server(&ServerConfig::default());
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        s.write_all(partial).unwrap();
+        // let a worker take the connection and start reading the frame
+        std::thread::sleep(Duration::from_millis(100));
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(server.shutdown());
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("shutdown hung on {} bytes of a frame", partial.len()));
+        report.unwrap();
+        // the worker gave up on the frame and said why before closing
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw).unwrap();
+        assert_eq!(
+            Response::decode(&raw[4..]).unwrap(),
+            Response::ServerErr(ServerError::ShuttingDown)
+        );
     }
 }
